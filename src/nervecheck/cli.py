@@ -32,12 +32,19 @@ def _report_text(r: CheckReport) -> str:
     return f"{r.check_id} {status} max_err={r.max_abs_err:.6e} tol={r.tol:.1e}"
 
 
-def _emit(payload: str, out: Optional[str]) -> None:
+def _emit(payload: str, out: Optional[str]) -> bool:
+    """Write the payload to stdout or to the file `out`; False (with a
+    message on stderr) when the file cannot be written."""
     if out is None:
         sys.stdout.write(payload + "\n")
-    else:
+        return True
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_check(args) -> int:
@@ -53,7 +60,8 @@ def _cmd_check(args) -> int:
         payload = json.dumps(report.to_json_dict())
     else:
         payload = _report_text(report)
-    _emit(payload, args.out)
+    if not _emit(payload, args.out):
+        return 2
     return 0 if report.passed else 1
 
 
@@ -72,7 +80,8 @@ def _cmd_check_all(args) -> int:
         payload = json.dumps([r.to_json_dict() for r in reports], indent=2)
     else:
         payload = "\n".join(_report_text(r) for r in reports)
-    _emit(payload, args.out)
+    if not _emit(payload, args.out):
+        return 2
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -1,7 +1,14 @@
 """The explicit degree-4 cochain on the SO(4) nerve and its building blocks.
 
-Three evaluators are hand-coded as signed sums over all 24 permutations of
-(1,2,3,4), pairing matrix entries (tau1,tau2) against (tau3,tau4):
+Every evaluator is a signed sum over the 24 permutations tau of (1,2,3,4),
+pairing matrix entries (tau1,tau2) against (tau3,tau4).  For any 4x4 matrices
+that sum is the Pfaffian polarization of their skew parts,
+
+    sum_tau sgn(tau) m1[tau1,tau2] m2[tau3,tau4] = pf(m1 - m1^T, m2 - m2^T),
+    pf(A, B) = A12 B34 - A13 B24 + A14 B23 + A23 B14 - A24 B13 + A34 B12,
+
+the wedge pairing on the six coordinates of so(4), which is how it is
+evaluated here.  The cochains are
 
 * a bi-invariant 3-form on SO(4) built from the left Maurer-Cartan form and
   its wedge square (coefficient 1/(192 pi^2)),
@@ -24,22 +31,28 @@ import numpy as np
 
 from .cartanmodel import EquivariantForm
 from .formcalc import FormEval, _same_point
-from .matrixgroup import GroupPoint, Tangent, s4_table
+from .matrixgroup import GroupPoint, Tangent
 
 _C192 = 1.0 / (192.0 * math.pi ** 2)
 _C64 = -1.0 / (64.0 * math.pi ** 2)
 
-# permutation images as 0-based index quadruples, paired with signs
-_PERMS = tuple((p.sign, p.images[0] - 1, p.images[1] - 1,
-                p.images[2] - 1, p.images[3] - 1) for p in s4_table())
+
+def _coords(m: np.ndarray) -> tuple[float, ...]:
+    """The entries m[a,b] - m[b,a], a < b, of m - m^T in BASIS_PAIRS order."""
+    r1, r2, r3, r4 = m.tolist()
+    return (r1[1] - r2[0], r1[2] - r3[0], r1[3] - r4[0],
+            r2[2] - r3[1], r2[3] - r4[1], r3[3] - r4[2])
 
 
-def _pair_sum(m1, m2) -> float:
+def _pf(a, b) -> float:
+    """Pfaffian polarization of two coordinate 6-tuples from `_coords`."""
+    return (a[0] * b[5] - a[1] * b[4] + a[2] * b[3]
+            + a[3] * b[2] - a[4] * b[1] + a[5] * b[0])
+
+
+def _pair_sum(m1: np.ndarray, m2: np.ndarray) -> float:
     """sum over permutations of sgn * (m1[t1,t2] m2[t3,t4] + m1[t3,t4] m2[t1,t2])."""
-    total = 0.0
-    for s, a, b, c, d in _PERMS:
-        total += s * (m1[a][b] * m2[c][d] + m1[c][d] * m2[a][b])
-    return total
+    return 2.0 * _pf(_coords(m1), _coords(m2))
 
 
 def _require_base(pt: GroupPoint, *ts: Tangent) -> None:
@@ -54,29 +67,13 @@ def eval_E13(pt: GroupPoint, v1: Tangent, v2: Tangent, v3: Tangent) -> float:
         raise ValueError("this 3-form lives on a single factor")
     _require_base(pt, v1, v2, v3)
     hT = pt.factors[0].T
-    w = [(hT @ v.reps[0]).tolist() for v in (v1, v2, v3)]
-
-    def comm(a, b):
-        out = [[0.0] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(4):
-                out[i][j] = sum(a[i][k] * b[k][j] - b[i][k] * a[k][j]
-                                for k in range(4))
-        return out
-
-    c23 = comm(w[1], w[2])
-    c13 = comm(w[0], w[2])
-    c12 = comm(w[0], w[1])
-    total = 0.0
-    for s, a, b, c, d in _PERMS:
-        # (1,2)-shuffle expansion of (1-form) wedge (2-form), then the
-        # symmetrized entry pairing
-        shuf_ab_cd = (w[0][a][b] * c23[c][d] - w[1][a][b] * c13[c][d]
-                      + w[2][a][b] * c12[c][d])
-        shuf_cd_ab = (w[0][c][d] * c23[a][b] - w[1][c][d] * c13[a][b]
-                      + w[2][c][d] * c12[a][b])
-        total += s * (shuf_ab_cd + shuf_cd_ab)
-    return _C192 * total
+    w1, w2, w3 = (hT @ v.reps[0] for v in (v1, v2, v3))
+    # (1,2)-shuffle expansion of (1-form) wedge (2-form), each term paired
+    # both ways round
+    shuffle = (_pf(_coords(w1), _coords(w2 @ w3 - w3 @ w2))
+               - _pf(_coords(w2), _coords(w1 @ w3 - w3 @ w1))
+               + _pf(_coords(w3), _coords(w1 @ w2 - w2 @ w1)))
+    return 2.0 * _C192 * shuffle
 
 
 def eval_E22(pt: GroupPoint, t1: Tangent, t2: Tangent) -> float:
@@ -86,14 +83,9 @@ def eval_E22(pt: GroupPoint, t1: Tangent, t2: Tangent) -> float:
     _require_base(pt, t1, t2)
     h1T = pt.factors[0].T
     h2T = pt.factors[1].T
-    left = [(h1T @ t.reps[0]).tolist() for t in (t1, t2)]
-    right = [(t.reps[1] @ h2T).tolist() for t in (t1, t2)]
-    total = 0.0
-    for s, a, b, c, d in _PERMS:
-        wedge_ab_cd = left[0][a][b] * right[1][c][d] - left[1][a][b] * right[0][c][d]
-        wedge_cd_ab = left[0][c][d] * right[1][a][b] - left[1][c][d] * right[0][a][b]
-        total += s * (wedge_ab_cd + wedge_cd_ab)
-    return _C64 * total
+    l1, l2 = (_coords(h1T @ t.reps[0]) for t in (t1, t2))
+    r1, r2 = (_coords(t.reps[1] @ h2T) for t in (t1, t2))
+    return 2.0 * _C64 * (_pf(l1, r2) - _pf(l2, r1))
 
 
 def eval_mu(X: np.ndarray, pt: GroupPoint, v: Tangent) -> float:
@@ -102,14 +94,9 @@ def eval_mu(X: np.ndarray, pt: GroupPoint, v: Tangent) -> float:
         raise ValueError("the polynomial 1-form lives on a single factor")
     _require_base(pt, v)
     h = pt.factors[0]
-    x = np.asarray(X, dtype=float).tolist()
-    wl = (h.T @ v.reps[0]).tolist()
-    wr = (v.reps[0] @ h.T).tolist()
-    total = 0.0
-    for s, a, b, c, d in _PERMS:
-        total += s * (x[a][b] * wl[c][d] + x[c][d] * wl[a][b]
-                      + x[a][b] * wr[c][d] + x[c][d] * wr[a][b])
-    return _C64 * total
+    x = _coords(np.asarray(X, dtype=float))
+    return 2.0 * _C64 * (_pf(x, _coords(h.T @ v.reps[0]))
+                         + _pf(x, _coords(v.reps[0] @ h.T)))
 
 
 def e13_form() -> EquivariantForm:
@@ -168,11 +155,8 @@ def eval_alpha(xi1: AlgebraPath, xi2: AlgebraPath, n_quad: int = 64) -> float:
         raise ValueError("n_quad must be an even integer >= 8")
 
     def integrand(theta: float) -> float:
-        a = xi1.value(theta).tolist()
-        da = xi1.deriv(theta).tolist()
-        b = xi2.value(theta).tolist()
-        db = xi2.deriv(theta).tolist()
-        return _pair_sum(da, b) - _pair_sum(db, a)
+        return (_pair_sum(xi1.deriv(theta), xi2.value(theta))
+                - _pair_sum(xi2.deriv(theta), xi1.value(theta)))
 
     h = 1.0 / n_quad
     total = integrand(0.0) + integrand(1.0)

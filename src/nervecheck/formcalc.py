@@ -180,18 +180,6 @@ def right_coords(t: Tangent) -> tuple[np.ndarray, ...]:
     return tuple(v @ h.T for v, h in zip(t.reps, t.base.factors))
 
 
-def left_coords(t: Tangent) -> tuple[np.ndarray, ...]:
-    """Per-factor left-trivialized coordinates h^-1 v (each skew)."""
-    return tuple(h.T @ v for v, h in zip(t.reps, t.base.factors))
-
-
-def tangent_from_skews(pt: GroupPoint, skews: Sequence[np.ndarray]) -> Tangent:
-    """Tangent at pt with per-factor left coordinates given by skews."""
-    if len(skews) != pt.level:
-        raise ValueError("one skew coordinate per factor required")
-    return Tangent(pt, tuple(h @ s for h, s in zip(pt.factors, skews)))
-
-
 def left_invariant_field(x: np.ndarray, level: int) -> Callable[[GroupPoint], Tangent]:
     """The left-invariant vector field h -> (h_1 x, ..., h_p x)."""
 

@@ -235,7 +235,10 @@ class _Parser:
             self.advance()
             tok = self.peek()
             if tok.kind == "NUMBER":
-                den *= int(self.advance().text)
+                value = int(self.advance().text)
+                if value == 0:
+                    raise FormSyntaxError("division by zero", tok.line, tok.col)
+                den *= value
             elif tok.kind == "NAME" and tok.text == "pi2":
                 if inv_pi2:
                     raise FormSyntaxError("repeated /pi2", tok.line, tok.col)

@@ -4,9 +4,10 @@ Everything here deliberately avoids the code paths of the package under test:
 permutation signs come from cycle decomposition (the package counts
 inversions), wedge products antisymmetrize over the full symmetric group with
 1/(r!s!) normalization (the package enumerates shuffles), the permutation
-sums contract against an explicit Levi-Civita tensor (the package loops over
-a signed permutation table), and the path integral uses Gauss-Legendre nodes
-(the package uses composite Simpson).
+sums contract against an explicit Levi-Civita tensor (the package evaluates
+the Pfaffian pairing of skew parts), the path integral uses Gauss-Legendre
+nodes (the package uses composite Simpson), and finite differences move
+along scipy's Pade exponential (the package has a closed form).
 """
 
 import itertools

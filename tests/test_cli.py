@@ -111,6 +111,20 @@ def test_check_out_flag_writes_file(tmp_path, capsys):
     assert rep["check"] == "lemma-4.3"
 
 
+def test_out_into_missing_directory_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = _run(capsys, "check", "--id", "lemma-4.3", "--trials",
+                          "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not target.exists()
+    code, _, err = _run(capsys, "check-all", "--trials", "1",
+                        "--out", str(target))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # check-all
 
@@ -200,6 +214,16 @@ def test_eval_malformed_file_reports_position(tmp_path, capsys):
                         "--at", "identity", "--tangents", "seed:1")
     assert code == 2
     assert "1:14" in err
+
+
+def test_eval_zero_denominator_reports_position(tmp_path, capsys):
+    bad = tmp_path / "zero.form"
+    bad.write_text("1/0 MCL(1)[1,2]\n")
+    code, out, err = _run(capsys, "eval", "--expr", str(bad),
+                          "--at", "identity", "--tangents", "seed:1")
+    assert code == 2
+    assert out == ""
+    assert "1:3" in err
 
 
 def test_eval_semantic_error_exits_two(tmp_path, capsys):

@@ -20,6 +20,7 @@ from nervecheck.matrixgroup import (
 )
 from nervecheck.eulercocycle import (
     AlgebraPath,
+    _pair_sum,
     e13_form,
     e22_form,
     eval_E13,
@@ -30,7 +31,7 @@ from nervecheck.eulercocycle import (
     polynomial_path,
 )
 
-from oracles import oracle_alpha, oracle_e13, oracle_e22, oracle_mu
+from oracles import eps_contract, oracle_alpha, oracle_e13, oracle_e22, oracle_mu
 
 E12 = basis_element(1, 2)
 E13 = basis_element(1, 3)
@@ -125,6 +126,18 @@ def test_mu_matches_oracle_at_random_points():
         pt = _rand_point(rng)
         v = _rand_tangent(rng, pt)
         assert abs(eval_mu(X, pt, v) - oracle_mu(X, pt, v)) < 1e-13
+
+
+def test_pair_sum_matches_levi_civita_on_general_matrices():
+    # the inputs are not skew: the Pfaffian pairing must use their skew parts
+    # exactly as the permutation sum does
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        m1, m2 = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+        want = eps_contract(m1, m2) + eps_contract(m2, m1)
+        assert abs(_pair_sum(m1, m2) - want) < 1e-13
+        sym = m1 + m1.T
+        assert _pair_sum(sym, m2) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,17 @@ def test_parse_rejects_trailing_input():
     assert "trailing" in str(exc.value)
 
 
+def test_parse_rejects_zero_denominator_at_its_position():
+    with pytest.raises(FormSyntaxError) as exc:
+        parse("1/0 MCL(1)[1,2]")
+    assert (exc.value.line, exc.value.col) == (1, 3)
+    with pytest.raises(FormSyntaxError) as exc:
+        parse("MCL(1)[1,2]\n- 3/2/0/pi2 MCR(1)[3,4]")
+    assert (exc.value.line, exc.value.col) == (2, 7)
+    # a zero numerator is an ordinary coefficient
+    parse("0/5 MCL(1)[1,2]")
+
+
 def test_malformed_corpus_positions():
     # frozen (line, col) positions for the five bundled bad examples
     expected = {

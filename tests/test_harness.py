@@ -109,6 +109,20 @@ def test_samplers_produce_valid_geometry():
     assert len(bt.x_reps) == 2 and len(bt.g_reps) == 2
 
 
+def test_gamma_simplicial_keeps_headroom_on_hard_seeds():
+    # seeds whose sampled factors, from a Pade exponential, once pushed the
+    # residual past the default 1e-13 (up to 1.12e-13); the closed-form
+    # exponential keeps the factors orthogonal to roundoff
+    assert DEFAULT_TOLS["gamma-simplicial"] == 1e-13
+    runs = [(seed, 200) for seed in (32, 41, 49, 65, 80, 175, 214, 236, 248,
+                                     251, 254)]
+    runs += [(6, 1000), (7, 1000)]
+    for seed, trials in runs:
+        rep = run_check(CheckConfig("gamma-simplicial", trials=trials, seed=seed))
+        assert rep.passed, seed
+        assert rep.max_abs_err <= 1e-14, (seed, rep.max_abs_err)
+
+
 def test_fd_checks_do_not_degrade_under_step_halving():
     # halving the step must not inflate the error by more than 2x
     for check_id in ("mc-structure", "lemma-4.1", "lemma-4.2"):
