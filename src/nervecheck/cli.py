@@ -22,8 +22,8 @@ import numpy as np
 
 from . import formdsl
 from .cartanmodel import EquivariantForm
-from .harness import (CHECK_IDS, CheckConfig, CheckReport, run_check,
-                      sample_algebra, sample_point, sample_tangent)
+from .harness import (CHECK_IDS, CheckConfig, CheckReport, run_all,
+                      run_check, sample_algebra, sample_point, sample_tangent)
 from .matrixgroup import GroupPoint, Tangent, basis_element, identity_point
 
 
@@ -66,16 +66,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_check_all(args) -> int:
-    reports = []
-    for cid in CHECK_IDS:
-        cfg = CheckConfig(check_id=cid, trials=args.trials, seed=args.seed,
-                          fd_step=args.fd_step)
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        reports.append(run_check(cfg))
+    try:
+        for cid in CHECK_IDS:
+            CheckConfig(check_id=cid, trials=args.trials, seed=args.seed,
+                        fd_step=args.fd_step).validate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    reports = run_all(seed=args.seed, trials=args.trials, fd_step=args.fd_step)
     if args.format == "json":
         payload = json.dumps([r.to_json_dict() for r in reports], indent=2)
     else:

@@ -278,25 +278,3 @@ def pullback(f: FormEval, m: SmoothMap) -> FormEval:
 
     return FormEval(f.degree, m.source_level, pfn)
 
-
-def fd_map_differential(m: SmoothMap, t: Tangent,
-                        fd_step: float = FD_STEP_DEFAULT) -> Tangent:
-    """Curve-based finite-difference differential of a smooth map.
-
-    Oracle-grade cross-check for analytic `diff` implementations: moves the
-    base point along the right-translated curve of the tangent and
-    differentiates the mapped curve.
-    """
-    _check_fd_step(fd_step)
-    pt = t.base
-    xs = right_coords(t)
-
-    def curve(tv):
-        return m.apply(GroupPoint(tuple(
-            exp_matrix(tv * x) @ h for x, h in zip(xs, pt.factors))))
-
-    plus = curve(fd_step)
-    minus = curve(-fd_step)
-    reps = tuple((a - b) / (2.0 * fd_step)
-                 for a, b in zip(plus.factors, minus.factors))
-    return Tangent(m.apply(pt), reps)

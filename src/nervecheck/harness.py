@@ -1,26 +1,40 @@
 """Randomized verification harness.
 
-Each check draws `trials` independent samples from a seeded RNG, evaluates a
-residual that should vanish, and reports the worst offender.  Sampling is
-deterministic given (seed, check id, trial index): every trial owns the stream
-``default_rng([seed, crc32(check_id), trial])``, so adding checks or
-reordering trials never perturbs existing runs.  Trials are evaluated
-sequentially here; the merge is a plain max with first-winner tie-break, so a
-concurrent driver would produce the identical report.
+Every check follows one protocol, held by its entry in `CHECKS`:
+
+* `setup(cfg)` builds what the trials of a run share (forms, interpreted
+  sources) once; a check without a setup gets the config itself;
+* `trial(ctx, rng)` draws one sample and returns the raw residuals of the
+  check's named components;
+* `reduce_rows` divides each component by its tolerance (1 where the check
+  names none), takes the max over the components of a trial, and reports
+  the max over trials with its trial index; a strict `>` lets the first
+  worst trial win.
+
+Sampling is deterministic given (seed, check id, trial index): every trial
+owns the stream ``default_rng([seed, crc32(check_id), trial])``, so adding
+checks or reordering trials never perturbs existing runs, and
+`trial_rows(cfg, [k])` replays trial k alone.  `golden-values` evaluates
+fixed inputs and runs one trial whatever `trials` is.
 
 Composite checks (euler-cocycle, equivariant-cocycle, d-squared) bundle
-component identities with different natural scales; their residuals are
-normalized (component error divided by its component tolerance) and compared
-against a default tolerance of 1.0.
+component identities with different natural scales; their default tolerance
+is 1.0, so they report the normalized residual.  An identity that holds only
+up to a relative sign reports both variants, `k+` and `k-`.  The sign of k
+is chosen once per run: the variant whose worst residual over all trials is
+smaller, ties to +.  The choice must be forced: the run reports an error of
+inf (worst trial 0) if any single trial prefers the other variant, or if the
+other variant's worst residual is within the component tolerance too, so
+that either sign would pass.
 """
 
 from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import pi
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -35,41 +49,6 @@ from .matrixgroup import (GroupPoint, Tangent, basis_element, exp_matrix,
 from .nerve import (BiFormEval, BisimplicialPoint, BiTangent,
                     bi_form_from_flat, d_prime, d_triple_complex,
                     degeneracy_ng, face_ng, face_pg, gamma)
-
-CHECK_IDS = (
-    "mc-structure",
-    "simplicial-identities",
-    "gamma-simplicial",
-    "lemma-4.1",
-    "lemma-4.2",
-    "lemma-4.3",
-    "euler-cocycle",
-    "equivariant-cocycle",
-    "ad-invariance",
-    "dsl-oracle",
-    "alpha-antisymmetry",
-    "d-squared",
-    "golden-values",
-)
-
-# Composite checks report normalized residuals (err / component tol), so their
-# default tolerance is 1.  Everything else is a raw max-abs-error bound.
-DEFAULT_TOLS = {
-    "mc-structure": 1e-6,
-    "simplicial-identities": 1e-13,
-    "gamma-simplicial": 1e-13,
-    "lemma-4.1": 1e-6,
-    "lemma-4.2": 1e-10,
-    "lemma-4.3": 1e-12,
-    "euler-cocycle": 1.0,
-    "equivariant-cocycle": 1.0,
-    "ad-invariance": 1e-10,
-    "dsl-oracle": 1e-12,
-    "alpha-antisymmetry": 1e-12,
-    "d-squared": 1.0,
-    "golden-values": 1e-12,
-}
-
 
 def list_checks() -> list[str]:
     """The known check identifiers, in stable run order."""
@@ -171,10 +150,10 @@ def sample_bi_tangent(rng, pt: BisimplicialPoint) -> BiTangent:
 
 
 # ---------------------------------------------------------------------------
-# simple per-trial checks
+# trials: each returns the raw residuals of the check's named components
 
 
-def _trial_mc_structure(rng, fd_step: float) -> float:
+def _trial_mc_structure(cfg: CheckConfig, rng) -> dict[str, float]:
     omega = mc_left(1, 1)
     square = matrix_wedge_square(omega)
     pt = sample_point(rng, 1)
@@ -182,10 +161,10 @@ def _trial_mc_structure(rng, fd_step: float) -> float:
     worst = 0.0
     for a in range(1, 5):
         for b in range(1, 5):
-            lhs = exterior_d(entry(omega, a, b), fd_step)(pt, v, w)
+            lhs = exterior_d(entry(omega, a, b), cfg.fd_step)(pt, v, w)
             rhs = entry(square, a, b)(pt, v, w)
             worst = max(worst, abs(lhs + rhs))
-    return worst
+    return {"entries": worst}
 
 
 def _max_factor_dev(a: GroupPoint, b: GroupPoint) -> float:
@@ -197,25 +176,27 @@ def _max_factor_dev(a: GroupPoint, b: GroupPoint) -> float:
                for x, y in zip(a.factors, b.factors))
 
 
-def _trial_simplicial(rng, fd_step: float) -> float:
-    worst = 0.0
+def _trial_simplicial(cfg: CheckConfig, rng) -> dict[str, float]:
     # face/face: eps_i . eps_j = eps_{j-1} . eps_i  for i < j
+    faces = 0.0
     for q in range(2, 5):
         pt = sample_point(rng, q)
         for j in range(1, q + 1):
             for i in range(j):
-                worst = max(worst, _max_factor_dev(
+                faces = max(faces, _max_factor_dev(
                     face_ng(i, face_ng(j, pt)),
                     face_ng(j - 1, face_ng(i, pt))))
     # degeneracy/degeneracy: eta_i . eta_j = eta_{j+1} . eta_i  for i <= j
+    degeneracies = 0.0
     for q in range(1, 4):
         pt = sample_point(rng, q)
         for j in range(q + 1):
             for i in range(j + 1):
-                worst = max(worst, _max_factor_dev(
+                degeneracies = max(degeneracies, _max_factor_dev(
                     degeneracy_ng(i, degeneracy_ng(j, pt)),
                     degeneracy_ng(j + 1, degeneracy_ng(i, pt))))
     # face/degeneracy in all index positions
+    mixed = 0.0
     for q in range(1, 4):
         pt = sample_point(rng, q)
         for j in range(q + 1):
@@ -227,46 +208,47 @@ def _trial_simplicial(rng, fd_step: float) -> float:
                     expected = degeneracy_ng(j - 1, face_ng(i, pt))
                 else:  # i > j + 1
                     expected = degeneracy_ng(j, face_ng(i - 1, pt))
-                worst = max(worst, _max_factor_dev(face_ng(i, lifted), expected))
-    return worst
+                mixed = max(mixed, _max_factor_dev(face_ng(i, lifted), expected))
+    return {"face-face": faces, "degeneracy-degeneracy": degeneracies,
+            "face-degeneracy": mixed}
 
 
-def _trial_gamma(rng, fd_step: float) -> float:
+def _trial_gamma(cfg: CheckConfig, rng) -> dict[str, float]:
     worst = 0.0
     for q in range(1, 4):
         pt = sample_point(rng, q + 1)  # the over-group level q has q+1 factors
         for i in range(q + 1):
             worst = max(worst, _max_factor_dev(
                 gamma(face_pg(i, pt)), face_ng(i, gamma(pt))))
-    return worst
+    return {"faces": worst}
 
 
-def _trial_lemma41(rng, fd_step: float) -> float:
+def _trial_lemma41(cfg: CheckConfig, rng) -> dict[str, float]:
     X = sample_algebra(rng)
     pt = sample_point(rng, 1)
     v, w = sample_tangents(rng, pt, 2)
     lhs = contract(e13_form()(X), fundamental_field(X, 1))
-    rhs = exterior_d(mu_form()(X), fd_step)
-    return abs(lhs(pt, v, w) - rhs(pt, v, w))
+    rhs = exterior_d(mu_form()(X), cfg.fd_step)
+    return {"i e13 - d mu": abs(lhs(pt, v, w) - rhs(pt, v, w))}
 
 
-def _trial_lemma42(rng, fd_step: float) -> float:
+def _trial_lemma42(cfg: CheckConfig, rng) -> dict[str, float]:
     X = sample_algebra(rng)
     pt = sample_point(rng, 2)
     (t,) = sample_tangents(rng, pt, 1)
     lhs = contract(e22_form()(X), fundamental_field(X, 2))
     rhs = d_prime(mu_form()(X))
-    return abs(lhs(pt, t) - rhs(pt, t))
+    return {"i e22 - d' mu": abs(lhs(pt, t) - rhs(pt, t))}
 
 
-def _trial_lemma43(rng, fd_step: float) -> float:
+def _trial_lemma43(cfg: CheckConfig, rng) -> dict[str, float]:
     X = sample_algebra(rng)
     pt = sample_point(rng, 1)
     scalar = contract(mu_form()(X), fundamental_field(X, 1))
-    return abs(scalar(pt))
+    return {"i mu": abs(scalar(pt))}
 
 
-def _trial_ad_invariance(rng, fd_step: float) -> float:
+def _trial_ad_invariance(cfg: CheckConfig, rng) -> dict[str, float]:
     g = sample_point(rng, 1).factors[0]
 
     def conj_pt(pt):
@@ -279,193 +261,159 @@ def _trial_ad_invariance(rng, fd_step: float) -> float:
     v = sample_tangents(rng, p1, 3)
     c1 = conj_pt(p1)
     cv = tuple(conj_t(t, c1) for t in v)
-    worst = abs(eval_E13(p1, *v) - eval_E13(c1, *cv))
+    e13 = abs(eval_E13(p1, *v) - eval_E13(c1, *cv))
 
     p2 = sample_point(rng, 2)
     t = sample_tangents(rng, p2, 2)
     c2 = conj_pt(p2)
     ct = tuple(conj_t(s, c2) for s in t)
-    worst = max(worst, abs(eval_E22(p2, *t) - eval_E22(c2, *ct)))
+    e22 = abs(eval_E22(p2, *t) - eval_E22(c2, *ct))
 
     X = sample_algebra(rng)
     (w,) = sample_tangents(rng, p1, 1)
     cw = conj_t(w, c1)
-    worst = max(worst, abs(eval_mu(X, p1, w) - eval_mu(g @ X @ g.T, c1, cw)))
-    return worst
+    mu = abs(eval_mu(X, p1, w) - eval_mu(g @ X @ g.T, c1, cw))
+    return {"e13": e13, "e22": e22, "mu": mu}
 
 
-def _trial_alpha_antisymmetry(rng, fd_step: float) -> float:
+def _trial_alpha_antisymmetry(cfg: CheckConfig, rng) -> dict[str, float]:
     deg = int(rng.integers(1, 4))
     xi1 = polynomial_path([sample_algebra(rng) for _ in range(deg + 1)])
     xi2 = polynomial_path([sample_algebra(rng) for _ in range(deg + 1)])
     a12 = eval_alpha(xi1, xi2)
     a21 = eval_alpha(xi2, xi1)
     a11 = eval_alpha(xi1, xi1)
-    return max(abs(a12 + a21), abs(a11))
+    return {"swap": abs(a12 + a21), "diagonal": abs(a11)}
 
 
-# ---------------------------------------------------------------------------
-# composite checks
+def _setup_euler_cocycle(cfg: CheckConfig) -> dict:
+    zero = np.zeros((4, 4))
+    e13 = e13_form()(zero)
+    e22 = e22_form()(zero)
+    return {"d e13": exterior_d(e13, cfg.fd_step), "d' e13": d_prime(e13),
+            "d e22": exterior_d(e22, cfg.fd_step), "d' e22": d_prime(e22)}
 
-# component tolerances used to normalize the composite residuals
-_EULER_TOLS = {"a": 1e-6, "b": 1e-6, "c": 1e-10}
-_TOTAL_TOLS = {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}
 
-
-class _EulerCocycleRun:
-    """Composite check: the three cocycle components without the argument X.
+def _trial_euler_cocycle(ctx: dict, rng) -> dict[str, float]:
+    """The three cocycle components without the argument X.
 
     a: d e13 = 0 on one factor (finite difference);
-    b: d' e13 + sigma1 * d e22 = 0 on two factors, sigma1 forced empirically;
+    b: d' e13 + sigma1 * d e22 = 0 on two factors;
     c: d' e22 = 0 on three factors (analytic face differentials).
     """
-
-    def __init__(self, fd_step: float):
-        zero = np.zeros((4, 4))
-        e13 = e13_form()(zero)
-        e22 = e22_form()(zero)
-        self.d_e13 = exterior_d(e13, fd_step)
-        self.dp_e13 = d_prime(e13)
-        self.d_e22 = exterior_d(e22, fd_step)
-        self.dp_e22 = d_prime(e22)
-        self.rows: list[tuple[float, float, float, float]] = []
-        self.sigma1 = 0
-        self.rejected_b = 0.0
-
-    def run_trial(self, rng) -> None:
-        p1 = sample_point(rng, 1)
-        v = sample_tangents(rng, p1, 4)
-        a = abs(self.d_e13(p1, *v))
-        p2 = sample_point(rng, 2)
-        t = sample_tangents(rng, p2, 3)
-        lhs = self.dp_e13(p2, *t)
-        rhs = self.d_e22(p2, *t)
-        p3 = sample_point(rng, 3)
-        u = sample_tangents(rng, p3, 2)
-        c = abs(self.dp_e22(p3, *u))
-        self.rows.append((a, abs(lhs + rhs), abs(lhs - rhs), c))
-
-    def normalized(self) -> list[float]:
-        """Pick the forced sign, then the per-trial normalized residuals."""
-        b_plus = max(r[1] for r in self.rows)
-        b_minus = max(r[2] for r in self.rows)
-        self.sigma1 = 1 if b_plus <= b_minus else -1
-        self.rejected_b = max(b_plus, b_minus)
-        col = 1 if self.sigma1 == 1 else 2
-        return [max(r[0] / _EULER_TOLS["a"],
-                    r[col] / _EULER_TOLS["b"],
-                    r[3] / _EULER_TOLS["c"]) for r in self.rows]
+    p1 = sample_point(rng, 1)
+    v = sample_tangents(rng, p1, 4)
+    a = abs(ctx["d e13"](p1, *v))
+    p2 = sample_point(rng, 2)
+    t = sample_tangents(rng, p2, 3)
+    lhs = ctx["d' e13"](p2, *t)
+    rhs = ctx["d e22"](p2, *t)
+    p3 = sample_point(rng, 3)
+    u = sample_tangents(rng, p3, 2)
+    c = abs(ctx["d' e22"](p3, *u))
+    return {"a": a, "b+": abs(lhs + rhs), "b-": abs(lhs - rhs), "c": c}
 
 
-def _run_euler_cocycle(cfg: CheckConfig) -> tuple[float, int]:
-    run = _EulerCocycleRun(cfg.fd_step)
-    for trial in range(cfg.trials):
-        run.run_trial(trial_rng(cfg.seed, cfg.check_id, trial))
-    return _max_with_argmax(run.normalized())
+def _setup_equivariant_cocycle(cfg: CheckConfig) -> dict:
+    return {"forms": (e13_form(), e22_form(), mu_form()),
+            "fd_step": cfg.fd_step}
 
 
-def _run_equivariant_cocycle(cfg: CheckConfig) -> tuple[float, int]:
-    e13, e22, mu = e13_form(), e22_form(), mu_form()
-    errs: list[float] = []
-    sigmas: set[tuple[int, int]] = set()
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, cfg.check_id, trial)
-        X = sample_algebra(rng)
-        p1 = sample_point(rng, 1)
-        p2 = sample_point(rng, 2)
-        sample = CocycleSample(
-            h1=p1, v=sample_tangents(rng, p1, 4),
-            h2=p2, t=sample_tangents(rng, p2, 3))
-        result = equivariant_total_check(e13, e22, mu, X, [sample],
-                                         fd_step=cfg.fd_step)
-        sigmas.add((result.sigma1, result.sigma2))
-        errs.append(max(result.residuals[k] / _TOTAL_TOLS[k]
-                        for k in result.residuals))
-    if len(sigmas) > 1:
-        # an inconsistent sign pair across trials can never pass
-        return float("inf"), 0
-    return _max_with_argmax(errs)
+def _trial_equivariant_cocycle(ctx: dict, rng) -> dict[str, float]:
+    """The five components a-e of `equivariant_total_check` on one sample,
+    with both sign variants of d and e."""
+    X = sample_algebra(rng)
+    p1 = sample_point(rng, 1)
+    p2 = sample_point(rng, 2)
+    sample = CocycleSample(
+        h1=p1, v=sample_tangents(rng, p1, 4),
+        h2=p2, t=sample_tangents(rng, p2, 3))
+    result = equivariant_total_check(*ctx["forms"], X, [sample],
+                                     fd_step=ctx["fd_step"])
+    row = {k: result.residuals[k] for k in "abc"}
+    for k, sigma in (("d", result.sigma1), ("e", result.sigma2)):
+        chosen, other = result.residuals[k], result.rejected[k]
+        row[k + "+"], row[k + "-"] = ((chosen, other) if sigma == 1
+                                      else (other, chosen))
+    return row
 
 
-class _DslOracleRun:
+def _setup_dsl_oracle(cfg: CheckConfig) -> dict:
+    def load(name: str, level: int):
+        return formdsl.interpret(
+            formdsl.parse(formdsl.corpus_source(name)), level=level)
+
+    return {"e13": load("e13.form", 1), "e22": load("e22.form", 2),
+            "mu": load("mu.form", 1)}
+
+
+def _trial_dsl_oracle(ctx: dict, rng) -> dict[str, float]:
     """Interpreted corpus expressions vs. the hand-coded evaluators."""
-
-    def __init__(self):
-        self.e13 = formdsl.interpret(
-            formdsl.parse(formdsl.corpus_source("e13.form")), level=1)
-        self.e22 = formdsl.interpret(
-            formdsl.parse(formdsl.corpus_source("e22.form")), level=2)
-        self.mu = formdsl.interpret(
-            formdsl.parse(formdsl.corpus_source("mu.form")), level=1)
-
-    def trial(self, rng) -> float:
-        p1 = sample_point(rng, 1)
-        v = sample_tangents(rng, p1, 3)
-        worst = abs(self.e13(p1, *v) - eval_E13(p1, *v))
-        p2 = sample_point(rng, 2)
-        t = sample_tangents(rng, p2, 2)
-        worst = max(worst, abs(self.e22(p2, *t) - eval_E22(p2, *t)))
-        X = sample_algebra(rng)
-        (w,) = sample_tangents(rng, p1, 1)
-        worst = max(worst, abs(self.mu(X)(p1, w) - eval_mu(X, p1, w)))
-        return worst
+    p1 = sample_point(rng, 1)
+    v = sample_tangents(rng, p1, 3)
+    e13 = abs(ctx["e13"](p1, *v) - eval_E13(p1, *v))
+    p2 = sample_point(rng, 2)
+    t = sample_tangents(rng, p2, 2)
+    e22 = abs(ctx["e22"](p2, *t) - eval_E22(p2, *t))
+    X = sample_algebra(rng)
+    (w,) = sample_tangents(rng, p1, 1)
+    mu = abs(ctx["mu"](X)(p1, w) - eval_mu(X, p1, w))
+    return {"e13": e13, "e22": e22, "mu": mu}
 
 
-class _DSquaredRun:
+def _setup_d_squared(cfg: CheckConfig) -> dict:
+    h = cfg.fd_step
+    omega = entry(mc_left(1, 1), 1, 2)
+    e13 = e13_form()(np.zeros((4, 4)))
+    # composed differentials of the action-twisted complex on a probe
+    # at bidegree (1, 1); each pair lands at a common (p, q, degree)
+    flat = entry(mc_left(1, 2), 1, 2) + 2.0 * entry(mc_right(2, 2), 1, 3)
+    bi = bi_form_from_flat(flat, 1, 1)
+
+    def compose(first: str, second: str) -> BiFormEval:
+        return d_triple_complex(d_triple_complex(bi, first, fd_step=h),
+                                second, fd_step=h)
+
+    return {
+        "dd": exterior_d(exterior_d(omega, h), h),
+        "dpdp": (d_prime(d_prime(omega)), d_prime(d_prime(e13))),
+        "total2": (exterior_d(d_prime(omega), h),
+                   d_prime(exterior_d(omega, h))),
+        "triple": [(compose(a, b), compose(b, a)) for a, b in
+                   (("d'", "d''"), ("d'", "d'''"), ("d''", "d'''"))],
+    }
+
+
+def _trial_d_squared(ctx: dict, rng) -> dict[str, float]:
     """Nilpotence and anticommutation of the complex differentials.
 
-    Components (each normalized by its tolerance):
-      dd      exterior derivative twice on a Maurer-Cartan entry    / 1e-4
-      dpdp    d' twice, on an entry probe and on the 3-form         / 1e-12
-      total2  the mixed block of (d' + d'')^2: d(d'f) = d'(df)      / 1e-4
-      triple  pairwise anticommutation of the three differentials
-              of the action-twisted complex, bidegrees <= (2, 2)    / 1e-4
+    dd      exterior derivative twice on a Maurer-Cartan entry
+    dpdp    d' twice, on an entry probe and on the 3-form
+    total2  the mixed block of (d' + d'')^2: d(d'f) = d'(df)
+    triple  pairwise anticommutation of the three differentials
+            of the action-twisted complex, bidegrees <= (2, 2)
     """
+    p1 = sample_point(rng, 1)
+    v3 = sample_tangents(rng, p1, 3)
+    dd = abs(ctx["dd"](p1, *v3))
 
-    def __init__(self, fd_step: float):
-        omega = entry(mc_left(1, 1), 1, 2)
-        e13 = e13_form()(np.zeros((4, 4)))
-        self.dd = exterior_d(exterior_d(omega, fd_step), fd_step)
-        self.dpdp_entry = d_prime(d_prime(omega))
-        self.dpdp_e13 = d_prime(d_prime(e13))
-        self.mixed_a = exterior_d(d_prime(omega), fd_step)
-        self.mixed_b = d_prime(exterior_d(omega, fd_step))
-        # composed differentials of the action-twisted complex on a probe
-        # at bidegree (1, 1); each pair lands at a common (p, q, degree)
-        flat = entry(mc_left(1, 2), 1, 2) + 2.0 * entry(mc_right(2, 2), 1, 3)
-        bi = bi_form_from_flat(flat, 1, 1)
+    p3 = sample_point(rng, 3)
+    (u1,) = sample_tangents(rng, p3, 1)
+    u3 = sample_tangents(rng, p3, 3)
+    dpdp_entry, dpdp_e13 = ctx["dpdp"]
+    dpdp = max(abs(dpdp_entry(p3, u1)), abs(dpdp_e13(p3, *u3)))
 
-        def compose(first: str, second: str) -> BiFormEval:
-            return d_triple_complex(
-                d_triple_complex(bi, first, fd_step=fd_step),
-                second, fd_step=fd_step)
+    p2 = sample_point(rng, 2)
+    s2 = sample_tangents(rng, p2, 2)
+    mixed_a, mixed_b = ctx["total2"]
+    total2 = abs(mixed_a(p2, *s2) - mixed_b(p2, *s2))
 
-        self.tc_pairs = []
-        for first, second in (("d'", "d''"), ("d'", "d'''"), ("d''", "d'''")):
-            self.tc_pairs.append(
-                (compose(first, second), compose(second, first)))
-
-    def trial(self, rng) -> float:
-        p1 = sample_point(rng, 1)
-        v3 = sample_tangents(rng, p1, 3)
-        worst = abs(self.dd(p1, *v3)) / 1e-4
-
-        p3 = sample_point(rng, 3)
-        (u1,) = sample_tangents(rng, p3, 1)
-        u3 = sample_tangents(rng, p3, 3)
-        dpdp = max(abs(self.dpdp_entry(p3, u1)), abs(self.dpdp_e13(p3, *u3)))
-        worst = max(worst, dpdp / 1e-12)
-
-        p2 = sample_point(rng, 2)
-        s2 = sample_tangents(rng, p2, 2)
-        mixed = abs(self.mixed_a(p2, *s2) - self.mixed_b(p2, *s2))
-        worst = max(worst, mixed / 1e-4)
-
-        for ab, ba in self.tc_pairs:
-            pt = sample_bi_point(rng, ab.p, ab.q)
-            ts = tuple(sample_bi_tangent(rng, pt) for _ in range(ab.degree))
-            worst = max(worst, abs(ab(pt, *ts) + ba(pt, *ts)) / 1e-4)
-        return worst
+    triple = 0.0
+    for ab, ba in ctx["triple"]:
+        pt = sample_bi_point(rng, ab.p, ab.q)
+        ts = tuple(sample_bi_tangent(rng, pt) for _ in range(ab.degree))
+        triple = max(triple, abs(ab(pt, *ts) + ba(pt, *ts)))
+    return {"dd": dd, "dpdp": dpdp, "total2": total2, "triple": triple}
 
 
 def golden_value_errors() -> dict[str, float]:
@@ -493,55 +441,109 @@ def golden_value_errors() -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
+# registry
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check of the protocol (see the module docstring)."""
+
+    tol: float  # default tolerance of the reported error
+    trial: Callable[[object, np.random.Generator], dict[str, float]]
+    setup: Callable[[CheckConfig], object] = lambda cfg: cfg
+    # per-component tolerances, keyed without the sign suffix; absent ones are 1
+    tols: dict[str, float] = field(default_factory=dict)
+    once: bool = False  # fixed inputs: a single trial whatever cfg.trials is
+
+
+# Composite checks report normalized residuals (err / component tol), so their
+# default tolerance is 1.  Everything else is a raw max-abs-error bound.
+CHECKS: dict[str, Check] = {
+    "mc-structure": Check(1e-6, _trial_mc_structure),
+    "simplicial-identities": Check(1e-13, _trial_simplicial),
+    "gamma-simplicial": Check(1e-13, _trial_gamma),
+    "lemma-4.1": Check(1e-6, _trial_lemma41),
+    "lemma-4.2": Check(1e-10, _trial_lemma42),
+    "lemma-4.3": Check(1e-12, _trial_lemma43),
+    "euler-cocycle": Check(
+        1.0, _trial_euler_cocycle, _setup_euler_cocycle,
+        {"a": 1e-6, "b": 1e-6, "c": 1e-10}),
+    "equivariant-cocycle": Check(
+        1.0, _trial_equivariant_cocycle, _setup_equivariant_cocycle,
+        {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}),
+    "ad-invariance": Check(1e-10, _trial_ad_invariance),
+    "dsl-oracle": Check(1e-12, _trial_dsl_oracle, _setup_dsl_oracle),
+    "alpha-antisymmetry": Check(1e-12, _trial_alpha_antisymmetry),
+    "d-squared": Check(
+        1.0, _trial_d_squared, _setup_d_squared,
+        {"dd": 1e-4, "dpdp": 1e-12, "total2": 1e-4, "triple": 1e-4}),
+    "golden-values": Check(1e-12, lambda cfg, rng: golden_value_errors(),
+                           once=True),
+}
+
+CHECK_IDS = tuple(CHECKS)
+DEFAULT_TOLS = {cid: check.tol for cid, check in CHECKS.items()}
+
+
+# ---------------------------------------------------------------------------
 # driver
 
 
-def _max_with_argmax(errs: list[float]) -> tuple[float, int]:
-    worst = 0.0
-    arg = 0
-    for i, e in enumerate(errs):
-        if e > worst:
-            worst, arg = e, i
+def trial_rows(cfg: CheckConfig,
+               trials: Iterable[int]) -> list[dict[str, float]]:
+    """The component residuals of the given trials of a run, in order,
+    from one setup."""
+    check = CHECKS[cfg.check_id]
+    ctx = check.setup(cfg)
+    return [check.trial(ctx, trial_rng(cfg.seed, cfg.check_id, t))
+            for t in trials]
+
+
+def choose_signs(rows: list[dict[str, float]],
+                 tols: dict[str, float]) -> Optional[dict[str, str]]:
+    """The sign, '+' or '-', of every component k that `rows` report as
+    k+ and k-, by the rule of the module docstring; None if one is not
+    forced."""
+    signs = {}
+    for key in rows[0]:
+        if not key.endswith("+"):
+            continue
+        k = key[:-1]
+        plus = [row[k + "+"] for row in rows]
+        minus = [row[k + "-"] for row in rows]
+        sign, rejected = ("+", max(minus)) if max(plus) <= max(minus) \
+            else ("-", max(plus))
+        preferred = {"+" if p <= m else "-" for p, m in zip(plus, minus)}
+        if preferred != {sign} or rejected / tols.get(k, 1.0) <= 1.0:
+            return None
+        signs[k] = sign
+    return signs
+
+
+def reduce_rows(rows: list[dict[str, float]],
+                tols: dict[str, float]) -> tuple[float, int]:
+    """(error, worst trial) of a run from its rows of component residuals,
+    as the module docstring describes; an unforced sign gives (inf, 0)."""
+    signs = choose_signs(rows, tols)
+    if signs is None:
+        return float("inf"), 0
+    picked = [(key, tols.get(key.rstrip("+-"), 1.0)) for key in rows[0]
+              if key[-1] not in "+-" or key[-1] == signs[key[:-1]]]
+    worst, arg = 0.0, 0
+    for i, row in enumerate(rows):
+        err = max(row[key] / tol for key, tol in picked)
+        if err > worst:
+            worst, arg = err, i
     return worst, arg
-
-
-_PER_TRIAL: dict[str, Callable[[np.random.Generator, float], float]] = {
-    "mc-structure": _trial_mc_structure,
-    "simplicial-identities": _trial_simplicial,
-    "gamma-simplicial": _trial_gamma,
-    "lemma-4.1": _trial_lemma41,
-    "lemma-4.2": _trial_lemma42,
-    "lemma-4.3": _trial_lemma43,
-    "ad-invariance": _trial_ad_invariance,
-    "alpha-antisymmetry": _trial_alpha_antisymmetry,
-}
 
 
 def run_check(cfg: CheckConfig) -> CheckReport:
     """Run one named check and report its worst residual."""
     cfg.validate()
+    check = CHECKS[cfg.check_id]
     start = time.perf_counter()
-    if cfg.check_id == "euler-cocycle":
-        err, worst = _run_euler_cocycle(cfg)
-    elif cfg.check_id == "equivariant-cocycle":
-        err, worst = _run_equivariant_cocycle(cfg)
-    elif cfg.check_id == "dsl-oracle":
-        run = _DslOracleRun()
-        err, worst = _max_with_argmax(
-            [run.trial(trial_rng(cfg.seed, cfg.check_id, t))
-             for t in range(cfg.trials)])
-    elif cfg.check_id == "d-squared":
-        run = _DSquaredRun(cfg.fd_step)
-        err, worst = _max_with_argmax(
-            [run.trial(trial_rng(cfg.seed, cfg.check_id, t))
-             for t in range(cfg.trials)])
-    elif cfg.check_id == "golden-values":
-        err, worst = max(golden_value_errors().values()), 0
-    else:
-        trial_fn = _PER_TRIAL[cfg.check_id]
-        errs = [trial_fn(trial_rng(cfg.seed, cfg.check_id, t), cfg.fd_step)
-                for t in range(cfg.trials)]
-        err, worst = _max_with_argmax(errs)
+    rows = trial_rows(cfg, range(1 if check.once else cfg.trials))
+    err, worst = reduce_rows(rows, check.tols)
     elapsed = int(round((time.perf_counter() - start) * 1000.0))
     tol = cfg.resolved_tol()
     return CheckReport(

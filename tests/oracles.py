@@ -134,3 +134,22 @@ def fd_directional(fn, pt_factors, skews, step: float = 1e-6) -> float:
         return tuple(expm(t * s) @ h for s, h in zip(skews, pt_factors))
 
     return (fn(shifted(step)) - fn(shifted(-step))) / (2.0 * step)
+
+
+def fd_map_differential(m, t, step: float = 1e-5):
+    """Central difference of a smooth map along the right-translated curve
+    exp(s * v h^T) @ h of the tangent t, factor by factor."""
+    from scipy.linalg import expm
+
+    from nervecheck.matrixgroup import GroupPoint, Tangent
+
+    pt = t.base
+    xs = [v @ h.T for v, h in zip(t.reps, pt.factors)]
+
+    def curve(s):
+        return m.apply(GroupPoint(tuple(
+            expm(s * x) @ h for x, h in zip(xs, pt.factors))))
+
+    plus, minus = curve(step), curve(-step)
+    return Tangent(m.apply(pt), tuple(
+        (a - b) / (2.0 * step) for a, b in zip(plus.factors, minus.factors)))

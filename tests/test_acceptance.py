@@ -25,8 +25,9 @@ from nervecheck.eulercocycle import (
 )
 from nervecheck.formdsl import FormSyntaxError, parse
 from nervecheck.harness import (
+    CHECKS,
     CheckConfig,
-    _EulerCocycleRun,
+    choose_signs,
     run_check,
     sample_algebra,
     sample_bi_point,
@@ -35,6 +36,7 @@ from nervecheck.harness import (
     sample_tangent,
     sample_tangents,
     trial_rng,
+    trial_rows,
 )
 
 from oracles import oracle_alpha, oracle_e22, oracle_mu
@@ -72,27 +74,25 @@ def test_criterion_03_face_sum_of_mu_is_contraction_of_e22():
              f"max |i_XX e22 - d' mu(X)| = {rep.max_abs_err:.3e} <= 1e-10 over 200 trials")
 
 
+def _euler_rows(seed, trials):
+    cfg = CheckConfig("euler-cocycle", trials=trials, seed=seed,
+                      fd_step=FD_STEP)
+    rows = trial_rows(cfg, range(trials))
+    signs = choose_signs(rows, CHECKS["euler-cocycle"].tols)
+    return rows, (signs or {}).get("b")
+
+
 def test_criterion_04_cocycle_components_with_forced_sign():
-    run = _EulerCocycleRun(FD_STEP)
-    for t in range(100):
-        run.run_trial(trial_rng(SEED, "euler-cocycle", t))
-    run.normalized()
-    a = max(r[0] for r in run.rows)
-    col = 1 if run.sigma1 == 1 else 2
-    b = max(r[col] for r in run.rows)
-    c = max(r[3] for r in run.rows)
+    rows, sigma1 = _euler_rows(SEED, 100)
+    a = max(r["a"] for r in rows)
+    b = max(r["b" + sigma1] for r in rows) if sigma1 else math.inf
+    c = max(r["c"] for r in rows)
     ok = a <= 1e-6 and b <= 1e-6 and c <= 1e-10
     # the forced sign must be stable across independent seeds
-    sigmas = set()
-    for seed in (1, 2, 3, 4, 5):
-        probe = _EulerCocycleRun(FD_STEP)
-        for t in range(20):
-            probe.run_trial(trial_rng(seed, "euler-cocycle", t))
-        probe.normalized()
-        sigmas.add(probe.sigma1)
-    ok = ok and sigmas == {run.sigma1}
+    sigmas = {_euler_rows(seed, 20)[1] for seed in (1, 2, 3, 4, 5)}
+    ok = ok and sigmas == {sigma1}
     _verdict(4, ok,
-             f"|d e13| = {a:.3e} <= 1e-6, |d' e13 + ({run.sigma1}) d e22| = "
+             f"|d e13| = {a:.3e} <= 1e-6, |d' e13 + ({sigma1}1) d e22| = "
              f"{b:.3e} <= 1e-6, |d' e22| = {c:.3e} <= 1e-10 over 100 samples; "
              f"sigma1 identical across seeds 1..5")
 

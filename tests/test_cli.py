@@ -148,6 +148,34 @@ def test_check_all_text_lines(capsys):
         assert line.startswith(f"{check_id} PASS ")
 
 
+@pytest.mark.parametrize("flag,value", [("--trials", "0"),
+                                        ("--fd-step", "1")])
+def test_check_all_bad_config_exits_two_before_running(capsys, monkeypatch,
+                                                       flag, value):
+    import nervecheck.harness as harness
+
+    def never(cfg):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(harness, "run_check", never)
+    code, out, err = _run(capsys, "check-all", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_check_all_error_inside_a_check_is_not_a_usage_error(capsys,
+                                                             monkeypatch):
+    import nervecheck.harness as harness
+
+    def broken(cfg):
+        raise ValueError("broken check")
+
+    monkeypatch.setattr(harness, "run_check", broken)
+    with pytest.raises(ValueError, match="broken check"):
+        main(["check-all", "--trials", "1"])
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -19,7 +19,6 @@ from nervecheck.formcalc import (
     contract,
     entry,
     exterior_d,
-    fd_map_differential,
     left_invariant_field,
     matrix_wedge_square,
     mc_left,
@@ -29,7 +28,7 @@ from nervecheck.formcalc import (
     zero_form,
 )
 
-from oracles import wedge_oracle
+from oracles import fd_map_differential, wedge_oracle
 
 E12 = basis_element(1, 2)
 E13 = basis_element(1, 3)

@@ -5,17 +5,21 @@ import pytest
 
 from nervecheck.harness import (
     CHECK_IDS,
+    CHECKS,
     DEFAULT_TOLS,
     CheckConfig,
     CheckReport,
     golden_value_errors,
+    choose_signs,
     list_checks,
+    reduce_rows,
     run_check,
     sample_bi_point,
     sample_bi_tangent,
     sample_point,
     sample_tangent,
     trial_rng,
+    trial_rows,
 )
 
 
@@ -159,13 +163,13 @@ def test_golden_value_errors_are_zero():
 
 
 def test_worst_trial_is_reproducible():
-    from nervecheck.harness import _PER_TRIAL
-
-    cfg = CheckConfig("simplicial-identities", trials=4, seed=5)
-    rep = run_check(cfg)
-    fn = _PER_TRIAL["simplicial-identities"]
-    replay = fn(trial_rng(5, "simplicial-identities", rep.worst_trial), cfg.fd_step)
-    assert replay == rep.max_abs_err
+    # replaying the worst trial alone through the protocol gives the report
+    for check_id in CHECK_IDS:
+        cfg = CheckConfig(check_id, trials=4, seed=5)
+        rep = run_check(cfg)
+        rows = trial_rows(cfg, [rep.worst_trial])
+        replay, _ = reduce_rows(rows, CHECKS[check_id].tols)
+        assert replay == rep.max_abs_err, check_id
 
 
 def test_composite_checks_report_normalized_errors():
@@ -174,3 +178,56 @@ def test_composite_checks_report_normalized_errors():
         rep = run_check(CheckConfig(check_id, trials=1, seed=2))
         assert rep.tol == 1.0
         assert rep.max_abs_err < 1.0
+
+
+def test_registry_matches_check_ids_and_component_tolerances():
+    assert tuple(CHECKS) == CHECK_IDS
+    assert list(DEFAULT_TOLS) == list(CHECK_IDS)
+    for check_id, check in CHECKS.items():
+        assert DEFAULT_TOLS[check_id] == check.tol
+    assert CHECKS["euler-cocycle"].tols == {"a": 1e-6, "b": 1e-6, "c": 1e-10}
+    assert CHECKS["equivariant-cocycle"].tols == {
+        "a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}
+    assert CHECKS["d-squared"].tols == {
+        "dd": 1e-4, "dpdp": 1e-12, "total2": 1e-4, "triple": 1e-4}
+    composite = {"euler-cocycle", "equivariant-cocycle", "d-squared"}
+    for check_id, check in CHECKS.items():
+        assert (check.tol == 1.0) == (check_id in composite), check_id
+        assert bool(check.tols) == (check_id in composite), check_id
+
+
+def test_golden_values_run_once_whatever_the_trial_count():
+    rep = run_check(CheckConfig("golden-values", trials=7, seed=1))
+    assert rep.trials == 7 and rep.worst_trial == 0
+    assert rep.max_abs_err == max(golden_value_errors().values())
+
+
+_SIGN_TOLS = {"a": 1e-6, "b": 1e-6}
+
+
+def test_sign_rule_fails_when_both_signs_pass():
+    rows = [{"a": 1e-8, "b+": 1e-8, "b-": 5e-7},
+            {"a": 1e-8, "b+": 2e-8, "b-": 9e-7}]
+    assert choose_signs(rows, _SIGN_TOLS) is None
+    assert reduce_rows(rows, _SIGN_TOLS) == (float("inf"), 0)
+
+
+def test_sign_rule_fails_when_trials_disagree():
+    # the sign that wins over all trials is '+', but trial 1 prefers '-'
+    rows = [{"a": 1e-8, "b+": 1e-8, "b-": 3e-3},
+            {"a": 1e-8, "b+": 4e-7, "b-": 2e-7},
+            {"a": 1e-8, "b+": 1e-8, "b-": 2e-3}]
+    assert choose_signs(rows, _SIGN_TOLS) is None
+    assert reduce_rows(rows, _SIGN_TOLS) == (float("inf"), 0)
+
+
+def test_sign_rule_passes_a_forced_sign_with_its_residual():
+    rows = [{"a": 1e-7, "b+": 2e-3, "b-": 3e-7},
+            {"a": 2e-7, "b+": 1e-3, "b-": 5e-7},
+            {"a": 5e-7, "b+": 3e-3, "b-": 1e-7}]
+    assert choose_signs(rows, _SIGN_TOLS) == {"b": "-"}
+    err, worst = reduce_rows(rows, _SIGN_TOLS)
+    assert (err, worst) == (5e-7 / 1e-6, 1)
+    # a tie between the worst residuals of both signs goes to '+'
+    tied = [{"b+": 2e-3, "b-": 2e-3}]
+    assert choose_signs(tied, _SIGN_TOLS) == {"b": "+"}

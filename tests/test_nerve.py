@@ -37,7 +37,9 @@ from nervecheck.nerve import (
     vertical_face,
     vertical_face_diff,
 )
-from nervecheck.formcalc import exterior_d, fd_map_differential
+from nervecheck.formcalc import exterior_d
+
+from oracles import fd_map_differential
 
 
 def _rand_point(rng, level):
