@@ -16,11 +16,24 @@ MCL(k)/MCR(k) are the left/right Maurer-Cartan forms of factor k; X is the
 polynomial argument; `^2` squares a Maurer-Cartan atom in the matrix-wedge
 sense; `[i,j]` selects a matrix entry and is mandatory on every atom.
 `sumS4(...)` sums its body over all 24 permutations of (1,2,3,4) weighted by
-sign, substituting the placeholders p1..p4 by the permutation images.
-`n/d/pi2` scales by the rational n/d times 1/pi^2.
+sign, putting the permutation images in place of the placeholders p1..p4.
+`n/d/pi2` scales by the rational n/d times 1/pi^2.  NUMBER is at most
+MAX_DIGITS ASCII digits, and parentheses and sumS4 nest at most MAX_NESTING
+deep.
 
-`parse` produces a plain AST; `interpret` lowers it to form evaluators,
-returning an equivariant (polynomial) form exactly when X occurs.
+A sumS4 binds every placeholder in its body, the bodies of sumS4 nested in
+it included.  A nested sumS4 therefore adds 24 equal terms whose signs
+cancel: it evaluates to zero.
+
+`parse` produces a plain AST; `interpret` lowers it once to an evaluator
+(pt, tangents, X) -> ndarray with one length-4 axis for each placeholder
+free in the subexpression.  An entry keeps the axis of a placeholder index
+(`[p1,p1]` takes the diagonal); a wedge is the shuffle sum of products over
+the union of the axes, and `+`/`-` broadcast over it; an outermost sumS4
+contracts its body with the Levi-Civita tensor eps[a,b,c,d], and a nested
+one is 0 times its body.  `interpret` returns a FormEval, or an
+EquivariantForm exactly when X occurs; evaluating either lowers nothing
+again.
 """
 
 from __future__ import annotations
@@ -28,11 +41,13 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from math import pi
-from typing import Union
+from typing import Callable, Union
+
+import numpy as np
 
 from .cartanmodel import EquivariantForm
-from .formcalc import (FormEval, entry as entry_form, matrix_wedge_square,
-                       mc_left, mc_right, wedge)
+from .formcalc import (FormEval, _shuffle_signs, matrix_wedge_square, mc_left,
+                       mc_right)
 from .matrixgroup import s4_table
 
 
@@ -124,6 +139,13 @@ class _Token:
 
 
 _PUNCT = set("+-/()[],^")
+_DIGITS = set("0123456789")
+# A coefficient n/d becomes a float, which a longer numerator could overflow.
+MAX_DIGITS = 18
+
+# The deepest nesting of parentheses and sumS4 the parser accepts: it
+# recurses once per level, and the lowering and evaluation do too.
+MAX_NESTING = 64
 
 
 def _tokenize(src: str) -> list[_Token]:
@@ -141,10 +163,13 @@ def _tokenize(src: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j] in _DIGITS:
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise FormSyntaxError(
+                    f"number longer than {MAX_DIGITS} digits", line, col)
             tokens.append(_Token("NUMBER", src[i:j], line, col))
             col += j - i
             i = j
@@ -176,6 +201,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.sum_depth = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -248,24 +274,32 @@ class _Parser:
                 self.fail("expected an integer or 'pi2' after '/'")
         return num, den, inv_pi2
 
+    def parse_nested(self, opening: _Token) -> Node:
+        """The expr inside a '(' or 'sumS4(' that `opening` starts."""
+        if self.nesting == MAX_NESTING:
+            raise FormSyntaxError(
+                f"nesting deeper than {MAX_NESTING} levels",
+                opening.line, opening.col)
+        self.nesting += 1
+        inner = self.parse_expr()
+        self.nesting -= 1
+        self.expect(")")
+        self._reject_scalar_suffix()
+        return inner
+
     def parse_primary(self) -> Node:
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
-            inner = self.parse_expr()
-            self.expect(")")
-            self._reject_scalar_suffix()
-            return inner
+            return self.parse_nested(tok)
         if tok.kind != "NAME":
             self.fail(f"expected a factor, found {tok.text or 'end of input'!r}")
         if tok.text == "sumS4":
             self.advance()
             self.expect("(")
             self.sum_depth += 1
-            body = self.parse_expr()
+            body = self.parse_nested(tok)
             self.sum_depth -= 1
-            self.expect(")")
-            self._reject_scalar_suffix()
             return SumS4(body)
         if tok.text in ("MCL", "MCR"):
             self.advance()
@@ -350,21 +384,30 @@ def parse(src: str) -> Node:
 # pretty printer
 
 
+def _primary(node: Node) -> str:
+    """`node` rendered where the grammar expects a primary."""
+    text = pretty(node)
+    return text if isinstance(node, (EntrySel, SumS4)) else f"( {text} )"
+
+
 def pretty(node: Node) -> str:
     """Canonical single-space rendering; parse(pretty(n)) == n."""
-    if isinstance(node, Add):
-        return f"{pretty(node.left)} + {pretty(node.right)}"
-    if isinstance(node, Sub):
-        return f"{pretty(node.left)} - {pretty(node.right)}"
+    if isinstance(node, (Add, Sub)):
+        right = node.right
+        text = _primary(right) if isinstance(right, (Add, Sub)) else pretty(right)
+        op = "+" if isinstance(node, Add) else "-"
+        return f"{pretty(node.left)} {op} {text}"
     if isinstance(node, Scale):
         coeff = str(node.num)
         if node.den != 1:
             coeff += f"/{node.den}"
         if node.inv_pi2:
             coeff += "/pi2"
-        return f"{coeff} {pretty(node.body)}"
+        body = node.body
+        text = pretty(body) if isinstance(body, Wedge) else _primary(body)
+        return f"{coeff} {text}"
     if isinstance(node, Wedge):
-        return " ".join(pretty(f) for f in node.factors)
+        return " ".join(_primary(f) for f in node.factors)
     if isinstance(node, SumS4):
         return f"sumS4( {pretty(node.body)} )"
     if isinstance(node, EntrySel):
@@ -383,38 +426,34 @@ def pretty(node: Node) -> str:
 # ---------------------------------------------------------------------------
 # interpreter
 
+_LETTER = {"p1": "a", "p2": "b", "p3": "c", "p4": "d"}
+
+
+def _levi_civita() -> np.ndarray:
+    """eps[a, b, c, d]: the sign of the permutation (a+1, b+1, c+1, d+1)."""
+    eps = np.zeros((4, 4, 4, 4))
+    for perm in s4_table():
+        eps[tuple(k - 1 for k in perm.images)] = perm.sign
+    return eps
+
+
+_EPS = _levi_civita()
+
+
+def _letters(axes: tuple[str, ...]) -> str:
+    return "".join(_LETTER[p] for p in axes)
+
 
 @dataclass(frozen=True)
 class _Built:
-    """A lowered subexpression: degrees plus a builder keyed by X."""
+    """A lowered subexpression: its degrees, the placeholders free in it
+    (sorted) and an evaluator (pt, ts, X) -> ndarray with one length-4 axis
+    per free placeholder, in the order of `axes`."""
 
     form_degree: int
     x_degree: int
-    make: callable  # X (ndarray or None) -> FormEval
-
-
-def _substitute(node: Node, images: tuple[int, int, int, int]) -> Node:
-    """Replace p1..p4 by the permutation images throughout."""
-    mapping = {"p1": images[0], "p2": images[1],
-               "p3": images[2], "p4": images[3]}
-    if isinstance(node, EntrySel):
-        i = mapping.get(node.i, node.i) if isinstance(node.i, str) else node.i
-        j = mapping.get(node.j, node.j) if isinstance(node.j, str) else node.j
-        return EntrySel(node.base, i, j)
-    if isinstance(node, SumS4):
-        return SumS4(_substitute(node.body, images))
-    if isinstance(node, Wedge):
-        return Wedge(tuple(_substitute(f, images) for f in node.factors))
-    if isinstance(node, Scale):
-        return Scale(node.num, node.den, node.inv_pi2,
-                     _substitute(node.body, images))
-    if isinstance(node, Add):
-        return Add(_substitute(node.left, images),
-                   _substitute(node.right, images))
-    if isinstance(node, Sub):
-        return Sub(_substitute(node.left, images),
-                   _substitute(node.right, images))
-    return node
+    axes: tuple[str, ...]
+    fn: Callable
 
 
 def _mc_atom(atom: Union[MCLAtom, MCRAtom], level: int):
@@ -425,92 +464,121 @@ def _mc_atom(atom: Union[MCLAtom, MCRAtom], level: int):
         atom.factor, level)
 
 
-def _build(node: Node, level: int) -> _Built:
-    if isinstance(node, EntrySel):
-        if isinstance(node.i, str) or isinstance(node.j, str):
-            raise FormDslError("unsubstituted placeholder survived parsing")
-        i, j = node.i, node.j
-        base = node.base
-        if isinstance(base, XAtom):
-            def make_x(X, i=i, j=j):
-                if X is None:
-                    raise FormDslError("expression references X but no "
-                                       "argument was supplied")
-                value = float(X[i - 1, j - 1])
-                return FormEval(0, level, lambda pt, ts: value)
-            return _Built(0, 1, make_x)
+def _entry(node: EntrySel, level: int, in_sum: bool) -> _Built:
+    """An entry [i, j]: a placeholder index keeps its axis, [p, p] takes the
+    diagonal."""
+    free = [k for k in (node.i, node.j) if isinstance(k, str)]
+    if free and not in_sum:
+        raise FormDslError(f"placeholder {free[0]} is not bound by any sumS4")
+    for k in (node.i, node.j):
+        if not isinstance(k, str) and not 1 <= k <= 4:
+            raise FormDslError("entry index must lie in 1..4")
+    base = node.base
+    if isinstance(base, XAtom):
+        degree, x_degree = 0, 1
+        matrix = lambda pt, ts, X: X
+    else:
+        form = _mc_atom(base.base if isinstance(base, Square) else base, level)
         if isinstance(base, Square):
-            inner = base.base
-            matrix = _mc_atom(inner, level)
-            form = entry_form(matrix_wedge_square(matrix), i, j)
-            return _Built(2, 0, lambda X, f=form: f)
-        form = entry_form(_mc_atom(base, level), i, j)
-        return _Built(1, 0, lambda X, f=form: f)
+            form = matrix_wedge_square(form)
+        degree, x_degree, mfn = form.degree, 0, form.fn
+        matrix = lambda pt, ts, X: mfn(pt, ts)
+    rows = slice(None) if isinstance(node.i, str) else node.i - 1
+    cols = slice(None) if isinstance(node.j, str) else node.j - 1
+    axes = tuple(sorted(set(free)))
+    spec = f"{_letters(tuple(free))}->{_letters(axes)}"
+    return _Built(degree, x_degree, axes,
+                  lambda pt, ts, X: np.einsum(spec, matrix(pt, ts, X)[rows, cols]))
+
+
+def _wedge(f: _Built, g: _Built) -> _Built:
+    """The shuffle sum of products over the union of the axes."""
+    axes = tuple(sorted(set(f.axes) | set(g.axes)))
+    spec = f"{_letters(f.axes)},{_letters(g.axes)}->{_letters(axes)}"
+    shuffles = _shuffle_signs(f.form_degree, g.form_degree)
+    ff, gf = f.fn, g.fn
+
+    def fn(pt, ts, X):
+        total = 0.0
+        for sign, fs, gs in shuffles:
+            total = total + sign * np.einsum(
+                spec, ff(pt, tuple(ts[k] for k in fs), X),
+                gf(pt, tuple(ts[k] for k in gs), X))
+        return total
+
+    return _Built(f.form_degree + g.form_degree, f.x_degree + g.x_degree,
+                  axes, fn)
+
+
+def _lift(b: _Built, axes: tuple[str, ...]):
+    """b's evaluator, broadcastable over the (sorted) superset `axes`."""
+    shape = tuple(4 if p in b.axes else 1 for p in axes)
+    fn = b.fn
+    return lambda pt, ts, X: np.reshape(fn(pt, ts, X), shape)
+
+
+def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
+    if isinstance(node, EntrySel):
+        return _entry(node, level, in_sum)
     if isinstance(node, Wedge):
-        parts = [_build(f, level) for f in node.factors]
-        degree = sum(p.form_degree for p in parts)
-        x_degree = sum(p.x_degree for p in parts)
-
-        def make(X, parts=parts):
-            form = parts[0].make(X)
-            for p in parts[1:]:
-                form = wedge(form, p.make(X))
-            return form
-
-        return _Built(degree, x_degree, make)
+        built = _build(node.factors[0], level, in_sum)
+        for factor in node.factors[1:]:
+            built = _wedge(built, _build(factor, level, in_sum))
+        return built
     if isinstance(node, Scale):
-        inner = _build(node.body, level)
+        inner = _build(node.body, level, in_sum)
         factor = node.num / node.den
         if node.inv_pi2:
             factor /= pi ** 2
-        return _Built(inner.form_degree, inner.x_degree,
-                      lambda X, c=factor, b=inner: c * b.make(X))
+        fn = inner.fn
+        return _Built(inner.form_degree, inner.x_degree, inner.axes,
+                      lambda pt, ts, X: factor * fn(pt, ts, X))
     if isinstance(node, (Add, Sub)):
-        left = _build(node.left, level)
-        right = _build(node.right, level)
+        left = _build(node.left, level, in_sum)
+        right = _build(node.right, level, in_sum)
         if left.form_degree != right.form_degree:
             raise FormDslError("mixed form degrees in a sum")
         if left.x_degree != right.x_degree:
             raise FormDslError("mixed polynomial degrees in a sum")
+        axes = tuple(sorted(set(left.axes) | set(right.axes)))
+        lf, rf = _lift(left, axes), _lift(right, axes)
         if isinstance(node, Add):
-            make = lambda X, a=left, b=right: a.make(X) + b.make(X)
+            fn = lambda pt, ts, X: lf(pt, ts, X) + rf(pt, ts, X)
         else:
-            make = lambda X, a=left, b=right: a.make(X) - b.make(X)
-        return _Built(left.form_degree, left.x_degree, make)
+            fn = lambda pt, ts, X: lf(pt, ts, X) - rf(pt, ts, X)
+        return _Built(left.form_degree, left.x_degree, axes, fn)
     if isinstance(node, SumS4):
-        terms = []
-        first: _Built | None = None
-        for perm in s4_table():
-            built = _build(_substitute(node.body, perm.images), level)
-            if first is None:
-                first = built
-            elif (built.form_degree, built.x_degree) != (
-                    first.form_degree, first.x_degree):
-                raise FormDslError("permutation sum mixes degrees")
-            terms.append((float(perm.sign), built))
-
-        def make(X, terms=terms):
-            total = None
-            for sign, built in terms:
-                term = sign * built.make(X)
-                total = term if total is None else total + term
-            return total
-
-        return _Built(first.form_degree, first.x_degree, make)
+        body = _build(node.body, level, True)
+        bfn = body.fn
+        if in_sum:
+            # The enclosing sum puts a permutation image in place of every
+            # placeholder of this body too, so its 24 summands are equal and
+            # their signs cancel.
+            return _Built(body.form_degree, body.x_degree, body.axes,
+                          lambda pt, ts, X: 0.0 * bfn(pt, ts, X))
+        spec = f"abcd,{_letters(body.axes)}->"
+        return _Built(body.form_degree, body.x_degree, (),
+                      lambda pt, ts, X: np.einsum(spec, _EPS, bfn(pt, ts, X)))
     raise FormDslError(f"cannot interpret node {node!r}")
 
 
 def interpret(node: Node, level: int):
-    """Lower an AST to a FormEval, or an EquivariantForm when X occurs."""
+    """Lower an AST to a FormEval, or an EquivariantForm when X occurs.
+
+    The AST is lowered once; evaluating the returned form, or the form an
+    EquivariantForm returns for a given X, lowers nothing again.
+    """
     built = _build(node, level)
+    degree, fn = built.form_degree, built.fn
     if built.x_degree == 0:
-        return built.make(None)
-    return EquivariantForm(
-        level=level,
-        form_degree=built.form_degree,
-        poly_degree=built.x_degree,
-        eval=lambda X: built.make(X),
-    )
+        return FormEval(degree, level, lambda pt, ts: float(fn(pt, ts, None)))
+
+    def at(X):
+        X = np.array(X, dtype=float)
+        return FormEval(degree, level, lambda pt, ts: float(fn(pt, ts, X)))
+
+    return EquivariantForm(level=level, form_degree=degree,
+                           poly_degree=built.x_degree, eval=at)
 
 
 def max_factor_index(node: Node) -> int:

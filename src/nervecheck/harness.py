@@ -50,6 +50,12 @@ from .nerve import (BiFormEval, BisimplicialPoint, BiTangent,
                     bi_form_from_flat, d_prime, d_triple_complex,
                     degeneracy_ng, face_ng, face_pg, gamma)
 
+# The most trials one run may ask for.  The slowest checks take several ms a
+# trial, so a run at the ceiling already takes hours; a larger count is
+# taken for a typo and refused.
+MAX_TRIALS = 1_000_000
+
+
 def list_checks() -> list[str]:
     """The known check identifiers, in stable run order."""
     return list(CHECK_IDS)
@@ -69,8 +75,8 @@ class CheckConfig:
     def validate(self) -> "CheckConfig":
         if self.check_id not in CHECK_IDS:
             raise ValueError(f"unknown check id {self.check_id!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
         if not 1e-7 <= self.fd_step <= 1e-3:
             raise ValueError("fd_step must lie in [1e-7, 1e-3]")
         if self.tol is not None and not self.tol > 0:

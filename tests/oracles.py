@@ -6,8 +6,10 @@ inversions), wedge products antisymmetrize over the full symmetric group with
 1/(r!s!) normalization (the package enumerates shuffles), the permutation
 sums contract against an explicit Levi-Civita tensor (the package evaluates
 the Pfaffian pairing of skew parts), the path integral uses Gauss-Legendre
-nodes (the package uses composite Simpson), and finite differences move
-along scipy's Pade exponential (the package has a closed form).
+nodes (the package uses composite Simpson), finite differences move
+along scipy's Pade exponential (the package has a closed form), and the
+expression evaluator substitutes each permutation into a sumS4 body (the
+package contracts one lowered body with a Levi-Civita tensor).
 """
 
 import itertools
@@ -153,3 +155,108 @@ def fd_map_differential(m, t, step: float = 1e-5):
     plus, minus = curve(step), curve(-step)
     return Tangent(m.apply(pt), tuple(
         (a - b) / (2.0 * step) for a, b in zip(plus.factors, minus.factors)))
+
+
+def dsl_substitute(node, images):
+    """A parsed expression with p1..p4 replaced by `images` throughout,
+    the bodies of nested sumS4 included."""
+    from nervecheck.formdsl import Add, EntrySel, Scale, Sub, SumS4, Wedge
+
+    if isinstance(node, EntrySel):
+        def idx(k):
+            return images[int(k[1]) - 1] if isinstance(k, str) else k
+        return EntrySel(node.base, idx(node.i), idx(node.j))
+    if isinstance(node, SumS4):
+        return SumS4(dsl_substitute(node.body, images))
+    if isinstance(node, Wedge):
+        return Wedge(tuple(dsl_substitute(f, images) for f in node.factors))
+    if isinstance(node, Scale):
+        return Scale(node.num, node.den, node.inv_pi2,
+                     dsl_substitute(node.body, images))
+    return type(node)(dsl_substitute(node.left, images),
+                      dsl_substitute(node.right, images))
+
+
+def dsl_eval(node, pt, ts, x=None) -> tuple[float, float]:
+    """A parsed expression evaluated at (pt, ts, x) by brute force, and the sum
+    of the absolute values of its summands (the scale of its roundoff).
+
+    Every sumS4 substitutes each of the 24 permutations into its body
+    literally; every wedge antisymmetrizes over all orderings of its
+    tangent slots with 1/(r_1! ... r_n!) normalization.  Only the AST node
+    types come from the package.
+    """
+    from nervecheck.formdsl import (Add, EntrySel, MCLAtom, Scale, Square,
+                                    SumS4, Wedge, XAtom)
+
+    left = [[h.T @ v for h, v in zip(pt.factors, t.reps)] for t in ts]
+    right = [[v @ h.T for h, v in zip(pt.factors, t.reps)] for t in ts]
+    perms = [(tuple(k + 1 for k in p), cycle_sign(p))
+             for p in itertools.permutations(range(4))]
+    # The 24 substituted bodies of a nested sum are one and the same node.
+    memo = {}
+
+    def degree(n) -> int:
+        if isinstance(n, EntrySel):
+            base = n.base
+            return 0 if isinstance(base, XAtom) else (
+                2 if isinstance(base, Square) else 1)
+        if isinstance(n, Wedge):
+            return sum(degree(f) for f in n.factors)
+        if isinstance(n, (Scale, SumS4)):
+            return degree(n.body)
+        return degree(n.left)
+
+    def entry(n, slots) -> float:
+        i, j = n.i - 1, n.j - 1
+        base = n.base
+        if isinstance(base, XAtom):
+            return float(x[i, j])
+        atom = base.base if isinstance(base, Square) else base
+        mats = left if isinstance(atom, MCLAtom) else right
+        k = atom.factor - 1
+        if isinstance(base, Square):
+            total = 0.0
+            for perm in itertools.permutations(slots):
+                sign = cycle_sign([slots.index(s) for s in perm])
+                total += sign * (mats[perm[0]][k] @ mats[perm[1]][k])[i, j]
+            return total
+        return float(mats[slots[0]][k][i, j])
+
+    def value(n, slots) -> tuple[float, float]:
+        key = (n, slots)
+        if key in memo:
+            return memo[key]
+        if isinstance(n, EntrySel):
+            v = entry(n, slots)
+            out = (v, abs(v))
+        elif isinstance(n, Wedge):
+            degs = [degree(f) for f in n.factors]
+            norm = math.prod(math.factorial(d) for d in degs)
+            total = size = 0.0
+            for perm in itertools.permutations(range(len(slots))):
+                prod, mag, pos = 1.0, 1.0, 0
+                for f, d in zip(n.factors, degs):
+                    v, m = value(f, tuple(slots[p] for p in perm[pos:pos + d]))
+                    prod, mag, pos = prod * v, mag * m, pos + d
+                total += cycle_sign(perm) * prod
+                size += mag
+            out = (total / norm, size / norm)
+        elif isinstance(n, Scale):
+            c = n.num / n.den / (math.pi ** 2 if n.inv_pi2 else 1.0)
+            v, m = value(n.body, slots)
+            out = (c * v, abs(c) * m)
+        elif isinstance(n, SumS4):
+            total = size = 0.0
+            for images, sign in perms:
+                v, m = value(dsl_substitute(n.body, images), slots)
+                total += sign * v
+                size += m
+            out = (total, size)
+        else:
+            (a, ma), (b, mb) = value(n.left, slots), value(n.right, slots)
+            out = (a + b if isinstance(n, Add) else a - b, ma + mb)
+        memo[key] = out
+        return out
+
+    return value(node, tuple(range(len(ts))))

@@ -8,7 +8,7 @@ from importlib import resources
 import pytest
 
 from nervecheck.cli import main
-from nervecheck.harness import CHECK_IDS
+from nervecheck.harness import CHECK_IDS, CheckConfig, MAX_TRIALS
 
 
 def _corpus_path(name):
@@ -164,6 +164,27 @@ def test_check_all_bad_config_exits_two_before_running(capsys, monkeypatch,
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [["check", "--id", "lemma-4.3"],
+                                     ["check-all"]])
+def test_trials_above_the_ceiling_exit_two_before_running(capsys, monkeypatch,
+                                                           command):
+    import nervecheck.cli as cli
+    import nervecheck.harness as harness
+
+    def never(cfg):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(harness, "run_check", never)
+    monkeypatch.setattr(cli, "run_check", never)
+    code, out, err = _run(capsys, *command, "--trials", str(MAX_TRIALS + 1))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(MAX_TRIALS) in err
+    # the ceiling itself is a valid count
+    for cid in CHECK_IDS:
+        CheckConfig(check_id=cid, trials=MAX_TRIALS).validate()
+
+
 def test_check_all_error_inside_a_check_is_not_a_usage_error(capsys,
                                                              monkeypatch):
     import nervecheck.harness as harness
@@ -242,6 +263,21 @@ def test_eval_malformed_file_reports_position(tmp_path, capsys):
                         "--at", "identity", "--tangents", "seed:1")
     assert code == 2
     assert "1:14" in err
+
+
+@pytest.mark.parametrize("opening,body,closing,col", [
+    ("(", "MCL(1)[1,2]", ")", 65),
+    ("sumS4( ", "MCL(1)[p1,p2] MCL(1)[p3,p4]", " )", 449),
+])
+def test_eval_deep_nesting_reports_position(tmp_path, capsys, opening, body,
+                                            closing, col):
+    deep = tmp_path / "deep.form"
+    deep.write_text(opening * 1000 + body + closing * 1000 + "\n")
+    code, out, err = _run(capsys, "eval", "--expr", str(deep),
+                          "--at", "identity", "--tangents", "seed:1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"1:{col}" in err
 
 
 def test_eval_zero_denominator_reports_position(tmp_path, capsys):

@@ -1,16 +1,29 @@
 """Tests for the little expression language over invariant matrix forms."""
 
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nervecheck.matrixgroup import GroupPoint, Tangent, basis_element, identity_point
 from nervecheck.formdsl import (
     CORPUS_NAMES,
+    MAX_NESTING,
+    Add,
+    EntrySel,
     FormDslError,
     FormSyntaxError,
+    MCLAtom,
+    MCRAtom,
+    Scale,
+    Square,
+    Sub,
+    SumS4,
+    Wedge,
+    XAtom,
     corpus_source,
     interpret,
     max_factor_index,
@@ -21,6 +34,7 @@ from nervecheck.eulercocycle import eval_E13, eval_mu
 from nervecheck.cartanmodel import EquivariantForm
 from nervecheck.formcalc import FormEval
 from nervecheck.harness import sample_algebra, sample_point, sample_tangents, trial_rng
+from oracles import dsl_eval
 
 E12 = basis_element(1, 2)
 E13 = basis_element(1, 3)
@@ -232,3 +246,208 @@ def test_max_factor_index():
 def test_corpus_source_rejects_unknown_name():
     with pytest.raises((KeyError, ValueError, FileNotFoundError)):
         corpus_source("nonexistent.form")
+
+
+# ---------------------------------------------------------------------------
+# lowering: one build per node, against the brute-force oracle
+
+
+def _nested_sums(depth: int) -> str:
+    src = "MCL(1)[p1,p2] MCR(1)[p3,p4]"
+    for _ in range(depth - 1):
+        src = f"MCL(1)[p1,p2] MCR(1)[p3,p4] + sumS4( {src} )"
+    return f"sumS4( {src} )"
+
+
+def test_lowering_builds_each_node_once(monkeypatch):
+    import nervecheck.formdsl as formdsl
+
+    build = formdsl._build
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) > 1000:  # far beyond linear growth: stop early
+            raise AssertionError("the lowering builds too many nodes")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(formdsl, "_build", counted)
+    counts = []
+    for depth in range(1, 9):
+        calls.clear()
+        interpret(parse(_nested_sums(depth)), 1)
+        counts.append(len(calls))
+    steps = {b - a for a, b in zip(counts, counts[1:])}
+    assert len(steps) == 1, counts
+    # every AST node is built exactly once
+    assert counts[-1] == _count_nodes(parse(_nested_sums(8))), counts
+
+
+def _count_nodes(node) -> int:
+    if isinstance(node, (SumS4, Scale)):
+        return 1 + _count_nodes(node.body)
+    if isinstance(node, Wedge):
+        return 1 + sum(_count_nodes(f) for f in node.factors)
+    if isinstance(node, (Add, Sub)):
+        return 1 + _count_nodes(node.left) + _count_nodes(node.right)
+    return 1
+
+
+def test_nested_sum_inherits_the_enclosing_placeholders():
+    # the enclosing sum substitutes the inner body's placeholders too, so the
+    # inner sum adds 24 equal terms whose signs cancel
+    f = interpret(parse("sumS4( MCL(1)[p1,p2] sumS4( MCR(1)[p3,p4] ) )"), 1)
+    rng = trial_rng(0, "dsl-unit", 3)
+    pt = sample_point(rng, 1)
+    ts = sample_tangents(rng, pt, 2)
+    assert f(pt, *ts) == 0.0
+    # an inner sum contracted on its own would not vanish here
+    g = interpret(parse("sumS4( X[p1,p2] X[p3,p4] "
+                        "sumS4( MCL(1)[p1,p2] MCR(1)[p3,p4] ) )"), 1)
+    assert g(sample_algebra(rng))(pt, *ts) == 0.0
+
+
+def test_deep_nesting_is_a_syntax_error_at_the_opening_token():
+    with pytest.raises(FormSyntaxError) as exc:
+        parse("(" * 1000 + "MCL(1)[1,2]" + ")" * 1000)
+    assert (exc.value.line, exc.value.col) == (1, MAX_NESTING + 1)
+    with pytest.raises(FormSyntaxError) as exc:
+        parse("sumS4( " * 1000 + "MCL(1)[p1,p2]" + " )" * 1000)
+    assert (exc.value.line, exc.value.col) == (1, 7 * MAX_NESTING + 1)
+    # the ceiling itself parses, lowers and evaluates
+    src = "(" * MAX_NESTING + "MCL(1)[1,2]" + ")" * MAX_NESTING
+    assert parse(src) == parse("MCL(1)[1,2]")
+    deep = "sumS4( " * MAX_NESTING + "MCL(1)[p1,p2]" + " )" * MAX_NESTING
+    pt = identity_point(1)
+    assert interpret(parse(deep), 1)(pt, Tangent(pt, (E12,))) == 0.0
+
+
+def test_overlong_numbers_are_syntax_errors():
+    for src in ("1" * 5000 + " MCL(1)[1,2]", "MCL(" + "9" * 400 + ")[1,2]",
+                "1/" + "7" * 400 + " MCL(1)[1,2]"):
+        with pytest.raises(FormSyntaxError, match="digits"):
+            parse(src)
+    with pytest.raises(FormSyntaxError) as exc:
+        parse("² MCL(1)[1,2]")  # a digit to str.isdigit, not to int()
+    assert (exc.value.line, exc.value.col) == (1, 1)
+
+
+_PLACEHOLDER = st.sampled_from(["p1", "p2", "p3", "p4"])
+
+
+@st.composite
+def _factor(draw, kind: str, level: int, bound: bool, ij=None):
+    """One entry selection [ij] or a drawn one: kind is 'mc', 'sq' or 'x'."""
+    if ij is None:
+        index = st.one_of(st.integers(1, 4), _PLACEHOLDER) if bound \
+            else st.integers(1, 4)
+        i = draw(index)
+        j = draw(st.one_of(st.just(i), index))  # [p1,p1] and [2,2] too
+    else:
+        i, j = ij
+    if kind == "x":
+        return EntrySel(XAtom(), i, j)
+    factor = draw(st.integers(1, level))
+    atom = MCLAtom(factor) if draw(st.booleans()) else MCRAtom(factor)
+    return EntrySel(Square(atom) if kind == "sq" else atom, i, j)
+
+
+@st.composite
+def _kinds(draw, degree: int, x_degree: int):
+    squares = draw(st.integers(0, degree // 2))
+    kinds = ["sq"] * squares + ["mc"] * (degree - 2 * squares) + ["x"] * x_degree
+    return draw(st.permutations(kinds))
+
+
+@st.composite
+def _term(draw, degree, x_degree, level, depth, bound):
+    shape = draw(st.sampled_from(["wedge", "sum", "group"]
+                                 if depth > 0 else ["wedge"]))
+    if shape == "sum":
+        node = SumS4(draw(_expr(degree, x_degree, level, depth - 1, True)))
+    else:
+        kinds = list(draw(_kinds(degree, x_degree)))
+        inner = None
+        if shape == "group":
+            # the first factors as one parenthesized expr or sumS4, wedged
+            # with the rest
+            split = draw(st.integers(1, len(kinds)))
+            inner_kinds, kinds = kinds[:split], kinds[split:]
+            degrees = {"mc": 1, "sq": 2, "x": 0}
+            in_sum = draw(st.booleans())
+            inner = draw(_expr(sum(degrees[k] for k in inner_kinds),
+                               inner_kinds.count("x"), level, depth - 1,
+                               bound or in_sum))
+            inner = SumS4(inner) if in_sum else inner
+        # Under a sum, the first two factors often share out p1..p4, which
+        # the contraction does not cancel.
+        pairs = []
+        if bound and draw(st.booleans()):
+            perm = draw(st.permutations(["p1", "p2", "p3", "p4"]))
+            pairs = [perm[:2], perm[2:]]
+        factors = [draw(_factor(k, level, bound, ij))
+                   for k, ij in itertools.zip_longest(kinds, pairs[:len(kinds)])]
+        if inner is not None:
+            factors.insert(draw(st.integers(0, len(factors))), inner)
+        node = factors[0] if len(factors) == 1 else Wedge(tuple(factors))
+    if draw(st.booleans()):
+        num = draw(st.integers(-9, 9))
+        den = draw(st.integers(1, 9))
+        node = Scale(num, den, draw(st.booleans()), node)
+    return node
+
+
+@st.composite
+def _expr(draw, degree, x_degree, level, depth, bound):
+    node = draw(_term(degree, x_degree, level, depth, bound))
+    for _ in range(draw(st.integers(0, 2))):
+        rhs = draw(_term(degree, x_degree, level, depth, bound))
+        node = Add(node, rhs) if draw(st.booleans()) else Sub(node, rhs)
+    return node
+
+
+@st.composite
+def _source(draw):
+    degree = draw(st.integers(0, 3))
+    x_degree = draw(st.integers(0 if degree else 1, 2))
+    level = draw(st.integers(1, 2))
+    node = draw(_expr(degree, x_degree, level, draw(st.integers(0, 3)), False))
+    return node, level, degree, x_degree
+
+
+@settings(max_examples=40, deadline=None)
+@given(_source(), st.integers(0, 2**32 - 1))
+def test_interpret_matches_the_brute_force_oracle(source, seed):
+    node, level, degree, x_degree = source
+    node = parse(pretty(node))
+    form = interpret(node, level)
+    rng = np.random.default_rng(seed)
+    pt = sample_point(rng, level)
+    ts = sample_tangents(rng, pt, degree)
+    X = sample_algebra(rng)
+    got = (form(X) if x_degree else form)(pt, *ts)
+    want, size = dsl_eval(node, pt, ts, X)
+    assert abs(got - want) <= 1e-13 * size, pretty(node)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_source())
+def test_parse_inverts_pretty(source):
+    node = source[0]
+    assert parse(pretty(node)) == node
+
+
+_TOKENS = st.sampled_from([
+    "(", ")", "sumS4(", "MCL(1)", "MCR(2)", "X", "^2", "[", "]", ",", "p1",
+    "p4", "1", "4", "0", "12", "/", "pi2", "+", "-", " ", "\n", "²"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=80),
+                 st.lists(_TOKENS, max_size=60).map("".join)))
+def test_parse_raises_only_syntax_errors(src):
+    try:
+        node = parse(src)
+    except FormSyntaxError:
+        return
+    assert parse(pretty(node)) == node
