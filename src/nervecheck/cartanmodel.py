@@ -13,14 +13,16 @@ returned as a GradedForm keyed by degree.
 
 `equivariant_total_check` evaluates the five component identities that make
 the degree-4 cochain (3-form, 2-form on the squared level, and the
-polynomial 1-form) a cocycle of the equivariant nerve complex, determining
-the two undetermined relative signs empirically.
+polynomial 1-form) a cocycle of the equivariant nerve complex.  The two
+identities that hold only up to a relative sign report both variants; the
+caller chooses the sign (see `harness.choose_signs`).  A sample may be
+stacked, with X stacked alike, and then every residual is an array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -118,14 +120,9 @@ class CocycleSample:
 
 @dataclass(frozen=True)
 class TotalCheckResult:
-    residuals: dict[str, float]
-    sigma1: int
-    sigma2: int
-    rejected: dict[str, float]
+    """Absolute residuals of a, b, c and of both sign variants of d and e."""
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
+    residuals: dict[str, np.ndarray]
 
 
 def _check_shapes(e13: EquivariantForm, e22: EquivariantForm,
@@ -140,62 +137,39 @@ def _check_shapes(e13: EquivariantForm, e22: EquivariantForm,
 
 def equivariant_total_check(e13: EquivariantForm, e22: EquivariantForm,
                             mu: EquivariantForm, X: np.ndarray,
-                            samples: Sequence[CocycleSample],
+                            sample: CocycleSample,
                             fd_step: float = 1e-5) -> TotalCheckResult:
-    """Max-abs residuals of the five cocycle component identities.
+    """Absolute residuals of the five cocycle component identities.
 
-    a: d e13 = 0                        (4-form, one factor; finite difference)
-    b: i_{X#} e13 = d mu(X)             (2-form, one factor; finite difference)
-    c: i_{X#} mu(X) = 0                 (scalar, one factor; exact algebra)
-    d: d' e13 + sigma1 * d e22 = 0      (3-form, two factors; finite difference)
-    e: d' mu(X) = sigma2 * i_{X##} e22  (1-form, two factors; exact algebra)
-
-    The signs sigma1, sigma2 in {+1, -1} are chosen per run to minimize the
-    residual; the rejected sign's residual is reported so callers can assert
-    the choice is forced.
+    a:  d e13 = 0                       (4-form, one factor; finite difference)
+    b:  i_{X#} e13 = d mu(X)            (2-form, one factor; finite difference)
+    c:  i_{X#} mu(X) = 0                (scalar, one factor; exact algebra)
+    d+: d' e13 + d e22 = 0, and d- with  - d e22
+                                        (3-form, two factors; finite difference)
+    e+: d' mu(X) = i_{X##} e22, and e- with  = -i_{X##} e22
+                                        (1-form, two factors; exact algebra)
     """
     _check_shapes(e13, e22, mu)
+    if sample.h1.level != 1 or sample.h2.level != 2:
+        raise ValueError("sample points must have levels 1 and 2")
+    if len(sample.v) != 4 or len(sample.t) != 3:
+        raise ValueError(
+            "sample needs 4 tangents at the level-1 point and 3 at the"
+            " level-2 point")
     e13_form = e13(X)
     e22_form = e22(X)
     mu_form = mu(X)
+    h1, h2, pair, single = sample.h1, sample.h2, sample.v[:2], sample.t[:1]
 
-    d_e13 = exterior_d(e13_form, fd_step)
-    d_mu = exterior_d(mu_form, fd_step)
+    lhs_d = d_prime(e13_form).fn(h2, sample.t)
+    rhs_d = exterior_d(e22_form, fd_step).fn(h2, sample.t)
+    lhs_e = d_prime(mu_form).fn(h2, single)
+    rhs_e = contract(e22_form, fundamental_field(X, 2)).fn(h2, single)
     i_e13 = contract(e13_form, fundamental_field(X, 1))
-    i_mu = contract(mu_form, fundamental_field(X, 1))
-    dp_e13 = d_prime(e13_form)
-    d_e22 = exterior_d(e22_form, fd_step)
-    dp_mu = d_prime(mu_form)
-    i_e22 = contract(e22_form, fundamental_field(X, 2))
-
-    res = {k: 0.0 for k in "abcde"}
-    d_plus = d_minus = 0.0
-    e_plus = e_minus = 0.0
-    for s in samples:
-        if s.h1.level != 1 or s.h2.level != 2:
-            raise ValueError("sample points must have levels 1 and 2")
-        if len(s.v) != 4 or len(s.t) != 3:
-            raise ValueError(
-                "sample needs 4 tangents at the level-1 point and 3 at the"
-                " level-2 point")
-        res["a"] = max(res["a"], abs(d_e13.fn(s.h1, s.v)))
-        pair = s.v[:2]
-        res["b"] = max(res["b"], abs(i_e13.fn(s.h1, pair) - d_mu.fn(s.h1, pair)))
-        res["c"] = max(res["c"], abs(i_mu.fn(s.h1, ())))
-        lhs_d = dp_e13.fn(s.h2, s.t)
-        rhs_d = d_e22.fn(s.h2, s.t)
-        d_plus = max(d_plus, abs(lhs_d + rhs_d))
-        d_minus = max(d_minus, abs(lhs_d - rhs_d))
-        single = s.t[:1]
-        lhs_e = dp_mu.fn(s.h2, single)
-        rhs_e = i_e22.fn(s.h2, single)
-        e_plus = max(e_plus, abs(lhs_e - rhs_e))
-        e_minus = max(e_minus, abs(lhs_e + rhs_e))
-
-    sigma1, res["d"], rej_d = (1, d_plus, d_minus) if d_plus <= d_minus \
-        else (-1, d_minus, d_plus)
-    sigma2, res["e"], rej_e = (1, e_plus, e_minus) if e_plus <= e_minus \
-        else (-1, e_minus, e_plus)
-    return TotalCheckResult(
-        residuals=res, sigma1=sigma1, sigma2=sigma2,
-        rejected={"d": rej_d, "e": rej_e})
+    return TotalCheckResult({
+        "a": abs(exterior_d(e13_form, fd_step).fn(h1, sample.v)),
+        "b": abs(i_e13.fn(h1, pair) - exterior_d(mu_form, fd_step).fn(h1, pair)),
+        "c": abs(contract(mu_form, fundamental_field(X, 1)).fn(h1, ())),
+        "d+": abs(lhs_d + rhs_d), "d-": abs(lhs_d - rhs_d),
+        "e+": abs(lhs_e - rhs_e), "e-": abs(lhs_e + rhs_e),
+    })

@@ -41,7 +41,7 @@ def _emit(payload: str, out: Optional[str]) -> bool:
     try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         print(f"error: {exc}", file=sys.stderr)
         return False
     return True
@@ -130,7 +130,7 @@ def _cmd_eval(args) -> int:
     try:
         with open(args.expr, "r", encoding="utf-8") as fh:
             src = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         if args.expr in formdsl.CORPUS_NAMES:
             src = formdsl.corpus_source(args.expr)
         else:

@@ -18,7 +18,12 @@ evaluated here.  The cochains are
   forms (coefficient -1/(64 pi^2) on each half).
 
 `eval_alpha` integrates the corresponding pairing of two algebra paths over
-[0, 1] with composite Simpson quadrature.
+[0, 1] with composite Simpson quadrature, evaluating each path at all nodes
+in one call.
+
+Every evaluator takes stacked points, tangents, arguments X and paths
+(leading axes before the 4x4 ones) and then returns one value per stacked
+entry; the coordinates are slices of m - m^T over the last two axes.
 """
 
 from __future__ import annotations
@@ -31,17 +36,17 @@ import numpy as np
 
 from .cartanmodel import EquivariantForm
 from .formcalc import FormEval, _same_point
-from .matrixgroup import GroupPoint, Tangent
+from .matrixgroup import BASIS_PAIRS, DIM, GroupPoint, Tangent
 
 _C192 = 1.0 / (192.0 * math.pi ** 2)
 _C64 = -1.0 / (64.0 * math.pi ** 2)
 
 
-def _coords(m: np.ndarray) -> tuple[float, ...]:
-    """The entries m[a,b] - m[b,a], a < b, of m - m^T in BASIS_PAIRS order."""
-    r1, r2, r3, r4 = m.tolist()
-    return (r1[1] - r2[0], r1[2] - r3[0], r1[3] - r4[0],
-            r2[2] - r3[1], r2[3] - r4[1], r3[3] - r4[2])
+def _coords(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries m[a,b] - m[b,a], a < b, of m - m^T in BASIS_PAIRS order,
+    each with the stack shape of m."""
+    return tuple(m[..., a - 1, b - 1] - m[..., b - 1, a - 1]
+                 for a, b in BASIS_PAIRS)
 
 
 def _pf(a, b) -> float:
@@ -66,7 +71,7 @@ def eval_E13(pt: GroupPoint, v1: Tangent, v2: Tangent, v3: Tangent) -> float:
     if pt.level != 1:
         raise ValueError("this 3-form lives on a single factor")
     _require_base(pt, v1, v2, v3)
-    hT = pt.factors[0].T
+    hT = pt.factors[0].mT
     w1, w2, w3 = (hT @ v.reps[0] for v in (v1, v2, v3))
     # (1,2)-shuffle expansion of (1-form) wedge (2-form), each term paired
     # both ways round
@@ -81,8 +86,8 @@ def eval_E22(pt: GroupPoint, t1: Tangent, t2: Tangent) -> float:
     if pt.level != 2:
         raise ValueError("this 2-form lives on two factors")
     _require_base(pt, t1, t2)
-    h1T = pt.factors[0].T
-    h2T = pt.factors[1].T
+    h1T = pt.factors[0].mT
+    h2T = pt.factors[1].mT
     l1, l2 = (_coords(h1T @ t.reps[0]) for t in (t1, t2))
     r1, r2 = (_coords(t.reps[1] @ h2T) for t in (t1, t2))
     return 2.0 * _C64 * (_pf(l1, r2) - _pf(l2, r1))
@@ -95,8 +100,8 @@ def eval_mu(X: np.ndarray, pt: GroupPoint, v: Tangent) -> float:
     _require_base(pt, v)
     h = pt.factors[0]
     x = _coords(np.asarray(X, dtype=float))
-    return 2.0 * _C64 * (_pf(x, _coords(h.T @ v.reps[0]))
-                         + _pf(x, _coords(v.reps[0] @ h.T)))
+    return 2.0 * _C64 * (_pf(x, _coords(h.mT @ v.reps[0]))
+                         + _pf(x, _coords(v.reps[0] @ h.mT)))
 
 
 def e13_form() -> EquivariantForm:
@@ -121,45 +126,60 @@ def mu_form() -> EquivariantForm:
 
 @dataclass(frozen=True)
 class AlgebraPath:
-    """A path in the skew matrices with its derivative, both on [0, 1]."""
+    """A path in the skew matrices with its derivative, both on [0, 1].
 
-    value: Callable[[float], np.ndarray]
-    deriv: Callable[[float], np.ndarray]
+    value(theta) and deriv(theta) take a parameter or an array of them and
+    return the matrices with the axes of theta before the last two.
+    """
+
+    value: Callable[[np.ndarray], np.ndarray]
+    deriv: Callable[[np.ndarray], np.ndarray]
 
 
 def polynomial_path(coeffs) -> AlgebraPath:
-    """Path sum_k theta^k coeffs[k] with exact derivative."""
+    """Path sum_k theta^k coeffs[k] with exact derivative.
+
+    A coefficient may be a stack of matrices: the path is then a stack of
+    paths, and the axes of theta come after the stack axes.
+    """
     coeffs = [np.asarray(c, dtype=float) for c in coeffs]
+    slopes = [k * c for k, c in enumerate(coeffs)][1:]
 
-    def value(theta: float) -> np.ndarray:
-        out = np.zeros((4, 4))
-        for k, c in enumerate(coeffs):
-            out += (theta ** k) * c
+    def horner(theta, cs) -> np.ndarray:
+        # accumulated in place: one array of the full shape at a time
+        theta = np.asarray(theta, dtype=float)
+        t = theta[..., None, None]
+        grid = [c.reshape(c.shape[:-2] + (1,) * theta.ndim + (DIM, DIM))
+                for c in cs]
+        out = np.zeros(np.broadcast_shapes(theta.shape + (DIM, DIM),
+                                           *(c.shape for c in grid)))
+        for c in reversed(grid):
+            out *= t
+            out += c
         return out
 
-    def deriv(theta: float) -> np.ndarray:
-        out = np.zeros((4, 4))
-        for k, c in enumerate(coeffs[1:], start=1):
-            out += k * (theta ** (k - 1)) * c
-        return out
-
-    return AlgebraPath(value, deriv)
+    return AlgebraPath(lambda theta: horner(theta, coeffs),
+                       lambda theta: horner(theta, slopes))
 
 
 def eval_alpha(xi1: AlgebraPath, xi2: AlgebraPath, n_quad: int = 64) -> float:
     """Antisymmetric path pairing integrated by composite Simpson.
 
-    n_quad is the (even) number of subintervals.
+    n_quad is the (even) number of subintervals.  Both paths are evaluated
+    at all n_quad + 1 nodes at once; stacked paths give one integral each.
     """
     if n_quad < 8 or n_quad % 2:
         raise ValueError("n_quad must be an even integer >= 8")
-
-    def integrand(theta: float) -> float:
-        return (_pair_sum(xi1.deriv(theta), xi2.value(theta))
-                - _pair_sum(xi2.deriv(theta), xi1.value(theta)))
-
     h = 1.0 / n_quad
-    total = integrand(0.0) + integrand(1.0)
+    nodes = np.arange(n_quad + 1) * h
+
+    def pairing(deriv, value):
+        # _pair_sum of the two paths at the nodes, with each stack of node
+        # matrices reduced to its coordinates before the next one is made
+        return 2.0 * _pf(_coords(deriv(nodes)), _coords(value(nodes)))
+
+    f = pairing(xi1.deriv, xi2.value) - pairing(xi2.deriv, xi1.value)
+    total = f[..., 0] + f[..., n_quad]
     for k in range(1, n_quad):
-        total += (4.0 if k % 2 else 2.0) * integrand(k * h)
+        total = total + (4.0 if k % 2 else 2.0) * f[..., k]
     return _C64 * (h / 3.0) * total

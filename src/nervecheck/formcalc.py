@@ -2,9 +2,12 @@
 
 Forms are represented by evaluators: a degree-r form at level p is a function
 taking a point of SO(4)^p and r tangent vectors and returning a real number
-(or a 4x4 matrix for matrix-valued forms).  The wedge product uses the
-determinant (shuffle) convention with no 1/(r!s!) normalization, so for
-1-forms (f ^ g)(v, w) = f(v) g(w) - f(w) g(v).
+(or a 4x4 matrix for matrix-valued forms).  The evaluators accept leading
+stack axes: at a point whose factors are stacks (N, 4, 4), with tangent reps
+of the same shape, a scalar form returns an (N,) array and a matrix form an
+(N, 4, 4) stack, one value per stacked point; a single point gives a single
+value.  The wedge product uses the determinant (shuffle) convention with no
+1/(r!s!) normalization, so for 1-forms (f ^ g)(v, w) = f(v) g(w) - f(w) g(v).
 
 The exterior derivative is computed from the invariant-extension formula:
 tangents are translated to per-factor algebra coordinates, extended to
@@ -13,7 +16,8 @@ central finite differences while the bracket terms stay exact matrix
 commutators.  Right-invariant extensions are used (coordinates X = v h^-1,
 curves t -> exp(tX) h, bracket [X_i, X_j] reversed), which leaves genuine
 O(fd_step^2) truncation on left-Maurer-Cartan integrands so convergence is
-observable by step halving.
+observable by step halving.  On a stack, each direction costs one stacked
+exponential per factor and sign.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ def mc_left(factor_index: int, level: int) -> MatrixFormEval:
         raise ValueError(f"factor index {factor_index} out of range for level {level}")
     k = factor_index - 1
     return MatrixFormEval(
-        1, level, lambda pt, ts: pt.factors[k].T @ ts[0].reps[k])
+        1, level, lambda pt, ts: pt.factors[k].mT @ ts[0].reps[k])
 
 
 def mc_right(factor_index: int, level: int) -> MatrixFormEval:
@@ -119,7 +123,7 @@ def mc_right(factor_index: int, level: int) -> MatrixFormEval:
         raise ValueError(f"factor index {factor_index} out of range for level {level}")
     k = factor_index - 1
     return MatrixFormEval(
-        1, level, lambda pt, ts: ts[0].reps[k] @ pt.factors[k].T)
+        1, level, lambda pt, ts: ts[0].reps[k] @ pt.factors[k].mT)
 
 
 def entry(m: MatrixFormEval, a: int, b: int) -> FormEval:
@@ -128,7 +132,7 @@ def entry(m: MatrixFormEval, a: int, b: int) -> FormEval:
         raise ValueError("entry indices must lie in 1..4")
     i, j = a - 1, b - 1
     f = m.fn
-    return FormEval(m.degree, m.level, lambda pt, ts: f(pt, ts)[i, j])
+    return FormEval(m.degree, m.level, lambda pt, ts: f(pt, ts)[..., i, j])
 
 
 def matrix_wedge_square(m: MatrixFormEval) -> MatrixFormEval:
@@ -177,7 +181,7 @@ def wedge(f: FormEval, g: FormEval) -> FormEval:
 
 def right_coords(t: Tangent) -> tuple[np.ndarray, ...]:
     """Per-factor right-trivialized coordinates v h^-1 (each skew)."""
-    return tuple(v @ h.T for v, h in zip(t.reps, t.base.factors))
+    return tuple(v @ h.mT for v, h in zip(t.reps, t.base.factors))
 
 
 def left_invariant_field(x: np.ndarray, level: int) -> Callable[[GroupPoint], Tangent]:

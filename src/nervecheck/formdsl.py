@@ -18,8 +18,8 @@ sense; `[i,j]` selects a matrix entry and is mandatory on every atom.
 `sumS4(...)` sums its body over all 24 permutations of (1,2,3,4) weighted by
 sign, putting the permutation images in place of the placeholders p1..p4.
 `n/d/pi2` scales by the rational n/d times 1/pi^2.  NUMBER is at most
-MAX_DIGITS ASCII digits, and parentheses and sumS4 nest at most MAX_NESTING
-deep.
+MAX_DIGITS ASCII digits, a factor index k at most MAX_FACTOR, and
+parentheses and sumS4 nest at most MAX_NESTING deep.
 
 A sumS4 binds every placeholder in its body, the bodies of sumS4 nested in
 it included.  A nested sumS4 therefore adds 24 equal terms whose signs
@@ -27,13 +27,14 @@ cancel: it evaluates to zero.
 
 `parse` produces a plain AST; `interpret` lowers it once to an evaluator
 (pt, tangents, X) -> ndarray with one length-4 axis for each placeholder
-free in the subexpression.  An entry keeps the axis of a placeholder index
-(`[p1,p1]` takes the diagonal); a wedge is the shuffle sum of products over
-the union of the axes, and `+`/`-` broadcast over it; an outermost sumS4
+free in the subexpression, after the stack axes of a stacked point.  An
+entry keeps the axis of a placeholder index (`[p1,p1]` takes the
+diagonal); a wedge is the shuffle sum of products over the union of the
+axes, and `+`/`-` broadcast over it; an outermost sumS4
 contracts its body with the Levi-Civita tensor eps[a,b,c,d], and a nested
 one is 0 times its body.  `interpret` returns a FormEval, or an
 EquivariantForm exactly when X occurs; evaluating either lowers nothing
-again.
+again, and returns one value per stacked point.
 """
 
 from __future__ import annotations
@@ -146,6 +147,10 @@ MAX_DIGITS = 18
 # The deepest nesting of parentheses and sumS4 the parser accepts: it
 # recurses once per level, and the lowering and evaluation do too.
 MAX_NESTING = 64
+
+# The largest factor index k of MCL(k)/MCR(k).  `nervecheck eval` builds a
+# point with that many factors, so the index bounds its time and memory.
+MAX_FACTOR = 64
 
 
 def _tokenize(src: str) -> list[_Token]:
@@ -306,9 +311,10 @@ class _Parser:
             self.expect("(")
             ftok = self.expect("NUMBER")
             factor = int(ftok.text)
-            if factor < 1:
-                raise FormSyntaxError("factor index must be >= 1",
-                                      ftok.line, ftok.col)
+            if not 1 <= factor <= MAX_FACTOR:
+                raise FormSyntaxError(
+                    f"factor index must lie in 1..{MAX_FACTOR}",
+                    ftok.line, ftok.col)
             self.expect(")")
             atom = MCLAtom(factor) if tok.text == "MCL" else MCRAtom(factor)
             base: Union[MCLAtom, MCRAtom, Square] = atom
@@ -447,8 +453,9 @@ def _letters(axes: tuple[str, ...]) -> str:
 @dataclass(frozen=True)
 class _Built:
     """A lowered subexpression: its degrees, the placeholders free in it
-    (sorted) and an evaluator (pt, ts, X) -> ndarray with one length-4 axis
-    per free placeholder, in the order of `axes`."""
+    (sorted) and an evaluator (pt, ts, X) -> ndarray with the stack axes of
+    the point, then one length-4 axis per free placeholder, in the order of
+    `axes`."""
 
     form_degree: int
     x_degree: int
@@ -486,15 +493,16 @@ def _entry(node: EntrySel, level: int, in_sum: bool) -> _Built:
     rows = slice(None) if isinstance(node.i, str) else node.i - 1
     cols = slice(None) if isinstance(node.j, str) else node.j - 1
     axes = tuple(sorted(set(free)))
-    spec = f"{_letters(tuple(free))}->{_letters(axes)}"
-    return _Built(degree, x_degree, axes,
-                  lambda pt, ts, X: np.einsum(spec, matrix(pt, ts, X)[rows, cols]))
+    spec = f"...{_letters(tuple(free))}->...{_letters(axes)}"
+    return _Built(
+        degree, x_degree, axes,
+        lambda pt, ts, X: np.einsum(spec, matrix(pt, ts, X)[..., rows, cols]))
 
 
 def _wedge(f: _Built, g: _Built) -> _Built:
     """The shuffle sum of products over the union of the axes."""
     axes = tuple(sorted(set(f.axes) | set(g.axes)))
-    spec = f"{_letters(f.axes)},{_letters(g.axes)}->{_letters(axes)}"
+    spec = f"...{_letters(f.axes)},...{_letters(g.axes)}->...{_letters(axes)}"
     shuffles = _shuffle_signs(f.form_degree, g.form_degree)
     ff, gf = f.fn, g.fn
 
@@ -513,8 +521,14 @@ def _wedge(f: _Built, g: _Built) -> _Built:
 def _lift(b: _Built, axes: tuple[str, ...]):
     """b's evaluator, broadcastable over the (sorted) superset `axes`."""
     shape = tuple(4 if p in b.axes else 1 for p in axes)
+    own = len(b.axes)
     fn = b.fn
-    return lambda pt, ts, X: np.reshape(fn(pt, ts, X), shape)
+
+    def lifted(pt, ts, X):
+        v = np.asarray(fn(pt, ts, X))
+        return v.reshape(v.shape[:v.ndim - own] + shape)
+
+    return lifted
 
 
 def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
@@ -556,10 +570,15 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
             # their signs cancel.
             return _Built(body.form_degree, body.x_degree, body.axes,
                           lambda pt, ts, X: 0.0 * bfn(pt, ts, X))
-        spec = f"abcd,{_letters(body.axes)}->"
+        spec = f"abcd,...{_letters(body.axes)}->..."
         return _Built(body.form_degree, body.x_degree, (),
                       lambda pt, ts, X: np.einsum(spec, _EPS, bfn(pt, ts, X)))
     raise FormDslError(f"cannot interpret node {node!r}")
+
+
+def _value(v):
+    """A form value: a float for a single point, an array for a stack."""
+    return np.asarray(v, dtype=float)[()]
 
 
 def interpret(node: Node, level: int):
@@ -571,11 +590,11 @@ def interpret(node: Node, level: int):
     built = _build(node, level)
     degree, fn = built.form_degree, built.fn
     if built.x_degree == 0:
-        return FormEval(degree, level, lambda pt, ts: float(fn(pt, ts, None)))
+        return FormEval(degree, level, lambda pt, ts: _value(fn(pt, ts, None)))
 
     def at(X):
         X = np.array(X, dtype=float)
-        return FormEval(degree, level, lambda pt, ts: float(fn(pt, ts, X)))
+        return FormEval(degree, level, lambda pt, ts: _value(fn(pt, ts, X)))
 
     return EquivariantForm(level=level, form_degree=degree,
                            poly_degree=built.x_degree, eval=at)

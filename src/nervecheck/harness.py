@@ -4,18 +4,23 @@ Every check follows one protocol, held by its entry in `CHECKS`:
 
 * `setup(cfg)` builds what the trials of a run share (forms, interpreted
   sources) once; a check without a setup gets the config itself;
-* `trial(ctx, rng)` draws one sample and returns the raw residuals of the
-  check's named components;
+* `trial(ctx, rngs)` takes one generator per trial, draws the sample of
+  every trial and returns the raw residuals of the check's named
+  components, one array over the trials per component;
 * `reduce_rows` divides each component by its tolerance (1 where the check
   names none), takes the max over the components of a trial, and reports
-  the max over trials with its trial index; a strict `>` lets the first
-  worst trial win.
+  the max over trials with its trial index; the first worst trial wins.
 
 Sampling is deterministic given (seed, check id, trial index): every trial
-owns the stream ``default_rng([seed, crc32(check_id), trial])``, so adding
-checks or reordering trials never perturbs existing runs, and
-`trial_rows(cfg, [k])` replays trial k alone.  `golden-values` evaluates
-fixed inputs and runs one trial whatever `trials` is.
+owns the stream ``default_rng([seed, crc32(check_id), trial])`` and draws
+from it in the same order whatever the other trials draw, so adding checks
+or reordering trials never perturbs existing runs, and `trial_rows(cfg,
+[k])` replays trial k alone.  The samplers stack the draws of the trials,
+and the forms, exponentials and products then run once on the stack: a run
+walks each form tree once per stack, not once per trial.  At most `CHUNK`
+trials form one stack, so the intermediate arrays do not grow with the
+trial count.  `golden-values` evaluates fixed inputs and runs one trial
+whatever `trials` is.
 
 Composite checks (euler-cocycle, equivariant-cocycle, d-squared) bundle
 component identities with different natural scales; their default tolerance
@@ -25,7 +30,8 @@ is chosen once per run: the variant whose worst residual over all trials is
 smaller, ties to +.  The choice must be forced: the run reports an error of
 inf (worst trial 0) if any single trial prefers the other variant, or if the
 other variant's worst residual is within the component tolerance too, so
-that either sign would pass.
+that either sign would pass.  A NaN residual in any component fails the run
+as well: it reports an error of inf at the first trial with a NaN.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from math import pi
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,15 +51,18 @@ from .eulercocycle import (e13_form, e22_form, eval_alpha, eval_E13, eval_E22,
                            eval_mu, mu_form, polynomial_path)
 from .formcalc import contract, entry, exterior_d, matrix_wedge_square, mc_left, mc_right
 from .matrixgroup import (GroupPoint, Tangent, basis_element, exp_matrix,
-                          identity_point, random_skew, skew_from_coords)
+                          identity_point, skew_from_coords)
 from .nerve import (BiFormEval, BisimplicialPoint, BiTangent,
                     bi_form_from_flat, d_prime, d_triple_complex,
                     degeneracy_ng, face_ng, face_pg, gamma)
 
-# The most trials one run may ask for.  The slowest checks take several ms a
-# trial, so a run at the ceiling already takes hours; a larger count is
+# The most trials one run may ask for.  The slowest checks take about a ms
+# a trial, so a run at the ceiling takes many minutes; a larger count is
 # taken for a typo and refused.
 MAX_TRIALS = 1_000_000
+
+# The most trials evaluated as one stack (see the module docstring).
+CHUNK = 256
 
 
 def list_checks() -> list[str]:
@@ -111,7 +120,8 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# samplers: `rngs` holds one generator per trial, and each draw is stacked
+# over the trials; a single generator draws one unstacked sample
 
 
 def trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
@@ -120,91 +130,99 @@ def trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed % 2**32, tag, trial])
 
 
-def sample_point(rng: np.random.Generator, level: int) -> GroupPoint:
+def _skews(rngs, scale: float) -> np.ndarray:
+    """Skew matrices with six coordinates uniform in [-scale, scale], one
+    drawn from each generator of `rngs` (or from a single generator)."""
+    if isinstance(rngs, np.random.Generator):
+        return skew_from_coords(rngs.uniform(-scale, scale, size=6))
+    return skew_from_coords(
+        np.stack([rng.uniform(-scale, scale, size=6) for rng in rngs]))
+
+
+def sample_point(rngs, level: int) -> GroupPoint:
     """Level-many independent rotations, exp of skews with entries in [-2, 2]."""
     return GroupPoint(
-        tuple(exp_matrix(random_skew(rng, scale=2.0)) for _ in range(level)))
+        tuple(exp_matrix(_skews(rngs, 2.0)) for _ in range(level)))
 
 
-def sample_tangent(rng: np.random.Generator, pt: GroupPoint) -> Tangent:
+def sample_tangent(rngs, pt: GroupPoint) -> Tangent:
     """Random left-translated tangent: coordinates uniform in [-1, 1]."""
-    return Tangent(pt, tuple(
-        h @ skew_from_coords(rng.uniform(-1.0, 1.0, size=6))
-        for h in pt.factors))
+    return Tangent(pt, tuple(h @ _skews(rngs, 1.0) for h in pt.factors))
 
 
-def sample_tangents(rng, pt, count: int) -> tuple[Tangent, ...]:
-    return tuple(sample_tangent(rng, pt) for _ in range(count))
+def sample_tangents(rngs, pt, count: int) -> tuple[Tangent, ...]:
+    return tuple(sample_tangent(rngs, pt) for _ in range(count))
 
 
-def sample_algebra(rng: np.random.Generator) -> np.ndarray:
+def sample_algebra(rngs) -> np.ndarray:
     """Random element of the skew algebra, coordinates uniform in [-1, 1]."""
-    return skew_from_coords(rng.uniform(-1.0, 1.0, size=6))
+    return _skews(rngs, 1.0)
 
 
-def sample_bi_point(rng, p: int, q: int) -> BisimplicialPoint:
+def sample_bi_point(rngs, p: int, q: int) -> BisimplicialPoint:
     return BisimplicialPoint(
-        sample_point(rng, p),
-        tuple(exp_matrix(random_skew(rng, scale=2.0)) for _ in range(q)))
+        sample_point(rngs, p),
+        tuple(exp_matrix(_skews(rngs, 2.0)) for _ in range(q)))
 
 
-def sample_bi_tangent(rng, pt: BisimplicialPoint) -> BiTangent:
-    x_part = sample_tangent(rng, pt.x)
-    g_part = tuple(g @ skew_from_coords(rng.uniform(-1.0, 1.0, size=6))
-                   for g in pt.gs)
+def sample_bi_tangent(rngs, pt: BisimplicialPoint) -> BiTangent:
+    x_part = sample_tangent(rngs, pt.x)
+    g_part = tuple(g @ _skews(rngs, 1.0) for g in pt.gs)
     return BiTangent(pt, x_part.reps, g_part)
 
 
 # ---------------------------------------------------------------------------
-# trials: each returns the raw residuals of the check's named components
+# trials: each returns the raw residuals of the check's named components,
+# one array over the stacked trials per component
 
 
-def _trial_mc_structure(cfg: CheckConfig, rng) -> dict[str, float]:
+def _trial_mc_structure(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
     omega = mc_left(1, 1)
     square = matrix_wedge_square(omega)
-    pt = sample_point(rng, 1)
-    v, w = sample_tangents(rng, pt, 2)
+    pt = sample_point(rngs, 1)
+    v, w = sample_tangents(rngs, pt, 2)
     worst = 0.0
     for a in range(1, 5):
         for b in range(1, 5):
             lhs = exterior_d(entry(omega, a, b), cfg.fd_step)(pt, v, w)
             rhs = entry(square, a, b)(pt, v, w)
-            worst = max(worst, abs(lhs + rhs))
+            worst = np.maximum(worst, abs(lhs + rhs))
     return {"entries": worst}
 
 
-def _max_factor_dev(a: GroupPoint, b: GroupPoint) -> float:
+def _max_factor_dev(a: GroupPoint, b: GroupPoint) -> np.ndarray:
+    """The largest entry deviation between the factors, per stacked point."""
     if a.level != b.level:
         raise ValueError("comparing points of different levels")
-    if a.level == 0:
-        return 0.0
-    return max(float(np.max(np.abs(x - y)))
-               for x, y in zip(a.factors, b.factors))
+    worst = 0.0
+    for x, y in zip(a.factors, b.factors):
+        worst = np.maximum(worst, np.max(np.abs(x - y), axis=(-2, -1)))
+    return worst
 
 
-def _trial_simplicial(cfg: CheckConfig, rng) -> dict[str, float]:
+def _trial_simplicial(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
     # face/face: eps_i . eps_j = eps_{j-1} . eps_i  for i < j
     faces = 0.0
     for q in range(2, 5):
-        pt = sample_point(rng, q)
+        pt = sample_point(rngs, q)
         for j in range(1, q + 1):
             for i in range(j):
-                faces = max(faces, _max_factor_dev(
+                faces = np.maximum(faces, _max_factor_dev(
                     face_ng(i, face_ng(j, pt)),
                     face_ng(j - 1, face_ng(i, pt))))
     # degeneracy/degeneracy: eta_i . eta_j = eta_{j+1} . eta_i  for i <= j
     degeneracies = 0.0
     for q in range(1, 4):
-        pt = sample_point(rng, q)
+        pt = sample_point(rngs, q)
         for j in range(q + 1):
             for i in range(j + 1):
-                degeneracies = max(degeneracies, _max_factor_dev(
+                degeneracies = np.maximum(degeneracies, _max_factor_dev(
                     degeneracy_ng(i, degeneracy_ng(j, pt)),
                     degeneracy_ng(j + 1, degeneracy_ng(i, pt))))
     # face/degeneracy in all index positions
     mixed = 0.0
     for q in range(1, 4):
-        pt = sample_point(rng, q)
+        pt = sample_point(rngs, q)
         for j in range(q + 1):
             lifted = degeneracy_ng(j, pt)
             for i in range(q + 2):
@@ -214,78 +232,84 @@ def _trial_simplicial(cfg: CheckConfig, rng) -> dict[str, float]:
                     expected = degeneracy_ng(j - 1, face_ng(i, pt))
                 else:  # i > j + 1
                     expected = degeneracy_ng(j, face_ng(i - 1, pt))
-                mixed = max(mixed, _max_factor_dev(face_ng(i, lifted), expected))
+                mixed = np.maximum(
+                    mixed, _max_factor_dev(face_ng(i, lifted), expected))
     return {"face-face": faces, "degeneracy-degeneracy": degeneracies,
             "face-degeneracy": mixed}
 
 
-def _trial_gamma(cfg: CheckConfig, rng) -> dict[str, float]:
+def _trial_gamma(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
     worst = 0.0
     for q in range(1, 4):
-        pt = sample_point(rng, q + 1)  # the over-group level q has q+1 factors
+        pt = sample_point(rngs, q + 1)  # the over-group level q has q+1 factors
         for i in range(q + 1):
-            worst = max(worst, _max_factor_dev(
+            worst = np.maximum(worst, _max_factor_dev(
                 gamma(face_pg(i, pt)), face_ng(i, gamma(pt))))
     return {"faces": worst}
 
 
-def _trial_lemma41(cfg: CheckConfig, rng) -> dict[str, float]:
-    X = sample_algebra(rng)
-    pt = sample_point(rng, 1)
-    v, w = sample_tangents(rng, pt, 2)
+def _trial_lemma41(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
+    X = sample_algebra(rngs)
+    pt = sample_point(rngs, 1)
+    v, w = sample_tangents(rngs, pt, 2)
     lhs = contract(e13_form()(X), fundamental_field(X, 1))
     rhs = exterior_d(mu_form()(X), cfg.fd_step)
     return {"i e13 - d mu": abs(lhs(pt, v, w) - rhs(pt, v, w))}
 
 
-def _trial_lemma42(cfg: CheckConfig, rng) -> dict[str, float]:
-    X = sample_algebra(rng)
-    pt = sample_point(rng, 2)
-    (t,) = sample_tangents(rng, pt, 1)
+def _trial_lemma42(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
+    X = sample_algebra(rngs)
+    pt = sample_point(rngs, 2)
+    (t,) = sample_tangents(rngs, pt, 1)
     lhs = contract(e22_form()(X), fundamental_field(X, 2))
     rhs = d_prime(mu_form()(X))
     return {"i e22 - d' mu": abs(lhs(pt, t) - rhs(pt, t))}
 
 
-def _trial_lemma43(cfg: CheckConfig, rng) -> dict[str, float]:
-    X = sample_algebra(rng)
-    pt = sample_point(rng, 1)
+def _trial_lemma43(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
+    X = sample_algebra(rngs)
+    pt = sample_point(rngs, 1)
     scalar = contract(mu_form()(X), fundamental_field(X, 1))
     return {"i mu": abs(scalar(pt))}
 
 
-def _trial_ad_invariance(cfg: CheckConfig, rng) -> dict[str, float]:
-    g = sample_point(rng, 1).factors[0]
+def _trial_ad_invariance(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
+    g = sample_point(rngs, 1).factors[0]
 
     def conj_pt(pt):
-        return GroupPoint(tuple(g @ h @ g.T for h in pt.factors))
+        return GroupPoint(tuple(g @ h @ g.mT for h in pt.factors))
 
     def conj_t(t, cpt):
-        return Tangent(cpt, tuple(g @ v @ g.T for v in t.reps))
+        return Tangent(cpt, tuple(g @ v @ g.mT for v in t.reps))
 
-    p1 = sample_point(rng, 1)
-    v = sample_tangents(rng, p1, 3)
+    p1 = sample_point(rngs, 1)
+    v = sample_tangents(rngs, p1, 3)
     c1 = conj_pt(p1)
     cv = tuple(conj_t(t, c1) for t in v)
     e13 = abs(eval_E13(p1, *v) - eval_E13(c1, *cv))
 
-    p2 = sample_point(rng, 2)
-    t = sample_tangents(rng, p2, 2)
+    p2 = sample_point(rngs, 2)
+    t = sample_tangents(rngs, p2, 2)
     c2 = conj_pt(p2)
     ct = tuple(conj_t(s, c2) for s in t)
     e22 = abs(eval_E22(p2, *t) - eval_E22(c2, *ct))
 
-    X = sample_algebra(rng)
-    (w,) = sample_tangents(rng, p1, 1)
+    X = sample_algebra(rngs)
+    (w,) = sample_tangents(rngs, p1, 1)
     cw = conj_t(w, c1)
-    mu = abs(eval_mu(X, p1, w) - eval_mu(g @ X @ g.T, c1, cw))
+    mu = abs(eval_mu(X, p1, w) - eval_mu(g @ X @ g.mT, c1, cw))
     return {"e13": e13, "e22": e22, "mu": mu}
 
 
-def _trial_alpha_antisymmetry(cfg: CheckConfig, rng) -> dict[str, float]:
-    deg = int(rng.integers(1, 4))
-    xi1 = polynomial_path([sample_algebra(rng) for _ in range(deg + 1)])
-    xi2 = polynomial_path([sample_algebra(rng) for _ in range(deg + 1)])
+def _trial_alpha_antisymmetry(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
+    # Each trial draws its path degree in 1..3, then the coefficients of
+    # both paths; the stacked paths pad them with zeros to degree 3.
+    coeffs = np.zeros((2, len(rngs), 4, 4, 4))
+    for n, rng in enumerate(rngs):
+        deg = int(rng.integers(1, 4))
+        for path in coeffs:
+            path[n, :deg + 1] = [sample_algebra(rng) for _ in range(deg + 1)]
+    xi1, xi2 = (polynomial_path(np.moveaxis(c, 1, 0)) for c in coeffs)
     a12 = eval_alpha(xi1, xi2)
     a21 = eval_alpha(xi2, xi1)
     a11 = eval_alpha(xi1, xi1)
@@ -300,22 +324,22 @@ def _setup_euler_cocycle(cfg: CheckConfig) -> dict:
             "d e22": exterior_d(e22, cfg.fd_step), "d' e22": d_prime(e22)}
 
 
-def _trial_euler_cocycle(ctx: dict, rng) -> dict[str, float]:
+def _trial_euler_cocycle(ctx: dict, rngs) -> dict[str, np.ndarray]:
     """The three cocycle components without the argument X.
 
     a: d e13 = 0 on one factor (finite difference);
     b: d' e13 + sigma1 * d e22 = 0 on two factors;
     c: d' e22 = 0 on three factors (analytic face differentials).
     """
-    p1 = sample_point(rng, 1)
-    v = sample_tangents(rng, p1, 4)
+    p1 = sample_point(rngs, 1)
+    v = sample_tangents(rngs, p1, 4)
     a = abs(ctx["d e13"](p1, *v))
-    p2 = sample_point(rng, 2)
-    t = sample_tangents(rng, p2, 3)
+    p2 = sample_point(rngs, 2)
+    t = sample_tangents(rngs, p2, 3)
     lhs = ctx["d' e13"](p2, *t)
     rhs = ctx["d e22"](p2, *t)
-    p3 = sample_point(rng, 3)
-    u = sample_tangents(rng, p3, 2)
+    p3 = sample_point(rngs, 3)
+    u = sample_tangents(rngs, p3, 2)
     c = abs(ctx["d' e22"](p3, *u))
     return {"a": a, "b+": abs(lhs + rhs), "b-": abs(lhs - rhs), "c": c}
 
@@ -325,23 +349,17 @@ def _setup_equivariant_cocycle(cfg: CheckConfig) -> dict:
             "fd_step": cfg.fd_step}
 
 
-def _trial_equivariant_cocycle(ctx: dict, rng) -> dict[str, float]:
-    """The five components a-e of `equivariant_total_check` on one sample,
-    with both sign variants of d and e."""
-    X = sample_algebra(rng)
-    p1 = sample_point(rng, 1)
-    p2 = sample_point(rng, 2)
+def _trial_equivariant_cocycle(ctx: dict, rngs) -> dict[str, np.ndarray]:
+    """The five components a-e of `equivariant_total_check` on the stacked
+    sample, with both sign variants of d and e."""
+    X = sample_algebra(rngs)
+    p1 = sample_point(rngs, 1)
+    p2 = sample_point(rngs, 2)
     sample = CocycleSample(
-        h1=p1, v=sample_tangents(rng, p1, 4),
-        h2=p2, t=sample_tangents(rng, p2, 3))
-    result = equivariant_total_check(*ctx["forms"], X, [sample],
-                                     fd_step=ctx["fd_step"])
-    row = {k: result.residuals[k] for k in "abc"}
-    for k, sigma in (("d", result.sigma1), ("e", result.sigma2)):
-        chosen, other = result.residuals[k], result.rejected[k]
-        row[k + "+"], row[k + "-"] = ((chosen, other) if sigma == 1
-                                      else (other, chosen))
-    return row
+        h1=p1, v=sample_tangents(rngs, p1, 4),
+        h2=p2, t=sample_tangents(rngs, p2, 3))
+    return equivariant_total_check(*ctx["forms"], X, sample,
+                                   fd_step=ctx["fd_step"]).residuals
 
 
 def _setup_dsl_oracle(cfg: CheckConfig) -> dict:
@@ -353,16 +371,16 @@ def _setup_dsl_oracle(cfg: CheckConfig) -> dict:
             "mu": load("mu.form", 1)}
 
 
-def _trial_dsl_oracle(ctx: dict, rng) -> dict[str, float]:
+def _trial_dsl_oracle(ctx: dict, rngs) -> dict[str, np.ndarray]:
     """Interpreted corpus expressions vs. the hand-coded evaluators."""
-    p1 = sample_point(rng, 1)
-    v = sample_tangents(rng, p1, 3)
+    p1 = sample_point(rngs, 1)
+    v = sample_tangents(rngs, p1, 3)
     e13 = abs(ctx["e13"](p1, *v) - eval_E13(p1, *v))
-    p2 = sample_point(rng, 2)
-    t = sample_tangents(rng, p2, 2)
+    p2 = sample_point(rngs, 2)
+    t = sample_tangents(rngs, p2, 2)
     e22 = abs(ctx["e22"](p2, *t) - eval_E22(p2, *t))
-    X = sample_algebra(rng)
-    (w,) = sample_tangents(rng, p1, 1)
+    X = sample_algebra(rngs)
+    (w,) = sample_tangents(rngs, p1, 1)
     mu = abs(ctx["mu"](X)(p1, w) - eval_mu(X, p1, w))
     return {"e13": e13, "e22": e22, "mu": mu}
 
@@ -390,7 +408,7 @@ def _setup_d_squared(cfg: CheckConfig) -> dict:
     }
 
 
-def _trial_d_squared(ctx: dict, rng) -> dict[str, float]:
+def _trial_d_squared(ctx: dict, rngs) -> dict[str, np.ndarray]:
     """Nilpotence and anticommutation of the complex differentials.
 
     dd      exterior derivative twice on a Maurer-Cartan entry
@@ -399,26 +417,26 @@ def _trial_d_squared(ctx: dict, rng) -> dict[str, float]:
     triple  pairwise anticommutation of the three differentials
             of the action-twisted complex, bidegrees <= (2, 2)
     """
-    p1 = sample_point(rng, 1)
-    v3 = sample_tangents(rng, p1, 3)
+    p1 = sample_point(rngs, 1)
+    v3 = sample_tangents(rngs, p1, 3)
     dd = abs(ctx["dd"](p1, *v3))
 
-    p3 = sample_point(rng, 3)
-    (u1,) = sample_tangents(rng, p3, 1)
-    u3 = sample_tangents(rng, p3, 3)
+    p3 = sample_point(rngs, 3)
+    (u1,) = sample_tangents(rngs, p3, 1)
+    u3 = sample_tangents(rngs, p3, 3)
     dpdp_entry, dpdp_e13 = ctx["dpdp"]
-    dpdp = max(abs(dpdp_entry(p3, u1)), abs(dpdp_e13(p3, *u3)))
+    dpdp = np.maximum(abs(dpdp_entry(p3, u1)), abs(dpdp_e13(p3, *u3)))
 
-    p2 = sample_point(rng, 2)
-    s2 = sample_tangents(rng, p2, 2)
+    p2 = sample_point(rngs, 2)
+    s2 = sample_tangents(rngs, p2, 2)
     mixed_a, mixed_b = ctx["total2"]
     total2 = abs(mixed_a(p2, *s2) - mixed_b(p2, *s2))
 
     triple = 0.0
     for ab, ba in ctx["triple"]:
-        pt = sample_bi_point(rng, ab.p, ab.q)
-        ts = tuple(sample_bi_tangent(rng, pt) for _ in range(ab.degree))
-        triple = max(triple, abs(ab(pt, *ts) + ba(pt, *ts)))
+        pt = sample_bi_point(rngs, ab.p, ab.q)
+        ts = tuple(sample_bi_tangent(rngs, pt) for _ in range(ab.degree))
+        triple = np.maximum(triple, abs(ab(pt, *ts) + ba(pt, *ts)))
     return {"dd": dd, "dpdp": dpdp, "total2": total2, "triple": triple}
 
 
@@ -455,7 +473,8 @@ class Check:
     """One check of the protocol (see the module docstring)."""
 
     tol: float  # default tolerance of the reported error
-    trial: Callable[[object, np.random.Generator], dict[str, float]]
+    trial: Callable[[object, tuple[np.random.Generator, ...]],
+                    dict[str, np.ndarray]]
     setup: Callable[[CheckConfig], object] = lambda cfg: cfg
     # per-component tolerances, keyed without the sign suffix; absent ones are 1
     tols: dict[str, float] = field(default_factory=dict)
@@ -483,7 +502,7 @@ CHECKS: dict[str, Check] = {
     "d-squared": Check(
         1.0, _trial_d_squared, _setup_d_squared,
         {"dd": 1e-4, "dpdp": 1e-12, "total2": 1e-4, "triple": 1e-4}),
-    "golden-values": Check(1e-12, lambda cfg, rng: golden_value_errors(),
+    "golden-values": Check(1e-12, lambda cfg, rngs: golden_value_errors(),
                            once=True),
 }
 
@@ -496,51 +515,60 @@ DEFAULT_TOLS = {cid: check.tol for cid, check in CHECKS.items()}
 
 
 def trial_rows(cfg: CheckConfig,
-               trials: Iterable[int]) -> list[dict[str, float]]:
-    """The component residuals of the given trials of a run, in order,
-    from one setup."""
+               trials: Sequence[int]) -> dict[str, np.ndarray]:
+    """The component residuals of the given trials of a run, from one setup:
+    per component, an array with one entry per trial, in order."""
     check = CHECKS[cfg.check_id]
     ctx = check.setup(cfg)
-    return [check.trial(ctx, trial_rng(cfg.seed, cfg.check_id, t))
-            for t in trials]
+    chunks = []
+    for start in range(0, len(trials), CHUNK):
+        rngs = tuple(trial_rng(cfg.seed, cfg.check_id, t)
+                     for t in trials[start:start + CHUNK])
+        cols = check.trial(ctx, rngs)
+        chunks.append({k: np.broadcast_to(np.asarray(v, dtype=float),
+                                          (len(rngs),))
+                       for k, v in cols.items()})
+    return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
-def choose_signs(rows: list[dict[str, float]],
+def choose_signs(cols: dict[str, np.ndarray],
                  tols: dict[str, float]) -> Optional[dict[str, str]]:
-    """The sign, '+' or '-', of every component k that `rows` report as
+    """The sign, '+' or '-', of every component k that `cols` report as
     k+ and k-, by the rule of the module docstring; None if one is not
     forced."""
     signs = {}
-    for key in rows[0]:
+    for key in cols:
         if not key.endswith("+"):
             continue
         k = key[:-1]
-        plus = [row[k + "+"] for row in rows]
-        minus = [row[k + "-"] for row in rows]
-        sign, rejected = ("+", max(minus)) if max(plus) <= max(minus) \
-            else ("-", max(plus))
-        preferred = {"+" if p <= m else "-" for p, m in zip(plus, minus)}
-        if preferred != {sign} or rejected / tols.get(k, 1.0) <= 1.0:
+        plus, minus = np.asarray(cols[k + "+"]), np.asarray(cols[k + "-"])
+        sign, rejected = ("+", minus.max()) if plus.max() <= minus.max() \
+            else ("-", plus.max())
+        prefers_plus = plus <= minus
+        forced = prefers_plus.all() if sign == "+" else not prefers_plus.any()
+        if not forced or rejected / tols.get(k, 1.0) <= 1.0:
             return None
         signs[k] = sign
     return signs
 
 
-def reduce_rows(rows: list[dict[str, float]],
+def reduce_rows(cols: dict[str, np.ndarray],
                 tols: dict[str, float]) -> tuple[float, int]:
-    """(error, worst trial) of a run from its rows of component residuals,
-    as the module docstring describes; an unforced sign gives (inf, 0)."""
-    signs = choose_signs(rows, tols)
+    """(error, worst trial) of a run from its columns of component
+    residuals, as the module docstring describes: a NaN residual gives
+    (inf, first trial with a NaN), an unforced sign (inf, 0)."""
+    cols = {k: np.asarray(v, dtype=float) for k, v in cols.items()}
+    nan = np.any([np.isnan(v) for v in cols.values()], axis=0)
+    if nan.any():
+        return float("inf"), int(np.argmax(nan))
+    signs = choose_signs(cols, tols)
     if signs is None:
         return float("inf"), 0
-    picked = [(key, tols.get(key.rstrip("+-"), 1.0)) for key in rows[0]
-              if key[-1] not in "+-" or key[-1] == signs[key[:-1]]]
-    worst, arg = 0.0, 0
-    for i, row in enumerate(rows):
-        err = max(row[key] / tol for key, tol in picked)
-        if err > worst:
-            worst, arg = err, i
-    return worst, arg
+    err = np.max([cols[key] / tols.get(key.rstrip("+-"), 1.0) for key in cols
+                  if key[-1] not in "+-" or key[-1] == signs[key[:-1]]],
+                 axis=0)
+    worst = int(np.argmax(err))  # the first of equal maxima
+    return float(err[worst]), worst
 
 
 def run_check(cfg: CheckConfig) -> CheckReport:
@@ -548,8 +576,8 @@ def run_check(cfg: CheckConfig) -> CheckReport:
     cfg.validate()
     check = CHECKS[cfg.check_id]
     start = time.perf_counter()
-    rows = trial_rows(cfg, range(1 if check.once else cfg.trials))
-    err, worst = reduce_rows(rows, check.tols)
+    cols = trial_rows(cfg, range(1 if check.once else cfg.trials))
+    err, worst = reduce_rows(cols, check.tols)
     elapsed = int(round((time.perf_counter() - start) * 1000.0))
     tol = cfg.resolved_tol()
     return CheckReport(

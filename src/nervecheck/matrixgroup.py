@@ -4,12 +4,16 @@ Everything downstream works with tuples of 4x4 orthogonal matrices ("points on
 a product of SO(4) factors") and tangent vectors stored as ambient matrices,
 one per factor.  A matrix V is tangent to SO(4) at h exactly when h^T V is
 skew-symmetric.
+
+Every matrix may carry leading stack axes: a factor or a tangent rep of
+shape (N, 4, 4) holds N points at once, and `exp_matrix`, `skew_from_coords`
+and the containers' validation work slice by slice on such stacks.  The
+matrix transpose is therefore always `.mT`, a swap of the last two axes.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,9 @@ DIM = 4
 
 #: index pairs (1-based) naming the six skew basis elements, in fixed order
 BASIS_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+# the same pairs as 0-based row and column index arrays
+_ROWS = np.array([a - 1 for a, _ in BASIS_PAIRS])
+_COLS = np.array([b - 1 for _, b in BASIS_PAIRS])
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,11 +42,11 @@ class GroupPoint:
     def validate(self, tol: float = 1e-12) -> "GroupPoint":
         """Raise ValueError unless every factor is special orthogonal."""
         for k, m in enumerate(self.factors):
-            if m.shape != (DIM, DIM):
+            if m.shape[-2:] != (DIM, DIM):
                 raise ValueError(f"factor {k} has shape {m.shape}, want (4, 4)")
-            if np.max(np.abs(m.T @ m - np.eye(DIM))) > tol:
+            if not np.all(np.abs(m.mT @ m - np.eye(DIM)) <= tol):
                 raise ValueError(f"factor {k} is not orthogonal within {tol}")
-            if abs(np.linalg.det(m) - 1.0) > 1e-9:
+            if not np.all(np.abs(np.linalg.det(m) - 1.0) <= 1e-9):
                 raise ValueError(f"factor {k} has determinant != +1")
         return self
 
@@ -60,8 +67,8 @@ class Tangent:
         if len(self.reps) != self.base.level:
             raise ValueError("tangent/base factor count mismatch")
         for k, (h, v) in enumerate(zip(self.base.factors, self.reps)):
-            s = h.T @ v
-            if np.max(np.abs(s + s.T)) > tol:
+            s = h.mT @ v
+            if not np.all(np.abs(s + s.mT) <= tol):
                 raise ValueError(f"rep {k} is not tangent at the base point")
         return self
 
@@ -100,14 +107,13 @@ def basis_element(a: int, b: int) -> np.ndarray:
 
 
 def skew_from_coords(coords) -> np.ndarray:
-    """Skew matrix with the six coordinates in BASIS_PAIRS order."""
+    """Skew matrix with the six coordinates (last axis) in BASIS_PAIRS order."""
     coords = np.asarray(coords, dtype=float)
-    if coords.shape != (6,):
+    if coords.shape[-1:] != (6,):
         raise ValueError("need exactly six coordinates")
-    m = np.zeros((DIM, DIM))
-    for c, (a, b) in zip(coords, BASIS_PAIRS):
-        m[a - 1, b - 1] = c
-        m[b - 1, a - 1] = -c
+    m = np.zeros(coords.shape[:-1] + (DIM, DIM))
+    m[..., _ROWS, _COLS] = coords
+    m[..., _COLS, _ROWS] = -coords
     return m
 
 
@@ -116,16 +122,17 @@ def random_skew(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     return skew_from_coords(rng.uniform(-scale, scale, size=6))
 
 
-def _sinc(theta: float) -> float:
+def _sinc(theta: np.ndarray) -> np.ndarray:
     """sin(theta) / theta for theta >= 0; the series 1 - theta^2/6 below 1e-4
     is exact to double precision there."""
-    if theta < 1e-4:
-        return 1.0 - theta * theta / 6.0
-    return math.sin(theta) / theta
+    small = theta < 1e-4
+    safe = np.where(small, 1.0, theta)
+    return np.where(small, 1.0 - theta * theta / 6.0, np.sin(safe) / safe)
 
 
 def exp_matrix(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a 4x4 skew matrix (lands in SO(4)), in closed form.
+    """Matrix exponential of a 4x4 skew matrix, or of each matrix of a stack
+    (..., 4, 4), in closed form (lands in SO(4)).
 
     A skew A splits into commuting self-dual and anti-self-dual halves
     A+ = (A + *A)/2 and A- = (A - *A)/2, where *A is the Hodge dual
@@ -139,28 +146,28 @@ def exp_matrix(x: np.ndarray) -> np.ndarray:
     Both factors are orthogonal to roundoff for every argument.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (DIM, DIM):
+    if x.shape[-2:] != (DIM, DIM):
         raise ValueError(f"need a 4x4 matrix, got shape {x.shape}")
-    rows = x.tolist()
-    if not all(abs(rows[i][j] + rows[j][i]) <= 1e-10
-               for i in range(DIM) for j in range(i, DIM)):
+    # a NaN entry fails the comparison too
+    if not np.all(np.abs(x + x.mT) <= 1e-10):
         raise ValueError("exp_matrix expects a skew-symmetric argument")
-    (_, a12, a13, a14), (_, _, a23, a24), (_, _, _, a34), _ = rows
+    a12, a13, a14 = x[..., 0, 1], x[..., 0, 2], x[..., 0, 3]
+    a23, a24, a34 = x[..., 1, 2], x[..., 1, 3], x[..., 2, 3]
     # coordinates of A+ on E12+E34, E13-E24, E14+E23 and of A- on
     # E12-E34, E13+E24, E14-E23
     u1, u2, u3 = 0.5 * (a12 + a34), 0.5 * (a13 - a24), 0.5 * (a14 + a23)
     v1, v2, v3 = 0.5 * (a12 - a34), 0.5 * (a13 + a24), 0.5 * (a14 - a23)
-    tp = math.sqrt(u1 * u1 + u2 * u2 + u3 * u3)
-    tm = math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-    c, sp = math.cos(tp), _sinc(tp)
-    d, sm = math.cos(tm), _sinc(tm)
+    tp = np.sqrt(u1 * u1 + u2 * u2 + u3 * u3)
+    tm = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    c, sp = np.cos(tp), _sinc(tp)
+    d, sm = np.cos(tm), _sinc(tm)
     p1, p2, p3 = sp * u1, sp * u2, sp * u3
     q1, q2, q3 = sm * v1, sm * v2, sm * v3
-    plus = np.array([c, p1, p2, p3, -p1, c, p3, -p2,
-                     -p2, -p3, c, p1, -p3, p2, -p1, c]).reshape(DIM, DIM)
-    minus = np.array([d, q1, q2, q3, -q1, d, -q3, q2,
-                      -q2, q3, d, -q1, -q3, -q2, q1, d]).reshape(DIM, DIM)
-    return plus @ minus
+    plus = np.stack([c, p1, p2, p3, -p1, c, p3, -p2,
+                     -p2, -p3, c, p1, -p3, p2, -p1, c], axis=-1)
+    minus = np.stack([d, q1, q2, q3, -q1, d, -q3, q2,
+                      -q2, q3, d, -q1, -q3, -q2, q1, d], axis=-1)
+    return plus.reshape(x.shape) @ minus.reshape(x.shape)
 
 
 def exp_skew(x: np.ndarray) -> GroupPoint:
@@ -179,7 +186,7 @@ def adjoint(g: GroupPoint, x: np.ndarray) -> np.ndarray:
     if g.level != 1:
         raise ValueError("adjoint expects a single-factor group point")
     m = g.factors[0]
-    return m @ x @ m.T
+    return m @ x @ m.mT
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:

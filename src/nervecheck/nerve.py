@@ -5,6 +5,10 @@ factors or drop an end factor; degeneracies insert an identity factor.  The
 path-space model at level q is SO(4)^(q+1) with faces deleting one factor,
 and gamma maps it onto the nerve by consecutive quotients g_i g_{i+1}^-1.
 
+Every map works factor by factor on stacked points too: a factor of shape
+(N, 4, 4) holds N points, and faces, gamma and the actions are stacked
+matrix products.
+
 The action-twisted (bisimplicial) levels pair a nerve point with a tuple of
 group elements acting on it; the top vertical face applies the action.  The
 default action is componentwise conjugation, and a trivial action is
@@ -68,7 +72,9 @@ def degeneracy_ng(i: int, pt: GroupPoint) -> GroupPoint:
     if not 0 <= i <= q:
         raise ValueError(f"degeneracy index {i} out of range for level {q}")
     g = pt.factors
-    return GroupPoint(g[:i] + (np.eye(DIM),) + g[i:])
+    # the identity takes the stack shape of the other factors
+    one = np.broadcast_to(np.eye(DIM), g[0].shape) if g else np.eye(DIM)
+    return GroupPoint(g[:i] + (one,) + g[i:])
 
 
 def face_map_ng(i: int, level: int) -> SmoothMap:
@@ -103,7 +109,7 @@ def gamma(pt: GroupPoint) -> GroupPoint:
     if n < 1:
         raise ValueError("gamma needs at least one factor")
     g = pt.factors
-    return GroupPoint(tuple(g[k] @ g[k + 1].T for k in range(n - 1)))
+    return GroupPoint(tuple(g[k] @ g[k + 1].mT for k in range(n - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +131,11 @@ class GroupAction:
 
 
 def _conj_apply(g: np.ndarray, x: GroupPoint) -> GroupPoint:
-    return GroupPoint(tuple(g @ m @ g.T for m in x.factors))
+    return GroupPoint(tuple(g @ m @ g.mT for m in x.factors))
 
 
 def _conj_diff(g, vg, x, vx):
-    ginv = g.T
+    ginv = g.mT
     out = []
     for m, vm in zip(x.factors, vx):
         out.append(vg @ m @ ginv + g @ vm @ ginv - g @ m @ ginv @ vg @ ginv)

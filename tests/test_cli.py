@@ -1,14 +1,21 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import re
 from importlib import resources
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from nervecheck import cli
 from nervecheck.cli import main
-from nervecheck.harness import CHECK_IDS, CheckConfig, MAX_TRIALS
+from nervecheck.formdsl import MAX_FACTOR
+from nervecheck.harness import CHECK_IDS, CheckConfig, MAX_TRIALS, run_check
 
 
 def _corpus_path(name):
@@ -309,3 +316,64 @@ def test_no_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("index", [MAX_FACTOR + 1, 100000, 10 ** 17])
+def test_eval_factor_index_above_the_cap_reports_position(tmp_path, capsys,
+                                                          index):
+    # the point of `eval` has as many factors as the largest index
+    src = tmp_path / "far.form"
+    src.write_text(f"MCL({index})[1,2]\n")
+    code, out, err = _run(capsys, "eval", "--expr", str(src),
+                          "--at", "seed:1", "--tangents", "seed:1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "1:5" in err
+
+
+def test_eval_factor_index_at_the_cap_runs(tmp_path, capsys):
+    src = tmp_path / "top.form"
+    src.write_text(f"MCR({MAX_FACTOR})[1,2]\n")
+    code, out, _ = _run(capsys, "eval", "--expr", str(src),
+                        "--at", "seed:1", "--tangents", "seed:1")
+    assert code == 0
+    assert math.isfinite(float(out))
+
+
+# ---------------------------------------------------------------------------
+# argument parsing on arbitrary argv
+
+_WORDS = ["check", "check-all", "eval", "list", "--id", "--trials", "--seed",
+          "--fd-step", "--tol", "--format", "--out", "--expr", "--at",
+          "--tangents", "-h", "--", "lemma-4.3", "golden-values", "nope",
+          "0", "1", "2", "-1", "1000001", "1e-5", "1e-2", "nan", "inf", "x",
+          "json", "text", "xml", "identity", "seed:1", "seed:-1", "seed:x",
+          "repeat:2", "debug", "mu.form", "e13.form", "missing.form",
+          "/nonexistent/dir/report.json", ""]
+
+
+def _one_trial(cfg):
+    return run_check(dataclasses.replace(cfg, trials=1))
+
+
+def _one_trial_each(seed, trials, fd_step):
+    return [_one_trial(CheckConfig(cid, 1, seed, fd_step)) for cid in CHECK_IDS]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_WORDS) | st.text(max_size=6), max_size=7))
+@example(["eval", "--expr", "a\x00b"])
+@example(["check", "--id", "lemma-4.3", "--out", "a\x00b"])
+def test_arbitrary_argv_never_gives_a_traceback(argv):
+    # checks run one trial, whatever --trials says, to keep examples fast
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "run_check", _one_trial), \
+            mock.patch.object(cli, "run_all", _one_trial_each), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert "error:" in err.getvalue(), (argv, err.getvalue())

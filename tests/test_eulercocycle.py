@@ -285,8 +285,8 @@ def test_polynomial_path_values_and_derivative():
 def test_custom_algebra_path():
     # a hand-built trigonometric path exercises the AlgebraPath interface
     p = AlgebraPath(
-        value=lambda t: math.sin(t) * E12,
-        deriv=lambda t: math.cos(t) * E12,
+        value=lambda t: np.multiply.outer(np.sin(t), E12),
+        deriv=lambda t: np.multiply.outer(np.cos(t), E12),
     )
     q = polynomial_path([E34])
     val = eval_alpha(p, q)

@@ -28,7 +28,7 @@ from nervecheck.formcalc import (
     zero_form,
 )
 
-from oracles import fd_map_differential, wedge_oracle
+from oracles import fd_directional, fd_map_differential, wedge_oracle
 
 E12 = basis_element(1, 2)
 E13 = basis_element(1, 3)
@@ -483,3 +483,86 @@ def test_form_arithmetic_and_errors():
         _ = f + wedge(f, g)  # degree mismatch
     with pytest.raises(ValueError):
         f(pt, t, t)  # arity mismatch
+
+
+# ---------------------------------------------------------------------------
+# stacked points
+
+
+def _oracle_d(form, factors, coords, step=1e-5):
+    """d form at one point on the right-invariant fields with per-factor
+    coordinates `coords` (one tuple per slot): the field derivatives by
+    oracles.fd_directional, the bracket terms exactly."""
+
+    def value(fs, slots):
+        pt = GroupPoint(tuple(fs))
+        return form.fn(pt, tuple(
+            Tangent(pt, tuple(x @ h for x, h in zip(c, fs))) for c in slots))
+
+    total = 0.0
+    for i, xi in enumerate(coords):
+        others = coords[:i] + coords[i + 1:]
+        total += (-1) ** i * fd_directional(
+            lambda fs: value(fs, others), factors, xi, step)
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            bracket = tuple(xj @ xi - xi @ xj
+                            for xi, xj in zip(coords[i], coords[j]))
+            rest = [c for k, c in enumerate(coords) if k not in (i, j)]
+            total += (-1) ** (i + j) * value(factors, [bracket] + rest)
+    return total
+
+
+def _checked_forms():
+    """(level, the form as a function of X) for forms the checks differentiate."""
+    from nervecheck.eulercocycle import e13_form, e22_form, mu_form
+    from nervecheck.nerve import d_prime
+
+    omega = mc_left(1, 1)
+    return [
+        (1, lambda X: entry(omega, 1, 2)),
+        (1, lambda X: entry(omega, 3, 1)),
+        (1, lambda X: mu_form()(X)),
+        (1, lambda X: e13_form()(X)),
+        (2, lambda X: e22_form()(X)),
+        (2, lambda X: d_prime(entry(omega, 1, 2))),
+        (2, lambda X: entry(mc_left(1, 2), 1, 2)
+         + 2.0 * entry(mc_right(2, 2), 1, 3)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_stacked_exterior_d_matches_fd_oracle_slice_by_slice(case):
+    level, make = _checked_forms()[case]
+    rng = np.random.default_rng(40 + case)
+    n = 5
+    factors = tuple(exp_matrix(np.stack([random_skew(rng, 2.0)
+                                         for _ in range(n)]))
+                    for _ in range(level))
+    X = np.stack([random_skew(rng, 1.0) for _ in range(n)])
+    pt = GroupPoint(factors)
+    form = make(X)
+    coords = [tuple(np.stack([random_skew(rng, 1.0) for _ in range(n)])
+                    for _ in range(level)) for _ in range(form.degree + 1)]
+    ts = [Tangent(pt, tuple(x @ h for x, h in zip(c, factors)))
+          for c in coords]
+    got = exterior_d(form, 1e-5)(pt, *ts)
+    assert got.shape == (n,)
+    for k in range(n):
+        want = _oracle_d(make(X[k]), tuple(h[k] for h in factors),
+                         [tuple(x[k] for x in c) for c in coords])
+        assert abs(got[k] - want) <= 1e-8 * max(1.0, abs(want)), (k, got[k],
+                                                                   want)
+
+
+def test_stacked_forms_check_the_base_point():
+    rng = np.random.default_rng(47)
+    stack = exp_matrix(np.stack([random_skew(rng, 2.0) for _ in range(4)]))
+    pt = GroupPoint((stack,))
+    t = Tangent(pt, (stack @ E12,))
+    form = entry(mc_left(1, 1), 1, 2)
+    assert form(pt, t).shape == (4,)
+    moved = stack.copy()
+    moved[2] = moved[1]
+    with pytest.raises(ValueError, match="based at the evaluation point"):
+        form(GroupPoint((moved,)), t)

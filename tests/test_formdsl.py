@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from nervecheck.matrixgroup import GroupPoint, Tangent, basis_element, identity_point
 from nervecheck.formdsl import (
     CORPUS_NAMES,
+    MAX_FACTOR,
     MAX_NESTING,
     Add,
     EntrySel,
@@ -320,6 +321,17 @@ def test_deep_nesting_is_a_syntax_error_at_the_opening_token():
     deep = "sumS4( " * MAX_NESTING + "MCL(1)[p1,p2]" + " )" * MAX_NESTING
     pt = identity_point(1)
     assert interpret(parse(deep), 1)(pt, Tangent(pt, (E12,))) == 0.0
+
+
+def test_factor_index_above_the_cap_is_a_syntax_error_at_the_index():
+    assert parse(f"MCL({MAX_FACTOR})[1,2]") == EntrySel(
+        MCLAtom(MAX_FACTOR), 1, 2)
+    for src, col in ((f"MCL({MAX_FACTOR + 1})[1,2]", 5),
+                     ("2 MCL(1)[1,2] MCR(100000)[3,4]", 19),
+                     ("MCL(0)[1,2]", 5)):
+        with pytest.raises(FormSyntaxError, match="factor index") as exc:
+            parse(src)
+        assert (exc.value.line, exc.value.col) == (1, col), src
 
 
 def test_overlong_numbers_are_syntax_errors():

@@ -1,11 +1,16 @@
 """Tests for the randomized check harness: ids, configs, reports, determinism."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
+import nervecheck.harness as harness
 from nervecheck.harness import (
     CHECK_IDS,
     CHECKS,
+    CHUNK,
     DEFAULT_TOLS,
     CheckConfig,
     CheckReport,
@@ -206,28 +211,122 @@ _SIGN_TOLS = {"a": 1e-6, "b": 1e-6}
 
 
 def test_sign_rule_fails_when_both_signs_pass():
-    rows = [{"a": 1e-8, "b+": 1e-8, "b-": 5e-7},
-            {"a": 1e-8, "b+": 2e-8, "b-": 9e-7}]
-    assert choose_signs(rows, _SIGN_TOLS) is None
-    assert reduce_rows(rows, _SIGN_TOLS) == (float("inf"), 0)
+    cols = {"a": [1e-8, 1e-8], "b+": [1e-8, 2e-8], "b-": [5e-7, 9e-7]}
+    assert choose_signs(cols, _SIGN_TOLS) is None
+    assert reduce_rows(cols, _SIGN_TOLS) == (float("inf"), 0)
 
 
 def test_sign_rule_fails_when_trials_disagree():
     # the sign that wins over all trials is '+', but trial 1 prefers '-'
-    rows = [{"a": 1e-8, "b+": 1e-8, "b-": 3e-3},
-            {"a": 1e-8, "b+": 4e-7, "b-": 2e-7},
-            {"a": 1e-8, "b+": 1e-8, "b-": 2e-3}]
-    assert choose_signs(rows, _SIGN_TOLS) is None
-    assert reduce_rows(rows, _SIGN_TOLS) == (float("inf"), 0)
+    cols = {"a": [1e-8, 1e-8, 1e-8], "b+": [1e-8, 4e-7, 1e-8],
+            "b-": [3e-3, 2e-7, 2e-3]}
+    assert choose_signs(cols, _SIGN_TOLS) is None
+    assert reduce_rows(cols, _SIGN_TOLS) == (float("inf"), 0)
 
 
 def test_sign_rule_passes_a_forced_sign_with_its_residual():
-    rows = [{"a": 1e-7, "b+": 2e-3, "b-": 3e-7},
-            {"a": 2e-7, "b+": 1e-3, "b-": 5e-7},
-            {"a": 5e-7, "b+": 3e-3, "b-": 1e-7}]
-    assert choose_signs(rows, _SIGN_TOLS) == {"b": "-"}
-    err, worst = reduce_rows(rows, _SIGN_TOLS)
+    cols = {"a": [1e-7, 2e-7, 5e-7], "b+": [2e-3, 1e-3, 3e-3],
+            "b-": [3e-7, 5e-7, 1e-7]}
+    assert choose_signs(cols, _SIGN_TOLS) == {"b": "-"}
+    err, worst = reduce_rows(cols, _SIGN_TOLS)
     assert (err, worst) == (5e-7 / 1e-6, 1)
     # a tie between the worst residuals of both signs goes to '+'
-    tied = [{"b+": 2e-3, "b-": 2e-3}]
+    tied = {"b+": [2e-3], "b-": [2e-3]}
     assert choose_signs(tied, _SIGN_TOLS) == {"b": "+"}
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_stacked_rows_equal_single_trial_replays(check_id):
+    # trial k of a stacked run is the same number as trial k run alone
+    cfg = CheckConfig(check_id, trials=16, seed=3)
+    full = trial_rows(cfg, range(16))
+    for k in range(16):
+        one = trial_rows(cfg, [k])
+        assert set(one) == set(full)
+        for key, col in full.items():
+            assert col.shape == (16,) and one[key].shape == (1,)
+            assert one[key][0] == col[k], (check_id, key, k)
+
+
+def test_stacked_rows_across_chunk_boundaries():
+    cfg = CheckConfig("lemma-4.1", trials=600, seed=9)
+    assert 600 > 2 * CHUNK
+    full = trial_rows(cfg, range(600))
+    assert full["i e13 - d mu"].shape == (600,)
+    for k in (0, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, 599):
+        one = trial_rows(cfg, [k])
+        assert one["i e13 - d mu"][0] == full["i e13 - d mu"][k], k
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name through every nervecheck binding."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "nervecheck":
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_exp_matrix_calls_do_not_grow_with_the_trial_count(monkeypatch):
+    # the exponentials run once per stack, not once per trial (per-trial
+    # evaluation made about 30,000 calls for d-squared at 200 trials)
+    from nervecheck import matrixgroup
+
+    calls = _count_calls(monkeypatch, matrixgroup, "exp_matrix")
+    counts = []
+    for trials in (100, 200):
+        calls.clear()
+        run_check(CheckConfig("d-squared", trials=trials, seed=4))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 500, counts
+
+
+def test_nan_residual_fails_a_plain_check(monkeypatch):
+    real = harness.eval_E13
+
+    def poisoned(pt, *ts):
+        value = np.array(real(pt, *ts))
+        value[5] = np.nan
+        return value
+
+    monkeypatch.setattr(harness, "eval_E13", poisoned)
+    rep = run_check(CheckConfig("ad-invariance", trials=20))
+    assert not rep.passed
+    assert (rep.max_abs_err, rep.worst_trial) == (math.inf, 5)
+
+    monkeypatch.setattr(harness, "eval_E13", lambda pt, *ts: math.nan)
+    rep = run_check(CheckConfig("ad-invariance", trials=20))
+    assert not rep.passed
+    assert (rep.max_abs_err, rep.worst_trial) == (math.inf, 0)
+
+
+def test_nan_residual_fails_a_signed_component(monkeypatch):
+    real = harness.equivariant_total_check
+
+    def poisoned(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.residuals["d+"][7] = np.nan
+        return result
+
+    monkeypatch.setattr(harness, "equivariant_total_check", poisoned)
+    rep = run_check(CheckConfig("equivariant-cocycle", trials=20))
+    assert not rep.passed
+    assert (rep.max_abs_err, rep.worst_trial) == (math.inf, 7)
+
+
+def test_nan_in_the_rejected_sign_fails_the_run():
+    cols = {"a": [1e-8, 1e-8, 1e-8], "b+": [1e-8, 1e-8, 1e-8],
+            "b-": [1e-2, math.nan, 1e-2]}
+    assert reduce_rows(cols, _SIGN_TOLS) == (math.inf, 1)

@@ -120,6 +120,59 @@ def test_exp_matrix_matches_pade_exponential():
         assert np.max(np.abs(exp_matrix(a) - expm(a))) <= 1e-13
 
 
+def test_stacked_exp_matrix_matches_pade_exponential_slice_by_slice():
+    cases = np.stack(_exp_cases())
+    got = exp_matrix(cases)
+    assert got.shape == cases.shape
+    for a, g in zip(cases, got):
+        assert np.max(np.abs(g - expm(a))) <= 1e-13
+    # any number of stack axes, and the same numbers as one at a time
+    grid = cases[:40].reshape(2, 20, DIM, DIM)
+    assert np.array_equal(exp_matrix(grid).reshape(40, DIM, DIM), got[:40])
+    assert np.array_equal(np.stack([exp_matrix(a) for a in cases]), got)
+
+
+def test_stacked_exp_matrix_rejects_one_bad_member():
+    stack = np.stack([0.3 * basis_element(1, 2)] * 5)
+    for k, bad in ((3, np.eye(DIM)), (2, np.full((DIM, DIM), math.nan))):
+        members = stack.copy()
+        members[k] = bad
+        with pytest.raises(ValueError, match="skew-symmetric"):
+            exp_matrix(members)
+    members = stack.copy()
+    members[4, 0, 1] = math.nan
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        exp_matrix(members)
+    for shape in ((5, 3, 3), (DIM,), (DIM, 3)):
+        with pytest.raises(ValueError, match="need a 4x4 matrix"):
+            exp_matrix(np.zeros(shape))
+
+
+def test_stacked_points_and_tangents_validate():
+    rng = np.random.default_rng(21)
+    h = exp_matrix(np.stack([random_skew(rng, 2.0) for _ in range(6)]))
+    pt = GroupPoint((h, h[::-1])).validate()
+    Tangent(pt, (h @ basis_element(1, 3), h[::-1] @ basis_element(2, 4))).validate()
+    bad = h.copy()
+    bad[2] *= 2.0
+    with pytest.raises(ValueError):
+        GroupPoint((h, bad)).validate()
+    rep = h @ basis_element(1, 3)
+    rep[5] = np.eye(DIM)
+    with pytest.raises(ValueError):
+        Tangent(GroupPoint((h,)), (rep,)).validate()
+
+
+def test_skew_from_coords_on_a_stack():
+    coords = np.arange(12.0).reshape(2, 6)
+    m = skew_from_coords(coords)
+    assert m.shape == (2, DIM, DIM)
+    for c, one in zip(coords, m):
+        assert np.array_equal(one, skew_from_coords(c))
+    with pytest.raises(ValueError):
+        skew_from_coords(np.zeros((2, 5)))
+
+
 def test_exp_matrix_orthogonality_defect_is_roundoff():
     for a in _exp_cases():
         g = exp_matrix(a)
