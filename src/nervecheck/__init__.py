@@ -6,14 +6,13 @@ from .matrixgroup import (BASIS_PAIRS, DIM, GroupPoint, Tangent, adjoint,
                           basis_element, basis_so4, commutator, exp_matrix,
                           exp_skew, identity_point, random_skew, s4_table,
                           sample_so4, skew_from_coords)
-from .formcalc import (FD_STEP_DEFAULT, FormEval, MatrixFormEval, SmoothMap,
-                       constant_form, contract, entry, exterior_d,
-                       left_invariant_field, matrix_wedge_square, mc_left,
-                       mc_right, pullback, wedge, zero_form)
-from .nerve import (CONJUGATION, TRIVIAL, BiFormEval, BisimplicialPoint,
-                    BiTangent, GroupAction, d_double_prime, d_prime,
-                    d_triple_complex, degeneracy_ng, face_ng, face_pg,
-                    face_map_ng, gamma)
+from .formcalc import (FD_STEP_DEFAULT, FormEval, SmoothMap, constant_form,
+                       contract, entry, exterior_d, left_invariant_field,
+                       matrix_wedge_square, mc_left, mc_right, pullback,
+                       wedge, zero_form)
+from .nerve import (CONJUGATION, TRIVIAL, BiFormEval, GroupAction,
+                    d_double_prime, d_prime, d_triple_complex, degeneracy_ng,
+                    face_ng, face_pg, face_map_ng, gamma)
 from .cartanmodel import (CocycleSample, EquivariantForm, GradedForm,
                           TotalCheckResult, cartan_d, cartan_d_graded,
                           equivariant_total_check, fundamental_field)

@@ -1,10 +1,11 @@
-"""Scalar- and matrix-valued differential forms on products of SO(4).
+"""Differential forms on products of SO(4), real- or matrix-valued.
 
 Forms are represented by evaluators: a degree-r form at level p is a function
-taking a point of SO(4)^p and r tangent vectors and returning a real number
-(or a 4x4 matrix for matrix-valued forms).  The evaluators accept leading
-stack axes: at a point whose factors are stacks (N, 4, 4), with tangent reps
-of the same shape, a scalar form returns an (N,) array and a matrix form an
+taking a point of SO(4)^p and r tangent vectors and returning its value, a
+float or, for a matrix-valued form such as a Maurer-Cartan form, a 4x4
+array.  The evaluators accept leading stack axes, which come first in the
+value: at a point whose factors are stacks (N, 4, 4), with tangent reps of
+the same shape, a scalar form returns an (N,) array and a matrix form an
 (N, 4, 4) stack, one value per stacked point; a single point gives a single
 value.  The wedge product uses the determinant (shuffle) convention with no
 1/(r!s!) normalization, so for 1-forms (f ^ g)(v, w) = f(v) g(w) - f(w) g(v).
@@ -51,13 +52,13 @@ def _check_eval_args(degree: int, pt: GroupPoint, ts: Sequence[Tangent]) -> None
 
 @dataclass(frozen=True, eq=False)
 class FormEval:
-    """A degree-`degree` real-valued form on SO(4)^level."""
+    """A degree-`degree` form on SO(4)^level, real- or 4x4-matrix-valued."""
 
     degree: int
     level: int
-    fn: Callable[[GroupPoint, tuple[Tangent, ...]], float]
+    fn: Callable[[GroupPoint, tuple[Tangent, ...]], float | np.ndarray]
 
-    def __call__(self, pt: GroupPoint, *tangents: Tangent) -> float:
+    def __call__(self, pt: GroupPoint, *tangents: Tangent) -> float | np.ndarray:
         _check_eval_args(self.degree, pt, tangents)
         return self.fn(pt, tangents)
 
@@ -86,19 +87,6 @@ class FormEval:
         return FormEval(self.degree, self.level, lambda pt, ts: c * f(pt, ts))
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixFormEval:
-    """A degree-`degree` 4x4-matrix-valued form on SO(4)^level."""
-
-    degree: int
-    level: int
-    fn: Callable[[GroupPoint, tuple[Tangent, ...]], np.ndarray]
-
-    def __call__(self, pt: GroupPoint, *tangents: Tangent) -> np.ndarray:
-        _check_eval_args(self.degree, pt, tangents)
-        return self.fn(pt, tangents)
-
-
 def zero_form(degree: int, level: int) -> FormEval:
     return FormEval(degree, level, lambda pt, ts: 0.0)
 
@@ -108,25 +96,25 @@ def constant_form(value: float, level: int) -> FormEval:
     return FormEval(0, level, lambda pt, ts: value)
 
 
-def mc_left(factor_index: int, level: int) -> MatrixFormEval:
+def mc_left(factor_index: int, level: int) -> FormEval:
     """Left Maurer-Cartan form h^-1 dh of the chosen factor (1-based)."""
     if not 1 <= factor_index <= level:
         raise ValueError(f"factor index {factor_index} out of range for level {level}")
     k = factor_index - 1
-    return MatrixFormEval(
+    return FormEval(
         1, level, lambda pt, ts: pt.factors[k].mT @ ts[0].reps[k])
 
 
-def mc_right(factor_index: int, level: int) -> MatrixFormEval:
+def mc_right(factor_index: int, level: int) -> FormEval:
     """Right Maurer-Cartan form dh h^-1 of the chosen factor (1-based)."""
     if not 1 <= factor_index <= level:
         raise ValueError(f"factor index {factor_index} out of range for level {level}")
     k = factor_index - 1
-    return MatrixFormEval(
+    return FormEval(
         1, level, lambda pt, ts: ts[0].reps[k] @ pt.factors[k].mT)
 
 
-def entry(m: MatrixFormEval, a: int, b: int) -> FormEval:
+def entry(m: FormEval, a: int, b: int) -> FormEval:
     """Scalar form selecting entry (a, b), 1-based, of a matrix-valued form."""
     if not (1 <= a <= DIM and 1 <= b <= DIM):
         raise ValueError("entry indices must lie in 1..4")
@@ -135,7 +123,7 @@ def entry(m: MatrixFormEval, a: int, b: int) -> FormEval:
     return FormEval(m.degree, m.level, lambda pt, ts: f(pt, ts)[..., i, j])
 
 
-def matrix_wedge_square(m: MatrixFormEval) -> MatrixFormEval:
+def matrix_wedge_square(m: FormEval) -> FormEval:
     """The matrix-valued 2-form m^2: (v, w) -> m(v) m(w) - m(w) m(v)."""
     if m.degree != 1:
         raise ValueError("matrix_wedge_square expects a degree-1 form")
@@ -146,7 +134,7 @@ def matrix_wedge_square(m: MatrixFormEval) -> MatrixFormEval:
         b = f(pt, (ts[1],))
         return a @ b - b @ a
 
-    return MatrixFormEval(2, m.level, sq)
+    return FormEval(2, m.level, sq)
 
 
 def _shuffle_signs(r: int, s: int):

@@ -52,8 +52,7 @@ from .eulercocycle import (e13_form, e22_form, eval_alpha, eval_E13, eval_E22,
 from .formcalc import contract, entry, exterior_d, matrix_wedge_square, mc_left, mc_right
 from .matrixgroup import (GroupPoint, Tangent, basis_element, exp_matrix,
                           identity_point, skew_from_coords)
-from .nerve import (BiFormEval, BisimplicialPoint, BiTangent,
-                    bi_form_from_flat, d_prime, d_triple_complex,
+from .nerve import (BiFormEval, bi_form_from_flat, d_prime, d_triple_complex,
                     degeneracy_ng, face_ng, face_pg, gamma)
 
 # The most trials one run may ask for.  The slowest checks take about a ms
@@ -159,16 +158,13 @@ def sample_algebra(rngs) -> np.ndarray:
     return _skews(rngs, 1.0)
 
 
-def sample_bi_point(rngs, p: int, q: int) -> BisimplicialPoint:
-    return BisimplicialPoint(
-        sample_point(rngs, p),
-        tuple(exp_matrix(_skews(rngs, 2.0)) for _ in range(q)))
+def sample_bi_point(rngs, p: int, q: int) -> GroupPoint:
+    """A point of the bisimplicial level (p, q), which is SO(4)^(p+q)."""
+    return sample_point(rngs, p + q)
 
 
-def sample_bi_tangent(rngs, pt: BisimplicialPoint) -> BiTangent:
-    x_part = sample_tangent(rngs, pt.x)
-    g_part = tuple(g @ _skews(rngs, 1.0) for g in pt.gs)
-    return BiTangent(pt, x_part.reps, g_part)
+def sample_bi_tangent(rngs, pt: GroupPoint) -> Tangent:
+    return sample_tangent(rngs, pt)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,16 @@ Every map works factor by factor on stacked points too: a factor of shape
 (N, 4, 4) holds N points, and faces, gamma and the actions are stacked
 matrix products.
 
-The action-twisted (bisimplicial) levels pair a nerve point with a tuple of
-group elements acting on it; the top vertical face applies the action.  The
-default action is componentwise conjugation, and a trivial action is
-available for the degenerate instance.
+The action-twisted (bisimplicial) level (p, q) pairs a nerve point of level
+p with q group elements acting on it, so it is the product SO(4)^(p+q): a
+point is a flat GroupPoint of p+q factors, the nerve point first and then
+the q actors, and its tangents are plain Tangents.  The faces take the split
+p; horizontal faces are nerve faces of the nerve point, vertical faces are
+nerve faces of the actors whose top face applies the action.  The default
+action is componentwise conjugation, and a trivial action is available for
+the degenerate instance.  Packaged with their differentials, the faces are
+SmoothMaps, so the differentials below are formcalc pullbacks and
+exterior derivatives.
 
 Complex differentials:
   d_prime         alternating sum of nerve face pullbacks        (level +1)
@@ -24,6 +30,7 @@ Complex differentials:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -152,176 +159,101 @@ TRIVIAL = GroupAction(
 
 
 # ---------------------------------------------------------------------------
-# action-twisted bisimplicial levels: a nerve point x paired with q actors
+# action-twisted bisimplicial levels: level (p, q) is SO(4)^(p+q), a nerve
+# point of level p followed by its q actors
 
 
-@dataclass(frozen=True, eq=False)
-class BisimplicialPoint:
-    """A point of (nerve level p) x SO(4)^q."""
-
-    x: GroupPoint
-    gs: tuple[np.ndarray, ...]
-
-    @property
-    def p(self) -> int:
-        return self.x.level
-
-    @property
-    def q(self) -> int:
-        return len(self.gs)
+def _split(p: int, pt: GroupPoint) -> tuple[GroupPoint, GroupPoint]:
+    """The nerve point (the first p factors) and the actors (the rest)."""
+    if not 0 <= p <= pt.level:
+        raise ValueError(f"split p={p} out of range for level {pt.level}")
+    return GroupPoint(pt.factors[:p]), GroupPoint(pt.factors[p:])
 
 
-@dataclass(frozen=True, eq=False)
-class BiTangent:
-    base: BisimplicialPoint
-    x_reps: tuple[np.ndarray, ...]
-    g_reps: tuple[np.ndarray, ...]
+def horizontal_face(i: int, p: int, pt: GroupPoint) -> GroupPoint:
+    """Horizontal face (p, q) -> (p-1, q): the nerve face on the nerve
+    point; the actors pass through."""
+    x, gs = _split(p, pt)
+    return GroupPoint(face_ng(i, x).factors + gs.factors)
 
 
-def flatten_point(pt: BisimplicialPoint) -> GroupPoint:
-    """View (x, gs) as a point of SO(4)^(p+q)."""
-    return GroupPoint(pt.x.factors + pt.gs)
+def horizontal_face_diff(i: int, p: int, pt: GroupPoint, t: Tangent) -> Tangent:
+    x, _ = _split(p, pt)
+    moved = face_ng_diff(i, x, Tangent(x, t.reps[:p]))
+    return Tangent(horizontal_face(i, p, pt), moved.reps + t.reps[p:])
 
 
-def unflatten_point(pt: GroupPoint, p: int, q: int) -> BisimplicialPoint:
-    if pt.level != p + q:
-        raise ValueError("level mismatch when splitting a flattened point")
-    return BisimplicialPoint(GroupPoint(pt.factors[:p]), pt.factors[p:])
-
-
-def flatten_tangent(flat_base: GroupPoint, t: BiTangent) -> Tangent:
-    return Tangent(flat_base, t.x_reps + t.g_reps)
-
-
-def unflatten_tangent(base: BisimplicialPoint, t: Tangent) -> BiTangent:
-    p = base.p
-    return BiTangent(base, t.reps[:p], t.reps[p:])
-
-
-def horizontal_face(i: int, pt: BisimplicialPoint) -> BisimplicialPoint:
-    """Horizontal face: the nerve face on x; the actors pass through."""
-    return BisimplicialPoint(face_ng(i, pt.x), pt.gs)
-
-
-def horizontal_face_diff(i: int, pt: BisimplicialPoint, t: BiTangent) -> BiTangent:
-    image = horizontal_face(i, pt)
-    moved = face_ng_diff(i, pt.x, Tangent(pt.x, t.x_reps))
-    return BiTangent(image, moved.reps, t.g_reps)
-
-
-def vertical_face(i: int, pt: BisimplicialPoint,
-                  action: GroupAction = CONJUGATION) -> BisimplicialPoint:
-    """Vertical face: nerve-style on the actor tuple, with the action twist.
-
-    i = 0 drops the first actor, 0 < i < q multiplies neighbors, and i = q
-    lets the last actor act on x before being dropped.
-    """
-    q = pt.q
+def vertical_face(i: int, p: int, pt: GroupPoint,
+                  action: GroupAction = CONJUGATION) -> GroupPoint:
+    """Vertical face (p, q) -> (p, q-1): the nerve face i of the actors,
+    except that the top face i = q lets the last actor act on the nerve
+    point before dropping it."""
+    x, gs = _split(p, pt)
+    q = gs.level
     if q < 1:
         raise ValueError("vertical faces need at least one actor")
     if not 0 <= i <= q:
         raise ValueError(f"vertical face index {i} out of range for q={q}")
-    g = pt.gs
-    if i == 0:
-        return BisimplicialPoint(pt.x, g[1:])
     if i == q:
-        return BisimplicialPoint(action.apply(g[q - 1], pt.x), g[:-1])
-    return BisimplicialPoint(pt.x, g[:i - 1] + (g[i - 1] @ g[i],) + g[i + 1:])
+        g = gs.factors
+        return GroupPoint(action.apply(g[-1], x).factors + g[:-1])
+    return GroupPoint(x.factors + face_ng(i, gs).factors)
 
 
-def vertical_face_diff(i: int, pt: BisimplicialPoint, t: BiTangent,
-                       action: GroupAction = CONJUGATION) -> BiTangent:
-    q = pt.q
-    if not 0 <= i <= q:
-        raise ValueError(f"vertical face index {i} out of range for q={q}")
-    image = vertical_face(i, pt, action)
-    g, vg = pt.gs, t.g_reps
-    if i == 0:
-        return BiTangent(image, t.x_reps, vg[1:])
-    if i == q:
-        moved = action.diff(g[q - 1], vg[q - 1], pt.x, t.x_reps)
-        return BiTangent(image, moved, vg[:-1])
-    mid = vg[i - 1] @ g[i] + g[i - 1] @ vg[i]
-    return BiTangent(image, t.x_reps, vg[:i - 1] + (mid,) + vg[i + 1:])
-
-
-# ---------------------------------------------------------------------------
-# forms on bisimplicial levels
+def vertical_face_diff(i: int, p: int, pt: GroupPoint, t: Tangent,
+                       action: GroupAction = CONJUGATION) -> Tangent:
+    x, gs = _split(p, pt)
+    vx, vg = t.reps[:p], t.reps[p:]
+    image = vertical_face(i, p, pt, action)
+    if i == gs.level:
+        moved = action.diff(gs.factors[-1], vg[-1], x, vx)
+        return Tangent(image, moved + vg[:-1])
+    return Tangent(image, vx + face_ng_diff(i, gs, Tangent(gs, vg)).reps)
 
 
 @dataclass(frozen=True, eq=False)
-class BiFormEval:
-    """A real-valued form on (nerve level p) x SO(4)^q."""
+class BiFormEval(FormEval):
+    """A form on the bisimplicial level (p, q), which is SO(4)^level with
+    q = level - p."""
 
-    degree: int
     p: int
-    q: int
-    fn: Callable[[BisimplicialPoint, tuple[BiTangent, ...]], float]
 
-    def __call__(self, pt: BisimplicialPoint, *tangents: BiTangent) -> float:
-        if len(tangents) != self.degree:
-            raise ValueError(
-                f"degree-{self.degree} form called with {len(tangents)} tangents")
-        return self.fn(pt, tangents)
+    @property
+    def q(self) -> int:
+        return self.level - self.p
 
 
 def bi_form_from_flat(f: FormEval, p: int, q: int) -> BiFormEval:
-    """Reinterpret a form on SO(4)^(p+q) as a form on the (p, q) level."""
+    """Read a form on SO(4)^(p+q) as a form on the (p, q) level."""
     if f.level != p + q:
         raise ValueError("flattened level mismatch")
-    fn = f.fn
-
-    def bfn(pt, ts):
-        flat = flatten_point(pt)
-        return fn(flat, tuple(flatten_tangent(flat, t) for t in ts))
-
-    return BiFormEval(f.degree, p, q, bfn)
-
-
-def flat_form_from_bi(f: BiFormEval) -> FormEval:
-    """Inverse reinterpretation, onto SO(4)^(p+q)."""
-    p, q = f.p, f.q
-    fn = f.fn
-
-    def ffn(pt, ts):
-        base = unflatten_point(pt, p, q)
-        return fn(base, tuple(unflatten_tangent(base, t) for t in ts))
-
-    return FormEval(f.degree, p + q, ffn)
+    return BiFormEval(f.degree, f.level, f.fn, p)
 
 
 # ---------------------------------------------------------------------------
 # complex differentials
 
 
+def _alternating_pullbacks(f: FormEval, faces: list[SmoothMap]) -> FormEval:
+    """The alternating sum of the pullbacks of f along the faces, in order."""
+    total = pullback(f, faces[0])
+    for i, face in enumerate(faces[1:], start=1):
+        term = pullback(f, face)
+        total = total + term if i % 2 == 0 else total - term
+    return total
+
+
 def d_prime(f: FormEval) -> FormEval:
     """Alternating sum of nerve face pullbacks, raising the level by one."""
     p = f.level
-    terms = [pullback(f, face_map_ng(i, p + 1)) for i in range(p + 2)]
-    total = terms[0]
-    for i, term in enumerate(terms[1:], start=1):
-        total = total + term if i % 2 == 0 else total - term
-    return total
+    return _alternating_pullbacks(
+        f, [face_map_ng(i, p + 1) for i in range(p + 2)])
 
 
 def d_double_prime(f: FormEval, fd_step: float = 1e-5) -> FormEval:
     """(-1)^level times the exterior derivative (double-complex vertical)."""
     d = exterior_d(f, fd_step)
     return d if f.level % 2 == 0 else -d
-
-
-def _bi_pullback(f: BiFormEval, apply_fn, diff_fn, p: int, q: int) -> BiFormEval:
-    fn = f.fn
-
-    def pfn(pt, ts):
-        image = apply_fn(pt)
-        moved = []
-        for t in ts:
-            d = diff_fn(pt, t)
-            moved.append(BiTangent(image, d.x_reps, d.g_reps))
-        return fn(image, tuple(moved))
-
-    return BiFormEval(f.degree, p, q, pfn)
 
 
 def d_triple_complex(f: BiFormEval, which: str, fd_step: float = 1e-5,
@@ -332,45 +264,22 @@ def d_triple_complex(f: BiFormEval, which: str, fd_step: float = 1e-5,
     which = "d''" : (-1)^p alternating vertical-face pullbacks, (p, q+1)
     which = "d'''": (-1)^(p+q) exterior derivative,           degree + 1
     """
-    p, q = f.p, f.q
+    p, level = f.p, f.level
     if which == "d'":
-        total = None
-        for i in range(p + 2):
-            term = _bi_pullback(
-                f,
-                lambda pt, i=i: horizontal_face(i, pt),
-                lambda pt, t, i=i: horizontal_face_diff(i, pt, t),
-                p + 1, q)
-            sign = 1.0 if i % 2 == 0 else -1.0
-            total = _bi_scale_add(total, sign, term)
-        return total
-    if which == "d''":
-        outer = 1.0 if p % 2 == 0 else -1.0
-        total = None
-        for i in range(q + 2):
-            term = _bi_pullback(
-                f,
-                lambda pt, i=i: vertical_face(i, pt, action),
-                lambda pt, t, i=i: vertical_face_diff(i, pt, t, action),
-                p, q + 1)
-            sign = outer * (1.0 if i % 2 == 0 else -1.0)
-            total = _bi_scale_add(total, sign, term)
-        return total
-    if which == "d'''":
-        sign = 1.0 if (p + q) % 2 == 0 else -1.0
-        d = exterior_d(flat_form_from_bi(f), fd_step)
-        flat = bi_form_from_flat(d, p, q)
-        fn = flat.fn
-        return BiFormEval(flat.degree, p, q,
-                          lambda pt, ts: sign * fn(pt, ts))
-    raise ValueError("which must be one of \"d'\", \"d''\", \"d'''\"")
-
-
-def _bi_scale_add(acc: BiFormEval | None, sign: float, term: BiFormEval) -> BiFormEval:
-    if acc is None:
-        fn = term.fn
-        return BiFormEval(term.degree, term.p, term.q,
-                          lambda pt, ts: sign * fn(pt, ts))
-    a, b = acc.fn, term.fn
-    return BiFormEval(term.degree, term.p, term.q,
-                      lambda pt, ts: a(pt, ts) + sign * b(pt, ts))
+        d = _alternating_pullbacks(f, [
+            SmoothMap(level + 1, level, partial(horizontal_face, i, p + 1),
+                      partial(horizontal_face_diff, i, p + 1))
+            for i in range(p + 2)])
+        p += 1
+    elif which == "d''":
+        d = _alternating_pullbacks(f, [
+            SmoothMap(level + 1, level,
+                      partial(vertical_face, i, p, action=action),
+                      partial(vertical_face_diff, i, p, action=action))
+            for i in range(f.q + 2)])
+        d = d if p % 2 == 0 else -d
+    elif which == "d'''":
+        d = d_double_prime(f, fd_step)  # the sign (-1)^level is (-1)^(p+q)
+    else:
+        raise ValueError("which must be one of \"d'\", \"d''\", \"d'''\"")
+    return BiFormEval(d.degree, d.level, d.fn, p)

@@ -113,9 +113,11 @@ def test_samplers_produce_valid_geometry():
     t = sample_tangent(rng, pt)
     t.validate()
     bp = sample_bi_point(rng, 2, 2)
-    assert (bp.p, bp.q) == (2, 2)
+    bp.validate()
+    assert bp.level == 2 + 2
     bt = sample_bi_tangent(rng, bp)
-    assert len(bt.x_reps) == 2 and len(bt.g_reps) == 2
+    bt.validate()
+    assert bt.base is bp and len(bt.reps) == 4
 
 
 def test_gamma_simplicial_keeps_headroom_on_hard_seeds():

@@ -1,5 +1,7 @@
 """Tests for nerve face/degeneracy maps and the double/triple complex."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,11 @@ from nervecheck.matrixgroup import (
     identity_point,
     random_skew,
 )
-from nervecheck.formcalc import constant_form, entry, mc_left, mc_right
+from nervecheck.formcalc import SmoothMap, constant_form, entry, mc_left, mc_right
 from nervecheck.nerve import (
     CONJUGATION,
     TRIVIAL,
     BiFormEval,
-    BisimplicialPoint,
-    BiTangent,
     bi_form_from_flat,
     d_double_prime,
     d_prime,
@@ -27,13 +27,9 @@ from nervecheck.nerve import (
     face_ng,
     face_ng_diff,
     face_pg,
-    flat_form_from_bi,
-    flatten_point,
-    flatten_tangent,
     gamma,
     horizontal_face,
-    unflatten_point,
-    unflatten_tangent,
+    horizontal_face_diff,
     vertical_face,
     vertical_face_diff,
 )
@@ -48,18 +44,6 @@ def _rand_point(rng, level):
 
 def _rand_tangent(rng, pt):
     return Tangent(pt, tuple(h @ random_skew(rng, 1.0) for h in pt.factors))
-
-
-def _rand_bipoint(rng, p, q):
-    return BisimplicialPoint(_rand_point(rng, p), _rand_point(rng, q).factors)
-
-
-def _rand_bitangent(rng, bp):
-    return BiTangent(
-        bp,
-        tuple(h @ random_skew(rng, 1.0) for h in bp.x.factors),
-        tuple(g @ random_skew(rng, 1.0) for g in bp.gs),
-    )
 
 
 def _max_dev(t_a, t_b):
@@ -198,85 +182,105 @@ def test_gamma_intertwines_faces():
 
 
 # ---------------------------------------------------------------------------
-# bisimplicial structure
+# bisimplicial structure: level (p, q) is the flat point SO(4)^(p+q)
 
 
 def test_vertical_face_drop_and_multiply():
     rng = np.random.default_rng(9)
-    bp = _rand_bipoint(rng, 1, 2)
-    g1, g2 = bp.gs
-    out0 = vertical_face(0, bp)
-    assert np.array_equal(out0.gs[0], g2)
-    assert np.array_equal(out0.x.factors[0], bp.x.factors[0])
-    out1 = vertical_face(1, bp)
-    assert np.array_equal(out1.gs[0], g1 @ g2)
+    bp = _rand_point(rng, 3)  # (p, q) = (1, 2)
+    x, g1, g2 = bp.factors
+    out0 = vertical_face(0, 1, bp)
+    assert np.array_equal(out0.factors[1], g2)
+    assert np.array_equal(out0.factors[0], x)
+    out1 = vertical_face(1, 1, bp)
+    assert np.array_equal(out1.factors[1], g1 @ g2)
 
 
 def test_vertical_face_top_acts_by_conjugation():
     rng = np.random.default_rng(10)
-    bp = _rand_bipoint(rng, 1, 1)
-    g = bp.gs[0]
-    x = bp.x.factors[0]
-    out = vertical_face(1, bp)
-    assert out.q == 0
-    assert np.max(np.abs(out.x.factors[0] - g @ x @ g.T)) < 1e-14
+    bp = _rand_point(rng, 2)  # (p, q) = (1, 1)
+    x, g = bp.factors
+    out = vertical_face(1, 1, bp)
+    assert out.level == 1  # q = 0
+    assert np.max(np.abs(out.factors[0] - g @ x @ g.T)) < 1e-14
 
 
 def test_vertical_face_top_trivial_action():
     rng = np.random.default_rng(11)
-    bp = _rand_bipoint(rng, 1, 1)
-    out = vertical_face(1, bp, action=TRIVIAL)
-    assert np.array_equal(out.x.factors[0], bp.x.factors[0])
+    bp = _rand_point(rng, 2)
+    out = vertical_face(1, 1, bp, action=TRIVIAL)
+    assert np.array_equal(out.factors[0], bp.factors[0])
 
 
 def test_vertical_face_identity_actors_fix_point():
     rng = np.random.default_rng(12)
     x = _rand_point(rng, 1)
-    bp = BisimplicialPoint(x, identity_point(1).factors)
-    out = vertical_face(1, bp)
-    assert np.max(np.abs(out.x.factors[0] - x.factors[0])) < 1e-14
+    bp = GroupPoint(x.factors + identity_point(1).factors)
+    out = vertical_face(1, 1, bp)
+    assert np.max(np.abs(out.factors[0] - x.factors[0])) < 1e-14
 
 
 def test_vertical_face_diff_matches_fd():
     rng = np.random.default_rng(13)
     for (p, q) in ((1, 1), (1, 2), (2, 2)):
-        bp = _rand_bipoint(rng, p, q)
-        t = _rand_bitangent(rng, bp)
+        bp = _rand_point(rng, p + q)
+        t = _rand_tangent(rng, bp)
         for i in range(q + 1):
-            got = vertical_face_diff(i, bp, t)
+            got = vertical_face_diff(i, p, bp, t)
 
             def curve(s):
-                xs = tuple(exp_matrix(s * (r @ h.T)) @ h
-                           for r, h in zip(t.x_reps, bp.x.factors))
-                gs = tuple(exp_matrix(s * (r @ g.T)) @ g
-                           for r, g in zip(t.g_reps, bp.gs))
-                return vertical_face(i, BisimplicialPoint(GroupPoint(xs), gs))
+                return vertical_face(i, p, GroupPoint(tuple(
+                    exp_matrix(s * (r @ h.T)) @ h
+                    for r, h in zip(t.reps, bp.factors))))
 
             eps = 1e-5
             plus, minus = curve(eps), curve(-eps)
-            fd_x = tuple((a - b) / (2 * eps)
-                         for a, b in zip(plus.x.factors, minus.x.factors))
-            fd_g = tuple((a - b) / (2 * eps)
-                         for a, b in zip(plus.gs, minus.gs))
-            dev = max([np.max(np.abs(a - b)) for a, b in zip(got.x_reps, fd_x)]
-                      + [np.max(np.abs(a - b)) for a, b in zip(got.g_reps, fd_g)]
+            fd = tuple((a - b) / (2 * eps)
+                       for a, b in zip(plus.factors, minus.factors))
+            dev = max([np.max(np.abs(a - b)) for a, b in zip(got.reps, fd)]
                       or [0.0])
             assert dev < 1e-7
 
 
-def test_flatten_unflatten_roundtrip():
-    rng = np.random.default_rng(14)
-    bp = _rand_bipoint(rng, 2, 1)
-    flat = flatten_point(bp)
-    assert flat.level == 3
-    back = unflatten_point(flat, 2, 1)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(back.x.factors, bp.x.factors))
-    t = _rand_bitangent(rng, bp)
-    ft = flatten_tangent(flat, t)
-    bt = unflatten_tangent(bp, ft)
-    assert all(np.array_equal(a, b) for a, b in zip(bt.x_reps, t.x_reps))
-    assert all(np.array_equal(a, b) for a, b in zip(bt.g_reps, t.g_reps))
+@pytest.mark.parametrize("action", [CONJUGATION, TRIVIAL],
+                         ids=lambda a: a.name)
+def test_bisimplicial_face_diffs_match_fd_oracle(action):
+    # every horizontal and vertical face, as a SmoothMap on the flat point,
+    # against central differences along scipy's expm
+    rng = np.random.default_rng(23)
+    for (p, q) in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        level = p + q
+        faces = [SmoothMap(level, level - 1,
+                           partial(horizontal_face, i, p),
+                           partial(horizontal_face_diff, i, p))
+                 for i in range(p + 1)]
+        faces += [SmoothMap(level, level - 1,
+                            partial(vertical_face, i, p, action=action),
+                            partial(vertical_face_diff, i, p, action=action))
+                  for i in range(q + 1)]
+        pt = _rand_point(rng, level)
+        t = _rand_tangent(rng, pt)
+        for m in faces:
+            got = m.diff(pt, t)
+            image = m.apply(pt)
+            assert got.base.level == image.level == level - 1
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got.base.factors, image.factors))
+            want = fd_map_differential(m, t, 1e-5)
+            assert _max_dev(got, want) < 1e-7
+
+
+def test_bisimplicial_faces_reject_bad_indices_and_splits():
+    rng = np.random.default_rng(25)
+    pt = _rand_point(rng, 3)
+    with pytest.raises(ValueError):
+        horizontal_face(0, 4, pt)  # split beyond the level
+    with pytest.raises(ValueError):
+        horizontal_face(2, 1, pt)  # nerve face index beyond p
+    with pytest.raises(ValueError):
+        vertical_face(0, 3, pt)  # no actors
+    with pytest.raises(ValueError):
+        vertical_face(3, 1, pt)  # vertical face index beyond q
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +349,30 @@ def _flat_probe():
 
 
 def test_bi_form_roundtrip_and_validation():
-    bi = bi_form_from_flat(_flat_probe(), 1, 1)
-    assert (bi.degree, bi.p, bi.q) == (1, 1, 1)
-    flat = flat_form_from_bi(bi)
+    flat = _flat_probe()
+    bi = bi_form_from_flat(flat, 1, 1)
+    assert (bi.degree, bi.level, bi.p, bi.q) == (1, 2, 1, 1)
     rng = np.random.default_rng(19)
-    bp = _rand_bipoint(rng, 1, 1)
-    t = _rand_bitangent(rng, bp)
-    fp = flatten_point(bp)
-    ft = flatten_tangent(fp, t)
-    assert bi(bp, t) == flat(fp, ft)
+    bp = _rand_point(rng, 2)
+    t = _rand_tangent(rng, bp)
+    assert bi(bp, t) == flat(bp, t)
     with pytest.raises(ValueError):
         bi_form_from_flat(_flat_probe(), 2, 1)  # 2 + 1 != form level
     with pytest.raises(ValueError):
         bi(bp, t, t)
+
+
+def test_triple_forms_check_the_base_point():
+    bi = bi_form_from_flat(_flat_probe(), 1, 1)
+    rng = np.random.default_rng(24)
+    for which in ("d'", "d''", "d'''"):
+        g = d_triple_complex(bi, which)
+        bp = _rand_point(rng, g.level)
+        ts = [_rand_tangent(rng, bp) for _ in range(g.degree)]
+        g(bp, *ts)
+        elsewhere = _rand_tangent(rng, _rand_point(rng, g.level))
+        with pytest.raises(ValueError, match="not based"):
+            g(bp, *ts[:-1], elsewhere)
 
 
 def test_triple_differentials_pairwise_anticommute():
@@ -367,8 +382,8 @@ def test_triple_differentials_pairwise_anticommute():
     for first, second in pairs:
         ab = d_triple_complex(d_triple_complex(bi, first), second)
         ba = d_triple_complex(d_triple_complex(bi, second), first)
-        bp = _rand_bipoint(rng, ab.p, ab.q)
-        ts = [_rand_bitangent(rng, bp) for _ in range(ab.degree)]
+        bp = _rand_point(rng, ab.level)
+        ts = [_rand_tangent(rng, bp) for _ in range(ab.degree)]
         assert abs(ab(bp, *ts) + ba(bp, *ts)) < 1e-4
 
 
@@ -384,8 +399,8 @@ def test_triple_total_differential_squares_to_zero():
             g = d_triple_complex(d_triple_complex(bi, a), b)
             buckets.setdefault((g.p, g.q, g.degree), []).append(g)
     for (p, q, deg), forms in buckets.items():
-        bp = _rand_bipoint(rng, p, q)
-        ts = [_rand_bitangent(rng, bp) for _ in range(deg)]
+        bp = _rand_point(rng, p + q)
+        ts = [_rand_tangent(rng, bp) for _ in range(deg)]
         total = sum(f(bp, *ts) for f in forms)
         assert abs(total) < 1e-4, (p, q, deg)
 
@@ -398,18 +413,18 @@ def test_triple_vertical_with_trivial_action():
     rng = np.random.default_rng(22)
 
     def base_only(bp, ts):
-        return bp.x.factors[0][0, 0] ** 2
+        return bp.factors[0][0, 0] ** 2
 
-    odd = BiFormEval(0, 1, 1, base_only)
+    odd = BiFormEval(0, 2, base_only, 1)
     dv = d_triple_complex(odd, "d''", action=TRIVIAL)
     assert (dv.p, dv.q) == (1, 2)
-    bp = _rand_bipoint(rng, 1, 2)
+    bp = _rand_point(rng, 3)
     want = -base_only(bp, ())  # three terms + - +, outer sign (-1)^1
     assert abs(dv(bp) - want) < 1e-14
 
-    even = BiFormEval(0, 1, 2, base_only)
+    even = BiFormEval(0, 3, base_only, 1)
     dv0 = d_triple_complex(even, "d''", action=TRIVIAL)
-    bp3 = _rand_bipoint(rng, 1, 3)
+    bp3 = _rand_point(rng, 4)
     assert abs(dv0(bp3)) < 1e-14
 
 
