@@ -22,7 +22,7 @@ import numpy as np
 
 from . import formdsl
 from .cartanmodel import EquivariantForm
-from .harness import (CHECK_IDS, CheckConfig, CheckReport, run_all,
+from .harness import (CHECK_IDS, CheckConfig, CheckReport, DrawTape, run_all,
                       run_check, sample_algebra, sample_point, sample_tangent)
 from .matrixgroup import GroupPoint, Tangent, basis_element, identity_point
 
@@ -100,12 +100,17 @@ def _parse_seed_token(text: str, prefix: str) -> int:
         raise ValueError(f"expected {prefix}:<integer>, got {text!r}") from None
 
 
+def _seed_tape(text: str, prefix: str) -> DrawTape:
+    """The draw tape of one generator seeded by a `prefix:<integer>` token;
+    the samplers of one token read one tape, in order."""
+    return DrawTape(np.random.default_rng(_parse_seed_token(text, prefix)))
+
+
 def _eval_setup(at: str, tangents: str, level: int, degree: int) -> _EvalSetup:
     if at == "identity":
         pt = identity_point(level)
     else:
-        rng = np.random.default_rng(_parse_seed_token(at, "seed"))
-        pt = sample_point(rng, level)
+        pt = sample_point(_seed_tape(at, "seed"), level)
 
     if tangents == "debug":
         if degree != 1:
@@ -115,12 +120,12 @@ def _eval_setup(at: str, tangents: str, level: int, degree: int) -> _EvalSetup:
         ts = (Tangent(pt, tuple(h @ basis_element(3, 4) for h in pt.factors)),)
         return _EvalSetup(pt, ts, basis_element(1, 2))
     if tangents.startswith("repeat"):
-        rng = np.random.default_rng(_parse_seed_token(tangents, "repeat"))
-        one = sample_tangent(rng, pt)
-        return _EvalSetup(pt, (one,) * degree, sample_algebra(rng))
-    rng = np.random.default_rng(_parse_seed_token(tangents, "seed"))
-    x = sample_algebra(rng)
-    ts = tuple(sample_tangent(rng, pt) for _ in range(degree))
+        tape = _seed_tape(tangents, "repeat")
+        one = sample_tangent(tape, pt)
+        return _EvalSetup(pt, (one,) * degree, sample_algebra(tape))
+    tape = _seed_tape(tangents, "seed")
+    x = sample_algebra(tape)
+    ts = tuple(sample_tangent(tape, pt) for _ in range(degree))
     return _EvalSetup(pt, ts, x)
 
 

@@ -17,8 +17,12 @@ central finite differences while the bracket terms stay exact matrix
 commutators.  Right-invariant extensions are used (coordinates X = v h^-1,
 curves t -> exp(tX) h, bracket [X_i, X_j] reversed), which leaves genuine
 O(fd_step^2) truncation on left-Maurer-Cartan integrands so convergence is
-observable by step halving.  On a stack, each direction costs one stacked
-exponential per factor and sign.
+observable by step halving.  The 2(r+1) shifted points of a degree-r form,
+one per direction and sign, stand on a new leading step axis: an evaluation
+makes one stacked exponential per factor and one call of the form.  The
+step axis broadcasts against the form's own arrays from the right, so a
+form that captures stacked arrays (such as an (N, 4, 4) argument X) is
+differentiated at points stacked the same way.
 """
 
 from __future__ import annotations
@@ -201,23 +205,31 @@ def exterior_d(f: FormEval, fd_step: float = FD_STEP_DEFAULT) -> FormEval:
     _check_fd_step(fd_step)
     r = f.degree
     fn = f.fn
+    # step k moves along direction k // 2, by +fd_step for even k, by
+    # -fd_step for odd k; at that step, slot s holds the s-th direction
+    # other than k // 2
+    signed = [(i, t) for i in range(r + 1) for t in (fd_step, -fd_step)]
+    slots = [[j for j in range(r + 1) if j != i] for i, _ in signed]
 
     def dfn(pt, ts):
         coords = [right_coords(t) for t in ts]
         factors = pt.factors
+        shifted = GroupPoint(tuple(
+            exp_matrix(np.stack([t * coords[i][k] for i, t in signed])) @ h
+            for k, h in enumerate(factors)))
+        args = tuple(
+            Tangent(shifted, tuple(
+                np.stack([coords[slot[s]][k] for slot in slots]) @ m
+                for k, m in enumerate(shifted.factors)))
+            for s in range(r))
+        vals = np.asarray(fn(shifted, args))
+        # a value that ignores the point, such as a constant, has no step axis
+        lead = factors[0].shape[:-2] if factors else ()
+        if vals.shape[:1 + len(lead)] != (len(signed),) + lead:
+            vals = np.broadcast_to(vals, (len(signed),) + vals.shape)
         total = 0.0
-        for i, xi in enumerate(coords):
-            others = coords[:i] + coords[i + 1:]
-
-            def along(tv):
-                shifted = GroupPoint(tuple(
-                    exp_matrix(tv * x) @ h for x, h in zip(xi, factors)))
-                args = tuple(
-                    Tangent(shifted, tuple(x @ m for x, m in zip(xj, shifted.factors)))
-                    for xj in others)
-                return fn(shifted, args)
-
-            deriv = (along(fd_step) - along(-fd_step)) / (2.0 * fd_step)
+        for i in range(r + 1):
+            deriv = (vals[2 * i] - vals[2 * i + 1]) / (2.0 * fd_step)
             total += deriv if i % 2 == 0 else -deriv
         for i in range(r + 1):
             for j in range(i + 1, r + 1):
@@ -244,12 +256,17 @@ def contract(f: FormEval, field: Callable[[GroupPoint], Tangent]) -> FormEval:
 
 @dataclass(frozen=True, eq=False)
 class SmoothMap:
-    """A smooth map between SO(4) products with its analytic differential."""
+    """A smooth map between SO(4) products with its analytic differential.
+
+    `diff(pt, t)` returns the reps of the image of the tangent t at pt; they
+    are tangent at `apply(pt)`, which the caller computes once for all its
+    tangents.
+    """
 
     source_level: int
     target_level: int
     apply: Callable[[GroupPoint], GroupPoint]
-    diff: Callable[[GroupPoint, Tangent], Tangent]
+    diff: Callable[[GroupPoint, Tangent], tuple[np.ndarray, ...]]
 
 
 def pullback(f: FormEval, m: SmoothMap) -> FormEval:
@@ -261,12 +278,7 @@ def pullback(f: FormEval, m: SmoothMap) -> FormEval:
 
     def pfn(pt, ts):
         image = m.apply(pt)
-        moved = []
-        for t in ts:
-            d = m.diff(pt, t)
-            # rebase on the shared image object so downstream checks are cheap
-            moved.append(Tangent(image, d.reps))
-        return fn(image, tuple(moved))
+        return fn(image, tuple(Tangent(image, m.diff(pt, t)) for t in ts))
 
     return FormEval(f.degree, m.source_level, pfn)
 

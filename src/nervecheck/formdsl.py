@@ -113,18 +113,15 @@ class Scale:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
+class Sum:
+    """terms[0] ops[0] terms[1] ops[1] ...: a whole chain of '+' and '-' is
+    one node, so a long chain costs no recursion depth."""
+
+    terms: tuple
+    ops: tuple  # '+' or '-' before each of terms[1:]
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[EntrySel, SumS4, Wedge, Scale, Add, Sub]
+Node = Union[EntrySel, SumS4, Wedge, Scale, Sum]
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +227,12 @@ class _Parser:
 
     # expr := term (('+' | '-') term)*
     def parse_expr(self) -> Node:
-        node = self.parse_term()
+        terms = [self.parse_term()]
+        ops = []
         while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.parse_term()
-            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
-        return node
+            ops.append(self.advance().kind)
+            terms.append(self.parse_term())
+        return Sum(tuple(terms), tuple(ops)) if ops else terms[0]
 
     # term := ['-'] [coeff] primary+
     def parse_term(self) -> Node:
@@ -398,11 +395,12 @@ def _primary(node: Node) -> str:
 
 def pretty(node: Node) -> str:
     """Canonical single-space rendering; parse(pretty(n)) == n."""
-    if isinstance(node, (Add, Sub)):
-        right = node.right
-        text = _primary(right) if isinstance(right, (Add, Sub)) else pretty(right)
-        op = "+" if isinstance(node, Add) else "-"
-        return f"{pretty(node.left)} {op} {text}"
+    if isinstance(node, Sum):
+        # a term that is a sum itself came from parentheses
+        parts = [_primary(t) if isinstance(t, Sum) else pretty(t)
+                 for t in node.terms]
+        return " ".join([parts[0]] + [f"{op} {text}" for op, text
+                                      in zip(node.ops, parts[1:])])
     if isinstance(node, Scale):
         coeff = str(node.num)
         if node.den != 1:
@@ -547,20 +545,27 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
         fn = inner.fn
         return _Built(inner.form_degree, inner.x_degree, inner.axes,
                       lambda pt, ts, X: factor * fn(pt, ts, X))
-    if isinstance(node, (Add, Sub)):
-        left = _build(node.left, level, in_sum)
-        right = _build(node.right, level, in_sum)
-        if left.form_degree != right.form_degree:
-            raise FormDslError("mixed form degrees in a sum")
-        if left.x_degree != right.x_degree:
-            raise FormDslError("mixed polynomial degrees in a sum")
-        axes = tuple(sorted(set(left.axes) | set(right.axes)))
-        lf, rf = _lift(left, axes), _lift(right, axes)
-        if isinstance(node, Add):
-            fn = lambda pt, ts, X: lf(pt, ts, X) + rf(pt, ts, X)
-        else:
-            fn = lambda pt, ts, X: lf(pt, ts, X) - rf(pt, ts, X)
-        return _Built(left.form_degree, left.x_degree, axes, fn)
+    if isinstance(node, Sum):
+        first = _build(node.terms[0], level, in_sum)
+        terms = [first]
+        for term in node.terms[1:]:
+            built = _build(term, level, in_sum)
+            if built.form_degree != first.form_degree:
+                raise FormDslError("mixed form degrees in a sum")
+            if built.x_degree != first.x_degree:
+                raise FormDslError("mixed polynomial degrees in a sum")
+            terms.append(built)
+        axes = tuple(sorted(set().union(*(t.axes for t in terms))))
+        head, *rest = [_lift(t, axes) for t in terms]
+        plus = [op == "+" for op in node.ops]
+
+        def fn(pt, ts, X):
+            total = head(pt, ts, X)
+            for add, f in zip(plus, rest):
+                total = total + f(pt, ts, X) if add else total - f(pt, ts, X)
+            return total
+
+        return _Built(first.form_degree, first.x_degree, axes, fn)
     if isinstance(node, SumS4):
         body = _build(node.body, level, True)
         bfn = body.fn
@@ -614,8 +619,8 @@ def max_factor_index(node: Node) -> int:
         return max(max_factor_index(f) for f in node.factors)
     if isinstance(node, Scale):
         return max_factor_index(node.body)
-    if isinstance(node, (Add, Sub)):
-        return max(max_factor_index(node.left), max_factor_index(node.right))
+    if isinstance(node, Sum):
+        return max(max_factor_index(t) for t in node.terms)
     return 0
 
 

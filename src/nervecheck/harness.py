@@ -4,8 +4,8 @@ Every check follows one protocol, held by its entry in `CHECKS`:
 
 * `setup(cfg)` builds what the trials of a run share (forms, interpreted
   sources) once; a check without a setup gets the config itself;
-* `trial(ctx, rngs)` takes one generator per trial, draws the sample of
-  every trial and returns the raw residuals of the check's named
+* `trial(ctx, tape)` takes the draw tape of a stack of trials, draws the
+  sample of every trial and returns the raw residuals of the check's named
   components, one array over the trials per component;
 * `reduce_rows` divides each component by its tolerance (1 where the check
   names none), takes the max over the components of a trial, and reports
@@ -21,6 +21,14 @@ walks each form tree once per stack, not once per trial.  At most `CHUNK`
 trials form one stack, so the intermediate arrays do not grow with the
 trial count.  `golden-values` evaluates fixed inputs and runs one trial
 whatever `trials` is.
+
+The samplers read a `DrawTape`.  It pulls `BLOCK` rows of six uniforms from
+every trial's stream with one `random` call, and the next block when those
+are used up; a skew matrix with coordinates in [-s, s] is -s + 2s u of the
+next row u of every trial.  That is what `Generator.uniform(-s, s, 6)`
+computes from the same doubles, so the tape draws the same numbers as one
+`uniform` call per matrix.  Drawing ahead changes nothing else, because no
+other code reads a trial's stream.
 
 Composite checks (euler-cocycle, equivariant-cocycle, d-squared) bundle
 component identities with different natural scales; their default tolerance
@@ -62,6 +70,10 @@ MAX_TRIALS = 1_000_000
 
 # The most trials evaluated as one stack (see the module docstring).
 CHUNK = 256
+
+# The rows of six uniforms a draw tape pulls from a stream at a time; the
+# largest sample, that of a d-squared trial, takes 51 rows.
+BLOCK = 64
 
 
 def list_checks() -> list[str]:
@@ -119,8 +131,8 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# samplers: `rngs` holds one generator per trial, and each draw is stacked
-# over the trials; a single generator draws one unstacked sample
+# samplers: each reads the next rows of a draw tape, stacked over the
+# trials of a tape of generators, unstacked on a tape of one generator
 
 
 def trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
@@ -129,42 +141,77 @@ def trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed % 2**32, tag, trial])
 
 
-def _skews(rngs, scale: float) -> np.ndarray:
+class DrawTape:
+    """The uniforms of one generator per trial, read row by row in stream
+    order (see the module docstring).  `rngs` is a sequence of generators,
+    one per stacked trial, or a single generator for one unstacked sample."""
+
+    def __init__(self, rngs):
+        self.single = isinstance(rngs, np.random.Generator)
+        self.rngs = (rngs,) if self.single else tuple(rngs)
+        self._rows = np.empty((len(self.rngs), 0, 6))
+        self._pos = 0
+
+    def __len__(self) -> int:
+        return len(self.rngs)
+
+    def rows(self, k: int) -> np.ndarray:
+        """The next k rows of every stream, uniform in [0, 1): (N, k, 6) on
+        a stack of N trials, (k, 6) on a single generator."""
+        left = self._rows.shape[1] - self._pos
+        if k > left:
+            size = -(-(k - left) // BLOCK) * BLOCK
+            rows = np.empty((len(self.rngs), left + size, 6))
+            rows[:, :left] = self._rows[:, self._pos:]
+            for n, rng in enumerate(self.rngs):
+                rows[n, left:] = rng.random((size, 6))
+            self._rows, self._pos = rows, 0
+        out = self._rows[:, self._pos:self._pos + k]
+        self._pos += k
+        return out[0] if self.single else out
+
+    def integers(self, low: int, high: int) -> np.ndarray:
+        """One integer in [low, high) from every stream, before any row."""
+        if self._rows.shape[1]:
+            raise RuntimeError("integers must come before the first row")
+        out = np.array([rng.integers(low, high) for rng in self.rngs])
+        return out[0] if self.single else out
+
+
+def _skews(tape: DrawTape, scale: float) -> np.ndarray:
     """Skew matrices with six coordinates uniform in [-scale, scale], one
-    drawn from each generator of `rngs` (or from a single generator)."""
-    if isinstance(rngs, np.random.Generator):
-        return skew_from_coords(rngs.uniform(-scale, scale, size=6))
-    return skew_from_coords(
-        np.stack([rng.uniform(-scale, scale, size=6) for rng in rngs]))
+    from the next row of every trial."""
+    u = tape.rows(1)[..., 0, :]
+    return skew_from_coords(-scale + (2.0 * scale) * u)
 
 
-def sample_point(rngs, level: int) -> GroupPoint:
+def sample_point(tape: DrawTape, level: int) -> GroupPoint:
     """Level-many independent rotations, exp of skews with entries in [-2, 2]."""
     return GroupPoint(
-        tuple(exp_matrix(_skews(rngs, 2.0)) for _ in range(level)))
+        tuple(exp_matrix(_skews(tape, 2.0)) for _ in range(level)))
 
 
-def sample_tangent(rngs, pt: GroupPoint) -> Tangent:
+def sample_tangent(tape: DrawTape, pt: GroupPoint) -> Tangent:
     """Random left-translated tangent: coordinates uniform in [-1, 1]."""
-    return Tangent(pt, tuple(h @ _skews(rngs, 1.0) for h in pt.factors))
+    return Tangent(pt, tuple(h @ _skews(tape, 1.0) for h in pt.factors))
 
 
-def sample_tangents(rngs, pt, count: int) -> tuple[Tangent, ...]:
-    return tuple(sample_tangent(rngs, pt) for _ in range(count))
+def sample_tangents(tape: DrawTape, pt, count: int) -> tuple[Tangent, ...]:
+    return tuple(sample_tangent(tape, pt) for _ in range(count))
 
 
-def sample_algebra(rngs) -> np.ndarray:
+def sample_algebra(tape: DrawTape) -> np.ndarray:
     """Random element of the skew algebra, coordinates uniform in [-1, 1]."""
-    return _skews(rngs, 1.0)
+    return _skews(tape, 1.0)
 
 
-def sample_bi_point(rngs, p: int, q: int) -> GroupPoint:
+def sample_bi_point(tape: DrawTape, p: int, q: int) -> GroupPoint:
     """A point of the bisimplicial level (p, q), which is SO(4)^(p+q)."""
-    return sample_point(rngs, p + q)
+    return sample_point(tape, p + q)
 
 
-def sample_bi_tangent(rngs, pt: GroupPoint) -> Tangent:
-    return sample_tangent(rngs, pt)
+def sample_bi_tangent(tape: DrawTape, pt: GroupPoint) -> Tangent:
+    return sample_tangent(tape, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +219,11 @@ def sample_bi_tangent(rngs, pt: GroupPoint) -> Tangent:
 # one array over the stacked trials per component
 
 
-def _trial_mc_structure(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
+def _trial_mc_structure(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     omega = mc_left(1, 1)
     square = matrix_wedge_square(omega)
-    pt = sample_point(rngs, 1)
-    v, w = sample_tangents(rngs, pt, 2)
+    pt = sample_point(tape, 1)
+    v, w = sample_tangents(tape, pt, 2)
     worst = 0.0
     for a in range(1, 5):
         for b in range(1, 5):
@@ -196,11 +243,11 @@ def _max_factor_dev(a: GroupPoint, b: GroupPoint) -> np.ndarray:
     return worst
 
 
-def _trial_simplicial(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
+def _trial_simplicial(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     # face/face: eps_i . eps_j = eps_{j-1} . eps_i  for i < j
     faces = 0.0
     for q in range(2, 5):
-        pt = sample_point(rngs, q)
+        pt = sample_point(tape, q)
         for j in range(1, q + 1):
             for i in range(j):
                 faces = np.maximum(faces, _max_factor_dev(
@@ -209,7 +256,7 @@ def _trial_simplicial(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
     # degeneracy/degeneracy: eta_i . eta_j = eta_{j+1} . eta_i  for i <= j
     degeneracies = 0.0
     for q in range(1, 4):
-        pt = sample_point(rngs, q)
+        pt = sample_point(tape, q)
         for j in range(q + 1):
             for i in range(j + 1):
                 degeneracies = np.maximum(degeneracies, _max_factor_dev(
@@ -218,7 +265,7 @@ def _trial_simplicial(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
     # face/degeneracy in all index positions
     mixed = 0.0
     for q in range(1, 4):
-        pt = sample_point(rngs, q)
+        pt = sample_point(tape, q)
         for j in range(q + 1):
             lifted = degeneracy_ng(j, pt)
             for i in range(q + 2):
@@ -234,43 +281,43 @@ def _trial_simplicial(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
             "face-degeneracy": mixed}
 
 
-def _trial_gamma(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
+def _trial_gamma(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     worst = 0.0
     for q in range(1, 4):
-        pt = sample_point(rngs, q + 1)  # the over-group level q has q+1 factors
+        pt = sample_point(tape, q + 1)  # the over-group level q has q+1 factors
         for i in range(q + 1):
             worst = np.maximum(worst, _max_factor_dev(
                 gamma(face_pg(i, pt)), face_ng(i, gamma(pt))))
     return {"faces": worst}
 
 
-def _trial_lemma41(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
-    X = sample_algebra(rngs)
-    pt = sample_point(rngs, 1)
-    v, w = sample_tangents(rngs, pt, 2)
+def _trial_lemma41(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
+    X = sample_algebra(tape)
+    pt = sample_point(tape, 1)
+    v, w = sample_tangents(tape, pt, 2)
     lhs = contract(e13_form()(X), fundamental_field(X, 1))
     rhs = exterior_d(mu_form()(X), cfg.fd_step)
     return {"i e13 - d mu": abs(lhs(pt, v, w) - rhs(pt, v, w))}
 
 
-def _trial_lemma42(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
-    X = sample_algebra(rngs)
-    pt = sample_point(rngs, 2)
-    (t,) = sample_tangents(rngs, pt, 1)
+def _trial_lemma42(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
+    X = sample_algebra(tape)
+    pt = sample_point(tape, 2)
+    (t,) = sample_tangents(tape, pt, 1)
     lhs = contract(e22_form()(X), fundamental_field(X, 2))
     rhs = d_prime(mu_form()(X))
     return {"i e22 - d' mu": abs(lhs(pt, t) - rhs(pt, t))}
 
 
-def _trial_lemma43(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
-    X = sample_algebra(rngs)
-    pt = sample_point(rngs, 1)
+def _trial_lemma43(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
+    X = sample_algebra(tape)
+    pt = sample_point(tape, 1)
     scalar = contract(mu_form()(X), fundamental_field(X, 1))
     return {"i mu": abs(scalar(pt))}
 
 
-def _trial_ad_invariance(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
-    g = sample_point(rngs, 1).factors[0]
+def _trial_ad_invariance(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
+    g = sample_point(tape, 1).factors[0]
 
     def conj_pt(pt):
         return GroupPoint(tuple(g @ h @ g.mT for h in pt.factors))
@@ -278,33 +325,36 @@ def _trial_ad_invariance(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
     def conj_t(t, cpt):
         return Tangent(cpt, tuple(g @ v @ g.mT for v in t.reps))
 
-    p1 = sample_point(rngs, 1)
-    v = sample_tangents(rngs, p1, 3)
+    p1 = sample_point(tape, 1)
+    v = sample_tangents(tape, p1, 3)
     c1 = conj_pt(p1)
     cv = tuple(conj_t(t, c1) for t in v)
     e13 = abs(eval_E13(p1, *v) - eval_E13(c1, *cv))
 
-    p2 = sample_point(rngs, 2)
-    t = sample_tangents(rngs, p2, 2)
+    p2 = sample_point(tape, 2)
+    t = sample_tangents(tape, p2, 2)
     c2 = conj_pt(p2)
     ct = tuple(conj_t(s, c2) for s in t)
     e22 = abs(eval_E22(p2, *t) - eval_E22(c2, *ct))
 
-    X = sample_algebra(rngs)
-    (w,) = sample_tangents(rngs, p1, 1)
+    X = sample_algebra(tape)
+    (w,) = sample_tangents(tape, p1, 1)
     cw = conj_t(w, c1)
     mu = abs(eval_mu(X, p1, w) - eval_mu(g @ X @ g.mT, c1, cw))
     return {"e13": e13, "e22": e22, "mu": mu}
 
 
-def _trial_alpha_antisymmetry(cfg: CheckConfig, rngs) -> dict[str, np.ndarray]:
-    # Each trial draws its path degree in 1..3, then the coefficients of
-    # both paths; the stacked paths pad them with zeros to degree 3.
-    coeffs = np.zeros((2, len(rngs), 4, 4, 4))
-    for n, rng in enumerate(rngs):
-        deg = int(rng.integers(1, 4))
-        for path in coeffs:
-            path[n, :deg + 1] = [sample_algebra(rng) for _ in range(deg + 1)]
+def _trial_alpha_antisymmetry(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
+    # Each trial draws its path degree in 1..3, then the deg + 1
+    # coefficients of the first path and those of the second; the stacked
+    # paths pad them with zeros to degree 3.
+    deg = tape.integers(1, 4)[:, None]
+    rows = skew_from_coords(-1.0 + 2.0 * tape.rows(8))
+    j = np.arange(4)
+    used = (j <= deg)[..., None, None]
+    second = np.take_along_axis(
+        rows, (deg + 1 + j)[..., None, None].clip(max=7), axis=1)
+    coeffs = (np.where(used, rows[:, :4], 0.0), np.where(used, second, 0.0))
     xi1, xi2 = (polynomial_path(np.moveaxis(c, 1, 0)) for c in coeffs)
     a12 = eval_alpha(xi1, xi2)
     a21 = eval_alpha(xi2, xi1)
@@ -320,22 +370,22 @@ def _setup_euler_cocycle(cfg: CheckConfig) -> dict:
             "d e22": exterior_d(e22, cfg.fd_step), "d' e22": d_prime(e22)}
 
 
-def _trial_euler_cocycle(ctx: dict, rngs) -> dict[str, np.ndarray]:
+def _trial_euler_cocycle(ctx: dict, tape) -> dict[str, np.ndarray]:
     """The three cocycle components without the argument X.
 
     a: d e13 = 0 on one factor (finite difference);
     b: d' e13 + sigma1 * d e22 = 0 on two factors;
     c: d' e22 = 0 on three factors (analytic face differentials).
     """
-    p1 = sample_point(rngs, 1)
-    v = sample_tangents(rngs, p1, 4)
+    p1 = sample_point(tape, 1)
+    v = sample_tangents(tape, p1, 4)
     a = abs(ctx["d e13"](p1, *v))
-    p2 = sample_point(rngs, 2)
-    t = sample_tangents(rngs, p2, 3)
+    p2 = sample_point(tape, 2)
+    t = sample_tangents(tape, p2, 3)
     lhs = ctx["d' e13"](p2, *t)
     rhs = ctx["d e22"](p2, *t)
-    p3 = sample_point(rngs, 3)
-    u = sample_tangents(rngs, p3, 2)
+    p3 = sample_point(tape, 3)
+    u = sample_tangents(tape, p3, 2)
     c = abs(ctx["d' e22"](p3, *u))
     return {"a": a, "b+": abs(lhs + rhs), "b-": abs(lhs - rhs), "c": c}
 
@@ -345,15 +395,15 @@ def _setup_equivariant_cocycle(cfg: CheckConfig) -> dict:
             "fd_step": cfg.fd_step}
 
 
-def _trial_equivariant_cocycle(ctx: dict, rngs) -> dict[str, np.ndarray]:
+def _trial_equivariant_cocycle(ctx: dict, tape) -> dict[str, np.ndarray]:
     """The five components a-e of `equivariant_total_check` on the stacked
     sample, with both sign variants of d and e."""
-    X = sample_algebra(rngs)
-    p1 = sample_point(rngs, 1)
-    p2 = sample_point(rngs, 2)
+    X = sample_algebra(tape)
+    p1 = sample_point(tape, 1)
+    p2 = sample_point(tape, 2)
     sample = CocycleSample(
-        h1=p1, v=sample_tangents(rngs, p1, 4),
-        h2=p2, t=sample_tangents(rngs, p2, 3))
+        h1=p1, v=sample_tangents(tape, p1, 4),
+        h2=p2, t=sample_tangents(tape, p2, 3))
     return equivariant_total_check(*ctx["forms"], X, sample,
                                    fd_step=ctx["fd_step"]).residuals
 
@@ -367,16 +417,16 @@ def _setup_dsl_oracle(cfg: CheckConfig) -> dict:
             "mu": load("mu.form", 1)}
 
 
-def _trial_dsl_oracle(ctx: dict, rngs) -> dict[str, np.ndarray]:
+def _trial_dsl_oracle(ctx: dict, tape) -> dict[str, np.ndarray]:
     """Interpreted corpus expressions vs. the hand-coded evaluators."""
-    p1 = sample_point(rngs, 1)
-    v = sample_tangents(rngs, p1, 3)
+    p1 = sample_point(tape, 1)
+    v = sample_tangents(tape, p1, 3)
     e13 = abs(ctx["e13"](p1, *v) - eval_E13(p1, *v))
-    p2 = sample_point(rngs, 2)
-    t = sample_tangents(rngs, p2, 2)
+    p2 = sample_point(tape, 2)
+    t = sample_tangents(tape, p2, 2)
     e22 = abs(ctx["e22"](p2, *t) - eval_E22(p2, *t))
-    X = sample_algebra(rngs)
-    (w,) = sample_tangents(rngs, p1, 1)
+    X = sample_algebra(tape)
+    (w,) = sample_tangents(tape, p1, 1)
     mu = abs(ctx["mu"](X)(p1, w) - eval_mu(X, p1, w))
     return {"e13": e13, "e22": e22, "mu": mu}
 
@@ -404,7 +454,7 @@ def _setup_d_squared(cfg: CheckConfig) -> dict:
     }
 
 
-def _trial_d_squared(ctx: dict, rngs) -> dict[str, np.ndarray]:
+def _trial_d_squared(ctx: dict, tape) -> dict[str, np.ndarray]:
     """Nilpotence and anticommutation of the complex differentials.
 
     dd      exterior derivative twice on a Maurer-Cartan entry
@@ -413,25 +463,25 @@ def _trial_d_squared(ctx: dict, rngs) -> dict[str, np.ndarray]:
     triple  pairwise anticommutation of the three differentials
             of the action-twisted complex, bidegrees <= (2, 2)
     """
-    p1 = sample_point(rngs, 1)
-    v3 = sample_tangents(rngs, p1, 3)
+    p1 = sample_point(tape, 1)
+    v3 = sample_tangents(tape, p1, 3)
     dd = abs(ctx["dd"](p1, *v3))
 
-    p3 = sample_point(rngs, 3)
-    (u1,) = sample_tangents(rngs, p3, 1)
-    u3 = sample_tangents(rngs, p3, 3)
+    p3 = sample_point(tape, 3)
+    (u1,) = sample_tangents(tape, p3, 1)
+    u3 = sample_tangents(tape, p3, 3)
     dpdp_entry, dpdp_e13 = ctx["dpdp"]
     dpdp = np.maximum(abs(dpdp_entry(p3, u1)), abs(dpdp_e13(p3, *u3)))
 
-    p2 = sample_point(rngs, 2)
-    s2 = sample_tangents(rngs, p2, 2)
+    p2 = sample_point(tape, 2)
+    s2 = sample_tangents(tape, p2, 2)
     mixed_a, mixed_b = ctx["total2"]
     total2 = abs(mixed_a(p2, *s2) - mixed_b(p2, *s2))
 
     triple = 0.0
     for ab, ba in ctx["triple"]:
-        pt = sample_bi_point(rngs, ab.p, ab.q)
-        ts = tuple(sample_bi_tangent(rngs, pt) for _ in range(ab.degree))
+        pt = sample_bi_point(tape, ab.p, ab.q)
+        ts = tuple(sample_bi_tangent(tape, pt) for _ in range(ab.degree))
         triple = np.maximum(triple, abs(ab(pt, *ts) + ba(pt, *ts)))
     return {"dd": dd, "dpdp": dpdp, "total2": total2, "triple": triple}
 
@@ -469,8 +519,7 @@ class Check:
     """One check of the protocol (see the module docstring)."""
 
     tol: float  # default tolerance of the reported error
-    trial: Callable[[object, tuple[np.random.Generator, ...]],
-                    dict[str, np.ndarray]]
+    trial: Callable[[object, DrawTape], dict[str, np.ndarray]]
     setup: Callable[[CheckConfig], object] = lambda cfg: cfg
     # per-component tolerances, keyed without the sign suffix; absent ones are 1
     tols: dict[str, float] = field(default_factory=dict)
@@ -498,7 +547,7 @@ CHECKS: dict[str, Check] = {
     "d-squared": Check(
         1.0, _trial_d_squared, _setup_d_squared,
         {"dd": 1e-4, "dpdp": 1e-12, "total2": 1e-4, "triple": 1e-4}),
-    "golden-values": Check(1e-12, lambda cfg, rngs: golden_value_errors(),
+    "golden-values": Check(1e-12, lambda cfg, tape: golden_value_errors(),
                            once=True),
 }
 
@@ -518,11 +567,11 @@ def trial_rows(cfg: CheckConfig,
     ctx = check.setup(cfg)
     chunks = []
     for start in range(0, len(trials), CHUNK):
-        rngs = tuple(trial_rng(cfg.seed, cfg.check_id, t)
-                     for t in trials[start:start + CHUNK])
-        cols = check.trial(ctx, rngs)
+        tape = DrawTape(trial_rng(cfg.seed, cfg.check_id, t)
+                        for t in trials[start:start + CHUNK])
+        cols = check.trial(ctx, tape)
         chunks.append({k: np.broadcast_to(np.asarray(v, dtype=float),
-                                          (len(rngs),))
+                                          (len(tape),))
                        for k, v in cols.items()})
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 

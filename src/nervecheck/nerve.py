@@ -57,20 +57,22 @@ def face_ng(i: int, pt: GroupPoint) -> GroupPoint:
     return GroupPoint(g[:i - 1] + (g[i - 1] @ g[i],) + g[i + 1:])
 
 
-def face_ng_diff(i: int, pt: GroupPoint, t: Tangent) -> Tangent:
-    """Differential of face_ng(i, .) by the product rule."""
+def face_ng_diff(i: int, pt: GroupPoint, t: Tangent) -> tuple[np.ndarray, ...]:
+    """Differential of face_ng(i, .) by the product rule: the reps of the
+    image tangent, which is based at face_ng(i, pt)."""
     q = pt.level
+    if q < 1:
+        raise ValueError("faces need level >= 1")
     if not 0 <= i <= q:
         raise ValueError(f"face index {i} out of range for level {q}")
     g = pt.factors
     v = t.reps
-    image = face_ng(i, pt)
     if i == 0:
-        return Tangent(image, v[1:])
+        return v[1:]
     if i == q:
-        return Tangent(image, v[:-1])
+        return v[:-1]
     mid = v[i - 1] @ g[i] + g[i - 1] @ v[i]
-    return Tangent(image, v[:i - 1] + (mid,) + v[i + 1:])
+    return v[:i - 1] + (mid,) + v[i + 1:]
 
 
 def degeneracy_ng(i: int, pt: GroupPoint) -> GroupPoint:
@@ -177,10 +179,23 @@ def horizontal_face(i: int, p: int, pt: GroupPoint) -> GroupPoint:
     return GroupPoint(face_ng(i, x).factors + gs.factors)
 
 
-def horizontal_face_diff(i: int, p: int, pt: GroupPoint, t: Tangent) -> Tangent:
+def horizontal_face_diff(i: int, p: int, pt: GroupPoint,
+                         t: Tangent) -> tuple[np.ndarray, ...]:
+    """The reps of the image of t under horizontal_face(i, p, .)."""
     x, _ = _split(p, pt)
-    moved = face_ng_diff(i, x, Tangent(x, t.reps[:p]))
-    return Tangent(horizontal_face(i, p, pt), moved.reps + t.reps[p:])
+    return face_ng_diff(i, x, Tangent(x, t.reps[:p])) + t.reps[p:]
+
+
+def _vertical_split(i: int, p: int,
+                    pt: GroupPoint) -> tuple[GroupPoint, GroupPoint]:
+    """`_split` for the vertical face i, which must exist."""
+    x, gs = _split(p, pt)
+    q = gs.level
+    if q < 1:
+        raise ValueError("vertical faces need at least one actor")
+    if not 0 <= i <= q:
+        raise ValueError(f"vertical face index {i} out of range for q={q}")
+    return x, gs
 
 
 def vertical_face(i: int, p: int, pt: GroupPoint,
@@ -188,27 +203,22 @@ def vertical_face(i: int, p: int, pt: GroupPoint,
     """Vertical face (p, q) -> (p, q-1): the nerve face i of the actors,
     except that the top face i = q lets the last actor act on the nerve
     point before dropping it."""
-    x, gs = _split(p, pt)
-    q = gs.level
-    if q < 1:
-        raise ValueError("vertical faces need at least one actor")
-    if not 0 <= i <= q:
-        raise ValueError(f"vertical face index {i} out of range for q={q}")
-    if i == q:
+    x, gs = _vertical_split(i, p, pt)
+    if i == gs.level:
         g = gs.factors
         return GroupPoint(action.apply(g[-1], x).factors + g[:-1])
     return GroupPoint(x.factors + face_ng(i, gs).factors)
 
 
 def vertical_face_diff(i: int, p: int, pt: GroupPoint, t: Tangent,
-                       action: GroupAction = CONJUGATION) -> Tangent:
-    x, gs = _split(p, pt)
+                       action: GroupAction = CONJUGATION
+                       ) -> tuple[np.ndarray, ...]:
+    """The reps of the image of t under vertical_face(i, p, ., action)."""
+    x, gs = _vertical_split(i, p, pt)
     vx, vg = t.reps[:p], t.reps[p:]
-    image = vertical_face(i, p, pt, action)
     if i == gs.level:
-        moved = action.diff(gs.factors[-1], vg[-1], x, vx)
-        return Tangent(image, moved + vg[:-1])
-    return Tangent(image, vx + face_ng_diff(i, gs, Tangent(gs, vg)).reps)
+        return action.diff(gs.factors[-1], vg[-1], x, vx) + vg[:-1]
+    return vx + face_ng_diff(i, gs, Tangent(gs, vg))
 
 
 @dataclass(frozen=True, eq=False)

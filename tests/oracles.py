@@ -7,9 +7,11 @@ inversions), wedge products antisymmetrize over the full symmetric group with
 sums contract against an explicit Levi-Civita tensor (the package evaluates
 the Pfaffian pairing of skew parts), the path integral uses Gauss-Legendre
 nodes (the package uses composite Simpson), finite differences move
-along scipy's Pade exponential (the package has a closed form), and the
+along scipy's Pade exponential (the package has a closed form), the
 expression evaluator substitutes each permutation into a sumS4 body (the
-package contracts one lowered body with a Levi-Civita tensor).
+package contracts one lowered body with a Levi-Civita tensor), and the
+reference sampler draws each matrix's six coordinates with its own
+`uniform` call (the package reads blocks of rows off a draw tape).
 """
 
 import itertools
@@ -127,6 +129,20 @@ def oracle_alpha(xi1, xi2, n_nodes: int = 48) -> float:
     return -total / (64.0 * math.pi ** 2)
 
 
+class PerCallSampler:
+    """Skew coordinates drawn one `rng.uniform(-s, s, 6)` call at a time:
+    one row per call from a single generator, or one row from each
+    generator of a tuple, stacked."""
+
+    def __init__(self, rngs):
+        self.rngs = rngs
+
+    def coords(self, scale: float) -> np.ndarray:
+        if isinstance(self.rngs, np.random.Generator):
+            return self.rngs.uniform(-scale, scale, 6)
+        return np.stack([rng.uniform(-scale, scale, 6) for rng in self.rngs])
+
+
 def fd_directional(fn, pt_factors, skews, step: float = 1e-6) -> float:
     """Central difference of a scalar function of a factor tuple along
     right-translated directions exp(t*skew) @ factor."""
@@ -160,7 +176,7 @@ def fd_map_differential(m, t, step: float = 1e-5):
 def dsl_substitute(node, images):
     """A parsed expression with p1..p4 replaced by `images` throughout,
     the bodies of nested sumS4 included."""
-    from nervecheck.formdsl import Add, EntrySel, Scale, Sub, SumS4, Wedge
+    from nervecheck.formdsl import EntrySel, Scale, Sum, SumS4, Wedge
 
     if isinstance(node, EntrySel):
         def idx(k):
@@ -173,8 +189,10 @@ def dsl_substitute(node, images):
     if isinstance(node, Scale):
         return Scale(node.num, node.den, node.inv_pi2,
                      dsl_substitute(node.body, images))
-    return type(node)(dsl_substitute(node.left, images),
-                      dsl_substitute(node.right, images))
+    if isinstance(node, Sum):
+        return Sum(tuple(dsl_substitute(t, images) for t in node.terms),
+                   node.ops)
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def dsl_eval(node, pt, ts, x=None) -> tuple[float, float]:
@@ -186,7 +204,7 @@ def dsl_eval(node, pt, ts, x=None) -> tuple[float, float]:
     tangent slots with 1/(r_1! ... r_n!) normalization.  Only the AST node
     types come from the package.
     """
-    from nervecheck.formdsl import (Add, EntrySel, MCLAtom, Scale, Square,
+    from nervecheck.formdsl import (EntrySel, MCLAtom, Scale, Square, Sum,
                                     SumS4, Wedge, XAtom)
 
     left = [[h.T @ v for h, v in zip(pt.factors, t.reps)] for t in ts]
@@ -205,7 +223,7 @@ def dsl_eval(node, pt, ts, x=None) -> tuple[float, float]:
             return sum(degree(f) for f in n.factors)
         if isinstance(n, (Scale, SumS4)):
             return degree(n.body)
-        return degree(n.left)
+        return degree(n.terms[0])
 
     def entry(n, slots) -> float:
         i, j = n.i - 1, n.j - 1
@@ -253,9 +271,15 @@ def dsl_eval(node, pt, ts, x=None) -> tuple[float, float]:
                 total += sign * v
                 size += m
             out = (total, size)
+        elif isinstance(n, Sum):
+            total, size = value(n.terms[0], slots)
+            for op, term in zip(n.ops, n.terms[1:]):
+                v, m = value(term, slots)
+                total = total + v if op == "+" else total - v
+                size += m
+            out = (total, size)
         else:
-            (a, ma), (b, mb) = value(n.left, slots), value(n.right, slots)
-            out = (a + b if isinstance(n, Add) else a - b, ma + mb)
+            raise TypeError(f"not an expression node: {n!r}")
         memo[key] = out
         return out
 

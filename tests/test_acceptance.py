@@ -27,6 +27,7 @@ from nervecheck.formdsl import FormSyntaxError, parse
 from nervecheck.harness import (
     CHECKS,
     CheckConfig,
+    DrawTape,
     choose_signs,
     run_check,
     sample_algebra,
@@ -101,12 +102,13 @@ def test_criterion_05_all_five_residuals_with_one_sign_pair():
     e13, e22, mu = e13_form(), e22_form(), mu_form()
     tols = {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}
     # the 200 samples as one stack, each trial from its own stream
-    rngs = tuple(trial_rng(SEED, "equivariant-cocycle", t) for t in range(200))
-    X = sample_algebra(rngs)
-    p1 = sample_point(rngs, 1)
-    p2 = sample_point(rngs, 2)
-    s = CocycleSample(h1=p1, v=sample_tangents(rngs, p1, 4),
-                      h2=p2, t=sample_tangents(rngs, p2, 3))
+    tape = DrawTape(trial_rng(SEED, "equivariant-cocycle", t)
+                    for t in range(200))
+    X = sample_algebra(tape)
+    p1 = sample_point(tape, 1)
+    p2 = sample_point(tape, 2)
+    s = CocycleSample(h1=p1, v=sample_tangents(tape, p1, 4),
+                      h2=p2, t=sample_tangents(tape, p2, 3))
     cols = equivariant_total_check(e13, e22, mu, X, s,
                                    fd_step=FD_STEP).residuals
     # one sign pair: every sample prefers it, and the other one fails
@@ -158,10 +160,10 @@ def test_criterion_07_structural_equation_and_step_scaling():
     # over the 100 samples evaluated as one stack
     om = mc_left(1, 1)
     sq = matrix_wedge_square(om)
-    rngs = tuple(trial_rng(SEED, "mc-structure", t) for t in range(100))
-    pt = sample_point(rngs, 1)
-    v = sample_tangent(rngs, pt)
-    w = sample_tangent(rngs, pt)
+    tape = DrawTape(trial_rng(SEED, "mc-structure", t) for t in range(100))
+    pt = sample_point(tape, 1)
+    v = sample_tangent(tape, pt)
+    w = sample_tangent(tape, pt)
     truth = sq(pt, v, w)
 
     def worst(step):
@@ -230,10 +232,10 @@ def test_criterion_11_complex_structure():
     dpdp_e13 = d_prime(d_prime(e13))
     worst_dpdp = 0.0
     for t in range(20):
-        rng = trial_rng(SEED, "d-squared", t)
-        pt = sample_point(rng, 3)
-        worst_dpdp = max(worst_dpdp, abs(dpdp(pt, sample_tangent(rng, pt))))
-        ts = sample_tangents(rng, pt, 3)
+        tape = DrawTape(trial_rng(SEED, "d-squared", t))
+        pt = sample_point(tape, 3)
+        worst_dpdp = max(worst_dpdp, abs(dpdp(pt, sample_tangent(tape, pt))))
+        ts = sample_tangents(tape, pt, 3)
         worst_dpdp = max(worst_dpdp, abs(dpdp_e13(pt, *ts)))
 
     # (d' + d'')^2 = 0 on a probe form (the mixed block dominates the error)
@@ -244,12 +246,12 @@ def test_criterion_11_complex_structure():
     dd = exterior_d(exterior_d(f, FD_STEP), FD_STEP)
     worst_total = 0.0
     for t in range(20):
-        rng = trial_rng(SEED, "d-squared", 1000 + t)
-        pt2 = sample_point(rng, 2)
-        v, w = sample_tangent(rng, pt2), sample_tangent(rng, pt2)
+        tape = DrawTape(trial_rng(SEED, "d-squared", 1000 + t))
+        pt2 = sample_point(tape, 2)
+        v, w = sample_tangent(tape, pt2), sample_tangent(tape, pt2)
         worst_total = max(worst_total, abs(mixed_a(pt2, v, w) + mixed_b(pt2, v, w)))
-        pt1 = sample_point(rng, 1)
-        ts = sample_tangents(rng, pt1, 3)
+        pt1 = sample_point(tape, 1)
+        ts = sample_tangents(tape, pt1, 3)
         worst_total = max(worst_total, abs(dd(pt1, *ts)))
 
     # pairwise anticommutation of the three bisimplicial differentials
@@ -262,9 +264,10 @@ def test_criterion_11_complex_structure():
             ab = d_triple_complex(d_triple_complex(bi, first, FD_STEP), second, FD_STEP)
             ba = d_triple_complex(d_triple_complex(bi, second, FD_STEP), first, FD_STEP)
             for t in range(3):
-                rng = trial_rng(SEED, "d-squared", 2000 + 100 * p + 10 * q + t)
-                bp = sample_bi_point(rng, ab.p, ab.q)
-                ts = [sample_bi_tangent(rng, bp) for _ in range(ab.degree)]
+                tape = DrawTape(
+                    trial_rng(SEED, "d-squared", 2000 + 100 * p + 10 * q + t))
+                bp = sample_bi_point(tape, ab.p, ab.q)
+                ts = [sample_bi_tangent(tape, bp) for _ in range(ab.degree)]
                 worst_tc = max(worst_tc, abs(ab(bp, *ts) + ba(bp, *ts)))
 
     ok = worst_dpdp <= 1e-12 and worst_total <= 1e-4 and worst_tc <= 1e-4

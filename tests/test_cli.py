@@ -377,3 +377,17 @@ def test_arbitrary_argv_never_gives_a_traceback(argv):
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
         assert "error:" in err.getvalue(), (argv, err.getvalue())
+
+
+def test_eval_long_sum_runs(tmp_path, capsys):
+    # 2,000 terms once ended in a RecursionError traceback
+    path = tmp_path / "long.form"
+    path.write_text(" + ".join(["MCL(1)[1,2]"] * 2_000), encoding="utf-8")
+    code, out, err = _run(capsys, "eval", "--expr", str(path), "--at",
+                          "seed:1", "--tangents", "seed:1")
+    assert code == 0, err
+    single = tmp_path / "one.form"
+    single.write_text("MCL(1)[1,2]", encoding="utf-8")
+    code, one, _ = _run(capsys, "eval", "--expr", str(single), "--at",
+                        "seed:1", "--tangents", "seed:1")
+    assert abs(float(out) - 2_000 * float(one)) <= 1e-12 * abs(float(out))

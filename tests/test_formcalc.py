@@ -270,7 +270,7 @@ def test_exterior_d_of_zero_is_zero():
 
 def test_exterior_d_degree0_analytic():
     # f(h) = h[1,1]^2 has df(v) = 2 h[1,1] v[1,1]
-    f = FormEval(0, 1, lambda pt, ts: pt.factors[0][0, 0] ** 2)
+    f = FormEval(0, 1, lambda pt, ts: pt.factors[0][..., 0, 0] ** 2)
     df = exterior_d(f, 1e-5)
     rng = np.random.default_rng(15)
     for _ in range(5):
@@ -386,14 +386,13 @@ def _mul_map():
         return GroupPoint((p.factors[0] @ p.factors[1],))
 
     def diff(p, t):
-        rep = t.reps[0] @ p.factors[1] + p.factors[0] @ t.reps[1]
-        return Tangent(apply(p), (rep,))
+        return (t.reps[0] @ p.factors[1] + p.factors[0] @ t.reps[1],)
 
     return SmoothMap(2, 1, apply, diff)
 
 
 def test_pullback_identity_map_is_identity():
-    ident = SmoothMap(1, 1, lambda p: p, lambda p, t: t)
+    ident = SmoothMap(1, 1, lambda p: p, lambda p, t: t.reps)
     f = wedge(entry(mc_left(1, 1), 1, 2), entry(mc_left(1, 1), 3, 4))
     pb = pullback(f, ident)
     rng = np.random.default_rng(23)
@@ -410,7 +409,7 @@ def test_multiplication_diff_matches_fd_oracle():
         t = _rand_tangent(rng, pt)
         got = m.diff(pt, t)
         want = fd_map_differential(m, t, 1e-5)
-        err = max(np.max(np.abs(a - b)) for a, b in zip(got.reps, want.reps))
+        err = max(np.max(np.abs(a - b)) for a, b in zip(got, want.reps))
         assert err < 1e-7
 
 
@@ -421,7 +420,8 @@ def test_pullback_through_multiplication():
     rng = np.random.default_rng(25)
     pt = _rand_point(rng, 2)
     t = _rand_tangent(rng, pt)
-    assert abs(pb(pt, t) - f(m.apply(pt), m.diff(pt, t))) < 1e-15
+    image = m.apply(pt)
+    assert abs(pb(pt, t) - f(image, Tangent(image, m.diff(pt, t)))) < 1e-15
 
 
 def test_pullback_functoriality():
@@ -431,12 +431,13 @@ def test_pullback_functoriality():
         return GroupPoint((p.factors[0].T,))
 
     def inv_diff(p, t):
-        return Tangent(inv_apply(p), (t.reps[0].T,))
+        return (t.reps[0].T,)
 
     inv = SmoothMap(1, 1, inv_apply, inv_diff)
     comp = SmoothMap(2, 1,
                      lambda p: inv_apply(m.apply(p)),
-                     lambda p, t: inv_diff(m.apply(p), m.diff(p, t)))
+                     lambda p, t: inv_diff(m.apply(p),
+                                           Tangent(m.apply(p), m.diff(p, t))))
     f = wedge(entry(mc_left(1, 1), 1, 2), entry(mc_left(1, 1), 2, 3))
     lhs = pullback(f, comp)
     rhs = pullback(pullback(f, inv), m)
@@ -566,3 +567,103 @@ def test_stacked_forms_check_the_base_point():
     moved[2] = moved[1]
     with pytest.raises(ValueError, match="based at the evaluation point"):
         form(GroupPoint((moved,)), t)
+
+
+# ---------------------------------------------------------------------------
+# exterior_d evaluates the form once, on all its steps stacked
+
+
+def _degree_forms(level: int):
+    """A real form of each degree 0..3 on SO(4)^level."""
+    a = entry(mc_left(1, level), 1, 2) + entry(mc_right(level, level), 2, 3)
+    b = entry(mc_left(level, level), 3, 4)
+    c = entry(mc_right(1, level), 1, 4)
+    return [
+        FormEval(0, level, lambda pt, ts: (pt.factors[0] @ pt.factors[-1])
+                 [..., 0, 1]),
+        a,
+        wedge(a, b),
+        wedge(wedge(a, b), c),
+    ]
+
+
+@pytest.mark.parametrize("degree", range(4))
+@pytest.mark.parametrize("stack", [None, 3])
+def test_exterior_d_makes_one_exponential_per_factor(monkeypatch, degree,
+                                                     stack):
+    import nervecheck.formcalc as formcalc
+
+    real = formcalc.exp_matrix
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return real(x)
+
+    monkeypatch.setattr(formcalc, "exp_matrix", counted)
+    rng = np.random.default_rng(60 + degree)
+    level = 2
+    shape = () if stack is None else (stack,)
+    factors = tuple(exp_matrix(np.stack([random_skew(rng, 2.0)
+                                         for _ in range(stack or 1)])
+                               .reshape(shape + (4, 4)))
+                    for _ in range(level))
+    pt = GroupPoint(factors)
+    ts = [Tangent(pt, tuple(h @ np.stack([random_skew(rng, 1.0)
+                                          for _ in range(stack or 1)])
+                            .reshape(shape + (4, 4)) for h in factors))
+          for _ in range(degree + 1)]
+    form = _degree_forms(level)[degree]
+    got = exterior_d(form, 1e-5)(pt, *ts)
+    # one call per factor, each on all 2(r+1) steps; the parent route made
+    # 2(r+1) calls per factor
+    assert calls == [(2 * (degree + 1),) + shape + (4, 4)] * level
+    assert np.shape(got) == shape
+    for k in range(stack or 1):
+        pick = (lambda m: m) if stack is None else (lambda m: m[k])
+        want = _oracle_d(form, tuple(pick(h) for h in factors),
+                         [tuple(pick(v) @ pick(h).T
+                                for v, h in zip(t.reps, factors))
+                          for t in ts])
+        value = got if stack is None else got[k]
+        assert abs(value - want) <= 1e-8 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("stack", [None, 4])
+def test_exterior_d_of_point_independent_forms(stack):
+    # a constant or zero form returns a scalar whatever the point's stack;
+    # the step axis is broadcast, and the derivative is exactly zero
+    rng = np.random.default_rng(66)
+    n = stack or 1
+    h = exp_matrix(np.stack([random_skew(rng, 2.0) for _ in range(n)]))
+    h = h if stack else h[0]
+    pt = GroupPoint((h, h.mT))
+    t = Tangent(pt, (h @ E12, h.mT @ E34))
+    for form in (constant_form(2.5, 2), zero_form(0, 2)):
+        got = exterior_d(form, 1e-5)(pt, t)
+        assert np.all(np.asarray(got) == 0.0)
+    u = Tangent(pt, (h @ E13, h.mT @ E23))
+    assert np.all(np.asarray(exterior_d(zero_form(1, 2), 1e-5)(pt, t, u))
+                  == 0.0)
+
+
+def test_exterior_d_of_a_matrix_form_matches_its_entries():
+    # the matrix-valued route carries the 4x4 axes behind the step axis:
+    # each entry equals the scalar route bit for bit, and the structural
+    # equation d omega + omega^2 = 0 holds
+    rng = np.random.default_rng(67)
+    stack = exp_matrix(np.stack([random_skew(rng, 2.0) for _ in range(3)]))
+    pt = GroupPoint((stack,))
+    v = Tangent(pt, (stack @ np.stack([random_skew(rng, 1.0)
+                                       for _ in range(3)]),))
+    w = Tangent(pt, (stack @ np.stack([random_skew(rng, 1.0)
+                                       for _ in range(3)]),))
+    omega = mc_left(1, 1)
+    d_omega = exterior_d(omega, 1e-5)(pt, v, w)
+    assert d_omega.shape == (3, 4, 4)
+    for a in range(4):
+        for b in range(4):
+            scalar = exterior_d(entry(omega, a + 1, b + 1), 1e-5)(pt, v, w)
+            assert np.array_equal(d_omega[..., a, b], scalar)
+    square = matrix_wedge_square(omega)(pt, v, w)
+    assert np.max(np.abs(d_omega + square)) < 1e-8

@@ -13,7 +13,6 @@ from nervecheck.formdsl import (
     CORPUS_NAMES,
     MAX_FACTOR,
     MAX_NESTING,
-    Add,
     EntrySel,
     FormDslError,
     FormSyntaxError,
@@ -21,7 +20,7 @@ from nervecheck.formdsl import (
     MCRAtom,
     Scale,
     Square,
-    Sub,
+    Sum,
     SumS4,
     Wedge,
     XAtom,
@@ -34,7 +33,8 @@ from nervecheck.formdsl import (
 from nervecheck.eulercocycle import eval_E13, eval_mu
 from nervecheck.cartanmodel import EquivariantForm
 from nervecheck.formcalc import FormEval
-from nervecheck.harness import sample_algebra, sample_point, sample_tangents, trial_rng
+from nervecheck.harness import (DrawTape, sample_algebra, sample_point,
+                                sample_tangents, trial_rng)
 from oracles import dsl_eval
 
 E12 = basis_element(1, 2)
@@ -190,33 +190,33 @@ def test_interpret_mu_source_matches_builtin():
 
 def test_interpret_agrees_with_builtins_at_random_probes():
     e13 = interpret(parse(corpus_source("e13.form")), 1)
-    rng = trial_rng(0, "dsl-unit", 0)
+    tape = DrawTape(trial_rng(0, "dsl-unit", 0))
     for _ in range(5):
-        pt = sample_point(rng, 1)
-        ts = sample_tangents(rng, pt, 3)
+        pt = sample_point(tape, 1)
+        ts = sample_tangents(tape, pt, 3)
         assert abs(e13(pt, *ts) - eval_E13(pt, *ts)) < 1e-12
     mu = interpret(parse(corpus_source("mu.form")), 1)
     for _ in range(5):
-        X = sample_algebra(rng)
-        pt = sample_point(rng, 1)
-        v = sample_tangents(rng, pt, 1)[0]
+        X = sample_algebra(tape)
+        pt = sample_point(tape, 1)
+        v = sample_tangents(tape, pt, 1)[0]
         assert abs(mu(X)(pt, v) - eval_mu(X, pt, v)) < 1e-12
 
 
 def test_zero_coefficient_gives_zero_form():
     f = interpret(parse("0/pi2 sumS4( MCL(1)[p1,p2] MCL(1)[p3,p4] )"), 1)
-    rng = trial_rng(0, "dsl-unit", 1)
-    pt = sample_point(rng, 1)
-    ts = sample_tangents(rng, pt, 2)
+    tape = DrawTape(trial_rng(0, "dsl-unit", 1))
+    pt = sample_point(tape, 1)
+    ts = sample_tangents(tape, pt, 2)
     assert f(pt, *ts) == 0.0
 
 
 def test_scalar_prefix_is_exact_multiplication():
     base = interpret(parse("MCL(1)[1,3] MCL(1)[2,4]"), 1)
     scaled = interpret(parse("2 MCL(1)[1,3] MCL(1)[2,4]"), 1)
-    rng = trial_rng(0, "dsl-unit", 2)
-    pt = sample_point(rng, 1)
-    ts = sample_tangents(rng, pt, 2)
+    tape = DrawTape(trial_rng(0, "dsl-unit", 2))
+    pt = sample_point(tape, 1)
+    ts = sample_tangents(tape, pt, 2)
     assert scaled(pt, *ts) == 2.0 * base(pt, *ts)
 
 
@@ -289,8 +289,8 @@ def _count_nodes(node) -> int:
         return 1 + _count_nodes(node.body)
     if isinstance(node, Wedge):
         return 1 + sum(_count_nodes(f) for f in node.factors)
-    if isinstance(node, (Add, Sub)):
-        return 1 + _count_nodes(node.left) + _count_nodes(node.right)
+    if isinstance(node, Sum):
+        return 1 + sum(_count_nodes(t) for t in node.terms)
     return 1
 
 
@@ -298,14 +298,14 @@ def test_nested_sum_inherits_the_enclosing_placeholders():
     # the enclosing sum substitutes the inner body's placeholders too, so the
     # inner sum adds 24 equal terms whose signs cancel
     f = interpret(parse("sumS4( MCL(1)[p1,p2] sumS4( MCR(1)[p3,p4] ) )"), 1)
-    rng = trial_rng(0, "dsl-unit", 3)
-    pt = sample_point(rng, 1)
-    ts = sample_tangents(rng, pt, 2)
+    tape = DrawTape(trial_rng(0, "dsl-unit", 3))
+    pt = sample_point(tape, 1)
+    ts = sample_tangents(tape, pt, 2)
     assert f(pt, *ts) == 0.0
     # an inner sum contracted on its own would not vanish here
     g = interpret(parse("sumS4( X[p1,p2] X[p3,p4] "
                         "sumS4( MCL(1)[p1,p2] MCR(1)[p3,p4] ) )"), 1)
-    assert g(sample_algebra(rng))(pt, *ts) == 0.0
+    assert g(sample_algebra(tape))(pt, *ts) == 0.0
 
 
 def test_deep_nesting_is_a_syntax_error_at_the_opening_token():
@@ -411,11 +411,12 @@ def _term(draw, degree, x_degree, level, depth, bound):
 
 @st.composite
 def _expr(draw, degree, x_degree, level, depth, bound):
-    node = draw(_term(degree, x_degree, level, depth, bound))
+    terms = [draw(_term(degree, x_degree, level, depth, bound))]
+    ops = []
     for _ in range(draw(st.integers(0, 2))):
-        rhs = draw(_term(degree, x_degree, level, depth, bound))
-        node = Add(node, rhs) if draw(st.booleans()) else Sub(node, rhs)
-    return node
+        terms.append(draw(_term(degree, x_degree, level, depth, bound)))
+        ops.append(draw(st.sampled_from("+-")))
+    return Sum(tuple(terms), tuple(ops)) if ops else terms[0]
 
 
 @st.composite
@@ -433,10 +434,10 @@ def test_interpret_matches_the_brute_force_oracle(source, seed):
     node, level, degree, x_degree = source
     node = parse(pretty(node))
     form = interpret(node, level)
-    rng = np.random.default_rng(seed)
-    pt = sample_point(rng, level)
-    ts = sample_tangents(rng, pt, degree)
-    X = sample_algebra(rng)
+    tape = DrawTape(np.random.default_rng(seed))
+    pt = sample_point(tape, level)
+    ts = sample_tangents(tape, pt, degree)
+    X = sample_algebra(tape)
     got = (form(X) if x_degree else form)(pt, *ts)
     want, size = dsl_eval(node, pt, ts, X)
     assert abs(got - want) <= 1e-13 * size, pretty(node)
@@ -463,3 +464,38 @@ def test_parse_raises_only_syntax_errors(src):
     except FormSyntaxError:
         return
     assert parse(pretty(node)) == node
+
+
+@pytest.mark.parametrize("count", [2_000, 20_000])
+def test_long_sums_parse_print_and_evaluate(count):
+    # a chain of '+' and '-' is one flat node: no step recurses once per
+    # term (a left-deep tree of 2,000 terms ended in a RecursionError)
+    term = "MCR(2)[3,4]"
+    ops = ["+", "-", "+"] * (count // 3) + ["+"] * (count % 3 - 1)
+    src = term + "".join(f" {op} {term}" for op in ops)
+    node = parse(src)
+    assert isinstance(node, Sum) and len(node.terms) == count
+    assert parse(pretty(node)) == node
+    assert max_factor_index(node) == 2
+    tape = DrawTape(trial_rng(0, "dsl-unit", 4))
+    pt = sample_point(tape, 2)
+    (t,) = sample_tangents(tape, pt, 1)
+    one = interpret(parse(term), 2)(pt, t)
+    got = interpret(node, 2)(pt, t)
+    want = (1 + ops.count("+") - ops.count("-")) * one
+    # recursive summation: each of the count - 1 roundings is at most
+    # 2^-53 of a partial sum, which is at most count |one|
+    assert abs(got - want) <= count ** 2 * 2.0 ** -53 * abs(one)
+
+
+def test_parenthesized_sums_keep_their_grouping():
+    node = parse("( MCL(1)[1,2] - MCL(1)[1,3] ) - MCL(1)[2,3] - ( MCL(1)[1,4] )")
+    assert isinstance(node.terms[0], Sum) and node.ops == ("-", "-")
+    assert pretty(node) == ("( MCL(1)[1,2] - MCL(1)[1,3] ) - MCL(1)[2,3] - "
+                            "MCL(1)[1,4]")
+    assert parse(pretty(node)) == node
+    flat = parse("MCL(1)[1,2] - MCL(1)[1,3] - MCL(1)[2,3] - MCL(1)[1,4]")
+    tape = DrawTape(trial_rng(0, "dsl-unit", 5))
+    pt = sample_point(tape, 1)
+    (t,) = sample_tangents(tape, pt, 1)
+    assert interpret(node, 1)(pt, t) == interpret(flat, 1)(pt, t)

@@ -10,10 +10,12 @@ import nervecheck.harness as harness
 from nervecheck.harness import (
     CHECK_IDS,
     CHECKS,
+    BLOCK,
     CHUNK,
     DEFAULT_TOLS,
     CheckConfig,
     CheckReport,
+    DrawTape,
     golden_value_errors,
     choose_signs,
     list_checks,
@@ -24,8 +26,12 @@ from nervecheck.harness import (
     sample_point,
     sample_tangent,
     trial_rng,
+    _skews,
     trial_rows,
 )
+from nervecheck.matrixgroup import exp_matrix, skew_from_coords
+
+from oracles import PerCallSampler
 
 
 def test_list_checks_contents_and_order():
@@ -106,16 +112,16 @@ def test_trial_rng_streams():
 
 
 def test_samplers_produce_valid_geometry():
-    rng = trial_rng(0, "unit", 0)
-    pt = sample_point(rng, 3)
+    tape = DrawTape(trial_rng(0, "unit", 0))
+    pt = sample_point(tape, 3)
     pt.validate()
     assert pt.level == 3
-    t = sample_tangent(rng, pt)
+    t = sample_tangent(tape, pt)
     t.validate()
-    bp = sample_bi_point(rng, 2, 2)
+    bp = sample_bi_point(tape, 2, 2)
     bp.validate()
     assert bp.level == 2 + 2
-    bt = sample_bi_tangent(rng, bp)
+    bt = sample_bi_tangent(tape, bp)
     bt.validate()
     assert bt.base is bp and len(bt.reps) == 4
 
@@ -150,12 +156,12 @@ def test_identity_point_kills_lemma41_contraction_term():
     from nervecheck.cartanmodel import fundamental_field
     from nervecheck.formcalc import contract, exterior_d
 
-    rng = trial_rng(0, "unit", 1)
+    tape = DrawTape(trial_rng(0, "unit", 1))
     from nervecheck.harness import sample_algebra, sample_tangents
 
-    X = sample_algebra(rng)
+    X = sample_algebra(tape)
     pt = identity_point(1)
-    ts = sample_tangents(rng, pt, 2)
+    ts = sample_tangents(tape, pt, 2)
     contraction = contract(e13_form()(X), fundamental_field(X, 1))
     assert contraction(pt, *ts) == 0.0
     resid = abs(contraction(pt, *ts) - exterior_d(mu_form()(X), 1e-5)(pt, *ts))
@@ -332,3 +338,160 @@ def test_nan_in_the_rejected_sign_fails_the_run():
     cols = {"a": [1e-8, 1e-8, 1e-8], "b+": [1e-8, 1e-8, 1e-8],
             "b-": [1e-2, math.nan, 1e-2]}
     assert reduce_rows(cols, _SIGN_TOLS) == (math.inf, 1)
+
+
+# ---------------------------------------------------------------------------
+# the draw tape against the per-call reference sampler, bit for bit
+
+_PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])  # BASIS_PAIRS, 0-based
+
+
+def _coords(m):
+    return m[..., _PAIRS[0], _PAIRS[1]]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def test_trial_rng_stream_is_pinned():
+    # the literal first doubles of one trial's stream: a change here changes
+    # every report
+    got = trial_rng(42, "lemma-4.1", 0).random(3)
+    assert got.tolist() == [0.014027732067510179, 0.9963499596387325,
+                            0.40466743385237514]
+
+
+def test_tape_matches_per_call_draws_past_several_blocks():
+    # a stack of trials read for more than three blocks, both scales mixed
+    tape = DrawTape(trial_rng(7, "tape", t) for t in range(5))
+    ref = PerCallSampler(tuple(trial_rng(7, "tape", t) for t in range(5)))
+    for k in range(3 * BLOCK + 5):
+        scale = 2.0 if k % 3 else 1.0
+        assert _same_bits(_coords(_skews(tape, scale)), ref.coords(scale)), k
+
+
+def test_tape_of_a_single_generator_is_unstacked():
+    tape = DrawTape(trial_rng(7, "tape", 0))
+    ref = PerCallSampler(trial_rng(7, "tape", 0))
+    for k in range(BLOCK + 3):
+        scale = 1.0 if k % 2 else 2.0
+        m = _skews(tape, scale)
+        assert m.shape == (4, 4)
+        assert _same_bits(_coords(m), ref.coords(scale)), k
+
+
+def test_tape_hands_out_several_rows_in_stream_order():
+    tape = DrawTape(trial_rng(3, "tape", t) for t in range(2))
+    ref = PerCallSampler(tuple(trial_rng(3, "tape", t) for t in range(2)))
+    first = tape.rows(BLOCK - 1)
+    more = tape.rows(BLOCK + 2)  # runs into a third block
+    rows = np.concatenate([first, more], axis=1)
+    assert rows.shape == (2, 2 * BLOCK + 1, 6)
+    want = np.stack([ref.coords(1.0) for _ in range(2 * BLOCK + 1)], axis=1)
+    assert _same_bits(-1.0 + 2.0 * rows, want)
+
+
+def test_tape_integers_come_before_the_rows():
+    tape = DrawTape(trial_rng(3, "tape", t) for t in range(2))
+    rngs = tuple(trial_rng(3, "tape", t) for t in range(2))
+    assert tape.integers(1, 4).tolist() == [r.integers(1, 4) for r in rngs]
+    assert _same_bits(_coords(_skews(tape, 1.0)),
+                      PerCallSampler(rngs).coords(1.0))
+    with pytest.raises(RuntimeError):
+        tape.integers(1, 4)
+
+
+def test_alpha_antisymmetry_draws_the_degree_then_the_coefficients(
+        monkeypatch):
+    # the coefficients handed to polynomial_path, against the draws of the
+    # per-trial loop: degree, then deg + 1 algebra elements for each path
+    got = []
+    real = harness.polynomial_path
+
+    def capture(coeffs):
+        got.append(np.asarray(coeffs))
+        return real(coeffs)
+
+    monkeypatch.setattr(harness, "polynomial_path", capture)
+    trials = 40
+    trial_rows(CheckConfig("alpha-antisymmetry", seed=5), range(trials))
+    want = np.zeros((2, 4, trials, 4, 4))
+    for n in range(trials):
+        rng = trial_rng(5, "alpha-antisymmetry", n)
+        ref = PerCallSampler(rng)
+        deg = int(rng.integers(1, 4))
+        for path in want:
+            for j in range(deg + 1):
+                path[j, n] = skew_from_coords(ref.coords(1.0))
+    assert len(got) == 2
+    for path, expected in zip(got, want):
+        assert _same_bits(path, expected)
+
+
+@pytest.mark.parametrize("tangents", ["seed:5", "repeat:5"])
+def test_cli_eval_setup_reads_one_tape_per_token(tangents):
+    from nervecheck import cli
+
+    setup = cli._eval_setup("seed:3", tangents, 2, 3)
+    at = PerCallSampler(np.random.default_rng(3))
+    factors = [exp_matrix(skew_from_coords(at.coords(2.0))) for _ in range(2)]
+    assert all(_same_bits(a, b) for a, b in zip(setup.point.factors, factors))
+    ref = PerCallSampler(np.random.default_rng(5))
+
+    def tangent():
+        return [h @ skew_from_coords(ref.coords(1.0)) for h in factors]
+
+    if tangents.startswith("repeat"):
+        reps = [tangent()] * 3
+        x = skew_from_coords(ref.coords(1.0))
+    else:
+        x = skew_from_coords(ref.coords(1.0))
+        reps = [tangent() for _ in range(3)]
+    assert _same_bits(setup.x, x)
+    assert len(setup.tangents) == 3
+    for t, want in zip(setup.tangents, reps):
+        assert all(_same_bits(a, b) for a, b in zip(t.reps, want))
+
+
+class _CountingRng:
+    """A generator that counts the calls of its drawing methods."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("check_id", [c for c in CHECK_IDS
+                                      if not CHECKS[c].once])
+def test_draw_calls_per_trial_are_one_per_block(monkeypatch, check_id):
+    rows = []
+    real_rows = DrawTape.rows
+
+    def counted_rows(self, k):
+        rows.append(k)
+        return real_rows(self, k)
+
+    monkeypatch.setattr(DrawTape, "rows", counted_rows)
+    cfg = CheckConfig(check_id, seed=2)
+    check = CHECKS[check_id]
+    rngs = [_CountingRng(trial_rng(2, check_id, t)) for t in range(3)]
+    check.trial(check.setup(cfg), DrawTape(rngs))
+    # one integer call before the rows where a check draws one (the path
+    # degree of alpha-antisymmetry)
+    integers = 1 if check_id == "alpha-antisymmetry" else 0
+    limit = -(-sum(rows) // BLOCK) + integers
+    assert sum(rows) > 0
+    assert all(rng.calls <= limit for rng in rngs), (
+        [rng.calls for rng in rngs], sum(rows))
