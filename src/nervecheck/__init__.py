@@ -14,11 +14,10 @@ from .nerve import (CONJUGATION, TRIVIAL, BiFormEval, GroupAction,
                     d_double_prime, d_prime, d_triple_complex, degeneracy_ng,
                     face_ng, face_pg, face_map_ng, gamma)
 from .cartanmodel import (CocycleSample, EquivariantForm, GradedForm,
-                          TotalCheckResult, cartan_d, cartan_d_graded,
-                          equivariant_total_check, fundamental_field)
-from .eulercocycle import (AlgebraPath, e13_form, e22_form, eval_alpha,
-                           eval_E13, eval_E22, eval_mu, mu_form,
-                           polynomial_path)
+                          cartan_d, equivariant_total_check,
+                          fundamental_field)
+from .eulercocycle import (e13_form, e22_form, eval_alpha, eval_E13,
+                           eval_E22, eval_mu, mu_form, polynomial_path)
 from .formdsl import FormDslError, FormSyntaxError, corpus_source, interpret, parse, pretty
 from .harness import (CHECK_IDS, CheckConfig, CheckReport, list_checks,
                       run_all, run_check)

@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .formcalc import FormEval, contract, exterior_d, zero_form
+from .formcalc import (FD_STEP_DEFAULT, FormEval, contract, exterior_d,
+                       zero_form)
 from .matrixgroup import GroupPoint, Tangent
 from .nerve import d_prime
 
@@ -80,32 +81,27 @@ class GradedForm:
         return self.component(len(tangents))(pt, *tangents)
 
 
-def _graded_cartan_step(level: int, parts: dict[int, FormEval], X: np.ndarray,
-                        fd_step: float) -> GradedForm:
-    field = fundamental_field(X, level)
+def cartan_d(alpha: EquivariantForm | GradedForm, X: np.ndarray,
+             fd_step: float = FD_STEP_DEFAULT) -> GradedForm:
+    """(d - i_{X#}) applied to alpha(X), split into homogeneous components.
+
+    alpha may also be a graded value at X, such as an earlier result (for
+    d^2 probes).
+    """
+    if isinstance(alpha, EquivariantForm):
+        form = alpha(X)
+        alpha = GradedForm(alpha.level, {form.degree: form})
+    field = fundamental_field(X, alpha.level)
     out: dict[int, FormEval] = {}
 
     def accumulate(degree: int, form: FormEval) -> None:
         out[degree] = out[degree] + form if degree in out else form
 
-    for degree, form in parts.items():
+    for degree, form in alpha.components.items():
         accumulate(degree + 1, exterior_d(form, fd_step))
         if degree >= 1:
             accumulate(degree - 1, -contract(form, field))
-    return GradedForm(level, out)
-
-
-def cartan_d(alpha: EquivariantForm, X: np.ndarray,
-             fd_step: float = 1e-5) -> GradedForm:
-    """(d - i_{X#}) applied to alpha(X), split into homogeneous components."""
-    form = alpha(X)
-    return _graded_cartan_step(alpha.level, {form.degree: form}, X, fd_step)
-
-
-def cartan_d_graded(g: GradedForm, X: np.ndarray,
-                    fd_step: float = 1e-5) -> GradedForm:
-    """Apply the Cartan differential to an already-graded value (for d^2 probes)."""
-    return _graded_cartan_step(g.level, dict(g.components), X, fd_step)
+    return GradedForm(alpha.level, out)
 
 
 @dataclass(frozen=True)
@@ -116,13 +112,6 @@ class CocycleSample:
     v: tuple[Tangent, ...]              # four tangents at h1
     h2: GroupPoint                      # two-factor point
     t: tuple[Tangent, ...]              # three tangents at h2
-
-
-@dataclass(frozen=True)
-class TotalCheckResult:
-    """Absolute residuals of a, b, c and of both sign variants of d and e."""
-
-    residuals: dict[str, np.ndarray]
 
 
 def _check_shapes(e13: EquivariantForm, e22: EquivariantForm,
@@ -138,7 +127,8 @@ def _check_shapes(e13: EquivariantForm, e22: EquivariantForm,
 def equivariant_total_check(e13: EquivariantForm, e22: EquivariantForm,
                             mu: EquivariantForm, X: np.ndarray,
                             sample: CocycleSample,
-                            fd_step: float = 1e-5) -> TotalCheckResult:
+                            fd_step: float = FD_STEP_DEFAULT
+                            ) -> dict[str, np.ndarray]:
     """Absolute residuals of the five cocycle component identities.
 
     a:  d e13 = 0                       (4-form, one factor; finite difference)
@@ -166,10 +156,10 @@ def equivariant_total_check(e13: EquivariantForm, e22: EquivariantForm,
     lhs_e = d_prime(mu_form).fn(h2, single)
     rhs_e = contract(e22_form, fundamental_field(X, 2)).fn(h2, single)
     i_e13 = contract(e13_form, fundamental_field(X, 1))
-    return TotalCheckResult({
+    return {
         "a": abs(exterior_d(e13_form, fd_step).fn(h1, sample.v)),
         "b": abs(i_e13.fn(h1, pair) - exterior_d(mu_form, fd_step).fn(h1, pair)),
         "c": abs(contract(mu_form, fundamental_field(X, 1)).fn(h1, ())),
         "d+": abs(lhs_d + rhs_d), "d-": abs(lhs_d - rhs_d),
         "e+": abs(lhs_e - rhs_e), "e-": abs(lhs_e + rhs_e),
-    })
+    }

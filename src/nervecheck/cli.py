@@ -22,6 +22,7 @@ import numpy as np
 
 from . import formdsl
 from .cartanmodel import EquivariantForm
+from .formcalc import FD_STEP_DEFAULT
 from .harness import (CHECK_IDS, CheckConfig, CheckReport, DrawTape, run_all,
                       run_check, sample_algebra, sample_point, sample_tangent)
 from .matrixgroup import GroupPoint, Tangent, basis_element, identity_point
@@ -181,7 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="check identifier (see `list`)")
     check.add_argument("--trials", type=int, default=200)
     check.add_argument("--seed", type=int, default=42)
-    check.add_argument("--fd-step", dest="fd_step", type=float, default=1e-5)
+    check.add_argument("--fd-step", dest="fd_step", type=float,
+                       default=FD_STEP_DEFAULT)
     check.add_argument("--tol", type=float, default=None,
                        help="override the per-check default tolerance")
     check.add_argument("--format", choices=("json", "text"), default="json")
@@ -192,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     allcmd = sub.add_parser("check-all", help="run every check")
     allcmd.add_argument("--trials", type=int, default=200)
     allcmd.add_argument("--seed", type=int, default=42)
-    allcmd.add_argument("--fd-step", dest="fd_step", type=float, default=1e-5)
+    allcmd.add_argument("--fd-step", dest="fd_step", type=float,
+                       default=FD_STEP_DEFAULT)
     allcmd.add_argument("--format", choices=("json", "text"), default="json")
     allcmd.add_argument("--out", default=None)
     allcmd.set_defaults(func=_cmd_check_all)

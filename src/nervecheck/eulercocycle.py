@@ -17,9 +17,10 @@ evaluated here.  The cochains are
 * a polynomial 1-form pairing the argument X against both Maurer-Cartan
   forms (coefficient -1/(64 pi^2) on each half).
 
-`eval_alpha` integrates the corresponding pairing of two algebra paths over
-[0, 1] with composite Simpson quadrature, evaluating each path at all nodes
-in one call.
+`eval_alpha` pairs two polynomial paths in the skew matrices, the integral
+over [0, 1] of the pairing of each path's derivative with the other path.
+It is a polynomial integral, summed in closed form from the coefficients:
+there are no quadrature nodes.
 
 Every evaluator takes stacked points, tangents, arguments X and paths
 (leading axes before the 4x4 ones) and then returns one value per stacked
@@ -30,13 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .cartanmodel import EquivariantForm
 from .formcalc import FormEval, _same_point
-from .matrixgroup import BASIS_PAIRS, DIM, GroupPoint, Tangent
+from .matrixgroup import BASIS_PAIRS, GroupPoint, Tangent
 
 _C192 = 1.0 / (192.0 * math.pi ** 2)
 _C64 = -1.0 / (64.0 * math.pi ** 2)
@@ -125,61 +125,44 @@ def mu_form() -> EquivariantForm:
 
 
 @dataclass(frozen=True)
-class AlgebraPath:
-    """A path in the skew matrices with its derivative, both on [0, 1].
-
-    value(theta) and deriv(theta) take a parameter or an array of them and
-    return the matrices with the axes of theta before the last two.
-    """
-
-    value: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
-
-
-def polynomial_path(coeffs) -> AlgebraPath:
-    """Path sum_k theta^k coeffs[k] with exact derivative.
+class PolynomialPath:
+    """The path sum_k theta^k coeffs[k] in the skew matrices, theta in [0, 1].
 
     A coefficient may be a stack of matrices: the path is then a stack of
-    paths, and the axes of theta come after the stack axes.
+    paths.
     """
-    coeffs = [np.asarray(c, dtype=float) for c in coeffs]
-    slopes = [k * c for k, c in enumerate(coeffs)][1:]
 
-    def horner(theta, cs) -> np.ndarray:
-        # accumulated in place: one array of the full shape at a time
-        theta = np.asarray(theta, dtype=float)
-        t = theta[..., None, None]
-        grid = [c.reshape(c.shape[:-2] + (1,) * theta.ndim + (DIM, DIM))
-                for c in cs]
-        out = np.zeros(np.broadcast_shapes(theta.shape + (DIM, DIM),
-                                           *(c.shape for c in grid)))
-        for c in reversed(grid):
-            out *= t
-            out += c
-        return out
-
-    return AlgebraPath(lambda theta: horner(theta, coeffs),
-                       lambda theta: horner(theta, slopes))
+    coeffs: tuple[np.ndarray, ...]
 
 
-def eval_alpha(xi1: AlgebraPath, xi2: AlgebraPath, n_quad: int = 64) -> float:
-    """Antisymmetric path pairing integrated by composite Simpson.
+def polynomial_path(coeffs) -> PolynomialPath:
+    return PolynomialPath(tuple(np.asarray(c, dtype=float) for c in coeffs))
 
-    n_quad is the (even) number of subintervals.  Both paths are evaluated
-    at all n_quad + 1 nodes at once; stacked paths give one integral each.
+
+def eval_alpha(xi1: PolynomialPath, xi2: PolynomialPath) -> float:
+    """Antisymmetric path pairing C64 * int_0^1 <xi1', xi2> - <xi2', xi1>.
+
+    With xi1 = sum a_j theta^j and xi2 = sum b_k theta^k, the shorter one
+    padded with zero coefficients, the integral is the exact sum
+    sum_{j<k} (j - k)/(j + k) (P(a_j, b_k) - P(a_k, b_j)) of the pairings
+    P = `_pair_sum`.  P is taken symmetric bit for bit, so swapping the
+    paths negates the value and equal paths give 0.0, both exactly.
+    Stacked paths give one value each.
     """
-    if n_quad < 8 or n_quad % 2:
-        raise ValueError("n_quad must be an even integer >= 8")
-    h = 1.0 / n_quad
-    nodes = np.arange(n_quad + 1) * h
+    n = max(len(xi1.coeffs), len(xi2.coeffs))
+    zero = (0.0,) * len(BASIS_PAIRS)
 
-    def pairing(deriv, value):
-        # _pair_sum of the two paths at the nodes, with each stack of node
-        # matrices reduced to its coordinates before the next one is made
-        return 2.0 * _pf(_coords(deriv(nodes)), _coords(value(nodes)))
+    def padded(xi: PolynomialPath) -> list:
+        return [_coords(c) for c in xi.coeffs] + [zero] * (n - len(xi.coeffs))
 
-    f = pairing(xi1.deriv, xi2.value) - pairing(xi2.deriv, xi1.value)
-    total = f[..., 0] + f[..., n_quad]
-    for k in range(1, n_quad):
-        total = total + (4.0 if k % 2 else 2.0) * f[..., k]
-    return _C64 * (h / 3.0) * total
+    a, b = padded(xi1), padded(xi2)
+
+    def pair(x, y):
+        return _pf(x, y) + _pf(y, x)
+
+    total = 0.0
+    for k in range(n):
+        for j in range(k):
+            total = total + (j - k) / (j + k) * (pair(a[j], b[k])
+                                                 - pair(a[k], b[j]))
+    return _C64 * total

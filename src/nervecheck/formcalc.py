@@ -35,7 +35,6 @@ import numpy as np
 from .matrixgroup import DIM, GroupPoint, Tangent, exp_matrix
 
 FD_STEP_DEFAULT = 1e-5
-_FD_STEP_RANGE = (1e-7, 1e-3)
 
 
 def _same_point(a: GroupPoint, b: GroupPoint, tol: float = 1e-9) -> bool:
@@ -43,7 +42,8 @@ def _same_point(a: GroupPoint, b: GroupPoint, tol: float = 1e-9) -> bool:
         return True
     if a.level != b.level:
         return False
-    return all(np.allclose(x, y, atol=tol) for x, y in zip(a.factors, b.factors))
+    return all(np.allclose(x, y, rtol=0.0, atol=tol)
+               for x, y in zip(a.factors, b.factors))
 
 
 def _check_eval_args(degree: int, pt: GroupPoint, ts: Sequence[Tangent]) -> None:
@@ -187,10 +187,9 @@ def left_invariant_field(x: np.ndarray, level: int) -> Callable[[GroupPoint], Ta
     return field
 
 
-def _check_fd_step(fd_step: float) -> None:
-    lo, hi = _FD_STEP_RANGE
-    if not (lo <= fd_step <= hi):
-        raise ValueError(f"fd_step must lie in [{lo:g}, {hi:g}]")
+def check_fd_step(fd_step: float) -> None:
+    if not 1e-7 <= fd_step <= 1e-3:
+        raise ValueError("fd_step must lie in [1e-7, 1e-3]")
 
 
 def exterior_d(f: FormEval, fd_step: float = FD_STEP_DEFAULT) -> FormEval:
@@ -202,7 +201,7 @@ def exterior_d(f: FormEval, fd_step: float = FD_STEP_DEFAULT) -> FormEval:
     the bracket terms are exact (right-invariant fields bracket to the
     reversed matrix commutator).
     """
-    _check_fd_step(fd_step)
+    check_fd_step(fd_step)
     r = f.degree
     fn = f.fn
     # step k moves along direction k // 2, by +fd_step for even k, by

@@ -57,7 +57,8 @@ from .cartanmodel import (CocycleSample, equivariant_total_check,
                           fundamental_field)
 from .eulercocycle import (e13_form, e22_form, eval_alpha, eval_E13, eval_E22,
                            eval_mu, mu_form, polynomial_path)
-from .formcalc import contract, entry, exterior_d, matrix_wedge_square, mc_left, mc_right
+from .formcalc import (FD_STEP_DEFAULT, check_fd_step, contract, entry,
+                       exterior_d, matrix_wedge_square, mc_left, mc_right)
 from .matrixgroup import (GroupPoint, Tangent, basis_element, exp_matrix,
                           identity_point, skew_from_coords)
 from .nerve import (BiFormEval, bi_form_from_flat, d_prime, d_triple_complex,
@@ -86,7 +87,7 @@ class CheckConfig:
     check_id: str
     trials: int = 200
     seed: int = 42
-    fd_step: float = 1e-5
+    fd_step: float = FD_STEP_DEFAULT
     tol: Optional[float] = None  # None -> per-check default
 
     def resolved_tol(self) -> float:
@@ -97,8 +98,7 @@ class CheckConfig:
             raise ValueError(f"unknown check id {self.check_id!r}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
-        if not 1e-7 <= self.fd_step <= 1e-3:
-            raise ValueError("fd_step must lie in [1e-7, 1e-3]")
+        check_fd_step(self.fd_step)
         if self.tol is not None and not self.tol > 0:
             raise ValueError("tol must be positive")
         return self
@@ -405,7 +405,7 @@ def _trial_equivariant_cocycle(ctx: dict, tape) -> dict[str, np.ndarray]:
         h1=p1, v=sample_tangents(tape, p1, 4),
         h2=p2, t=sample_tangents(tape, p2, 3))
     return equivariant_total_check(*ctx["forms"], X, sample,
-                                   fd_step=ctx["fd_step"]).residuals
+                                   fd_step=ctx["fd_step"])
 
 
 def _setup_dsl_oracle(cfg: CheckConfig) -> dict:
@@ -632,7 +632,7 @@ def run_check(cfg: CheckConfig) -> CheckReport:
 
 
 def run_all(seed: int = 42, trials: int = 200,
-            fd_step: float = 1e-5) -> list[CheckReport]:
+            fd_step: float = FD_STEP_DEFAULT) -> list[CheckReport]:
     """Run every check with its default tolerance, in list_checks() order."""
     return [run_check(CheckConfig(check_id=cid, trials=trials, seed=seed,
                                   fd_step=fd_step))

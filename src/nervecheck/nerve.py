@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .formcalc import FormEval, SmoothMap, exterior_d, pullback
+from .formcalc import FD_STEP_DEFAULT, FormEval, SmoothMap, exterior_d, pullback
 from .matrixgroup import DIM, GroupPoint, Tangent
 
 # ---------------------------------------------------------------------------
@@ -260,13 +260,15 @@ def d_prime(f: FormEval) -> FormEval:
         f, [face_map_ng(i, p + 1) for i in range(p + 2)])
 
 
-def d_double_prime(f: FormEval, fd_step: float = 1e-5) -> FormEval:
+def d_double_prime(f: FormEval,
+                   fd_step: float = FD_STEP_DEFAULT) -> FormEval:
     """(-1)^level times the exterior derivative (double-complex vertical)."""
     d = exterior_d(f, fd_step)
     return d if f.level % 2 == 0 else -d
 
 
-def d_triple_complex(f: BiFormEval, which: str, fd_step: float = 1e-5,
+def d_triple_complex(f: BiFormEval, which: str,
+                     fd_step: float = FD_STEP_DEFAULT,
                      action: GroupAction = CONJUGATION) -> BiFormEval:
     """One of the three differentials of the action-twisted complex.
 

@@ -5,13 +5,14 @@ permutation signs come from cycle decomposition (the package counts
 inversions), wedge products antisymmetrize over the full symmetric group with
 1/(r!s!) normalization (the package enumerates shuffles), the permutation
 sums contract against an explicit Levi-Civita tensor (the package evaluates
-the Pfaffian pairing of skew parts), the path integral uses Gauss-Legendre
-nodes (the package uses composite Simpson), finite differences move
-along scipy's Pade exponential (the package has a closed form), the
-expression evaluator substitutes each permutation into a sumS4 body (the
-package contracts one lowered body with a Levi-Civita tensor), and the
-reference sampler draws each matrix's six coordinates with its own
-`uniform` call (the package reads blocks of rows off a draw tape).
+the Pfaffian pairing of skew parts), the path integral evaluates the paths at
+Gauss-Legendre nodes (the package sums a closed form over pairs of
+coefficients), finite differences move along scipy's Pade exponential (the
+package has a closed form), the expression evaluator substitutes each
+permutation into a sumS4 body (the package contracts one lowered body with a
+Levi-Civita tensor), and the reference sampler draws each matrix's six
+coordinates with its own `uniform` call (the package reads blocks of rows off
+a draw tape).
 """
 
 import itertools
@@ -117,15 +118,26 @@ def oracle_mu(x, pt, v) -> float:
     return -(eps_pair(x, wl) + eps_pair(x, wr)) / (64.0 * math.pi ** 2)
 
 
-def oracle_alpha(xi1, xi2, n_nodes: int = 48) -> float:
-    """Gauss-Legendre route to the path pairing integral."""
+def oracle_alpha(coeffs1, coeffs2, n_nodes: int = 48) -> float:
+    """Gauss-Legendre route to the pairing integral of the two paths
+    sum_k theta^k coeffs[k], each given as a list of 4x4 coefficients and
+    evaluated term by term at the nodes, with its derivative."""
     xs, ws = np.polynomial.legendre.leggauss(n_nodes)
     theta = 0.5 * (xs + 1.0)
     weight = 0.5 * ws
+
+    def value(coeffs, t):
+        return sum((t ** k * np.asarray(c) for k, c in enumerate(coeffs)),
+                   np.zeros((4, 4)))
+
+    def deriv(coeffs, t):
+        return sum((k * t ** (k - 1) * np.asarray(c)
+                    for k, c in enumerate(coeffs) if k), np.zeros((4, 4)))
+
     total = 0.0
     for t, w in zip(theta, weight):
-        total += w * (eps_pair(xi1.deriv(t), xi2.value(t))
-                      - eps_pair(xi2.deriv(t), xi1.value(t)))
+        total += w * (eps_pair(deriv(coeffs1, t), value(coeffs2, t))
+                      - eps_pair(deriv(coeffs2, t), value(coeffs1, t)))
     return -total / (64.0 * math.pi ** 2)
 
 

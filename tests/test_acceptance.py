@@ -109,8 +109,7 @@ def test_criterion_05_all_five_residuals_with_one_sign_pair():
     p2 = sample_point(tape, 2)
     s = CocycleSample(h1=p1, v=sample_tangents(tape, p1, 4),
                       h2=p2, t=sample_tangents(tape, p2, 3))
-    cols = equivariant_total_check(e13, e22, mu, X, s,
-                                   fd_step=FD_STEP).residuals
+    cols = equivariant_total_check(e13, e22, mu, X, s, fd_step=FD_STEP)
     # one sign pair: every sample prefers it, and the other one fails
     pair = choose_signs(cols, tols)
     worst = {k: cols[k].max() for k in "abc"}
@@ -137,11 +136,10 @@ def test_criterion_06_golden_values_against_two_references():
     e22_closed = -1.0 / (8.0 * math.pi ** 2)
     e22_oracle = oracle_e22(pt2, t1, t2)
 
-    xi1 = polynomial_path([zero, E12])
-    xi2 = polynomial_path([E34])
-    alpha_val = eval_alpha(xi1, xi2)
+    c1, c2 = [zero, E12], [E34]
+    alpha_val = eval_alpha(polynomial_path(c1), polynomial_path(c2))
     alpha_closed = -1.0 / (8.0 * math.pi ** 2)
-    alpha_oracle = oracle_alpha(xi1, xi2)
+    alpha_oracle = oracle_alpha(c1, c2)
 
     closed_errs = (abs(mu_val - mu_closed), abs(e22_val - e22_closed),
                    abs(alpha_val - alpha_closed))

@@ -17,7 +17,6 @@ from nervecheck.cartanmodel import (
     EquivariantForm,
     GradedForm,
     cartan_d,
-    cartan_d_graded,
     equivariant_total_check,
     fundamental_field,
 )
@@ -193,7 +192,7 @@ def test_cartan_d_squares_to_zero_on_invariant_forms():
     rng = np.random.default_rng(10)
     X = _rand_skew(rng)
     for form in (mu_form(), e13_form()):
-        dd = cartan_d_graded(cartan_d(form, X, 1e-5), X, 1e-5)
+        dd = cartan_d(cartan_d(form, X, 1e-5), X, 1e-5)
         for deg, comp in sorted(dd.components.items()):
             for _ in range(2):
                 pt = _rand_point(rng, 1)
@@ -233,8 +232,7 @@ def test_total_check_passes_with_unique_signs():
     samples = [_sample(rng, X) for _ in range(5)]
     results = [equivariant_total_check(e13_form(), e22_form(), mu_form(), X, s)
                for s in samples]
-    cols = {k: np.array([r.residuals[k] for r in results])
-            for k in results[0].residuals}
+    cols = {k: np.array([r[k] for r in results]) for k in results[0]}
     tols = {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}
     assert choose_signs(cols, tols) == {"d": "+", "e": "+"}
     for key, tol in tols.items():
@@ -255,21 +253,20 @@ def test_total_check_identity_points_kill_field_terms():
     )
     res = equivariant_total_check(e13_form(), e22_form(), mu_form(), X, s)
     # the pure-contraction residual is exactly zero at the identity
-    assert res.residuals["c"] == 0.0
+    assert res["c"] == 0.0
     # (e) cancels by linearity of mu in the tangent slot, up to roundoff
-    assert res.residuals["e+"] < 1e-14
+    assert res["e+"] < 1e-14
     # (b) is limited only by the FD step in d(mu)
-    assert res.residuals["b"] < 1e-9
+    assert res["b"] < 1e-9
 
 
 def test_total_check_residuals_scale_homogeneously_in_x():
     rng = np.random.default_rng(14)
     X = _rand_skew(rng)
     s = _sample(rng, X)
-    base = equivariant_total_check(
-        e13_form(), e22_form(), mu_form(), X, s).residuals
+    base = equivariant_total_check(e13_form(), e22_form(), mu_form(), X, s)
     double = equivariant_total_check(
-        e13_form(), e22_form(), mu_form(), 2.0 * X, s).residuals
+        e13_form(), e22_form(), mu_form(), 2.0 * X, s)
     # doubling X doubles the linear-in-X residuals and quadruples (c)
     assert double["b"] == pytest.approx(2.0 * base["b"], rel=1e-9, abs=1e-18)
     assert double["c"] == pytest.approx(4.0 * base["c"], rel=1e-9, abs=1e-18)

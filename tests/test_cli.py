@@ -168,7 +168,9 @@ def test_check_all_bad_config_exits_two_before_running(capsys, monkeypatch,
     code, out, err = _run(capsys, "check-all", flag, value)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err == {"--trials": "error: trials must lie in [1, 1000000]\n",
+                   "--fd-step": "error: fd_step must lie in [1e-7, 1e-3]\n",
+                   }[flag]
 
 
 @pytest.mark.parametrize("command", [["check", "--id", "lemma-4.3"],

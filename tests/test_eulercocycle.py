@@ -19,7 +19,6 @@ from nervecheck.matrixgroup import (
     random_skew,
 )
 from nervecheck.eulercocycle import (
-    AlgebraPath,
     _pair_sum,
     e13_form,
     e22_form,
@@ -92,11 +91,11 @@ def test_e13_golden_values():
 
 
 def test_alpha_golden_value():
-    xi1 = polynomial_path([np.zeros((4, 4)), E12])   # t -> t * E12
-    xi2 = polynomial_path([E34])                     # constant
-    got = eval_alpha(xi1, xi2)
+    c1 = [np.zeros((4, 4)), E12]                     # t -> t * E12
+    c2 = [E34]                                       # constant
+    got = eval_alpha(polynomial_path(c1), polynomial_path(c2))
     assert abs(got - ALPHA_GOLDEN) < 1e-12
-    assert abs(got - oracle_alpha(xi1, xi2)) < 1e-14
+    assert abs(got - oracle_alpha(c1, c2)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +221,12 @@ def test_base_point_mismatch_rejected():
         eval_E13(pt, ok, ok, stray)
     with pytest.raises(ValueError):
         eval_mu(E12, pt, stray)
+    # a base 5e-6 away is a different point too
+    moved = np.eye(4)
+    moved[0, 0] += 5e-6
+    near = Tangent(GroupPoint((moved,)), (E12,))
+    with pytest.raises(ValueError):
+        eval_mu(E12, identity_point(1), near)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +242,11 @@ def test_alpha_vanishes_on_equal_and_constant_paths():
     c2 = polynomial_path([random_skew(rng, 1.0)])
     # both derivatives vanish, so the integrand is identically zero
     assert eval_alpha(c1, c2) == 0.0
+    # the empty path is the zero path
+    empty = polynomial_path([])
+    assert eval_alpha(empty, empty) == 0.0
+    assert eval_alpha(empty, xi) == 0.0
+    assert eval_alpha(xi, empty) == 0.0
 
 
 def test_alpha_antisymmetry_random_paths():
@@ -251,46 +261,23 @@ def test_alpha_antisymmetry_random_paths():
 
 def test_alpha_matches_gauss_legendre_oracle():
     rng = np.random.default_rng(9)
-    for _ in range(5):
-        # quadratic paths keep the integrand cubic, exact for both rules
-        xi1 = polynomial_path([random_skew(rng, 1.0) for _ in range(3)])
-        xi2 = polynomial_path([random_skew(rng, 1.0) for _ in range(3)])
-        a = eval_alpha(xi1, xi2)
-        assert abs(a - oracle_alpha(xi1, xi2)) < 1e-14 * max(1.0, abs(a))
-
-
-def test_alpha_quadrature_validation():
-    xi = polynomial_path([E12])
-    with pytest.raises(ValueError):
-        eval_alpha(xi, xi, n_quad=63)  # odd subdivision
-    with pytest.raises(ValueError):
-        eval_alpha(xi, xi, n_quad=0)
-
-
-def test_polynomial_path_values_and_derivative():
-    a0, a1, a2 = E12, E34, E13
-    p = polynomial_path([a0, a1, a2])
-    t = 0.37
-    want = a0 + t * a1 + t * t * a2
-    assert np.allclose(p.value(t), want, atol=1e-15)
-    assert np.allclose(p.deriv(t), a1 + 2 * t * a2, atol=1e-15)
-    # skew coefficients give skew values everywhere along the path
-    assert np.allclose(p.value(t), -p.value(t).T, atol=1e-15)
-    # the empty path is the zero path
-    empty = polynomial_path([])
-    assert np.array_equal(empty.value(0.5), np.zeros((4, 4)))
-    assert np.array_equal(empty.deriv(0.5), np.zeros((4, 4)))
-
-
-def test_custom_algebra_path():
-    # a hand-built trigonometric path exercises the AlgebraPath interface
-    p = AlgebraPath(
-        value=lambda t: np.multiply.outer(np.sin(t), E12),
-        deriv=lambda t: np.multiply.outer(np.cos(t), E12),
-    )
-    q = polynomial_path([E34])
-    val = eval_alpha(p, q)
-    assert np.isfinite(val)
+    # quadratic paths (cubic integrand), cubic paths (quintic integrand) and
+    # paths of different degrees
+    for n1, n2 in [(3, 3)] * 5 + [(4, 4)] * 5 + [(4, 2), (1, 4)]:
+        c1 = [random_skew(rng, 1.0) for _ in range(n1)]
+        c2 = [random_skew(rng, 1.0) for _ in range(n2)]
+        a = eval_alpha(polynomial_path(c1), polynomial_path(c2))
+        assert abs(a - oracle_alpha(c1, c2)) < 1e-14 * max(1.0, abs(a))
+    # a stack of 6 cubic paths against a stack of 6 quadratic ones
+    c1 = [np.stack([random_skew(rng, 1.0) for _ in range(6)])
+          for _ in range(4)]
+    c2 = [np.stack([random_skew(rng, 1.0) for _ in range(6)])
+          for _ in range(3)]
+    got = eval_alpha(polynomial_path(c1), polynomial_path(c2))
+    assert got.shape == (6,)
+    for n, a in enumerate(got):
+        want = oracle_alpha([c[n] for c in c1], [c[n] for c in c2])
+        assert abs(a - want) < 1e-14 * max(1.0, abs(a))
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ def test_nan_residual_fails_a_signed_component(monkeypatch):
 
     def poisoned(*args, **kwargs):
         result = real(*args, **kwargs)
-        result.residuals["d+"][7] = np.nan
+        result["d+"][7] = np.nan
         return result
 
     monkeypatch.setattr(harness, "equivariant_total_check", poisoned)
