@@ -33,6 +33,12 @@ def _report_text(r: CheckReport) -> str:
     return f"{r.check_id} {status} max_err={r.max_abs_err:.6e} tol={r.tol:.1e}"
 
 
+def _error(exc: Exception) -> int:
+    """Print the message of a usage error; its exit code."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _emit(payload: str, out: Optional[str]) -> bool:
     """Write the payload to stdout or to the file `out`; False (with a
     message on stderr) when the file cannot be written."""
@@ -54,9 +60,11 @@ def _cmd_check(args) -> int:
     try:
         cfg.validate()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_check(cfg)
+        return _error(exc)
+    try:
+        report = run_check(cfg)
+    except formdsl.FormDslError as exc:  # a bundled expression file is lost
+        return _error(exc)
     if args.format == "json":
         payload = json.dumps(report.to_json_dict())
     else:
@@ -72,9 +80,12 @@ def _cmd_check_all(args) -> int:
             CheckConfig(check_id=cid, trials=args.trials, seed=args.seed,
                         fd_step=args.fd_step).validate()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    reports = run_all(seed=args.seed, trials=args.trials, fd_step=args.fd_step)
+        return _error(exc)
+    try:
+        reports = run_all(seed=args.seed, trials=args.trials,
+                          fd_step=args.fd_step)
+    except formdsl.FormDslError as exc:
+        return _error(exc)
     if args.format == "json":
         payload = json.dumps([r.to_json_dict() for r in reports], indent=2)
     else:
@@ -137,18 +148,17 @@ def _cmd_eval(args) -> int:
         with open(args.expr, "r", encoding="utf-8") as fh:
             src = fh.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        if args.expr in formdsl.CORPUS_NAMES:
-            src = formdsl.corpus_source(args.expr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        if args.expr not in formdsl.CORPUS_NAMES:
+            return _error(exc)
+        src = None  # read from the bundled corpus below
     try:
+        if src is None:
+            src = formdsl.corpus_source(args.expr)
         ast = formdsl.parse(src)
         level = max(formdsl.max_factor_index(ast), 1)
         form = formdsl.interpret(ast, level=level)
     except formdsl.FormDslError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     if isinstance(form, EquivariantForm):
         degree = form.form_degree
     else:
@@ -156,8 +166,7 @@ def _cmd_eval(args) -> int:
     try:
         setup = _eval_setup(args.at, args.tangents, level, degree)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     concrete = form(setup.x) if isinstance(form, EquivariantForm) else form
     value = concrete(setup.point, *setup.tangents)
     print("%.17g" % value)
@@ -177,27 +186,25 @@ def _build_parser() -> argparse.ArgumentParser:
                     "on SO(4).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="run one named check")
+    # the options that check and check-all share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--trials", type=int, default=200)
+    run.add_argument("--seed", type=int, default=42)
+    run.add_argument("--fd-step", dest="fd_step", type=float,
+                     default=FD_STEP_DEFAULT)
+    run.add_argument("--format", choices=("json", "text"), default="json")
+    run.add_argument("--out", default=None, help="write the report here "
+                     "instead of stdout")
+
+    check = sub.add_parser("check", parents=[run], help="run one named check")
     check.add_argument("--id", required=True, choices=CHECK_IDS,
                        help="check identifier (see `list`)")
-    check.add_argument("--trials", type=int, default=200)
-    check.add_argument("--seed", type=int, default=42)
-    check.add_argument("--fd-step", dest="fd_step", type=float,
-                       default=FD_STEP_DEFAULT)
     check.add_argument("--tol", type=float, default=None,
                        help="override the per-check default tolerance")
-    check.add_argument("--format", choices=("json", "text"), default="json")
-    check.add_argument("--out", default=None, help="write the report here "
-                       "instead of stdout")
     check.set_defaults(func=_cmd_check)
 
-    allcmd = sub.add_parser("check-all", help="run every check")
-    allcmd.add_argument("--trials", type=int, default=200)
-    allcmd.add_argument("--seed", type=int, default=42)
-    allcmd.add_argument("--fd-step", dest="fd_step", type=float,
-                       default=FD_STEP_DEFAULT)
-    allcmd.add_argument("--format", choices=("json", "text"), default="json")
-    allcmd.add_argument("--out", default=None)
+    allcmd = sub.add_parser("check-all", parents=[run],
+                            help="run every check")
     allcmd.set_defaults(func=_cmd_check_all)
 
     evalcmd = sub.add_parser("eval", help="evaluate an expression file")

@@ -95,11 +95,6 @@ def zero_form(degree: int, level: int) -> FormEval:
     return FormEval(degree, level, lambda pt, ts: 0.0)
 
 
-def constant_form(value: float, level: int) -> FormEval:
-    """The degree-0 form with constant value."""
-    return FormEval(0, level, lambda pt, ts: value)
-
-
 def mc_left(factor_index: int, level: int) -> FormEval:
     """Left Maurer-Cartan form h^-1 dh of the chosen factor (1-based)."""
     if not 1 <= factor_index <= level:
@@ -174,17 +169,6 @@ def wedge(f: FormEval, g: FormEval) -> FormEval:
 def right_coords(t: Tangent) -> tuple[np.ndarray, ...]:
     """Per-factor right-trivialized coordinates v h^-1 (each skew)."""
     return tuple(v @ h.mT for v, h in zip(t.reps, t.base.factors))
-
-
-def left_invariant_field(x: np.ndarray, level: int) -> Callable[[GroupPoint], Tangent]:
-    """The left-invariant vector field h -> (h_1 x, ..., h_p x)."""
-
-    def field(pt: GroupPoint) -> Tangent:
-        if pt.level != level:
-            raise ValueError("field applied at the wrong level")
-        return Tangent(pt, tuple(h @ x for h in pt.factors))
-
-    return field
 
 
 def check_fd_step(fd_step: float) -> None:

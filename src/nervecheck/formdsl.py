@@ -40,6 +40,7 @@ again, and returns one value per stacked point.
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 from dataclasses import dataclass
 from math import pi
 from typing import Callable, Union
@@ -49,7 +50,6 @@ import numpy as np
 from .cartanmodel import EquivariantForm
 from .formcalc import (FormEval, _shuffle_signs, matrix_wedge_square, mc_left,
                        mc_right)
-from .matrixgroup import s4_table
 
 
 class FormDslError(ValueError):
@@ -434,10 +434,12 @@ _LETTER = {"p1": "a", "p2": "b", "p3": "c", "p4": "d"}
 
 
 def _levi_civita() -> np.ndarray:
-    """eps[a, b, c, d]: the sign of the permutation (a+1, b+1, c+1, d+1)."""
+    """eps[a, b, c, d]: the sign of the permutation (a, b, c, d) of 0..3,
+    by its count of inversions."""
     eps = np.zeros((4, 4, 4, 4))
-    for perm in s4_table():
-        eps[tuple(k - 1 for k in perm.images)] = perm.sign
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        eps[perm] = -1.0 if inversions % 2 else 1.0
     return eps
 
 
@@ -631,6 +633,11 @@ CORPUS_NAMES = ("e13.form", "e22.form", "mu.form")
 
 
 def corpus_source(name: str) -> str:
-    """Source text of one of the shipped .form files."""
+    """Source text of one of the shipped .form files; a FormDslError names
+    a file the installed package lacks."""
     res = importlib.resources.files("nervecheck").joinpath("expressions", name)
-    return res.read_text(encoding="utf-8")
+    try:
+        return res.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FormDslError(
+            f"bundled expression file {name!r} cannot be read: {exc}") from None

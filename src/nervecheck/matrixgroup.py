@@ -1,4 +1,4 @@
-"""SO(4) primitives: group/tangent containers, skew basis, exponential, adjoint.
+"""SO(4) primitives: group/tangent containers, skew basis, exponential.
 
 Everything downstream works with tuples of 4x4 orthogonal matrices ("points on
 a product of SO(4) factors") and tangent vectors stored as ambient matrices,
@@ -13,7 +13,6 @@ matrix transpose is therefore always `.mT`, a swap of the last two axes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,14 +72,6 @@ class Tangent:
         return self
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    """A permutation of (1, 2, 3, 4) together with its sign."""
-
-    images: tuple[int, int, int, int]
-    sign: int
-
-
 def identity_point(level: int) -> GroupPoint:
     """The identity element of SO(4)^level."""
     if level < 0:
@@ -115,11 +106,6 @@ def skew_from_coords(coords) -> np.ndarray:
     m[..., _ROWS, _COLS] = coords
     m[..., _COLS, _ROWS] = -coords
     return m
-
-
-def random_skew(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Skew matrix with independent entries uniform in [-scale, scale]."""
-    return skew_from_coords(rng.uniform(-scale, scale, size=6))
 
 
 def _sinc(theta: np.ndarray) -> np.ndarray:
@@ -168,47 +154,3 @@ def exp_matrix(x: np.ndarray) -> np.ndarray:
     minus = np.stack([d, q1, q2, q3, -q1, d, -q3, q2,
                       -q2, q3, d, -q1, -q3, -q2, q1, d], axis=-1)
     return plus.reshape(x.shape) @ minus.reshape(x.shape)
-
-
-def exp_skew(x: np.ndarray) -> GroupPoint:
-    """exp of a skew matrix, wrapped as a one-factor group point."""
-    return GroupPoint((exp_matrix(x),))
-
-
-def sample_so4(seed: int) -> GroupPoint:
-    """Deterministic pseudo-random rotation: exp of a skew draw in [-2, 2]."""
-    rng = np.random.default_rng(seed)
-    return exp_skew(random_skew(rng, scale=2.0))
-
-
-def adjoint(g: GroupPoint, x: np.ndarray) -> np.ndarray:
-    """Conjugation g x g^-1 of a skew matrix by a one-factor group point."""
-    if g.level != 1:
-        raise ValueError("adjoint expects a single-factor group point")
-    m = g.factors[0]
-    return m @ x @ m.mT
-
-
-def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x @ y - y @ x
-
-
-def _perm_sign(images) -> int:
-    inv = sum(
-        1
-        for i in range(len(images))
-        for j in range(i + 1, len(images))
-        if images[i] > images[j]
-    )
-    return -1 if inv % 2 else 1
-
-
-def s4_table() -> tuple[SignedPermutation, ...]:
-    """All 24 permutations of (1,2,3,4) with signs, in lexicographic order."""
-    return _S4_TABLE
-
-
-_S4_TABLE = tuple(
-    SignedPermutation(images=p, sign=_perm_sign(p))
-    for p in itertools.permutations((1, 2, 3, 4))
-)

@@ -9,9 +9,8 @@ from nervecheck.matrixgroup import (
     basis_element,
     exp_matrix,
     identity_point,
-    random_skew,
 )
-from nervecheck.formcalc import constant_form, contract, entry, mc_left
+from nervecheck.formcalc import contract, entry, mc_left
 from nervecheck.cartanmodel import (
     CocycleSample,
     EquivariantForm,
@@ -23,21 +22,11 @@ from nervecheck.cartanmodel import (
 from nervecheck.eulercocycle import e13_form, e22_form, mu_form
 from nervecheck.harness import choose_signs
 
+from helpers import constant_form, rand_point, rand_tangent, random_skew
+
 E12 = basis_element(1, 2)
 E13 = basis_element(1, 3)
 E34 = basis_element(3, 4)
-
-
-def _rand_point(rng, level=1):
-    return GroupPoint(tuple(exp_matrix(random_skew(rng, 2.0)) for _ in range(level)))
-
-
-def _rand_tangent(rng, pt):
-    return Tangent(pt, tuple(h @ random_skew(rng, 1.0) for h in pt.factors))
-
-
-def _rand_skew(rng):
-    return random_skew(rng, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -53,32 +42,32 @@ def test_fundamental_field_vanishes_at_identity():
 
 def test_fundamental_field_zero_generator():
     rng = np.random.default_rng(0)
-    pt = _rand_point(rng, 1)
+    pt = rand_point(rng, 1)
     t = fundamental_field(np.zeros((4, 4)), 1)(pt)
     assert np.array_equal(t.reps[0], np.zeros((4, 4)))
 
 
 def test_fundamental_field_value_and_validity():
     rng = np.random.default_rng(1)
-    X = _rand_skew(rng)
-    pt = _rand_point(rng, 2)
+    X = random_skew(rng)
+    pt = rand_point(rng, 2)
     t = fundamental_field(X, 2)(pt)
     for h, r in zip(pt.factors, t.reps):
         assert np.allclose(r, h @ X - X @ h, atol=1e-15)
     t.validate()
     with pytest.raises(ValueError):
-        fundamental_field(X, 2)(_rand_point(rng, 1))
+        fundamental_field(X, 2)(rand_point(rng, 1))
 
 
 def test_contraction_with_left_mc_form():
     # i_{X#}(left MC entry) = (X - h^T X h)[a, b]
     rng = np.random.default_rng(2)
-    X = _rand_skew(rng)
+    X = random_skew(rng)
     fld = fundamental_field(X, 1)
     for (a, b) in ((1, 2), (1, 4), (2, 3)):
         f = contract(entry(mc_left(1, 1), a, b), fld)
         for _ in range(5):
-            pt = _rand_point(rng, 1)
+            pt = rand_point(rng, 1)
             h = pt.factors[0]
             want = (X - h.T @ X @ h)[a - 1, b - 1]
             assert abs(f(pt) - want) < 1e-12
@@ -87,9 +76,9 @@ def test_contraction_with_left_mc_form():
 def test_fundamental_field_is_conjugation_equivariant():
     # pushing the point by conjugation maps the field of X to the field of gXg^T
     rng = np.random.default_rng(3)
-    X = _rand_skew(rng)
+    X = random_skew(rng)
     g = exp_matrix(random_skew(rng, 2.0))
-    pt = _rand_point(rng, 1)
+    pt = rand_point(rng, 1)
     moved = GroupPoint(tuple(g @ h @ g.T for h in pt.factors))
     lhs = fundamental_field(g @ X @ g.T, 1)(moved)
     rhs = fundamental_field(X, 1)(pt)
@@ -112,23 +101,23 @@ def test_equivariant_form_shapes():
 
 def test_equivariant_form_polynomial_homogeneity():
     rng = np.random.default_rng(4)
-    X = _rand_skew(rng)
+    X = random_skew(rng)
     mu = mu_form()
-    pt = _rand_point(rng, 1)
-    t = _rand_tangent(rng, pt)
+    pt = rand_point(rng, 1)
+    t = rand_tangent(rng, pt)
     assert mu(2.0 * X)(pt, t) == 2.0 * mu(X)(pt, t)
     e13 = e13_form()
-    ts = [_rand_tangent(rng, pt) for _ in range(3)]
+    ts = [rand_tangent(rng, pt) for _ in range(3)]
     assert e13(2.0 * X)(pt, *ts) == e13(X)(pt, *ts)  # degree 0 in X
 
 
 def test_equivariant_forms_are_conjugation_equivariant():
     rng = np.random.default_rng(5)
-    X = _rand_skew(rng)
+    X = random_skew(rng)
     g = exp_matrix(random_skew(rng, 2.0))
     mu = mu_form()
-    pt = _rand_point(rng, 1)
-    t = _rand_tangent(rng, pt)
+    pt = rand_point(rng, 1)
+    t = rand_tangent(rng, pt)
     moved_pt = GroupPoint(tuple(g @ h @ g.T for h in pt.factors))
     moved_t = Tangent(moved_pt, tuple(g @ r @ g.T for r in t.reps))
     lhs = mu(g @ X @ g.T)(moved_pt, moved_t)
@@ -142,74 +131,74 @@ def test_equivariant_forms_are_conjugation_equivariant():
 
 def test_cartan_d_of_constant_vanishes():
     rng = np.random.default_rng(6)
-    X = _rand_skew(rng)
+    X = random_skew(rng)
     const = EquivariantForm(1, 0, 0, lambda _x: constant_form(2.0, 1))
     g = cartan_d(const, X)
-    pt = _rand_point(rng, 1)
-    t = _rand_tangent(rng, pt)
+    pt = rand_point(rng, 1)
+    t = rand_tangent(rng, pt)
     assert abs(g.component(1)(pt, t)) < 1e-9  # d part: FD of a constant
 
 
 def test_cartan_d_component_degrees():
     rng = np.random.default_rng(7)
-    X = _rand_skew(rng)
+    X = random_skew(rng)
     g = cartan_d(mu_form(), X)
     assert isinstance(g, GradedForm)
     assert set(g.components) <= {0, 2}
     # calling with k tangents dispatches to the degree-k component
-    pt = _rand_point(rng, 1)
-    ts = [_rand_tangent(rng, pt) for _ in range(2)]
+    pt = rand_point(rng, 1)
+    ts = [rand_tangent(rng, pt) for _ in range(2)]
     assert g(pt, *ts) == g.component(2)(pt, *ts)
 
 
 def test_cartan_d_raising_part_matches_exterior_d():
     # on a polynomial-degree-0 form the raising part is plain d
     rng = np.random.default_rng(8)
-    X = _rand_skew(rng)
+    X = random_skew(rng)
     e13 = e13_form()
     g = cartan_d(e13, X, fd_step=1e-5)
     from nervecheck.formcalc import exterior_d
 
     d_direct = exterior_d(e13(X), 1e-5)
-    pt = _rand_point(rng, 1)
-    ts = [_rand_tangent(rng, pt) for _ in range(4)]
+    pt = rand_point(rng, 1)
+    ts = [rand_tangent(rng, pt) for _ in range(4)]
     assert abs(g.component(4)(pt, *ts) - d_direct(pt, *ts)) < 1e-12
 
 
 def test_cartan_d_lowering_part_is_minus_contraction():
     rng = np.random.default_rng(9)
-    X = _rand_skew(rng)
+    X = random_skew(rng)
     e13 = e13_form()
     g = cartan_d(e13, X)
     fld = fundamental_field(X, 1)
     want = contract(e13(X), fld)
-    pt = _rand_point(rng, 1)
-    ts = [_rand_tangent(rng, pt) for _ in range(2)]
+    pt = rand_point(rng, 1)
+    ts = [rand_tangent(rng, pt) for _ in range(2)]
     assert abs(g.component(2)(pt, *ts) + want(pt, *ts)) < 1e-15
 
 
 def test_cartan_d_squares_to_zero_on_invariant_forms():
     rng = np.random.default_rng(10)
-    X = _rand_skew(rng)
+    X = random_skew(rng)
     for form in (mu_form(), e13_form()):
         dd = cartan_d(cartan_d(form, X, 1e-5), X, 1e-5)
         for deg, comp in sorted(dd.components.items()):
             for _ in range(2):
-                pt = _rand_point(rng, 1)
-                ts = [_rand_tangent(rng, pt) for _ in range(deg)]
+                pt = rand_point(rng, 1)
+                ts = [rand_tangent(rng, pt) for _ in range(deg)]
                 assert abs(comp(pt, *ts)) < 1e-4, (deg,)
 
 
 def test_twisted_d_of_mu_reproduces_contraction_of_e13():
     # degree-2 component of the twisted d of mu equals i_{X#} E(1,3)
     rng = np.random.default_rng(11)
-    X = _rand_skew(rng)
+    X = random_skew(rng)
     lhs = cartan_d(mu_form(), X, fd_step=1e-5)
     rhs = contract(e13_form()(X), fundamental_field(X, 1))
     worst = 0.0
     for _ in range(5):
-        pt = _rand_point(rng, 1)
-        ts = [_rand_tangent(rng, pt) for _ in range(2)]
+        pt = rand_point(rng, 1)
+        ts = [rand_tangent(rng, pt) for _ in range(2)]
         worst = max(worst, abs(lhs.component(2)(pt, *ts) - rhs(pt, *ts)))
     assert worst < 1e-6
 
@@ -219,16 +208,16 @@ def test_twisted_d_of_mu_reproduces_contraction_of_e13():
 
 
 def _sample(rng, X):
-    p1, p2 = _rand_point(rng, 1), _rand_point(rng, 2)
+    p1, p2 = rand_point(rng, 1), rand_point(rng, 2)
     return CocycleSample(
-        h1=p1, v=tuple(_rand_tangent(rng, p1) for _ in range(4)),
-        h2=p2, t=tuple(_rand_tangent(rng, p2) for _ in range(3)),
+        h1=p1, v=tuple(rand_tangent(rng, p1) for _ in range(4)),
+        h2=p2, t=tuple(rand_tangent(rng, p2) for _ in range(3)),
     )
 
 
 def test_total_check_passes_with_unique_signs():
     rng = np.random.default_rng(12)
-    X = _rand_skew(rng)
+    X = random_skew(rng)
     samples = [_sample(rng, X) for _ in range(5)]
     results = [equivariant_total_check(e13_form(), e22_form(), mu_form(), X, s)
                for s in samples]
@@ -245,11 +234,11 @@ def test_total_check_passes_with_unique_signs():
 
 def test_total_check_identity_points_kill_field_terms():
     rng = np.random.default_rng(13)
-    X = _rand_skew(rng)
+    X = random_skew(rng)
     i1, i2 = identity_point(1), identity_point(2)
     s = CocycleSample(
-        h1=i1, v=tuple(_rand_tangent(rng, i1) for _ in range(4)),
-        h2=i2, t=tuple(_rand_tangent(rng, i2) for _ in range(3)),
+        h1=i1, v=tuple(rand_tangent(rng, i1) for _ in range(4)),
+        h2=i2, t=tuple(rand_tangent(rng, i2) for _ in range(3)),
     )
     res = equivariant_total_check(e13_form(), e22_form(), mu_form(), X, s)
     # the pure-contraction residual is exactly zero at the identity
@@ -262,7 +251,7 @@ def test_total_check_identity_points_kill_field_terms():
 
 def test_total_check_residuals_scale_homogeneously_in_x():
     rng = np.random.default_rng(14)
-    X = _rand_skew(rng)
+    X = random_skew(rng)
     s = _sample(rng, X)
     base = equivariant_total_check(e13_form(), e22_form(), mu_form(), X, s)
     double = equivariant_total_check(
@@ -278,11 +267,11 @@ def test_total_check_residuals_scale_homogeneously_in_x():
 
 def test_total_check_rejects_malformed_samples():
     rng = np.random.default_rng(15)
-    X = _rand_skew(rng)
-    p1, p2 = _rand_point(rng, 1), _rand_point(rng, 2)
+    X = random_skew(rng)
+    p1, p2 = rand_point(rng, 1), rand_point(rng, 2)
     bad = CocycleSample(
-        h1=p1, v=tuple(_rand_tangent(rng, p1) for _ in range(3)),  # one short
-        h2=p2, t=tuple(_rand_tangent(rng, p2) for _ in range(3)),
+        h1=p1, v=tuple(rand_tangent(rng, p1) for _ in range(3)),  # one short
+        h2=p2, t=tuple(rand_tangent(rng, p2) for _ in range(3)),
     )
     with pytest.raises(ValueError):
         equivariant_total_check(e13_form(), e22_form(), mu_form(), X, bad)
@@ -291,6 +280,6 @@ def test_total_check_rejects_malformed_samples():
 def test_graded_form_defaults_missing_degrees_to_zero():
     g = GradedForm(1, {})
     rng = np.random.default_rng(16)
-    pt = _rand_point(rng, 1)
+    pt = rand_point(rng, 1)
     assert g(pt) == 0.0
-    assert g.component(3)(pt, *[_rand_tangent(rng, pt) for _ in range(3)]) == 0.0
+    assert g.component(3)(pt, *[rand_tangent(rng, pt) for _ in range(3)]) == 0.0

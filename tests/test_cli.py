@@ -206,6 +206,31 @@ def test_check_all_error_inside_a_check_is_not_a_usage_error(capsys,
         main(["check-all", "--trials", "1"])
 
 
+def _lose_the_bundle(tmp_path, monkeypatch):
+    """Point the bundled-resource lookup at an empty directory, as in an
+    installed package that lost its expressions/ files, and work there."""
+    import nervecheck.formdsl as formdsl
+
+    monkeypatch.setattr(formdsl.importlib.resources, "files",
+                        lambda package: tmp_path)
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--expr", "e13.form", "--at", "seed:1", "--tangents", "seed:2"],
+    ["check", "--id", "dsl-oracle", "--trials", "5"],
+    ["check-all", "--trials", "1", "--format", "text"],
+], ids=["eval", "check", "check-all"])
+def test_missing_bundled_expression_file_exits_two(capsys, tmp_path,
+                                                   monkeypatch, argv):
+    _lose_the_bundle(tmp_path, monkeypatch)
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bundled expression file ")
+    assert "'e13.form'" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # eval
 

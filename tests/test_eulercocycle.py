@@ -16,7 +16,6 @@ from nervecheck.matrixgroup import (
     basis_element,
     exp_matrix,
     identity_point,
-    random_skew,
 )
 from nervecheck.eulercocycle import (
     _pair_sum,
@@ -30,6 +29,7 @@ from nervecheck.eulercocycle import (
     polynomial_path,
 )
 
+from helpers import rand_point, rand_tangent, random_skew
 from oracles import eps_contract, oracle_alpha, oracle_e13, oracle_e22, oracle_mu
 
 E12 = basis_element(1, 2)
@@ -45,14 +45,6 @@ MU_GOLDEN = -1.0 / (4.0 * PI2)        # mu(E12) at identity on E34
 E22_GOLDEN = -1.0 / (8.0 * PI2)       # E(2,2) at (I, I) on ((E12,0),(0,E34))
 ALPHA_GOLDEN = -1.0 / (8.0 * PI2)     # alpha(t*E12, E34)
 E13_GOLDEN = -1.0 / (8.0 * PI2)       # E(1,3) at I on (E12, E13, E14)
-
-
-def _rand_point(rng, level=1):
-    return GroupPoint(tuple(exp_matrix(random_skew(rng, 2.0)) for _ in range(level)))
-
-
-def _rand_tangent(rng, pt):
-    return Tangent(pt, tuple(h @ random_skew(rng, 1.0) for h in pt.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +97,16 @@ def test_alpha_golden_value():
 def test_e13_matches_oracle_at_random_points():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        pt = _rand_point(rng)
-        ts = [_rand_tangent(rng, pt) for _ in range(3)]
+        pt = rand_point(rng)
+        ts = [rand_tangent(rng, pt) for _ in range(3)]
         assert abs(eval_E13(pt, *ts) - oracle_e13(pt, *ts)) < 1e-13
 
 
 def test_e22_matches_oracle_at_random_points():
     rng = np.random.default_rng(1)
     for _ in range(10):
-        pt = _rand_point(rng, 2)
-        ts = [_rand_tangent(rng, pt) for _ in range(2)]
+        pt = rand_point(rng, 2)
+        ts = [rand_tangent(rng, pt) for _ in range(2)]
         assert abs(eval_E22(pt, *ts) - oracle_e22(pt, *ts)) < 1e-13
 
 
@@ -122,8 +114,8 @@ def test_mu_matches_oracle_at_random_points():
     rng = np.random.default_rng(2)
     for _ in range(10):
         X = random_skew(rng, 1.0)
-        pt = _rand_point(rng)
-        v = _rand_tangent(rng, pt)
+        pt = rand_point(rng)
+        v = rand_tangent(rng, pt)
         assert abs(eval_mu(X, pt, v) - oracle_mu(X, pt, v)) < 1e-13
 
 
@@ -145,8 +137,8 @@ def test_pair_sum_matches_levi_civita_on_general_matrices():
 
 def test_e13_alternating_and_multilinear():
     rng = np.random.default_rng(3)
-    pt = _rand_point(rng)
-    a, b, c = (_rand_tangent(rng, pt) for _ in range(3))
+    pt = rand_point(rng)
+    a, b, c = (rand_tangent(rng, pt) for _ in range(3))
     base = eval_E13(pt, a, b, c)
     assert eval_E13(pt, b, a, c) == -base
     assert eval_E13(pt, a, a, c) == 0.0
@@ -159,8 +151,8 @@ def test_e13_alternating_and_multilinear():
 def test_mu_is_bilinear_in_x_and_tangent():
     rng = np.random.default_rng(4)
     X, Y = random_skew(rng, 1.0), random_skew(rng, 1.0)
-    pt = _rand_point(rng)
-    v = _rand_tangent(rng, pt)
+    pt = rand_point(rng)
+    v = rand_tangent(rng, pt)
     assert abs(eval_mu(X + Y, pt, v)
                - eval_mu(X, pt, v) - eval_mu(Y, pt, v)) < 1e-13
     assert eval_mu(np.zeros((4, 4)), pt, v) == 0.0
@@ -178,18 +170,18 @@ def test_cochains_are_conjugation_equivariant():
         return Tangent(mpt, tuple(g @ r @ g.T for r in t.reps))
 
     for _ in range(20):
-        pt = _rand_point(rng)
-        ts = [_rand_tangent(rng, pt) for _ in range(3)]
+        pt = rand_point(rng)
+        ts = [rand_tangent(rng, pt) for _ in range(3)]
         mpt = move_pt(pt)
         mts = [move_t(t, mpt) for t in ts]
         assert abs(eval_E13(mpt, *mts) - eval_E13(pt, *ts)) < 1e-10
-        pt2 = _rand_point(rng, 2)
-        us = [_rand_tangent(rng, pt2) for _ in range(2)]
+        pt2 = rand_point(rng, 2)
+        us = [rand_tangent(rng, pt2) for _ in range(2)]
         mpt2 = move_pt(pt2)
         mus = [move_t(u, mpt2) for u in us]
         assert abs(eval_E22(mpt2, *mus) - eval_E22(pt2, *us)) < 1e-10
         X = random_skew(rng, 1.0)
-        v = _rand_tangent(rng, pt)
+        v = rand_tangent(rng, pt)
         assert abs(eval_mu(g @ X @ g.T, mpt, move_t(v, mpt))
                    - eval_mu(X, pt, v)) < 1e-10
 
@@ -213,10 +205,10 @@ def test_level_validation():
 
 def test_base_point_mismatch_rejected():
     rng = np.random.default_rng(6)
-    pt = _rand_point(rng)
-    other = _rand_point(rng)
-    stray = _rand_tangent(rng, other)
-    ok = _rand_tangent(rng, pt)
+    pt = rand_point(rng)
+    other = rand_point(rng)
+    stray = rand_tangent(rng, other)
+    ok = rand_tangent(rng, pt)
     with pytest.raises(ValueError):
         eval_E13(pt, ok, ok, stray)
     with pytest.raises(ValueError):

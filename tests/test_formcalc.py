@@ -9,17 +9,13 @@ from nervecheck.matrixgroup import (
     basis_element,
     exp_matrix,
     identity_point,
-    random_skew,
-    sample_so4,
 )
 from nervecheck.formcalc import (
     FormEval,
     SmoothMap,
-    constant_form,
     contract,
     entry,
     exterior_d,
-    left_invariant_field,
     matrix_wedge_square,
     mc_left,
     mc_right,
@@ -28,21 +24,14 @@ from nervecheck.formcalc import (
     zero_form,
 )
 
+from helpers import (constant_form, left_invariant_field, rand_point,
+                     rand_tangent, random_skew, sample_so4)
 from oracles import fd_directional, fd_map_differential, wedge_oracle
 
 E12 = basis_element(1, 2)
 E13 = basis_element(1, 3)
 E23 = basis_element(2, 3)
 E34 = basis_element(3, 4)
-
-
-def _rand_point(rng, level=1):
-    return GroupPoint(tuple(exp_matrix(random_skew(rng, 2.0)) for _ in range(level)))
-
-
-def _rand_tangent(rng, pt):
-    return Tangent(pt, tuple(
-        h @ random_skew(rng, 1.0) for h in pt.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +80,8 @@ def test_mc_right_conjugates_left_translation():
 def test_mc_values_are_skew():
     rng = np.random.default_rng(15)
     for _ in range(10):
-        pt = _rand_point(rng, 2)
-        t = _rand_tangent(rng, pt)
+        pt = rand_point(rng, 2)
+        t = rand_tangent(rng, pt)
         for k in (1, 2):
             left = mc_left(k, 2)(pt, t)
             right = mc_right(k, 2)(pt, t)
@@ -102,7 +91,7 @@ def test_mc_values_are_skew():
 
 def test_mc_factor_selection_on_products():
     rng = np.random.default_rng(3)
-    pt = _rand_point(rng, 3)
+    pt = rand_point(rng, 3)
     x = basis_element(2, 3)
     reps = [np.zeros((4, 4)) for _ in range(3)]
     reps[1] = pt.factors[1] @ x
@@ -142,8 +131,8 @@ def test_wedge_vanishes_on_repeated_tangent():
     g = entry(mc_left(1, 1), 3, 4)
     w = wedge(f, g)
     rng = np.random.default_rng(7)
-    pt = _rand_point(rng)
-    v = _rand_tangent(rng, pt)
+    pt = rand_point(rng)
+    v = rand_tangent(rng, pt)
     assert w(pt, v, v) == 0.0
 
 
@@ -163,8 +152,8 @@ def test_wedge_graded_commutativity():
     one_b = entry(om, 1, 3)
     two = wedge(entry(om, 2, 3), entry(om, 2, 4))
     rng = np.random.default_rng(8)
-    pt = _rand_point(rng)
-    ts = [_rand_tangent(rng, pt) for _ in range(4)]
+    pt = rand_point(rng)
+    ts = [rand_tangent(rng, pt) for _ in range(4)]
     # (1,1): anti-commute
     assert abs(wedge(one_a, one_b)(pt, *ts[:2])
                + wedge(one_b, one_a)(pt, *ts[:2])) < 1e-15
@@ -188,8 +177,8 @@ def test_wedge_matches_antisymmetrization_oracle():
     for f, r, g, s in cases:
         w = wedge(f, g)
         for _ in range(5):
-            pt = _rand_point(rng)
-            ts = [_rand_tangent(rng, pt) for _ in range(r + s)]
+            pt = rand_point(rng)
+            ts = [rand_tangent(rng, pt) for _ in range(r + s)]
             got = w(pt, *ts)
             want = wedge_oracle(lambda p, *v: f(p, *v), r,
                                 lambda p, *v: g(p, *v), s)(pt, *ts)
@@ -221,9 +210,9 @@ def test_matrix_wedge_square_bilinear():
     om = mc_left(1, 1)
     sq = matrix_wedge_square(om)
     rng = np.random.default_rng(10)
-    pt = _rand_point(rng)
-    a = _rand_tangent(rng, pt)
-    b = _rand_tangent(rng, pt)
+    pt = rand_point(rng)
+    a = rand_tangent(rng, pt)
+    b = rand_tangent(rng, pt)
     scaled = Tangent(pt, tuple(2.0 * r for r in a.reps))
     assert np.allclose(sq(pt, scaled, b), 2.0 * sq(pt, a, b), atol=1e-14)
     summed = Tangent(pt, tuple(x + y for x, y in zip(a.reps, b.reps)))
@@ -237,8 +226,8 @@ def test_matrix_wedge_square_bilinear():
 
 def _check_alternating_multilinear(form, level, rng, rel_tol=1e-10, probes=20):
     for _ in range(probes):
-        pt = _rand_point(rng, level)
-        ts = [_rand_tangent(rng, pt) for _ in range(form.degree)]
+        pt = rand_point(rng, level)
+        ts = [rand_tangent(rng, pt) for _ in range(form.degree)]
         base = form(pt, *ts)
         scale = max(1.0, abs(base))
         if form.degree >= 2:
@@ -264,8 +253,8 @@ def test_wedge_products_are_alternating_multilinear():
 def test_exterior_d_of_zero_is_zero():
     d = exterior_d(zero_form(1, 1), 1e-5)
     rng = np.random.default_rng(14)
-    pt = _rand_point(rng)
-    assert d(pt, _rand_tangent(rng, pt), _rand_tangent(rng, pt)) == 0.0
+    pt = rand_point(rng)
+    assert d(pt, rand_tangent(rng, pt), rand_tangent(rng, pt)) == 0.0
 
 
 def test_exterior_d_degree0_analytic():
@@ -274,8 +263,8 @@ def test_exterior_d_degree0_analytic():
     df = exterior_d(f, 1e-5)
     rng = np.random.default_rng(15)
     for _ in range(5):
-        pt = _rand_point(rng)
-        t = _rand_tangent(rng, pt)
+        pt = rand_point(rng)
+        t = rand_tangent(rng, pt)
         want = 2.0 * pt.factors[0][0, 0] * t.reps[0][0, 0]
         assert abs(df(pt, t) - want) < 1e-9
 
@@ -287,9 +276,9 @@ def test_exterior_d_structural_equation():
     rng = np.random.default_rng(16)
     worst = 0.0
     for _ in range(10):
-        pt = _rand_point(rng)
-        v = _rand_tangent(rng, pt)
-        w = _rand_tangent(rng, pt)
+        pt = rand_point(rng)
+        v = rand_tangent(rng, pt)
+        w = rand_tangent(rng, pt)
         for (a, b) in ((1, 2), (1, 3), (2, 4), (3, 4)):
             d_ab = exterior_d(entry(om, a, b), 1e-5)
             resid = abs(d_ab(pt, v, w) + sq(pt, v, w)[a - 1, b - 1])
@@ -305,9 +294,9 @@ def test_exterior_d_halving_ratio():
     rng = np.random.default_rng(17)
     e_base, e_half = 0.0, 0.0
     for _ in range(20):
-        pt = _rand_point(rng)
-        v = _rand_tangent(rng, pt)
-        w = _rand_tangent(rng, pt)
+        pt = rand_point(rng)
+        v = rand_tangent(rng, pt)
+        w = rand_tangent(rng, pt)
         truth = -sq(pt, v, w)[0, 1]
         e_base = max(e_base, abs(d_base(pt, v, w) - truth))
         e_half = max(e_half, abs(d_half(pt, v, w) - truth))
@@ -318,8 +307,8 @@ def test_exterior_d_squared_small():
     f = entry(mc_left(1, 1), 1, 2)
     dd = exterior_d(exterior_d(f, 1e-5), 1e-5)
     rng = np.random.default_rng(18)
-    pt = _rand_point(rng)
-    ts = [_rand_tangent(rng, pt) for _ in range(3)]
+    pt = rand_point(rng)
+    ts = [rand_tangent(rng, pt) for _ in range(3)]
     assert abs(dd(pt, *ts)) < 1e-4
 
 
@@ -340,7 +329,7 @@ def test_contract_left_invariant_field_gives_constant():
     om = mc_left(1, 1)
     rng = np.random.default_rng(19)
     for _ in range(5):
-        pt = _rand_point(rng)
+        pt = rand_point(rng)
         assert abs(contract(entry(om, 3, 4), fld)(pt) - 1.0) < 1e-12
         assert abs(contract(entry(om, 1, 2), fld)(pt)) < 1e-12
 
@@ -351,7 +340,7 @@ def test_contract_repeated_slot_vanishes():
     fld = left_invariant_field(E12, 1)
     g = contract(contract(w, fld), fld)
     rng = np.random.default_rng(20)
-    pt = _rand_point(rng)
+    pt = rand_point(rng)
     assert g(pt) == 0.0
 
 
@@ -366,7 +355,7 @@ def test_contract_linear_in_field():
         return Tangent(pt, tuple(x + y for x, y in zip(ta.reps, tb.reps)))
 
     rng = np.random.default_rng(22)
-    pt = _rand_point(rng)
+    pt = rand_point(rng)
     got = contract(f, fsum)(pt)
     want = contract(f, fa)(pt) + contract(f, fb)(pt)
     assert abs(got - want) < 1e-13
@@ -396,8 +385,8 @@ def test_pullback_identity_map_is_identity():
     f = wedge(entry(mc_left(1, 1), 1, 2), entry(mc_left(1, 1), 3, 4))
     pb = pullback(f, ident)
     rng = np.random.default_rng(23)
-    pt = _rand_point(rng)
-    v, w = _rand_tangent(rng, pt), _rand_tangent(rng, pt)
+    pt = rand_point(rng)
+    v, w = rand_tangent(rng, pt), rand_tangent(rng, pt)
     assert pb(pt, v, w) == f(pt, v, w)
 
 
@@ -405,8 +394,8 @@ def test_multiplication_diff_matches_fd_oracle():
     m = _mul_map()
     rng = np.random.default_rng(24)
     for _ in range(5):
-        pt = _rand_point(rng, 2)
-        t = _rand_tangent(rng, pt)
+        pt = rand_point(rng, 2)
+        t = rand_tangent(rng, pt)
         got = m.diff(pt, t)
         want = fd_map_differential(m, t, 1e-5)
         err = max(np.max(np.abs(a - b)) for a, b in zip(got, want.reps))
@@ -418,8 +407,8 @@ def test_pullback_through_multiplication():
     f = entry(mc_left(1, 1), 1, 3)
     pb = pullback(f, m)
     rng = np.random.default_rng(25)
-    pt = _rand_point(rng, 2)
-    t = _rand_tangent(rng, pt)
+    pt = rand_point(rng, 2)
+    t = rand_tangent(rng, pt)
     image = m.apply(pt)
     assert abs(pb(pt, t) - f(image, Tangent(image, m.diff(pt, t)))) < 1e-15
 
@@ -442,8 +431,8 @@ def test_pullback_functoriality():
     lhs = pullback(f, comp)
     rhs = pullback(pullback(f, inv), m)
     rng = np.random.default_rng(26)
-    pt = _rand_point(rng, 2)
-    v, w = _rand_tangent(rng, pt), _rand_tangent(rng, pt)
+    pt = rand_point(rng, 2)
+    v, w = rand_tangent(rng, pt), rand_tangent(rng, pt)
     assert abs(lhs(pt, v, w) - rhs(pt, v, w)) < 1e-12
 
 
@@ -454,8 +443,8 @@ def test_pullback_commutes_with_wedge():
     lhs = pullback(wedge(f, g), m)
     rhs = wedge(pullback(f, m), pullback(g, m))
     rng = np.random.default_rng(27)
-    pt = _rand_point(rng, 2)
-    v, w = _rand_tangent(rng, pt), _rand_tangent(rng, pt)
+    pt = rand_point(rng, 2)
+    v, w = rand_tangent(rng, pt), rand_tangent(rng, pt)
     assert abs(lhs(pt, v, w) - rhs(pt, v, w)) < 1e-12
 
 
@@ -474,8 +463,8 @@ def test_form_arithmetic_and_errors():
     f = entry(om, 1, 2)
     g = entry(om, 1, 3)
     rng = np.random.default_rng(28)
-    pt = _rand_point(rng)
-    t = _rand_tangent(rng, pt)
+    pt = rand_point(rng)
+    t = rand_tangent(rng, pt)
     assert (f + g)(pt, t) == f(pt, t) + g(pt, t)
     assert (f - g)(pt, t) == f(pt, t) - g(pt, t)
     assert (-f)(pt, t) == -f(pt, t)

@@ -35,7 +35,7 @@ from nervecheck.cartanmodel import EquivariantForm
 from nervecheck.formcalc import FormEval
 from nervecheck.harness import (DrawTape, sample_algebra, sample_point,
                                 sample_tangents, trial_rng)
-from oracles import dsl_eval
+from oracles import cycle_sign, dsl_eval
 
 E12 = basis_element(1, 2)
 E13 = basis_element(1, 3)
@@ -247,6 +247,35 @@ def test_max_factor_index():
 def test_corpus_source_rejects_unknown_name():
     with pytest.raises((KeyError, ValueError, FileNotFoundError)):
         corpus_source("nonexistent.form")
+
+
+def test_corpus_source_names_a_missing_bundled_file(tmp_path, monkeypatch):
+    # an installed package that lost its expressions/ directory
+    import nervecheck.formdsl as formdsl
+
+    monkeypatch.setattr(formdsl.importlib.resources, "files",
+                        lambda package: tmp_path)
+    for name in CORPUS_NAMES:
+        with pytest.raises(FormDslError, match=repr(name)):
+            corpus_source(name)
+
+
+def test_levi_civita_tensor_signs_match_cycle_sign():
+    import nervecheck.formdsl as formdsl
+
+    eps = formdsl._EPS
+    perms = list(itertools.permutations(range(4)))
+    # +-1 exactly on the 24 permutations, 0 on every repeated index
+    assert np.count_nonzero(eps) == 24
+    assert eps[0, 1, 2, 3] == 1.0 and eps[1, 0, 2, 3] == -1.0
+    assert eps[3, 2, 1, 0] == 1.0 and eps.sum() == 0.0
+    for p in perms:
+        assert eps[p] == cycle_sign(p)
+    # the sign is multiplicative under composition
+    for p in perms:
+        for q in perms:
+            composed = tuple(p[q[i]] for i in range(4))
+            assert eps[composed] == eps[p] * eps[q]
 
 
 # ---------------------------------------------------------------------------

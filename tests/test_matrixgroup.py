@@ -1,4 +1,4 @@
-"""Tests for the SO(4) point/tangent layer and permutation table."""
+"""Tests for the SO(4) point/tangent layer, skew basis and exponential."""
 
 import math
 
@@ -11,20 +11,14 @@ from nervecheck.matrixgroup import (
     DIM,
     GroupPoint,
     Tangent,
-    adjoint,
     basis_element,
     basis_so4,
-    commutator,
     exp_matrix,
-    exp_skew,
     identity_point,
-    random_skew,
-    s4_table,
-    sample_so4,
     skew_from_coords,
 )
 
-from oracles import cycle_sign
+from helpers import random_skew, sample_so4
 
 
 def test_basis_pairs_order_and_count():
@@ -184,13 +178,6 @@ def test_exp_matrix_rejects_non_skew():
         exp_matrix(np.eye(DIM))
 
 
-def test_exp_skew_wraps_single_factor():
-    coords = np.array([0.3, 0.0, -0.7, 0.1, 0.0, 0.9])
-    pt = exp_skew(skew_from_coords(coords))
-    assert pt.level == 1
-    assert np.allclose(pt.factors[0], exp_matrix(skew_from_coords(coords)))
-
-
 def test_group_point_validation():
     identity_point(3).validate()
     assert identity_point(3).level == 3
@@ -223,81 +210,33 @@ def test_sample_so4_is_deterministic():
     a.validate()
 
 
+def _bracket(x, y):
+    return x @ y - y @ x
+
+
 def test_commutator_table():
     e12 = basis_element(1, 2)
     e13 = basis_element(1, 3)
     e14 = basis_element(1, 4)
     e23 = basis_element(2, 3)
     e34 = basis_element(3, 4)
-    assert np.array_equal(commutator(e12, e23), e13)
-    assert np.array_equal(commutator(e12, e13), -e23)
-    assert np.array_equal(commutator(e13, e23), -e12)
-    assert np.array_equal(commutator(e13, e14), -e34)
-    assert np.array_equal(commutator(e12, e34), np.zeros((DIM, DIM)))
-
-
-def test_adjoint_conjugates():
-    g = exp_matrix(0.4 * basis_element(2, 3))
-    x = basis_element(1, 2)
-    got = adjoint(GroupPoint((g,)), x)
-    assert np.allclose(got, g @ x @ g.T, atol=1e-14)
-    assert np.allclose(got, -got.T, atol=1e-13)
-    with pytest.raises(ValueError):
-        adjoint(identity_point(2), x)
-
-
-def test_adjoint_at_identity_is_identity_map():
-    rng = np.random.default_rng(17)
-    x = random_skew(rng, scale=1.0)
-    assert np.array_equal(adjoint(identity_point(1), x), x)
+    assert np.array_equal(_bracket(e12, e23), e13)
+    assert np.array_equal(_bracket(e12, e13), -e23)
+    assert np.array_equal(_bracket(e13, e23), -e12)
+    assert np.array_equal(_bracket(e13, e14), -e34)
+    assert np.array_equal(_bracket(e12, e34), np.zeros((DIM, DIM)))
 
 
 def test_adjoint_derivative_is_commutator():
-    # d/dt|_0  Ad(exp(tY)) X  =  [Y, X]
+    # d/dt|_0  exp(tY) X exp(-tY)  =  [Y, X]
     rng = np.random.default_rng(23)
     step = 1e-5
     for _ in range(5):
         x = random_skew(rng, scale=1.0)
         y = random_skew(rng, scale=1.0)
-        plus = adjoint(GroupPoint((exp_matrix(step * y),)), x)
-        minus = adjoint(GroupPoint((exp_matrix(-step * y),)), x)
-        fd = (plus - minus) / (2.0 * step)
-        assert np.max(np.abs(fd - commutator(y, x))) < 1e-8
-
-
-def test_adjoint_respects_group_multiplication():
-    rng = np.random.default_rng(29)
-    for _ in range(10):
-        g1 = exp_matrix(random_skew(rng, scale=1.5))
-        g2 = exp_matrix(random_skew(rng, scale=1.5))
-        x = random_skew(rng, scale=1.0)
-        lhs = adjoint(GroupPoint((g1 @ g2,)), x)
-        rhs = adjoint(GroupPoint((g1,)), adjoint(GroupPoint((g2,)), x))
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_s4_table_contents():
-    table = s4_table()
-    assert len(table) == 24
-    perms = [p.images for p in table]
-    assert perms == sorted(perms)  # lexicographic order
-    assert table[0].images == (1, 2, 3, 4) and table[0].sign == 1
-    assert table[-1].images == (4, 3, 2, 1)
-    assert sum(p.sign for p in table) == 0
-    for p in table:
-        assert p.sign == cycle_sign(tuple(x - 1 for x in p.images))
-    swap_first_two = next(p for p in table if p.images == (2, 1, 3, 4))
-    assert swap_first_two.sign == -1
-
-
-def test_s4_table_closed_under_composition_with_multiplicative_sign():
-    table = s4_table()
-    by_images = {p.images: p for p in table}
-    for p in table:
-        for q in table:
-            composed = tuple(p.images[q.images[i] - 1] for i in range(4))
-            assert composed in by_images
-            assert by_images[composed].sign == p.sign * q.sign
+        plus, minus = exp_matrix(step * y), exp_matrix(-step * y)
+        fd = (plus @ x @ plus.T - minus @ x @ minus.T) / (2.0 * step)
+        assert np.max(np.abs(fd - _bracket(y, x))) < 1e-8
 
 
 def test_sample_so4_seeds_give_distinct_points():

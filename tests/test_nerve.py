@@ -11,9 +11,8 @@ from nervecheck.matrixgroup import (
     basis_element,
     exp_matrix,
     identity_point,
-    random_skew,
 )
-from nervecheck.formcalc import SmoothMap, constant_form, entry, mc_left, mc_right
+from nervecheck.formcalc import SmoothMap, entry, mc_left, mc_right
 from nervecheck.nerve import (
     CONJUGATION,
     TRIVIAL,
@@ -35,15 +34,8 @@ from nervecheck.nerve import (
 )
 from nervecheck.formcalc import exterior_d
 
+from helpers import constant_form, rand_point, rand_tangent, random_skew
 from oracles import fd_map_differential
-
-
-def _rand_point(rng, level):
-    return GroupPoint(tuple(exp_matrix(random_skew(rng, 2.0)) for _ in range(level)))
-
-
-def _rand_tangent(rng, pt):
-    return Tangent(pt, tuple(h @ random_skew(rng, 1.0) for h in pt.factors))
 
 
 def _max_dev(reps, t):
@@ -58,7 +50,7 @@ def _max_dev(reps, t):
 
 def test_face_examples_level2():
     rng = np.random.default_rng(0)
-    pt = _rand_point(rng, 2)
+    pt = rand_point(rng, 2)
     g1, g2 = pt.factors
     assert np.array_equal(face_ng(0, pt).factors[0], g2)
     assert np.array_equal(face_ng(1, pt).factors[0], g1 @ g2)
@@ -85,8 +77,8 @@ def test_face_diff_matches_fd_oracle():
     for level in (2, 3):
         for i in range(level + 1):
             m = face_map_ng(i, level)
-            pt = _rand_point(rng, level)
-            t = _rand_tangent(rng, pt)
+            pt = rand_point(rng, level)
+            t = rand_tangent(rng, pt)
             got = m.diff(pt, t)
             want = fd_map_differential(m, t, 1e-5)
             assert _max_dev(got, want) < 1e-7
@@ -94,7 +86,7 @@ def test_face_diff_matches_fd_oracle():
 
 def test_degeneracy_inserts_identity():
     rng = np.random.default_rng(2)
-    pt = _rand_point(rng, 2)
+    pt = rand_point(rng, 2)
     up = degeneracy_ng(1, pt)
     assert up.level == 3
     assert np.array_equal(up.factors[0], pt.factors[0])
@@ -106,7 +98,7 @@ def test_face_degeneracy_identities():
     # eps_i o eta_i = id = eps_{i+1} o eta_i
     rng = np.random.default_rng(3)
     for q in (1, 2, 3):
-        pt = _rand_point(rng, q)
+        pt = rand_point(rng, q)
         for i in range(q + 1):
             up = degeneracy_ng(i, pt)
             for j in (i, i + 1):
@@ -120,7 +112,7 @@ def test_simplicial_face_face_identity():
     # eps_i o eps_j = eps_{j-1} o eps_i for i < j
     rng = np.random.default_rng(4)
     for q in (2, 3, 4):
-        pt = _rand_point(rng, q)
+        pt = rand_point(rng, q)
         for j in range(1, q + 1):
             for i in range(j):
                 lhs = face_ng(i, face_ng(j, pt))
@@ -134,7 +126,7 @@ def test_faces_commute_with_conjugation():
     rng = np.random.default_rng(5)
     h = exp_matrix(random_skew(rng, 2.0))
     for q in (2, 3):
-        pt = _rand_point(rng, q)
+        pt = rand_point(rng, q)
         conj = GroupPoint(tuple(h @ g @ h.T for g in pt.factors))
         for i in range(q + 1):
             lhs = face_ng(i, conj)
@@ -150,7 +142,7 @@ def test_faces_commute_with_conjugation():
 
 def test_face_pg_deletes_factor():
     rng = np.random.default_rng(6)
-    pt = _rand_point(rng, 2)
+    pt = rand_point(rng, 2)
     g1, g2 = pt.factors
     assert np.array_equal(face_pg(0, pt).factors[0], g2)
     assert np.array_equal(face_pg(1, pt).factors[0], g1)
@@ -164,7 +156,7 @@ def test_gamma_values():
     out = gamma(GroupPoint((g, g)))
     assert out.level == 1
     assert np.max(np.abs(out.factors[0] - np.eye(4))) < 1e-13
-    pt = _rand_point(rng, 2)
+    pt = rand_point(rng, 2)
     out = gamma(pt)
     assert np.max(np.abs(out.factors[0]
                          - pt.factors[0] @ pt.factors[1].T)) < 1e-13
@@ -174,7 +166,7 @@ def test_gamma_intertwines_faces():
     # gamma o (delete factor i) = eps_i o gamma
     rng = np.random.default_rng(8)
     for q in (1, 2, 3):
-        pt = _rand_point(rng, q + 1)
+        pt = rand_point(rng, q + 1)
         for i in range(q + 1):
             lhs = gamma(face_pg(i, pt))
             rhs = face_ng(i, gamma(pt))
@@ -189,7 +181,7 @@ def test_gamma_intertwines_faces():
 
 def test_vertical_face_drop_and_multiply():
     rng = np.random.default_rng(9)
-    bp = _rand_point(rng, 3)  # (p, q) = (1, 2)
+    bp = rand_point(rng, 3)  # (p, q) = (1, 2)
     x, g1, g2 = bp.factors
     out0 = vertical_face(0, 1, bp)
     assert np.array_equal(out0.factors[1], g2)
@@ -200,7 +192,7 @@ def test_vertical_face_drop_and_multiply():
 
 def test_vertical_face_top_acts_by_conjugation():
     rng = np.random.default_rng(10)
-    bp = _rand_point(rng, 2)  # (p, q) = (1, 1)
+    bp = rand_point(rng, 2)  # (p, q) = (1, 1)
     x, g = bp.factors
     out = vertical_face(1, 1, bp)
     assert out.level == 1  # q = 0
@@ -209,14 +201,14 @@ def test_vertical_face_top_acts_by_conjugation():
 
 def test_vertical_face_top_trivial_action():
     rng = np.random.default_rng(11)
-    bp = _rand_point(rng, 2)
+    bp = rand_point(rng, 2)
     out = vertical_face(1, 1, bp, action=TRIVIAL)
     assert np.array_equal(out.factors[0], bp.factors[0])
 
 
 def test_vertical_face_identity_actors_fix_point():
     rng = np.random.default_rng(12)
-    x = _rand_point(rng, 1)
+    x = rand_point(rng, 1)
     bp = GroupPoint(x.factors + identity_point(1).factors)
     out = vertical_face(1, 1, bp)
     assert np.max(np.abs(out.factors[0] - x.factors[0])) < 1e-14
@@ -225,8 +217,8 @@ def test_vertical_face_identity_actors_fix_point():
 def test_vertical_face_diff_matches_fd():
     rng = np.random.default_rng(13)
     for (p, q) in ((1, 1), (1, 2), (2, 2)):
-        bp = _rand_point(rng, p + q)
-        t = _rand_tangent(rng, bp)
+        bp = rand_point(rng, p + q)
+        t = rand_tangent(rng, bp)
         for i in range(q + 1):
             got = vertical_face_diff(i, p, bp, t)
 
@@ -260,8 +252,8 @@ def test_bisimplicial_face_diffs_match_fd_oracle(action):
                             partial(vertical_face, i, p, action=action),
                             partial(vertical_face_diff, i, p, action=action))
                   for i in range(q + 1)]
-        pt = _rand_point(rng, level)
-        t = _rand_tangent(rng, pt)
+        pt = rand_point(rng, level)
+        t = rand_tangent(rng, pt)
         for m in faces:
             got = m.diff(pt, t)
             image = m.apply(pt)
@@ -273,7 +265,7 @@ def test_bisimplicial_face_diffs_match_fd_oracle(action):
 
 def test_bisimplicial_faces_reject_bad_indices_and_splits():
     rng = np.random.default_rng(25)
-    pt = _rand_point(rng, 3)
+    pt = rand_point(rng, 3)
     with pytest.raises(ValueError):
         horizontal_face(0, 4, pt)  # split beyond the level
     with pytest.raises(ValueError):
@@ -292,7 +284,7 @@ def test_d_prime_of_constant_vanishes():
     c = constant_form(3.25, 0)
     dc = d_prime(c)
     rng = np.random.default_rng(15)
-    pt = _rand_point(rng, 1)
+    pt = rand_point(rng, 1)
     assert dc(pt) == 0.0
 
 
@@ -302,8 +294,8 @@ def test_d_prime_squared_vanishes():
     rng = np.random.default_rng(16)
     worst = 0.0
     for _ in range(5):
-        pt = _rand_point(rng, 3)
-        t = _rand_tangent(rng, pt)
+        pt = rand_point(rng, 3)
+        t = rand_tangent(rng, pt)
         worst = max(worst, abs(ddf(pt, t)))
     assert worst < 1e-12
 
@@ -312,13 +304,13 @@ def test_d_double_prime_parity():
     rng = np.random.default_rng(17)
     # even level: d'' = +d
     f0 = entry(mc_left(1, 2), 1, 2) + entry(mc_right(2, 2), 1, 3)
-    pt = _rand_point(rng, 2)
-    v, w = _rand_tangent(rng, pt), _rand_tangent(rng, pt)
+    pt = rand_point(rng, 2)
+    v, w = rand_tangent(rng, pt), rand_tangent(rng, pt)
     assert d_double_prime(f0)(pt, v, w) == exterior_d(f0, 1e-5)(pt, v, w)
     # odd level: d'' = -d
     f1 = entry(mc_left(1, 1), 2, 3)
-    pt1 = _rand_point(rng, 1)
-    v1, w1 = _rand_tangent(rng, pt1), _rand_tangent(rng, pt1)
+    pt1 = rand_point(rng, 1)
+    v1, w1 = rand_tangent(rng, pt1), rand_tangent(rng, pt1)
     assert d_double_prime(f1)(pt1, v1, w1) == -exterior_d(f1, 1e-5)(pt1, v1, w1)
 
 
@@ -331,11 +323,11 @@ def test_double_complex_total_differential_squares_to_zero():
     rng = np.random.default_rng(18)
     worst_mixed, worst_dd = 0.0, 0.0
     for _ in range(5):
-        pt = _rand_point(rng, 2)
-        v, w = _rand_tangent(rng, pt), _rand_tangent(rng, pt)
+        pt = rand_point(rng, 2)
+        v, w = rand_tangent(rng, pt), rand_tangent(rng, pt)
         worst_mixed = max(worst_mixed, abs(mixed_a(pt, v, w) + mixed_b(pt, v, w)))
-        pt1 = _rand_point(rng, 1)
-        ts = [_rand_tangent(rng, pt1) for _ in range(3)]
+        pt1 = rand_point(rng, 1)
+        ts = [rand_tangent(rng, pt1) for _ in range(3)]
         worst_dd = max(worst_dd, abs(dd(pt1, *ts)))
     assert worst_mixed < 1e-4
     assert worst_dd < 1e-4
@@ -354,8 +346,8 @@ def test_bi_form_roundtrip_and_validation():
     bi = bi_form_from_flat(flat, 1, 1)
     assert (bi.degree, bi.level, bi.p, bi.q) == (1, 2, 1, 1)
     rng = np.random.default_rng(19)
-    bp = _rand_point(rng, 2)
-    t = _rand_tangent(rng, bp)
+    bp = rand_point(rng, 2)
+    t = rand_tangent(rng, bp)
     assert bi(bp, t) == flat(bp, t)
     with pytest.raises(ValueError):
         bi_form_from_flat(_flat_probe(), 2, 1)  # 2 + 1 != form level
@@ -368,10 +360,10 @@ def test_triple_forms_check_the_base_point():
     rng = np.random.default_rng(24)
     for which in ("d'", "d''", "d'''"):
         g = d_triple_complex(bi, which)
-        bp = _rand_point(rng, g.level)
-        ts = [_rand_tangent(rng, bp) for _ in range(g.degree)]
+        bp = rand_point(rng, g.level)
+        ts = [rand_tangent(rng, bp) for _ in range(g.degree)]
         g(bp, *ts)
-        elsewhere = _rand_tangent(rng, _rand_point(rng, g.level))
+        elsewhere = rand_tangent(rng, rand_point(rng, g.level))
         with pytest.raises(ValueError, match="not based"):
             g(bp, *ts[:-1], elsewhere)
 
@@ -383,8 +375,8 @@ def test_triple_differentials_pairwise_anticommute():
     for first, second in pairs:
         ab = d_triple_complex(d_triple_complex(bi, first), second)
         ba = d_triple_complex(d_triple_complex(bi, second), first)
-        bp = _rand_point(rng, ab.level)
-        ts = [_rand_tangent(rng, bp) for _ in range(ab.degree)]
+        bp = rand_point(rng, ab.level)
+        ts = [rand_tangent(rng, bp) for _ in range(ab.degree)]
         assert abs(ab(bp, *ts) + ba(bp, *ts)) < 1e-4
 
 
@@ -400,8 +392,8 @@ def test_triple_total_differential_squares_to_zero():
             g = d_triple_complex(d_triple_complex(bi, a), b)
             buckets.setdefault((g.p, g.q, g.degree), []).append(g)
     for (p, q, deg), forms in buckets.items():
-        bp = _rand_point(rng, p + q)
-        ts = [_rand_tangent(rng, bp) for _ in range(deg)]
+        bp = rand_point(rng, p + q)
+        ts = [rand_tangent(rng, bp) for _ in range(deg)]
         total = sum(f(bp, *ts) for f in forms)
         assert abs(total) < 1e-4, (p, q, deg)
 
@@ -419,13 +411,13 @@ def test_triple_vertical_with_trivial_action():
     odd = BiFormEval(0, 2, base_only, 1)
     dv = d_triple_complex(odd, "d''", action=TRIVIAL)
     assert (dv.p, dv.q) == (1, 2)
-    bp = _rand_point(rng, 3)
+    bp = rand_point(rng, 3)
     want = -base_only(bp, ())  # three terms + - +, outer sign (-1)^1
     assert abs(dv(bp) - want) < 1e-14
 
     even = BiFormEval(0, 3, base_only, 1)
     dv0 = d_triple_complex(even, "d''", action=TRIVIAL)
-    bp3 = _rand_point(rng, 4)
+    bp3 = rand_point(rng, 4)
     assert abs(dv0(bp3)) < 1e-14
 
 
@@ -457,12 +449,12 @@ def test_d_prime_computes_each_face_image_once(monkeypatch, stack):
 
     rng = np.random.default_rng(31)
     if stack is None:
-        pt = _rand_point(rng, 2)
+        pt = rand_point(rng, 2)
     else:
         pt = GroupPoint(tuple(exp_matrix(np.stack([random_skew(rng, 2.0)
                                                    for _ in range(stack)]))
                               for _ in range(2)))
-    ts = [_rand_tangent(rng, pt) if stack is None else Tangent(pt, tuple(
+    ts = [rand_tangent(rng, pt) if stack is None else Tangent(pt, tuple(
         h @ np.stack([random_skew(rng, 1.0) for _ in range(stack)])
         for h in pt.factors)) for _ in range(3)]
     form = d_prime(e13_form()(np.zeros((4, 4))))
@@ -481,7 +473,7 @@ def test_triple_complex_faces_compute_each_image_once(monkeypatch):
     calls = _count_face_ng(monkeypatch)
     for which, faces in (("d'", 3), ("d''", 2)):
         d = d_triple_complex(probe, which)
-        pt = _rand_point(rng, d.level)
+        pt = rand_point(rng, d.level)
         calls.clear()
-        d(pt, _rand_tangent(rng, pt))
+        d(pt, rand_tangent(rng, pt))
         assert len(calls) == faces, (which, calls)
