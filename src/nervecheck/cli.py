@@ -13,6 +13,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -179,7 +180,10 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and reused:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nervecheck",
         description="Numerical checks for simplicial de Rham identities "
@@ -221,8 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     return args.func(args)
 
 

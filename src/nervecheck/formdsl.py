@@ -30,7 +30,8 @@ cancel: it evaluates to zero.
 free in the subexpression, after the stack axes of a stacked point.  An
 entry keeps the axis of a placeholder index (`[p1,p1]` takes the
 diagonal); a wedge is the shuffle sum of products over the union of the
-axes, and `+`/`-` broadcast over it; an outermost sumS4
+axes, or, above the degree 6p of SO(4)^p, zero without evaluating its
+factors; `+`/`-` broadcast over it; an outermost sumS4
 contracts its body with the Levi-Civita tensor eps[a,b,c,d], and a nested
 one is 0 times its body.  `interpret` returns a FormEval, or an
 EquivariantForm exactly when X occurs; evaluating either lowers nothing
@@ -50,6 +51,7 @@ import numpy as np
 from .cartanmodel import EquivariantForm
 from .formcalc import (FormEval, _shuffle_signs, matrix_wedge_square, mc_left,
                        mc_right)
+from .matrixgroup import BASIS_PAIRS
 
 
 class FormDslError(ValueError):
@@ -499,9 +501,28 @@ def _entry(node: EntrySel, level: int, in_sum: bool) -> _Built:
         lambda pt, ts, X: np.einsum(spec, matrix(pt, ts, X)[..., rows, cols]))
 
 
-def _wedge(f: _Built, g: _Built) -> _Built:
-    """The shuffle sum of products over the union of the axes."""
+def _zeros(n_axes: int) -> Callable:
+    """The evaluator of a zero form: zeros over the stack axes of the point,
+    the tangents and X, then n_axes length-4 axes; it evaluates nothing."""
+
+    def fn(pt, ts, X):
+        mats = [*pt.factors, *(r for t in ts for r in t.reps)]
+        if X is not None:
+            mats.append(X)
+        stack = np.broadcast_shapes(*(np.shape(m)[:-2] for m in mats))
+        return np.zeros(stack + (4,) * n_axes)
+
+    return fn
+
+
+def _wedge(f: _Built, g: _Built, level: int) -> _Built:
+    """The shuffle sum of products over the union of the axes.  A form of
+    degree above 6 level, the dimension of SO(4)^level, is zero."""
     axes = tuple(sorted(set(f.axes) | set(g.axes)))
+    degree = f.form_degree + g.form_degree
+    if degree > len(BASIS_PAIRS) * level:
+        return _Built(degree, f.x_degree + g.x_degree, axes,
+                      _zeros(len(axes)))
     spec = f"...{_letters(f.axes)},...{_letters(g.axes)}->...{_letters(axes)}"
     shuffles = _shuffle_signs(f.form_degree, g.form_degree)
     ff, gf = f.fn, g.fn
@@ -514,8 +535,7 @@ def _wedge(f: _Built, g: _Built) -> _Built:
                 gf(pt, tuple(ts[k] for k in gs), X))
         return total
 
-    return _Built(f.form_degree + g.form_degree, f.x_degree + g.x_degree,
-                  axes, fn)
+    return _Built(degree, f.x_degree + g.x_degree, axes, fn)
 
 
 def _lift(b: _Built, axes: tuple[str, ...]):
@@ -537,7 +557,7 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
     if isinstance(node, Wedge):
         built = _build(node.factors[0], level, in_sum)
         for factor in node.factors[1:]:
-            built = _wedge(built, _build(factor, level, in_sum))
+            built = _wedge(built, _build(factor, level, in_sum), level)
         return built
     if isinstance(node, Scale):
         inner = _build(node.body, level, in_sum)

@@ -11,16 +11,22 @@ Every check follows one protocol, held by its entry in `CHECKS`:
   names none), takes the max over the components of a trial, and reports
   the max over trials with its trial index; the first worst trial wins.
 
-Sampling is deterministic given (seed, check id, trial index): every trial
-owns the stream ``default_rng([seed, crc32(check_id), trial])`` and draws
-from it in the same order whatever the other trials draw, so adding checks
-or reordering trials never perturbs existing runs, and `trial_rows(cfg,
-[k])` replays trial k alone.  The samplers stack the draws of the trials,
-and the forms, exponentials and products then run once on the stack: a run
-walks each form tree once per stack, not once per trial.  At most `CHUNK`
-trials form one stack, so the intermediate arrays do not grow with the
-trial count.  `golden-values` evaluates fixed inputs and runs one trial
-whatever `trials` is.
+Sampling is deterministic given (seed, check id, trial index): trial t of
+check id owns the PCG64 stream that numpy's `SeedSequence` seeds from the
+uint32 entropy words ``[seed mod 2**32, crc32(id), t]``, which is the stream
+of ``default_rng([seed % 2**32, crc32(id), t])``.  Every trial draws from
+its stream in the same order whatever the other trials draw, so adding
+checks or reordering trials never perturbs existing runs, and
+`trial_rows(cfg, [k])` replays trial k alone.  `trial_rngs` hashes the
+entropy of all the trials of a stack in one pass of numpy uint32
+arithmetic, the same hash `SeedSequence` computes one word at a time, and
+hands each PCG64 its four seed words; NEP 19 freezes both the hash and the
+stream, so the streams do not depend on the numpy version.  The samplers
+stack the draws of the trials, and the forms, exponentials and products
+then run once on the stack: a run walks each form tree once per stack, not
+once per trial.  At most `CHUNK` trials form one stack, so the intermediate
+arrays do not grow with the trial count.  `golden-values` evaluates fixed
+inputs and runs one trial whatever `trials` is.
 
 The samplers read a `DrawTape`.  It pulls `BLOCK` rows of six uniforms from
 every trial's stream with one `random` call, and the next block when those
@@ -126,14 +132,93 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
+# trial streams, seeded a stack at a time (see the module docstring)
+
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx),
+# which NEP 19 freezes together with the PCG64 stream.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4  # SeedSequence's default pool size, in uint32 words
+
+
+def _hash_steps(init: int, mult: int, count: int) -> list[tuple]:
+    """The (xor, multiplier) constants of `count` successive hash steps: a
+    step xors with the running constant, advances it by `mult`, and then
+    multiplies by the advanced one."""
+    out, h = [], init
+    for _ in range(count):
+        advanced = (h * mult) & 0xFFFFFFFF
+        out.append((np.uint32(h), np.uint32(advanced)))
+        h = advanced
+    return out
+
+
+# the pool's words hashed in, then its 12 ordered pairs mixed
+_STEPS_A = _hash_steps(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
+# the 8 uint32 words of 4 uint64 seed words hashed out of the pool
+_STEPS_B = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hash(value: np.ndarray, step: tuple) -> np.ndarray:
+    xor, mult = step
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> np.uint32(16))
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, uint64) for every row of an
+    (N, 4) uint32 array of entropy words, padded with zeros to the pool
+    size as SeedSequence pads them: an (N, 4) uint64 array."""
+    steps = iter(_STEPS_A)
+    pool = [_hash(entropy[:, i], next(steps)) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], next(steps)))
+    state = np.stack([_hash(pool[k % _POOL], step)
+                      for k, step in enumerate(_STEPS_B)], axis=1)
+    lo, hi = state[:, 0::2].astype(np.uint64), state[:, 1::2].astype(np.uint64)
+    return lo | (hi << np.uint64(32))
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """The four uint64 seed words of one PCG64, computed ahead."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds exactly 4 uint64 seed words, asked for "
+                             f"{n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
+def trial_rngs(seed: int, check_id: str,
+               trials: Sequence[int]) -> list[np.random.Generator]:
+    """The RNG streams owned by the given trials of one check: trial t owns
+    ``default_rng([seed % 2**32, crc32(check_id), t])``, seeded here for all
+    the trials in one pass of uint32 arithmetic."""
+    trials = np.asarray(trials, dtype=np.int64).reshape(-1)
+    if trials.size and not (0 <= trials.min() and trials.max() < 2**32):
+        raise ValueError("a trial index must lie in [0, 2**32)")
+    entropy = np.zeros((trials.size, _POOL), dtype=np.uint32)
+    entropy[:, 0] = seed % 2**32
+    entropy[:, 1] = zlib.crc32(check_id.encode("utf-8"))
+    entropy[:, 2] = trials
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w)))
+            for w in _seed_words(entropy)]
+
+
+# ---------------------------------------------------------------------------
 # samplers: each reads the next rows of a draw tape, stacked over the
 # trials of a tape of generators, unstacked on a tape of one generator
-
-
-def trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
-    """The RNG stream owned by one trial of one check."""
-    tag = zlib.crc32(check_id.encode("utf-8"))
-    return np.random.default_rng([seed % 2**32, tag, trial])
 
 
 class DrawTape:
@@ -558,8 +643,8 @@ def trial_rows(cfg: CheckConfig,
     ctx = check.setup(cfg)
     chunks = []
     for start in range(0, len(trials), CHUNK):
-        tape = DrawTape(trial_rng(cfg.seed, cfg.check_id, t)
-                        for t in trials[start:start + CHUNK])
+        tape = DrawTape(trial_rngs(cfg.seed, cfg.check_id,
+                                   trials[start:start + CHUNK]))
         cols = check.trial(ctx, tape)
         chunks.append({k: np.broadcast_to(np.asarray(v, dtype=float),
                                           (len(tape),))

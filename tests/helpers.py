@@ -7,6 +7,7 @@ conveniences built from the package's own primitives.
 import numpy as np
 
 from nervecheck.formcalc import FormEval
+from nervecheck.harness import trial_rngs
 from nervecheck.matrixgroup import GroupPoint, Tangent, exp_matrix, skew_from_coords
 
 
@@ -24,6 +25,11 @@ def rand_point(rng: np.random.Generator, level: int = 1) -> GroupPoint:
 def rand_tangent(rng: np.random.Generator, pt: GroupPoint) -> Tangent:
     """A left-translated tangent at pt, coordinates in [-1, 1]."""
     return Tangent(pt, tuple(h @ random_skew(rng, 1.0) for h in pt.factors))
+
+
+def trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
+    """The stream of one trial of a check."""
+    return trial_rngs(seed, check_id, [trial])[0]
 
 
 def sample_so4(seed: int) -> GroupPoint:

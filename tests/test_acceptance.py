@@ -36,10 +36,11 @@ from nervecheck.harness import (
     sample_point,
     sample_tangent,
     sample_tangents,
-    trial_rng,
+    trial_rngs,
     trial_rows,
 )
 
+from helpers import trial_rng
 from oracles import oracle_alpha, oracle_e22, oracle_mu
 from test_formdsl import DATA as MALFORMED_DIR
 
@@ -102,8 +103,7 @@ def test_criterion_05_all_five_residuals_with_one_sign_pair():
     e13, e22, mu = e13_form(), e22_form(), mu_form()
     tols = {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}
     # the 200 samples as one stack, each trial from its own stream
-    tape = DrawTape(trial_rng(SEED, "equivariant-cocycle", t)
-                    for t in range(200))
+    tape = DrawTape(trial_rngs(SEED, "equivariant-cocycle", range(200)))
     X = sample_algebra(tape)
     p1 = sample_point(tape, 1)
     p2 = sample_point(tape, 2)
@@ -158,7 +158,7 @@ def test_criterion_07_structural_equation_and_step_scaling():
     # over the 100 samples evaluated as one stack
     om = mc_left(1, 1)
     sq = matrix_wedge_square(om)
-    tape = DrawTape(trial_rng(SEED, "mc-structure", t) for t in range(100))
+    tape = DrawTape(trial_rngs(SEED, "mc-structure", range(100)))
     pt = sample_point(tape, 1)
     v = sample_tangent(tape, pt)
     w = sample_tangent(tape, pt)

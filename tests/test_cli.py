@@ -5,8 +5,12 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 from nervecheck import cli
 from nervecheck.cli import main
 from nervecheck.formdsl import MAX_FACTOR
-from nervecheck.harness import CHECK_IDS, CheckConfig, MAX_TRIALS, run_check
+from nervecheck.harness import (CHECK_IDS, DEFAULT_TOLS, CheckConfig,
+                                MAX_TRIALS, run_check)
 
 
 def _corpus_path(name):
@@ -343,6 +348,67 @@ def test_no_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+# Runs each argv of a JSON list through cli.main in one process and prints
+# the exit codes and outputs, with the parser builds before and after.
+_RUNNER = """
+import contextlib, io, json, sys
+from nervecheck import cli
+at_import = cli._build_parser.cache_info().misses
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"at_import": at_import,
+                  "builds": cli._build_parser.cache_info().misses,
+                  "results": results}))
+"""
+
+
+def _run_process(argvs):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNNER, json.dumps(argvs)], env=env,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_one_parser_serves_every_call_of_a_process():
+    argvs = [
+        ["check", "--id", "lemma-4.3", "--trials", "3", "--tol", "1e-3",
+         "--format", "text"],
+        ["check", "--id", "lemma-4.3", "--trials", "3", "--format", "text"],
+        ["check-all", "--trials", "2", "--format", "text"],
+        ["check", "--id", "nonsense"],
+        ["list"],
+    ]
+    shared = _run_process(argvs)
+    assert shared["at_import"] == 0  # importing cli builds no parser
+    assert shared["builds"] == 1
+    results = shared["results"]
+    for argv, got in zip(argvs, results):
+        fresh = _run_process([argv])
+        assert fresh["builds"] == 1
+        assert got == fresh["results"][0], argv
+    # the --tol of the first call does not leak into the second
+    assert results[0][1].endswith(" tol=1.0e-03\n")
+    assert results[1][1].endswith(f" tol={DEFAULT_TOLS['lemma-4.3']:.1e}\n")
+    assert len(results[2][1].splitlines()) == len(CHECK_IDS)
+    code, out, err = results[3]
+    assert code == 2 and out == "" and "invalid choice: 'nonsense'" in err
+    assert results[4] == [0, "\n".join(CHECK_IDS) + "\n", ""]
 
 
 @pytest.mark.parametrize("index", [MAX_FACTOR + 1, 100000, 10 ** 17])

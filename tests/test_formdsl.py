@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nervecheck.matrixgroup import GroupPoint, Tangent, basis_element, identity_point
+from nervecheck.matrixgroup import (BASIS_PAIRS, GroupPoint, Tangent,
+                                    basis_element, identity_point)
 from nervecheck.formdsl import (
     CORPUS_NAMES,
     MAX_FACTOR,
@@ -34,7 +35,8 @@ from nervecheck.eulercocycle import eval_E13, eval_mu
 from nervecheck.cartanmodel import EquivariantForm
 from nervecheck.formcalc import FormEval
 from nervecheck.harness import (DrawTape, sample_algebra, sample_point,
-                                sample_tangents, trial_rng)
+                                sample_tangents, trial_rngs)
+from helpers import trial_rng
 from oracles import cycle_sign, dsl_eval
 
 E12 = basis_element(1, 2)
@@ -493,6 +495,52 @@ def test_parse_raises_only_syntax_errors(src):
     except FormSyntaxError:
         return
     assert parse(pretty(node)) == node
+
+
+# The six entries above the diagonal of MCL(1) span the 1-forms of SO(4):
+# their wedge is a volume form, of the top degree 6.
+_VOLUME = " ".join(f"MCL(1)[{a},{b}]" for a, b in BASIS_PAIRS)
+
+
+def test_wedge_of_the_top_degree_matches_the_oracle():
+    node = parse(_VOLUME)
+    tape = DrawTape(trial_rng(0, "dsl-unit", 6))
+    pt = sample_point(tape, 1)
+    ts = sample_tangents(tape, pt, 6)
+    got = interpret(node, 1)(pt, *ts)
+    want, size = dsl_eval(node, pt, ts)
+    assert abs(want) > 1e-6 * size  # not a roundoff zero
+    assert abs(got - want) <= 1e-13 * size
+
+
+@pytest.mark.parametrize("extra, degree", [
+    ("MCR(1)[2,3]", 7), ("X[1,2] MCR(1)[2,3]", 7), ("MCL(1)^2[1,2]", 8)])
+def test_wedge_above_the_top_degree_is_exactly_zero(extra, degree):
+    # on SO(4), of dimension 6, a 7- or 8-form is zero; the wedge gives 0.0
+    # exactly, where the shuffle sum would give a roundoff residue
+    node = parse(f"{_VOLUME} {extra}")
+    form = interpret(node, 1)
+    tape = DrawTape(trial_rng(0, "dsl-unit", 7))
+    pt = sample_point(tape, 1)
+    ts = sample_tangents(tape, pt, degree)
+    X = sample_algebra(tape)
+    concrete = form(X) if "X" in extra else form
+    assert concrete.degree == degree
+    got = concrete(pt, *ts)
+    assert got == 0.0 and isinstance(got, float)
+    want, size = dsl_eval(node, pt, ts, X)
+    assert abs(want) <= 1e-13 * size
+    # nothing is evaluated: entries of NaN still give zero
+    nan = GroupPoint((np.full((4, 4), np.nan),))
+    assert concrete(nan, *[Tangent(nan, (np.full((4, 4), np.nan),))]
+                    * degree) == 0.0
+    # a stack of points gives one zero per point
+    stack = DrawTape(trial_rngs(0, "dsl-unit", range(3)))
+    pts = sample_point(stack, 1)
+    Xs = sample_algebra(stack)
+    value = (form(Xs) if "X" in extra else form)(
+        pts, *sample_tangents(stack, pts, degree))
+    assert value.shape == (3,) and not value.any()
 
 
 @pytest.mark.parametrize("count", [2_000, 20_000])

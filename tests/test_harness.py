@@ -2,9 +2,12 @@
 
 import math
 import sys
+import warnings
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nervecheck.harness as harness
 from nervecheck.harness import (
@@ -13,6 +16,7 @@ from nervecheck.harness import (
     BLOCK,
     CHUNK,
     DEFAULT_TOLS,
+    MAX_TRIALS,
     CheckConfig,
     CheckReport,
     DrawTape,
@@ -24,12 +28,13 @@ from nervecheck.harness import (
     sample_bi_tangent,
     sample_point,
     sample_tangent,
-    trial_rng,
     _skews,
+    trial_rngs,
     trial_rows,
 )
 from nervecheck.matrixgroup import exp_matrix, skew_from_coords
 
+from helpers import trial_rng
 from oracles import PerCallSampler
 
 
@@ -360,10 +365,70 @@ def test_trial_rng_stream_is_pinned():
                             0.40466743385237514]
 
 
+def _numpy_rng(seed, check_id, trial):
+    """The stream of the trial as numpy seeds it, without the package."""
+    tag = zlib.crc32(check_id.encode("utf-8"))
+    return np.random.default_rng([seed % 2**32, tag, trial])
+
+
+def _assert_numpy_streams(seed, check_id, trials, rows):
+    """trial_rngs gives numpy's stream for every trial: the integer a check
+    draws first, then `rows` rows of six doubles.  Any warning of the
+    seeding, such as an overflow in its uint32 arithmetic, fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = trial_rngs(seed, check_id, trials)
+    assert len(got) == len(trials)
+    for t, rng in zip(trials, got):
+        ref = _numpy_rng(seed, check_id, t)
+        assert rng.integers(1, 4) == ref.integers(1, 4), (seed, check_id, t)
+        assert _same_bits(rng.random((rows, 6)), ref.random((rows, 6))), (
+            seed, check_id, t)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, -1, -(2**40) - 7,
+                                  2**32, 2**64 + 5])
+def test_trial_rngs_are_numpy_streams_bit_for_bit(seed):
+    _assert_numpy_streams(seed, "lemma-4.1", [0, 1, MAX_TRIALS - 1],
+                          3 * BLOCK + 5)
+
+
+def test_trial_rngs_of_a_stack_past_chunk_are_numpy_streams():
+    _assert_numpy_streams(7, "d-squared", range(CHUNK + 3), 2)
+    _assert_numpy_streams(7, "d-squared", range(CHUNK - 1, CHUNK + 1),
+                          2 * BLOCK + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(-(2**70), 2**70), check_id=st.text(max_size=12),
+       trials=st.lists(st.integers(0, MAX_TRIALS - 1), max_size=4))
+def test_trial_rngs_sweep_matches_numpy(seed, check_id, trials):
+    _assert_numpy_streams(seed, check_id, trials, BLOCK + 1)
+
+
+@pytest.mark.parametrize("trial", [-1, 2**32])
+def test_trial_rngs_refuse_a_trial_numpy_would_seed_differently(trial):
+    with pytest.raises(ValueError):
+        trial_rngs(0, "unit", [0, trial])
+
+
+@pytest.mark.parametrize("request_args", [
+    (4,), (4, np.uint32), (8, np.uint32), (2, np.uint64), (5, np.uint64),
+    (4, np.int64)])
+def test_seed_words_refuse_any_request_but_four_uint64(request_args):
+    words = harness._seed_words(np.array([[1, 2, 3, 0]], dtype=np.uint32))[0]
+    seq = harness._SeedWords(words)
+    assert np.array_equal(seq.generate_state(4, np.uint64),
+                          np.random.SeedSequence([1, 2, 3]).generate_state(
+                              4, np.uint64))
+    with pytest.raises(ValueError):
+        seq.generate_state(*request_args)
+
+
 def test_tape_matches_per_call_draws_past_several_blocks():
     # a stack of trials read for more than three blocks, both scales mixed
-    tape = DrawTape(trial_rng(7, "tape", t) for t in range(5))
-    ref = PerCallSampler(tuple(trial_rng(7, "tape", t) for t in range(5)))
+    tape = DrawTape(trial_rngs(7, "tape", range(5)))
+    ref = PerCallSampler(tuple(trial_rngs(7, "tape", range(5))))
     for k in range(3 * BLOCK + 5):
         scale = 2.0 if k % 3 else 1.0
         assert _same_bits(_coords(_skews(tape, scale)), ref.coords(scale)), k
@@ -380,8 +445,8 @@ def test_tape_of_a_single_generator_is_unstacked():
 
 
 def test_tape_hands_out_several_rows_in_stream_order():
-    tape = DrawTape(trial_rng(3, "tape", t) for t in range(2))
-    ref = PerCallSampler(tuple(trial_rng(3, "tape", t) for t in range(2)))
+    tape = DrawTape(trial_rngs(3, "tape", range(2)))
+    ref = PerCallSampler(tuple(trial_rngs(3, "tape", range(2))))
     first = tape.rows(BLOCK - 1)
     more = tape.rows(BLOCK + 2)  # runs into a third block
     rows = np.concatenate([first, more], axis=1)
@@ -391,8 +456,8 @@ def test_tape_hands_out_several_rows_in_stream_order():
 
 
 def test_tape_integers_come_before_the_rows():
-    tape = DrawTape(trial_rng(3, "tape", t) for t in range(2))
-    rngs = tuple(trial_rng(3, "tape", t) for t in range(2))
+    tape = DrawTape(trial_rngs(3, "tape", range(2)))
+    rngs = tuple(trial_rngs(3, "tape", range(2)))
     assert tape.integers(1, 4).tolist() == [r.integers(1, 4) for r in rngs]
     assert _same_bits(_coords(_skews(tape, 1.0)),
                       PerCallSampler(rngs).coords(1.0))
@@ -482,7 +547,7 @@ def test_draw_calls_per_trial_are_one_per_block(monkeypatch, check_id):
     monkeypatch.setattr(DrawTape, "rows", counted_rows)
     cfg = CheckConfig(check_id, seed=2)
     check = CHECKS[check_id]
-    rngs = [_CountingRng(trial_rng(2, check_id, t)) for t in range(3)]
+    rngs = [_CountingRng(rng) for rng in trial_rngs(2, check_id, range(3))]
     check.trial(check.setup(cfg), DrawTape(rngs))
     # one integer call before the rows where a check draws one (the path
     # degree of alpha-antisymmetry)
