@@ -11,15 +11,16 @@ Because d raises and the contraction lowers the form degree, the Cartan
 differential of a homogeneous form has two homogeneous components; it is
 returned as a GradedForm keyed by degree.
 
-`equivariant_total_check` evaluates the five component identities that make
-the degree-4 cochain (3-form, 2-form on the squared level, and the
-polynomial 1-form) a cocycle of the equivariant nerve complex.  The total
-differential on a level is the Cartan differential plus the face sum d', so
-the check reads every component off `cartan_d` of the level-1 part
-e13 + mu(X) and of e22, and off `d_prime` of e13 and mu(X).  The two
-identities that hold only up to a relative sign report both variants; the
-caller chooses the sign (see `harness.choose_signs`).  A sample may be
-stacked, with X stacked alike, and then every residual is an array.
+The total differential of the equivariant nerve complex takes a cochain
+{p: c_p} to D c with
+
+    (D c)_p = d' c_(p-1) + (-1)^p (d - i_{X#}) c_p,
+
+the Cartan sign of Guillemin & Sternberg, "Supersymmetry and Equivariant de
+Rham Theory" (1999).  `total_d` applies it.  `equivariant_total_check` reads
+the five components of D of the degree-4 cochain {1: e13 + mu(X), 2: e22}
+that make it a cocycle.  A sample may be stacked, with X stacked alike, and
+then every residual is an array.
 """
 
 from __future__ import annotations
@@ -84,6 +85,10 @@ class GradedForm:
         return self.component(len(tangents))(pt, *tangents)
 
 
+def _accumulate(out: dict[int, FormEval], degree: int, form: FormEval) -> None:
+    out[degree] = out[degree] + form if degree in out else form
+
+
 def cartan_d(alpha: EquivariantForm | GradedForm, X: np.ndarray,
              fd_step: float = FD_STEP_DEFAULT) -> GradedForm:
     """(d - i_{X#}) applied to alpha(X), split into homogeneous components.
@@ -96,15 +101,28 @@ def cartan_d(alpha: EquivariantForm | GradedForm, X: np.ndarray,
         alpha = GradedForm(alpha.level, {form.degree: form})
     field = fundamental_field(X, alpha.level)
     out: dict[int, FormEval] = {}
-
-    def accumulate(degree: int, form: FormEval) -> None:
-        out[degree] = out[degree] + form if degree in out else form
-
     for degree, form in alpha.components.items():
-        accumulate(degree + 1, exterior_d(form, fd_step))
+        _accumulate(out, degree + 1, exterior_d(form, fd_step))
         if degree >= 1:
-            accumulate(degree - 1, -contract(form, field))
+            _accumulate(out, degree - 1, -contract(form, field))
     return GradedForm(alpha.level, out)
+
+
+def total_d(cochain: dict[int, GradedForm], X: np.ndarray,
+            fd_step: float = FD_STEP_DEFAULT) -> dict[int, GradedForm]:
+    """D = d' + (-1)^p (d - i_{X#}) applied to the cochain {p: c_p}, one
+    GradedForm per level it reaches.  The components are forms, so only
+    those that are evaluated cost anything."""
+    out: dict[int, dict[int, FormEval]] = {}
+    for p, c in sorted(cochain.items()):
+        if c.level != p:
+            raise ValueError(f"cochain part at level {c.level} keyed {p}")
+        for degree, form in cartan_d(c, X, fd_step).components.items():
+            _accumulate(out.setdefault(p, {}), degree,
+                        -form if p % 2 else form)
+        for degree, form in c.components.items():
+            _accumulate(out.setdefault(p + 1, {}), degree, d_prime(form))
+    return {level: GradedForm(level, parts) for level, parts in out.items()}
 
 
 @dataclass(frozen=True)
@@ -127,48 +145,40 @@ def _check_shapes(e13: EquivariantForm, e22: EquivariantForm,
         raise ValueError("third cochain must be a polynomial 1-form at level 1")
 
 
+def cocycle(e13: EquivariantForm, e22: EquivariantForm,
+            mu: EquivariantForm, X: np.ndarray) -> dict[int, GradedForm]:
+    """The degree-4 cochain {1: e13 + mu(X), 2: e22} at X."""
+    _check_shapes(e13, e22, mu)
+    return {1: GradedForm(1, {3: e13(X), 1: mu(X)}),
+            2: GradedForm(2, {2: e22(X)})}
+
+
 def equivariant_total_check(e13: EquivariantForm, e22: EquivariantForm,
                             mu: EquivariantForm, X: np.ndarray,
                             sample: CocycleSample,
                             fd_step: float = FD_STEP_DEFAULT
                             ) -> dict[str, np.ndarray]:
-    """Absolute residuals of the five cocycle component identities.
+    """Absolute residuals of the five components of D c = 0 for the cochain
+    c = {1: e13 + mu(X), 2: e22}.
 
-    a, b and c are the degree-4, 2 and 0 components of
-    (d - i_{X#})(e13 + mu(X)); d and e add d' e13 and d' mu(X) to the
-    degree-3 and 1 components of (d - i_{X##}) e22.
-
-    a:  d e13 = 0                       (4-form, one factor; finite difference)
-    b:  i_{X#} e13 = d mu(X)            (2-form, one factor; finite difference)
-    c:  i_{X#} mu(X) = 0                (scalar, one factor; exact algebra)
-    d+: d' e13 + d e22 = 0, and d- with  - d e22
-                                        (3-form, two factors; finite difference)
-    e+: d' mu(X) = i_{X##} e22, and e- with  = -i_{X##} e22
-                                        (1-form, two factors; exact algebra)
+    a:  -d e13                  (level 1, 4-form; finite difference)
+    b:  -(d mu(X) - i_{X#} e13) (level 1, 2-form; finite difference)
+    c:  i_{X#} mu(X)            (level 1, scalar; exact algebra)
+    d:  d' e13 + d e22          (level 2, 3-form; finite difference)
+    e:  d' mu(X) - i_{X#} e22   (level 2, 1-form; exact algebra)
     """
-    _check_shapes(e13, e22, mu)
     if sample.h1.level != 1 or sample.h2.level != 2:
         raise ValueError("sample points must have levels 1 and 2")
     if len(sample.v) != 4 or len(sample.t) != 3:
         raise ValueError(
             "sample needs 4 tangents at the level-1 point and 3 at the"
             " level-2 point")
-    e13_form = e13(X)
-    mu_form = mu(X)
-    # (d - i_{X#})(e13 + mu(X)) has degrees 4 (d e13), 2 (d mu - i e13)
-    # and 0 (-i mu); (d - i_{X##}) e22 has degrees 3 and 1
-    level1 = cartan_d(GradedForm(1, {3: e13_form, 1: mu_form}), X, fd_step)
-    level2 = cartan_d(e22, X, fd_step)
-    h1, h2, pair, single = sample.h1, sample.h2, sample.v[:2], sample.t[:1]
-
-    lhs_d = d_prime(e13_form).fn(h2, sample.t)
-    rhs_d = level2.component(3).fn(h2, sample.t)
-    lhs_e = d_prime(mu_form).fn(h2, single)
-    minus_rhs_e = level2.component(1).fn(h2, single)
+    D = total_d(cocycle(e13, e22, mu, X), X, fd_step)
+    h1, h2, v, t = sample.h1, sample.h2, sample.v, sample.t
     return {
-        "a": abs(level1.component(4).fn(h1, sample.v)),
-        "b": abs(level1.component(2).fn(h1, pair)),
-        "c": abs(level1.component(0).fn(h1, ())),
-        "d+": abs(lhs_d + rhs_d), "d-": abs(lhs_d - rhs_d),
-        "e+": abs(lhs_e + minus_rhs_e), "e-": abs(lhs_e - minus_rhs_e),
+        "a": abs(D[1].component(4).fn(h1, v)),
+        "b": abs(D[1].component(2).fn(h1, v[:2])),
+        "c": abs(D[1].component(0).fn(h1, ())),
+        "d": abs(D[2].component(3).fn(h2, t)),
+        "e": abs(D[2].component(1).fn(h2, t[:1])),
     }

@@ -38,14 +38,11 @@ other code reads a trial's stream.
 
 Composite checks (euler-cocycle, equivariant-cocycle, d-squared) bundle
 component identities with different natural scales; their default tolerance
-is 1.0, so they report the normalized residual.  An identity that holds only
-up to a relative sign reports both variants, `k+` and `k-`.  The sign of k
-is chosen once per run: the variant whose worst residual over all trials is
-smaller, ties to +.  The choice must be forced: the run reports an error of
-inf (worst trial 0) if any single trial prefers the other variant, or if the
-other variant's worst residual is within the component tolerance too, so
-that either sign would pass.  A NaN residual in any component fails the run
-as well: it reports an error of inf at the first trial with a NaN.
+is 1.0, so they report the normalized residual.  The cocycle checks and the
+three lemmas read their residuals off one total differential,
+`cartanmodel.total_d`, with its one stated sign.  A NaN residual in any
+component fails the run: it reports an error of inf at the first trial with
+a NaN.
 """
 
 from __future__ import annotations
@@ -53,18 +50,18 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field
-from math import pi
+from math import isfinite, pi
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import formdsl
-from .cartanmodel import (CocycleSample, equivariant_total_check,
-                          fundamental_field)
+from .cartanmodel import (CocycleSample, cocycle, equivariant_total_check,
+                          total_d)
 from .eulercocycle import (e13_form, e22_form, eval_alpha, eval_E13, eval_E22,
                            eval_mu, mu_form, polynomial_path)
-from .formcalc import (FD_STEP_DEFAULT, check_fd_step, contract, entry,
-                       exterior_d, matrix_wedge_square, mc_left, mc_right)
+from .formcalc import (FD_STEP_DEFAULT, check_fd_step, entry, exterior_d,
+                       matrix_wedge_square, mc_left, mc_right)
 from .matrixgroup import (GroupPoint, Tangent, basis_element, exp_matrix,
                           identity_point, skew_from_coords)
 from .nerve import (BiFormEval, bi_form_from_flat, d_prime, d_triple_complex,
@@ -100,8 +97,8 @@ class CheckConfig:
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
         check_fd_step(self.fd_step)
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if self.tol is not None and not (self.tol > 0 and isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
         return self
 
 
@@ -367,29 +364,32 @@ def _trial_gamma(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     return {"faces": worst}
 
 
+def _total_d(X: np.ndarray, fd_step: float) -> dict:
+    """D of the degree-4 cochain {1: e13 + mu(X), 2: e22}, per level."""
+    return total_d(cocycle(e13_form(), e22_form(), mu_form(), X), X, fd_step)
+
+
 def _trial_lemma41(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     X = sample_algebra(tape)
     pt = sample_point(tape, 1)
     v, w = sample_tangents(tape, pt, 2)
-    lhs = contract(e13_form()(X), fundamental_field(X, 1))
-    rhs = exterior_d(mu_form()(X), cfg.fd_step)
-    return {"i e13 - d mu": abs(lhs(pt, v, w) - rhs(pt, v, w))}
+    D = _total_d(X, cfg.fd_step)  # level 1, degree 2: i e13 - d mu, negated
+    return {"i e13 - d mu": abs(D[1].component(2)(pt, v, w))}
 
 
 def _trial_lemma42(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     X = sample_algebra(tape)
     pt = sample_point(tape, 2)
     (t,) = sample_tangents(tape, pt, 1)
-    lhs = contract(e22_form()(X), fundamental_field(X, 2))
-    rhs = d_prime(mu_form()(X))
-    return {"i e22 - d' mu": abs(lhs(pt, t) - rhs(pt, t))}
+    D = _total_d(X, cfg.fd_step)  # level 2, degree 1: d' mu - i e22
+    return {"i e22 - d' mu": abs(D[2].component(1)(pt, t))}
 
 
 def _trial_lemma43(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     X = sample_algebra(tape)
     pt = sample_point(tape, 1)
-    scalar = contract(mu_form()(X), fundamental_field(X, 1))
-    return {"i mu": abs(scalar(pt))}
+    D = _total_d(X, cfg.fd_step)  # level 1, degree 0: i mu
+    return {"i mu": abs(D[1].component(0)(pt))}
 
 
 def _trial_ad_invariance(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
@@ -439,31 +439,27 @@ def _trial_alpha_antisymmetry(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
 
 
 def _setup_euler_cocycle(cfg: CheckConfig) -> dict:
-    zero = np.zeros((4, 4))
-    e13 = e13_form()(zero)
-    e22 = e22_form()(zero)
-    return {"d e13": exterior_d(e13, cfg.fd_step), "d' e13": d_prime(e13),
-            "d e22": exterior_d(e22, cfg.fd_step), "d' e22": d_prime(e22)}
+    return _total_d(np.zeros((4, 4)), cfg.fd_step)
 
 
-def _trial_euler_cocycle(ctx: dict, tape) -> dict[str, np.ndarray]:
-    """The three cocycle components without the argument X.
+def _trial_euler_cocycle(D: dict, tape) -> dict[str, np.ndarray]:
+    """The three components of D c = 0 at X = 0 that do not vanish
+    identically.
 
-    a: d e13 = 0 on one factor (finite difference);
-    b: d' e13 + sigma1 * d e22 = 0 on two factors;
-    c: d' e22 = 0 on three factors (analytic face differentials).
+    a: level 1, degree 4: -d e13 (finite difference);
+    b: level 2, degree 3: d' e13 + d e22 (finite difference);
+    c: level 3, degree 2: d' e22 (analytic face differentials).
     """
     p1 = sample_point(tape, 1)
     v = sample_tangents(tape, p1, 4)
-    a = abs(ctx["d e13"](p1, *v))
+    a = abs(D[1].component(4)(p1, *v))
     p2 = sample_point(tape, 2)
     t = sample_tangents(tape, p2, 3)
-    lhs = ctx["d' e13"](p2, *t)
-    rhs = ctx["d e22"](p2, *t)
+    b = abs(D[2].component(3)(p2, *t))
     p3 = sample_point(tape, 3)
     u = sample_tangents(tape, p3, 2)
-    c = abs(ctx["d' e22"](p3, *u))
-    return {"a": a, "b+": abs(lhs + rhs), "b-": abs(lhs - rhs), "c": c}
+    c = abs(D[3].component(2)(p3, *u))
+    return {"a": a, "b": b, "c": c}
 
 
 def _setup_equivariant_cocycle(cfg: CheckConfig) -> dict:
@@ -473,7 +469,7 @@ def _setup_equivariant_cocycle(cfg: CheckConfig) -> dict:
 
 def _trial_equivariant_cocycle(ctx: dict, tape) -> dict[str, np.ndarray]:
     """The five components a-e of `equivariant_total_check` on the stacked
-    sample, with both sign variants of d and e."""
+    sample."""
     X = sample_algebra(tape)
     p1 = sample_point(tape, 1)
     p2 = sample_point(tape, 2)
@@ -597,7 +593,7 @@ class Check:
     tol: float  # default tolerance of the reported error
     trial: Callable[[object, DrawTape], dict[str, np.ndarray]]
     setup: Callable[[CheckConfig], object] = lambda cfg: cfg
-    # per-component tolerances, keyed without the sign suffix; absent ones are 1
+    # per-component tolerances; absent ones are 1
     tols: dict[str, float] = field(default_factory=dict)
     once: bool = False  # fixed inputs: a single trial whatever cfg.trials is
 
@@ -652,42 +648,16 @@ def trial_rows(cfg: CheckConfig,
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
-def choose_signs(cols: dict[str, np.ndarray],
-                 tols: dict[str, float]) -> Optional[dict[str, str]]:
-    """The sign, '+' or '-', of every component k that `cols` report as
-    k+ and k-, by the rule of the module docstring; None if one is not
-    forced."""
-    signs = {}
-    for key in cols:
-        if not key.endswith("+"):
-            continue
-        k = key[:-1]
-        plus, minus = np.asarray(cols[k + "+"]), np.asarray(cols[k + "-"])
-        sign, rejected = ("+", minus.max()) if plus.max() <= minus.max() \
-            else ("-", plus.max())
-        prefers_plus = plus <= minus
-        forced = prefers_plus.all() if sign == "+" else not prefers_plus.any()
-        if not forced or rejected / tols.get(k, 1.0) <= 1.0:
-            return None
-        signs[k] = sign
-    return signs
-
-
 def reduce_rows(cols: dict[str, np.ndarray],
                 tols: dict[str, float]) -> tuple[float, int]:
     """(error, worst trial) of a run from its columns of component
     residuals, as the module docstring describes: a NaN residual gives
-    (inf, first trial with a NaN), an unforced sign (inf, 0)."""
+    (inf, first trial with a NaN)."""
     cols = {k: np.asarray(v, dtype=float) for k, v in cols.items()}
     nan = np.any([np.isnan(v) for v in cols.values()], axis=0)
     if nan.any():
         return float("inf"), int(np.argmax(nan))
-    signs = choose_signs(cols, tols)
-    if signs is None:
-        return float("inf"), 0
-    err = np.max([cols[key] / tols.get(key.rstrip("+-"), 1.0) for key in cols
-                  if key[-1] not in "+-" or key[-1] == signs[key[:-1]]],
-                 axis=0)
+    err = np.max([v / tols.get(k, 1.0) for k, v in cols.items()], axis=0)
     worst = int(np.argmax(err))  # the first of equal maxima
     return float(err[worst]), worst
 

@@ -10,17 +10,21 @@ from nervecheck.matrixgroup import (
     exp_matrix,
     identity_point,
 )
-from nervecheck.formcalc import contract, entry, mc_left
+from nervecheck.formcalc import FormEval, contract, entry, mc_left
+from nervecheck.harness import (DrawTape, sample_algebra, sample_point,
+                                sample_tangents, trial_rngs)
+from nervecheck.nerve import d_prime
 from nervecheck.cartanmodel import (
     CocycleSample,
     EquivariantForm,
     GradedForm,
     cartan_d,
+    cocycle,
     equivariant_total_check,
     fundamental_field,
+    total_d,
 )
 from nervecheck.eulercocycle import e13_form, e22_form, mu_form
-from nervecheck.harness import choose_signs
 
 from helpers import constant_form, rand_point, rand_tangent, random_skew
 
@@ -204,6 +208,61 @@ def test_twisted_d_of_mu_reproduces_contraction_of_e13():
 
 
 # ---------------------------------------------------------------------------
+# the total differential D = d' + (-1)^p (d - i_{X#})
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def test_total_d_is_d_prime_plus_signed_cartan_d():
+    # a stacked sample of 8 trials, X stacked alike
+    tape = DrawTape(trial_rngs(5, "total-d", range(8)))
+    X = sample_algebra(tape)
+    c = cocycle(e13_form(), e22_form(), mu_form(), X)
+    D = total_d(c, X, 1e-5)
+    cart1, cart2 = cartan_d(c[1], X, 1e-5), cartan_d(c[2], X, 1e-5)
+    e13, mu, e22 = c[1].component(3), c[1].component(1), c[2].component(2)
+    # level 1: (-1)^1 (d - i) of e13 + mu(X), and nothing from level 0;
+    # level 2: d' of e13 + mu(X) plus (d - i) e22; level 3: d' e22 alone
+    by_hand = {
+        1: {4: lambda pt, ts: -cart1.component(4)(pt, *ts),
+            2: lambda pt, ts: -cart1.component(2)(pt, *ts),
+            0: lambda pt, ts: -cart1.component(0)(pt, *ts)},
+        2: {3: lambda pt, ts: (d_prime(e13)(pt, *ts)
+                               + cart2.component(3)(pt, *ts)),
+            1: lambda pt, ts: (d_prime(mu)(pt, *ts)
+                               + cart2.component(1)(pt, *ts))},
+        3: {2: lambda pt, ts: d_prime(e22)(pt, *ts)},
+    }
+    assert sorted(D) == [1, 2, 3]
+    for level, parts in by_hand.items():
+        assert sorted(D[level].components) == sorted(parts), level
+        pt = sample_point(tape, level)
+        for degree, want in parts.items():
+            ts = sample_tangents(tape, pt, degree)
+            got = D[level].component(degree)(pt, *ts)
+            assert np.shape(got) == (8,)
+            assert _same_bits(got, want(pt, ts)), (level, degree)
+
+
+def test_total_d_evaluates_nothing_until_a_component_is_read():
+    def never(pt, ts):
+        raise AssertionError("a form was evaluated")
+
+    X = random_skew(np.random.default_rng(18))
+    cochain = {1: GradedForm(1, {3: FormEval(3, 1, never)}),
+               2: GradedForm(2, {2: FormEval(2, 2, never)})}
+    D = total_d(cochain, X)
+    assert {level: sorted(g.components) for level, g in D.items()} == {
+        1: [2, 4], 2: [1, 3], 3: [2]}
+    with pytest.raises(ValueError):
+        total_d({2: cochain[1]}, X)
+
+
+# ---------------------------------------------------------------------------
 # total degree-4 check
 
 
@@ -219,17 +278,23 @@ def test_total_check_passes_with_unique_signs():
     rng = np.random.default_rng(12)
     X = random_skew(rng)
     samples = [_sample(rng, X) for _ in range(5)]
-    results = [equivariant_total_check(e13_form(), e22_form(), mu_form(), X, s)
-               for s in samples]
-    cols = {k: np.array([r[k] for r in results]) for k in results[0]}
+    e22 = e22_form()
+    negated = EquivariantForm(2, 2, 0, lambda X: -e22(X))
+
+    def columns(e22):
+        results = [equivariant_total_check(e13_form(), e22, mu_form(), X, s)
+                   for s in samples]
+        return {k: np.array([r[k] for r in results]) for k in results[0]}
+
+    cols = columns(e22)
     tols = {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}
-    assert choose_signs(cols, tols) == {"d": "+", "e": "+"}
+    assert set(cols) == set(tols)
     for key, tol in tols.items():
-        chosen = cols[key + "+" if key in "de" else key]
-        assert chosen.max() <= tol, (key, chosen.max())
-    # the rejected sign choices are catastrophically worse, not borderline
-    for key in ("d-", "e-"):
-        assert cols[key].max() > 1e-3, (key, cols[key].max())
+        assert cols[key].max() <= tol, (key, cols[key].max())
+    # e22 of the other sign is catastrophically worse, not borderline
+    wrong = columns(negated)
+    for key in "de":
+        assert wrong[key].max() > 1e-3, (key, wrong[key].max())
 
 
 def test_total_check_identity_points_kill_field_terms():
@@ -244,7 +309,7 @@ def test_total_check_identity_points_kill_field_terms():
     # the pure-contraction residual is exactly zero at the identity
     assert res["c"] == 0.0
     # (e) cancels by linearity of mu in the tangent slot, up to roundoff
-    assert res["e+"] < 1e-14
+    assert res["e"] < 1e-14
     # (b) is limited only by the FD step in d(mu)
     assert res["b"] < 1e-9
 
@@ -259,10 +324,10 @@ def test_total_check_residuals_scale_homogeneously_in_x():
     # doubling X doubles the linear-in-X residuals and quadruples (c)
     assert double["b"] == pytest.approx(2.0 * base["b"], rel=1e-9, abs=1e-18)
     assert double["c"] == pytest.approx(4.0 * base["c"], rel=1e-9, abs=1e-18)
-    assert double["e+"] == pytest.approx(2.0 * base["e+"], rel=1e-9, abs=1e-18)
+    assert double["e"] == pytest.approx(2.0 * base["e"], rel=1e-9, abs=1e-18)
     # the X-free residuals are untouched
     assert double["a"] == base["a"]
-    assert double["d+"] == base["d+"]
+    assert double["d"] == base["d"]
 
 
 def test_total_check_rejects_malformed_samples():

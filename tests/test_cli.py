@@ -113,6 +113,23 @@ def test_check_bad_flag_value_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_check_non_finite_tol_exits_two(capsys, value):
+    # an infinite tolerance passes every run and is not valid JSON
+    code, out, err = _run(capsys, "check", "--id", "lemma-4.3",
+                          f"--tol={value}", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: tol must be positive and finite\n"
+
+
+def test_check_largest_finite_tol_runs(capsys):
+    code, out, _ = _run(capsys, "check", "--id", "lemma-4.3", "--trials", "2",
+                        "--tol", "1e308", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["tol"] == 1e308
+
+
 def test_check_out_flag_writes_file(tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, out, _ = _run(capsys, "check", "--id", "lemma-4.3", "--trials", "1",

@@ -21,7 +21,6 @@ from nervecheck.harness import (
     CheckReport,
     DrawTape,
     golden_value_errors,
-    choose_signs,
     reduce_rows,
     run_check,
     sample_bi_point,
@@ -192,6 +191,11 @@ def test_composite_checks_report_normalized_errors():
         rep = run_check(CheckConfig(check_id, trials=1, seed=2))
         assert rep.tol == 1.0
         assert rep.max_abs_err < 1.0
+    # each component over its own tolerance (1 where none is named); the
+    # first of equal maxima is the worst trial
+    cols = {"a": [1e-7, 2e-7, 5e-7], "b": [3e-7, 5e-7, 1e-7],
+            "x": [0.2, 0.2, 0.2]}
+    assert reduce_rows(cols, {"a": 1e-6, "b": 1e-6}) == (5e-7 / 1e-6, 1)
 
 
 def test_registry_matches_check_ids_and_component_tolerances():
@@ -214,34 +218,6 @@ def test_golden_values_run_once_whatever_the_trial_count():
     rep = run_check(CheckConfig("golden-values", trials=7, seed=1))
     assert rep.trials == 7 and rep.worst_trial == 0
     assert rep.max_abs_err == max(golden_value_errors().values())
-
-
-_SIGN_TOLS = {"a": 1e-6, "b": 1e-6}
-
-
-def test_sign_rule_fails_when_both_signs_pass():
-    cols = {"a": [1e-8, 1e-8], "b+": [1e-8, 2e-8], "b-": [5e-7, 9e-7]}
-    assert choose_signs(cols, _SIGN_TOLS) is None
-    assert reduce_rows(cols, _SIGN_TOLS) == (float("inf"), 0)
-
-
-def test_sign_rule_fails_when_trials_disagree():
-    # the sign that wins over all trials is '+', but trial 1 prefers '-'
-    cols = {"a": [1e-8, 1e-8, 1e-8], "b+": [1e-8, 4e-7, 1e-8],
-            "b-": [3e-3, 2e-7, 2e-3]}
-    assert choose_signs(cols, _SIGN_TOLS) is None
-    assert reduce_rows(cols, _SIGN_TOLS) == (float("inf"), 0)
-
-
-def test_sign_rule_passes_a_forced_sign_with_its_residual():
-    cols = {"a": [1e-7, 2e-7, 5e-7], "b+": [2e-3, 1e-3, 3e-3],
-            "b-": [3e-7, 5e-7, 1e-7]}
-    assert choose_signs(cols, _SIGN_TOLS) == {"b": "-"}
-    err, worst = reduce_rows(cols, _SIGN_TOLS)
-    assert (err, worst) == (5e-7 / 1e-6, 1)
-    # a tie between the worst residuals of both signs goes to '+'
-    tied = {"b+": [2e-3], "b-": [2e-3]}
-    assert choose_signs(tied, _SIGN_TOLS) == {"b": "+"}
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +302,7 @@ def test_nan_residual_fails_a_signed_component(monkeypatch):
 
     def poisoned(*args, **kwargs):
         result = real(*args, **kwargs)
-        result["d+"][7] = np.nan
+        result["d"][7] = np.nan
         return result
 
     monkeypatch.setattr(harness, "equivariant_total_check", poisoned)
@@ -335,10 +311,18 @@ def test_nan_residual_fails_a_signed_component(monkeypatch):
     assert (rep.max_abs_err, rep.worst_trial) == (math.inf, 7)
 
 
-def test_nan_in_the_rejected_sign_fails_the_run():
-    cols = {"a": [1e-8, 1e-8, 1e-8], "b+": [1e-8, 1e-8, 1e-8],
-            "b-": [1e-2, math.nan, 1e-2]}
-    assert reduce_rows(cols, _SIGN_TOLS) == (math.inf, 1)
+def test_negated_e22_fails_both_cocycle_checks(monkeypatch):
+    # the sign of D is stated, not chosen after the run: e22 of the wrong
+    # sign breaks the level-2 components of both cocycle checks
+    from nervecheck import eulercocycle
+
+    real = eulercocycle.eval_E22
+    monkeypatch.setattr(eulercocycle, "eval_E22", lambda pt, *ts: -real(pt, *ts))
+    for check_id in ("euler-cocycle", "equivariant-cocycle"):
+        rep = run_check(CheckConfig(check_id))
+        assert (rep.seed, rep.trials) == (42, 200)
+        assert not rep.passed, check_id
+        assert rep.max_abs_err > 1e3, (check_id, rep.max_abs_err)
 
 
 # ---------------------------------------------------------------------------
