@@ -24,8 +24,8 @@ import numpy as np
 from . import formdsl
 from .cartanmodel import EquivariantForm
 from .formcalc import FD_STEP_DEFAULT
-from .harness import (CHECK_IDS, CheckConfig, CheckReport, DrawTape, run_all,
-                      run_check, sample_algebra, sample_point, sample_tangent)
+from .harness import (CHECK_IDS, CheckConfig, CheckReport, DrawTape, run_check,
+                      sample_algebra, sample_point, sample_tangent)
 from .matrixgroup import GroupPoint, Tangent, basis_element, identity_point
 
 
@@ -56,41 +56,26 @@ def _emit(payload: str, out: Optional[str]) -> bool:
 
 
 def _cmd_check(args) -> int:
-    cfg = CheckConfig(check_id=args.id, trials=args.trials, seed=args.seed,
-                      fd_step=args.fd_step, tol=args.tol)
+    """`check` (one --id) and `check-all` (no id): validate the configs of
+    the checks, then run them in order and report."""
+    ids = CHECK_IDS if args.id is None else (args.id,)
+    cfgs = [CheckConfig(check_id=cid, trials=args.trials, seed=args.seed,
+                        fd_step=args.fd_step, tol=args.tol) for cid in ids]
     try:
-        cfg.validate()
+        for cfg in cfgs:
+            cfg.validate()
     except ValueError as exc:
         return _error(exc)
     try:
-        report = run_check(cfg)
+        reports = [run_check(cfg) for cfg in cfgs]
     except formdsl.FormDslError as exc:  # a bundled expression file is lost
         return _error(exc)
-    if args.format == "json":
-        payload = json.dumps(report.to_json_dict())
-    else:
-        payload = _report_text(report)
-    if not _emit(payload, args.out):
-        return 2
-    return 0 if report.passed else 1
-
-
-def _cmd_check_all(args) -> int:
-    try:
-        for cid in CHECK_IDS:
-            CheckConfig(check_id=cid, trials=args.trials, seed=args.seed,
-                        fd_step=args.fd_step).validate()
-    except ValueError as exc:
-        return _error(exc)
-    try:
-        reports = run_all(seed=args.seed, trials=args.trials,
-                          fd_step=args.fd_step)
-    except formdsl.FormDslError as exc:
-        return _error(exc)
-    if args.format == "json":
+    if args.format == "text":
+        payload = "\n".join(_report_text(r) for r in reports)
+    elif args.id is None:
         payload = json.dumps([r.to_json_dict() for r in reports], indent=2)
     else:
-        payload = "\n".join(_report_text(r) for r in reports)
+        payload = json.dumps(reports[0].to_json_dict())
     if not _emit(payload, args.out):
         return 2
     return 0 if all(r.passed for r in reports) else 1
@@ -209,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     allcmd = sub.add_parser("check-all", parents=[run],
                             help="run every check")
-    allcmd.set_defaults(func=_cmd_check_all)
+    allcmd.set_defaults(func=_cmd_check, id=None, tol=None)
 
     evalcmd = sub.add_parser("eval", help="evaluate an expression file")
     evalcmd.add_argument("--expr", required=True, help="path to a .form file")

@@ -55,11 +55,6 @@ def _pf(a, b) -> float:
             + a[3] * b[2] - a[4] * b[1] + a[5] * b[0])
 
 
-def _pair_sum(m1: np.ndarray, m2: np.ndarray) -> float:
-    """sum over permutations of sgn * (m1[t1,t2] m2[t3,t4] + m1[t3,t4] m2[t1,t2])."""
-    return 2.0 * _pf(_coords(m1), _coords(m2))
-
-
 def _require_base(pt: GroupPoint, *ts: Tangent) -> None:
     for t in ts:
         if t.base is not pt and not _same_point(t.base, pt):
@@ -145,8 +140,9 @@ def eval_alpha(xi1: PolynomialPath, xi2: PolynomialPath) -> float:
     With xi1 = sum a_j theta^j and xi2 = sum b_k theta^k, the shorter one
     padded with zero coefficients, the integral is the exact sum
     sum_{j<k} (j - k)/(j + k) (P(a_j, b_k) - P(a_k, b_j)) of the pairings
-    P = `_pair_sum`.  P is taken symmetric bit for bit, so swapping the
-    paths negates the value and equal paths give 0.0, both exactly.
+    P(x, y) = pf(x, y) + pf(y, x), twice the Pfaffian polarization.  P is
+    symmetric bit for bit, so swapping the paths negates the value and
+    equal paths give 0.0, both exactly.
     Stacked paths give one value each.
     """
     n = max(len(xi1.coeffs), len(xi2.coeffs))

@@ -150,20 +150,29 @@ def _shuffle_signs(r: int, s: int):
     return tuple(out)
 
 
+def shuffle_product(ff: Callable, gf: Callable, r: int, s: int) -> Callable:
+    """The wedge of the evaluators ff of degree r and gf of degree s:
+    (pt, ts, *rest) -> the signed sum over the (r, s)-shuffles of ff on its
+    tangents times gf on the others, both given the same `rest`; the values
+    multiply by broadcasting."""
+    shuffles = _shuffle_signs(r, s)
+
+    def fn(pt, ts, *rest):
+        total = 0.0
+        for sign, fs, gs in shuffles:
+            total = total + (sign * ff(pt, tuple(ts[i] for i in fs), *rest)
+                             * gf(pt, tuple(ts[i] for i in gs), *rest))
+        return total
+
+    return fn
+
+
 def wedge(f: FormEval, g: FormEval) -> FormEval:
     """Wedge product in the shuffle convention (no factorial normalization)."""
     if f.level != g.level:
         raise ValueError("wedge requires forms on the same level")
-    shuffles = _shuffle_signs(f.degree, g.degree)
-    ff, gf = f.fn, g.fn
-
-    def wfn(pt, ts):
-        total = 0.0
-        for sign, fs, gs in shuffles:
-            total += sign * ff(pt, tuple(ts[i] for i in fs)) * gf(pt, tuple(ts[i] for i in gs))
-        return total
-
-    return FormEval(f.degree + g.degree, f.level, wfn)
+    return FormEval(f.degree + g.degree, f.level,
+                    shuffle_product(f.fn, g.fn, f.degree, g.degree))
 
 
 def right_coords(t: Tangent) -> tuple[np.ndarray, ...]:

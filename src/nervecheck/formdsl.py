@@ -26,16 +26,17 @@ it included.  A nested sumS4 therefore adds 24 equal terms whose signs
 cancel: it evaluates to zero.
 
 `parse` produces a plain AST; `interpret` lowers it once to an evaluator
-(pt, tangents, X) -> ndarray with one length-4 axis for each placeholder
-free in the subexpression, after the stack axes of a stacked point.  An
-entry keeps the axis of a placeholder index (`[p1,p1]` takes the
-diagonal); a wedge is the shuffle sum of products over the union of the
-axes, or, above the degree 6p of SO(4)^p, zero without evaluating its
-factors; `+`/`-` broadcast over it; an outermost sumS4
-contracts its body with the Levi-Civita tensor eps[a,b,c,d], and a nested
-one is 0 times its body.  `interpret` returns a FormEval, or an
-EquivariantForm exactly when X occurs; evaluating either lowers nothing
-again, and returns one value per stacked point.
+(pt, tangents, X) -> ndarray in one fixed layout: the stack axes of a
+stacked point, then four axes, the k-th for the placeholder pk, of length
+4 where pk is free in the subexpression and of length 1 elsewhere.  An
+entry [i,j] indexes the matrix with two arrays over those axes (`[p1,p1]`
+takes the diagonal); a wedge is the shuffle sum of broadcast products
+(`formcalc.shuffle_product`) and `+`/`-` broadcast too; an outermost sumS4
+contracts its body with the Levi-Civita tensor eps[a,b,c,d].  A nested
+sumS4, like a wedge above the degree 6p of SO(4)^p, is the zero form and
+evaluates nothing.  `interpret` returns a FormEval, or an EquivariantForm
+exactly when X occurs; evaluating either lowers nothing again, and
+returns one value per stacked point.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .cartanmodel import EquivariantForm
-from .formcalc import (FormEval, _shuffle_signs, matrix_wedge_square, mc_left,
-                       mc_right)
+from .formcalc import (FormEval, matrix_wedge_square, mc_left, mc_right,
+                       shuffle_product)
 from .matrixgroup import BASIS_PAIRS
 
 
@@ -432,8 +433,6 @@ def pretty(node: Node) -> str:
 # ---------------------------------------------------------------------------
 # interpreter
 
-_LETTER = {"p1": "a", "p2": "b", "p3": "c", "p4": "d"}
-
 
 def _levi_civita() -> np.ndarray:
     """eps[a, b, c, d]: the sign of the permutation (a, b, c, d) of 0..3,
@@ -448,20 +447,24 @@ def _levi_civita() -> np.ndarray:
 _EPS = _levi_civita()
 
 
-def _letters(axes: tuple[str, ...]) -> str:
-    return "".join(_LETTER[p] for p in axes)
+def _index(k: Union[int, str]) -> np.ndarray:
+    """An entry index over the four placeholder axes: a placeholder pk runs
+    0..3 along the k-th of them, a fixed index is constant."""
+    if isinstance(k, str):
+        return np.arange(4).reshape([4 if p == k else 1
+                                     for p in ("p1", "p2", "p3", "p4")])
+    return np.full((1, 1, 1, 1), k - 1)
 
 
 @dataclass(frozen=True)
 class _Built:
-    """A lowered subexpression: its degrees, the placeholders free in it
-    (sorted) and an evaluator (pt, ts, X) -> ndarray with the stack axes of
-    the point, then one length-4 axis per free placeholder, in the order of
-    `axes`."""
+    """A lowered subexpression: its degrees and an evaluator (pt, ts, X) ->
+    ndarray with the stack axes of the point, then four axes, the k-th for
+    the placeholder pk: of length 4 where pk is free in the subexpression,
+    of length 1 elsewhere."""
 
     form_degree: int
     x_degree: int
-    axes: tuple[str, ...]
     fn: Callable
 
 
@@ -474,8 +477,8 @@ def _mc_atom(atom: Union[MCLAtom, MCRAtom], level: int):
 
 
 def _entry(node: EntrySel, level: int, in_sum: bool) -> _Built:
-    """An entry [i, j]: a placeholder index keeps its axis, [p, p] takes the
-    diagonal."""
+    """An entry [i, j]: one index of the matrix by two arrays over the
+    placeholder axes ([p, p] takes the diagonal)."""
     free = [k for k in (node.i, node.j) if isinstance(k, str)]
     if free and not in_sum:
         raise FormDslError(f"placeholder {free[0]} is not bound by any sumS4")
@@ -492,63 +495,30 @@ def _entry(node: EntrySel, level: int, in_sum: bool) -> _Built:
             form = matrix_wedge_square(form)
         degree, x_degree, mfn = form.degree, 0, form.fn
         matrix = lambda pt, ts, X: mfn(pt, ts)
-    rows = slice(None) if isinstance(node.i, str) else node.i - 1
-    cols = slice(None) if isinstance(node.j, str) else node.j - 1
-    axes = tuple(sorted(set(free)))
-    spec = f"...{_letters(tuple(free))}->...{_letters(axes)}"
-    return _Built(
-        degree, x_degree, axes,
-        lambda pt, ts, X: np.einsum(spec, matrix(pt, ts, X)[..., rows, cols]))
+    rows, cols = _index(node.i), _index(node.j)
+    return _Built(degree, x_degree,
+                  lambda pt, ts, X: matrix(pt, ts, X)[..., rows, cols])
 
 
-def _zeros(n_axes: int) -> Callable:
+def _zeros(pt, ts, X) -> np.ndarray:
     """The evaluator of a zero form: zeros over the stack axes of the point,
-    the tangents and X, then n_axes length-4 axes; it evaluates nothing."""
-
-    def fn(pt, ts, X):
-        mats = [*pt.factors, *(r for t in ts for r in t.reps)]
-        if X is not None:
-            mats.append(X)
-        stack = np.broadcast_shapes(*(np.shape(m)[:-2] for m in mats))
-        return np.zeros(stack + (4,) * n_axes)
-
-    return fn
+    the tangents and X, then the placeholder axes; it evaluates nothing."""
+    mats = [*pt.factors, *(r for t in ts for r in t.reps)]
+    if X is not None:
+        mats.append(X)
+    stack = np.broadcast_shapes(*(np.shape(m)[:-2] for m in mats))
+    return np.zeros(stack + (1,) * 4)
 
 
 def _wedge(f: _Built, g: _Built, level: int) -> _Built:
-    """The shuffle sum of products over the union of the axes.  A form of
-    degree above 6 level, the dimension of SO(4)^level, is zero."""
-    axes = tuple(sorted(set(f.axes) | set(g.axes)))
+    """The shuffle sum of products.  A form of degree above 6 level, the
+    dimension of SO(4)^level, is zero."""
     degree = f.form_degree + g.form_degree
     if degree > len(BASIS_PAIRS) * level:
-        return _Built(degree, f.x_degree + g.x_degree, axes,
-                      _zeros(len(axes)))
-    spec = f"...{_letters(f.axes)},...{_letters(g.axes)}->...{_letters(axes)}"
-    shuffles = _shuffle_signs(f.form_degree, g.form_degree)
-    ff, gf = f.fn, g.fn
-
-    def fn(pt, ts, X):
-        total = 0.0
-        for sign, fs, gs in shuffles:
-            total = total + sign * np.einsum(
-                spec, ff(pt, tuple(ts[k] for k in fs), X),
-                gf(pt, tuple(ts[k] for k in gs), X))
-        return total
-
-    return _Built(degree, f.x_degree + g.x_degree, axes, fn)
-
-
-def _lift(b: _Built, axes: tuple[str, ...]):
-    """b's evaluator, broadcastable over the (sorted) superset `axes`."""
-    shape = tuple(4 if p in b.axes else 1 for p in axes)
-    own = len(b.axes)
-    fn = b.fn
-
-    def lifted(pt, ts, X):
-        v = np.asarray(fn(pt, ts, X))
-        return v.reshape(v.shape[:v.ndim - own] + shape)
-
-    return lifted
+        fn = _zeros
+    else:
+        fn = shuffle_product(f.fn, g.fn, f.form_degree, g.form_degree)
+    return _Built(degree, f.x_degree + g.x_degree, fn)
 
 
 def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
@@ -565,20 +535,19 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
         if node.inv_pi2:
             factor /= pi ** 2
         fn = inner.fn
-        return _Built(inner.form_degree, inner.x_degree, inner.axes,
+        return _Built(inner.form_degree, inner.x_degree,
                       lambda pt, ts, X: factor * fn(pt, ts, X))
     if isinstance(node, Sum):
         first = _build(node.terms[0], level, in_sum)
-        terms = [first]
+        rest = []
         for term in node.terms[1:]:
             built = _build(term, level, in_sum)
             if built.form_degree != first.form_degree:
                 raise FormDslError("mixed form degrees in a sum")
             if built.x_degree != first.x_degree:
                 raise FormDslError("mixed polynomial degrees in a sum")
-            terms.append(built)
-        axes = tuple(sorted(set().union(*(t.axes for t in terms))))
-        head, *rest = [_lift(t, axes) for t in terms]
+            rest.append(built.fn)
+        head = first.fn
         plus = [op == "+" for op in node.ops]
 
         def fn(pt, ts, X):
@@ -587,25 +556,32 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
                 total = total + f(pt, ts, X) if add else total - f(pt, ts, X)
             return total
 
-        return _Built(first.form_degree, first.x_degree, axes, fn)
+        return _Built(first.form_degree, first.x_degree, fn)
     if isinstance(node, SumS4):
         body = _build(node.body, level, True)
-        bfn = body.fn
         if in_sum:
             # The enclosing sum puts a permutation image in place of every
             # placeholder of this body too, so its 24 summands are equal and
             # their signs cancel.
-            return _Built(body.form_degree, body.x_degree, body.axes,
-                          lambda pt, ts, X: 0.0 * bfn(pt, ts, X))
-        spec = f"abcd,...{_letters(body.axes)}->..."
-        return _Built(body.form_degree, body.x_degree, (),
-                      lambda pt, ts, X: np.einsum(spec, _EPS, bfn(pt, ts, X)))
+            return _Built(body.form_degree, body.x_degree, _zeros)
+        bfn = body.fn
+
+        def contract(pt, ts, X):
+            v = bfn(pt, ts, X)
+            stack = v.shape[:-4]
+            # a contiguous copy, so that a stack sums in the order of a point
+            full = np.ascontiguousarray(np.broadcast_to(v, stack + (4,) * 4))
+            total = np.einsum("abcd,...abcd->...", _EPS, full)
+            return total.reshape(stack + (1,) * 4)
+
+        return _Built(body.form_degree, body.x_degree, contract)
     raise FormDslError(f"cannot interpret node {node!r}")
 
 
 def _value(v):
-    """A form value: a float for a single point, an array for a stack."""
-    return np.asarray(v, dtype=float)[()]
+    """A form value, off the placeholder axes: a float for a single point,
+    an array for a stack."""
+    return v[..., 0, 0, 0, 0][()]
 
 
 def interpret(node: Node, level: int):

@@ -675,11 +675,3 @@ def run_check(cfg: CheckConfig) -> CheckReport:
         check_id=cfg.check_id, trials=cfg.trials, seed=cfg.seed,
         fd_step=cfg.fd_step, tol=tol, max_abs_err=float(err),
         passed=bool(err <= tol), elapsed_ms=elapsed, worst_trial=worst)
-
-
-def run_all(seed: int = 42, trials: int = 200,
-            fd_step: float = FD_STEP_DEFAULT) -> list[CheckReport]:
-    """Run every check with its default tolerance, in CHECK_IDS order."""
-    return [run_check(CheckConfig(check_id=cid, trials=trials, seed=seed,
-                                  fd_step=fd_step))
-            for cid in CHECK_IDS]

@@ -6,7 +6,7 @@ path-space model at level q is SO(4)^(q+1) with faces deleting one factor,
 and gamma maps it onto the nerve by consecutive quotients g_i g_{i+1}^-1.
 
 Every map works factor by factor on stacked points too: a factor of shape
-(N, 4, 4) holds N points, and faces, gamma and the actions are stacked
+(N, 4, 4) holds N points, and faces, gamma and the action are stacked
 matrix products.
 
 The action-twisted (bisimplicial) level (p, q) pairs a nerve point of level
@@ -14,11 +14,10 @@ p with q group elements acting on it, so it is the product SO(4)^(p+q): a
 point is a flat GroupPoint of p+q factors, the nerve point first and then
 the q actors, and its tangents are plain Tangents.  The faces take the split
 p; horizontal faces are nerve faces of the nerve point, vertical faces are
-nerve faces of the actors whose top face applies the action.  The default
-action is componentwise conjugation, and a trivial action is available for
-the degenerate instance.  Packaged with their differentials, the faces are
-SmoothMaps, so the differentials below are formcalc pullbacks and
-exterior derivatives.
+nerve faces of the actors whose top face lets the last actor act on the
+nerve point by componentwise conjugation.  Packaged with their
+differentials, the faces are SmoothMaps, so the differentials below are
+formcalc pullbacks and exterior derivatives.
 
 Complex differentials:
   d_prime         alternating sum of nerve face pullbacks        (level +1)
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -122,42 +120,22 @@ def gamma(pt: GroupPoint) -> GroupPoint:
 
 
 # ---------------------------------------------------------------------------
-# group actions on nerve levels (for the action-twisted vertical faces)
-
-
-@dataclass(frozen=True)
-class GroupAction:
-    """An SO(4) action on nerve levels with its differential.
-
-    apply(g, x) acts on every factor of x; diff is the joint differential in
-    (g, x), taking the acting element, its tangent rep, the point, and the
-    point's tangent reps.
-    """
-
-    name: str
-    apply: Callable[[np.ndarray, GroupPoint], GroupPoint]
-    diff: Callable[[np.ndarray, np.ndarray, GroupPoint, tuple], tuple]
+# the conjugation action on nerve levels (for the top vertical face)
 
 
 def _conj_apply(g: np.ndarray, x: GroupPoint) -> GroupPoint:
+    """g acting on every factor of x by conjugation."""
     return GroupPoint(tuple(g @ m @ g.mT for m in x.factors))
 
 
 def _conj_diff(g, vg, x, vx):
+    """The joint differential of _conj_apply in (g, x): the acting element,
+    its tangent rep, the point and the point's tangent reps."""
     ginv = g.mT
     out = []
     for m, vm in zip(x.factors, vx):
         out.append(vg @ m @ ginv + g @ vm @ ginv - g @ m @ ginv @ vg @ ginv)
     return tuple(out)
-
-
-CONJUGATION = GroupAction("conjugation", _conj_apply, _conj_diff)
-
-TRIVIAL = GroupAction(
-    "trivial",
-    lambda g, x: x,
-    lambda g, vg, x, vx: tuple(vx),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -198,26 +176,24 @@ def _vertical_split(i: int, p: int,
     return x, gs
 
 
-def vertical_face(i: int, p: int, pt: GroupPoint,
-                  action: GroupAction = CONJUGATION) -> GroupPoint:
+def vertical_face(i: int, p: int, pt: GroupPoint) -> GroupPoint:
     """Vertical face (p, q) -> (p, q-1): the nerve face i of the actors,
     except that the top face i = q lets the last actor act on the nerve
-    point before dropping it."""
+    point by conjugation before dropping it."""
     x, gs = _vertical_split(i, p, pt)
     if i == gs.level:
         g = gs.factors
-        return GroupPoint(action.apply(g[-1], x).factors + g[:-1])
+        return GroupPoint(_conj_apply(g[-1], x).factors + g[:-1])
     return GroupPoint(x.factors + face_ng(i, gs).factors)
 
 
-def vertical_face_diff(i: int, p: int, pt: GroupPoint, t: Tangent,
-                       action: GroupAction = CONJUGATION
-                       ) -> tuple[np.ndarray, ...]:
-    """The reps of the image of t under vertical_face(i, p, ., action)."""
+def vertical_face_diff(i: int, p: int, pt: GroupPoint,
+                       t: Tangent) -> tuple[np.ndarray, ...]:
+    """The reps of the image of t under vertical_face(i, p, .)."""
     x, gs = _vertical_split(i, p, pt)
     vx, vg = t.reps[:p], t.reps[p:]
     if i == gs.level:
-        return action.diff(gs.factors[-1], vg[-1], x, vx) + vg[:-1]
+        return _conj_diff(gs.factors[-1], vg[-1], x, vx) + vg[:-1]
     return vx + face_ng_diff(i, gs, Tangent(gs, vg))
 
 
@@ -268,8 +244,7 @@ def d_double_prime(f: FormEval,
 
 
 def d_triple_complex(f: BiFormEval, which: str,
-                     fd_step: float = FD_STEP_DEFAULT,
-                     action: GroupAction = CONJUGATION) -> BiFormEval:
+                     fd_step: float = FD_STEP_DEFAULT) -> BiFormEval:
     """One of the three differentials of the action-twisted complex.
 
     which = "d'"  : alternating horizontal-face pullbacks,    (p+1, q)
@@ -285,9 +260,8 @@ def d_triple_complex(f: BiFormEval, which: str,
         p += 1
     elif which == "d''":
         d = _alternating_pullbacks(f, [
-            SmoothMap(level + 1, level,
-                      partial(vertical_face, i, p, action=action),
-                      partial(vertical_face_diff, i, p, action=action))
+            SmoothMap(level + 1, level, partial(vertical_face, i, p),
+                      partial(vertical_face_diff, i, p))
             for i in range(f.q + 2)])
         d = d if p % 2 == 0 else -d
     elif which == "d'''":

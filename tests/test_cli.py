@@ -181,12 +181,12 @@ def test_check_all_text_lines(capsys):
                                         ("--fd-step", "1")])
 def test_check_all_bad_config_exits_two_before_running(capsys, monkeypatch,
                                                        flag, value):
-    import nervecheck.harness as harness
+    import nervecheck.cli as cli
 
     def never(cfg):
         raise AssertionError("a check ran")
 
-    monkeypatch.setattr(harness, "run_check", never)
+    monkeypatch.setattr(cli, "run_check", never)
     code, out, err = _run(capsys, "check-all", flag, value)
     assert code == 2
     assert out == ""
@@ -200,12 +200,10 @@ def test_check_all_bad_config_exits_two_before_running(capsys, monkeypatch,
 def test_trials_above_the_ceiling_exit_two_before_running(capsys, monkeypatch,
                                                            command):
     import nervecheck.cli as cli
-    import nervecheck.harness as harness
 
     def never(cfg):
         raise AssertionError("a check ran")
 
-    monkeypatch.setattr(harness, "run_check", never)
     monkeypatch.setattr(cli, "run_check", never)
     code, out, err = _run(capsys, *command, "--trials", str(MAX_TRIALS + 1))
     assert code == 2
@@ -218,12 +216,12 @@ def test_trials_above_the_ceiling_exit_two_before_running(capsys, monkeypatch,
 
 def test_check_all_error_inside_a_check_is_not_a_usage_error(capsys,
                                                              monkeypatch):
-    import nervecheck.harness as harness
+    import nervecheck.cli as cli
 
     def broken(cfg):
         raise ValueError("broken check")
 
-    monkeypatch.setattr(harness, "run_check", broken)
+    monkeypatch.setattr(cli, "run_check", broken)
     with pytest.raises(ValueError, match="broken check"):
         main(["check-all", "--trials", "1"])
 
@@ -466,10 +464,6 @@ def _one_trial(cfg):
     return run_check(dataclasses.replace(cfg, trials=1))
 
 
-def _one_trial_each(seed, trials, fd_step):
-    return [_one_trial(CheckConfig(cid, 1, seed, fd_step)) for cid in CHECK_IDS]
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from(_WORDS) | st.text(max_size=6), max_size=7))
 @example(["eval", "--expr", "a\x00b"])
@@ -478,7 +472,6 @@ def test_arbitrary_argv_never_gives_a_traceback(argv):
     # checks run one trial, whatever --trials says, to keep examples fast
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(cli, "run_check", _one_trial), \
-            mock.patch.object(cli, "run_all", _one_trial_each), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)

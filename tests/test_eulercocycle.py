@@ -18,7 +18,8 @@ from nervecheck.matrixgroup import (
     identity_point,
 )
 from nervecheck.eulercocycle import (
-    _pair_sum,
+    _coords,
+    _pf,
     e13_form,
     e22_form,
     eval_E13,
@@ -126,9 +127,9 @@ def test_pair_sum_matches_levi_civita_on_general_matrices():
     for _ in range(20):
         m1, m2 = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
         want = eps_contract(m1, m2) + eps_contract(m2, m1)
-        assert abs(_pair_sum(m1, m2) - want) < 1e-13
+        assert abs(2.0 * _pf(_coords(m1), _coords(m2)) - want) < 1e-13
         sym = m1 + m1.T
-        assert _pair_sum(sym, m2) == 0.0
+        assert 2.0 * _pf(_coords(sym), _coords(m2)) == 0.0
 
 
 # ---------------------------------------------------------------------------

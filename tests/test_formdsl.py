@@ -339,6 +339,14 @@ def test_nested_sum_inherits_the_enclosing_placeholders():
     assert g(sample_algebra(tape))(pt, *ts) == 0.0
 
 
+def test_a_nested_sum_evaluates_nothing():
+    # the nested sum is the zero form: 0.0 even where its body is NaN
+    f = interpret(parse("sumS4( sumS4( MCL(1)[p1,p2] MCR(1)[p3,p4] ) )"), 1)
+    nan = GroupPoint((np.full((4, 4), np.nan),))
+    t = Tangent(nan, (np.full((4, 4), np.nan),))
+    assert f(nan, t, t) == 0.0
+
+
 def test_deep_nesting_is_a_syntax_error_at_the_opening_token():
     with pytest.raises(FormSyntaxError) as exc:
         parse("(" * 1000 + "MCL(1)[1,2]" + ")" * 1000)
@@ -472,6 +480,30 @@ def test_interpret_matches_the_brute_force_oracle(source, seed):
     got = (form(X) if x_degree else form)(pt, *ts)
     want, size = dsl_eval(node, pt, ts, X)
     assert abs(got - want) <= 1e-13 * size, pretty(node)
+
+
+def _point(pt: GroupPoint, k: int) -> GroupPoint:
+    return GroupPoint(tuple(f[k] for f in pt.factors))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_source(), st.integers(0, 2**32 - 1))
+def test_a_stack_evaluates_each_point_bit_for_bit(source, seed):
+    # the values of a stack of 3 points, the same expression on each point
+    # alone: the stack axes may not change the order of any sum
+    node, level, degree, x_degree = source
+    form = interpret(node, level)
+    tape = DrawTape(trial_rngs(seed, "dsl-stack", range(3)))
+    pts = sample_point(tape, level)
+    ts = sample_tangents(tape, pts, degree)
+    Xs = sample_algebra(tape)
+    stacked = (form(Xs) if x_degree else form)(pts, *ts)
+    assert np.shape(stacked) == (3,)
+    for k in range(3):
+        pt = _point(pts, k)
+        one = (form(Xs[k]) if x_degree else form)(
+            pt, *[Tangent(pt, tuple(r[k] for r in t.reps)) for t in ts])
+        assert stacked[k] == one, (pretty(node), k)
 
 
 @settings(max_examples=50, deadline=None)

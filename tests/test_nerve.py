@@ -13,9 +13,8 @@ from nervecheck.matrixgroup import (
     identity_point,
 )
 from nervecheck.formcalc import SmoothMap, entry, mc_left, mc_right
+import nervecheck.nerve as nerve
 from nervecheck.nerve import (
-    CONJUGATION,
-    TRIVIAL,
     BiFormEval,
     bi_form_from_flat,
     d_double_prime,
@@ -199,13 +198,6 @@ def test_vertical_face_top_acts_by_conjugation():
     assert np.max(np.abs(out.factors[0] - g @ x @ g.T)) < 1e-14
 
 
-def test_vertical_face_top_trivial_action():
-    rng = np.random.default_rng(11)
-    bp = rand_point(rng, 2)
-    out = vertical_face(1, 1, bp, action=TRIVIAL)
-    assert np.array_equal(out.factors[0], bp.factors[0])
-
-
 def test_vertical_face_identity_actors_fix_point():
     rng = np.random.default_rng(12)
     x = rand_point(rng, 1)
@@ -236,9 +228,7 @@ def test_vertical_face_diff_matches_fd():
             assert dev < 1e-7
 
 
-@pytest.mark.parametrize("action", [CONJUGATION, TRIVIAL],
-                         ids=lambda a: a.name)
-def test_bisimplicial_face_diffs_match_fd_oracle(action):
+def test_bisimplicial_face_diffs_match_fd_oracle():
     # every horizontal and vertical face, as a SmoothMap on the flat point,
     # against central differences along scipy's expm
     rng = np.random.default_rng(23)
@@ -248,9 +238,8 @@ def test_bisimplicial_face_diffs_match_fd_oracle(action):
                            partial(horizontal_face, i, p),
                            partial(horizontal_face_diff, i, p))
                  for i in range(p + 1)]
-        faces += [SmoothMap(level, level - 1,
-                            partial(vertical_face, i, p, action=action),
-                            partial(vertical_face_diff, i, p, action=action))
+        faces += [SmoothMap(level, level - 1, partial(vertical_face, i, p),
+                            partial(vertical_face_diff, i, p))
                   for i in range(q + 1)]
         pt = rand_point(rng, level)
         t = rand_tangent(rng, pt)
@@ -398,25 +387,27 @@ def test_triple_total_differential_squares_to_zero():
         assert abs(total) < 1e-4, (p, q, deg)
 
 
-def test_triple_vertical_with_trivial_action():
-    # With the trivial action every vertical face leaves the base point
-    # alone, so a 0-form depending only on the base telescopes: the q+2
-    # alternating terms cancel pairwise for even source level q and leave
-    # (-1)^p * f for odd q.
+def test_triple_vertical_with_trivial_action(monkeypatch):
+    # With the conjugation replaced by the trivial action every vertical
+    # face leaves the base point alone, so a 0-form depending only on the
+    # base telescopes: the q+2 alternating terms cancel pairwise for even
+    # source level q and leave (-1)^p * f for odd q.
+    monkeypatch.setattr(nerve, "_conj_apply", lambda g, x: x)
+    monkeypatch.setattr(nerve, "_conj_diff", lambda g, vg, x, vx: tuple(vx))
     rng = np.random.default_rng(22)
 
     def base_only(bp, ts):
         return bp.factors[0][0, 0] ** 2
 
     odd = BiFormEval(0, 2, base_only, 1)
-    dv = d_triple_complex(odd, "d''", action=TRIVIAL)
+    dv = d_triple_complex(odd, "d''")
     assert (dv.p, dv.q) == (1, 2)
     bp = rand_point(rng, 3)
     want = -base_only(bp, ())  # three terms + - +, outer sign (-1)^1
     assert abs(dv(bp) - want) < 1e-14
 
     even = BiFormEval(0, 3, base_only, 1)
-    dv0 = d_triple_complex(even, "d''", action=TRIVIAL)
+    dv0 = d_triple_complex(even, "d''")
     bp3 = rand_point(rng, 4)
     assert abs(dv0(bp3)) < 1e-14
 

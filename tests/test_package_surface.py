@@ -1,11 +1,12 @@
 """The package holds no code that only the tests call.
 
-Every public top-level def, class and constant of `src/nervecheck/*.py`,
-and every public method or property of a top-level class, must be
-referenced, by name or as an attribute, from code in `src/` or in
-`benchmarks/` other than its own definition.  A benchmark may name a
-function in a string (`benchmarks/spans.py` traces functions by module and
-name), so identifier-like strings there count as references too.
+Every top-level def, class and constant of `src/nervecheck/*.py`, private
+ones included but not dunders, and every public method or property of a
+top-level class, must be referenced, by name or as an attribute, from code
+in `src/` or in `benchmarks/` other than its own definition.  A benchmark
+may name a function in a string (`benchmarks/spans.py` traces functions by
+module and name), so identifier-like strings there count as references
+too.
 """
 
 import ast
@@ -18,9 +19,6 @@ BENCH = sorted((ROOT / "benchmarks").glob("*.py"))
 
 # Public names kept without a caller, each with its reason.
 ALLOWED = {
-    # the trivial action is the second instance of the action parameter
-    # that the paper's construction takes; the tests run the complex on it
-    "TRIVIAL",
     # the total degree level + form degree + 2 * polynomial degree, which
     # the tests pin as the cocycle's degree 4
     "total_degree",
@@ -31,8 +29,8 @@ ALLOWED = {
 
 
 def _definitions(tree: ast.Module):
-    """(name, node) of the public top-level defs, classes and constants,
-    and of the public methods and properties of the classes."""
+    """(name, node) of the top-level defs, classes and constants, and of
+    the public methods and properties of the classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
@@ -42,7 +40,8 @@ def _definitions(tree: ast.Module):
                     yield target.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef):
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
                     yield item.name, item
 
 
@@ -60,8 +59,8 @@ def _strings(tree: ast.AST) -> set[str]:
 
 
 def _unreferenced() -> set[tuple[str, str]]:
-    """(module, name) of every public definition without a reference from
-    outside its own definition."""
+    """(module, name) of every definition but the dunders without a
+    reference from outside its own definition."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in SRC + BENCH}
     refs = sum((_references(tree) for tree in trees.values()), Counter())
@@ -69,7 +68,7 @@ def _unreferenced() -> set[tuple[str, str]]:
     out = set()
     for path in SRC:
         for name, node in _definitions(trees[path]):
-            if name.startswith("_") or name in bench_strings:
+            if name.startswith("__") or name in bench_strings:
                 continue
             # a definition's references to itself do not count
             if refs[name] - _references(node)[name] == 0:
@@ -78,7 +77,12 @@ def _unreferenced() -> set[tuple[str, str]]:
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    found = _unreferenced()
+    found = {(m, n) for m, n in _unreferenced() if not n.startswith("_")}
     assert sorted(f"{m}: {n}" for m, n in found if n not in ALLOWED) == []
     # an allowlisted name that gains a caller leaves the list
     assert ALLOWED <= {n for _, n in found}
+
+
+def test_every_private_top_level_name_has_a_caller_in_the_package():
+    found = {(m, n) for m, n in _unreferenced() if n.startswith("_")}
+    assert sorted(f"{m}: {n}" for m, n in found) == []
