@@ -17,6 +17,16 @@ evaluated here.  The cochains are
 * a polynomial 1-form pairing the argument X against both Maurer-Cartan
   forms (coefficient -1/(64 pi^2) on each half).
 
+The 3-form is evaluated as two 3x3 determinants.  With c = _coords(h^T v)
+for each tangent v, split into its self-dual and anti-self-dual halves
+c+- = (c12 +- c34, c13 -+ c24, c14 +- c23), the 3-form is
+
+    e13(v1, v2, v3) = -(3/2) / (192 pi^2)
+                      * (det[c1+, c2+, c3+] + det[c1-, c2-, c3-]),
+
+each determinant summed as (a x b) . c, so that swapping the first two
+tangents negates the value and a repeated first pair gives 0.0, exactly.
+
 `eval_alpha` pairs two polynomial paths in the skew matrices, the integral
 over [0, 1] of the pairing of each path's derivative with the other path.
 It is a polynomial integral, summed in closed form from the coefficients:
@@ -61,19 +71,30 @@ def _require_base(pt: GroupPoint, *ts: Tangent) -> None:
             raise ValueError("tangent is based at a different point")
 
 
+def _halves(c) -> tuple[tuple, tuple]:
+    """The self-dual and anti-self-dual 3-vectors (c12 + c34, c13 - c24,
+    c14 + c23) and (c12 - c34, c13 + c24, c14 - c23) of a `_coords` tuple."""
+    c12, c13, c14, c23, c24, c34 = c
+    return ((c12 + c34, c13 - c24, c14 + c23),
+            (c12 - c34, c13 + c24, c14 - c23))
+
+
+def _det3(a, b, c):
+    """det[a, b, c] of three 3-vectors, summed as (a x b) . c."""
+    return ((a[1] * b[2] - a[2] * b[1]) * c[0]
+            + (a[2] * b[0] - a[0] * b[2]) * c[1]
+            + (a[0] * b[1] - a[1] * b[0]) * c[2])
+
+
 def eval_E13(pt: GroupPoint, v1: Tangent, v2: Tangent, v3: Tangent) -> float:
     """The bi-invariant 3-form at a one-factor point."""
     if pt.level != 1:
         raise ValueError("this 3-form lives on a single factor")
     _require_base(pt, v1, v2, v3)
     hT = pt.factors[0].mT
-    w1, w2, w3 = (hT @ v.reps[0] for v in (v1, v2, v3))
-    # (1,2)-shuffle expansion of (1-form) wedge (2-form), each term paired
-    # both ways round
-    shuffle = (_pf(_coords(w1), _coords(w2 @ w3 - w3 @ w2))
-               - _pf(_coords(w2), _coords(w1 @ w3 - w3 @ w1))
-               + _pf(_coords(w3), _coords(w1 @ w2 - w2 @ w1)))
-    return 2.0 * _C192 * shuffle
+    (p1, m1), (p2, m2), (p3, m3) = (_halves(_coords(hT @ v.reps[0]))
+                                    for v in (v1, v2, v3))
+    return -1.5 * _C192 * (_det3(p1, p2, p3) + _det3(m1, m2, m3))
 
 
 def eval_E22(pt: GroupPoint, t1: Tangent, t2: Tangent) -> float:

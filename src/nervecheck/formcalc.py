@@ -10,19 +10,20 @@ the same shape, a scalar form returns an (N,) array and a matrix form an
 value.  The wedge product uses the determinant (shuffle) convention with no
 1/(r!s!) normalization, so for 1-forms (f ^ g)(v, w) = f(v) g(w) - f(w) g(v).
 
-The exterior derivative is computed from the invariant-extension formula:
-tangents are translated to per-factor algebra coordinates, extended to
-invariant vector fields, and the field derivatives are approximated by
-central finite differences while the bracket terms stay exact matrix
-commutators.  Right-invariant extensions are used (coordinates X = v h^-1,
-curves t -> exp(tX) h, bracket [X_i, X_j] reversed), which leaves genuine
-O(fd_step^2) truncation on left-Maurer-Cartan integrands so convergence is
-observable by step halving.  The 2(r+1) shifted points of a degree-r form,
-one per direction and sign, stand on a new leading step axis: an evaluation
-makes one stacked exponential per factor and one call of the form.  The
-step axis broadcasts against the form's own arrays from the right, so a
-form that captures stacked arrays (such as an (N, 4, 4) argument X) is
-differentiated at points stacked the same way.
+The exterior derivative takes central differences in canonical coordinates
+of the second kind: at a point h, per factor, the chart (t_0, ..., t_r) ->
+exp(t_0 X_0) ... exp(t_r X_r) h, where X_i = v_i h^-1 are the right
+coordinates of the r+1 tangents (Varadarajan, "Lie Groups, Lie Algebras,
+and Their Representations", 1984).  The coordinate fields of a chart
+commute, so df is the alternating sum of their derivatives with no bracket
+terms.  That leaves genuine O(fd_step^2) truncation on every integrand,
+bi-invariant ones included, so convergence is observable by step halving.
+The 2(r+1) stepped points of a degree-r form, one per direction and sign,
+stand on a new leading step axis: an evaluation makes one stacked
+exponential per factor and one call of the form.  The step axis broadcasts
+against the form's own arrays from the right, so a form that captures
+stacked arrays (such as an (N, 4, 4) argument X) is differentiated at
+points stacked the same way.
 """
 
 from __future__ import annotations
@@ -175,63 +176,69 @@ def wedge(f: FormEval, g: FormEval) -> FormEval:
                     shuffle_product(f.fn, g.fn, f.degree, g.degree))
 
 
-def right_coords(t: Tangent) -> tuple[np.ndarray, ...]:
-    """Per-factor right-trivialized coordinates v h^-1 (each skew)."""
-    return tuple(v @ h.mT for v, h in zip(t.reps, t.base.factors))
-
-
 def check_fd_step(fd_step: float) -> None:
     if not 1e-7 <= fd_step <= 1e-3:
         raise ValueError("fd_step must lie in [1e-7, 1e-3]")
 
 
-def exterior_d(f: FormEval, fd_step: float = FD_STEP_DEFAULT) -> FormEval:
-    """Exterior derivative via invariant extensions and central differences.
+def _chart_steps(h: np.ndarray, vs: list, fd_step: float):
+    """The stepped points of one factor h, on a step axis of length 2(r+1),
+    and for each slot s < r the field in that slot at every step (see
+    exterior_d); vs are the factor's r+1 tangent reps.  Its temporaries,
+    such as the exponentials, are freed before the form is evaluated."""
+    xs = [v @ h.mT for v in vs]
+    plus = exp_matrix(fd_step * np.stack(xs))
+    # exp(-tX) is the transpose of exp(tX); step 2i is +fd_step and step
+    # 2i+1 is -fd_step along direction i
+    e = np.stack([plus, plus.mT], axis=1).reshape(
+        (2 * len(vs),) + plus.shape[1:])
+    m = e @ h
+    # slot s holds direction s at the steps along i > s and direction s+1
+    # at the others, the first 2(s+1)
+    return m, [np.concatenate([e[:2 * s + 2] @ vs[s + 1],
+                               xs[s] @ m[2 * s + 2:]])
+               for s in range(len(vs) - 1)]
 
-    Tangent arguments are converted to per-factor right coordinates
-    X_i = v_i h^-1 and extended to right-invariant fields.  The field
-    derivative terms are central finite differences along t -> exp(t X) h;
-    the bracket terms are exact (right-invariant fields bracket to the
-    reversed matrix commutator).
+
+def exterior_d(f: FormEval, fd_step: float = FD_STEP_DEFAULT) -> FormEval:
+    """Exterior derivative by central differences in the chart
+    (t_0, ..., t_r) -> exp(t_0 X_0) ... exp(t_r X_r) h of every factor.
+
+    X_i = v_i h^-1 are the right coordinates of the tangents.  Along the
+    axis of direction i the chart moves to exp(t X_i) h, where the field of
+    direction j is X_j exp(t X_i) h for j < i and exp(t X_i) v_j for j > i.
+    Coordinate fields commute, so
+
+        df(v_0, ..., v_r) = sum_i (-1)^i (f(+) - f(-)) / (2 fd_step),
+
+    with f(+-) the form at exp(+-fd_step X_i) h on the other fields, and no
+    bracket term evaluates the form.  One exponential per factor gives the
+    r+1 steps exp(fd_step X_i); exp(-fd_step X_i) is its transpose, the
+    inverse of a rotation.  The truncation is O(fd_step^2) on every form,
+    bi-invariant ones included: d of the closed 3-form reads of order 1e-8
+    at fd_step = 1e-3 on unit-sized tangents and falls by 4 at each halving.
     """
     check_fd_step(fd_step)
     r = f.degree
     fn = f.fn
-    # step k moves along direction k // 2, by +fd_step for even k, by
-    # -fd_step for odd k; at that step, slot s holds the s-th direction
-    # other than k // 2
-    signed = [(i, t) for i in range(r + 1) for t in (fd_step, -fd_step)]
-    slots = [[j for j in range(r + 1) if j != i] for i, _ in signed]
+    steps = 2 * (r + 1)
 
     def dfn(pt, ts):
-        coords = [right_coords(t) for t in ts]
         factors = pt.factors
-        shifted = GroupPoint(tuple(
-            exp_matrix(np.stack([t * coords[i][k] for i, t in signed])) @ h
-            for k, h in enumerate(factors)))
-        args = tuple(
-            Tangent(shifted, tuple(
-                np.stack([coords[slot[s]][k] for slot in slots]) @ m
-                for k, m in enumerate(shifted.factors)))
-            for s in range(r))
-        vals = np.asarray(fn(shifted, args))
+        charts = [_chart_steps(h, [t.reps[k] for t in ts], fd_step)
+                  for k, h in enumerate(factors)]
+        at = GroupPoint(tuple(m for m, _ in charts))
+        vals = np.asarray(fn(at, tuple(
+            Tangent(at, tuple(fields[s] for _, fields in charts))
+            for s in range(r))))
         # a value that ignores the point, such as a constant, has no step axis
         lead = factors[0].shape[:-2] if factors else ()
-        if vals.shape[:1 + len(lead)] != (len(signed),) + lead:
-            vals = np.broadcast_to(vals, (len(signed),) + vals.shape)
+        if vals.shape[:1 + len(lead)] != (steps,) + lead:
+            vals = np.broadcast_to(vals, (steps,) + vals.shape)
         total = 0.0
         for i in range(r + 1):
             deriv = (vals[2 * i] - vals[2 * i + 1]) / (2.0 * fd_step)
             total += deriv if i % 2 == 0 else -deriv
-        for i in range(r + 1):
-            for j in range(i + 1, r + 1):
-                # [X_i^R, X_j^R] is the right-invariant field of [X_j, X_i]
-                bracket = Tangent(pt, tuple(
-                    (xj @ xi - xi @ xj) @ h
-                    for xi, xj, h in zip(coords[i], coords[j], factors)))
-                rest = tuple(ts[k] for k in range(r + 1) if k not in (i, j))
-                val = fn(pt, (bracket,) + rest)
-                total += val if (i + j) % 2 == 0 else -val
         return total
 
     return FormEval(r + 1, f.level, dfn)

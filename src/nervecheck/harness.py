@@ -255,22 +255,29 @@ class DrawTape:
         return out[0] if self.single else out
 
 
+def _skew_rows(tape: DrawTape, count: int, scale: float) -> np.ndarray:
+    """Skew matrices with six coordinates uniform in [-scale, scale], from
+    the next `count` rows of every trial: (..., count, 4, 4)."""
+    return skew_from_coords(-scale + (2.0 * scale) * tape.rows(count))
+
+
 def _skews(tape: DrawTape, scale: float) -> np.ndarray:
-    """Skew matrices with six coordinates uniform in [-scale, scale], one
-    from the next row of every trial."""
-    u = tape.rows(1)[..., 0, :]
-    return skew_from_coords(-scale + (2.0 * scale) * u)
+    """One skew matrix from the next row of every trial (see _skew_rows)."""
+    return _skew_rows(tape, 1, scale)[..., 0, :, :]
 
 
 def sample_point(tape: DrawTape, level: int) -> GroupPoint:
-    """Level-many independent rotations, exp of skews with entries in [-2, 2]."""
-    return GroupPoint(
-        tuple(exp_matrix(_skews(tape, 2.0)) for _ in range(level)))
+    """Level-many independent rotations, exp of skews with entries in [-2, 2],
+    from the next `level` rows in one exponential."""
+    hs = exp_matrix(_skew_rows(tape, level, 2.0))
+    return GroupPoint(tuple(hs[..., k, :, :] for k in range(level)))
 
 
 def sample_tangent(tape: DrawTape, pt: GroupPoint) -> Tangent:
     """Random left-translated tangent: coordinates uniform in [-1, 1]."""
-    return Tangent(pt, tuple(h @ _skews(tape, 1.0) for h in pt.factors))
+    xs = _skew_rows(tape, pt.level, 1.0)
+    return Tangent(pt, tuple(h @ xs[..., k, :, :]
+                             for k, h in enumerate(pt.factors)))
 
 
 def sample_tangents(tape: DrawTape, pt, count: int) -> tuple[Tangent, ...]:

@@ -116,6 +116,31 @@ def _sinc(theta: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 - theta * theta / 6.0, np.sin(safe) / safe)
 
 
+def _half(u1, u2, u3) -> np.ndarray:
+    """(cos(t), sinc(t) u1, sinc(t) u2, sinc(t) u3), t = |u|, as a (..., 4)
+    array: the four numbers of one factor of `exp_matrix`."""
+    t = np.sqrt(u1 * u1 + u2 * u2 + u3 * u3)
+    s = _sinc(t)
+    return np.stack([np.cos(t), s * u1, s * u2, s * u3], axis=-1)
+
+
+def _sign_table(layout) -> np.ndarray:
+    """The (4, 16) table T for which (c, s1, s2, s3) @ T is the row-major
+    4x4 matrix whose entries `layout` names: 0 names c, +-k names +-sk."""
+    table = np.zeros((4, DIM * DIM))
+    for n, k in enumerate(layout):
+        table[abs(k), n] = -1.0 if k < 0 else 1.0
+    return table
+
+
+# cos(t) I + sinc(t) A+- over (cos(t), sinc(t) u1, sinc(t) u2, sinc(t) u3),
+# with u the coordinates of A+ (plus) or A- (minus) named in exp_matrix
+_PLUS = _sign_table((0, 1, 2, 3, -1, 0, 3, -2, -2, -3, 0, 1, -3, 2, -1, 0))
+_MINUS = _sign_table((0, 1, 2, 3, -1, 0, -3, 2, -2, 3, 0, -1, -3, -2, 1, 0))
+# the upper triangle, diagonal included: x is skew when x_ij + x_ji = 0 there
+_UPPER = np.triu_indices(DIM)
+
+
 def exp_matrix(x: np.ndarray) -> np.ndarray:
     """Matrix exponential of a 4x4 skew matrix, or of each matrix of a stack
     (..., 4, 4), in closed form (lands in SO(4)).
@@ -129,28 +154,24 @@ def exp_matrix(x: np.ndarray) -> np.ndarray:
 
     the so(3) + so(3) form of Gallier & Xu, "Computing exponentials of
     skew-symmetric matrices and logarithms of orthogonal matrices" (2002).
-    Both factors are orthogonal to roundoff for every argument.
+    Both factors are orthogonal to roundoff for every argument.  Each factor
+    is its four numbers (cos(t), sinc(t) u), a (..., 4) array, times a
+    constant (4, 16) table of signs, `_PLUS` or `_MINUS`: every entry of a
+    factor is one of the four numbers or its negative, so the product only
+    copies and negates them, exactly.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-2:] != (DIM, DIM):
         raise ValueError(f"need a 4x4 matrix, got shape {x.shape}")
     # a NaN entry fails the comparison too
-    if not np.all(np.abs(x + x.mT) <= 1e-10):
+    rows, cols = _UPPER
+    if not np.all(np.abs(x[..., rows, cols] + x[..., cols, rows]) <= 1e-10):
         raise ValueError("exp_matrix expects a skew-symmetric argument")
     a12, a13, a14 = x[..., 0, 1], x[..., 0, 2], x[..., 0, 3]
     a23, a24, a34 = x[..., 1, 2], x[..., 1, 3], x[..., 2, 3]
     # coordinates of A+ on E12+E34, E13-E24, E14+E23 and of A- on
     # E12-E34, E13+E24, E14-E23
-    u1, u2, u3 = 0.5 * (a12 + a34), 0.5 * (a13 - a24), 0.5 * (a14 + a23)
-    v1, v2, v3 = 0.5 * (a12 - a34), 0.5 * (a13 + a24), 0.5 * (a14 - a23)
-    tp = np.sqrt(u1 * u1 + u2 * u2 + u3 * u3)
-    tm = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-    c, sp = np.cos(tp), _sinc(tp)
-    d, sm = np.cos(tm), _sinc(tm)
-    p1, p2, p3 = sp * u1, sp * u2, sp * u3
-    q1, q2, q3 = sm * v1, sm * v2, sm * v3
-    plus = np.stack([c, p1, p2, p3, -p1, c, p3, -p2,
-                     -p2, -p3, c, p1, -p3, p2, -p1, c], axis=-1)
-    minus = np.stack([d, q1, q2, q3, -q1, d, -q3, q2,
-                      -q2, q3, d, -q1, -q3, -q2, q1, d], axis=-1)
-    return plus.reshape(x.shape) @ minus.reshape(x.shape)
+    plus = _half(0.5 * (a12 + a34), 0.5 * (a13 - a24), 0.5 * (a14 + a23))
+    minus = _half(0.5 * (a12 - a34), 0.5 * (a13 + a24), 0.5 * (a14 - a23))
+    return ((plus @ _PLUS).reshape(x.shape)
+            @ (minus @ _MINUS).reshape(x.shape))

@@ -23,6 +23,7 @@ from nervecheck.formcalc import (
     wedge,
     zero_form,
 )
+from nervecheck.eulercocycle import eval_E13
 
 from helpers import (constant_form, left_invariant_field, rand_point,
                      rand_tangent, random_skew, sample_so4)
@@ -301,6 +302,18 @@ def test_exterior_d_halving_ratio():
         e_base = max(e_base, abs(d_base(pt, v, w) - truth))
         e_half = max(e_half, abs(d_half(pt, v, w) - truth))
     assert 2.5 <= e_base / e_half <= 6.0
+
+
+def test_exterior_d_of_a_bi_invariant_form_is_second_order():
+    # the bi-invariant 3-form is closed; in the chart of exterior_d its
+    # central differences keep their O(h^2) truncation, so the residual
+    # falls by 4 at each halving of the step
+    e13 = FormEval(3, 1, lambda pt, ts: eval_E13(pt, *ts))
+    pt, ts = _stacked_sample(np.random.default_rng(70), 1, 4, 100)
+    errs = [np.max(np.abs(exterior_d(e13, h)(pt, *ts)))
+            for h in (1e-3, 5e-4, 2.5e-4)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
 
 
 def test_exterior_d_squared_small():
@@ -591,6 +604,43 @@ def _degree_forms(level: int):
     ]
 
 
+def _stacked_sample(rng, level: int, count: int, stack):
+    """A point of SO(4)^level and `count` tangents there, each factor and
+    rep of shape (stack, 4, 4), or (4, 4) when stack is None."""
+    shape = () if stack is None else (stack,)
+    factors = tuple(exp_matrix(np.stack([random_skew(rng, 2.0)
+                                         for _ in range(stack or 1)])
+                               .reshape(shape + (4, 4)))
+                    for _ in range(level))
+    pt = GroupPoint(factors)
+    ts = [Tangent(pt, tuple(h @ np.stack([random_skew(rng, 1.0)
+                                          for _ in range(stack or 1)])
+                            .reshape(shape + (4, 4)) for h in factors))
+          for _ in range(count)]
+    return pt, ts
+
+
+@pytest.mark.parametrize("degree", range(4))
+@pytest.mark.parametrize("stack", [None, 3])
+def test_exterior_d_evaluates_its_form_once(degree, stack):
+    # the chart's coordinate fields commute, so no bracket term evaluates
+    # the form: one call, at the 2(r+1) steps stacked
+    level = 2
+    form = _degree_forms(level)[degree]
+    calls = []
+
+    def counted(pt, ts):
+        calls.append(pt.factors[0].shape)
+        return form.fn(pt, ts)
+
+    pt, ts = _stacked_sample(np.random.default_rng(68 + degree), level,
+                             degree + 1, stack)
+    shape = () if stack is None else (stack,)
+    got = exterior_d(FormEval(degree, level, counted), 1e-5)(pt, *ts)
+    assert calls == [(2 * (degree + 1),) + shape + (4, 4)]
+    assert np.array_equal(got, exterior_d(form, 1e-5)(pt, *ts))
+
+
 @pytest.mark.parametrize("degree", range(4))
 @pytest.mark.parametrize("stack", [None, 3])
 def test_exterior_d_makes_one_exponential_per_factor(monkeypatch, degree,
@@ -608,20 +658,13 @@ def test_exterior_d_makes_one_exponential_per_factor(monkeypatch, degree,
     rng = np.random.default_rng(60 + degree)
     level = 2
     shape = () if stack is None else (stack,)
-    factors = tuple(exp_matrix(np.stack([random_skew(rng, 2.0)
-                                         for _ in range(stack or 1)])
-                               .reshape(shape + (4, 4)))
-                    for _ in range(level))
-    pt = GroupPoint(factors)
-    ts = [Tangent(pt, tuple(h @ np.stack([random_skew(rng, 1.0)
-                                          for _ in range(stack or 1)])
-                            .reshape(shape + (4, 4)) for h in factors))
-          for _ in range(degree + 1)]
+    pt, ts = _stacked_sample(rng, level, degree + 1, stack)
+    factors = pt.factors
     form = _degree_forms(level)[degree]
     got = exterior_d(form, 1e-5)(pt, *ts)
-    # one call per factor, each on all 2(r+1) steps; the parent route made
-    # 2(r+1) calls per factor
-    assert calls == [(2 * (degree + 1),) + shape + (4, 4)] * level
+    # one call per factor, on the r+1 steps +h X_i only: the -h steps are
+    # their transposes
+    assert calls == [(degree + 1,) + shape + (4, 4)] * level
     assert np.shape(got) == shape
     for k in range(stack or 1):
         pick = (lambda m: m) if stack is None else (lambda m: m[k])

@@ -439,6 +439,29 @@ def test_tape_hands_out_several_rows_in_stream_order():
     assert _same_bits(-1.0 + 2.0 * rows, want)
 
 
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_a_point_is_one_exponential_of_its_rows(monkeypatch, level):
+    # sample_point reads its `level` rows at once and exponentiates them in
+    # one call; the factors and the tangent sampled after them equal one
+    # row, one exponential and one product at a time, bit for bit
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return exp_matrix(x)
+
+    monkeypatch.setattr(harness, "exp_matrix", counted)
+    tape = DrawTape(trial_rngs(5, "tape", range(3)))
+    twin = DrawTape(trial_rngs(5, "tape", range(3)))
+    pt = sample_point(tape, level)
+    assert calls == [(3, level, 4, 4)]
+    want = [exp_matrix(_skews(twin, 2.0)) for _ in range(level)]
+    assert all(_same_bits(h, w) for h, w in zip(pt.factors, want, strict=True))
+    t = sample_tangent(tape, pt)
+    assert all(_same_bits(v, h @ _skews(twin, 1.0))
+               for v, h in zip(t.reps, want, strict=True))
+
+
 def test_tape_integers_come_before_the_rows():
     tape = DrawTape(trial_rngs(3, "tape", range(2)))
     rngs = tuple(trial_rngs(3, "tape", range(2)))
