@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +25,7 @@ from .cartanmodel import EquivariantForm
 from .formcalc import FD_STEP_DEFAULT
 from .harness import (CHECK_IDS, CheckConfig, CheckReport, DrawTape, run_check,
                       sample_algebra, sample_point, sample_tangent)
-from .matrixgroup import GroupPoint, Tangent, basis_element, identity_point
+from .matrixgroup import Tangent, basis_element, identity_point
 
 
 def _report_text(r: CheckReport) -> str:
@@ -81,13 +80,6 @@ def _cmd_check(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-@dataclass(frozen=True)
-class _EvalSetup:
-    point: GroupPoint
-    tangents: tuple[Tangent, ...]
-    x: np.ndarray
-
-
 def _parse_seed_token(text: str, prefix: str) -> int:
     head, _, tail = text.partition(":")
     if head != prefix or not tail:
@@ -104,7 +96,8 @@ def _seed_tape(text: str, prefix: str) -> DrawTape:
     return DrawTape(np.random.default_rng(_parse_seed_token(text, prefix)))
 
 
-def _eval_setup(at: str, tangents: str, level: int, degree: int) -> _EvalSetup:
+def _eval_setup(at: str, tangents: str, level: int, degree: int) -> tuple:
+    """(point, tangents, X) to evaluate an expression at."""
     if at == "identity":
         pt = identity_point(level)
     else:
@@ -116,15 +109,15 @@ def _eval_setup(at: str, tangents: str, level: int, degree: int) -> _EvalSetup:
                 f"the debug sampler supplies one tangent, but the expression "
                 f"has degree {degree}")
         ts = (Tangent(pt, tuple(h @ basis_element(3, 4) for h in pt.factors)),)
-        return _EvalSetup(pt, ts, basis_element(1, 2))
+        return pt, ts, basis_element(1, 2)
     if tangents.startswith("repeat"):
         tape = _seed_tape(tangents, "repeat")
         one = sample_tangent(tape, pt)
-        return _EvalSetup(pt, (one,) * degree, sample_algebra(tape))
+        return pt, (one,) * degree, sample_algebra(tape)
     tape = _seed_tape(tangents, "seed")
     x = sample_algebra(tape)
     ts = tuple(sample_tangent(tape, pt) for _ in range(degree))
-    return _EvalSetup(pt, ts, x)
+    return pt, ts, x
 
 
 def _cmd_eval(args) -> int:
@@ -145,17 +138,14 @@ def _cmd_eval(args) -> int:
         form = formdsl.interpret(ast, level=level)
     except formdsl.FormDslError as exc:
         return _error(exc)
-    if isinstance(form, EquivariantForm):
-        degree = form.form_degree
-    else:
-        degree = form.degree
+    equivariant = isinstance(form, EquivariantForm)
+    degree = form.form_degree if equivariant else form.degree
     try:
-        setup = _eval_setup(args.at, args.tangents, level, degree)
+        pt, ts, x = _eval_setup(args.at, args.tangents, level, degree)
     except ValueError as exc:
         return _error(exc)
-    concrete = form(setup.x) if isinstance(form, EquivariantForm) else form
-    value = concrete(setup.point, *setup.tangents)
-    print("%.17g" % value)
+    concrete = form(x) if equivariant else form
+    print("%.17g" % concrete(pt, *ts))
     return 0
 
 

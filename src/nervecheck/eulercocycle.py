@@ -40,7 +40,6 @@ entry; the coordinates are slices of m - m^T over the last two axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,22 +139,15 @@ def mu_form() -> EquivariantForm:
     return EquivariantForm(level=1, form_degree=1, poly_degree=1, eval=at)
 
 
-@dataclass(frozen=True)
-class PolynomialPath:
-    """The path sum_k theta^k coeffs[k] in the skew matrices, theta in [0, 1].
-
-    A coefficient may be a stack of matrices: the path is then a stack of
-    paths.
-    """
-
-    coeffs: tuple[np.ndarray, ...]
+def polynomial_path(coeffs) -> tuple[np.ndarray, ...]:
+    """The path sum_k theta^k coeffs[k] in the skew matrices, theta in
+    [0, 1], as its tuple of coefficients.  A coefficient may be a stack of
+    matrices: the path is then a stack of paths."""
+    return tuple(np.asarray(c, dtype=float) for c in coeffs)
 
 
-def polynomial_path(coeffs) -> PolynomialPath:
-    return PolynomialPath(tuple(np.asarray(c, dtype=float) for c in coeffs))
-
-
-def eval_alpha(xi1: PolynomialPath, xi2: PolynomialPath) -> float:
+def eval_alpha(xi1: tuple[np.ndarray, ...],
+               xi2: tuple[np.ndarray, ...]) -> float:
     """Antisymmetric path pairing C64 * int_0^1 <xi1', xi2> - <xi2', xi1>.
 
     With xi1 = sum a_j theta^j and xi2 = sum b_k theta^k, the shorter one
@@ -166,11 +158,11 @@ def eval_alpha(xi1: PolynomialPath, xi2: PolynomialPath) -> float:
     equal paths give 0.0, both exactly.
     Stacked paths give one value each.
     """
-    n = max(len(xi1.coeffs), len(xi2.coeffs))
+    n = max(len(xi1), len(xi2))
     zero = (0.0,) * len(BASIS_PAIRS)
 
-    def padded(xi: PolynomialPath) -> list:
-        return [_coords(c) for c in xi.coeffs] + [zero] * (n - len(xi.coeffs))
+    def padded(xi: tuple) -> list:
+        return [_coords(c) for c in xi] + [zero] * (n - len(xi))
 
     a, b = padded(xi1), padded(xi2)
 

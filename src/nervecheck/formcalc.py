@@ -28,6 +28,8 @@ points stacked the same way.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -92,10 +94,6 @@ class FormEval:
         return FormEval(self.degree, self.level, lambda pt, ts: c * f(pt, ts))
 
 
-def zero_form(degree: int, level: int) -> FormEval:
-    return FormEval(degree, level, lambda pt, ts: 0.0)
-
-
 def mc_left(factor_index: int, level: int) -> FormEval:
     """Left Maurer-Cartan form h^-1 dh of the chosen factor (1-based)."""
     if not 1 <= factor_index <= level:
@@ -137,33 +135,56 @@ def matrix_wedge_square(m: FormEval) -> FormEval:
     return FormEval(2, m.level, sq)
 
 
-def _shuffle_signs(r: int, s: int):
-    """(r, s)-shuffles of range(r+s) as (sign, f_slots, g_slots) triples."""
-    import itertools
+@functools.lru_cache(maxsize=64)
+def _fold_steps(degrees: tuple[int, ...]) -> tuple:
+    """The products of each fold step of `shuffle_product` for factors of
+    these degrees, as (size, terms).  A term (i, sign, a, b) adds sign times
+    the a-th value of the partial wedge times the b-th of the next factor
+    to the i-th of the `size` values of the new partial wedge; the values of
+    a degree k are counted over the sorted k-tuples of tangent indices in
+    order.  The terms of one value come in the order of their partial
+    wedge's tuple, the order of the (r, s)-shuffles."""
+    n = sum(degrees)
+    sets = [tuple(itertools.combinations(range(n), k)) for k in range(n + 1)]
+    masks = [[sum(1 << i for i in S) for S in level] for level in sets]
+    index = {m: i for level in masks for i, m in enumerate(level)}
+    steps = []
+    for r, s in zip(itertools.accumulate(degrees), degrees[1:]):
+        terms = []
+        for a, A in enumerate(masks[r]):
+            for b, (B, ys) in enumerate(zip(masks[s], sets[s])):
+                if not A & B:
+                    # the parity of the shuffle: pairs x in A, y in B, x > y
+                    inv = sum((A >> y).bit_count() for y in ys)
+                    terms.append((index[A | B], -1.0 if inv % 2 else 1.0,
+                                  a, b))
+        steps.append((len(sets[r + s]), tuple(terms)))
+    return tuple(steps)
 
-    n = r + s
-    out = []
-    for f_slots in itertools.combinations(range(n), r):
-        g_slots = tuple(i for i in range(n) if i not in f_slots)
-        # parity of the permutation (f_slots..., g_slots...)
-        inv = sum(1 for a in f_slots for b in g_slots if a > b)
-        out.append((-1.0 if inv % 2 else 1.0, f_slots, g_slots))
-    return tuple(out)
 
+def shuffle_product(fns: Sequence[Callable],
+                    degrees: Sequence[int]) -> Callable:
+    """The wedge of the evaluators fns of the given degrees, folded to the
+    left, (f0 ^ f1) ^ f2 ^ ...: (pt, ts, *rest) -> the value, every factor
+    given the same `rest`; the values multiply by broadcasting.
 
-def shuffle_product(ff: Callable, gf: Callable, r: int, s: int) -> Callable:
-    """The wedge of the evaluators ff of degree r and gf of degree s:
-    (pt, ts, *rest) -> the signed sum over the (r, s)-shuffles of ff on its
-    tangents times gf on the others, both given the same `rest`; the values
-    multiply by broadcasting."""
-    shuffles = _shuffle_signs(r, s)
+    A fold step is the signed sum over the shuffles of the partial wedge on
+    some tangents times the next factor on the others.  Each partial wedge
+    and each factor is evaluated once on every sorted tuple of tangents of
+    its degree, so n 1-forms cost n 2^(n-1) products, not n!.
+    """
+    steps = _fold_steps(tuple(degrees))
 
     def fn(pt, ts, *rest):
-        total = 0.0
-        for sign, fs, gs in shuffles:
-            total = total + (sign * ff(pt, tuple(ts[i] for i in fs), *rest)
-                             * gf(pt, tuple(ts[i] for i in gs), *rest))
-        return total
+        def on(f, k):
+            return [f(pt, S, *rest) for S in itertools.combinations(ts, k)]
+
+        part = on(fns[0], degrees[0])
+        for g, s, (size, terms) in zip(fns[1:], degrees[1:], steps):
+            prev, right, part = part, on(g, s), [0.0] * size
+            for i, sign, a, b in terms:
+                part[i] = part[i] + sign * prev[a] * right[b]
+        return part[0]
 
     return fn
 
@@ -173,7 +194,7 @@ def wedge(f: FormEval, g: FormEval) -> FormEval:
     if f.level != g.level:
         raise ValueError("wedge requires forms on the same level")
     return FormEval(f.degree + g.degree, f.level,
-                    shuffle_product(f.fn, g.fn, f.degree, g.degree))
+                    shuffle_product((f.fn, g.fn), (f.degree, g.degree)))
 
 
 def check_fd_step(fd_step: float) -> None:

@@ -30,8 +30,9 @@ cancel: it evaluates to zero.
 stacked point, then four axes, the k-th for the placeholder pk, of length
 4 where pk is free in the subexpression and of length 1 elsewhere.  An
 entry [i,j] indexes the matrix with two arrays over those axes (`[p1,p1]`
-takes the diagonal); a wedge is the shuffle sum of broadcast products
-(`formcalc.shuffle_product`) and `+`/`-` broadcast too; an outermost sumS4
+takes the diagonal); a wedge is one left fold of broadcast products over
+all its factors (`formcalc.shuffle_product`), which evaluates each factor
+once per set of tangents, and `+`/`-` broadcast too; an outermost sumS4
 contracts its body with the Levi-Civita tensor eps[a,b,c,d].  A nested
 sumS4, like a wedge above the degree 6p of SO(4)^p, is the zero form and
 evaluates nothing.  `interpret` returns a FormEval, or an EquivariantForm
@@ -387,50 +388,6 @@ def parse(src: str) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# pretty printer
-
-
-def _primary(node: Node) -> str:
-    """`node` rendered where the grammar expects a primary."""
-    text = pretty(node)
-    return text if isinstance(node, (EntrySel, SumS4)) else f"( {text} )"
-
-
-def pretty(node: Node) -> str:
-    """Canonical single-space rendering; parse(pretty(n)) == n."""
-    if isinstance(node, Sum):
-        # a term that is a sum itself came from parentheses
-        parts = [_primary(t) if isinstance(t, Sum) else pretty(t)
-                 for t in node.terms]
-        return " ".join([parts[0]] + [f"{op} {text}" for op, text
-                                      in zip(node.ops, parts[1:])])
-    if isinstance(node, Scale):
-        coeff = str(node.num)
-        if node.den != 1:
-            coeff += f"/{node.den}"
-        if node.inv_pi2:
-            coeff += "/pi2"
-        body = node.body
-        text = pretty(body) if isinstance(body, Wedge) else _primary(body)
-        return f"{coeff} {text}"
-    if isinstance(node, Wedge):
-        return " ".join(_primary(f) for f in node.factors)
-    if isinstance(node, SumS4):
-        return f"sumS4( {pretty(node.body)} )"
-    if isinstance(node, EntrySel):
-        return f"{pretty(node.base)}[{node.i},{node.j}]"
-    if isinstance(node, Square):
-        return f"{pretty(node.base)}^2"
-    if isinstance(node, MCLAtom):
-        return f"MCL({node.factor})"
-    if isinstance(node, MCRAtom):
-        return f"MCR({node.factor})"
-    if isinstance(node, XAtom):
-        return "X"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
 # interpreter
 
 
@@ -510,25 +467,20 @@ def _zeros(pt, ts, X) -> np.ndarray:
     return np.zeros(stack + (1,) * 4)
 
 
-def _wedge(f: _Built, g: _Built, level: int) -> _Built:
-    """The shuffle sum of products.  A form of degree above 6 level, the
-    dimension of SO(4)^level, is zero."""
-    degree = f.form_degree + g.form_degree
-    if degree > len(BASIS_PAIRS) * level:
-        fn = _zeros
-    else:
-        fn = shuffle_product(f.fn, g.fn, f.form_degree, g.form_degree)
-    return _Built(degree, f.x_degree + g.x_degree, fn)
-
-
 def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
     if isinstance(node, EntrySel):
         return _entry(node, level, in_sum)
     if isinstance(node, Wedge):
-        built = _build(node.factors[0], level, in_sum)
-        for factor in node.factors[1:]:
-            built = _wedge(built, _build(factor, level, in_sum), level)
-        return built
+        # the shuffle sum of products; a form of degree above 6 level, the
+        # dimension of SO(4)^level, is zero
+        factors = [_build(f, level, in_sum) for f in node.factors]
+        degrees = [f.form_degree for f in factors]
+        degree = sum(degrees)
+        if degree > len(BASIS_PAIRS) * level:
+            fn = _zeros
+        else:
+            fn = shuffle_product([f.fn for f in factors], degrees)
+        return _Built(degree, sum(f.x_degree for f in factors), fn)
     if isinstance(node, Scale):
         inner = _build(node.body, level, in_sum)
         factor = node.num / node.den

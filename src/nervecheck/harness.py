@@ -381,7 +381,7 @@ def _trial_lemma41(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     pt = sample_point(tape, 1)
     v, w = sample_tangents(tape, pt, 2)
     D = _total_d(X, cfg.fd_step)  # level 1, degree 2: i e13 - d mu, negated
-    return {"i e13 - d mu": abs(D[1].component(2)(pt, v, w))}
+    return {"i e13 - d mu": abs(D[1][2](pt, v, w))}
 
 
 def _trial_lemma42(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
@@ -389,14 +389,14 @@ def _trial_lemma42(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     pt = sample_point(tape, 2)
     (t,) = sample_tangents(tape, pt, 1)
     D = _total_d(X, cfg.fd_step)  # level 2, degree 1: d' mu - i e22
-    return {"i e22 - d' mu": abs(D[2].component(1)(pt, t))}
+    return {"i e22 - d' mu": abs(D[2][1](pt, t))}
 
 
 def _trial_lemma43(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     X = sample_algebra(tape)
     pt = sample_point(tape, 1)
     D = _total_d(X, cfg.fd_step)  # level 1, degree 0: i mu
-    return {"i mu": abs(D[1].component(0)(pt))}
+    return {"i mu": abs(D[1][0](pt))}
 
 
 def _trial_ad_invariance(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
@@ -459,13 +459,13 @@ def _trial_euler_cocycle(D: dict, tape) -> dict[str, np.ndarray]:
     """
     p1 = sample_point(tape, 1)
     v = sample_tangents(tape, p1, 4)
-    a = abs(D[1].component(4)(p1, *v))
+    a = abs(D[1][4](p1, *v))
     p2 = sample_point(tape, 2)
     t = sample_tangents(tape, p2, 3)
-    b = abs(D[2].component(3)(p2, *t))
+    b = abs(D[2][3](p2, *t))
     p3 = sample_point(tape, 3)
     u = sample_tangents(tape, p3, 2)
-    c = abs(D[3].component(2)(p3, *u))
+    c = abs(D[3][2](p3, *u))
     return {"a": a, "b": b, "c": c}
 
 

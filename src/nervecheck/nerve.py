@@ -84,16 +84,6 @@ def degeneracy_ng(i: int, pt: GroupPoint) -> GroupPoint:
     return GroupPoint(g[:i] + (one,) + g[i:])
 
 
-def face_map_ng(i: int, level: int) -> SmoothMap:
-    """face_ng(i, .) from `level` to `level`-1 packaged with its differential."""
-    return SmoothMap(
-        source_level=level,
-        target_level=level - 1,
-        apply=lambda pt: face_ng(i, pt),
-        diff=lambda pt, t: face_ng_diff(i, pt, t),
-    )
-
-
 # ---------------------------------------------------------------------------
 # path-space model
 
@@ -232,8 +222,9 @@ def _alternating_pullbacks(f: FormEval, faces: list[SmoothMap]) -> FormEval:
 def d_prime(f: FormEval) -> FormEval:
     """Alternating sum of nerve face pullbacks, raising the level by one."""
     p = f.level
-    return _alternating_pullbacks(
-        f, [face_map_ng(i, p + 1) for i in range(p + 2)])
+    return _alternating_pullbacks(f, [
+        SmoothMap(p + 1, p, partial(face_ng, i), partial(face_ng_diff, i))
+        for i in range(p + 2)])
 
 
 def d_double_prime(f: FormEval,

@@ -7,6 +7,8 @@ conveniences built from the package's own primitives.
 import numpy as np
 
 from nervecheck.formcalc import FormEval
+from nervecheck.formdsl import (EntrySel, MCLAtom, MCRAtom, Scale, Square, Sum,
+                                SumS4, Wedge, XAtom)
 from nervecheck.harness import trial_rngs
 from nervecheck.matrixgroup import GroupPoint, Tangent, exp_matrix, skew_from_coords
 
@@ -42,6 +44,11 @@ def constant_form(value: float, level: int) -> FormEval:
     return FormEval(0, level, lambda pt, ts: value)
 
 
+def zero_form(degree: int, level: int) -> FormEval:
+    """The zero form of the given degree."""
+    return FormEval(degree, level, lambda pt, ts: 0.0)
+
+
 def left_invariant_field(x: np.ndarray, level: int):
     """The left-invariant vector field h -> (h_1 x, ..., h_p x)."""
 
@@ -51,3 +58,44 @@ def left_invariant_field(x: np.ndarray, level: int):
         return Tangent(pt, tuple(h @ x for h in pt.factors))
 
     return field
+
+
+def _primary(node) -> str:
+    """`node` rendered where the grammar expects a primary."""
+    text = pretty(node)
+    return text if isinstance(node, (EntrySel, SumS4)) else f"( {text} )"
+
+
+def pretty(node) -> str:
+    """Canonical single-space rendering of a parsed expression;
+    parse(pretty(n)) == n."""
+    if isinstance(node, Sum):
+        # a term that is a sum itself came from parentheses
+        parts = [_primary(t) if isinstance(t, Sum) else pretty(t)
+                 for t in node.terms]
+        return " ".join([parts[0]] + [f"{op} {text}" for op, text
+                                      in zip(node.ops, parts[1:])])
+    if isinstance(node, Scale):
+        coeff = str(node.num)
+        if node.den != 1:
+            coeff += f"/{node.den}"
+        if node.inv_pi2:
+            coeff += "/pi2"
+        body = node.body
+        text = pretty(body) if isinstance(body, Wedge) else _primary(body)
+        return f"{coeff} {text}"
+    if isinstance(node, Wedge):
+        return " ".join(_primary(f) for f in node.factors)
+    if isinstance(node, SumS4):
+        return f"sumS4( {pretty(node.body)} )"
+    if isinstance(node, EntrySel):
+        return f"{pretty(node.base)}[{node.i},{node.j}]"
+    if isinstance(node, Square):
+        return f"{pretty(node.base)}^2"
+    if isinstance(node, MCLAtom):
+        return f"MCL({node.factor})"
+    if isinstance(node, MCRAtom):
+        return f"MCR({node.factor})"
+    if isinstance(node, XAtom):
+        return "X"
+    raise TypeError(f"not an expression node: {node!r}")

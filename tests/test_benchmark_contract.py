@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -26,13 +28,20 @@ def test_benchmark_smoke_mode_passes():
     assert proc.stdout.splitlines()[-1].endswith("as expected")
 
 
-def test_traced_fd_checks_run_is_correct():
+@pytest.mark.parametrize("workload, metric", [
+    ("fd-checks", "formcalc.exterior_d.evals"),
+    # the nerve faces that d' packages, traced by name
+    ("exact-checks", "nerve.face_ng.calls"),
+    # the tracer replaces formdsl.interpret and EquivariantForm.eval by name
+    ("dsl-eval", "formdsl.interpret.self_ms"),
+], ids=["fd-checks", "exact-checks", "dsl-eval"])
+def test_traced_run_is_correct(workload, metric):
     # --trace 1 installs the spans around every traced name, then checks
     # every output of the pass against the benchmark's own references
-    proc = _run_benchmark("--workload", "fd-checks", "--seed", "1",
+    proc = _run_benchmark("--workload", workload, "--seed", "1",
                           "--seconds", "0.01", "--trace", "1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, result
     assert result["failed"] == 0
-    assert result["metrics"]["formcalc.exterior_d.evals"]["value"] > 0
+    assert result["metrics"][metric]["value"] > 0

@@ -17,7 +17,6 @@ from nervecheck.nerve import d_prime
 from nervecheck.cartanmodel import (
     CocycleSample,
     EquivariantForm,
-    GradedForm,
     cartan_d,
     cocycle,
     equivariant_total_check,
@@ -99,8 +98,9 @@ def test_equivariant_form_shapes():
     assert (e13.level, e13.form_degree, e13.poly_degree) == (1, 3, 0)
     assert (e22.level, e22.form_degree, e22.poly_degree) == (2, 2, 0)
     assert (mu.level, mu.form_degree, mu.poly_degree) == (1, 1, 1)
-    # all three sit in total degree 4
-    assert e13.total_degree == e22.total_degree == mu.total_degree == 4
+    # all three sit in total degree level + form degree + 2 poly degree = 4
+    assert {f.level + f.form_degree + 2 * f.poly_degree
+            for f in (e13, e22, mu)} == {4}
 
 
 def test_equivariant_form_polynomial_homogeneity():
@@ -136,23 +136,19 @@ def test_equivariant_forms_are_conjugation_equivariant():
 def test_cartan_d_of_constant_vanishes():
     rng = np.random.default_rng(6)
     X = random_skew(rng)
-    const = EquivariantForm(1, 0, 0, lambda _x: constant_form(2.0, 1))
-    g = cartan_d(const, X)
+    g = cartan_d({0: constant_form(2.0, 1)}, X)
     pt = rand_point(rng, 1)
     t = rand_tangent(rng, pt)
-    assert abs(g.component(1)(pt, t)) < 1e-9  # d part: FD of a constant
+    assert abs(g[1](pt, t)) < 1e-9  # d part: FD of a constant
 
 
 def test_cartan_d_component_degrees():
     rng = np.random.default_rng(7)
     X = random_skew(rng)
-    g = cartan_d(mu_form(), X)
-    assert isinstance(g, GradedForm)
-    assert set(g.components) <= {0, 2}
-    # calling with k tangents dispatches to the degree-k component
-    pt = rand_point(rng, 1)
-    ts = [rand_tangent(rng, pt) for _ in range(2)]
-    assert g(pt, *ts) == g.component(2)(pt, *ts)
+    g = cartan_d({1: mu_form()(X)}, X)
+    # the degree-k component is keyed k
+    assert {k: (f.degree, f.level) for k, f in g.items()} == {
+        0: (0, 1), 2: (2, 1)}
 
 
 def test_cartan_d_raising_part_matches_exterior_d():
@@ -160,33 +156,34 @@ def test_cartan_d_raising_part_matches_exterior_d():
     rng = np.random.default_rng(8)
     X = random_skew(rng)
     e13 = e13_form()
-    g = cartan_d(e13, X, fd_step=1e-5)
+    g = cartan_d({3: e13(X)}, X, fd_step=1e-5)
     from nervecheck.formcalc import exterior_d
 
     d_direct = exterior_d(e13(X), 1e-5)
     pt = rand_point(rng, 1)
     ts = [rand_tangent(rng, pt) for _ in range(4)]
-    assert abs(g.component(4)(pt, *ts) - d_direct(pt, *ts)) < 1e-12
+    assert abs(g[4](pt, *ts) - d_direct(pt, *ts)) < 1e-12
 
 
 def test_cartan_d_lowering_part_is_minus_contraction():
     rng = np.random.default_rng(9)
     X = random_skew(rng)
     e13 = e13_form()
-    g = cartan_d(e13, X)
+    g = cartan_d({3: e13(X)}, X)
     fld = fundamental_field(X, 1)
     want = contract(e13(X), fld)
     pt = rand_point(rng, 1)
     ts = [rand_tangent(rng, pt) for _ in range(2)]
-    assert abs(g.component(2)(pt, *ts) + want(pt, *ts)) < 1e-15
+    assert abs(g[2](pt, *ts) + want(pt, *ts)) < 1e-15
 
 
 def test_cartan_d_squares_to_zero_on_invariant_forms():
     rng = np.random.default_rng(10)
     X = random_skew(rng)
     for form in (mu_form(), e13_form()):
-        dd = cartan_d(cartan_d(form, X, 1e-5), X, 1e-5)
-        for deg, comp in sorted(dd.components.items()):
+        once = cartan_d({form.form_degree: form(X)}, X, 1e-5)
+        dd = cartan_d(once, X, 1e-5)
+        for deg, comp in sorted(dd.items()):
             for _ in range(2):
                 pt = rand_point(rng, 1)
                 ts = [rand_tangent(rng, pt) for _ in range(deg)]
@@ -197,13 +194,13 @@ def test_twisted_d_of_mu_reproduces_contraction_of_e13():
     # degree-2 component of the twisted d of mu equals i_{X#} E(1,3)
     rng = np.random.default_rng(11)
     X = random_skew(rng)
-    lhs = cartan_d(mu_form(), X, fd_step=1e-5)
+    lhs = cartan_d({1: mu_form()(X)}, X, fd_step=1e-5)
     rhs = contract(e13_form()(X), fundamental_field(X, 1))
     worst = 0.0
     for _ in range(5):
         pt = rand_point(rng, 1)
         ts = [rand_tangent(rng, pt) for _ in range(2)]
-        worst = max(worst, abs(lhs.component(2)(pt, *ts) - rhs(pt, *ts)))
+        worst = max(worst, abs(lhs[2](pt, *ts) - rhs(pt, *ts)))
     assert worst < 1e-6
 
 
@@ -224,26 +221,24 @@ def test_total_d_is_d_prime_plus_signed_cartan_d():
     c = cocycle(e13_form(), e22_form(), mu_form(), X)
     D = total_d(c, X, 1e-5)
     cart1, cart2 = cartan_d(c[1], X, 1e-5), cartan_d(c[2], X, 1e-5)
-    e13, mu, e22 = c[1].component(3), c[1].component(1), c[2].component(2)
+    e13, mu, e22 = c[1][3], c[1][1], c[2][2]
     # level 1: (-1)^1 (d - i) of e13 + mu(X), and nothing from level 0;
     # level 2: d' of e13 + mu(X) plus (d - i) e22; level 3: d' e22 alone
     by_hand = {
-        1: {4: lambda pt, ts: -cart1.component(4)(pt, *ts),
-            2: lambda pt, ts: -cart1.component(2)(pt, *ts),
-            0: lambda pt, ts: -cart1.component(0)(pt, *ts)},
-        2: {3: lambda pt, ts: (d_prime(e13)(pt, *ts)
-                               + cart2.component(3)(pt, *ts)),
-            1: lambda pt, ts: (d_prime(mu)(pt, *ts)
-                               + cart2.component(1)(pt, *ts))},
+        1: {4: lambda pt, ts: -cart1[4](pt, *ts),
+            2: lambda pt, ts: -cart1[2](pt, *ts),
+            0: lambda pt, ts: -cart1[0](pt, *ts)},
+        2: {3: lambda pt, ts: d_prime(e13)(pt, *ts) + cart2[3](pt, *ts),
+            1: lambda pt, ts: d_prime(mu)(pt, *ts) + cart2[1](pt, *ts)},
         3: {2: lambda pt, ts: d_prime(e22)(pt, *ts)},
     }
     assert sorted(D) == [1, 2, 3]
     for level, parts in by_hand.items():
-        assert sorted(D[level].components) == sorted(parts), level
+        assert sorted(D[level]) == sorted(parts), level
         pt = sample_point(tape, level)
         for degree, want in parts.items():
             ts = sample_tangents(tape, pt, degree)
-            got = D[level].component(degree)(pt, *ts)
+            got = D[level][degree](pt, *ts)
             assert np.shape(got) == (8,)
             assert _same_bits(got, want(pt, ts)), (level, degree)
 
@@ -253,10 +248,9 @@ def test_total_d_evaluates_nothing_until_a_component_is_read():
         raise AssertionError("a form was evaluated")
 
     X = random_skew(np.random.default_rng(18))
-    cochain = {1: GradedForm(1, {3: FormEval(3, 1, never)}),
-               2: GradedForm(2, {2: FormEval(2, 2, never)})}
+    cochain = {1: {3: FormEval(3, 1, never)}, 2: {2: FormEval(2, 2, never)}}
     D = total_d(cochain, X)
-    assert {level: sorted(g.components) for level, g in D.items()} == {
+    assert {level: sorted(forms) for level, forms in D.items()} == {
         1: [2, 4], 2: [1, 3], 3: [2]}
     with pytest.raises(ValueError):
         total_d({2: cochain[1]}, X)
@@ -340,11 +334,3 @@ def test_total_check_rejects_malformed_samples():
     )
     with pytest.raises(ValueError):
         equivariant_total_check(e13_form(), e22_form(), mu_form(), X, bad)
-
-
-def test_graded_form_defaults_missing_degrees_to_zero():
-    g = GradedForm(1, {})
-    rng = np.random.default_rng(16)
-    pt = rand_point(rng, 1)
-    assert g(pt) == 0.0
-    assert g.component(3)(pt, *[rand_tangent(rng, pt) for _ in range(3)]) == 0.0

@@ -21,12 +21,11 @@ from nervecheck.formcalc import (
     mc_right,
     pullback,
     wedge,
-    zero_form,
 )
 from nervecheck.eulercocycle import eval_E13
 
 from helpers import (constant_form, left_invariant_field, rand_point,
-                     rand_tangent, random_skew, sample_so4)
+                     rand_tangent, random_skew, sample_so4, zero_form)
 from oracles import fd_directional, fd_map_differential, wedge_oracle
 
 E12 = basis_element(1, 2)

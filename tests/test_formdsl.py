@@ -29,14 +29,13 @@ from nervecheck.formdsl import (
     interpret,
     max_factor_index,
     parse,
-    pretty,
 )
 from nervecheck.eulercocycle import eval_E13, eval_mu
 from nervecheck.cartanmodel import EquivariantForm
 from nervecheck.formcalc import FormEval
 from nervecheck.harness import (DrawTape, sample_algebra, sample_point,
                                 sample_tangents, trial_rngs)
-from helpers import trial_rng
+from helpers import pretty, trial_rng
 from oracles import cycle_sign, dsl_eval
 
 E12 = basis_element(1, 2)
@@ -543,6 +542,60 @@ def test_wedge_of_the_top_degree_matches_the_oracle():
     want, size = dsl_eval(node, pt, ts)
     assert abs(want) > 1e-6 * size  # not a roundoff zero
     assert abs(got - want) <= 1e-13 * size
+
+
+# Nine 1-forms on SO(4)^2, of dimension 12: below the top degree.
+_NINE = ("MCL(1)[1,2] MCL(1)[1,3] MCL(1)[1,4] MCL(1)[2,3] MCL(1)[2,4] "
+         "MCL(1)[3,4] MCL(2)[1,2] MCL(2)[1,3] MCL(2)[1,4]")
+
+
+def test_wedge_evaluates_each_factor_once_per_set_of_tangents(monkeypatch):
+    # the fold keeps every partial wedge and every factor value: each of
+    # nine 1-forms is evaluated once per tangent, 81 calls, where a fold
+    # that evaluates its left factor once per shuffle makes 9! / 2 of them
+    import nervecheck.formdsl as formdsl
+
+    calls = []
+    real = formdsl.mc_left
+
+    def counted(k, level):
+        fn = real(k, level).fn
+
+        def count(pt, ts):
+            calls.append(k)
+            if len(calls) > 81:
+                raise AssertionError("a factor was evaluated twice on a set")
+            return fn(pt, ts)
+
+        return FormEval(1, level, count)
+
+    monkeypatch.setattr(formdsl, "mc_left", counted)
+    form = interpret(parse(_NINE), 2)
+    tape = DrawTape(trial_rng(0, "dsl-unit", 9))
+    pt = sample_point(tape, 2)
+    value = form(pt, *sample_tangents(tape, pt, 9))
+    assert len(calls) == 81 and np.isfinite(value)
+
+
+def test_wedge_of_mixed_degrees_matches_the_oracle():
+    # a 0-form, a 2-form and 1-forms of both factors in one fold of seven
+    # tangent slots, single and stacked
+    node = parse("MCL(1)[1,2] X[1,3] MCR(2)[2,4] MCL(2)^2[1,3] MCL(1)[3,4] "
+                 "MCR(1)[1,4] MCL(2)[2,3]")
+    form = interpret(node, 2)
+    stack = DrawTape(trial_rngs(0, "dsl-unit", range(3)))
+    pts = sample_point(stack, 2)
+    ts = sample_tangents(stack, pts, 7)
+    Xs = sample_algebra(stack)
+    values = form(Xs)(pts, *ts)
+    for k in range(3):
+        pt = GroupPoint(tuple(h[k] for h in pts.factors))
+        tk = [Tangent(pt, tuple(r[k] for r in t.reps)) for t in ts]
+        got = form(Xs[k])(pt, *tk)
+        want, size = dsl_eval(node, pt, tk, Xs[k])
+        assert abs(want) > 1e-6 * size  # not a roundoff zero
+        assert abs(got - want) <= 1e-13 * size
+        assert values[k] == got
 
 
 @pytest.mark.parametrize("extra, degree", [

@@ -503,10 +503,10 @@ def test_alpha_antisymmetry_draws_the_degree_then_the_coefficients(
 def test_cli_eval_setup_reads_one_tape_per_token(tangents):
     from nervecheck import cli
 
-    setup = cli._eval_setup("seed:3", tangents, 2, 3)
+    pt, ts, X = cli._eval_setup("seed:3", tangents, 2, 3)
     at = PerCallSampler(np.random.default_rng(3))
     factors = [exp_matrix(skew_from_coords(at.coords(2.0))) for _ in range(2)]
-    assert all(_same_bits(a, b) for a, b in zip(setup.point.factors, factors))
+    assert all(_same_bits(a, b) for a, b in zip(pt.factors, factors))
     ref = PerCallSampler(np.random.default_rng(5))
 
     def tangent():
@@ -518,9 +518,9 @@ def test_cli_eval_setup_reads_one_tape_per_token(tangents):
     else:
         x = skew_from_coords(ref.coords(1.0))
         reps = [tangent() for _ in range(3)]
-    assert _same_bits(setup.x, x)
-    assert len(setup.tangents) == 3
-    for t, want in zip(setup.tangents, reps):
+    assert _same_bits(X, x)
+    assert len(ts) == 3
+    for t, want in zip(ts, reps):
         assert all(_same_bits(a, b) for a, b in zip(t.reps, want))
 
 

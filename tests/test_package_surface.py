@@ -2,15 +2,26 @@
 
 Every top-level def, class and constant of `src/nervecheck/*.py`, private
 ones included but not dunders, and every public method or property of a
-top-level class, must be referenced, by name or as an attribute, from code
-in `src/` or in `benchmarks/` other than its own definition.  A benchmark
-may name a function in a string (`benchmarks/spans.py` traces functions by
-module and name), so identifier-like strings there count as references
-too.
+top-level class, must be reachable from a root:
+
+* the `nervecheck` script's entry point, as `pyproject.toml` declares it;
+* every name, attribute and identifier-like string in `benchmarks/` (a
+  benchmark may name a function in a string: `benchmarks/spans.py` traces
+  functions by module and name);
+* the module-level statements of `src/` other than definitions, imports
+  and docstrings.
+
+A definition reaches the names it loads or reads as attributes; a class
+reaches its body except its public methods, which are definitions of
+their own.  Names resolve by name alone, across modules, so the test may
+keep alive a name that a finer analysis would drop; but definitions that
+only reference each other, such as two mutually recursive functions that
+only the tests call, are dead.
 """
 
 import ast
-from collections import Counter
+import re
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -19,13 +30,14 @@ BENCH = sorted((ROOT / "benchmarks").glob("*.py"))
 
 # Public names kept without a caller, each with its reason.
 ALLOWED = {
-    # the total degree level + form degree + 2 * polynomial degree, which
-    # the tests pin as the cocycle's degree 4
-    "total_degree",
     # the ISeedSequence method of `harness._SeedWords`, which numpy's PCG64
     # calls to read its seed words
     "generate_state",
 }
+
+
+def _is_method(node: ast.stmt) -> bool:
+    return isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
 
 
 def _definitions(tree: ast.Module):
@@ -34,22 +46,33 @@ def _definitions(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    yield target.id, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield leaf.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if (isinstance(item, ast.FunctionDef)
-                        and not item.name.startswith("_")):
+                if _is_method(item):
                     yield item.name, item
 
 
-def _references(tree: ast.AST) -> Counter:
-    """How often each name is loaded or read as an attribute in tree."""
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree)
-                   if isinstance(node, (ast.Name, ast.Attribute)))
+def _names(*nodes: ast.AST) -> set[str]:
+    """The names loaded, and the attributes read, anywhere in nodes."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes for n in ast.walk(node)
+            if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _edges(node: ast.stmt) -> set[str]:
+    """The names a definition reaches."""
+    if isinstance(node, ast.ClassDef):
+        return _names(*node.bases, *node.keywords, *node.decorator_list,
+                      *(item for item in node.body if not _is_method(item)))
+    return _names(node)
 
 
 def _strings(tree: ast.AST) -> set[str]:
@@ -58,31 +81,52 @@ def _strings(tree: ast.AST) -> set[str]:
             and node.value.isidentifier()}
 
 
-def _unreferenced() -> set[tuple[str, str]]:
-    """(module, name) of every definition but the dunders without a
-    reference from outside its own definition."""
+def _roots(trees: dict) -> set[str]:
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    script = re.search(r'^nervecheck = "nervecheck\.\w+:(\w+)"', pyproject,
+                       re.M)
+    assert script, "pyproject.toml declares no nervecheck script"
+    roots = {script.group(1)}
+    for path in BENCH:
+        roots |= _names(trees[path]) | _strings(trees[path])
+    for path in SRC:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef,
+                                     ast.Assign, ast.AnnAssign, ast.Import,
+                                     ast.ImportFrom, ast.Expr)):
+                roots |= _names(node)
+    return roots
+
+
+def _unreached() -> set[tuple[str, str]]:
+    """(module, name) of every definition but the dunders that no root
+    reaches."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in SRC + BENCH}
-    refs = sum((_references(tree) for tree in trees.values()), Counter())
-    bench_strings = set().union(*(_strings(trees[p]) for p in BENCH))
-    out = set()
+    nodes = defaultdict(list)
     for path in SRC:
         for name, node in _definitions(trees[path]):
-            if name.startswith("__") or name in bench_strings:
-                continue
-            # a definition's references to itself do not count
-            if refs[name] - _references(node)[name] == 0:
-                out.add((path.name, name))
-    return out
+            nodes[name].append(node)
+    reached: set[str] = set()
+    todo = list(_roots(trees))
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in nodes[name]:
+                todo.extend(_edges(node))
+    return {(path.name, name) for path in SRC
+            for name, _ in _definitions(trees[path])
+            if name not in reached and not name.startswith("__")}
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    found = {(m, n) for m, n in _unreferenced() if not n.startswith("_")}
+    found = {(m, n) for m, n in _unreached() if not n.startswith("_")}
     assert sorted(f"{m}: {n}" for m, n in found if n not in ALLOWED) == []
     # an allowlisted name that gains a caller leaves the list
     assert ALLOWED <= {n for _, n in found}
 
 
 def test_every_private_top_level_name_has_a_caller_in_the_package():
-    found = {(m, n) for m, n in _unreferenced() if n.startswith("_")}
+    found = {(m, n) for m, n in _unreached() if n.startswith("_")}
     assert sorted(f"{m}: {n}" for m, n in found) == []
