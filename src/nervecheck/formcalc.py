@@ -138,10 +138,10 @@ def matrix_wedge_square(m: FormEval) -> FormEval:
 @functools.lru_cache(maxsize=64)
 def _fold_steps(degrees: tuple[int, ...]) -> tuple:
     """The products of each fold step of `shuffle_product` for factors of
-    these degrees, as (size, terms).  A term (i, sign, a, b) adds sign times
-    the a-th value of the partial wedge times the b-th of the next factor
-    to the i-th of the `size` values of the new partial wedge; the values of
-    a degree k are counted over the sorted k-tuples of tangent indices in
+    these degrees: per step, per value of the new partial wedge, its terms
+    (a, b, negative), each the a-th value of the partial wedge times the
+    b-th of the next factor, subtracted when negative.  The values of a
+    degree k are counted over the sorted k-tuples of tangent indices in
     order.  The terms of one value come in the order of their partial
     wedge's tuple, the order of the (r, s)-shuffles."""
     n = sum(degrees)
@@ -150,16 +150,31 @@ def _fold_steps(degrees: tuple[int, ...]) -> tuple:
     index = {m: i for level in masks for i, m in enumerate(level)}
     steps = []
     for r, s in zip(itertools.accumulate(degrees), degrees[1:]):
-        terms = []
+        values = [[] for _ in sets[r + s]]
         for a, A in enumerate(masks[r]):
             for b, (B, ys) in enumerate(zip(masks[s], sets[s])):
                 if not A & B:
                     # the parity of the shuffle: pairs x in A, y in B, x > y
                     inv = sum((A >> y).bit_count() for y in ys)
-                    terms.append((index[A | B], -1.0 if inv % 2 else 1.0,
-                                  a, b))
-        steps.append((len(sets[r + s]), tuple(terms)))
+                    values[index[A | B]].append((a, b, inv % 2 == 1))
+        steps.append(tuple(tuple(terms) for terms in values))
     return tuple(steps)
+
+
+def _fold_step(prev: list, right: list, values: tuple) -> list:
+    """The values of the next partial wedge (see _fold_steps); each starts
+    from its first term.  A negative term adds the product with the
+    negated factor value, exactly the difference: numpy adds into a
+    temporary product in place but cannot subtract one, so `total -
+    product` would hold three large arrays at once."""
+    part = []
+    for (a, b, negative), *terms in values:
+        total = prev[a] * -right[b] if negative else prev[a] * right[b]
+        for a, b, negative in terms:
+            total = total + (prev[a] * -right[b] if negative
+                             else prev[a] * right[b])
+        part.append(total)
+    return part
 
 
 def shuffle_product(fns: Sequence[Callable],
@@ -180,10 +195,8 @@ def shuffle_product(fns: Sequence[Callable],
             return [f(pt, S, *rest) for S in itertools.combinations(ts, k)]
 
         part = on(fns[0], degrees[0])
-        for g, s, (size, terms) in zip(fns[1:], degrees[1:], steps):
-            prev, right, part = part, on(g, s), [0.0] * size
-            for i, sign, a, b in terms:
-                part[i] = part[i] + sign * prev[a] * right[b]
+        for g, s, values in zip(fns[1:], degrees[1:], steps):
+            part = _fold_step(part, on(g, s), values)
         return part[0]
 
     return fn
@@ -198,8 +211,13 @@ def wedge(f: FormEval, g: FormEval) -> FormEval:
 
 
 def check_fd_step(fd_step: float) -> None:
-    if not 1e-7 <= fd_step <= 1e-3:
-        raise ValueError("fd_step must lie in [1e-7, 1e-3]")
+    """Reject a step of the finite-difference checks outside [5e-6, 2e-4],
+    the widest 1-2-5 range on which every one of them stays within a fifth
+    of its tolerance over seeds 0-49: a longer step fails `mc-structure` on
+    truncation, a shorter one `d-squared` on the roundoff of its nested
+    differences."""
+    if not 5e-6 <= fd_step <= 2e-4:
+        raise ValueError("fd_step must lie in [5e-6, 2e-4]")
 
 
 def _chart_steps(h: np.ndarray, vs: list, fd_step: float):
@@ -239,7 +257,8 @@ def exterior_d(f: FormEval, fd_step: float = FD_STEP_DEFAULT) -> FormEval:
     bi-invariant ones included: d of the closed 3-form reads of order 1e-8
     at fd_step = 1e-3 on unit-sized tangents and falls by 4 at each halving.
     """
-    check_fd_step(fd_step)
+    if not 1e-7 <= fd_step <= 1e-3:
+        raise ValueError("fd_step must lie in [1e-7, 1e-3]")
     r = f.degree
     fn = f.fn
     steps = 2 * (r + 1)

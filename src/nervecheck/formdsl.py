@@ -26,7 +26,7 @@ it included.  A nested sumS4 therefore adds 24 equal terms whose signs
 cancel: it evaluates to zero.
 
 `parse` produces a plain AST; `interpret` lowers it once to an evaluator
-(pt, tangents, X) -> ndarray in one fixed layout: the stack axes of a
+(pt, tangents, X, memo) -> ndarray in one fixed layout: the stack axes of a
 stacked point, then four axes, the k-th for the placeholder pk, of length
 4 where pk is free in the subexpression and of length 1 elsewhere.  An
 entry [i,j] indexes the matrix with two arrays over those axes (`[p1,p1]`
@@ -35,15 +35,18 @@ all its factors (`formcalc.shuffle_product`), which evaluates each factor
 once per set of tangents, and `+`/`-` broadcast too; an outermost sumS4
 contracts its body with the Levi-Civita tensor eps[a,b,c,d].  A nested
 sumS4, like a wedge above the degree 6p of SO(4)^p, is the zero form and
-evaluates nothing.  `interpret` returns a FormEval, or an EquivariantForm
-exactly when X occurs; evaluating either lowers nothing again, and
-returns one value per stacked point.
+evaluates nothing.  Each evaluation hands every evaluator one fresh memo,
+in which each Maurer-Cartan atom is computed once per tangent; a square
+is a b - b a of the atom's values there.  `interpret` returns a FormEval,
+or an EquivariantForm exactly when X occurs; evaluating either lowers
+nothing again, and returns one value per stacked point.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import itertools
+import re
 from dataclasses import dataclass
 from math import pi
 from typing import Callable, Union
@@ -51,8 +54,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .cartanmodel import EquivariantForm
-from .formcalc import (FormEval, matrix_wedge_square, mc_left, mc_right,
-                       shuffle_product)
+from .formcalc import FormEval, mc_left, mc_right, shuffle_product
 from .matrixgroup import BASIS_PAIRS
 
 
@@ -132,16 +134,16 @@ Node = Union[EntrySel, SumS4, Wedge, Scale, Sum]
 # tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str          # NUMBER, NAME, or the punctuation itself
-    text: str
-    line: int
-    col: int
+# A token is a plain tuple (kind, text, line, col); kind is NUMBER, NAME, EOF
+# or the punctuation character itself.
+_Token = tuple[str, str, int, int]
 
 
-_PUNCT = set("+-/()[],^")
-_DIGITS = set("0123456789")
+_PUNCT = frozenset("+-/()[],^")
+_PLACEHOLDERS = ("p1", "p2", "p3", "p4")
+# A run of ASCII digits, and of the characters that str.isalnum accepts.
+_NUMBER = re.compile(r"[0-9]+")
+_ALNUM = re.compile(r"[^\W_]*")
 # A coefficient n/d becomes a float, which a longer numerator could overflow.
 MAX_DIGITS = 18
 
@@ -156,50 +158,46 @@ MAX_FACTOR = 64
 
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
+    line, start = 1, 0  # start: the index of the line's first character
+    i, n = 0, len(src)
+    while i < n:
         ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(src) and src[j] in _DIGITS:
-                j += 1
-            if j - i > MAX_DIGITS:
-                raise FormSyntaxError(
-                    f"number longer than {MAX_DIGITS} digits", line, col)
-            tokens.append(_Token("NUMBER", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(src) and (src[j].isalnum()):
-                j += 1
-            tokens.append(_Token("NAME", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
         if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
+            tokens.append((ch, ch, line, i - start + 1))
             i += 1
-            continue
-        raise FormSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+        elif ch == "\n":
+            i += 1
+            line, start = line + 1, i
+        elif ch.isspace():
+            i += 1
+        elif "0" <= ch <= "9":
+            j = _NUMBER.match(src, i).end()
+            if j - i > MAX_DIGITS:
+                raise FormSyntaxError(f"number longer than {MAX_DIGITS} digits",
+                                      line, i - start + 1)
+            tokens.append(("NUMBER", src[i:j], line, i - start + 1))
+            i = j
+        elif ch.isalpha():
+            j = _ALNUM.match(src, i + 1).end()
+            tokens.append(("NAME", src[i:j], line, i - start + 1))
+            i = j
+        else:
+            raise FormSyntaxError(f"unexpected character {ch!r}", line,
+                                  i - start + 1)
+    tokens.append(("EOF", "", line, n - start + 1))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _error_at(tok: _Token, message: str) -> FormSyntaxError:
+    return FormSyntaxError(message, tok[2], tok[3])
+
+
+def _shown(tok: _Token) -> str:
+    return repr(tok[1] or "end of input")
 
 
 class _Parser:
@@ -212,6 +210,10 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
+    def kind(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
+
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
         self.pos += 1
@@ -219,36 +221,34 @@ class _Parser:
 
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
-        if tok.kind != kind:
-            raise FormSyntaxError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.col)
-        return self.advance()
+        if tok[0] != kind:
+            raise _error_at(tok, f"expected {kind!r}, found {_shown(tok)}")
+        self.pos += 1
+        return tok
 
     def fail(self, message: str) -> None:
-        tok = self.peek()
-        raise FormSyntaxError(message, tok.line, tok.col)
+        raise _error_at(self.peek(), message)
 
     # expr := term (('+' | '-') term)*
     def parse_expr(self) -> Node:
         terms = [self.parse_term()]
         ops = []
-        while self.peek().kind in ("+", "-"):
-            ops.append(self.advance().kind)
+        while self.kind() in ("+", "-"):
+            ops.append(self.advance()[0])
             terms.append(self.parse_term())
         return Sum(tuple(terms), tuple(ops)) if ops else terms[0]
 
     # term := ['-'] [coeff] primary+
     def parse_term(self) -> Node:
         negate = False
-        if self.peek().kind == "-":
+        if self.kind() == "-":
             self.advance()
             negate = True
         coeff = None
-        if self.peek().kind == "NUMBER":
+        if self.kind() == "NUMBER":
             coeff = self.parse_coeff()
         factors = [self.parse_primary()]
-        while self.peek().kind in ("NAME", "("):
+        while self.kind() in ("NAME", "("):
             factors.append(self.parse_primary())
         body: Node = factors[0] if len(factors) == 1 else Wedge(tuple(factors))
         if coeff is None and not negate:
@@ -260,20 +260,22 @@ class _Parser:
 
     # coeff := NUMBER ('/' NUMBER)* ['/pi2']
     def parse_coeff(self) -> tuple[int, int, bool]:
-        num = int(self.expect("NUMBER").text)
+        num = int(self.expect("NUMBER")[1])
         den = 1
         inv_pi2 = False
-        while self.peek().kind == "/":
+        while self.kind() == "/":
             self.advance()
             tok = self.peek()
-            if tok.kind == "NUMBER":
-                value = int(self.advance().text)
+            kind, text, _, _ = tok
+            if kind == "NUMBER":
+                self.advance()
+                value = int(text)
                 if value == 0:
-                    raise FormSyntaxError("division by zero", tok.line, tok.col)
+                    raise _error_at(tok, "division by zero")
                 den *= value
-            elif tok.kind == "NAME" and tok.text == "pi2":
+            elif kind == "NAME" and text == "pi2":
                 if inv_pi2:
-                    raise FormSyntaxError("repeated /pi2", tok.line, tok.col)
+                    raise _error_at(tok, "repeated /pi2")
                 self.advance()
                 inv_pi2 = True
             else:
@@ -283,9 +285,8 @@ class _Parser:
     def parse_nested(self, opening: _Token) -> Node:
         """The expr inside a '(' or 'sumS4(' that `opening` starts."""
         if self.nesting == MAX_NESTING:
-            raise FormSyntaxError(
-                f"nesting deeper than {MAX_NESTING} levels",
-                opening.line, opening.col)
+            raise _error_at(opening,
+                            f"nesting deeper than {MAX_NESTING} levels")
         self.nesting += 1
         inner = self.parse_expr()
         self.nesting -= 1
@@ -295,62 +296,54 @@ class _Parser:
 
     def parse_primary(self) -> Node:
         tok = self.peek()
-        if tok.kind == "(":
+        kind, text, _, _ = tok
+        if kind == "(":
             self.advance()
             return self.parse_nested(tok)
-        if tok.kind != "NAME":
-            self.fail(f"expected a factor, found {tok.text or 'end of input'!r}")
-        if tok.text == "sumS4":
+        if kind != "NAME":
+            self.fail(f"expected a factor, found {_shown(tok)}")
+        if text == "sumS4":
             self.advance()
             self.expect("(")
             self.sum_depth += 1
             body = self.parse_nested(tok)
             self.sum_depth -= 1
             return SumS4(body)
-        if tok.text in ("MCL", "MCR"):
+        if text in ("MCL", "MCR"):
             self.advance()
             self.expect("(")
             ftok = self.expect("NUMBER")
-            factor = int(ftok.text)
+            factor = int(ftok[1])
             if not 1 <= factor <= MAX_FACTOR:
-                raise FormSyntaxError(
-                    f"factor index must lie in 1..{MAX_FACTOR}",
-                    ftok.line, ftok.col)
+                raise _error_at(ftok,
+                                f"factor index must lie in 1..{MAX_FACTOR}")
             self.expect(")")
-            atom = MCLAtom(factor) if tok.text == "MCL" else MCRAtom(factor)
+            atom = MCLAtom(factor) if text == "MCL" else MCRAtom(factor)
             base: Union[MCLAtom, MCRAtom, Square] = atom
-            if self.peek().kind == "^":
+            if self.kind() == "^":
                 self.advance()
                 two = self.expect("NUMBER")
-                if two.text != "2":
-                    raise FormSyntaxError("only the power 2 is supported",
-                                          two.line, two.col)
+                if two[1] != "2":
+                    raise _error_at(two, "only the power 2 is supported")
                 base = Square(atom)
             return self.parse_entry(base)
-        if tok.text == "X":
+        if text == "X":
             self.advance()
-            if self.peek().kind == "^":
-                nxt = self.peek()
-                raise FormSyntaxError("the argument X cannot be squared",
-                                      nxt.line, nxt.col)
+            if self.kind() == "^":
+                self.fail("the argument X cannot be squared")
             return self.parse_entry(XAtom())
-        self.fail(f"unknown name {tok.text!r}")
+        self.fail(f"unknown name {text!r}")
 
     def _reject_scalar_suffix(self) -> None:
-        tok = self.peek()
-        if tok.kind == "[":
-            raise FormSyntaxError("entry selection applied to a scalar",
-                                  tok.line, tok.col)
-        if tok.kind == "^":
-            raise FormSyntaxError("power applied to a scalar",
-                                  tok.line, tok.col)
+        kind = self.kind()
+        if kind == "[":
+            self.fail("entry selection applied to a scalar")
+        if kind == "^":
+            self.fail("power applied to a scalar")
 
     def parse_entry(self, base) -> EntrySel:
-        tok = self.peek()
-        if tok.kind != "[":
-            raise FormSyntaxError(
-                "matrix-valued factor requires an entry selection [i,j]",
-                tok.line, tok.col)
+        if self.kind() != "[":
+            self.fail("matrix-valued factor requires an entry selection [i,j]")
         self.advance()
         i = self.parse_index()
         self.expect(",")
@@ -359,20 +352,18 @@ class _Parser:
         return EntrySel(base, i, j)
 
     def parse_index(self) -> Union[int, str]:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            value = int(self.advance().text)
+        kind, text, _, _ = self.peek()
+        if kind == "NUMBER":
+            value = int(text)
             if not 1 <= value <= 4:
-                raise FormSyntaxError("entry index must lie in 1..4",
-                                      tok.line, tok.col)
-            return value
-        if tok.kind == "NAME" and tok.text in ("p1", "p2", "p3", "p4"):
-            if self.sum_depth == 0:
-                raise FormSyntaxError(
-                    f"placeholder {tok.text} is not bound by any sumS4",
-                    tok.line, tok.col)
+                self.fail("entry index must lie in 1..4")
             self.advance()
-            return tok.text
+            return value
+        if kind == "NAME" and text in _PLACEHOLDERS:
+            if self.sum_depth == 0:
+                self.fail(f"placeholder {text} is not bound by any sumS4")
+            self.advance()
+            return text
         self.fail("expected an entry index (1..4 or p1..p4)")
 
 
@@ -380,10 +371,8 @@ def parse(src: str) -> Node:
     """Parse a source string, raising FormSyntaxError with line:col on error."""
     parser = _Parser(_tokenize(src))
     node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise FormSyntaxError(f"unexpected trailing input {tok.text!r}",
-                              tok.line, tok.col)
+    if parser.kind() != "EOF":
+        parser.fail(f"unexpected trailing input {parser.peek()[1]!r}")
     return node
 
 
@@ -404,60 +393,88 @@ def _levi_civita() -> np.ndarray:
 _EPS = _levi_civita()
 
 
-def _index(k: Union[int, str]) -> np.ndarray:
-    """An entry index over the four placeholder axes: a placeholder pk runs
-    0..3 along the k-th of them, a fixed index is constant."""
-    if isinstance(k, str):
-        return np.arange(4).reshape([4 if p == k else 1
-                                     for p in ("p1", "p2", "p3", "p4")])
-    return np.full((1, 1, 1, 1), k - 1)
+# An entry index over the four placeholder axes: a placeholder pk runs 0..3
+# along the k-th of them, a fixed index k is the constant k - 1.
+_INDEX = {**{k: np.full((1, 1, 1, 1), k - 1) for k in range(1, 5)},
+          **{p: np.arange(4).reshape([4 if q == p else 1
+                                      for q in _PLACEHOLDERS])
+             for p in _PLACEHOLDERS}}
+# The same entry as one index 4 i + j into the 16 entries of a matrix.
+_FLAT = {(i, j): 4 * _INDEX[i] + _INDEX[j] for i in _INDEX for j in _INDEX}
 
 
 @dataclass(frozen=True)
 class _Built:
-    """A lowered subexpression: its degrees and an evaluator (pt, ts, X) ->
-    ndarray with the stack axes of the point, then four axes, the k-th for
-    the placeholder pk: of length 4 where pk is free in the subexpression,
-    of length 1 elsewhere."""
+    """A lowered subexpression: its degrees and an evaluator (pt, ts, X,
+    memo) -> ndarray with the stack axes of the point, then four axes, the
+    k-th for the placeholder pk: of length 4 where pk is free in the
+    subexpression, of length 1 elsewhere.  `memo` is the dict of one
+    top-level evaluation (see _mc_matrix)."""
 
     form_degree: int
     x_degree: int
     fn: Callable
 
 
-def _mc_atom(atom: Union[MCLAtom, MCRAtom], level: int):
+def _mc_matrix(base: Union[MCLAtom, MCRAtom, Square], level: int):
+    """The evaluator (pt, ts, memo) -> matrix of a Maurer-Cartan atom on one
+    tangent, or of its square a b - b a on two, a and b its values on them.
+
+    The atom's value on a tangent is computed once per memo, the dict of one
+    top-level evaluation, which keys it by the atom and the tangent's
+    identity: ids are reused once an object is freed, so a memo never
+    outlives the evaluation whose tangents it keys.
+    """
+    atom = base.base if isinstance(base, Square) else base
     if atom.factor > level:
         raise FormDslError(
             f"factor index {atom.factor} exceeds the level {level}")
-    return (mc_left if isinstance(atom, MCLAtom) else mc_right)(
-        atom.factor, level)
+    left = isinstance(atom, MCLAtom)
+    f = (mc_left if left else mc_right)(atom.factor, level).fn
+    name = ("MCL" if left else "MCR") + str(atom.factor)
+
+    def one(pt, t, memo):
+        key = (name, id(t))
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = f(pt, (t,))
+        return value
+
+    if not isinstance(base, Square):
+        return lambda pt, ts, memo: one(pt, ts[0], memo)
+
+    def square(pt, ts, memo):
+        a = one(pt, ts[0], memo)
+        b = one(pt, ts[1], memo)
+        return a @ b - b @ a
+
+    return square
 
 
 def _entry(node: EntrySel, level: int, in_sum: bool) -> _Built:
     """An entry [i, j]: one index of the matrix by two arrays over the
-    placeholder axes ([p, p] takes the diagonal)."""
+    placeholder axes ([p, p] takes the diagonal), or of a single matrix's
+    16 entries by one array, which numpy serves about twice as fast."""
     free = [k for k in (node.i, node.j) if isinstance(k, str)]
     if free and not in_sum:
         raise FormDslError(f"placeholder {free[0]} is not bound by any sumS4")
-    for k in (node.i, node.j):
-        if not isinstance(k, str) and not 1 <= k <= 4:
-            raise FormDslError("entry index must lie in 1..4")
-    base = node.base
-    if isinstance(base, XAtom):
-        degree, x_degree = 0, 1
-        matrix = lambda pt, ts, X: X
-    else:
-        form = _mc_atom(base.base if isinstance(base, Square) else base, level)
-        if isinstance(base, Square):
-            form = matrix_wedge_square(form)
-        degree, x_degree, mfn = form.degree, 0, form.fn
-        matrix = lambda pt, ts, X: mfn(pt, ts)
-    rows, cols = _index(node.i), _index(node.j)
-    return _Built(degree, x_degree,
-                  lambda pt, ts, X: matrix(pt, ts, X)[..., rows, cols])
+    if node.i not in _INDEX or node.j not in _INDEX:
+        raise FormDslError("entry index must lie in 1..4 or p1..p4")
+    rows, cols = _INDEX[node.i], _INDEX[node.j]
+    flat = _FLAT[node.i, node.j]
+
+    def select(m):
+        return m.reshape(16)[flat] if m.ndim == 2 else m[..., rows, cols]
+
+    if isinstance(node.base, XAtom):
+        return _Built(0, 1, lambda pt, ts, X, memo: select(X))
+    matrix = _mc_matrix(node.base, level)
+    degree = 2 if isinstance(node.base, Square) else 1
+    return _Built(degree, 0,
+                  lambda pt, ts, X, memo: select(matrix(pt, ts, memo)))
 
 
-def _zeros(pt, ts, X) -> np.ndarray:
+def _zeros(pt, ts, X, memo) -> np.ndarray:
     """The evaluator of a zero form: zeros over the stack axes of the point,
     the tangents and X, then the placeholder axes; it evaluates nothing."""
     mats = [*pt.factors, *(r for t in ts for r in t.reps)]
@@ -488,7 +505,7 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
             factor /= pi ** 2
         fn = inner.fn
         return _Built(inner.form_degree, inner.x_degree,
-                      lambda pt, ts, X: factor * fn(pt, ts, X))
+                      lambda pt, ts, X, memo: factor * fn(pt, ts, X, memo))
     if isinstance(node, Sum):
         first = _build(node.terms[0], level, in_sum)
         rest = []
@@ -502,10 +519,11 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
         head = first.fn
         plus = [op == "+" for op in node.ops]
 
-        def fn(pt, ts, X):
-            total = head(pt, ts, X)
+        def fn(pt, ts, X, memo):
+            total = head(pt, ts, X, memo)
             for add, f in zip(plus, rest):
-                total = total + f(pt, ts, X) if add else total - f(pt, ts, X)
+                total = (total + f(pt, ts, X, memo) if add
+                         else total - f(pt, ts, X, memo))
             return total
 
         return _Built(first.form_degree, first.x_degree, fn)
@@ -518,8 +536,8 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
             return _Built(body.form_degree, body.x_degree, _zeros)
         bfn = body.fn
 
-        def contract(pt, ts, X):
-            v = bfn(pt, ts, X)
+        def contract(pt, ts, X, memo):
+            v = bfn(pt, ts, X, memo)
             stack = v.shape[:-4]
             # a contiguous copy, so that a stack sums in the order of a point
             full = np.ascontiguousarray(np.broadcast_to(v, stack + (4,) * 4))
@@ -540,16 +558,19 @@ def interpret(node: Node, level: int):
     """Lower an AST to a FormEval, or an EquivariantForm when X occurs.
 
     The AST is lowered once; evaluating the returned form, or the form an
-    EquivariantForm returns for a given X, lowers nothing again.
+    EquivariantForm returns for a given X, lowers nothing again.  Each
+    evaluation computes every Maurer-Cartan atom once per tangent.
     """
     built = _build(node, level)
     degree, fn = built.form_degree, built.fn
     if built.x_degree == 0:
-        return FormEval(degree, level, lambda pt, ts: _value(fn(pt, ts, None)))
+        return FormEval(degree, level,
+                        lambda pt, ts: _value(fn(pt, ts, None, {})))
 
     def at(X):
         X = np.array(X, dtype=float)
-        return FormEval(degree, level, lambda pt, ts: _value(fn(pt, ts, X)))
+        return FormEval(degree, level,
+                        lambda pt, ts: _value(fn(pt, ts, X, {})))
 
     return EquivariantForm(level=level, form_degree=degree,
                            poly_degree=built.x_degree, eval=at)

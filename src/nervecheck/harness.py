@@ -241,7 +241,7 @@ class DrawTape:
             rows = np.empty((len(self.rngs), left + size, 6))
             rows[:, :left] = self._rows[:, self._pos:]
             for n, rng in enumerate(self.rngs):
-                rows[n, left:] = rng.random((size, 6))
+                rng.random(out=rows[n, left:])
             self._rows, self._pos = rows, 0
         out = self._rows[:, self._pos:self._pos + k]
         self._pos += k

@@ -38,17 +38,6 @@ class GroupPoint:
     def level(self) -> int:
         return len(self.factors)
 
-    def validate(self, tol: float = 1e-12) -> "GroupPoint":
-        """Raise ValueError unless every factor is special orthogonal."""
-        for k, m in enumerate(self.factors):
-            if m.shape[-2:] != (DIM, DIM):
-                raise ValueError(f"factor {k} has shape {m.shape}, want (4, 4)")
-            if not np.all(np.abs(m.mT @ m - np.eye(DIM)) <= tol):
-                raise ValueError(f"factor {k} is not orthogonal within {tol}")
-            if not np.all(np.abs(np.linalg.det(m) - 1.0) <= 1e-9):
-                raise ValueError(f"factor {k} has determinant != +1")
-        return self
-
 
 @dataclass(frozen=True, eq=False)
 class Tangent:
@@ -56,20 +45,6 @@ class Tangent:
 
     base: GroupPoint
     reps: tuple[np.ndarray, ...]
-
-    @property
-    def level(self) -> int:
-        return len(self.reps)
-
-    def validate(self, tol: float = 1e-12) -> "Tangent":
-        """Raise ValueError unless h^T V is skew for every factor."""
-        if len(self.reps) != self.base.level:
-            raise ValueError("tangent/base factor count mismatch")
-        for k, (h, v) in enumerate(zip(self.base.factors, self.reps)):
-            s = h.mT @ v
-            if not np.all(np.abs(s + s.mT) <= tol):
-                raise ValueError(f"rep {k} is not tangent at the base point")
-        return self
 
 
 def identity_point(level: int) -> GroupPoint:

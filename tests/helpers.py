@@ -10,7 +10,31 @@ from nervecheck.formcalc import FormEval
 from nervecheck.formdsl import (EntrySel, MCLAtom, MCRAtom, Scale, Square, Sum,
                                 SumS4, Wedge, XAtom)
 from nervecheck.harness import trial_rngs
-from nervecheck.matrixgroup import GroupPoint, Tangent, exp_matrix, skew_from_coords
+from nervecheck.matrixgroup import (DIM, GroupPoint, Tangent, exp_matrix,
+                                    skew_from_coords)
+
+
+def validate_point(pt: GroupPoint, tol: float = 1e-12) -> GroupPoint:
+    """pt itself; ValueError unless every factor is special orthogonal."""
+    for k, m in enumerate(pt.factors):
+        if m.shape[-2:] != (DIM, DIM):
+            raise ValueError(f"factor {k} has shape {m.shape}, want (4, 4)")
+        if not np.all(np.abs(m.mT @ m - np.eye(DIM)) <= tol):
+            raise ValueError(f"factor {k} is not orthogonal within {tol}")
+        if not np.all(np.abs(np.linalg.det(m) - 1.0) <= 1e-9):
+            raise ValueError(f"factor {k} has determinant != +1")
+    return pt
+
+
+def validate_tangent(t: Tangent, tol: float = 1e-12) -> Tangent:
+    """t itself; ValueError unless h^T V is skew for every factor."""
+    if len(t.reps) != t.base.level:
+        raise ValueError("tangent/base factor count mismatch")
+    for k, (h, v) in enumerate(zip(t.base.factors, t.reps)):
+        s = h.mT @ v
+        if not np.all(np.abs(s + s.mT) <= tol):
+            raise ValueError(f"rep {k} is not tangent at the base point")
+    return t
 
 
 def random_skew(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

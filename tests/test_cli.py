@@ -191,7 +191,7 @@ def test_check_all_bad_config_exits_two_before_running(capsys, monkeypatch,
     assert code == 2
     assert out == ""
     assert err == {"--trials": "error: trials must lie in [1, 1000000]\n",
-                   "--fd-step": "error: fd_step must lie in [1e-7, 1e-3]\n",
+                   "--fd-step": "error: fd_step must lie in [5e-6, 2e-4]\n",
                    }[flag]
 
 

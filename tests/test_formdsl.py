@@ -550,9 +550,11 @@ _NINE = ("MCL(1)[1,2] MCL(1)[1,3] MCL(1)[1,4] MCL(1)[2,3] MCL(1)[2,4] "
 
 
 def test_wedge_evaluates_each_factor_once_per_set_of_tangents(monkeypatch):
-    # the fold keeps every partial wedge and every factor value: each of
-    # nine 1-forms is evaluated once per tangent, 81 calls, where a fold
-    # that evaluates its left factor once per shuffle makes 9! / 2 of them
+    # the fold keeps every partial wedge and every factor value, and an
+    # evaluation computes each atom once per tangent: the nine 1-forms are
+    # entries of two atoms, so 2 x 9 = 18 calls, where evaluating each
+    # factor once per tangent makes 81 and a fold that evaluates its left
+    # factor once per shuffle 9! / 2
     import nervecheck.formdsl as formdsl
 
     calls = []
@@ -563,8 +565,8 @@ def test_wedge_evaluates_each_factor_once_per_set_of_tangents(monkeypatch):
 
         def count(pt, ts):
             calls.append(k)
-            if len(calls) > 81:
-                raise AssertionError("a factor was evaluated twice on a set")
+            if len(calls) > 18:
+                raise AssertionError("an atom was evaluated twice on a tangent")
             return fn(pt, ts)
 
         return FormEval(1, level, count)
@@ -574,7 +576,59 @@ def test_wedge_evaluates_each_factor_once_per_set_of_tangents(monkeypatch):
     tape = DrawTape(trial_rng(0, "dsl-unit", 9))
     pt = sample_point(tape, 2)
     value = form(pt, *sample_tangents(tape, pt, 9))
-    assert len(calls) == 81 and np.isfinite(value)
+    assert len(calls) == 18 and np.isfinite(value)
+
+
+def test_each_evaluation_starts_from_an_empty_memo():
+    # one form evaluated at a point, then at another whose tangents are new
+    # objects (whose ids may be the freed ones'), single and stacked:
+    # every value is the one a freshly lowered form gives there
+    node = parse("MCL(1)[1,2] MCL(1)^2[3,4] X[1,3] + MCR(2)[1,4] "
+                 "MCL(2)^2[2,3] X[2,4] - MCL(1)^2[1,4] MCR(1)[2,3] X[3,4]")
+    form = interpret(node, 2)
+    for trials in (None, range(3)):
+        for seed in (1, 2):
+            rngs = (np.random.default_rng(seed) if trials is None
+                    else trial_rngs(seed, "dsl-memo", trials))
+            tape = DrawTape(rngs)
+            pt = sample_point(tape, 2)
+            ts = sample_tangents(tape, pt, 3)
+            X = sample_algebra(tape)
+            got = form(X)(pt, *ts)
+            want = interpret(node, 2)(X)(pt, *ts)
+            assert np.array_equal(got, want), (trials, seed)
+            del pt, ts, X
+
+
+def test_a_square_reuses_the_memoized_one_form_values(monkeypatch):
+    # MCL(1) on each of three tangents, once: the 1-form entries and the
+    # squares of both terms read the same three matrices
+    import nervecheck.formdsl as formdsl
+
+    calls = []
+    real = formdsl.mc_left
+
+    def counted(k, level):
+        fn = real(k, level).fn
+
+        def count(pt, ts):
+            calls.append(k)
+            return fn(pt, ts)
+
+        return FormEval(1, level, count)
+
+    monkeypatch.setattr(formdsl, "mc_left", counted)
+    node = parse("MCL(1)[1,2] MCL(1)^2[3,4] - MCL(1)^2[1,3] MCL(1)[2,4]")
+    tape = DrawTape(trial_rngs(0, "dsl-unit", range(2)))
+    pts = sample_point(tape, 1)
+    ts = sample_tangents(tape, pts, 3)
+    got = interpret(node, 1)(pts, *ts)
+    assert len(calls) == 3
+    for k in range(2):
+        pt = _point(pts, k)
+        want, size = dsl_eval(node, pt,
+                              [Tangent(pt, (t.reps[0][k],)) for t in ts])
+        assert abs(got[k] - want) <= 1e-13 * size
 
 
 def test_wedge_of_mixed_degrees_matches_the_oracle():

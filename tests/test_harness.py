@@ -33,7 +33,7 @@ from nervecheck.harness import (
 )
 from nervecheck.matrixgroup import exp_matrix, skew_from_coords
 
-from helpers import trial_rng
+from helpers import trial_rng, validate_point, validate_tangent
 from oracles import PerCallSampler
 
 
@@ -114,15 +114,15 @@ def test_trial_rng_streams():
 def test_samplers_produce_valid_geometry():
     tape = DrawTape(trial_rng(0, "unit", 0))
     pt = sample_point(tape, 3)
-    pt.validate()
+    validate_point(pt)
     assert pt.level == 3
     t = sample_tangent(tape, pt)
-    t.validate()
+    validate_tangent(t)
     bp = sample_bi_point(tape, 2, 2)
-    bp.validate()
+    validate_point(bp)
     assert bp.level == 2 + 2
     bt = sample_bi_tangent(tape, bp)
-    bt.validate()
+    validate_tangent(bt)
     assert bt.base is bp and len(bt.reps) == 4
 
 
@@ -146,6 +146,22 @@ def test_fd_checks_do_not_degrade_under_step_halving():
         base = run_check(CheckConfig(check_id, trials=5, seed=42, fd_step=1e-4))
         half = run_check(CheckConfig(check_id, trials=5, seed=42, fd_step=5e-5))
         assert half.max_abs_err <= 2.0 * base.max_abs_err, check_id
+
+
+@pytest.mark.parametrize("fd_step,seed", [(5e-6, 35), (2e-4, 19)])
+def test_the_accepted_steps_keep_every_fd_check_within_a_fifth_of_its_tol(
+        fd_step, seed):
+    # the ends of the --fd-step range, each on the seed of 0-49 that came
+    # nearest the tolerance there (d-squared on roundoff at the short end,
+    # mc-structure on truncation at the long one); the next steps of the
+    # 1-2-5 grid are rejected
+    for check_id in ("mc-structure", "lemma-4.1", "euler-cocycle",
+                     "equivariant-cocycle", "d-squared"):
+        rep = run_check(CheckConfig(check_id, seed=seed, fd_step=fd_step))
+        assert rep.max_abs_err <= 0.2 * rep.tol, (check_id, rep.max_abs_err)
+    for outside in (2e-6, 5e-4):
+        with pytest.raises(ValueError, match=r"\[5e-6, 2e-4\]"):
+            CheckConfig("d-squared", fd_step=outside).validate()
 
 
 def test_identity_point_kills_lemma41_contraction_term():

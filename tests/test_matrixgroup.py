@@ -18,7 +18,8 @@ from nervecheck.matrixgroup import (
     skew_from_coords,
 )
 
-from helpers import random_skew, sample_so4
+from helpers import (random_skew, sample_so4, validate_point,
+                     validate_tangent)
 
 
 def test_basis_pairs_order_and_count():
@@ -145,16 +146,17 @@ def test_stacked_exp_matrix_rejects_one_bad_member():
 def test_stacked_points_and_tangents_validate():
     rng = np.random.default_rng(21)
     h = exp_matrix(np.stack([random_skew(rng, 2.0) for _ in range(6)]))
-    pt = GroupPoint((h, h[::-1])).validate()
-    Tangent(pt, (h @ basis_element(1, 3), h[::-1] @ basis_element(2, 4))).validate()
+    pt = validate_point(GroupPoint((h, h[::-1])))
+    validate_tangent(Tangent(pt, (h @ basis_element(1, 3),
+                                  h[::-1] @ basis_element(2, 4))))
     bad = h.copy()
     bad[2] *= 2.0
     with pytest.raises(ValueError):
-        GroupPoint((h, bad)).validate()
+        validate_point(GroupPoint((h, bad)))
     rep = h @ basis_element(1, 3)
     rep[5] = np.eye(DIM)
     with pytest.raises(ValueError):
-        Tangent(GroupPoint((h,)), (rep,)).validate()
+        validate_tangent(Tangent(GroupPoint((h,)), (rep,)))
 
 
 def test_skew_from_coords_on_a_stack():
@@ -179,25 +181,26 @@ def test_exp_matrix_rejects_non_skew():
 
 
 def test_group_point_validation():
-    identity_point(3).validate()
+    validate_point(identity_point(3))
     assert identity_point(3).level == 3
     # level 0 (the one-point space) is legal
-    assert GroupPoint(()).validate().level == 0
+    assert validate_point(GroupPoint(())).level == 0
     with pytest.raises(ValueError):
-        GroupPoint((np.eye(DIM) * 2.0,)).validate()
+        validate_point(GroupPoint((np.eye(DIM) * 2.0,)))
     with pytest.raises(ValueError):
-        GroupPoint((np.eye(3),)).validate()
+        validate_point(GroupPoint((np.eye(3),)))
 
 
 def test_tangent_validation():
     pt = sample_so4(9)
     h = pt.factors[0]
-    Tangent(pt, (h @ basis_element(1, 3),)).validate()
+    validate_tangent(Tangent(pt, (h @ basis_element(1, 3),)))
     with pytest.raises(ValueError):
         # identity rep is not tangent to SO(4) at h
-        Tangent(pt, (np.eye(DIM),)).validate()
+        validate_tangent(Tangent(pt, (np.eye(DIM),)))
     with pytest.raises(ValueError):
-        Tangent(pt, (h @ basis_element(1, 3), h @ basis_element(1, 2))).validate()
+        validate_tangent(Tangent(pt, (h @ basis_element(1, 3),
+                                      h @ basis_element(1, 2))))
 
 
 def test_sample_so4_is_deterministic():
@@ -207,7 +210,7 @@ def test_sample_so4_is_deterministic():
     assert a.level == 1
     assert np.array_equal(a.factors[0], b.factors[0])
     assert np.max(np.abs(a.factors[0] - c.factors[0])) > 1e-3
-    a.validate()
+    validate_point(a)
 
 
 def _bracket(x, y):

@@ -16,7 +16,9 @@ reaches its body except its public methods, which are definitions of
 their own.  Names resolve by name alone, across modules, so the test may
 keep alive a name that a finer analysis would drop; but definitions that
 only reference each other, such as two mutually recursive functions that
-only the tests call, are dead.
+only the tests call, are dead.  A public method name that two classes
+define would keep both methods alive through a caller of either, so that
+fails too, unless ALLOWED lists the name.
 """
 
 import ast
@@ -28,11 +30,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "nervecheck").glob("*.py"))
 BENCH = sorted((ROOT / "benchmarks").glob("*.py"))
 
-# Public names kept without a caller, each with its reason.
+# Public names kept without a caller, or defined as methods by more than
+# one class, each with its reason.
 ALLOWED = {
-    # the ISeedSequence method of `harness._SeedWords`, which numpy's PCG64
-    # calls to read its seed words
-    "generate_state",
+    "generate_state": "the ISeedSequence method of `harness._SeedWords`, "
+                      "which numpy's PCG64 calls to read its seed words",
 }
 
 
@@ -98,6 +100,19 @@ def _roots(trees: dict) -> set[str]:
     return roots
 
 
+def _shared_methods() -> dict[str, list[str]]:
+    """The public method names that more than one class of `src/` defines,
+    each with those classes."""
+    classes = defaultdict(list)
+    for path in SRC:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if _is_method(item):
+                        classes[item.name].append(f"{path.name}: {node.name}")
+    return {name: where for name, where in classes.items() if len(where) > 1}
+
+
 def _unreached() -> set[tuple[str, str]]:
     """(module, name) of every definition but the dunders that no root
     reaches."""
@@ -123,8 +138,15 @@ def _unreached() -> set[tuple[str, str]]:
 def test_every_public_name_has_a_caller_outside_the_tests():
     found = {(m, n) for m, n in _unreached() if not n.startswith("_")}
     assert sorted(f"{m}: {n}" for m, n in found if n not in ALLOWED) == []
-    # an allowlisted name that gains a caller leaves the list
-    assert ALLOWED <= {n for _, n in found}
+    # an allowlisted name that gains a caller and is one class's method
+    # leaves the list
+    assert set(ALLOWED) <= {n for _, n in found} | set(_shared_methods())
+
+
+def test_no_two_classes_define_a_public_method_of_one_name():
+    shared = _shared_methods()
+    assert sorted(f"{n} in {', '.join(shared[n])}" for n in shared
+                  if n not in ALLOWED) == []
 
 
 def test_every_private_top_level_name_has_a_caller_in_the_package():
