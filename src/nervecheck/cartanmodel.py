@@ -18,10 +18,12 @@ The total differential of the equivariant nerve complex takes a cochain
     (D c)_p = d' c_(p-1) + (-1)^p (d - i_{X#}) c_p,
 
 the Cartan sign of Guillemin & Sternberg, "Supersymmetry and Equivariant de
-Rham Theory" (1999).  `total_d` applies it.  `equivariant_total_check` reads
-the five components of D of the degree-4 cochain {1: e13 + mu(X), 2: e22}
-that make it a cocycle.  A sample may be stacked, with X stacked alike, and
-then every residual is an array.
+Rham Theory" (1999).  `total_d` applies it.  `equivariant_total_check` is
+the one reader of D: it evaluates named components {name: (level, degree)}
+of D on a sample it draws level by level.  The checks that D c = 0 for the
+degree-4 cochain c = {1: e13 + mu(X), 2: e22} of `cocycle` are rows of such
+components in `harness.CHECKS`.  A sample may be stacked, with X stacked
+alike, and then every residual is an array.
 """
 
 from __future__ import annotations
@@ -99,16 +101,6 @@ def total_d(cochain: dict[int, dict[int, FormEval]], X: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class CocycleSample:
-    """Random evaluation data shared by the five component identities."""
-
-    h1: GroupPoint                      # one-factor point
-    v: tuple[Tangent, ...]              # four tangents at h1
-    h2: GroupPoint                      # two-factor point
-    t: tuple[Tangent, ...]              # three tangents at h2
-
-
 def cocycle(e13: EquivariantForm, e22: EquivariantForm,
             mu: EquivariantForm,
             X: np.ndarray) -> dict[int, dict[int, FormEval]]:
@@ -122,32 +114,27 @@ def cocycle(e13: EquivariantForm, e22: EquivariantForm,
     return {1: {3: e13(X), 1: mu(X)}, 2: {2: e22(X)}}
 
 
-def equivariant_total_check(e13: EquivariantForm, e22: EquivariantForm,
-                            mu: EquivariantForm, X: np.ndarray,
-                            sample: CocycleSample,
-                            fd_step: float = FD_STEP_DEFAULT
+def equivariant_total_check(D: dict[int, dict[int, FormEval]],
+                            sample: Callable[[int, int], tuple],
+                            components: dict[str, tuple[int, int]]
                             ) -> dict[str, np.ndarray]:
-    """Absolute residuals of the five components of D c = 0 for the cochain
-    c = {1: e13 + mu(X), 2: e22}.
+    """|D[level][degree](pt, *ts[:degree])| of every named component
+    {name: (level, degree)} of a total differential D from `total_d`.
 
-    a:  -d e13                  (level 1, 4-form; finite difference)
-    b:  -(d mu(X) - i_{X#} e13) (level 1, 2-form; finite difference)
-    c:  i_{X#} mu(X)            (level 1, scalar; exact algebra)
-    d:  d' e13 + d e22          (level 2, 3-form; finite difference)
-    e:  d' mu(X) - i_{X#} e22   (level 2, 1-form; exact algebra)
+    `sample(level, count)` draws a point of the level and `count` tangents
+    at it, as (point, tangents).  The levels are drawn in order of first use,
+    each once, with as many tangents as its highest degree needs, and the
+    components of a level are evaluated before the next level is drawn.  The
+    forms are called with their argument checks, so a sample with too few
+    tangents raises ValueError.
     """
-    if sample.h1.level != 1 or sample.h2.level != 2:
-        raise ValueError("sample points must have levels 1 and 2")
-    if len(sample.v) != 4 or len(sample.t) != 3:
-        raise ValueError(
-            "sample needs 4 tangents at the level-1 point and 3 at the"
-            " level-2 point")
-    D = total_d(cocycle(e13, e22, mu, X), X, fd_step)
-    h1, h2, v, t = sample.h1, sample.h2, sample.v, sample.t
-    return {
-        "a": abs(D[1][4].fn(h1, v)),
-        "b": abs(D[1][2].fn(h1, v[:2])),
-        "c": abs(D[1][0].fn(h1, ())),
-        "d": abs(D[2][3].fn(h2, t)),
-        "e": abs(D[2][1].fn(h2, t[:1])),
-    }
+    counts: dict[int, int] = {}
+    for level, degree in components.values():
+        counts[level] = max(counts.get(level, 0), degree)
+    out = {}
+    for level, count in counts.items():
+        pt, ts = sample(level, count)
+        for name, (at, degree) in components.items():
+            if at == level:
+                out[name] = abs(D[level][degree](pt, *ts[:degree]))
+    return out

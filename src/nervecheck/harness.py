@@ -39,10 +39,14 @@ other code reads a trial's stream.
 Composite checks (euler-cocycle, equivariant-cocycle, d-squared) bundle
 component identities with different natural scales; their default tolerance
 is 1.0, so they report the normalized residual.  The cocycle checks and the
-three lemmas read their residuals off one total differential,
-`cartanmodel.total_d`, with its one stated sign.  A NaN residual in any
-component fails the run: it reports an error of inf at the first trial with
-a NaN.
+three lemmas are rows of one builder, `_d_check`: each names its components
+by (level, degree) of D c, the one total differential `cartanmodel.total_d`
+with its one stated sign, and `cartanmodel.equivariant_total_check` reads
+them.  A trial draws X (not at X = 0), then, level by level in order of
+first use, a point and the tangents of the level's highest degree, and
+evaluates that level's components before it draws the next.  A NaN residual
+in any component fails the run: it reports an error of inf at the first
+trial with a NaN.
 """
 
 from __future__ import annotations
@@ -56,16 +60,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import formdsl
-from .cartanmodel import (CocycleSample, cocycle, equivariant_total_check,
-                          total_d)
+from .cartanmodel import cocycle, equivariant_total_check, total_d
 from .eulercocycle import (e13_form, e22_form, eval_alpha, eval_E13, eval_E22,
                            eval_mu, mu_form, polynomial_path)
 from .formcalc import (FD_STEP_DEFAULT, check_fd_step, entry, exterior_d,
                        matrix_wedge_square, mc_left, mc_right)
 from .matrixgroup import (GroupPoint, Tangent, basis_element, exp_matrix,
                           identity_point, skew_from_coords)
-from .nerve import (BiFormEval, bi_form_from_flat, d_prime, d_triple_complex,
-                    degeneracy_ng, face_ng, face_pg, gamma)
+from .nerve import (BiFormEval, _conj_apply, bi_form_from_flat, d_prime,
+                    d_triple_complex, degeneracy_ng, face_ng, face_pg, gamma)
 
 # The most trials one run may ask for.  The slowest checks take about a ms
 # a trial, so a run at the ceiling takes many minutes; a larger count is
@@ -371,60 +374,39 @@ def _trial_gamma(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     return {"faces": worst}
 
 
-def _total_d(X: np.ndarray, fd_step: float) -> dict:
-    """D of the degree-4 cochain {1: e13 + mu(X), 2: e22}, per level."""
-    return total_d(cocycle(e13_form(), e22_form(), mu_form(), X), X, fd_step)
-
-
-def _trial_lemma41(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
+def _cochain_residuals(tape, e13, e22, mu) -> dict[str, np.ndarray]:
+    """The residuals e13(p1, v), e22(p2, t) and mu(X, p1, w) of a trial that
+    draws a one-factor point p1 with 3 tangents v, a two-factor point p2
+    with 2 tangents t, an algebra element X and one more tangent w at p1, in
+    that order.  Each residual is read before the next draw, so the later
+    samples are not held while the earlier cochains evaluate."""
+    p1 = sample_point(tape, 1)
+    v = sample_tangents(tape, p1, 3)
+    out = {"e13": e13(p1, v)}
+    p2 = sample_point(tape, 2)
+    t = sample_tangents(tape, p2, 2)
+    out["e22"] = e22(p2, t)
     X = sample_algebra(tape)
-    pt = sample_point(tape, 1)
-    v, w = sample_tangents(tape, pt, 2)
-    D = _total_d(X, cfg.fd_step)  # level 1, degree 2: i e13 - d mu, negated
-    return {"i e13 - d mu": abs(D[1][2](pt, v, w))}
-
-
-def _trial_lemma42(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
-    X = sample_algebra(tape)
-    pt = sample_point(tape, 2)
-    (t,) = sample_tangents(tape, pt, 1)
-    D = _total_d(X, cfg.fd_step)  # level 2, degree 1: d' mu - i e22
-    return {"i e22 - d' mu": abs(D[2][1](pt, t))}
-
-
-def _trial_lemma43(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
-    X = sample_algebra(tape)
-    pt = sample_point(tape, 1)
-    D = _total_d(X, cfg.fd_step)  # level 1, degree 0: i mu
-    return {"i mu": abs(D[1][0](pt))}
+    (w,) = sample_tangents(tape, p1, 1)
+    out["mu"] = mu(X, p1, w)
+    return out
 
 
 def _trial_ad_invariance(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     g = sample_point(tape, 1).factors[0]
 
-    def conj_pt(pt):
-        return GroupPoint(tuple(g @ h @ g.mT for h in pt.factors))
+    def conj(pt, ts) -> tuple:
+        """The conjugated point followed by the conjugated tangents."""
+        c = _conj_apply(g, pt)
+        return (c, *(Tangent(c, tuple(g @ r @ g.mT for r in s.reps))
+                     for s in ts))
 
-    def conj_t(t, cpt):
-        return Tangent(cpt, tuple(g @ v @ g.mT for v in t.reps))
-
-    p1 = sample_point(tape, 1)
-    v = sample_tangents(tape, p1, 3)
-    c1 = conj_pt(p1)
-    cv = tuple(conj_t(t, c1) for t in v)
-    e13 = abs(eval_E13(p1, *v) - eval_E13(c1, *cv))
-
-    p2 = sample_point(tape, 2)
-    t = sample_tangents(tape, p2, 2)
-    c2 = conj_pt(p2)
-    ct = tuple(conj_t(s, c2) for s in t)
-    e22 = abs(eval_E22(p2, *t) - eval_E22(c2, *ct))
-
-    X = sample_algebra(tape)
-    (w,) = sample_tangents(tape, p1, 1)
-    cw = conj_t(w, c1)
-    mu = abs(eval_mu(X, p1, w) - eval_mu(g @ X @ g.mT, c1, cw))
-    return {"e13": e13, "e22": e22, "mu": mu}
+    return _cochain_residuals(
+        tape,
+        lambda p1, v: abs(eval_E13(p1, *v) - eval_E13(*conj(p1, v))),
+        lambda p2, t: abs(eval_E22(p2, *t) - eval_E22(*conj(p2, t))),
+        lambda X, p1, w: abs(eval_mu(X, p1, w)
+                             - eval_mu(g @ X @ g.mT, *conj(p1, (w,)))))
 
 
 def _trial_alpha_antisymmetry(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
@@ -445,48 +427,6 @@ def _trial_alpha_antisymmetry(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     return {"swap": abs(a12 + a21), "diagonal": abs(a11)}
 
 
-def _setup_euler_cocycle(cfg: CheckConfig) -> dict:
-    return _total_d(np.zeros((4, 4)), cfg.fd_step)
-
-
-def _trial_euler_cocycle(D: dict, tape) -> dict[str, np.ndarray]:
-    """The three components of D c = 0 at X = 0 that do not vanish
-    identically.
-
-    a: level 1, degree 4: -d e13 (finite difference);
-    b: level 2, degree 3: d' e13 + d e22 (finite difference);
-    c: level 3, degree 2: d' e22 (analytic face differentials).
-    """
-    p1 = sample_point(tape, 1)
-    v = sample_tangents(tape, p1, 4)
-    a = abs(D[1][4](p1, *v))
-    p2 = sample_point(tape, 2)
-    t = sample_tangents(tape, p2, 3)
-    b = abs(D[2][3](p2, *t))
-    p3 = sample_point(tape, 3)
-    u = sample_tangents(tape, p3, 2)
-    c = abs(D[3][2](p3, *u))
-    return {"a": a, "b": b, "c": c}
-
-
-def _setup_equivariant_cocycle(cfg: CheckConfig) -> dict:
-    return {"forms": (e13_form(), e22_form(), mu_form()),
-            "fd_step": cfg.fd_step}
-
-
-def _trial_equivariant_cocycle(ctx: dict, tape) -> dict[str, np.ndarray]:
-    """The five components a-e of `equivariant_total_check` on the stacked
-    sample."""
-    X = sample_algebra(tape)
-    p1 = sample_point(tape, 1)
-    p2 = sample_point(tape, 2)
-    sample = CocycleSample(
-        h1=p1, v=sample_tangents(tape, p1, 4),
-        h2=p2, t=sample_tangents(tape, p2, 3))
-    return equivariant_total_check(*ctx["forms"], X, sample,
-                                   fd_step=ctx["fd_step"])
-
-
 def _setup_dsl_oracle(cfg: CheckConfig) -> dict:
     def load(name: str, level: int):
         return formdsl.interpret(
@@ -498,16 +438,11 @@ def _setup_dsl_oracle(cfg: CheckConfig) -> dict:
 
 def _trial_dsl_oracle(ctx: dict, tape) -> dict[str, np.ndarray]:
     """Interpreted corpus expressions vs. the hand-coded evaluators."""
-    p1 = sample_point(tape, 1)
-    v = sample_tangents(tape, p1, 3)
-    e13 = abs(ctx["e13"](p1, *v) - eval_E13(p1, *v))
-    p2 = sample_point(tape, 2)
-    t = sample_tangents(tape, p2, 2)
-    e22 = abs(ctx["e22"](p2, *t) - eval_E22(p2, *t))
-    X = sample_algebra(tape)
-    (w,) = sample_tangents(tape, p1, 1)
-    mu = abs(ctx["mu"](X)(p1, w) - eval_mu(X, p1, w))
-    return {"e13": e13, "e22": e22, "mu": mu}
+    return _cochain_residuals(
+        tape,
+        lambda p1, v: abs(ctx["e13"](p1, *v) - eval_E13(p1, *v)),
+        lambda p2, t: abs(ctx["e22"](p2, *t) - eval_E22(p2, *t)),
+        lambda X, p1, w: abs(ctx["mu"](X)(p1, w) - eval_mu(X, p1, w)))
 
 
 def _setup_d_squared(cfg: CheckConfig) -> dict:
@@ -605,20 +540,47 @@ class Check:
     once: bool = False  # fixed inputs: a single trial whatever cfg.trials is
 
 
+def _d_check(tol: float, components: dict[str, tuple[int, int]],
+             tols: Optional[dict[str, float]] = None,
+             at_zero: bool = False) -> Check:
+    """The check that the named components {name: (level, degree)} of D c
+    vanish, for the degree-4 cochain c = {1: e13 + mu(X), 2: e22}.  A trial
+    draws X, then the levels through `equivariant_total_check`; at X = 0 the
+    run builds D once and a trial draws no X."""
+
+    def total(X: np.ndarray, fd_step: float) -> dict:
+        return total_d(cocycle(e13_form(), e22_form(), mu_form(), X), X,
+                       fd_step)
+
+    def setup(cfg: CheckConfig):
+        return total(np.zeros((4, 4)), cfg.fd_step) if at_zero else cfg
+
+    def trial(ctx, tape) -> dict[str, np.ndarray]:
+        D = ctx if at_zero else total(sample_algebra(tape), ctx.fd_step)
+
+        def sample(level: int, count: int) -> tuple:
+            pt = sample_point(tape, level)
+            return pt, sample_tangents(tape, pt, count)
+
+        return equivariant_total_check(D, sample, components)
+
+    return Check(tol, trial, setup, tols or {})
+
+
 # Composite checks report normalized residuals (err / component tol), so their
 # default tolerance is 1.  Everything else is a raw max-abs-error bound.
 CHECKS: dict[str, Check] = {
     "mc-structure": Check(1e-6, _trial_mc_structure),
     "simplicial-identities": Check(1e-13, _trial_simplicial),
     "gamma-simplicial": Check(1e-13, _trial_gamma),
-    "lemma-4.1": Check(1e-6, _trial_lemma41),
-    "lemma-4.2": Check(1e-10, _trial_lemma42),
-    "lemma-4.3": Check(1e-12, _trial_lemma43),
-    "euler-cocycle": Check(
-        1.0, _trial_euler_cocycle, _setup_euler_cocycle,
-        {"a": 1e-6, "b": 1e-6, "c": 1e-10}),
-    "equivariant-cocycle": Check(
-        1.0, _trial_equivariant_cocycle, _setup_equivariant_cocycle,
+    "lemma-4.1": _d_check(1e-6, {"i e13 - d mu": (1, 2)}),
+    "lemma-4.2": _d_check(1e-10, {"i e22 - d' mu": (2, 1)}),
+    "lemma-4.3": _d_check(1e-12, {"i mu": (1, 0)}),
+    "euler-cocycle": _d_check(
+        1.0, {"a": (1, 4), "b": (2, 3), "c": (3, 2)},
+        {"a": 1e-6, "b": 1e-6, "c": 1e-10}, at_zero=True),
+    "equivariant-cocycle": _d_check(
+        1.0, {"a": (1, 4), "b": (1, 2), "c": (1, 0), "d": (2, 3), "e": (2, 1)},
         {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}),
     "ad-invariance": Check(1e-10, _trial_ad_invariance),
     "dsl-oracle": Check(1e-12, _trial_dsl_oracle, _setup_dsl_oracle),

@@ -13,7 +13,7 @@ import pytest
 from nervecheck.matrixgroup import Tangent, basis_element, identity_point
 from nervecheck.formcalc import entry, exterior_d, matrix_wedge_square, mc_left
 from nervecheck.nerve import bi_form_from_flat, d_prime, d_triple_complex
-from nervecheck.cartanmodel import CocycleSample, equivariant_total_check
+from nervecheck.cartanmodel import cocycle, equivariant_total_check, total_d
 from nervecheck.eulercocycle import (
     e13_form,
     e22_form,
@@ -98,16 +98,23 @@ def test_criterion_04_cocycle_components_with_forced_sign():
 
 
 def test_criterion_05_all_five_residuals_with_one_sign_pair():
-    e13, e22, mu = e13_form(), e22_form(), mu_form()
     tols = {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}
-    # the 200 samples as one stack, each trial from its own stream
+    # the 200 samples as one stack, each trial from its own stream, drawn
+    # in the check's order: X, then each level's point and its tangents
     tape = DrawTape(trial_rngs(SEED, "equivariant-cocycle", range(200)))
     X = sample_algebra(tape)
-    p1 = sample_point(tape, 1)
-    p2 = sample_point(tape, 2)
-    s = CocycleSample(h1=p1, v=sample_tangents(tape, p1, 4),
-                      h2=p2, t=sample_tangents(tape, p2, 3))
-    cols = equivariant_total_check(e13, e22, mu, X, s, fd_step=FD_STEP)
+    D = total_d(cocycle(e13_form(), e22_form(), mu_form(), X), X, FD_STEP)
+
+    def sample(level, count):
+        pt = sample_point(tape, level)
+        return pt, sample_tangents(tape, pt, count)
+
+    cols = equivariant_total_check(D, sample, {
+        "a": (1, 4), "b": (1, 2), "c": (1, 0), "d": (2, 3), "e": (2, 1)})
+    # the same samples as the check's own run at this step
+    run = trial_rows(CheckConfig("equivariant-cocycle", seed=SEED,
+                                 fd_step=FD_STEP), range(200))
+    assert all(np.array_equal(cols[k], run[k]) for k in tols)
     worst = {k: cols[k].max() for k in tols}
     ok = set(cols) == set(tols) and all(worst[k] <= tols[k] for k in tols)
     _verdict(5, ok,

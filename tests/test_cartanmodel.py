@@ -15,7 +15,6 @@ from nervecheck.harness import (DrawTape, sample_algebra, sample_point,
                                 sample_tangents, trial_rngs)
 from nervecheck.nerve import d_prime
 from nervecheck.cartanmodel import (
-    CocycleSample,
     EquivariantForm,
     cartan_d,
     cocycle,
@@ -261,24 +260,34 @@ def test_total_d_evaluates_nothing_until_a_component_is_read():
 # total degree-4 check
 
 
-def _sample(rng, X):
-    p1, p2 = rand_point(rng, 1), rand_point(rng, 2)
-    return CocycleSample(
-        h1=p1, v=tuple(rand_tangent(rng, p1) for _ in range(4)),
-        h2=p2, t=tuple(rand_tangent(rng, p2) for _ in range(3)),
-    )
+# the components a-e of D c on levels 1 and 2, as equivariant-cocycle reads them
+COMPONENTS = {"a": (1, 4), "b": (1, 2), "c": (1, 0), "d": (2, 3), "e": (2, 1)}
+
+
+def _fixed(rng, points=None, counts=(4, 3)):
+    """A sample that hands out one fixed point and tangents per level, at
+    random points unless `points` gives them."""
+    drawn = {}
+    for level, count in zip((1, 2), counts):
+        pt = rand_point(rng, level) if points is None else points[level]
+        drawn[level] = (pt, tuple(rand_tangent(rng, pt) for _ in range(count)))
+    return lambda level, count: drawn[level]
+
+
+def _check(X, sample, e22=None):
+    c = cocycle(e13_form(), e22 or e22_form(), mu_form(), X)
+    return equivariant_total_check(total_d(c, X), sample, COMPONENTS)
 
 
 def test_total_check_passes_with_unique_signs():
     rng = np.random.default_rng(12)
     X = random_skew(rng)
-    samples = [_sample(rng, X) for _ in range(5)]
+    samples = [_fixed(rng) for _ in range(5)]
     e22 = e22_form()
     negated = EquivariantForm(2, 2, 0, lambda X: -e22(X))
 
     def columns(e22):
-        results = [equivariant_total_check(e13_form(), e22, mu_form(), X, s)
-                   for s in samples]
+        results = [_check(X, s, e22) for s in samples]
         return {k: np.array([r[k] for r in results]) for k in results[0]}
 
     cols = columns(e22)
@@ -295,12 +304,8 @@ def test_total_check_passes_with_unique_signs():
 def test_total_check_identity_points_kill_field_terms():
     rng = np.random.default_rng(13)
     X = random_skew(rng)
-    i1, i2 = identity_point(1), identity_point(2)
-    s = CocycleSample(
-        h1=i1, v=tuple(rand_tangent(rng, i1) for _ in range(4)),
-        h2=i2, t=tuple(rand_tangent(rng, i2) for _ in range(3)),
-    )
-    res = equivariant_total_check(e13_form(), e22_form(), mu_form(), X, s)
+    s = _fixed(rng, {1: identity_point(1), 2: identity_point(2)})
+    res = _check(X, s)
     # the pure-contraction residual is exactly zero at the identity
     assert res["c"] == 0.0
     # (e) cancels by linearity of mu in the tangent slot, up to roundoff
@@ -312,10 +317,9 @@ def test_total_check_identity_points_kill_field_terms():
 def test_total_check_residuals_scale_homogeneously_in_x():
     rng = np.random.default_rng(14)
     X = random_skew(rng)
-    s = _sample(rng, X)
-    base = equivariant_total_check(e13_form(), e22_form(), mu_form(), X, s)
-    double = equivariant_total_check(
-        e13_form(), e22_form(), mu_form(), 2.0 * X, s)
+    s = _fixed(rng)
+    base = _check(X, s)
+    double = _check(2.0 * X, s)
     # doubling X doubles the linear-in-X residuals and quadruples (c)
     assert double["b"] == pytest.approx(2.0 * base["b"], rel=1e-9, abs=1e-18)
     assert double["c"] == pytest.approx(4.0 * base["c"], rel=1e-9, abs=1e-18)
@@ -328,10 +332,31 @@ def test_total_check_residuals_scale_homogeneously_in_x():
 def test_total_check_rejects_malformed_samples():
     rng = np.random.default_rng(15)
     X = random_skew(rng)
-    p1, p2 = rand_point(rng, 1), rand_point(rng, 2)
-    bad = CocycleSample(
-        h1=p1, v=tuple(rand_tangent(rng, p1) for _ in range(3)),  # one short
-        h2=p2, t=tuple(rand_tangent(rng, p2) for _ in range(3)),
-    )
+    bad = _fixed(rng, counts=(3, 3))  # one tangent short at level 1
     with pytest.raises(ValueError):
-        equivariant_total_check(e13_form(), e22_form(), mu_form(), X, bad)
+        _check(X, bad)
+
+
+def test_total_check_draws_each_level_once_before_the_next():
+    # levels in order of first use, each with its highest degree's tangents,
+    # and a level's components read before the next level is drawn
+    log = []
+    real = _fixed(np.random.default_rng(16))
+
+    def sample(level, count):
+        log.append(("draw", level, count))
+        return real(level, count)
+
+    def form(degree, level):
+        def fn(pt, ts):
+            log.append(("eval", level, degree))
+            return 0.0
+        return FormEval(degree, level, fn)
+
+    D = {1: {d: form(d, 1) for d in (0, 2, 4)},
+         2: {d: form(d, 2) for d in (1, 3)}}
+    out = equivariant_total_check(D, sample, {
+        "d": (2, 3), "b": (1, 2), "e": (2, 1), "a": (1, 4)})
+    assert out == {"d": 0.0, "e": 0.0, "b": 0.0, "a": 0.0}
+    assert log == [("draw", 2, 3), ("eval", 2, 3), ("eval", 2, 1),
+                   ("draw", 1, 4), ("eval", 1, 2), ("eval", 1, 4)]
