@@ -19,10 +19,11 @@ The total differential of the equivariant nerve complex takes a cochain
 
 the Cartan sign of Guillemin & Sternberg, "Supersymmetry and Equivariant de
 Rham Theory" (1999).  `total_d` applies it.  `equivariant_total_check` is
-the one reader of D: it evaluates named components {name: (level, degree)}
-of D on a sample it draws level by level.  The checks that D c = 0 for the
-degree-4 cochain c = {1: e13 + mu(X), 2: e22} of `cocycle` are rows of such
-components in `harness.CHECKS`.  A sample may be stacked, with X stacked
+the one component reader: it evaluates named components {name: (level,
+degree)} of any cochain of forms, such as D c for the degree-4 cochain
+c = {1: e13 + mu(X), 2: e22} of `cocycle`, on a sample it draws level by
+level.  The checks in `harness.CHECKS` that a cochain of forms vanishes
+are rows of such components.  A sample may be stacked, with X stacked
 alike, and then every residual is an array.
 """
 
@@ -114,12 +115,12 @@ def cocycle(e13: EquivariantForm, e22: EquivariantForm,
     return {1: {3: e13(X), 1: mu(X)}, 2: {2: e22(X)}}
 
 
-def equivariant_total_check(D: dict[int, dict[int, FormEval]],
+def equivariant_total_check(cochain: dict[int, dict[int, FormEval]],
                             sample: Callable[[int, int], tuple],
                             components: dict[str, tuple[int, int]]
                             ) -> dict[str, np.ndarray]:
-    """|D[level][degree](pt, *ts[:degree])| of every named component
-    {name: (level, degree)} of a total differential D from `total_d`.
+    """|cochain[level][degree](pt, *ts[:degree])| of every named component
+    {name: (level, degree)} of any cochain of forms, such as D c.
 
     `sample(level, count)` draws a point of the level and `count` tangents
     at it, as (point, tangents).  The levels are drawn in order of first use,
@@ -136,5 +137,5 @@ def equivariant_total_check(D: dict[int, dict[int, FormEval]],
         pt, ts = sample(level, count)
         for name, (at, degree) in components.items():
             if at == level:
-                out[name] = abs(D[level][degree](pt, *ts[:degree]))
+                out[name] = abs(cochain[level][degree](pt, *ts[:degree]))
     return out

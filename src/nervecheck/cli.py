@@ -82,12 +82,9 @@ def _cmd_check(args) -> int:
 
 def _parse_seed_token(text: str, prefix: str) -> int:
     head, _, tail = text.partition(":")
-    if head != prefix or not tail:
-        raise ValueError(f"expected {prefix}:<integer>, got {text!r}")
-    try:
+    if head == prefix and tail.isascii() and tail.isdigit():
         return int(tail)
-    except ValueError:
-        raise ValueError(f"expected {prefix}:<integer>, got {text!r}") from None
+    raise ValueError(f"expected {prefix}:<non-negative integer>, got {text!r}")
 
 
 def _seed_tape(text: str, prefix: str) -> DrawTape:

@@ -2,11 +2,10 @@
 
 Every check follows one protocol, held by its entry in `CHECKS`:
 
-* `setup(cfg)` builds what the trials of a run share (forms, interpreted
-  sources) once; a check without a setup gets the config itself;
-* `trial(ctx, tape)` takes the draw tape of a stack of trials, draws the
-  sample of every trial and returns the raw residuals of the check's named
-  components, one array over the trials per component;
+* `trial(cfg, tape)` takes the config of the run and the draw tape of a
+  stack of trials, draws the sample of every trial and returns the raw
+  residuals of the check's named components, one array over the trials per
+  component;
 * `reduce_rows` divides each component by its tolerance (1 where the check
   names none), takes the max over the components of a trial, and reports
   the max over trials with its trial index; the first worst trial wins.
@@ -22,11 +21,12 @@ entropy of all the trials of a stack in one pass of numpy uint32
 arithmetic, the same hash `SeedSequence` computes one word at a time, and
 hands each PCG64 its four seed words; NEP 19 freezes both the hash and the
 stream, so the streams do not depend on the numpy version.  The samplers
-stack the draws of the trials, and the forms, exponentials and products
-then run once on the stack: a run walks each form tree once per stack, not
-once per trial.  At most `CHUNK` trials form one stack, so the intermediate
-arrays do not grow with the trial count.  `golden-values` evaluates fixed
-inputs and runs one trial whatever `trials` is.
+stack the draws of the trials, and `trial` builds the forms and runs them,
+the exponentials and the products once on the stack: a run walks each form
+tree once per stack, not once per trial.  At most `CHUNK` trials form one
+stack, so the intermediate arrays do not grow with the trial count.
+`golden-values` evaluates fixed inputs and runs one trial whatever `trials`
+is.
 
 The samplers read a `DrawTape`.  It pulls `BLOCK` rows of six uniforms from
 every trial's stream with one `random` call, and the next block when those
@@ -38,15 +38,23 @@ other code reads a trial's stream.
 
 Composite checks (euler-cocycle, equivariant-cocycle, d-squared) bundle
 component identities with different natural scales; their default tolerance
-is 1.0, so they report the normalized residual.  The cocycle checks and the
-three lemmas are rows of one builder, `_d_check`: each names its components
-by (level, degree) of D c, the one total differential `cartanmodel.total_d`
-with its one stated sign, and `cartanmodel.equivariant_total_check` reads
-them.  A trial draws X (not at X = 0), then, level by level in order of
-first use, a point and the tangents of the level's highest degree, and
-evaluates that level's components before it draws the next.  A NaN residual
-in any component fails the run: it reports an error of inf at the first
-trial with a NaN.
+is 1.0, so they report the normalized residual.
+
+Eight checks are rows built by `_rows`: a residual builder returns a
+cochain of forms {level: {degree: form}}, drawing X or g first where it
+needs them, and `cartanmodel.equivariant_total_check` reads the row's named
+components {name: (level, degree)} of it, drawing the levels in order of
+first use.  With c = {1: e13 + mu(X), 2: e22} and D = `cartanmodel.total_d`,
+the rows and their draws before the levels are
+
+    lemma-4.1, 4.2, 4.3, equivariant-cocycle   D c at X            X
+    euler-cocycle                              D c at X = 0        -
+    mc-structure                               d omega + omega^2   -
+    ad-invariance    c(X) - (conjugation by g)^* c(g X g^T)        g, X
+    dsl-oracle       the interpreted corpus minus c(X)             X
+
+A NaN residual in any component fails the run: it reports an error of inf
+at the first trial with a NaN.
 """
 
 from __future__ import annotations
@@ -63,8 +71,9 @@ from . import formdsl
 from .cartanmodel import cocycle, equivariant_total_check, total_d
 from .eulercocycle import (e13_form, e22_form, eval_alpha, eval_E13, eval_E22,
                            eval_mu, mu_form, polynomial_path)
-from .formcalc import (FD_STEP_DEFAULT, check_fd_step, entry, exterior_d,
-                       matrix_wedge_square, mc_left, mc_right)
+from .formcalc import (FD_STEP_DEFAULT, FormEval, SmoothMap, check_fd_step,
+                       entry, exterior_d, matrix_wedge_square, mc_left,
+                       mc_right, pullback)
 from .matrixgroup import (GroupPoint, Tangent, basis_element, exp_matrix,
                           identity_point, skew_from_coords)
 from .nerve import (BiFormEval, _conj_apply, bi_form_from_flat, d_prime,
@@ -250,13 +259,6 @@ class DrawTape:
         self._pos += k
         return out[0] if self.single else out
 
-    def integers(self, low: int, high: int) -> np.ndarray:
-        """One integer in [low, high) from every stream, before any row."""
-        if self._rows.shape[1]:
-            raise RuntimeError("integers must come before the first row")
-        out = np.array([rng.integers(low, high) for rng in self.rngs])
-        return out[0] if self.single else out
-
 
 def _skew_rows(tape: DrawTape, count: int, scale: float) -> np.ndarray:
     """Skew matrices with six coordinates uniform in [-scale, scale], from
@@ -304,16 +306,6 @@ def sample_bi_tangent(tape: DrawTape, pt: GroupPoint) -> Tangent:
 # ---------------------------------------------------------------------------
 # trials: each returns the raw residuals of the check's named components,
 # one array over the stacked trials per component
-
-
-def _trial_mc_structure(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
-    omega = mc_left(1, 1)
-    pt = sample_point(tape, 1)
-    v, w = sample_tangents(tape, pt, 2)
-    lhs = exterior_d(omega, cfg.fd_step)(pt, v, w)
-    rhs = matrix_wedge_square(omega)(pt, v, w)
-    # the largest of the 16 entries; a NaN entry propagates
-    return {"entries": np.max(abs(lhs + rhs), axis=(-2, -1))}
 
 
 def _max_factor_dev(a: GroupPoint, b: GroupPoint) -> np.ndarray:
@@ -374,47 +366,14 @@ def _trial_gamma(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     return {"faces": worst}
 
 
-def _cochain_residuals(tape, e13, e22, mu) -> dict[str, np.ndarray]:
-    """The residuals e13(p1, v), e22(p2, t) and mu(X, p1, w) of a trial that
-    draws a one-factor point p1 with 3 tangents v, a two-factor point p2
-    with 2 tangents t, an algebra element X and one more tangent w at p1, in
-    that order.  Each residual is read before the next draw, so the later
-    samples are not held while the earlier cochains evaluate."""
-    p1 = sample_point(tape, 1)
-    v = sample_tangents(tape, p1, 3)
-    out = {"e13": e13(p1, v)}
-    p2 = sample_point(tape, 2)
-    t = sample_tangents(tape, p2, 2)
-    out["e22"] = e22(p2, t)
-    X = sample_algebra(tape)
-    (w,) = sample_tangents(tape, p1, 1)
-    out["mu"] = mu(X, p1, w)
-    return out
-
-
-def _trial_ad_invariance(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
-    g = sample_point(tape, 1).factors[0]
-
-    def conj(pt, ts) -> tuple:
-        """The conjugated point followed by the conjugated tangents."""
-        c = _conj_apply(g, pt)
-        return (c, *(Tangent(c, tuple(g @ r @ g.mT for r in s.reps))
-                     for s in ts))
-
-    return _cochain_residuals(
-        tape,
-        lambda p1, v: abs(eval_E13(p1, *v) - eval_E13(*conj(p1, v))),
-        lambda p2, t: abs(eval_E22(p2, *t) - eval_E22(*conj(p2, t))),
-        lambda X, p1, w: abs(eval_mu(X, p1, w)
-                             - eval_mu(g @ X @ g.mT, *conj(p1, (w,)))))
-
-
 def _trial_alpha_antisymmetry(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
-    # Each trial draws its path degree in 1..3, then the deg + 1
-    # coefficients of the first path and those of the second; the stacked
-    # paths pad them with zeros to degree 3.
-    deg = tape.integers(1, 4)[:, None]
-    rows = skew_from_coords(-1.0 + 2.0 * tape.rows(8))
+    # Each trial reads nine rows: its path degree 1 + floor(3u) from the
+    # first uniform u of the first, then the deg + 1 coefficients of the
+    # first path and those of the second; the stacked paths pad them with
+    # zeros to degree 3.
+    drawn = tape.rows(9)
+    deg = 1 + (3.0 * drawn[:, :1, 0]).astype(int)
+    rows = skew_from_coords(-1.0 + 2.0 * drawn[:, 1:])
     j = np.arange(4)
     used = (j <= deg)[..., None, None]
     second = np.take_along_axis(
@@ -427,28 +386,33 @@ def _trial_alpha_antisymmetry(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     return {"swap": abs(a12 + a21), "diagonal": abs(a11)}
 
 
-def _setup_dsl_oracle(cfg: CheckConfig) -> dict:
-    def load(name: str, level: int):
-        return formdsl.interpret(
-            formdsl.parse(formdsl.corpus_source(name)), level=level)
+def _trial_d_squared(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
+    """Nilpotence and anticommutation of the complex differentials.
 
-    return {"e13": load("e13.form", 1), "e22": load("e22.form", 2),
-            "mu": load("mu.form", 1)}
-
-
-def _trial_dsl_oracle(ctx: dict, tape) -> dict[str, np.ndarray]:
-    """Interpreted corpus expressions vs. the hand-coded evaluators."""
-    return _cochain_residuals(
-        tape,
-        lambda p1, v: abs(ctx["e13"](p1, *v) - eval_E13(p1, *v)),
-        lambda p2, t: abs(ctx["e22"](p2, *t) - eval_E22(p2, *t)),
-        lambda X, p1, w: abs(ctx["mu"](X)(p1, w) - eval_mu(X, p1, w)))
-
-
-def _setup_d_squared(cfg: CheckConfig) -> dict:
+    dd      exterior derivative twice on a Maurer-Cartan entry
+    dpdp    d' twice, on an entry probe and on the 3-form
+    total2  the mixed block of (d' + d'')^2: d(d'f) = d'(df)
+    triple  pairwise anticommutation of the three differentials
+            of the action-twisted complex, bidegrees <= (2, 2)
+    """
     h = cfg.fd_step
     omega = entry(mc_left(1, 1), 1, 2)
+    p1 = sample_point(tape, 1)
+    v3 = sample_tangents(tape, p1, 3)
+    dd = abs(exterior_d(exterior_d(omega, h), h)(p1, *v3))
+
+    p3 = sample_point(tape, 3)
+    (u1,) = sample_tangents(tape, p3, 1)
+    u3 = sample_tangents(tape, p3, 3)
     e13 = e13_form()(np.zeros((4, 4)))
+    dpdp = np.maximum(abs(d_prime(d_prime(omega))(p3, u1)),
+                      abs(d_prime(d_prime(e13))(p3, *u3)))
+
+    p2 = sample_point(tape, 2)
+    s2 = sample_tangents(tape, p2, 2)
+    total2 = abs(exterior_d(d_prime(omega), h)(p2, *s2)
+                 - d_prime(exterior_d(omega, h))(p2, *s2))
+
     # composed differentials of the action-twisted complex on a probe
     # at bidegree (1, 1); each pair lands at a common (p, q, degree)
     flat = entry(mc_left(1, 2), 1, 2) + 2.0 * entry(mc_right(2, 2), 1, 3)
@@ -458,46 +422,67 @@ def _setup_d_squared(cfg: CheckConfig) -> dict:
         return d_triple_complex(d_triple_complex(bi, first, fd_step=h),
                                 second, fd_step=h)
 
-    return {
-        "dd": exterior_d(exterior_d(omega, h), h),
-        "dpdp": (d_prime(d_prime(omega)), d_prime(d_prime(e13))),
-        "total2": (exterior_d(d_prime(omega), h),
-                   d_prime(exterior_d(omega, h))),
-        "triple": [(compose(a, b), compose(b, a)) for a, b in
-                   (("d'", "d''"), ("d'", "d'''"), ("d''", "d'''"))],
-    }
-
-
-def _trial_d_squared(ctx: dict, tape) -> dict[str, np.ndarray]:
-    """Nilpotence and anticommutation of the complex differentials.
-
-    dd      exterior derivative twice on a Maurer-Cartan entry
-    dpdp    d' twice, on an entry probe and on the 3-form
-    total2  the mixed block of (d' + d'')^2: d(d'f) = d'(df)
-    triple  pairwise anticommutation of the three differentials
-            of the action-twisted complex, bidegrees <= (2, 2)
-    """
-    p1 = sample_point(tape, 1)
-    v3 = sample_tangents(tape, p1, 3)
-    dd = abs(ctx["dd"](p1, *v3))
-
-    p3 = sample_point(tape, 3)
-    (u1,) = sample_tangents(tape, p3, 1)
-    u3 = sample_tangents(tape, p3, 3)
-    dpdp_entry, dpdp_e13 = ctx["dpdp"]
-    dpdp = np.maximum(abs(dpdp_entry(p3, u1)), abs(dpdp_e13(p3, *u3)))
-
-    p2 = sample_point(tape, 2)
-    s2 = sample_tangents(tape, p2, 2)
-    mixed_a, mixed_b = ctx["total2"]
-    total2 = abs(mixed_a(p2, *s2) - mixed_b(p2, *s2))
-
     triple = 0.0
-    for ab, ba in ctx["triple"]:
+    for a, b in (("d'", "d''"), ("d'", "d'''"), ("d''", "d'''")):
+        ab, ba = compose(a, b), compose(b, a)
         pt = sample_bi_point(tape, ab.p, ab.q)
         ts = tuple(sample_bi_tangent(tape, pt) for _ in range(ab.degree))
         triple = np.maximum(triple, abs(ab(pt, *ts) + ba(pt, *ts)))
     return {"dd": dd, "dpdp": dpdp, "total2": total2, "triple": triple}
+
+
+# residual builders of the rows (see the module docstring): each returns a
+# cochain {level: {degree: form}} whose named components must vanish
+
+
+def _cocycle(X: np.ndarray) -> dict:
+    return cocycle(e13_form(), e22_form(), mu_form(), X)
+
+
+def _minus(a: dict, b: dict) -> dict:
+    """The cochain a - b over the components of a."""
+    return {p: {d: f - b[p][d] for d, f in forms.items()}
+            for p, forms in a.items()}
+
+
+def _d_cocycle(cfg: CheckConfig, tape) -> dict:
+    X = sample_algebra(tape)
+    return total_d(_cocycle(X), X, cfg.fd_step)
+
+
+def _d_cocycle_at_zero(cfg: CheckConfig, tape) -> dict:
+    X = np.zeros((4, 4))
+    return total_d(_cocycle(X), X, cfg.fd_step)
+
+
+def _mc_structure(cfg: CheckConfig, tape) -> dict:
+    """The largest entry of d omega + omega^2; a NaN entry propagates."""
+    omega = mc_left(1, 1)
+    fn = (exterior_d(omega, cfg.fd_step) + matrix_wedge_square(omega)).fn
+    return {1: {2: FormEval(
+        2, 1, lambda pt, ts: np.max(abs(fn(pt, ts)), axis=(-2, -1)))}}
+
+
+def _ad_invariance(cfg: CheckConfig, tape) -> dict:
+    g = sample_point(tape, 1).factors[0]
+    X = sample_algebra(tape)
+    conj = {p: SmoothMap(p, p, lambda pt: _conj_apply(g, pt),
+                         lambda pt, t: tuple(g @ r @ g.mT for r in t.reps))
+            for p in (1, 2)}
+    moved = {p: {d: pullback(f, conj[p]) for d, f in forms.items()}
+             for p, forms in _cocycle(g @ X @ g.mT).items()}
+    return _minus(_cocycle(X), moved)
+
+
+def _dsl_oracle(cfg: CheckConfig, tape) -> dict:
+    def load(name: str, level: int):
+        return formdsl.interpret(
+            formdsl.parse(formdsl.corpus_source(name)), level=level)
+
+    X = sample_algebra(tape)
+    corpus = {1: {3: load("e13.form", 1), 1: load("mu.form", 1)(X)},
+              2: {2: load("e22.form", 2)}}
+    return _minus(corpus, _cocycle(X))
 
 
 def golden_value_errors() -> dict[str, float]:
@@ -533,60 +518,56 @@ class Check:
     """One check of the protocol (see the module docstring)."""
 
     tol: float  # default tolerance of the reported error
-    trial: Callable[[object, DrawTape], dict[str, np.ndarray]]
-    setup: Callable[[CheckConfig], object] = lambda cfg: cfg
+    trial: Callable[[CheckConfig, DrawTape], dict[str, np.ndarray]]
     # per-component tolerances; absent ones are 1
     tols: dict[str, float] = field(default_factory=dict)
     once: bool = False  # fixed inputs: a single trial whatever cfg.trials is
 
 
-def _d_check(tol: float, components: dict[str, tuple[int, int]],
-             tols: Optional[dict[str, float]] = None,
-             at_zero: bool = False) -> Check:
-    """The check that the named components {name: (level, degree)} of D c
-    vanish, for the degree-4 cochain c = {1: e13 + mu(X), 2: e22}.  A trial
-    draws X, then the levels through `equivariant_total_check`; at X = 0 the
-    run builds D once and a trial draws no X."""
+def _rows(tol: float, residuals: Callable[[CheckConfig, DrawTape], dict],
+          components: dict[str, tuple[int, int]],
+          tols: Optional[dict[str, float]] = None) -> Check:
+    """The check that the named components {name: (level, degree)} of the
+    cochain residuals(cfg, tape) vanish: a trial builds the cochain, then
+    `equivariant_total_check` draws the levels and reads the components."""
 
-    def total(X: np.ndarray, fd_step: float) -> dict:
-        return total_d(cocycle(e13_form(), e22_form(), mu_form(), X), X,
-                       fd_step)
-
-    def setup(cfg: CheckConfig):
-        return total(np.zeros((4, 4)), cfg.fd_step) if at_zero else cfg
-
-    def trial(ctx, tape) -> dict[str, np.ndarray]:
-        D = ctx if at_zero else total(sample_algebra(tape), ctx.fd_step)
+    def trial(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
+        cochain = residuals(cfg, tape)
 
         def sample(level: int, count: int) -> tuple:
             pt = sample_point(tape, level)
             return pt, sample_tangents(tape, pt, count)
 
-        return equivariant_total_check(D, sample, components)
+        return equivariant_total_check(cochain, sample, components)
 
-    return Check(tol, trial, setup, tols or {})
+    return Check(tol, trial, tols or {})
+
+
+# the components of a difference of two cochains shaped like c
+_C_COMPONENTS = {"e13": (1, 3), "mu": (1, 1), "e22": (2, 2)}
 
 
 # Composite checks report normalized residuals (err / component tol), so their
 # default tolerance is 1.  Everything else is a raw max-abs-error bound.
 CHECKS: dict[str, Check] = {
-    "mc-structure": Check(1e-6, _trial_mc_structure),
+    "mc-structure": _rows(1e-6, _mc_structure, {"entries": (1, 2)}),
     "simplicial-identities": Check(1e-13, _trial_simplicial),
     "gamma-simplicial": Check(1e-13, _trial_gamma),
-    "lemma-4.1": _d_check(1e-6, {"i e13 - d mu": (1, 2)}),
-    "lemma-4.2": _d_check(1e-10, {"i e22 - d' mu": (2, 1)}),
-    "lemma-4.3": _d_check(1e-12, {"i mu": (1, 0)}),
-    "euler-cocycle": _d_check(
-        1.0, {"a": (1, 4), "b": (2, 3), "c": (3, 2)},
-        {"a": 1e-6, "b": 1e-6, "c": 1e-10}, at_zero=True),
-    "equivariant-cocycle": _d_check(
-        1.0, {"a": (1, 4), "b": (1, 2), "c": (1, 0), "d": (2, 3), "e": (2, 1)},
+    "lemma-4.1": _rows(1e-6, _d_cocycle, {"i e13 - d mu": (1, 2)}),
+    "lemma-4.2": _rows(1e-10, _d_cocycle, {"i e22 - d' mu": (2, 1)}),
+    "lemma-4.3": _rows(1e-12, _d_cocycle, {"i mu": (1, 0)}),
+    "euler-cocycle": _rows(
+        1.0, _d_cocycle_at_zero, {"a": (1, 4), "b": (2, 3), "c": (3, 2)},
+        {"a": 1e-6, "b": 1e-6, "c": 1e-10}),
+    "equivariant-cocycle": _rows(
+        1.0, _d_cocycle,
+        {"a": (1, 4), "b": (1, 2), "c": (1, 0), "d": (2, 3), "e": (2, 1)},
         {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}),
-    "ad-invariance": Check(1e-10, _trial_ad_invariance),
-    "dsl-oracle": Check(1e-12, _trial_dsl_oracle, _setup_dsl_oracle),
+    "ad-invariance": _rows(1e-10, _ad_invariance, _C_COMPONENTS),
+    "dsl-oracle": _rows(1e-12, _dsl_oracle, _C_COMPONENTS),
     "alpha-antisymmetry": Check(1e-12, _trial_alpha_antisymmetry),
     "d-squared": Check(
-        1.0, _trial_d_squared, _setup_d_squared,
+        1.0, _trial_d_squared,
         {"dd": 1e-4, "dpdp": 1e-12, "total2": 1e-4, "triple": 1e-4}),
     "golden-values": Check(1e-12, lambda cfg, tape: golden_value_errors(),
                            once=True),
@@ -602,15 +583,14 @@ DEFAULT_TOLS = {cid: check.tol for cid, check in CHECKS.items()}
 
 def trial_rows(cfg: CheckConfig,
                trials: Sequence[int]) -> dict[str, np.ndarray]:
-    """The component residuals of the given trials of a run, from one setup:
-    per component, an array with one entry per trial, in order."""
+    """The component residuals of the given trials of a run: per component,
+    an array with one entry per trial, in order."""
     check = CHECKS[cfg.check_id]
-    ctx = check.setup(cfg)
     chunks = []
     for start in range(0, len(trials), CHUNK):
         tape = DrawTape(trial_rngs(cfg.seed, cfg.check_id,
                                    trials[start:start + CHUNK]))
-        cols = check.trial(ctx, tape)
+        cols = check.trial(cfg, tape)
         chunks.append({k: np.broadcast_to(np.asarray(v, dtype=float),
                                           (len(tape),))
                        for k, v in cols.items()})

@@ -359,6 +359,19 @@ def test_eval_bad_tangent_spec_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, token", [("--at", "seed:-1"),
+                                         ("--tangents", "seed:-1"),
+                                         ("--tangents", "repeat:-1")])
+def test_eval_negative_seed_names_the_token(capsys, flag, token):
+    argv = {"--at": "seed:1", "--tangents": "seed:2", flag: token}
+    code, out, err = _run(capsys, "eval", "--expr", _corpus_path("mu.form"),
+                          *(w for item in argv.items() for w in item))
+    assert code == 2 and out == ""
+    prefix = token.split(":")[0]
+    assert err == (f"error: expected {prefix}:<non-negative integer>, "
+                   f"got '{token}'\n")
+
+
 def test_no_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -31,6 +31,7 @@ from nervecheck.harness import (
     trial_rngs,
     trial_rows,
 )
+from nervecheck.formcalc import FormEval
 from nervecheck.matrixgroup import exp_matrix, skew_from_coords
 
 from helpers import trial_rng, validate_point, validate_tangent
@@ -253,14 +254,21 @@ def test_stacked_rows_equal_single_trial_replays(check_id):
             assert one[key][0] == col[k], (check_id, key, k)
 
 
-def test_stacked_rows_across_chunk_boundaries():
-    cfg = CheckConfig("lemma-4.1", trials=600, seed=9)
+@pytest.mark.parametrize("check_id", ["lemma-4.1", "euler-cocycle",
+                                      "ad-invariance", "dsl-oracle",
+                                      "d-squared"])
+def test_stacked_rows_across_chunk_boundaries(check_id):
+    # every stack builds its own forms; the trials at the stack edges read
+    # the same numbers as when run alone
+    cfg = CheckConfig(check_id, trials=600, seed=9)
     assert 600 > 2 * CHUNK
     full = trial_rows(cfg, range(600))
-    assert full["i e13 - d mu"].shape == (600,)
     for k in (0, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, 599):
         one = trial_rows(cfg, [k])
-        assert one["i e13 - d mu"][0] == full["i e13 - d mu"][k], k
+        assert set(one) == set(full)
+        for key, col in full.items():
+            assert col.shape == (600,)
+            assert one[key][0] == col[k], (key, k)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -295,22 +303,42 @@ def test_exp_matrix_calls_do_not_grow_with_the_trial_count(monkeypatch):
 
 
 def test_nan_residual_fails_a_plain_check(monkeypatch):
-    real = harness.eval_E13
+    from nervecheck import eulercocycle
+
+    real = eulercocycle.eval_E13
 
     def poisoned(pt, *ts):
         value = np.array(real(pt, *ts))
         value[5] = np.nan
         return value
 
-    monkeypatch.setattr(harness, "eval_E13", poisoned)
+    monkeypatch.setattr(eulercocycle, "eval_E13", poisoned)
     rep = run_check(CheckConfig("ad-invariance", trials=20))
     assert not rep.passed
     assert (rep.max_abs_err, rep.worst_trial) == (math.inf, 5)
 
-    monkeypatch.setattr(harness, "eval_E13", lambda pt, *ts: math.nan)
+    monkeypatch.setattr(eulercocycle, "eval_E13", lambda pt, *ts: math.nan)
     rep = run_check(CheckConfig("ad-invariance", trials=20))
     assert not rep.passed
     assert (rep.max_abs_err, rep.worst_trial) == (math.inf, 0)
+
+    # one NaN entry of trial 9's omega^2 fails mc-structure at that trial
+    wedge_square = harness.matrix_wedge_square
+
+    def poisoned_square(m):
+        fn = wedge_square(m).fn
+
+        def value(pt, ts):
+            out = np.array(fn(pt, ts))
+            out[9, 2, 3] = np.nan
+            return out
+
+        return FormEval(2, m.level, value)
+
+    monkeypatch.setattr(harness, "matrix_wedge_square", poisoned_square)
+    rep = run_check(CheckConfig("mc-structure", trials=20))
+    assert not rep.passed
+    assert (rep.max_abs_err, rep.worst_trial) == (math.inf, 9)
 
 
 def test_nan_residual_fails_a_signed_component(monkeypatch):
@@ -443,9 +471,9 @@ def _numpy_rng(seed, check_id, trial):
 
 
 def _assert_numpy_streams(seed, check_id, trials, rows):
-    """trial_rngs gives numpy's stream for every trial: the integer a check
-    draws first, then `rows` rows of six doubles.  Any warning of the
-    seeding, such as an overflow in its uint32 arithmetic, fails."""
+    """trial_rngs gives numpy's stream for every trial: an integer, then
+    `rows` rows of six doubles.  Any warning of the seeding, such as an
+    overflow in its uint32 arithmetic, fails."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = trial_rngs(seed, check_id, trials)
@@ -549,20 +577,11 @@ def test_a_point_is_one_exponential_of_its_rows(monkeypatch, level):
                for v, h in zip(t.reps, want, strict=True))
 
 
-def test_tape_integers_come_before_the_rows():
-    tape = DrawTape(trial_rngs(3, "tape", range(2)))
-    rngs = tuple(trial_rngs(3, "tape", range(2)))
-    assert tape.integers(1, 4).tolist() == [r.integers(1, 4) for r in rngs]
-    assert _same_bits(_coords(_skews(tape, 1.0)),
-                      PerCallSampler(rngs).coords(1.0))
-    with pytest.raises(RuntimeError):
-        tape.integers(1, 4)
-
-
 def test_alpha_antisymmetry_draws_the_degree_then_the_coefficients(
         monkeypatch):
     # the coefficients handed to polynomial_path, against the draws of the
-    # per-trial loop: degree, then deg + 1 algebra elements for each path
+    # per-trial loop: the degree 1 + floor(3u) from the first uniform u of
+    # the first row, then deg + 1 algebra elements for each path
     got = []
     real = harness.polynomial_path
 
@@ -577,7 +596,7 @@ def test_alpha_antisymmetry_draws_the_degree_then_the_coefficients(
     for n in range(trials):
         rng = trial_rng(5, "alpha-antisymmetry", n)
         ref = PerCallSampler(rng)
-        deg = int(rng.integers(1, 4))
+        deg = 1 + int(3 * rng.random(6)[0])
         for path in want:
             for j in range(deg + 1):
                 path[j, n] = skew_from_coords(ref.coords(1.0))
@@ -640,13 +659,9 @@ def test_draw_calls_per_trial_are_one_per_block(monkeypatch, check_id):
 
     monkeypatch.setattr(DrawTape, "rows", counted_rows)
     cfg = CheckConfig(check_id, seed=2)
-    check = CHECKS[check_id]
     rngs = [_CountingRng(rng) for rng in trial_rngs(2, check_id, range(3))]
-    check.trial(check.setup(cfg), DrawTape(rngs))
-    # one integer call before the rows where a check draws one (the path
-    # degree of alpha-antisymmetry)
-    integers = 1 if check_id == "alpha-antisymmetry" else 0
-    limit = -(-sum(rows) // BLOCK) + integers
+    CHECKS[check_id].trial(cfg, DrawTape(rngs))
+    limit = -(-sum(rows) // BLOCK)
     assert sum(rows) > 0
     assert all(rng.calls <= limit for rng in rngs), (
         [rng.calls for rng in rngs], sum(rows))
