@@ -21,7 +21,8 @@ the Cartan sign of Guillemin & Sternberg, "Supersymmetry and Equivariant de
 Rham Theory" (1999).  `total_d` applies it.  `equivariant_total_check` is
 the one component reader: it evaluates named components {name: (level,
 degree)} of any cochain of forms, such as D c for the degree-4 cochain
-c = {1: e13 + mu(X), 2: e22} of `cocycle`, on a sample it draws level by
+c = {1: e13 + mu(X), 2: e22} of `cocycle`, or D3^2 of a bisimplicial
+cochain keyed by (p, q) (`nerve.total_d3`), on a sample it draws level by
 level.  The checks in `harness.CHECKS` that a cochain of forms vanishes
 are rows of such components.  A sample may be stacked, with X stacked
 alike, and then every residual is an array.
@@ -30,13 +31,13 @@ alike, and then every residual is an array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Hashable
 
 import numpy as np
 
 from .formcalc import FD_STEP_DEFAULT, FormEval, contract, exterior_d
 from .matrixgroup import GroupPoint, Tangent
-from .nerve import d_prime
+from .nerve import _accumulate, d_prime
 
 
 def fundamental_field(X: np.ndarray,
@@ -63,10 +64,6 @@ class EquivariantForm:
 
     def __call__(self, X: np.ndarray) -> FormEval:
         return self.eval(X)
-
-
-def _accumulate(out: dict[int, FormEval], degree: int, form: FormEval) -> None:
-    out[degree] = out[degree] + form if degree in out else form
 
 
 def cartan_d(alpha: dict[int, FormEval], X: np.ndarray,
@@ -115,27 +112,29 @@ def cocycle(e13: EquivariantForm, e22: EquivariantForm,
     return {1: {3: e13(X), 1: mu(X)}, 2: {2: e22(X)}}
 
 
-def equivariant_total_check(cochain: dict[int, dict[int, FormEval]],
-                            sample: Callable[[int, int], tuple],
-                            components: dict[str, tuple[int, int]]
+def equivariant_total_check(cochain: dict[Hashable, dict[int, FormEval]],
+                            sample: Callable[[Hashable, int], tuple],
+                            components: dict[str, tuple[Hashable, int]]
                             ) -> dict[str, np.ndarray]:
-    """|cochain[level][degree](pt, *ts[:degree])| of every named component
-    {name: (level, degree)} of any cochain of forms, such as D c.
+    """|cochain[key][degree](pt, *ts[:degree])| of every named component
+    {name: (key, degree)} of any cochain of forms, such as D c.  A key names
+    a level, such as p or a bisimplicial (p, q); it is only compared and
+    handed to `sample`.
 
-    `sample(level, count)` draws a point of the level and `count` tangents
+    `sample(key, count)` draws a point of the level and `count` tangents
     at it, as (point, tangents).  The levels are drawn in order of first use,
     each once, with as many tangents as its highest degree needs, and the
     components of a level are evaluated before the next level is drawn.  The
     forms are called with their argument checks, so a sample with too few
     tangents raises ValueError.
     """
-    counts: dict[int, int] = {}
-    for level, degree in components.values():
-        counts[level] = max(counts.get(level, 0), degree)
+    counts: dict[Hashable, int] = {}
+    for key, degree in components.values():
+        counts[key] = max(counts.get(key, 0), degree)
     out = {}
-    for level, count in counts.items():
-        pt, ts = sample(level, count)
+    for key, count in counts.items():
+        pt, ts = sample(key, count)
         for name, (at, degree) in components.items():
-            if at == level:
-                out[name] = abs(cochain[level][degree](pt, *ts[:degree]))
+            if at == key:
+                out[name] = abs(cochain[key][degree](pt, *ts[:degree]))
     return out

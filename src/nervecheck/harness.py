@@ -36,22 +36,24 @@ computes from the same doubles, so the tape draws the same numbers as one
 `uniform` call per matrix.  Drawing ahead changes nothing else, because no
 other code reads a trial's stream.
 
-Composite checks (euler-cocycle, equivariant-cocycle, d-squared) bundle
-component identities with different natural scales; their default tolerance
-is 1.0, so they report the normalized residual.
-
-Eight checks are rows built by `_rows`: a residual builder returns a
+Nine checks are rows built by `_rows`: a residual builder returns a
 cochain of forms {level: {degree: form}}, drawing X or g first where it
 needs them, and `cartanmodel.equivariant_total_check` reads the row's named
 components {name: (level, degree)} of it, drawing the levels in order of
-first use.  With c = {1: e13 + mu(X), 2: e22} and D = `cartanmodel.total_d`,
-the rows and their draws before the levels are
+first use; a bisimplicial level is a key (p, q), drawn as SO(4)^(p+q).
+With c = {1: e13 + mu(X), 2: e22}, D = `cartanmodel.total_d` and
+D3 = `nerve.total_d3`, the rows and their draws before the levels are
 
     lemma-4.1, 4.2, 4.3, equivariant-cocycle   D c at X            X
     euler-cocycle                              D c at X = 0        -
     mc-structure                               d omega + omega^2   -
     ad-invariance    c(X) - (conjugation by g)^* c(g X g^T)        g, X
     dsl-oracle       the interpreted corpus minus c(X)             X
+    d-squared        D3^2 of {(1,0): omega + e13, (1,1): probe}    -
+
+`d-squared` reads one (p, q, degree) component of D3^2 per block, drawn in
+this order: d'''d''' (1,0,3), d'd' (3,0,1) and (3,0,3), the mixed block of
+omega (2,0,2), and the probe's d'd'' (2,2,1), d'd''' (2,1,2), d''d''' (1,2,2).
 
 A NaN residual in any component fails the run: it reports an error of inf
 at the first trial with a NaN.
@@ -76,8 +78,8 @@ from .formcalc import (FD_STEP_DEFAULT, FormEval, SmoothMap, check_fd_step,
                        mc_right, pullback)
 from .matrixgroup import (GroupPoint, Tangent, basis_element, exp_matrix,
                           identity_point, skew_from_coords)
-from .nerve import (BiFormEval, _conj_apply, bi_form_from_flat, d_prime,
-                    d_triple_complex, degeneracy_ng, face_ng, face_pg, gamma)
+from .nerve import (_conj_apply, degeneracy_ng, face_ng, face_pg, gamma,
+                    total_d3)
 
 # The most trials one run may ask for.  The slowest checks take about a ms
 # a trial, so a run at the ceiling takes many minutes; a larger count is
@@ -88,8 +90,8 @@ MAX_TRIALS = 1_000_000
 CHUNK = 256
 
 # The rows of six uniforms a draw tape pulls from a stream at a time; the
-# largest sample, that of a d-squared trial, takes 51 rows.
-BLOCK = 64
+# largest sample, that of a d-squared trial, takes 48 rows.
+BLOCK = 48
 
 
 @dataclass(frozen=True)
@@ -386,51 +388,6 @@ def _trial_alpha_antisymmetry(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     return {"swap": abs(a12 + a21), "diagonal": abs(a11)}
 
 
-def _trial_d_squared(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
-    """Nilpotence and anticommutation of the complex differentials.
-
-    dd      exterior derivative twice on a Maurer-Cartan entry
-    dpdp    d' twice, on an entry probe and on the 3-form
-    total2  the mixed block of (d' + d'')^2: d(d'f) = d'(df)
-    triple  pairwise anticommutation of the three differentials
-            of the action-twisted complex, bidegrees <= (2, 2)
-    """
-    h = cfg.fd_step
-    omega = entry(mc_left(1, 1), 1, 2)
-    p1 = sample_point(tape, 1)
-    v3 = sample_tangents(tape, p1, 3)
-    dd = abs(exterior_d(exterior_d(omega, h), h)(p1, *v3))
-
-    p3 = sample_point(tape, 3)
-    (u1,) = sample_tangents(tape, p3, 1)
-    u3 = sample_tangents(tape, p3, 3)
-    e13 = e13_form()(np.zeros((4, 4)))
-    dpdp = np.maximum(abs(d_prime(d_prime(omega))(p3, u1)),
-                      abs(d_prime(d_prime(e13))(p3, *u3)))
-
-    p2 = sample_point(tape, 2)
-    s2 = sample_tangents(tape, p2, 2)
-    total2 = abs(exterior_d(d_prime(omega), h)(p2, *s2)
-                 - d_prime(exterior_d(omega, h))(p2, *s2))
-
-    # composed differentials of the action-twisted complex on a probe
-    # at bidegree (1, 1); each pair lands at a common (p, q, degree)
-    flat = entry(mc_left(1, 2), 1, 2) + 2.0 * entry(mc_right(2, 2), 1, 3)
-    bi = bi_form_from_flat(flat, 1, 1)
-
-    def compose(first: str, second: str) -> BiFormEval:
-        return d_triple_complex(d_triple_complex(bi, first, fd_step=h),
-                                second, fd_step=h)
-
-    triple = 0.0
-    for a, b in (("d'", "d''"), ("d'", "d'''"), ("d''", "d'''")):
-        ab, ba = compose(a, b), compose(b, a)
-        pt = sample_bi_point(tape, ab.p, ab.q)
-        ts = tuple(sample_bi_tangent(tape, pt) for _ in range(ab.degree))
-        triple = np.maximum(triple, abs(ab(pt, *ts) + ba(pt, *ts)))
-    return {"dd": dd, "dpdp": dpdp, "total2": total2, "triple": triple}
-
-
 # residual builders of the rows (see the module docstring): each returns a
 # cochain {level: {degree: form}} whose named components must vanish
 
@@ -472,6 +429,15 @@ def _ad_invariance(cfg: CheckConfig, tape) -> dict:
     moved = {p: {d: pullback(f, conj[p]) for d, f in forms.items()}
              for p, forms in _cocycle(g @ X @ g.mT).items()}
     return _minus(_cocycle(X), moved)
+
+
+def _d_squared(cfg: CheckConfig, tape) -> dict:
+    """D3^2 of a cochain of Maurer-Cartan entries and the 3-form."""
+    omega = entry(mc_left(1, 1), 1, 2)
+    e13 = e13_form()(np.zeros((4, 4)))
+    probe = entry(mc_left(1, 2), 1, 2) + 2.0 * entry(mc_right(2, 2), 1, 3)
+    cochain = {(1, 0): {1: omega, 3: e13}, (1, 1): {1: probe}}
+    return total_d3(total_d3(cochain, cfg.fd_step), cfg.fd_step)
 
 
 def _dsl_oracle(cfg: CheckConfig, tape) -> dict:
@@ -534,8 +500,9 @@ def _rows(tol: float, residuals: Callable[[CheckConfig, DrawTape], dict],
     def trial(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
         cochain = residuals(cfg, tape)
 
-        def sample(level: int, count: int) -> tuple:
-            pt = sample_point(tape, level)
+        def sample(key, count: int) -> tuple:
+            pt = (sample_bi_point(tape, *key) if isinstance(key, tuple)
+                  else sample_point(tape, key))
             return pt, sample_tangents(tape, pt, count)
 
         return equivariant_total_check(cochain, sample, components)
@@ -566,9 +533,13 @@ CHECKS: dict[str, Check] = {
     "ad-invariance": _rows(1e-10, _ad_invariance, _C_COMPONENTS),
     "dsl-oracle": _rows(1e-12, _dsl_oracle, _C_COMPONENTS),
     "alpha-antisymmetry": Check(1e-12, _trial_alpha_antisymmetry),
-    "d-squared": Check(
-        1.0, _trial_d_squared,
-        {"dd": 1e-4, "dpdp": 1e-12, "total2": 1e-4, "triple": 1e-4}),
+    "d-squared": _rows(
+        1.0, _d_squared,
+        {"dd": ((1, 0), 3), "dpdp": ((3, 0), 1), "dpdp e13": ((3, 0), 3),
+         "total2": ((2, 0), 2), "d'd''": ((2, 2), 1), "d'd'''": ((2, 1), 2),
+         "d''d'''": ((1, 2), 2)},
+        {"dd": 1e-4, "dpdp": 1e-12, "dpdp e13": 1e-12, "total2": 1e-4,
+         "d'd''": 1e-4, "d'd'''": 1e-4, "d''d'''": 1e-4}),
     "golden-values": Check(1e-12, lambda cfg, tape: golden_value_errors(),
                            once=True),
 }

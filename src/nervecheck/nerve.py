@@ -12,7 +12,8 @@ matrix products.
 The action-twisted (bisimplicial) level (p, q) pairs a nerve point of level
 p with q group elements acting on it, so it is the product SO(4)^(p+q): a
 point is a flat GroupPoint of p+q factors, the nerve point first and then
-the q actors, and its tangents are plain Tangents.  The faces take the split
+the q actors; its tangents and forms are plain Tangents and FormEvals, and
+a cochain is a dict {(p, q): {degree: form}}.  The faces take the split
 p; horizontal faces are nerve faces of the nerve point, vertical faces are
 nerve faces of the actors whose top face lets the last actor act on the
 nerve point by componentwise conjugation.  Packaged with their
@@ -20,15 +21,14 @@ differentials, the faces are SmoothMaps, so the differentials below are
 formcalc pullbacks and exterior derivatives.
 
 Complex differentials:
-  d_prime         alternating sum of nerve face pullbacks        (level +1)
-  d_double_prime  (-1)^level times the exterior derivative       (degree +1)
-  d_triple_complex  the three differentials of the action-twisted
-                    double-nerve complex (horizontal, vertical, de Rham)
+  d_prime           alternating sum of nerve face pullbacks      (level +1)
+  d_triple_complex  one of the three differentials of the action-twisted
+                    complex at (p, q): horizontal, vertical, de Rham
+  total_d3          D3 = d' + d'' + d''' on a cochain {(p, q): forms}
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -187,23 +187,11 @@ def vertical_face_diff(i: int, p: int, pt: GroupPoint,
     return vx + face_ng_diff(i, gs, Tangent(gs, vg))
 
 
-@dataclass(frozen=True, eq=False)
-class BiFormEval(FormEval):
-    """A form on the bisimplicial level (p, q), which is SO(4)^level with
-    q = level - p."""
-
-    p: int
-
-    @property
-    def q(self) -> int:
-        return self.level - self.p
-
-
-def bi_form_from_flat(f: FormEval, p: int, q: int) -> BiFormEval:
-    """Read a form on SO(4)^(p+q) as a form on the (p, q) level."""
+def bi_form_from_flat(f: FormEval, p: int, q: int) -> FormEval:
+    """f, once checked to be a form on SO(4)^(p+q), the (p, q) level."""
     if f.level != p + q:
         raise ValueError("flattened level mismatch")
-    return BiFormEval(f.degree, f.level, f.fn, p)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -227,36 +215,53 @@ def d_prime(f: FormEval) -> FormEval:
         for i in range(p + 2)])
 
 
-def d_double_prime(f: FormEval,
-                   fd_step: float = FD_STEP_DEFAULT) -> FormEval:
-    """(-1)^level times the exterior derivative (double-complex vertical)."""
-    d = exterior_d(f, fd_step)
-    return d if f.level % 2 == 0 else -d
-
-
-def d_triple_complex(f: BiFormEval, which: str,
-                     fd_step: float = FD_STEP_DEFAULT) -> BiFormEval:
-    """One of the three differentials of the action-twisted complex.
+def d_triple_complex(f: FormEval, p: int, which: str,
+                     fd_step: float = FD_STEP_DEFAULT) -> FormEval:
+    """One of the three differentials of the action-twisted complex, on a
+    form f at the level (p, q) with q = f.level - p.
 
     which = "d'"  : alternating horizontal-face pullbacks,    (p+1, q)
     which = "d''" : (-1)^p alternating vertical-face pullbacks, (p, q+1)
     which = "d'''": (-1)^(p+q) exterior derivative,           degree + 1
     """
-    p, level = f.p, f.level
+    level = f.level
+    if not 0 <= p <= level:
+        raise ValueError(f"split p={p} out of range for level {level}")
     if which == "d'":
-        d = _alternating_pullbacks(f, [
+        return _alternating_pullbacks(f, [
             SmoothMap(level + 1, level, partial(horizontal_face, i, p + 1),
                       partial(horizontal_face_diff, i, p + 1))
             for i in range(p + 2)])
-        p += 1
-    elif which == "d''":
+    if which == "d''":
         d = _alternating_pullbacks(f, [
             SmoothMap(level + 1, level, partial(vertical_face, i, p),
                       partial(vertical_face_diff, i, p))
-            for i in range(f.q + 2)])
-        d = d if p % 2 == 0 else -d
-    elif which == "d'''":
-        d = d_double_prime(f, fd_step)  # the sign (-1)^level is (-1)^(p+q)
-    else:
-        raise ValueError("which must be one of \"d'\", \"d''\", \"d'''\"")
-    return BiFormEval(d.degree, d.level, d.fn, p)
+            for i in range(level - p + 2)])
+        return -d if p % 2 else d
+    if which == "d'''":
+        d = exterior_d(f, fd_step)
+        return -d if level % 2 else d
+    raise ValueError("which must be one of \"d'\", \"d''\", \"d'''\"")
+
+
+def _accumulate(out: dict[int, FormEval], degree: int, form: FormEval) -> None:
+    """Add form to the forms {degree: form} of one level."""
+    out[degree] = out[degree] + form if degree in out else form
+
+
+def total_d3(cochain: dict[tuple[int, int], dict[int, FormEval]],
+             fd_step: float = FD_STEP_DEFAULT
+             ) -> dict[tuple[int, int], dict[int, FormEval]]:
+    """D3 = d' + d'' + d''' applied to the cochain {(p, q): {degree: form}}
+    of the action-twisted complex, in the same shape, one entry per level
+    it reaches.  The components are forms, so only those that are
+    evaluated cost anything."""
+    out: dict[tuple[int, int], dict[int, FormEval]] = {}
+    for (p, q), forms in sorted(cochain.items()):
+        for form in forms.values():
+            form = bi_form_from_flat(form, p, q)
+            for which, key in (("d'", (p + 1, q)), ("d''", (p, q + 1)),
+                               ("d'''", (p, q))):
+                d = d_triple_complex(form, p, which, fd_step)
+                _accumulate(out.setdefault(key, {}), d.degree, d)
+    return out

@@ -12,7 +12,7 @@ import pytest
 
 from nervecheck.matrixgroup import Tangent, basis_element, identity_point
 from nervecheck.formcalc import entry, exterior_d, matrix_wedge_square, mc_left
-from nervecheck.nerve import bi_form_from_flat, d_prime, d_triple_complex
+from nervecheck.nerve import total_d3
 from nervecheck.cartanmodel import cocycle, equivariant_total_check, total_d
 from nervecheck.eulercocycle import (
     e13_form,
@@ -224,53 +224,52 @@ def test_criterion_10_dsl_against_builtins_and_error_positions():
 
 
 def test_criterion_11_complex_structure():
-    # d' o d' = 0 exactly-analytically (to roundoff)
+    # every identity is a (p, q, degree) component of D3^2, the square of
+    # the total differential d' + d'' + d''' of the action-twisted complex
     f = entry(mc_left(1, 1), 1, 2)
-    dpdp = d_prime(d_prime(f))
     e13 = e13_form()(np.zeros((4, 4)))
-    dpdp_e13 = d_prime(d_prime(e13))
+    nerve_sq = total_d3(total_d3({(1, 0): {1: f, 3: e13}}, FD_STEP), FD_STEP)
+
+    # d' o d' = 0 exactly-analytically (to roundoff): (3, 0) in degrees 1, 3
     worst_dpdp = 0.0
     for t in range(20):
         tape = DrawTape(trial_rng(SEED, "d-squared", t))
         pt = sample_point(tape, 3)
-        worst_dpdp = max(worst_dpdp, abs(dpdp(pt, sample_tangent(tape, pt))))
+        worst_dpdp = max(worst_dpdp,
+                         abs(nerve_sq[(3, 0)][1](pt, sample_tangent(tape, pt))))
         ts = sample_tangents(tape, pt, 3)
-        worst_dpdp = max(worst_dpdp, abs(dpdp_e13(pt, *ts)))
+        worst_dpdp = max(worst_dpdp, abs(nerve_sq[(3, 0)][3](pt, *ts)))
 
-    # (d' + d'')^2 = 0 on a probe form (the mixed block dominates the error)
-    from nervecheck.nerve import d_double_prime
-
-    mixed_a = d_double_prime(d_prime(f), FD_STEP)
-    mixed_b = d_prime(d_double_prime(f, FD_STEP))
-    dd = exterior_d(exterior_d(f, FD_STEP), FD_STEP)
+    # (d' + d''')^2 = 0 on the nerve, a probe form: the mixed block (2, 0)
+    # in degree 2 dominates the error, then d'''d''' at (1, 0) in degree 3
     worst_total = 0.0
     for t in range(20):
         tape = DrawTape(trial_rng(SEED, "d-squared", 1000 + t))
         pt2 = sample_point(tape, 2)
         v, w = sample_tangent(tape, pt2), sample_tangent(tape, pt2)
-        worst_total = max(worst_total, abs(mixed_a(pt2, v, w) + mixed_b(pt2, v, w)))
+        worst_total = max(worst_total, abs(nerve_sq[(2, 0)][2](pt2, v, w)))
         pt1 = sample_point(tape, 1)
         ts = sample_tangents(tape, pt1, 3)
-        worst_total = max(worst_total, abs(dd(pt1, *ts)))
+        worst_total = max(worst_total, abs(nerve_sq[(1, 0)][3](pt1, *ts)))
 
-    # pairwise anticommutation of the three bisimplicial differentials
+    # the pairwise anticommutators of the three bisimplicial differentials
+    # on a probe at (p, q): the components (p+1, q+1) in degree 1 (d'd''),
+    # (p+1, q) in degree 2 (d'd''') and (p, q+1) in degree 2 (d''d''')
     worst_tc = 0.0
     for (p, q) in ((1, 1), (2, 1), (1, 2), (2, 2)):
-        probe_level = p + q
-        probe = entry(mc_left(1, probe_level), 1, 2)
-        bi = bi_form_from_flat(probe, p, q)
-        for first, second in (("d'", "d''"), ("d'", "d'''"), ("d''", "d'''")):
-            ab = d_triple_complex(d_triple_complex(bi, first, FD_STEP), second, FD_STEP)
-            ba = d_triple_complex(d_triple_complex(bi, second, FD_STEP), first, FD_STEP)
+        probe = entry(mc_left(1, p + q), 1, 2)
+        sq = total_d3(total_d3({(p, q): {1: probe}}, FD_STEP), FD_STEP)
+        for key, degree in (((p + 1, q + 1), 1), ((p + 1, q), 2),
+                            ((p, q + 1), 2)):
             for t in range(3):
                 tape = DrawTape(
                     trial_rng(SEED, "d-squared", 2000 + 100 * p + 10 * q + t))
-                bp = sample_bi_point(tape, ab.p, ab.q)
-                ts = [sample_bi_tangent(tape, bp) for _ in range(ab.degree)]
-                worst_tc = max(worst_tc, abs(ab(bp, *ts) + ba(bp, *ts)))
+                bp = sample_bi_point(tape, *key)
+                ts = [sample_bi_tangent(tape, bp) for _ in range(degree)]
+                worst_tc = max(worst_tc, abs(sq[key][degree](bp, *ts)))
 
     ok = worst_dpdp <= 1e-12 and worst_total <= 1e-4 and worst_tc <= 1e-4
     _verdict(11, ok,
-             f"d'd' = {worst_dpdp:.3e} <= 1e-12; (d'+d'')^2 = {worst_total:.3e}"
-             f" <= 1e-4; triple-complex anticommutators at (p,q) <= (2,2) = "
-             f"{worst_tc:.3e} <= 1e-4")
+             f"D3^2: d'd' = {worst_dpdp:.3e} <= 1e-12; (d'+d''')^2 = "
+             f"{worst_total:.3e} <= 1e-4; triple-complex anticommutators at "
+             f"(p,q) <= (2,2) = {worst_tc:.3e} <= 1e-4")

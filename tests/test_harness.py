@@ -224,7 +224,8 @@ def test_registry_matches_check_ids_and_component_tolerances():
     assert CHECKS["equivariant-cocycle"].tols == {
         "a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}
     assert CHECKS["d-squared"].tols == {
-        "dd": 1e-4, "dpdp": 1e-12, "total2": 1e-4, "triple": 1e-4}
+        "dd": 1e-4, "dpdp": 1e-12, "dpdp e13": 1e-12, "total2": 1e-4,
+        "d'd''": 1e-4, "d'd'''": 1e-4, "d''d'''": 1e-4}
     composite = {"euler-cocycle", "equivariant-cocycle", "d-squared"}
     for check_id, check in CHECKS.items():
         assert (check.tol == 1.0) == (check_id in composite), check_id
@@ -438,6 +439,49 @@ def test_planted_defect_fails_a_d_check(monkeypatch, defect, killers, margin):
     assert not all(r.passed for r in reports.values()), margins
     for cid in killers:
         assert margins[cid] > margin, (cid, margins)
+
+
+def _conj_diff_last_term_dropped(real):
+    # the differential of g m g^T without the term of g^T's derivative
+    def diff(g, vg, x, vx):
+        return tuple(vg @ m @ g.mT + g @ vm @ g.mT
+                     for m, vm in zip(x.factors, vx))
+
+    return diff
+
+
+def _face_ng_diff_off_by_one(real):
+    # the product rule reads the Lie-algebra coordinate h_k^T v_k of each
+    # factor from the next factor (cyclically); the reps stay tangent
+    from nervecheck.matrixgroup import Tangent
+
+    def diff(i, pt, t):
+        xs = [h.mT @ v for h, v in zip(pt.factors, t.reps)]
+        moved = tuple(h @ x for h, x in zip(pt.factors, xs[1:] + xs[:1]))
+        return real(i, pt, Tangent(pt, moved))
+
+    return diff
+
+
+# (nerve map -> replacement built from the real one); the trivial action
+# (`_conj_apply` and `_conj_diff` the identity) is no kill: it still gives
+# a complex, and d-squared passes under it
+D_SQUARED_KILL_ROWS = [
+    pytest.param("_conj_diff", _conj_diff_last_term_dropped,
+                 id="conj-diff-last-term-dropped"),
+    pytest.param("face_ng_diff", _face_ng_diff_off_by_one,
+                 id="face-ng-diff-off-by-one"),
+]
+
+
+@pytest.mark.parametrize("name, make", D_SQUARED_KILL_ROWS)
+def test_planted_defect_fails_d_squared(monkeypatch, name, make):
+    from nervecheck import nerve
+
+    monkeypatch.setattr(nerve, name, make(getattr(nerve, name)))
+    rep = run_check(CheckConfig("d-squared"))
+    assert (rep.seed, rep.trials) == (42, 200)
+    assert rep.max_abs_err / rep.tol > 1e3, rep.max_abs_err
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,10 @@ from nervecheck.matrixgroup import (
     exp_matrix,
     identity_point,
 )
-from nervecheck.formcalc import SmoothMap, entry, mc_left, mc_right
+from nervecheck.formcalc import FormEval, SmoothMap, entry, mc_left, mc_right
 import nervecheck.nerve as nerve
 from nervecheck.nerve import (
-    BiFormEval,
     bi_form_from_flat,
-    d_double_prime,
     d_prime,
     d_triple_complex,
     degeneracy_ng,
@@ -27,6 +25,7 @@ from nervecheck.nerve import (
     gamma,
     horizontal_face,
     horizontal_face_diff,
+    total_d3,
     vertical_face,
     vertical_face_diff,
 )
@@ -291,31 +290,39 @@ def test_d_prime_squared_vanishes():
 
 
 def test_d_double_prime_parity():
+    # the de Rham differential d''' of the triple complex is (-1)^(p+q) d,
+    # whatever the split p; on the nerve (q = 0) it is the vertical
+    # differential of the double complex
     rng = np.random.default_rng(17)
-    # even level: d'' = +d
+    # even level: +d
     f0 = entry(mc_left(1, 2), 1, 2) + entry(mc_right(2, 2), 1, 3)
     pt = rand_point(rng, 2)
     v, w = rand_tangent(rng, pt), rand_tangent(rng, pt)
-    assert d_double_prime(f0)(pt, v, w) == exterior_d(f0, 1e-5)(pt, v, w)
-    # odd level: d'' = -d
+    for p in (0, 1, 2):
+        assert (d_triple_complex(f0, p, "d'''")(pt, v, w)
+                == exterior_d(f0, 1e-5)(pt, v, w))
+    # odd level: -d
     f1 = entry(mc_left(1, 1), 2, 3)
     pt1 = rand_point(rng, 1)
     v1, w1 = rand_tangent(rng, pt1), rand_tangent(rng, pt1)
-    assert d_double_prime(f1)(pt1, v1, w1) == -exterior_d(f1, 1e-5)(pt1, v1, w1)
+    for p in (0, 1):
+        assert (d_triple_complex(f1, p, "d'''")(pt1, v1, w1)
+                == -exterior_d(f1, 1e-5)(pt1, v1, w1))
 
 
 def test_double_complex_total_differential_squares_to_zero():
+    # on the nerve (q = 0) D3^2 holds the blocks of (d' + d'')^2: d'd' at
+    # (3, 0), the mixed block d'd''' + d'''d' at (2, 0) and d'''d''' at
+    # (1, 0)
     f = entry(mc_left(1, 1), 1, 2)
-    # (d' + d'')^2 = d'd' + (d'd'' + d''d') + d''d''
-    mixed_a = d_double_prime(d_prime(f))
-    mixed_b = d_prime(d_double_prime(f))
-    dd = d_double_prime(d_double_prime(f))
+    sq = total_d3(total_d3({(1, 0): {1: f}}))
+    mixed, dd = sq[(2, 0)][2], sq[(1, 0)][3]
     rng = np.random.default_rng(18)
     worst_mixed, worst_dd = 0.0, 0.0
     for _ in range(5):
         pt = rand_point(rng, 2)
         v, w = rand_tangent(rng, pt), rand_tangent(rng, pt)
-        worst_mixed = max(worst_mixed, abs(mixed_a(pt, v, w) + mixed_b(pt, v, w)))
+        worst_mixed = max(worst_mixed, abs(mixed(pt, v, w)))
         pt1 = rand_point(rng, 1)
         ts = [rand_tangent(rng, pt1) for _ in range(3)]
         worst_dd = max(worst_dd, abs(dd(pt1, *ts)))
@@ -326,15 +333,24 @@ def test_double_complex_total_differential_squares_to_zero():
 # ---------------------------------------------------------------------------
 # triple complex
 
+# how far each differential moves p
+_P_STEP = {"d'": 1, "d''": 0, "d'''": 0}
+
 
 def _flat_probe():
     return entry(mc_left(1, 2), 1, 2) + 2.0 * entry(mc_right(2, 2), 1, 3)
 
 
+def _compose(f, p, first, second):
+    """second applied after first to the form f at (p, level - p)."""
+    return d_triple_complex(d_triple_complex(f, p, first),
+                            p + _P_STEP[first], second)
+
+
 def test_bi_form_roundtrip_and_validation():
     flat = _flat_probe()
     bi = bi_form_from_flat(flat, 1, 1)
-    assert (bi.degree, bi.level, bi.p, bi.q) == (1, 2, 1, 1)
+    assert bi is flat
     rng = np.random.default_rng(19)
     bp = rand_point(rng, 2)
     t = rand_tangent(rng, bp)
@@ -343,13 +359,15 @@ def test_bi_form_roundtrip_and_validation():
         bi_form_from_flat(_flat_probe(), 2, 1)  # 2 + 1 != form level
     with pytest.raises(ValueError):
         bi(bp, t, t)
+    with pytest.raises(ValueError, match="flattened level mismatch"):
+        total_d3({(2, 1): {1: flat}})
 
 
 def test_triple_forms_check_the_base_point():
     bi = bi_form_from_flat(_flat_probe(), 1, 1)
     rng = np.random.default_rng(24)
     for which in ("d'", "d''", "d'''"):
-        g = d_triple_complex(bi, which)
+        g = d_triple_complex(bi, 1, which)
         bp = rand_point(rng, g.level)
         ts = [rand_tangent(rng, bp) for _ in range(g.degree)]
         g(bp, *ts)
@@ -363,29 +381,36 @@ def test_triple_differentials_pairwise_anticommute():
     rng = np.random.default_rng(20)
     pairs = [("d'", "d''"), ("d'", "d'''"), ("d''", "d'''")]
     for first, second in pairs:
-        ab = d_triple_complex(d_triple_complex(bi, first), second)
-        ba = d_triple_complex(d_triple_complex(bi, second), first)
+        ab = _compose(bi, 1, first, second)
+        ba = _compose(bi, 1, second, first)
         bp = rand_point(rng, ab.level)
         ts = [rand_tangent(rng, bp) for _ in range(ab.degree)]
         assert abs(ab(bp, *ts) + ba(bp, *ts)) < 1e-4
 
 
 def test_triple_total_differential_squares_to_zero():
-    # all nine second-order blocks of (d' + d'' + d''')^2 on a (1,1) probe
-    bi = bi_form_from_flat(_flat_probe(), 1, 1)
-    rng = np.random.default_rng(21)
+    # the nine second-order blocks of (d' + d'' + d''')^2 on a (1,1) probe
+    # land in six (p, q, degree) components of total_d3 applied twice; each
+    # is the sum of its hand-composed blocks, bit for bit, and vanishes
+    probe = _flat_probe()
+    sq = total_d3(total_d3({(1, 1): {1: probe}}))
     kinds = ("d'", "d''", "d'''")
-    # group the image forms by (p, q, degree) and add them up there
-    buckets = {}
+    blocks = {}
     for a in kinds:
         for b in kinds:
-            g = d_triple_complex(d_triple_complex(bi, a), b)
-            buckets.setdefault((g.p, g.q, g.degree), []).append(g)
-    for (p, q, deg), forms in buckets.items():
+            g = _compose(probe, 1, a, b)
+            p = 1 + _P_STEP[a] + _P_STEP[b]
+            blocks.setdefault(((p, g.level - p), g.degree), []).append(g)
+    assert {(key, deg) for key, forms in sq.items() for deg in forms} == set(
+        blocks)
+    assert sorted(len(forms) for forms in blocks.values()) == [1, 1, 1, 2, 2, 2]
+    rng = np.random.default_rng(21)
+    for ((p, q), deg), forms in blocks.items():
         bp = rand_point(rng, p + q)
         ts = [rand_tangent(rng, bp) for _ in range(deg)]
-        total = sum(f(bp, *ts) for f in forms)
-        assert abs(total) < 1e-4, (p, q, deg)
+        value = sq[(p, q)][deg](bp, *ts)
+        assert value == sum(f(bp, *ts) for f in forms), (p, q, deg)
+        assert abs(value) < 1e-4, (p, q, deg)
 
 
 def test_triple_vertical_with_trivial_action(monkeypatch):
@@ -400,15 +425,15 @@ def test_triple_vertical_with_trivial_action(monkeypatch):
     def base_only(bp, ts):
         return bp.factors[0][0, 0] ** 2
 
-    odd = BiFormEval(0, 2, base_only, 1)
-    dv = d_triple_complex(odd, "d''")
-    assert (dv.p, dv.q) == (1, 2)
+    odd = FormEval(0, 2, base_only)  # at (1, 1)
+    dv = d_triple_complex(odd, 1, "d''")
+    assert (dv.degree, dv.level) == (0, 3)  # at (1, 2)
     bp = rand_point(rng, 3)
     want = -base_only(bp, ())  # three terms + - +, outer sign (-1)^1
     assert abs(dv(bp) - want) < 1e-14
 
-    even = BiFormEval(0, 3, base_only, 1)
-    dv0 = d_triple_complex(even, "d''")
+    even = FormEval(0, 3, base_only)  # at (1, 2)
+    dv0 = d_triple_complex(even, 1, "d''")
     bp3 = rand_point(rng, 4)
     assert abs(dv0(bp3)) < 1e-14
 
@@ -416,7 +441,10 @@ def test_triple_vertical_with_trivial_action(monkeypatch):
 def test_d_triple_complex_rejects_unknown_kind():
     bi = bi_form_from_flat(_flat_probe(), 1, 1)
     with pytest.raises(ValueError):
-        d_triple_complex(bi, "sideways")
+        d_triple_complex(bi, 1, "sideways")
+    for p in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            d_triple_complex(bi, p, "d'")
 
 
 def _count_face_ng(monkeypatch):
@@ -464,7 +492,7 @@ def test_triple_complex_faces_compute_each_image_once(monkeypatch):
         entry(mc_left(1, 2), 1, 2) + entry(mc_right(2, 2), 1, 3), 1, 1)
     calls = _count_face_ng(monkeypatch)
     for which, faces in (("d'", 3), ("d''", 2)):
-        d = d_triple_complex(probe, which)
+        d = d_triple_complex(probe, 1, which)
         pt = rand_point(rng, d.level)
         calls.clear()
         d(pt, rand_tangent(rng, pt))

@@ -19,6 +19,10 @@ only reference each other, such as two mutually recursive functions that
 only the tests call, are dead.  A public method name that two classes
 define would keep both methods alive through a caller of either, so that
 fails too, unless ALLOWED lists the name.
+
+Every name that a module of `src/` imports must be read in that module,
+except in `__init__.py`, whose imports are the package's re-exports, and on
+lines marked `# noqa: F401`, which import a module for its side effects.
 """
 
 import ast
@@ -152,3 +156,43 @@ def test_no_two_classes_define_a_public_method_of_one_name():
 def test_every_private_top_level_name_has_a_caller_in_the_package():
     found = {(m, n) for m, n in _unreached() if n.startswith("_")}
     assert sorted(f"{m}: {n}" for m, n in found) == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """module:line: name of every name imported and never read."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                out.append(f"{path.name}:{node.lineno}: {name}")
+    return out
+
+
+def test_every_import_in_the_package_is_read():
+    assert [u for path in SRC if path.name != "__init__.py"
+            for u in _unused_imports(path)] == []
+
+
+def test_unused_import_check_finds_a_planted_import(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text("from __future__ import annotations\n"
+                       "import os.path\n"
+                       "import sys  # noqa: F401\n"
+                       "from dataclasses import dataclass, field\n"
+                       "from functools import (partial,\n"
+                       "                       reduce)  # noqa: F401\n"
+                       "x: field = os.path.join\n", encoding="utf-8")
+    assert _unused_imports(planted) == ["planted.py:4: dataclass"]
