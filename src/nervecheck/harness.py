@@ -16,11 +16,12 @@ uint32 entropy words ``[seed mod 2**32, crc32(id), t]``, which is the stream
 of ``default_rng([seed % 2**32, crc32(id), t])``.  Every trial draws from
 its stream in the same order whatever the other trials draw, so adding
 checks or reordering trials never perturbs existing runs, and
-`trial_rows(cfg, [k])` replays trial k alone.  `trial_rngs` hashes the
-entropy of all the trials of a stack in one pass of numpy uint32
-arithmetic, the same hash `SeedSequence` computes one word at a time, and
-hands each PCG64 its four seed words; NEP 19 freezes both the hash and the
-stream, so the streams do not depend on the numpy version.  The samplers
+`trial_rows(cfg, [k])` replays trial k alone.  `trial_rngs` computes the
+hash `SeedSequence` computes for all the trials of a stack at once, in
+vectorized rounds of numpy uint32 arithmetic (the entropy words in, one
+round of mixes per source word, the seed words out), and hands each PCG64
+its four seed words as a C-contiguous row; NEP 19 freezes both the hash and
+the stream, so the streams do not depend on the numpy version.  The samplers
 stack the draws of the trials, and `trial` builds the forms and runs them,
 the exponentials and the products once on the stack: a run walks each form
 tree once per stack, not once per trial.  At most `CHUNK` trials form one
@@ -54,6 +55,13 @@ D3 = `nerve.total_d3`, the rows and their draws before the levels are
 `d-squared` reads one (p, q, degree) component of D3^2 per block, drawn in
 this order: d'''d''' (1,0,3), d'd' (3,0,1) and (3,0,3), the mixed block of
 omega (2,0,2), and the probe's d'd'' (2,2,1), d'd''' (2,1,2), d''d''' (1,2,2).
+
+`simplicial-identities` and `gamma-simplicial` compare two points factor by
+factor.  They evaluate each inner face, degeneracy or gamma image of a
+sampled level once, skip the factors that are the same array on both sides
+(they agree exactly: a factor carried through unchanged, or the identity
+that every degeneracy of one stack shape shares), and reduce the other
+factors in one pass.
 
 A NaN residual in any component fails the run: it reports an error of inf
 at the first trial with a NaN.
@@ -153,26 +161,23 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4  # SeedSequence's default pool size, in uint32 words
 
 
-def _hash_steps(init: int, mult: int, count: int) -> list[tuple]:
-    """The (xor, multiplier) constants of `count` successive hash steps: a
-    step xors with the running constant, advances it by `mult`, and then
-    multiplies by the advanced one."""
-    out, h = [], init
+def _hash_steps(init: int, mult: int, count: int) -> tuple:
+    """The constants of `count` successive hash steps as two uint32 arrays,
+    (xor, multiplier): a step xors with the running constant, advances it by
+    `mult`, and then multiplies by the advanced one."""
+    xors, mults, h = [], [], init
     for _ in range(count):
         advanced = (h * mult) & 0xFFFFFFFF
-        out.append((np.uint32(h), np.uint32(advanced)))
+        xors.append(h)
+        mults.append(advanced)
         h = advanced
-    return out
+    return (np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32))
 
 
-# the pool's words hashed in, then its 12 ordered pairs mixed
-_STEPS_A = _hash_steps(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
-# the 8 uint32 words of 4 uint64 seed words hashed out of the pool
-_STEPS_B = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
-
-
-def _hash(value: np.ndarray, step: tuple) -> np.ndarray:
-    xor, mult = step
+def _hash(value: np.ndarray, steps: tuple) -> np.ndarray:
+    """Hash steps applied elementwise: the constants broadcast along the
+    last axis of `value`."""
+    xor, mult = steps
     value = (value ^ xor) * mult
     return value ^ (value >> np.uint32(16))
 
@@ -182,20 +187,34 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> np.uint32(16))
 
 
+# the pool's words hashed in, then its 12 ordered pairs (src, dst) mixed,
+# src-major
+_STEPS_A = _hash_steps(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
+_IN_STEPS = tuple(c[:_POOL] for c in _STEPS_A)
+# one round per source word: its destinations and their three steps.  A
+# round reads only pool[src] and never writes it, so its mixes are
+# independent of one another.
+_ROUNDS = [(src, [d for d in range(_POOL) if d != src],
+            tuple(c[_POOL + 3 * src:_POOL + 3 * src + 3] for c in _STEPS_A))
+           for src in range(_POOL)]
+# the 8 uint32 words of 4 uint64 seed words hashed out of the pool, low
+# half first
+_STEPS_B = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
+_OUT_WORDS = np.arange(2 * _POOL) % _POOL
+
+
 def _seed_words(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence(row).generate_state(4, uint64) for every row of an
     (N, 4) uint32 array of entropy words, padded with zeros to the pool
-    size as SeedSequence pads them: an (N, 4) uint64 array."""
-    steps = iter(_STEPS_A)
-    pool = [_hash(entropy[:, i], next(steps)) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], next(steps)))
-    state = np.stack([_hash(pool[k % _POOL], step)
-                      for k, step in enumerate(_STEPS_B)], axis=1)
+    size as SeedSequence pads them: a C-contiguous (N, 4) uint64 array,
+    whose rows PCG64 reads as raw buffers.  The hash runs in vectorized
+    rounds: the words in, one round per source word, the words out."""
+    pool = _hash(entropy, _IN_STEPS)
+    for src, dsts, steps in _ROUNDS:
+        pool[:, dsts] = _mix(pool[:, dsts], _hash(pool[:, src, None], steps))
+    state = _hash(pool[:, _OUT_WORDS], _STEPS_B)
     lo, hi = state[:, 0::2].astype(np.uint64), state[:, 1::2].astype(np.uint64)
-    return lo | (hi << np.uint64(32))
+    return np.ascontiguousarray(lo | (hi << np.uint64(32)))
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
@@ -215,7 +234,7 @@ def trial_rngs(seed: int, check_id: str,
                trials: Sequence[int]) -> list[np.random.Generator]:
     """The RNG streams owned by the given trials of one check: trial t owns
     ``default_rng([seed % 2**32, crc32(check_id), t])``, seeded here for all
-    the trials in one pass of uint32 arithmetic."""
+    the trials at once, in vectorized rounds of uint32 arithmetic."""
     trials = np.asarray(trials, dtype=np.int64).reshape(-1)
     if trials.size and not (0 <= trials.min() and trials.max() < 2**32):
         raise ValueError("a trial index must lie in [0, 2**32)")
@@ -311,47 +330,54 @@ def sample_bi_tangent(tape: DrawTape, pt: GroupPoint) -> Tangent:
 
 
 def _max_factor_dev(a: GroupPoint, b: GroupPoint) -> np.ndarray:
-    """The largest entry deviation between the factors, per stacked point."""
+    """The largest entry deviation between the factors, per stacked point.
+    A factor that is the same array on both sides deviates by exactly 0 and
+    is skipped; the others are reduced in one pass.  A NaN entry reaches
+    every product it enters, so it still shows through those."""
     if a.level != b.level:
         raise ValueError("comparing points of different levels")
-    worst = 0.0
-    for x, y in zip(a.factors, b.factors):
-        worst = np.maximum(worst, np.max(np.abs(x - y), axis=(-2, -1)))
-    return worst
+    pairs = [(x, y) for x, y in zip(a.factors, b.factors) if x is not y]
+    if not pairs:
+        return 0.0
+    xs, ys = zip(*pairs)
+    return np.max(abs(np.subtract(xs, ys)), axis=(0, -2, -1))
 
 
 def _trial_simplicial(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
+    # Every inner face and degeneracy of a level is computed once.
     # face/face: eps_i . eps_j = eps_{j-1} . eps_i  for i < j
     faces = 0.0
     for q in range(2, 5):
         pt = sample_point(tape, q)
+        inner = [face_ng(j, pt) for j in range(q + 1)]
         for j in range(1, q + 1):
             for i in range(j):
                 faces = np.maximum(faces, _max_factor_dev(
-                    face_ng(i, face_ng(j, pt)),
-                    face_ng(j - 1, face_ng(i, pt))))
+                    face_ng(i, inner[j]), face_ng(j - 1, inner[i])))
     # degeneracy/degeneracy: eta_i . eta_j = eta_{j+1} . eta_i  for i <= j
     degeneracies = 0.0
     for q in range(1, 4):
         pt = sample_point(tape, q)
+        inner = [degeneracy_ng(j, pt) for j in range(q + 1)]
         for j in range(q + 1):
             for i in range(j + 1):
                 degeneracies = np.maximum(degeneracies, _max_factor_dev(
-                    degeneracy_ng(i, degeneracy_ng(j, pt)),
-                    degeneracy_ng(j + 1, degeneracy_ng(i, pt))))
+                    degeneracy_ng(i, inner[j]),
+                    degeneracy_ng(j + 1, inner[i])))
     # face/degeneracy in all index positions
     mixed = 0.0
     for q in range(1, 4):
         pt = sample_point(tape, q)
+        inner = [face_ng(i, pt) for i in range(q + 1)]
         for j in range(q + 1):
             lifted = degeneracy_ng(j, pt)
             for i in range(q + 2):
                 if i == j or i == j + 1:
                     expected = pt
                 elif i < j:
-                    expected = degeneracy_ng(j - 1, face_ng(i, pt))
+                    expected = degeneracy_ng(j - 1, inner[i])
                 else:  # i > j + 1
-                    expected = degeneracy_ng(j, face_ng(i - 1, pt))
+                    expected = degeneracy_ng(j, inner[i - 1])
                 mixed = np.maximum(
                     mixed, _max_factor_dev(face_ng(i, lifted), expected))
     return {"face-face": faces, "degeneracy-degeneracy": degeneracies,
@@ -362,9 +388,10 @@ def _trial_gamma(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     worst = 0.0
     for q in range(1, 4):
         pt = sample_point(tape, q + 1)  # the over-group level q has q+1 factors
+        image = gamma(pt)
         for i in range(q + 1):
             worst = np.maximum(worst, _max_factor_dev(
-                gamma(face_pg(i, pt)), face_ng(i, gamma(pt))))
+                gamma(face_pg(i, pt)), face_ng(i, image)))
     return {"faces": worst}
 
 

@@ -29,7 +29,7 @@ Complex differentials:
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -73,6 +73,13 @@ def face_ng_diff(i: int, pt: GroupPoint, t: Tangent) -> tuple[np.ndarray, ...]:
     return v[:i - 1] + (mid,) + v[i + 1:]
 
 
+@lru_cache(maxsize=64)
+def _identity(shape: tuple) -> np.ndarray:
+    """The read-only identity factor of a stack shape: every degeneracy
+    inserts the same array into points of one shape."""
+    return np.broadcast_to(np.eye(DIM), shape)
+
+
 def degeneracy_ng(i: int, pt: GroupPoint) -> GroupPoint:
     """i-th degeneracy SO(4)^q -> SO(4)^(q+1): insert the identity factor."""
     q = pt.level
@@ -80,7 +87,7 @@ def degeneracy_ng(i: int, pt: GroupPoint) -> GroupPoint:
         raise ValueError(f"degeneracy index {i} out of range for level {q}")
     g = pt.factors
     # the identity takes the stack shape of the other factors
-    one = np.broadcast_to(np.eye(DIM), g[0].shape) if g else np.eye(DIM)
+    one = _identity(g[0].shape if g else (DIM, DIM))
     return GroupPoint(g[:i] + (one,) + g[i:])
 
 

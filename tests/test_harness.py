@@ -1,5 +1,6 @@
 """Tests for the randomized check harness: ids, configs, reports, determinism."""
 
+import hashlib
 import math
 import sys
 import warnings
@@ -33,6 +34,7 @@ from nervecheck.harness import (
 )
 from nervecheck.formcalc import FormEval
 from nervecheck.matrixgroup import exp_matrix, skew_from_coords
+from nervecheck.nerve import degeneracy_ng, face_ng, face_pg, gamma
 
 from helpers import trial_rng, validate_point, validate_tangent
 from oracles import PerCallSampler
@@ -357,6 +359,144 @@ def test_nan_residual_fails_a_signed_component(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# simplicial-identities and gamma-simplicial: each face evaluated once, and
+# factors that are one array on both sides skipped, move no bit
+
+
+def _digest(col) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(col, dtype="<f8").tobytes()).hexdigest()
+
+
+# 200 exact zeros
+_ZEROS = "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865"
+
+# sha256 of the little-endian doubles of each trial_rows column at 200
+# trials, recorded on the loops below, which evaluated every face, every
+# degeneracy and gamma once per compared pair and subtracted every factor
+_IDENTITY_DIGESTS = {
+    ("simplicial-identities", 0): {
+        "face-face":
+            "8b523e36ae9a17f9afb7344bdb9eb075cdbb21b36024a943dcaf93804bcbb567",
+        "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
+    ("simplicial-identities", 1): {
+        "face-face":
+            "4e833fe91a513ebcef401e73b4d098da3401e6086cbec54a52466cd13bd5df03",
+        "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
+    ("simplicial-identities", 2): {
+        "face-face":
+            "d2f6d4e358f65c33c59e34401be243439d8f2e6bf6c100d9e3a94dc54e2e3f85",
+        "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
+    ("simplicial-identities", 3): {
+        "face-face":
+            "59403924848c92efdd6ca82a25766515c02ed0acd16539898f3cd0be27851ed7",
+        "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
+    ("gamma-simplicial", 0): {
+        "faces":
+            "472e757607fa9ba2b642abfb6c60dca66e13acf41e9a160dfa70040f8c0b71bd"},
+    ("gamma-simplicial", 1): {
+        "faces":
+            "3944a081945c4a0a5abafe71bfbabee3fb3172582e13a0861c4a3e07bcfa4cdc"},
+    ("gamma-simplicial", 2): {
+        "faces":
+            "1ebea72d952188b2494111d81ba326df6fff525129fefc6a7ebc9c69d04d7401"},
+    ("gamma-simplicial", 3): {
+        "faces":
+            "49f5c258906c5151e31cdf6100948b67710ba134b8fc46e409688f36154d712d"},
+}
+
+
+def _per_pair_dev(a, b):
+    worst = 0.0
+    for x, y in zip(a.factors, b.factors, strict=True):
+        worst = np.maximum(worst, np.max(np.abs(x - y), axis=(-2, -1)))
+    return worst
+
+
+def _per_pair_columns(check_id, seed):
+    """The columns of a 200-trial run as the per-pair loops computed them."""
+    tape = DrawTape(trial_rngs(seed, check_id, range(200)))
+    if check_id == "gamma-simplicial":
+        worst = 0.0
+        for q in range(1, 4):
+            pt = sample_point(tape, q + 1)
+            for i in range(q + 1):
+                worst = np.maximum(worst, _per_pair_dev(
+                    gamma(face_pg(i, pt)), face_ng(i, gamma(pt))))
+        return {"faces": worst}
+    faces = degeneracies = mixed = 0.0
+    for q in range(2, 5):
+        pt = sample_point(tape, q)
+        for j in range(1, q + 1):
+            for i in range(j):
+                faces = np.maximum(faces, _per_pair_dev(
+                    face_ng(i, face_ng(j, pt)),
+                    face_ng(j - 1, face_ng(i, pt))))
+    for q in range(1, 4):
+        pt = sample_point(tape, q)
+        for j in range(q + 1):
+            for i in range(j + 1):
+                degeneracies = np.maximum(degeneracies, _per_pair_dev(
+                    degeneracy_ng(i, degeneracy_ng(j, pt)),
+                    degeneracy_ng(j + 1, degeneracy_ng(i, pt))))
+    for q in range(1, 4):
+        pt = sample_point(tape, q)
+        for j in range(q + 1):
+            for i in range(q + 2):
+                if i == j or i == j + 1:
+                    expected = pt
+                elif i < j:
+                    expected = degeneracy_ng(j - 1, face_ng(i, pt))
+                else:
+                    expected = degeneracy_ng(j, face_ng(i - 1, pt))
+                mixed = np.maximum(mixed, _per_pair_dev(
+                    face_ng(i, degeneracy_ng(j, pt)), expected))
+    return {"face-face": faces, "degeneracy-degeneracy": degeneracies,
+            "face-degeneracy": mixed}
+
+
+@pytest.mark.parametrize("check_id, seed", sorted(_IDENTITY_DIGESTS))
+def test_identity_check_columns_equal_the_per_pair_loops(check_id, seed):
+    got = trial_rows(CheckConfig(check_id, seed=seed), range(200))
+    want = _per_pair_columns(check_id, seed)
+    assert set(got) == set(want)
+    for key, col in got.items():
+        assert _same_bits(col, np.broadcast_to(want[key], (200,))), key
+
+
+@pytest.mark.parametrize("check_id, seed", sorted(_IDENTITY_DIGESTS))
+def test_identity_check_columns_match_recorded_digests(check_id, seed):
+    # The digests pin the residuals' last bits, which depend on how the
+    # platform rounds sin, cos and 4x4 products; where the per-pair loops
+    # do not reproduce them, the test above still compares bit for bit.
+    recorded = _IDENTITY_DIGESTS[check_id, seed]
+    replayed = {k: _digest(np.broadcast_to(v, (200,)))
+                for k, v in _per_pair_columns(check_id, seed).items()}
+    if replayed != recorded:
+        pytest.skip("this platform rounds the samples differently")
+    got = trial_rows(CheckConfig(check_id, seed=seed), range(200))
+    assert {k: _digest(v) for k, v in got.items()} == recorded
+
+
+@pytest.mark.parametrize("check_id", ["simplicial-identities",
+                                      "gamma-simplicial"])
+def test_nan_in_a_sampled_factor_fails_the_identity_checks(monkeypatch,
+                                                           check_id):
+    # A NaN entry in the first factor of trial 7 of every sampled point.
+    # Comparisons of a factor with itself are skipped, but the NaN reaches
+    # every product it enters, so the run still fails at trial 7.
+    def poisoned(x):
+        out = exp_matrix(x)
+        out[7, 0, 1, 2] = np.nan
+        return out
+
+    monkeypatch.setattr(harness, "exp_matrix", poisoned)
+    rep = run_check(CheckConfig(check_id, trials=20))
+    assert not rep.passed
+    assert (rep.max_abs_err, rep.worst_trial) == (math.inf, 7)
+
+
+# ---------------------------------------------------------------------------
 # kill matrix (ROADMAP item 3): planted defects in the cochain evaluators,
 # each of which some check of D c must fail at the defaults
 
@@ -566,6 +706,23 @@ def test_seed_words_refuse_any_request_but_four_uint64(request_args):
                               4, np.uint64))
     with pytest.raises(ValueError):
         seq.generate_state(*request_args)
+
+
+@pytest.mark.parametrize("trials", [1, 2, CHUNK, CHUNK + 1])
+def test_seed_words_are_c_contiguous_rows_of_numpy_streams(trials):
+    # PCG64 reads the raw buffer that generate_state returns, so words built
+    # in another memory order would still compare equal to numpy's, yet seed
+    # every stream wrongly.  One row cannot show it: a (1, 4) array in
+    # Fortran order is also C-contiguous.
+    entropy = np.zeros((trials, 4), dtype=np.uint32)
+    entropy[:, 0] = 5
+    entropy[:, 1] = zlib.crc32(b"unit")
+    entropy[:, 2] = np.arange(trials)
+    words = harness._seed_words(entropy)
+    assert words.dtype == np.uint64 and words.shape == (trials, 4)
+    assert words.flags.c_contiguous
+    for t, rng in enumerate(trial_rngs(5, "unit", range(trials))):
+        assert _same_bits(rng.random(7), _numpy_rng(5, "unit", t).random(7)), t
 
 
 def test_tape_matches_per_call_draws_past_several_blocks():

@@ -93,6 +93,20 @@ def test_degeneracy_inserts_identity():
     assert np.array_equal(up.factors[2], pt.factors[1])
 
 
+def test_degeneracies_of_one_stack_shape_share_a_read_only_identity():
+    # the harness skips factors that are one array on both sides, so two
+    # degeneracies must insert the very same identity into points of a shape
+    stack = GroupPoint((np.stack([np.eye(4)] * 5),) * 2)
+    one = degeneracy_ng(0, stack).factors[0]
+    assert one.shape == (5, 4, 4) and not one.flags.writeable
+    assert np.array_equal(one, np.broadcast_to(np.eye(4), (5, 4, 4)))
+    assert degeneracy_ng(2, degeneracy_ng(1, stack)).factors[1] is one
+    assert degeneracy_ng(2, degeneracy_ng(1, stack)).factors[2] is one
+    bare = degeneracy_ng(0, GroupPoint(()))
+    assert bare.factors[0].shape == (4, 4)
+    assert degeneracy_ng(1, bare).factors[1] is bare.factors[0]
+
+
 def test_face_degeneracy_identities():
     # eps_i o eta_i = id = eps_{i+1} o eta_i
     rng = np.random.default_rng(3)
