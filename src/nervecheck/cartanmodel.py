@@ -35,7 +35,8 @@ from typing import Callable, Hashable
 
 import numpy as np
 
-from .formcalc import FD_STEP_DEFAULT, FormEval, contract, exterior_d
+from .formcalc import (FD_STEP_DEFAULT, FormEval, chart_scope, contract,
+                       exterior_d)
 from .matrixgroup import GroupPoint, Tangent
 from .nerve import _accumulate, d_prime
 
@@ -127,6 +128,12 @@ def equivariant_total_check(cochain: dict[Hashable, dict[int, FormEval]],
     components of a level are evaluated before the next level is drawn.  The
     forms are called with their argument checks, so a sample with too few
     tangents raises ValueError.
+
+    Each component is read inside its own `formcalc.chart_scope`: the
+    exterior derivatives of its terms, such as d'(d w) and d(d' w), share
+    the chart of every factor array they differentiate with the same
+    tangent reps, and the charts are dropped when the component returns
+    or raises, before the next one is read.
     """
     counts: dict[Hashable, int] = {}
     for key, degree in components.values():
@@ -136,5 +143,6 @@ def equivariant_total_check(cochain: dict[Hashable, dict[int, FormEval]],
         pt, ts = sample(key, count)
         for name, (at, degree) in components.items():
             if at == key:
-                out[name] = abs(cochain[key][degree](pt, *ts[:degree]))
+                with chart_scope():
+                    out[name] = abs(cochain[key][degree](pt, *ts[:degree]))
     return out

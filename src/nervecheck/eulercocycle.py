@@ -102,7 +102,7 @@ def eval_E22(pt: GroupPoint, t1: Tangent, t2: Tangent) -> float:
         raise ValueError("this 2-form lives on two factors")
     _require_base(pt, t1, t2)
     h1T = pt.factors[0].mT
-    h2T = pt.factors[1].mT
+    h2T = np.ascontiguousarray(pt.factors[1].mT)
     l1, l2 = (_coords(h1T @ t.reps[0]) for t in (t1, t2))
     r1, r2 = (_coords(t.reps[1] @ h2T) for t in (t1, t2))
     return 2.0 * _C64 * (_pf(l1, r2) - _pf(l2, r1))
@@ -116,7 +116,8 @@ def eval_mu(X: np.ndarray, pt: GroupPoint, v: Tangent) -> float:
     h = pt.factors[0]
     x = _coords(np.asarray(X, dtype=float))
     return 2.0 * _C64 * (_pf(x, _coords(h.mT @ v.reps[0]))
-                         + _pf(x, _coords(v.reps[0] @ h.mT)))
+                         + _pf(x, _coords(v.reps[0]
+                                          @ np.ascontiguousarray(h.mT))))
 
 
 def e13_form() -> EquivariantForm:

@@ -19,8 +19,13 @@ commute, so df is the alternating sum of their derivatives with no bracket
 terms.  That leaves genuine O(fd_step^2) truncation on every integrand,
 bi-invariant ones included, so convergence is observable by step halving.
 The 2(r+1) stepped points of a degree-r form, one per direction and sign,
-stand on a new leading step axis: an evaluation makes one stacked
-exponential per factor and one call of the form.  The step axis broadcasts
+stand on a new leading step axis: an evaluation makes one call of the form
+and at most one stacked exponential per factor.  Within a `chart_scope`,
+such as the reading of one component of a cochain, a factor's chart is
+built once per distinct factor and tangents and then shared, so a
+component read makes one exponential per distinct factor and tangents:
+the pullbacks of an alternating face sum pass most factors and their
+tangent reps through as the same arrays.  The step axis broadcasts
 against the form's own arrays from the right, so a form that captures
 stacked arrays (such as an (N, 4, 4) argument X) is differentiated at
 points stacked the same way.
@@ -28,10 +33,12 @@ points stacked the same way.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -109,7 +116,8 @@ def mc_right(factor_index: int, level: int) -> FormEval:
         raise ValueError(f"factor index {factor_index} out of range for level {level}")
     k = factor_index - 1
     return FormEval(
-        1, level, lambda pt, ts: ts[0].reps[k] @ pt.factors[k].mT)
+        1, level,
+        lambda pt, ts: ts[0].reps[k] @ np.ascontiguousarray(pt.factors[k].mT))
 
 
 def entry(m: FormEval, a: int, b: int) -> FormEval:
@@ -224,8 +232,10 @@ def _chart_steps(h: np.ndarray, vs: list, fd_step: float):
     """The stepped points of one factor h, on a step axis of length 2(r+1),
     and for each slot s < r the field in that slot at every step (see
     exterior_d); vs are the factor's r+1 tangent reps.  Its temporaries,
-    such as the exponentials, are freed before the form is evaluated."""
-    xs = [v @ h.mT for v in vs]
+    such as the exponentials, are freed before the form is evaluated; the
+    arrays it returns are read-only, since a chart may be shared."""
+    hT = np.ascontiguousarray(h.mT)
+    xs = [v @ hT for v in vs]
     plus = exp_matrix(fd_step * np.stack(xs))
     # exp(-tX) is the transpose of exp(tX); step 2i is +fd_step and step
     # 2i+1 is -fd_step along direction i
@@ -233,10 +243,53 @@ def _chart_steps(h: np.ndarray, vs: list, fd_step: float):
         (2 * len(vs),) + plus.shape[1:])
     m = e @ h
     # slot s holds direction s at the steps along i > s and direction s+1
-    # at the others, the first 2(s+1)
-    return m, [np.concatenate([e[:2 * s + 2] @ vs[s + 1],
-                               xs[s] @ m[2 * s + 2:]])
-               for s in range(len(vs) - 1)]
+    # at the others, the first 2(s+1); every field has the shape of m, the
+    # broadcast of h and its tangent reps behind the step axis
+    fields = []
+    for s in range(len(vs) - 1):
+        field = np.empty(m.shape)
+        np.matmul(e[:2 * s + 2], vs[s + 1], out=field[:2 * s + 2])
+        np.matmul(xs[s], m[2 * s + 2:], out=field[2 * s + 2:])
+        field.flags.writeable = False
+        fields.append(field)
+    m.flags.writeable = False
+    return m, fields
+
+
+# The charts of the current `chart_scope`, or None outside one:
+# {(id(h), ids of vs, fd_step): ((h, vs), chart)}.  An entry holds its
+# input arrays, so their ids stay unique while it lives.
+_charts: ContextVar[Optional[dict]] = ContextVar("charts", default=None)
+
+
+@contextlib.contextmanager
+def chart_scope() -> Iterator[None]:
+    """Share the chart of every factor that `exterior_d` builds inside the
+    block among the evaluations that differentiate the same factor array
+    with the same tangent rep arrays and step; the charts are dropped when
+    the block ends, however it ends.  A chart depends only on those
+    arrays, so sharing moves no bit.  Outside a scope nothing is kept."""
+    token = _charts.set({})
+    try:
+        yield
+    finally:
+        _charts.reset(token)
+
+
+def _chart(h: np.ndarray, vs: list, fd_step: float):
+    """`_chart_steps(h, vs, fd_step)`, looked up in the current scope."""
+    charts = _charts.get()
+    if charts is None:
+        return _chart_steps(h, vs, fd_step)
+    key = (id(h), tuple(map(id, vs)), fd_step)
+    hit = charts.get(key)
+    if hit is not None:
+        (h0, vs0), chart = hit
+        if h0 is h and all(a is b for a, b in zip(vs0, vs)):
+            return chart
+    chart = _chart_steps(h, vs, fd_step)
+    charts[key] = ((h, vs), chart)
+    return chart
 
 
 def exterior_d(f: FormEval, fd_step: float = FD_STEP_DEFAULT) -> FormEval:
@@ -251,11 +304,13 @@ def exterior_d(f: FormEval, fd_step: float = FD_STEP_DEFAULT) -> FormEval:
         df(v_0, ..., v_r) = sum_i (-1)^i (f(+) - f(-)) / (2 fd_step),
 
     with f(+-) the form at exp(+-fd_step X_i) h on the other fields, and no
-    bracket term evaluates the form.  One exponential per factor gives the
-    r+1 steps exp(fd_step X_i); exp(-fd_step X_i) is its transpose, the
-    inverse of a rotation.  The truncation is O(fd_step^2) on every form,
-    bi-invariant ones included: d of the closed 3-form reads of order 1e-8
-    at fd_step = 1e-3 on unit-sized tangents and falls by 4 at each halving.
+    bracket term evaluates the form.  One exponential per distinct factor
+    and tangents within a component read (a `chart_scope`), and one per
+    factor outside it, gives the r+1 steps exp(fd_step X_i);
+    exp(-fd_step X_i) is its transpose, the inverse of a rotation.  The
+    truncation is O(fd_step^2) on every form, bi-invariant ones included:
+    d of the closed 3-form reads of order 1e-8 at fd_step = 1e-3 on
+    unit-sized tangents and falls by 4 at each halving.
     """
     if not 1e-7 <= fd_step <= 1e-3:
         raise ValueError("fd_step must lie in [1e-7, 1e-3]")
@@ -265,7 +320,7 @@ def exterior_d(f: FormEval, fd_step: float = FD_STEP_DEFAULT) -> FormEval:
 
     def dfn(pt, ts):
         factors = pt.factors
-        charts = [_chart_steps(h, [t.reps[k] for t in ts], fd_step)
+        charts = [_chart(h, [t.reps[k] for t in ts], fd_step)
                   for k, h in enumerate(factors)]
         at = GroupPoint(tuple(m for m, _ in charts))
         vals = np.asarray(fn(at, tuple(

@@ -449,12 +449,13 @@ def _mc_structure(cfg: CheckConfig, tape) -> dict:
 
 def _ad_invariance(cfg: CheckConfig, tape) -> dict:
     g = sample_point(tape, 1).factors[0]
+    gT = np.ascontiguousarray(g.mT)
     X = sample_algebra(tape)
     conj = {p: SmoothMap(p, p, lambda pt: _conj_apply(g, pt),
-                         lambda pt, t: tuple(g @ r @ g.mT for r in t.reps))
+                         lambda pt, t: tuple(g @ r @ gT for r in t.reps))
             for p in (1, 2)}
     moved = {p: {d: pullback(f, conj[p]) for d, f in forms.items()}
-             for p, forms in _cocycle(g @ X @ g.mT).items()}
+             for p, forms in _cocycle(g @ X @ gT).items()}
     return _minus(_cocycle(X), moved)
 
 

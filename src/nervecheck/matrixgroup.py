@@ -9,6 +9,14 @@ Every matrix may carry leading stack axes: a factor or a tangent rep of
 shape (N, 4, 4) holds N points at once, and `exp_matrix`, `skew_from_coords`
 and the containers' validation work slice by slice on such stacks.  The
 matrix transpose is therefore always `.mT`, a swap of the last two axes.
+
+A stacked product whose right operand is such a transpose, `v @ h.mT`,
+falls to numpy's strided matmul loop, three to four times slower than the
+product with a contiguous right operand.  Where that product is on a hot
+path (the charts of `formcalc.exterior_d`, `mc_right`, the right
+Maurer-Cartan terms of the cochains, gamma, the conjugation action) the code
+multiplies by `np.ascontiguousarray(h.mT)` instead: the copy holds the same
+numbers, and the product gives the same bits.
 """
 
 from __future__ import annotations

@@ -113,7 +113,8 @@ def gamma(pt: GroupPoint) -> GroupPoint:
     if n < 1:
         raise ValueError("gamma needs at least one factor")
     g = pt.factors
-    return GroupPoint(tuple(g[k] @ g[k + 1].mT for k in range(n - 1)))
+    return GroupPoint(tuple(g[k] @ np.ascontiguousarray(g[k + 1].mT)
+                            for k in range(n - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +123,14 @@ def gamma(pt: GroupPoint) -> GroupPoint:
 
 def _conj_apply(g: np.ndarray, x: GroupPoint) -> GroupPoint:
     """g acting on every factor of x by conjugation."""
-    return GroupPoint(tuple(g @ m @ g.mT for m in x.factors))
+    gT = np.ascontiguousarray(g.mT)
+    return GroupPoint(tuple(g @ m @ gT for m in x.factors))
 
 
 def _conj_diff(g, vg, x, vx):
     """The joint differential of _conj_apply in (g, x): the acting element,
     its tangent rep, the point and the point's tangent reps."""
-    ginv = g.mT
+    ginv = np.ascontiguousarray(g.mT)
     out = []
     for m, vm in zip(x.factors, vx):
         out.append(vg @ m @ ginv + g @ vm @ ginv - g @ m @ ginv @ vg @ ginv)

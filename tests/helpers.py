@@ -4,6 +4,8 @@ Unlike `oracles.py`, nothing here is an independent reference: these are
 conveniences built from the package's own primitives.
 """
 
+import hashlib
+
 import numpy as np
 
 from nervecheck.formcalc import FormEval
@@ -12,6 +14,19 @@ from nervecheck.formdsl import (EntrySel, MCLAtom, MCRAtom, Scale, Square, Sum,
 from nervecheck.harness import trial_rngs
 from nervecheck.matrixgroup import (DIM, GroupPoint, Tangent, exp_matrix,
                                     skew_from_coords)
+
+
+def same_bits(a, b) -> bool:
+    """a and b as float arrays have the same shape and the same bits."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def digest(col) -> str:
+    """sha256 of the little-endian doubles of an array."""
+    return hashlib.sha256(
+        np.ascontiguousarray(col, dtype="<f8").tobytes()).hexdigest()
 
 
 def validate_point(pt: GroupPoint, tol: float = 1e-12) -> GroupPoint:

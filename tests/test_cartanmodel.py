@@ -1,7 +1,12 @@
 """Tests for the fundamental field, X-twisted differential, and total check."""
 
+import contextlib
+
 import numpy as np
 import pytest
+
+import nervecheck.cartanmodel as cartanmodel
+import nervecheck.formcalc as formcalc
 
 from nervecheck.matrixgroup import (
     GroupPoint,
@@ -10,9 +15,10 @@ from nervecheck.matrixgroup import (
     exp_matrix,
     identity_point,
 )
-from nervecheck.formcalc import FormEval, contract, entry, mc_left
-from nervecheck.harness import (DrawTape, sample_algebra, sample_point,
-                                sample_tangents, trial_rngs)
+from nervecheck.formcalc import FormEval, contract, entry, exterior_d, mc_left
+from nervecheck.harness import (CheckConfig, DrawTape, run_check,
+                                sample_algebra, sample_point, sample_tangents,
+                                trial_rngs, trial_rows)
 from nervecheck.nerve import d_prime
 from nervecheck.cartanmodel import (
     EquivariantForm,
@@ -24,8 +30,8 @@ from nervecheck.cartanmodel import (
 )
 from nervecheck.eulercocycle import e13_form, e22_form, mu_form
 
-from helpers import (constant_form, rand_point, rand_tangent, random_skew,
-                     validate_tangent)
+from helpers import (constant_form, digest, rand_point, rand_tangent,
+                     random_skew, same_bits, validate_tangent)
 
 E12 = basis_element(1, 2)
 E13 = basis_element(1, 3)
@@ -208,12 +214,6 @@ def test_twisted_d_of_mu_reproduces_contraction_of_e13():
 # the total differential D = d' + (-1)^p (d - i_{X#})
 
 
-def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64),
-                                                 b.view(np.int64))
-
-
 def test_total_d_is_d_prime_plus_signed_cartan_d():
     # a stacked sample of 8 trials, X stacked alike
     tape = DrawTape(trial_rngs(5, "total-d", range(8)))
@@ -240,7 +240,7 @@ def test_total_d_is_d_prime_plus_signed_cartan_d():
             ts = sample_tangents(tape, pt, degree)
             got = D[level][degree](pt, *ts)
             assert np.shape(got) == (8,)
-            assert _same_bits(got, want(pt, ts)), (level, degree)
+            assert same_bits(got, want(pt, ts)), (level, degree)
 
 
 def test_total_d_evaluates_nothing_until_a_component_is_read():
@@ -360,3 +360,149 @@ def test_total_check_draws_each_level_once_before_the_next():
     assert out == {"d": 0.0, "e": 0.0, "b": 0.0, "a": 0.0}
     assert log == [("draw", 2, 3), ("eval", 2, 3), ("eval", 2, 1),
                    ("draw", 1, 4), ("eval", 1, 2), ("eval", 1, 4)]
+
+
+# ---------------------------------------------------------------------------
+# one chart per factor and tangents within a component read
+
+_FD_IDS = ("mc-structure", "lemma-4.1", "euler-cocycle", "equivariant-cocycle",
+           "d-squared")
+
+# sha256 of _platform_probe(seed): bits that depend on how the platform
+# rounds sin, cos and 4x4 products, and not on the exterior derivative
+_PROBE_DIGESTS = {
+    0: "0d4089fcb7e2cfa181469ffe4dd75dfc5c7d6edc2faff87891e776e951fdc125",
+    1: "47d48e509217ed6a8b553783711e8aacc4b1382638df14b0e20e9a67a69346f9",
+    2: "8dfbc655278b86a3b61f06179e72754668d05ab64793dad50dd591f756d5dea2",
+    3: "25ed7c3a6878d70941fba4444aeb842ae3397c88f54953df2c88f32791001a0d",
+}
+
+# sha256 of _columns(check_id, seed), recorded with every chart built anew
+# and every transposed right operand strided, on the platform that gave
+# _PROBE_DIGESTS
+_FD_DIGESTS = {
+    ("mc-structure", 0):
+        "99c3a1bf4fe274ce10fbb3cddcce39cb5dc1af9a18d1b983292bd850abab3cc3",
+    ("mc-structure", 1):
+        "2c9ab1f5d06ce039f43e19f29ef1e7aef2fc9c47e53d9aa3ece733412b0547d2",
+    ("mc-structure", 2):
+        "754586015090e16ad148654f9268541bff412ce1d5870e33b7312302576933fb",
+    ("mc-structure", 3):
+        "5b44c472f4743c63d5722b3cc093209319cd75c116fb30ad69160e0924f1468f",
+    ("lemma-4.1", 0):
+        "397f04fc250281f695767d8930b96daf47262c59c99d3a6f9b1980e55fc1b481",
+    ("lemma-4.1", 1):
+        "5b39eccae5a4dd552b0c160d646fc691aebfb11d4c241a28f8f1239693ae6e5f",
+    ("lemma-4.1", 2):
+        "b9321167d0272cc5b994c7a991a60b604c049bb21028607777cdd4aa491e214b",
+    ("lemma-4.1", 3):
+        "8e9087c6e77107b99588826dc94992545d2b6887fbd10a8066ab4b98f0b56d1c",
+    ("euler-cocycle", 0):
+        "68b01b22a45f214c525582554f413067a9170418d38a2d4308a7f36a14626d0e",
+    ("euler-cocycle", 1):
+        "c7303da3f94b5422c6c85046f9bc6a2c00ce4f46bce5e0ffd7b34f5147ae0e90",
+    ("euler-cocycle", 2):
+        "1dd1d22da9e485e2e0854a7b21051a2ff5d8e68d0ea1b9a2bde0bbc091ebf71e",
+    ("euler-cocycle", 3):
+        "244354bf875a2cb64e247e30a7246ac284274a8951b765de93208ef3cb8da7c4",
+    ("equivariant-cocycle", 0):
+        "55401f5186b3a5e257a38022e6445de34a016e5d6662016224275a803a83dd1d",
+    ("equivariant-cocycle", 1):
+        "a4be87c6dd202d8213fea92bc1ae573ef1dc9cd5f554b91da7a776bee4d043b8",
+    ("equivariant-cocycle", 2):
+        "299e22645009774417dcc623bf45252c3985a0f9287ce77216ffa1f32f44f3f9",
+    ("equivariant-cocycle", 3):
+        "7cca94116113fe7e5f9fc0b975b33831ec090db4b23dca47551be4adea4613a2",
+    ("d-squared", 0):
+        "e13bc4bcc36e13bf60ff310125fc56d9da76bb8083045b48d31bf139e5f7a385",
+    ("d-squared", 1):
+        "b65a87761feb398029f0920b5bec0c187b60b9fdb1543b98ed578f4080c3cbe5",
+    ("d-squared", 2):
+        "92ef7094e0abc4bcad1e4983838f6ac20069b08a3ed7e77cb05a54a65ff45876",
+    ("d-squared", 3):
+        "31395c3a4bf9159f71e38a13e363994ab782b274ec6b1846a82743dc39ed23f2",
+}
+
+
+def _columns(check_id, seed):
+    """The trial_rows columns of a 200-trial run, stacked in sorted order."""
+    cols = trial_rows(CheckConfig(check_id, seed=seed), range(200))
+    return np.stack([cols[k] for k in sorted(cols)])
+
+
+def _platform_probe(seed):
+    tape = DrawTape(trial_rngs(seed, "fd-probe", range(200)))
+    g, h = sample_point(tape, 2).factors
+    return np.stack([g, h, g @ h, g @ h.mT, exp_matrix(1e-5 * (g - g.mT))])
+
+
+def _unscoped(monkeypatch):
+    """Read every component without a chart scope: no chart is shared."""
+    monkeypatch.setattr(cartanmodel, "chart_scope", contextlib.nullcontext)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("check_id", _FD_IDS)
+def test_shared_charts_give_the_unshared_columns(monkeypatch, check_id,
+                                                 seed):
+    shared = _columns(check_id, seed)
+    _unscoped(monkeypatch)
+    assert same_bits(shared, _columns(check_id, seed))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("check_id", _FD_IDS)
+def test_fd_check_columns_match_recorded_digests(check_id, seed):
+    # The digests pin the residuals' last bits, which depend on how the
+    # platform rounds sin, cos and 4x4 products; where the probe does not
+    # reproduce its digest, the test above still compares bit for bit.
+    if digest(_platform_probe(seed)) != _PROBE_DIGESTS[seed]:
+        pytest.skip("this platform rounds the samples differently")
+    assert digest(_columns(check_id, seed)) == _FD_DIGESTS[check_id, seed]
+
+
+@pytest.mark.parametrize("check_id, shared, unshared", [
+    ("mc-structure", 1, 1), ("lemma-4.1", 1, 1), ("euler-cocycle", 3, 3),
+    ("equivariant-cocycle", 4, 4), ("d-squared", 14, 25)])
+def test_chart_exponentials_of_a_run(monkeypatch, check_id, shared,
+                                     unshared):
+    # one per distinct factor and tangents of each component: in d-squared
+    # the terms d'(d w) and d(d' w) of a component differentiate the
+    # factors that a face passes through unchanged at the same arrays
+    real = formcalc.exp_matrix
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return real(x)
+
+    monkeypatch.setattr(formcalc, "exp_matrix", counted)
+    run_check(CheckConfig(check_id, seed=7, trials=200))
+    assert len(calls) == shared
+    calls.clear()
+    _unscoped(monkeypatch)
+    run_check(CheckConfig(check_id, seed=7, trials=200))
+    assert len(calls) == unshared
+
+
+def test_chart_memo_is_empty_after_a_run():
+    run_check(CheckConfig("d-squared", trials=20))
+    assert formcalc._charts.get() is None
+
+
+def test_chart_memo_is_emptied_when_a_component_raises():
+    # the component fills the memo, then raises inside its scope
+    rng = np.random.default_rng(17)
+    d = exterior_d(mc_left(1, 1), 1e-5).fn
+    held = []
+
+    def failing(pt, ts):
+        d(pt, ts)
+        held.append(len(formcalc._charts.get()))
+        raise RuntimeError("component failed")
+
+    with pytest.raises(RuntimeError, match="component failed"):
+        equivariant_total_check({1: {2: FormEval(2, 1, failing)}},
+                                _fixed(rng), {"x": (1, 2)})
+    assert held == [1]
+    assert formcalc._charts.get() is None

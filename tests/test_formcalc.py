@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import nervecheck.formcalc as formcalc
 from nervecheck.matrixgroup import (
     GroupPoint,
     Tangent,
@@ -13,6 +14,7 @@ from nervecheck.matrixgroup import (
 from nervecheck.formcalc import (
     FormEval,
     SmoothMap,
+    chart_scope,
     contract,
     entry,
     exterior_d,
@@ -673,6 +675,60 @@ def test_exterior_d_makes_one_exponential_per_factor(monkeypatch, degree,
                           for t in ts])
         value = got if stack is None else got[k]
         assert abs(value - want) <= 1e-8 * max(1.0, abs(want))
+
+
+def _recording(form, seen):
+    """form, recording the stepped point and tangents of every call."""
+    def fn(pt, ts):
+        seen.append((pt, ts))
+        return form.fn(pt, ts)
+
+    return FormEval(form.degree, form.level, fn)
+
+
+def test_a_chart_is_shared_within_a_scope_and_rejects_writes():
+    # a chart is shared only at the same factor, tangent reps and step
+    rng = np.random.default_rng(69)
+    pt, ts = _stacked_sample(rng, 2, 4, 3)
+    cases = [(1e-5, ts[:2]), (1e-5, ts[:2]), (1e-5, ts[2:]), (2e-5, ts[:2])]
+    form = mc_left(2, 2)
+    unshared = [exterior_d(form, step)(pt, *pair) for step, pair in cases]
+    seen = []
+    recorded = _recording(form, seen)
+    with chart_scope():
+        shared = [exterior_d(recorded, step)(pt, *pair)
+                  for step, pair in cases]
+        assert len(formcalc._charts.get()) == 2 * 3
+    assert formcalc._charts.get() is None
+    assert all(np.array_equal(a, b) for a, b in zip(shared, unshared))
+    (at, (t,)), (again, (u,)) = seen[:2]
+    assert all(a is b for a, b in zip(at.factors, again.factors))
+    assert all(a is b for a, b in zip(t.reps, u.reps))
+    for a in at.factors + t.reps:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0, 0, 0] = 0.0
+
+
+def test_exterior_d_outside_a_scope_caches_nothing(monkeypatch):
+    real = formcalc.exp_matrix
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return real(x)
+
+    monkeypatch.setattr(formcalc, "exp_matrix", counted)
+    rng = np.random.default_rng(70)
+    pt, ts = _stacked_sample(rng, 2, 2, 3)
+    seen = []
+    form = exterior_d(_recording(mc_left(2, 2), seen), 1e-5)
+    form(pt, *ts)
+    form(pt, *ts)
+    assert formcalc._charts.get() is None
+    # each evaluation builds both factors' charts anew
+    assert len(calls) == 4
+    (at, _), (again, _) = seen
+    assert not any(a is b for a, b in zip(at.factors, again.factors))
 
 
 @pytest.mark.parametrize("stack", [None, 4])

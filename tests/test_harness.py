@@ -1,6 +1,5 @@
 """Tests for the randomized check harness: ids, configs, reports, determinism."""
 
-import hashlib
 import math
 import sys
 import warnings
@@ -36,7 +35,8 @@ from nervecheck.formcalc import FormEval
 from nervecheck.matrixgroup import exp_matrix, skew_from_coords
 from nervecheck.nerve import degeneracy_ng, face_ng, face_pg, gamma
 
-from helpers import trial_rng, validate_point, validate_tangent
+from helpers import (digest, same_bits, trial_rng, validate_point,
+                     validate_tangent)
 from oracles import PerCallSampler
 
 
@@ -363,11 +363,6 @@ def test_nan_residual_fails_a_signed_component(monkeypatch):
 # factors that are one array on both sides skipped, move no bit
 
 
-def _digest(col) -> str:
-    return hashlib.sha256(
-        np.ascontiguousarray(col, dtype="<f8").tobytes()).hexdigest()
-
-
 # 200 exact zeros
 _ZEROS = "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865"
 
@@ -461,7 +456,7 @@ def test_identity_check_columns_equal_the_per_pair_loops(check_id, seed):
     want = _per_pair_columns(check_id, seed)
     assert set(got) == set(want)
     for key, col in got.items():
-        assert _same_bits(col, np.broadcast_to(want[key], (200,))), key
+        assert same_bits(col, np.broadcast_to(want[key], (200,))), key
 
 
 @pytest.mark.parametrize("check_id, seed", sorted(_IDENTITY_DIGESTS))
@@ -470,12 +465,12 @@ def test_identity_check_columns_match_recorded_digests(check_id, seed):
     # platform rounds sin, cos and 4x4 products; where the per-pair loops
     # do not reproduce them, the test above still compares bit for bit.
     recorded = _IDENTITY_DIGESTS[check_id, seed]
-    replayed = {k: _digest(np.broadcast_to(v, (200,)))
+    replayed = {k: digest(np.broadcast_to(v, (200,)))
                 for k, v in _per_pair_columns(check_id, seed).items()}
     if replayed != recorded:
         pytest.skip("this platform rounds the samples differently")
     got = trial_rows(CheckConfig(check_id, seed=seed), range(200))
-    assert {k: _digest(v) for k, v in got.items()} == recorded
+    assert {k: digest(v) for k, v in got.items()} == recorded
 
 
 @pytest.mark.parametrize("check_id", ["simplicial-identities",
@@ -634,12 +629,6 @@ def _coords(m):
     return m[..., _PAIRS[0], _PAIRS[1]]
 
 
-def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64),
-                                                 b.view(np.int64))
-
-
 def test_trial_rng_stream_is_pinned():
     # the literal first doubles of one trial's stream: a change here changes
     # every report
@@ -665,7 +654,7 @@ def _assert_numpy_streams(seed, check_id, trials, rows):
     for t, rng in zip(trials, got):
         ref = _numpy_rng(seed, check_id, t)
         assert rng.integers(1, 4) == ref.integers(1, 4), (seed, check_id, t)
-        assert _same_bits(rng.random((rows, 6)), ref.random((rows, 6))), (
+        assert same_bits(rng.random((rows, 6)), ref.random((rows, 6))), (
             seed, check_id, t)
 
 
@@ -722,7 +711,7 @@ def test_seed_words_are_c_contiguous_rows_of_numpy_streams(trials):
     assert words.dtype == np.uint64 and words.shape == (trials, 4)
     assert words.flags.c_contiguous
     for t, rng in enumerate(trial_rngs(5, "unit", range(trials))):
-        assert _same_bits(rng.random(7), _numpy_rng(5, "unit", t).random(7)), t
+        assert same_bits(rng.random(7), _numpy_rng(5, "unit", t).random(7)), t
 
 
 def test_tape_matches_per_call_draws_past_several_blocks():
@@ -731,7 +720,7 @@ def test_tape_matches_per_call_draws_past_several_blocks():
     ref = PerCallSampler(tuple(trial_rngs(7, "tape", range(5))))
     for k in range(3 * BLOCK + 5):
         scale = 2.0 if k % 3 else 1.0
-        assert _same_bits(_coords(_skews(tape, scale)), ref.coords(scale)), k
+        assert same_bits(_coords(_skews(tape, scale)), ref.coords(scale)), k
 
 
 def test_tape_of_a_single_generator_is_unstacked():
@@ -741,7 +730,7 @@ def test_tape_of_a_single_generator_is_unstacked():
         scale = 1.0 if k % 2 else 2.0
         m = _skews(tape, scale)
         assert m.shape == (4, 4)
-        assert _same_bits(_coords(m), ref.coords(scale)), k
+        assert same_bits(_coords(m), ref.coords(scale)), k
 
 
 def test_tape_hands_out_several_rows_in_stream_order():
@@ -752,7 +741,7 @@ def test_tape_hands_out_several_rows_in_stream_order():
     rows = np.concatenate([first, more], axis=1)
     assert rows.shape == (2, 2 * BLOCK + 1, 6)
     want = np.stack([ref.coords(1.0) for _ in range(2 * BLOCK + 1)], axis=1)
-    assert _same_bits(-1.0 + 2.0 * rows, want)
+    assert same_bits(-1.0 + 2.0 * rows, want)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -772,9 +761,9 @@ def test_a_point_is_one_exponential_of_its_rows(monkeypatch, level):
     pt = sample_point(tape, level)
     assert calls == [(3, level, 4, 4)]
     want = [exp_matrix(_skews(twin, 2.0)) for _ in range(level)]
-    assert all(_same_bits(h, w) for h, w in zip(pt.factors, want, strict=True))
+    assert all(same_bits(h, w) for h, w in zip(pt.factors, want, strict=True))
     t = sample_tangent(tape, pt)
-    assert all(_same_bits(v, h @ _skews(twin, 1.0))
+    assert all(same_bits(v, h @ _skews(twin, 1.0))
                for v, h in zip(t.reps, want, strict=True))
 
 
@@ -803,7 +792,7 @@ def test_alpha_antisymmetry_draws_the_degree_then_the_coefficients(
                 path[j, n] = skew_from_coords(ref.coords(1.0))
     assert len(got) == 2
     for path, expected in zip(got, want):
-        assert _same_bits(path, expected)
+        assert same_bits(path, expected)
 
 
 @pytest.mark.parametrize("tangents", ["seed:5", "repeat:5"])
@@ -813,7 +802,7 @@ def test_cli_eval_setup_reads_one_tape_per_token(tangents):
     pt, ts, X = cli._eval_setup("seed:3", tangents, 2, 3)
     at = PerCallSampler(np.random.default_rng(3))
     factors = [exp_matrix(skew_from_coords(at.coords(2.0))) for _ in range(2)]
-    assert all(_same_bits(a, b) for a, b in zip(pt.factors, factors))
+    assert all(same_bits(a, b) for a, b in zip(pt.factors, factors))
     ref = PerCallSampler(np.random.default_rng(5))
 
     def tangent():
@@ -825,10 +814,10 @@ def test_cli_eval_setup_reads_one_tape_per_token(tangents):
     else:
         x = skew_from_coords(ref.coords(1.0))
         reps = [tangent() for _ in range(3)]
-    assert _same_bits(X, x)
+    assert same_bits(X, x)
     assert len(ts) == 3
     for t, want in zip(ts, reps):
-        assert all(_same_bits(a, b) for a, b in zip(t.reps, want))
+        assert all(same_bits(a, b) for a, b in zip(t.reps, want))
 
 
 class _CountingRng:
