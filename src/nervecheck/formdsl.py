@@ -27,19 +27,21 @@ cancel: it evaluates to zero.
 
 `parse` produces a plain AST; `interpret` lowers it once to an evaluator
 (pt, tangents, X, memo) -> ndarray in one fixed layout: the stack axes of a
-stacked point, then four axes, the k-th for the placeholder pk, of length
-4 where pk is free in the subexpression and of length 1 elsewhere.  An
-entry [i,j] indexes the matrix with two arrays over those axes (`[p1,p1]`
-takes the diagonal); a wedge is one left fold of broadcast products over
-all its factors (`formcalc.shuffle_product`), which evaluates each factor
-once per set of tangents, and `+`/`-` broadcast too; an outermost sumS4
-contracts its body with the Levi-Civita tensor eps[a,b,c,d].  A nested
-sumS4, like a wedge above the degree 6p of SO(4)^p, is the zero form and
-evaluates nothing.  Each evaluation hands every evaluator one fresh memo,
-in which each Maurer-Cartan atom is computed once per tangent; a square
-is a b - b a of the atom's values there.  `interpret` returns a FormEval,
-or an EquivariantForm exactly when X occurs; evaluating either lowers
-nothing again, and returns one value per stacked point.
+stacked point, then one permutation axis, of length 24 where a placeholder
+is free in the subexpression and of length 1 elsewhere.  Its s-th entry is
+the value with the s-th permutation of S4 in place of p1..p4, so the body
+of a sumS4 is evaluated at the 24 placeholder values its sum reads and at
+no other.  An entry [i,j] indexes the matrix with two arrays over that axis
+(`[p1,p1]` takes the diagonal); a wedge is one left fold of broadcast
+products over all its factors (`formcalc.shuffle_product`), which
+evaluates each factor once per set of tangents, and `+`/`-` broadcast too;
+an outermost sumS4 contracts its body with the 24 permutation signs.  A
+nested sumS4, like a wedge above the degree 6p of SO(4)^p, is the zero
+form and evaluates nothing.  Each evaluation hands every evaluator one
+fresh memo, in which each Maurer-Cartan atom is computed once per tangent;
+a square is a b - b a of the atom's values there.  `interpret` returns a
+FormEval, or an EquivariantForm exactly when X occurs; evaluating either
+lowers nothing again, and returns one value per stacked point.
 """
 
 from __future__ import annotations
@@ -380,25 +382,18 @@ def parse(src: str) -> Node:
 # interpreter
 
 
-def _levi_civita() -> np.ndarray:
-    """eps[a, b, c, d]: the sign of the permutation (a, b, c, d) of 0..3,
-    by its count of inversions."""
-    eps = np.zeros((4, 4, 4, 4))
-    for perm in itertools.permutations(range(4)):
-        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
-        eps[perm] = -1.0 if inversions % 2 else 1.0
-    return eps
+# The 24 permutations of 0..3 in itertools order: _PERMS[k, s] is the image
+# of k under the s-th, _SIGNS[s] its sign, by its count of inversions.
+_PERMS = np.array(list(itertools.permutations(range(4)))).T
+_SIGNS = np.array([
+    (-1.0) ** sum(x > y for x, y in itertools.combinations(p, 2))
+    for p in _PERMS.T])
 
-
-_EPS = _levi_civita()
-
-
-# An entry index over the four placeholder axes: a placeholder pk runs 0..3
-# along the k-th of them, a fixed index k is the constant k - 1.
-_INDEX = {**{k: np.full((1, 1, 1, 1), k - 1) for k in range(1, 5)},
-          **{p: np.arange(4).reshape([4 if q == p else 1
-                                      for q in _PLACEHOLDERS])
-             for p in _PLACEHOLDERS}}
+# An entry index over the permutation axis: a placeholder pk reads the
+# image of k - 1 under each permutation, a fixed index k is the constant
+# k - 1.
+_INDEX = {**{k: np.array([k - 1]) for k in range(1, 5)},
+          **{p: _PERMS[k] for k, p in enumerate(_PLACEHOLDERS)}}
 # The same entry as one index 4 i + j into the 16 entries of a matrix.
 _FLAT = {(i, j): 4 * _INDEX[i] + _INDEX[j] for i in _INDEX for j in _INDEX}
 
@@ -406,10 +401,10 @@ _FLAT = {(i, j): 4 * _INDEX[i] + _INDEX[j] for i in _INDEX for j in _INDEX}
 @dataclass(frozen=True)
 class _Built:
     """A lowered subexpression: its degrees and an evaluator (pt, ts, X,
-    memo) -> ndarray with the stack axes of the point, then four axes, the
-    k-th for the placeholder pk: of length 4 where pk is free in the
-    subexpression, of length 1 elsewhere.  `memo` is the dict of one
-    top-level evaluation (see _mc_matrix)."""
+    memo) -> ndarray with the stack axes of the point, then the permutation
+    axis: of length 24 where a placeholder is free in the subexpression, of
+    length 1 elsewhere.  `memo` is the dict of one top-level evaluation
+    (see _mc_matrix)."""
 
     form_degree: int
     x_degree: int
@@ -453,7 +448,7 @@ def _mc_matrix(base: Union[MCLAtom, MCRAtom, Square], level: int):
 
 def _entry(node: EntrySel, level: int, in_sum: bool) -> _Built:
     """An entry [i, j]: one index of the matrix by two arrays over the
-    placeholder axes ([p, p] takes the diagonal), or of a single matrix's
+    permutation axis ([p, p] takes the diagonal), or of a single matrix's
     16 entries by one array, which numpy serves about twice as fast."""
     free = [k for k in (node.i, node.j) if isinstance(k, str)]
     if free and not in_sum:
@@ -476,12 +471,12 @@ def _entry(node: EntrySel, level: int, in_sum: bool) -> _Built:
 
 def _zeros(pt, ts, X, memo) -> np.ndarray:
     """The evaluator of a zero form: zeros over the stack axes of the point,
-    the tangents and X, then the placeholder axes; it evaluates nothing."""
+    the tangents and X, then the permutation axis; it evaluates nothing."""
     mats = [*pt.factors, *(r for t in ts for r in t.reps)]
     if X is not None:
         mats.append(X)
     stack = np.broadcast_shapes(*(np.shape(m)[:-2] for m in mats))
-    return np.zeros(stack + (1,) * 4)
+    return np.zeros(stack + (1,))
 
 
 def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
@@ -538,20 +533,19 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
 
         def contract(pt, ts, X, memo):
             v = bfn(pt, ts, X, memo)
-            stack = v.shape[:-4]
+            stack = v.shape[:-1]
             # a contiguous copy, so that a stack sums in the order of a point
-            full = np.ascontiguousarray(np.broadcast_to(v, stack + (4,) * 4))
-            total = np.einsum("abcd,...abcd->...", _EPS, full)
-            return total.reshape(stack + (1,) * 4)
+            full = np.ascontiguousarray(np.broadcast_to(v, stack + (24,)))
+            return np.einsum("p,...p->...", _SIGNS, full).reshape(stack + (1,))
 
         return _Built(body.form_degree, body.x_degree, contract)
     raise FormDslError(f"cannot interpret node {node!r}")
 
 
 def _value(v):
-    """A form value, off the placeholder axes: a float for a single point,
+    """A form value, off the permutation axis: a float for a single point,
     an array for a stack."""
-    return v[..., 0, 0, 0, 0][()]
+    return v[..., 0][()]
 
 
 def interpret(node: Node, level: int):

@@ -264,19 +264,20 @@ def test_corpus_source_names_a_missing_bundled_file(tmp_path, monkeypatch):
 def test_levi_civita_tensor_signs_match_cycle_sign():
     import nervecheck.formdsl as formdsl
 
-    eps = formdsl._EPS
-    perms = list(itertools.permutations(range(4)))
-    # +-1 exactly on the 24 permutations, 0 on every repeated index
-    assert np.count_nonzero(eps) == 24
-    assert eps[0, 1, 2, 3] == 1.0 and eps[1, 0, 2, 3] == -1.0
-    assert eps[3, 2, 1, 0] == 1.0 and eps.sum() == 0.0
+    perms = [tuple(int(k) for k in col) for col in formdsl._PERMS.T]
+    signs = formdsl._SIGNS
+    # the 24 distinct permutations of 0..3, in itertools order
+    assert perms == list(itertools.permutations(range(4)))
+    assert signs.shape == (24,) and signs.dtype == np.float64
+    assert signs[0] == 1.0 and signs[1] == -1.0 and signs.sum() == 0.0
+    sign = dict(zip(perms, signs))
     for p in perms:
-        assert eps[p] == cycle_sign(p)
+        assert sign[p] == cycle_sign(p)
     # the sign is multiplicative under composition
     for p in perms:
         for q in perms:
             composed = tuple(p[q[i]] for i in range(4))
-            assert eps[composed] == eps[p] * eps[q]
+            assert sign[composed] == sign[p] * sign[q]
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +345,58 @@ def test_a_nested_sum_evaluates_nothing():
     nan = GroupPoint((np.full((4, 4), np.nan),))
     t = Tangent(nan, (np.full((4, 4), np.nan),))
     assert f(nan, t, t) == 0.0
+
+
+def _stack(level: int, degree: int, n: int = 5):
+    tape = DrawTape(trial_rngs(11, "dsl-layout", range(n)))
+    pts = sample_point(tape, level)
+    return pts, sample_tangents(tape, pts, degree), sample_algebra(tape)
+
+
+def test_a_sum_body_is_evaluated_on_the_24_permutations_only():
+    import nervecheck.formdsl as formdsl
+
+    node = parse(corpus_source("e13.form"))
+    assert isinstance(node, Scale) and isinstance(node.body, SumS4)
+    body = formdsl._build(node.body.body, 1, True)
+    whole = formdsl._build(node, 1)
+    pts, ts, _ = _stack(1, 3)
+    assert body.fn(pts, ts, None, {}).shape == (5, 24)
+    assert whole.fn(pts, ts, None, {}).shape == (5, 1)
+    pt = _point(pts, 0)
+    one = [Tangent(pt, tuple(r[0] for r in t.reps)) for t in ts]
+    assert body.fn(pt, one, None, {}).shape == (24,)
+
+
+@pytest.mark.parametrize("src", ["sumS4( X[1,2] MCL(1)[1,3] )",
+                                 "sumS4( X[p1,p2] MCL(1)[1,3] )"])
+def test_a_sum_whose_terms_cancel_in_pairs_reads_exact_zeros(src):
+    # with p3, p4 not read, the permutations swapping p3 and p4 pair up
+    # equal terms of opposite signs
+    form = interpret(parse(src), 1)
+    pts, (t,), Xs = _stack(1, 1)
+    stacked = form(Xs)(pts, t)
+    assert stacked.shape == (5,) and not np.any(stacked)
+    for k in range(5):
+        pt = _point(pts, k)
+        assert form(Xs[k])(pt, Tangent(pt, (t.reps[0][k],))) == 0.0
+
+
+def test_a_nested_sum_is_zero_at_a_stack_without_its_body(monkeypatch):
+    import nervecheck.formdsl as formdsl
+
+    def unread(*args):
+        raise AssertionError("the body of a nested sum was evaluated")
+
+    monkeypatch.setattr(formdsl, "mc_left",
+                        lambda factor, level: FormEval(1, level, unread))
+    form = interpret(parse("sumS4( MCR(1)[p1,p2] sumS4( MCL(1)[p3,p4] ) )"),
+                     1)
+    pts, ts, _ = _stack(1, 2)
+    value = form(pts, *ts)
+    assert value.shape == (5,) and not np.any(value)
+    nested = formdsl._build(parse("sumS4( MCL(1)[p3,p4] )"), 1, True)
+    assert nested.fn(pts, ts[:1], None, {}).shape == (5, 1)
 
 
 def test_deep_nesting_is_a_syntax_error_at_the_opening_token():
