@@ -38,12 +38,13 @@ computes from the same doubles, so the tape draws the same numbers as one
 other code reads a trial's stream.
 
 Nine checks are rows built by `_rows`: a residual builder returns a
-cochain of forms {level: {degree: form}}, drawing X or g first where it
+cochain of forms {(p, q): {degree: form}}, drawing X or g first where it
 needs them, and `cartanmodel.equivariant_total_check` reads the row's named
-components {name: (level, degree)} of it, drawing the levels in order of
-first use; a bisimplicial level is a key (p, q), drawn as SO(4)^(p+q).
-With c = {1: e13 + mu(X), 2: e22}, D = `cartanmodel.total_d` and
-D3 = `nerve.total_d3`, the rows and their draws before the levels are
+components {name: ((p, q), degree)} of it, drawing the levels in order of
+first use; every level (p, q) is drawn as a point of SO(4)^(p+q), and a
+nerve level p is the key (p, 0).  With c = {(1,0): e13 + mu(X),
+(2,0): e22}, D = `cartanmodel.total_d` and D3 = `nerve.total_d3`, the rows
+and their draws before the levels are
 
     lemma-4.1, 4.2, 4.3, equivariant-cocycle   D c at X            X
     euler-cocycle                              D c at X = 0        -
@@ -416,7 +417,7 @@ def _trial_alpha_antisymmetry(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
 
 
 # residual builders of the rows (see the module docstring): each returns a
-# cochain {level: {degree: form}} whose named components must vanish
+# cochain {(p, q): {degree: form}} whose named components must vanish
 
 
 def _cocycle(X: np.ndarray) -> dict:
@@ -425,8 +426,8 @@ def _cocycle(X: np.ndarray) -> dict:
 
 def _minus(a: dict, b: dict) -> dict:
     """The cochain a - b over the components of a."""
-    return {p: {d: f - b[p][d] for d, f in forms.items()}
-            for p, forms in a.items()}
+    return {key: {d: f - b[key][d] for d, f in forms.items()}
+            for key, forms in a.items()}
 
 
 def _d_cocycle(cfg: CheckConfig, tape) -> dict:
@@ -443,7 +444,7 @@ def _mc_structure(cfg: CheckConfig, tape) -> dict:
     """The largest entry of d omega + omega^2; a NaN entry propagates."""
     omega = mc_left(1, 1)
     fn = (exterior_d(omega, cfg.fd_step) + matrix_wedge_square(omega)).fn
-    return {1: {2: FormEval(
+    return {(1, 0): {2: FormEval(
         2, 1, lambda pt, ts: np.max(abs(fn(pt, ts)), axis=(-2, -1)))}}
 
 
@@ -451,11 +452,11 @@ def _ad_invariance(cfg: CheckConfig, tape) -> dict:
     g = sample_point(tape, 1).factors[0]
     gT = np.ascontiguousarray(g.mT)
     X = sample_algebra(tape)
-    conj = {p: SmoothMap(p, p, lambda pt: _conj_apply(g, pt),
-                         lambda pt, t: tuple(g @ r @ gT for r in t.reps))
+    conj = {(p, 0): SmoothMap(p, p, lambda pt: _conj_apply(g, pt),
+                              lambda pt, t: tuple(g @ r @ gT for r in t.reps))
             for p in (1, 2)}
-    moved = {p: {d: pullback(f, conj[p]) for d, f in forms.items()}
-             for p, forms in _cocycle(g @ X @ gT).items()}
+    moved = {key: {d: pullback(f, conj[key]) for d, f in forms.items()}
+             for key, forms in _cocycle(g @ X @ gT).items()}
     return _minus(_cocycle(X), moved)
 
 
@@ -474,8 +475,8 @@ def _dsl_oracle(cfg: CheckConfig, tape) -> dict:
             formdsl.parse(formdsl.corpus_source(name)), level=level)
 
     X = sample_algebra(tape)
-    corpus = {1: {3: load("e13.form", 1), 1: load("mu.form", 1)(X)},
-              2: {2: load("e22.form", 2)}}
+    corpus = {(1, 0): {3: load("e13.form", 1), 1: load("mu.form", 1)(X)},
+              (2, 0): {2: load("e22.form", 2)}}
     return _minus(corpus, _cocycle(X))
 
 
@@ -519,18 +520,18 @@ class Check:
 
 
 def _rows(tol: float, residuals: Callable[[CheckConfig, DrawTape], dict],
-          components: dict[str, tuple[int, int]],
+          components: dict[str, tuple[tuple[int, int], int]],
           tols: Optional[dict[str, float]] = None) -> Check:
-    """The check that the named components {name: (level, degree)} of the
+    """The check that the named components {name: ((p, q), degree)} of the
     cochain residuals(cfg, tape) vanish: a trial builds the cochain, then
     `equivariant_total_check` draws the levels and reads the components."""
 
     def trial(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
         cochain = residuals(cfg, tape)
 
-        def sample(key, count: int) -> tuple:
-            pt = (sample_bi_point(tape, *key) if isinstance(key, tuple)
-                  else sample_point(tape, key))
+        def sample(key: tuple[int, int], count: int) -> tuple:
+            p, q = key
+            pt = sample_point(tape, p + q)
             return pt, sample_tangents(tape, pt, count)
 
         return equivariant_total_check(cochain, sample, components)
@@ -539,24 +540,26 @@ def _rows(tol: float, residuals: Callable[[CheckConfig, DrawTape], dict],
 
 
 # the components of a difference of two cochains shaped like c
-_C_COMPONENTS = {"e13": (1, 3), "mu": (1, 1), "e22": (2, 2)}
+_C_COMPONENTS = {"e13": ((1, 0), 3), "mu": ((1, 0), 1), "e22": ((2, 0), 2)}
 
 
 # Composite checks report normalized residuals (err / component tol), so their
 # default tolerance is 1.  Everything else is a raw max-abs-error bound.
 CHECKS: dict[str, Check] = {
-    "mc-structure": _rows(1e-6, _mc_structure, {"entries": (1, 2)}),
+    "mc-structure": _rows(1e-6, _mc_structure, {"entries": ((1, 0), 2)}),
     "simplicial-identities": Check(1e-13, _trial_simplicial),
     "gamma-simplicial": Check(1e-13, _trial_gamma),
-    "lemma-4.1": _rows(1e-6, _d_cocycle, {"i e13 - d mu": (1, 2)}),
-    "lemma-4.2": _rows(1e-10, _d_cocycle, {"i e22 - d' mu": (2, 1)}),
-    "lemma-4.3": _rows(1e-12, _d_cocycle, {"i mu": (1, 0)}),
+    "lemma-4.1": _rows(1e-6, _d_cocycle, {"i e13 - d mu": ((1, 0), 2)}),
+    "lemma-4.2": _rows(1e-10, _d_cocycle, {"i e22 - d' mu": ((2, 0), 1)}),
+    "lemma-4.3": _rows(1e-12, _d_cocycle, {"i mu": ((1, 0), 0)}),
     "euler-cocycle": _rows(
-        1.0, _d_cocycle_at_zero, {"a": (1, 4), "b": (2, 3), "c": (3, 2)},
+        1.0, _d_cocycle_at_zero,
+        {"a": ((1, 0), 4), "b": ((2, 0), 3), "c": ((3, 0), 2)},
         {"a": 1e-6, "b": 1e-6, "c": 1e-10}),
     "equivariant-cocycle": _rows(
         1.0, _d_cocycle,
-        {"a": (1, 4), "b": (1, 2), "c": (1, 0), "d": (2, 3), "e": (2, 1)},
+        {"a": ((1, 0), 4), "b": ((1, 0), 2), "c": ((1, 0), 0),
+         "d": ((2, 0), 3), "e": ((2, 0), 1)},
         {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}),
     "ad-invariance": _rows(1e-10, _ad_invariance, _C_COMPONENTS),
     "dsl-oracle": _rows(1e-12, _dsl_oracle, _C_COMPONENTS),

@@ -21,15 +21,20 @@ differentials, the faces are SmoothMaps, so the differentials below are
 formcalc pullbacks and exterior derivatives.
 
 Complex differentials:
-  d_prime           alternating sum of nerve face pullbacks      (level +1)
   d_triple_complex  one of the three differentials of the action-twisted
                     complex at (p, q): horizontal, vertical, de Rham
   total_d3          D3 = d' + d'' + d''' on a cochain {(p, q): forms}
+
+On the row q = 0 the horizontal faces are the nerve faces, so d' there is
+the nerve's alternating face sum.  The Cartan total differential
+`cartanmodel.total_d` is that row with the contraction in place of d'';
+it and `total_d3` walk a cochain with the one `_total`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -216,14 +221,6 @@ def _alternating_pullbacks(f: FormEval, faces: list[SmoothMap]) -> FormEval:
     return total
 
 
-def d_prime(f: FormEval) -> FormEval:
-    """Alternating sum of nerve face pullbacks, raising the level by one."""
-    p = f.level
-    return _alternating_pullbacks(f, [
-        SmoothMap(p + 1, p, partial(face_ng, i), partial(face_ng_diff, i))
-        for i in range(p + 2)])
-
-
 def d_triple_complex(f: FormEval, p: int, which: str,
                      fd_step: float = FD_STEP_DEFAULT) -> FormEval:
     """One of the three differentials of the action-twisted complex, on a
@@ -253,24 +250,34 @@ def d_triple_complex(f: FormEval, p: int, which: str,
     raise ValueError("which must be one of \"d'\", \"d''\", \"d'''\"")
 
 
-def _accumulate(out: dict[int, FormEval], degree: int, form: FormEval) -> None:
-    """Add form to the forms {degree: form} of one level."""
-    out[degree] = out[degree] + form if degree in out else form
+Cochain = dict[tuple[int, int], dict[int, FormEval]]
 
 
-def total_d3(cochain: dict[tuple[int, int], dict[int, FormEval]],
-             fd_step: float = FD_STEP_DEFAULT
-             ) -> dict[tuple[int, int], dict[int, FormEval]]:
-    """D3 = d' + d'' + d''' applied to the cochain {(p, q): {degree: form}}
-    of the action-twisted complex, in the same shape, one entry per level
-    it reaches.  The components are forms, so only those that are
-    evaluated cost anything."""
-    out: dict[tuple[int, int], dict[int, FormEval]] = {}
+def _total(cochain: Cochain, fd_step: float,
+           middle: Callable[[FormEval, int, int], tuple]) -> Cochain:
+    """d' + middle + d''' applied to the cochain {(p, q): {degree: form}},
+    in the same shape, one entry per level it reaches.  `middle(form, p, q)`
+    gives the middle terms of one form as (key, form) pairs.  The terms of
+    one key and degree are summed in the order the walk meets them: by key,
+    then by form, then d', the middle terms and d'''.  The components are
+    forms, so only those that are evaluated cost anything."""
+    out: Cochain = {}
     for (p, q), forms in sorted(cochain.items()):
         for form in forms.values():
-            form = bi_form_from_flat(form, p, q)
-            for which, key in (("d'", (p + 1, q)), ("d''", (p, q + 1)),
-                               ("d'''", (p, q))):
-                d = d_triple_complex(form, p, which, fd_step)
-                _accumulate(out.setdefault(key, {}), d.degree, d)
+            if form.level != p + q:
+                raise ValueError(f"a cochain form keyed {(p, q)} needs level "
+                                 f"{p + q}, not {form.level}")
+            for key, d in (((p + 1, q), d_triple_complex(form, p, "d'")),
+                           *middle(form, p, q),
+                           ((p, q), d_triple_complex(form, p, "d'''",
+                                                     fd_step))):
+                at = out.setdefault(key, {})
+                at[d.degree] = at[d.degree] + d if d.degree in at else d
     return out
+
+
+def total_d3(cochain: Cochain, fd_step: float = FD_STEP_DEFAULT) -> Cochain:
+    """D3 = d' + d'' + d''' applied to the cochain {(p, q): {degree: form}}
+    of the action-twisted complex (see `_total`)."""
+    return _total(cochain, fd_step, lambda form, p, q: (
+        ((p, q + 1), d_triple_complex(form, p, "d''")),))

@@ -1,19 +1,23 @@
 """Random inputs and small forms that several test modules share.
 
 Unlike `oracles.py`, nothing here is an independent reference: these are
-conveniences built from the package's own primitives.
+conveniences built from the package's own primitives.  `nerve_d_prime` is
+a second route to d' on the nerve, from other primitives than the route
+the package takes.
 """
 
 import hashlib
+from functools import partial
 
 import numpy as np
 
-from nervecheck.formcalc import FormEval
+from nervecheck.formcalc import FormEval, SmoothMap, pullback
 from nervecheck.formdsl import (EntrySel, MCLAtom, MCRAtom, Scale, Square, Sum,
                                 SumS4, Wedge, XAtom)
 from nervecheck.harness import trial_rngs
 from nervecheck.matrixgroup import (DIM, GroupPoint, Tangent, exp_matrix,
                                     skew_from_coords)
+from nervecheck.nerve import face_ng, face_ng_diff
 
 
 def same_bits(a, b) -> bool:
@@ -138,3 +142,17 @@ def pretty(node) -> str:
     if isinstance(node, XAtom):
         return "X"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def nerve_d_prime(f: FormEval) -> FormEval:
+    """d' of a form on the nerve level p as the alternating sum of its
+    pullbacks along the nerve faces face_ng(i, .), i = 0..p+1, each a
+    SmoothMap SO(4)^(p+1) -> SO(4)^p.  The package takes d' through the
+    horizontal faces of `nerve.d_triple_complex` at q = 0 instead."""
+    p = f.level
+    total = None
+    for i in range(p + 2):
+        term = pullback(f, SmoothMap(p + 1, p, partial(face_ng, i),
+                                     partial(face_ng_diff, i)))
+        total = term if i == 0 else total + term if i % 2 == 0 else total - term
+    return total

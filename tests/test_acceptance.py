@@ -105,12 +105,13 @@ def test_criterion_05_all_five_residuals_with_one_sign_pair():
     X = sample_algebra(tape)
     D = total_d(cocycle(e13_form(), e22_form(), mu_form(), X), X, FD_STEP)
 
-    def sample(level, count):
-        pt = sample_point(tape, level)
+    def sample(key, count):
+        pt = sample_point(tape, key[0] + key[1])
         return pt, sample_tangents(tape, pt, count)
 
     cols = equivariant_total_check(D, sample, {
-        "a": (1, 4), "b": (1, 2), "c": (1, 0), "d": (2, 3), "e": (2, 1)})
+        "a": ((1, 0), 4), "b": ((1, 0), 2), "c": ((1, 0), 0),
+        "d": ((2, 0), 3), "e": ((2, 0), 1)})
     # the same samples as the check's own run at this step
     run = trial_rows(CheckConfig("equivariant-cocycle", seed=SEED,
                                  fd_step=FD_STEP), range(200))

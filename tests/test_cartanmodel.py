@@ -19,10 +19,9 @@ from nervecheck.formcalc import FormEval, contract, entry, exterior_d, mc_left
 from nervecheck.harness import (CheckConfig, DrawTape, run_check,
                                 sample_algebra, sample_point, sample_tangents,
                                 trial_rngs, trial_rows)
-from nervecheck.nerve import d_prime
+from nervecheck.nerve import total_d3
 from nervecheck.cartanmodel import (
     EquivariantForm,
-    cartan_d,
     cocycle,
     equivariant_total_check,
     fundamental_field,
@@ -30,8 +29,8 @@ from nervecheck.cartanmodel import (
 )
 from nervecheck.eulercocycle import e13_form, e22_form, mu_form
 
-from helpers import (constant_form, digest, rand_point, rand_tangent,
-                     random_skew, same_bits, validate_tangent)
+from helpers import (constant_form, digest, nerve_d_prime, rand_point,
+                     rand_tangent, random_skew, same_bits, validate_tangent)
 
 E12 = basis_element(1, 2)
 E13 = basis_element(1, 3)
@@ -136,59 +135,63 @@ def test_equivariant_forms_are_conjugation_equivariant():
 
 
 # ---------------------------------------------------------------------------
-# the X-twisted differential
+# the X-twisted differential: D on a cochain of one level (p, 0), read at
+# (p, 0), is (-1)^p (d - i_{X#})
 
 
 def test_cartan_d_of_constant_vanishes():
     rng = np.random.default_rng(6)
     X = random_skew(rng)
-    g = cartan_d({0: constant_form(2.0, 1)}, X)
+    g = total_d({(1, 0): {0: constant_form(2.0, 1)}}, X)[(1, 0)]
     pt = rand_point(rng, 1)
     t = rand_tangent(rng, pt)
+    assert sorted(g) == [1]  # a 0-form has no contraction
     assert abs(g[1](pt, t)) < 1e-9  # d part: FD of a constant
 
 
 def test_cartan_d_component_degrees():
     rng = np.random.default_rng(7)
     X = random_skew(rng)
-    g = cartan_d({1: mu_form()(X)}, X)
-    # the degree-k component is keyed k
-    assert {k: (f.degree, f.level) for k, f in g.items()} == {
+    D = total_d({(1, 0): {1: mu_form()(X)}}, X)
+    # the degree-k component is keyed k; d' of mu lands on (2, 0)
+    assert {k: (f.degree, f.level) for k, f in D[(1, 0)].items()} == {
         0: (0, 1), 2: (2, 1)}
+    assert {k: (f.degree, f.level) for k, f in D[(2, 0)].items()} == {
+        1: (1, 2)}
 
 
 def test_cartan_d_raising_part_matches_exterior_d():
-    # on a polynomial-degree-0 form the raising part is plain d
+    # on a polynomial-degree-0 form the raising part is (-1)^p d
     rng = np.random.default_rng(8)
     X = random_skew(rng)
     e13 = e13_form()
-    g = cartan_d({3: e13(X)}, X, fd_step=1e-5)
-    from nervecheck.formcalc import exterior_d
-
+    g = total_d({(1, 0): {3: e13(X)}}, X, fd_step=1e-5)[(1, 0)]
     d_direct = exterior_d(e13(X), 1e-5)
     pt = rand_point(rng, 1)
     ts = [rand_tangent(rng, pt) for _ in range(4)]
-    assert abs(g[4](pt, *ts) - d_direct(pt, *ts)) < 1e-12
+    assert same_bits(g[4](pt, *ts), -d_direct(pt, *ts))
 
 
 def test_cartan_d_lowering_part_is_minus_contraction():
+    # the lowering part is -(-1)^p i_{X#}: +i at p = 1, -i at p = 2
     rng = np.random.default_rng(9)
     X = random_skew(rng)
-    e13 = e13_form()
-    g = cartan_d({3: e13(X)}, X)
-    fld = fundamental_field(X, 1)
-    want = contract(e13(X), fld)
-    pt = rand_point(rng, 1)
-    ts = [rand_tangent(rng, pt) for _ in range(2)]
-    assert abs(g[2](pt, *ts) + want(pt, *ts)) < 1e-15
+    for p, form in ((1, e13_form()(X)), (2, e22_form()(X))):
+        g = total_d({(p, 0): {form.degree: form}}, X)[(p, 0)]
+        want = contract(form, fundamental_field(X, p))
+        pt = rand_point(rng, p)
+        ts = [rand_tangent(rng, pt) for _ in range(form.degree - 1)]
+        sign = 1.0 if p % 2 else -1.0
+        assert same_bits(g[form.degree - 1](pt, *ts), sign * want(pt, *ts))
 
 
 def test_cartan_d_squares_to_zero_on_invariant_forms():
+    # D^2 of one level (1, 0), read at (1, 0), is (d - i_{X#})^2
     rng = np.random.default_rng(10)
     X = random_skew(rng)
     for form in (mu_form(), e13_form()):
-        once = cartan_d({form.form_degree: form(X)}, X, 1e-5)
-        dd = cartan_d(once, X, 1e-5)
+        once = total_d({(1, 0): {form.form_degree: form(X)}}, X, 1e-5)
+        dd = total_d(once, X, 1e-5)[(1, 0)]
         for deg, comp in sorted(dd.items()):
             for _ in range(2):
                 pt = rand_point(rng, 1)
@@ -197,16 +200,17 @@ def test_cartan_d_squares_to_zero_on_invariant_forms():
 
 
 def test_twisted_d_of_mu_reproduces_contraction_of_e13():
-    # degree-2 component of the twisted d of mu equals i_{X#} E(1,3)
+    # degree-2 component of the twisted d of mu equals i_{X#} E(1,3); at
+    # p = 1 D reads it as -(d - i_{X#}) mu
     rng = np.random.default_rng(11)
     X = random_skew(rng)
-    lhs = cartan_d({1: mu_form()(X)}, X, fd_step=1e-5)
+    lhs = total_d({(1, 0): {1: mu_form()(X)}}, X, fd_step=1e-5)[(1, 0)]
     rhs = contract(e13_form()(X), fundamental_field(X, 1))
     worst = 0.0
     for _ in range(5):
         pt = rand_point(rng, 1)
         ts = [rand_tangent(rng, pt) for _ in range(2)]
-        worst = max(worst, abs(lhs[2](pt, *ts) - rhs(pt, *ts)))
+        worst = max(worst, abs(-lhs[2](pt, *ts) - rhs(pt, *ts)))
     assert worst < 1e-6
 
 
@@ -215,32 +219,76 @@ def test_twisted_d_of_mu_reproduces_contraction_of_e13():
 
 
 def test_total_d_is_d_prime_plus_signed_cartan_d():
-    # a stacked sample of 8 trials, X stacked alike
+    # a stacked sample of 8 trials, X stacked alike; d' by the nerve faces
+    # of `nerve_d_prime`, d and i_{X#} straight from formcalc
     tape = DrawTape(trial_rngs(5, "total-d", range(8)))
     X = sample_algebra(tape)
     c = cocycle(e13_form(), e22_form(), mu_form(), X)
     D = total_d(c, X, 1e-5)
-    cart1, cart2 = cartan_d(c[1], X, 1e-5), cartan_d(c[2], X, 1e-5)
-    e13, mu, e22 = c[1][3], c[1][1], c[2][2]
+    e13, mu, e22 = c[(1, 0)][3], c[(1, 0)][1], c[(2, 0)][2]
+
+    def d(f):
+        return exterior_d(f, 1e-5)
+
+    def i(f):
+        return contract(f, fundamental_field(X, f.level))
+
     # level 1: (-1)^1 (d - i) of e13 + mu(X), and nothing from level 0;
     # level 2: d' of e13 + mu(X) plus (d - i) e22; level 3: d' e22 alone
     by_hand = {
-        1: {4: lambda pt, ts: -cart1[4](pt, *ts),
-            2: lambda pt, ts: -cart1[2](pt, *ts),
-            0: lambda pt, ts: -cart1[0](pt, *ts)},
-        2: {3: lambda pt, ts: d_prime(e13)(pt, *ts) + cart2[3](pt, *ts),
-            1: lambda pt, ts: d_prime(mu)(pt, *ts) + cart2[1](pt, *ts)},
-        3: {2: lambda pt, ts: d_prime(e22)(pt, *ts)},
+        (1, 0): {4: lambda pt, ts: -d(e13)(pt, *ts),
+                 2: lambda pt, ts: i(e13)(pt, *ts) - d(mu)(pt, *ts),
+                 0: lambda pt, ts: i(mu)(pt, *ts)},
+        (2, 0): {3: lambda pt, ts: (nerve_d_prime(e13)(pt, *ts)
+                                    + d(e22)(pt, *ts)),
+                 1: lambda pt, ts: (nerve_d_prime(mu)(pt, *ts)
+                                    - i(e22)(pt, *ts))},
+        (3, 0): {2: lambda pt, ts: nerve_d_prime(e22)(pt, *ts)},
     }
-    assert sorted(D) == [1, 2, 3]
-    for level, parts in by_hand.items():
-        assert sorted(D[level]) == sorted(parts), level
-        pt = sample_point(tape, level)
+    assert sorted(D) == [(1, 0), (2, 0), (3, 0)]
+    for key, parts in by_hand.items():
+        assert sorted(D[key]) == sorted(parts), key
+        pt = sample_point(tape, key[0])
         for degree, want in parts.items():
             ts = sample_tangents(tape, pt, degree)
-            got = D[level][degree](pt, *ts)
+            got = D[key][degree](pt, *ts)
             assert np.shape(got) == (8,)
-            assert same_bits(got, want(pt, ts)), (level, degree)
+            assert same_bits(got, want(pt, ts)), (key, degree)
+
+
+def test_total_d_is_the_q0_row_of_d3():
+    # at X = 0 the contraction vanishes, so every (p, 0) component of D3 c
+    # is the component of D c; those of D c that D3 c lacks are
+    # contractions and read 0
+    tape = DrawTape(trial_rngs(6, "total-d", range(8)))
+    X = np.zeros((4, 4))
+    c = {(1, 0): {1: entry(mc_left(1, 1), 1, 2), 3: e13_form()(X)},
+         (2, 0): {2: e22_form()(X)}}
+    D3, D = total_d3(c, 1e-5), total_d(c, X, 1e-5)
+    rows = {key: forms for key, forms in D3.items() if key[1] == 0}
+    assert sorted(rows) == sorted(D) == [(1, 0), (2, 0), (3, 0)]
+    assert sorted((key, deg) for key in D3 if key[1] for deg in D3[key]) == [
+        ((1, 1), 1), ((1, 1), 3), ((2, 1), 2)]
+    for key, forms in D.items():
+        pt = sample_point(tape, key[0])
+        ts = sample_tangents(tape, pt, max(forms))
+        for degree, form in forms.items():
+            got = form(pt, *ts[:degree])
+            assert np.shape(got) == (8,)
+            if degree in rows[key]:
+                assert np.array_equal(
+                    got, rows[key][degree](pt, *ts[:degree])), (key, degree)
+            else:
+                assert np.array_equal(got, np.zeros(8)), (key, degree)
+
+
+def test_total_d_rejects_keys_off_the_row_and_forms_off_their_level():
+    X = random_skew(np.random.default_rng(19))
+    omega = entry(mc_left(1, 2), 1, 2)
+    with pytest.raises(ValueError, match="keyed"):
+        total_d({(1, 1): {1: omega}}, X)
+    with pytest.raises(ValueError, match="needs level 1"):
+        total_d({(1, 0): {1: omega}}, X)
 
 
 def test_total_d_evaluates_nothing_until_a_component_is_read():
@@ -248,12 +296,13 @@ def test_total_d_evaluates_nothing_until_a_component_is_read():
         raise AssertionError("a form was evaluated")
 
     X = random_skew(np.random.default_rng(18))
-    cochain = {1: {3: FormEval(3, 1, never)}, 2: {2: FormEval(2, 2, never)}}
+    cochain = {(1, 0): {3: FormEval(3, 1, never)},
+               (2, 0): {2: FormEval(2, 2, never)}}
     D = total_d(cochain, X)
-    assert {level: sorted(forms) for level, forms in D.items()} == {
-        1: [2, 4], 2: [1, 3], 3: [2]}
+    assert {key: sorted(forms) for key, forms in D.items()} == {
+        (1, 0): [2, 4], (2, 0): [1, 3], (3, 0): [2]}
     with pytest.raises(ValueError):
-        total_d({2: cochain[1]}, X)
+        total_d({(2, 0): cochain[(1, 0)]}, X)
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +310,19 @@ def test_total_d_evaluates_nothing_until_a_component_is_read():
 
 
 # the components a-e of D c on levels 1 and 2, as equivariant-cocycle reads them
-COMPONENTS = {"a": (1, 4), "b": (1, 2), "c": (1, 0), "d": (2, 3), "e": (2, 1)}
+COMPONENTS = {"a": ((1, 0), 4), "b": ((1, 0), 2), "c": ((1, 0), 0),
+              "d": ((2, 0), 3), "e": ((2, 0), 1)}
 
 
 def _fixed(rng, points=None, counts=(4, 3)):
-    """A sample that hands out one fixed point and tangents per level, at
-    random points unless `points` gives them."""
+    """A sample that hands out one fixed point and tangents per level
+    (p, 0), at random points unless `points` gives them by p."""
     drawn = {}
     for level, count in zip((1, 2), counts):
         pt = rand_point(rng, level) if points is None else points[level]
-        drawn[level] = (pt, tuple(rand_tangent(rng, pt) for _ in range(count)))
-    return lambda level, count: drawn[level]
+        drawn[(level, 0)] = (pt, tuple(rand_tangent(rng, pt)
+                                       for _ in range(count)))
+    return lambda key, count: drawn[key]
 
 
 def _check(X, sample, e22=None):
@@ -353,13 +404,14 @@ def test_total_check_draws_each_level_once_before_the_next():
             return 0.0
         return FormEval(degree, level, fn)
 
-    D = {1: {d: form(d, 1) for d in (0, 2, 4)},
-         2: {d: form(d, 2) for d in (1, 3)}}
+    D = {(1, 0): {d: form(d, 1) for d in (0, 2, 4)},
+         (2, 0): {d: form(d, 2) for d in (1, 3)}}
     out = equivariant_total_check(D, sample, {
-        "d": (2, 3), "b": (1, 2), "e": (2, 1), "a": (1, 4)})
+        "d": ((2, 0), 3), "b": ((1, 0), 2), "e": ((2, 0), 1),
+        "a": ((1, 0), 4)})
     assert out == {"d": 0.0, "e": 0.0, "b": 0.0, "a": 0.0}
-    assert log == [("draw", 2, 3), ("eval", 2, 3), ("eval", 2, 1),
-                   ("draw", 1, 4), ("eval", 1, 2), ("eval", 1, 4)]
+    assert log == [("draw", (2, 0), 3), ("eval", 2, 3), ("eval", 2, 1),
+                   ("draw", (1, 0), 4), ("eval", 1, 2), ("eval", 1, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +554,7 @@ def test_chart_memo_is_emptied_when_a_component_raises():
         raise RuntimeError("component failed")
 
     with pytest.raises(RuntimeError, match="component failed"):
-        equivariant_total_check({1: {2: FormEval(2, 1, failing)}},
-                                _fixed(rng), {"x": (1, 2)})
+        equivariant_total_check({(1, 0): {2: FormEval(2, 1, failing)}},
+                                _fixed(rng), {"x": ((1, 0), 2)})
     assert held == [1]
     assert formcalc._charts.get() is None

@@ -520,7 +520,7 @@ def _oracle_d(form, factors, coords, step=1e-5):
 def _checked_forms():
     """(level, the form as a function of X) for forms the checks differentiate."""
     from nervecheck.eulercocycle import e13_form, e22_form, mu_form
-    from nervecheck.nerve import d_prime
+    from nervecheck.nerve import d_triple_complex
 
     omega = mc_left(1, 1)
     return [
@@ -529,7 +529,7 @@ def _checked_forms():
         (1, lambda X: mu_form()(X)),
         (1, lambda X: e13_form()(X)),
         (2, lambda X: e22_form()(X)),
-        (2, lambda X: d_prime(entry(omega, 1, 2))),
+        (2, lambda X: d_triple_complex(entry(omega, 1, 2), 1, "d'")),
         (2, lambda X: entry(mc_left(1, 2), 1, 2)
          + 2.0 * entry(mc_right(2, 2), 1, 3)),
     ]

@@ -1,5 +1,6 @@
 """Tests for nerve face/degeneracy maps and the double/triple complex."""
 
+import itertools
 from functools import partial
 
 import numpy as np
@@ -16,7 +17,6 @@ from nervecheck.formcalc import FormEval, SmoothMap, entry, mc_left, mc_right
 import nervecheck.nerve as nerve
 from nervecheck.nerve import (
     bi_form_from_flat,
-    d_prime,
     d_triple_complex,
     degeneracy_ng,
     face_ng,
@@ -31,8 +31,8 @@ from nervecheck.nerve import (
 )
 from nervecheck.formcalc import exterior_d
 
-from helpers import (constant_form, rand_point, rand_tangent, random_skew,
-                     validate_tangent)
+from helpers import (constant_form, nerve_d_prime, rand_point, rand_tangent,
+                     random_skew, same_bits, validate_tangent)
 from oracles import fd_map_differential
 
 
@@ -189,6 +189,134 @@ def test_gamma_intertwines_faces():
 
 
 # ---------------------------------------------------------------------------
+# the nerve maps, exhaustively and exactly: on signed permutation matrices
+# every product and transpose is exact in float64, so the simplicial
+# identities hold bit for bit and need no tolerance
+
+
+def _signed_permutations() -> np.ndarray:
+    """The 192 signed 4x4 permutation matrices of determinant +1."""
+    mats = []
+    for perm in itertools.permutations(range(4)):
+        for signs in itertools.product((1.0, -1.0), repeat=4):
+            m = np.zeros((4, 4))
+            m[range(4), perm] = signs
+            if round(np.linalg.det(m)) == 1:
+                mats.append(m)
+    return np.array(mats)
+
+
+def _exact_mismatches() -> tuple[int, list]:
+    """(comparisons, mismatches) of the nerve maps of `nerve`, looked up
+    at call time, on stacks of 16 points whose factors are drawn from the
+    signed permutations: every face, degeneracy and gamma identity of
+    every index, starting at every level up to 6, and each face
+    and gamma image against its factors."""
+    mats = _signed_permutations()
+    assert len(mats) == 192
+    rng = np.random.default_rng(12)
+    face, degeneracy = nerve.face_ng, nerve.degeneracy_ng
+    count, bad = 0, []
+
+    def point(level):
+        return GroupPoint(tuple(mats[rng.integers(len(mats), size=16)]
+                                for _ in range(level)))
+
+    def same(a, b, *what):
+        # by broadcasting: a level-0 point has no stack shape, so a
+        # degeneracy of it inserts one 4x4 identity
+        nonlocal count
+        count += 1
+        if a.level != b.level or not all(
+                np.all(x == y) for x, y in zip(a.factors, b.factors)):
+            bad.append(what)
+
+    for q in range(7):
+        pt = point(q)
+        g = pt.factors
+        # each face: an end dropped, or the middle product g_{i-1} g_i
+        for i in range(q + 1 if q else 0):
+            want = (g[1:] if i == 0 else g[:-1] if i == q
+                    else g[:i - 1] + (g[i - 1] @ g[i],) + g[i + 1:])
+            same(face(i, pt), GroupPoint(want), "face", q, i)
+        # gamma: the quotients g_k g_{k+1}^T
+        if q:
+            same(nerve.gamma(pt), GroupPoint(tuple(
+                g[k] @ g[k + 1].mT for k in range(q - 1))), "gamma", q)
+        # eps_i eps_j = eps_{j-1} eps_i for i < j
+        for j in range(1, q + 1 if q >= 2 else 0):
+            for i in range(j):
+                same(face(i, face(j, pt)), face(j - 1, face(i, pt)),
+                     "face-face", q, i, j)
+        # eta_i eta_j = eta_{j+1} eta_i for i <= j
+        for j in range(q + 1):
+            for i in range(j + 1):
+                same(degeneracy(i, degeneracy(j, pt)),
+                     degeneracy(j + 1, degeneracy(i, pt)),
+                     "degeneracy-degeneracy", q, i, j)
+        # eps_i eta_j in every index position
+        for j in range(q + 1):
+            lifted = degeneracy(j, pt)
+            for i in range(q + 2):
+                if i in (j, j + 1):
+                    want = pt
+                elif i < j:
+                    want = degeneracy(j - 1, face(i, pt))
+                else:
+                    want = degeneracy(j, face(i - 1, pt))
+                same(face(i, lifted), want, "face-degeneracy", q, i, j)
+        # gamma o (delete factor i) = eps_i o gamma on the path level q,
+        # which has q + 1 factors
+        if q:
+            path = point(q + 1)
+            for i in range(q + 1):
+                same(nerve.gamma(nerve.face_pg(i, path)),
+                     face(i, nerve.gamma(path)), "gamma-face", q, i)
+    return count, bad
+
+
+def test_nerve_maps_are_exact_on_signed_permutations():
+    count, bad = _exact_mismatches()
+    # over q = 0..6: 27 face and 6 gamma images, 55 face/face, 84
+    # degeneracy/degeneracy, 168 face/degeneracy and 27 gamma/face pairs
+    assert count == 367
+    assert bad == []
+
+
+def _swapped_face(i, pt):
+    g = pt.factors
+    if 0 < i < pt.level:
+        return GroupPoint(g[:i - 1] + (g[i] @ g[i - 1],) + g[i + 1:])
+    return face_ng(i, pt)
+
+
+def _shifted_face(i, pt):
+    # the middle face i multiplies g_i g_{i+1}, where there is a g_{i+1}
+    return face_ng(i + 1 if 0 < i < pt.level - 1 else i, pt)
+
+
+def _degeneracy_one_up(i, pt):
+    return degeneracy_ng(min(i + 1, pt.level), pt)
+
+
+def _other_gamma(pt):
+    g = pt.factors
+    return GroupPoint(tuple(g[k].mT @ g[k + 1] for k in range(pt.level - 1)))
+
+
+@pytest.mark.parametrize("name, defect", [
+    ("face_ng", _swapped_face), ("face_ng", _shifted_face),
+    ("degeneracy_ng", _degeneracy_one_up), ("gamma", _other_gamma)],
+    ids=["swapped-product", "shifted-middle-face", "degeneracy-at-i+1",
+         "gamma-inverse-first"])
+def test_a_defect_in_the_nerve_maps_fails_the_exact_test(monkeypatch, name,
+                                                         defect):
+    monkeypatch.setattr(nerve, name, defect)
+    _, bad = _exact_mismatches()
+    assert bad
+
+
+# ---------------------------------------------------------------------------
 # bisimplicial structure: level (p, q) is the flat point SO(4)^(p+q)
 
 
@@ -284,22 +412,25 @@ def test_bisimplicial_faces_reject_bad_indices_and_splits():
 
 
 def test_d_prime_of_constant_vanishes():
+    # d' on the nerve is d' of the triple complex on the row q = 0
     c = constant_form(3.25, 0)
-    dc = d_prime(c)
+    dc = d_triple_complex(c, 0, "d'")
     rng = np.random.default_rng(15)
     pt = rand_point(rng, 1)
     assert dc(pt) == 0.0
+    assert dc(pt) == nerve_d_prime(c)(pt)
 
 
 def test_d_prime_squared_vanishes():
     f = entry(mc_left(1, 1), 1, 2)
-    ddf = d_prime(d_prime(f))
+    ddf = d_triple_complex(d_triple_complex(f, 1, "d'"), 2, "d'")
     rng = np.random.default_rng(16)
     worst = 0.0
     for _ in range(5):
         pt = rand_point(rng, 3)
         t = rand_tangent(rng, pt)
         worst = max(worst, abs(ddf(pt, t)))
+        assert same_bits(ddf(pt, t), nerve_d_prime(nerve_d_prime(f))(pt, t))
     assert worst < 1e-12
 
 
@@ -373,7 +504,7 @@ def test_bi_form_roundtrip_and_validation():
         bi_form_from_flat(_flat_probe(), 2, 1)  # 2 + 1 != form level
     with pytest.raises(ValueError):
         bi(bp, t, t)
-    with pytest.raises(ValueError, match="flattened level mismatch"):
+    with pytest.raises(ValueError, match=r"keyed \(2, 1\) needs level 3"):
         total_d3({(2, 1): {1: flat}})
 
 
@@ -492,7 +623,7 @@ def test_d_prime_computes_each_face_image_once(monkeypatch, stack):
         h @ np.stack([random_skew(rng, 1.0) for _ in range(stack)])
         for h in pt.factors)) for _ in range(3)]
     calls = _count_face_ng(monkeypatch)
-    form = d_prime(e13_form()(np.zeros((4, 4))))
+    form = d_triple_complex(e13_form()(np.zeros((4, 4))), 1, "d'")
     value = form(pt, *ts)
     assert sorted(calls) == [0, 1, 2]
     assert np.shape(value) == (() if stack is None else (stack,))
