@@ -31,11 +31,14 @@ is.
 
 The samplers read a `DrawTape`.  It pulls `BLOCK` rows of six uniforms from
 every trial's stream with one `random` call, and the next block when those
-are used up; a skew matrix with coordinates in [-s, s] is -s + 2s u of the
-next row u of every trial.  That is what `Generator.uniform(-s, s, 6)`
-computes from the same doubles, so the tape draws the same numbers as one
-`uniform` call per matrix.  Drawing ahead changes nothing else, because no
-other code reads a trial's stream.
+are used up; six coordinates in [-s, s] are -s + 2s u of the next row u
+of every trial.  That is what `Generator.uniform(-s, s, 6)` computes from
+the same doubles, so the tape draws the same numbers as one `uniform` call
+per matrix.  Drawing ahead changes nothing else, because no other code
+reads a trial's stream.  A point of SO(4)^level is the exponential
+(`exp_coords`) of its next `level` coordinate rows, taken in one call; no
+skew matrix is built for it.  Tangents and algebra elements are skew
+matrices built from their rows.
 
 Nine checks are rows built by `_rows`: a residual builder returns a
 cochain of forms {(p, q): {degree: form}}, drawing X or g first where it
@@ -85,7 +88,7 @@ from .eulercocycle import (e13_form, e22_form, eval_alpha, eval_E13, eval_E22,
 from .formcalc import (FD_STEP_DEFAULT, FormEval, SmoothMap, check_fd_step,
                        entry, exterior_d, matrix_wedge_square, mc_left,
                        mc_right, pullback)
-from .matrixgroup import (GroupPoint, Tangent, basis_element, exp_matrix,
+from .matrixgroup import (GroupPoint, Tangent, basis_element, exp_coords,
                           identity_point, skew_from_coords)
 from .nerve import (_conj_apply, degeneracy_ng, face_ng, face_pg, gamma,
                     total_d3)
@@ -225,7 +228,8 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or (dtype is not np.uint64
+                            and np.dtype(dtype) != np.uint64):
             raise ValueError("holds exactly 4 uint64 seed words, asked for "
                              f"{n_words} of {np.dtype(dtype)}")
         return self.words
@@ -294,9 +298,10 @@ def _skews(tape: DrawTape, scale: float) -> np.ndarray:
 
 
 def sample_point(tape: DrawTape, level: int) -> GroupPoint:
-    """Level-many independent rotations, exp of skews with entries in [-2, 2],
-    from the next `level` rows in one exponential."""
-    hs = exp_matrix(_skew_rows(tape, level, 2.0))
+    """Level-many independent rotations, exp of skews with coordinates in
+    [-2, 2]: one exponential of the next `level` rows, read as coordinates,
+    so no skew matrix is built."""
+    hs = exp_coords(-2.0 + 4.0 * tape.rows(level))
     return GroupPoint(tuple(hs[..., k, :, :] for k in range(level)))
 
 

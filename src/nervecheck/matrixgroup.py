@@ -6,9 +6,18 @@ one per factor.  A matrix V is tangent to SO(4) at h exactly when h^T V is
 skew-symmetric.
 
 Every matrix may carry leading stack axes: a factor or a tangent rep of
-shape (N, 4, 4) holds N points at once, and `exp_matrix`, `skew_from_coords`
-and the containers' validation work slice by slice on such stacks.  The
-matrix transpose is therefore always `.mT`, a swap of the last two axes.
+shape (N, 4, 4) holds N points at once, and `exp_matrix`, `exp_coords`,
+`skew_from_coords` and the containers' validation work slice by slice on
+such stacks.  The matrix transpose is therefore always `.mT`, a swap of the
+last two axes.
+
+The exponential has two entry points and one closed form.  `exp_coords`
+takes the six coordinates of each skew matrix, (..., 6) in `BASIS_PAIRS`
+order, and is the kernel: both so(3) halves of the argument run in one
+pass, as a (2, 4, M) pair of four numbers over the M matrices.
+`exp_matrix` takes skew matrices (..., 4, 4), checks that they are skew,
+and hands their upper-triangle coordinates to `exp_coords`; the samplers
+call `exp_coords` on their drawn coordinates and build no skew matrix.
 
 A stacked product whose right operand is such a transpose, `v @ h.mT`,
 falls to numpy's strided matmul loop, three to four times slower than the
@@ -94,17 +103,9 @@ def skew_from_coords(coords) -> np.ndarray:
 def _sinc(theta: np.ndarray) -> np.ndarray:
     """sin(theta) / theta for theta >= 0; the series 1 - theta^2/6 below 1e-4
     is exact to double precision there."""
-    small = theta < 1e-4
-    safe = np.where(small, 1.0, theta)
-    return np.where(small, 1.0 - theta * theta / 6.0, np.sin(safe) / safe)
-
-
-def _half(u1, u2, u3) -> np.ndarray:
-    """(cos(t), sinc(t) u1, sinc(t) u2, sinc(t) u3), t = |u|, as a (..., 4)
-    array: the four numbers of one factor of `exp_matrix`."""
-    t = np.sqrt(u1 * u1 + u2 * u2 + u3 * u3)
-    s = _sinc(t)
-    return np.stack([np.cos(t), s * u1, s * u2, s * u3], axis=-1)
+    out = 1.0 - theta * theta / 6.0
+    np.divide(np.sin(theta), theta, out=out, where=theta >= 1e-4)
+    return out
 
 
 def _sign_table(layout) -> np.ndarray:
@@ -117,16 +118,24 @@ def _sign_table(layout) -> np.ndarray:
 
 
 # cos(t) I + sinc(t) A+- over (cos(t), sinc(t) u1, sinc(t) u2, sinc(t) u3),
-# with u the coordinates of A+ (plus) or A- (minus) named in exp_matrix
+# with u the coordinates of A+ (plus) or A- (minus) named in exp_coords
 _PLUS = _sign_table((0, 1, 2, 3, -1, 0, 3, -2, -2, -3, 0, 1, -3, 2, -1, 0))
 _MINUS = _sign_table((0, 1, 2, 3, -1, 0, -3, 2, -2, 3, 0, -1, -3, -2, 1, 0))
-# the upper triangle, diagonal included: x is skew when x_ij + x_ji = 0 there
-_UPPER = np.triu_indices(DIM)
+_TABLES = np.stack([_PLUS, _MINUS])
+# u = (a[:3] + S a[5:2:-1]) / 2 on the coordinates a = (a12, a13, a14, a23,
+# a24, a34): row 0 of S gives A+ on E12+E34, E13-E24, E14+E23, row 1 gives
+# A- on E12-E34, E13+E24, E14-E23
+_S = np.array([[[1.0], [-1.0], [1.0]], [[-1.0], [1.0], [-1.0]]])
+# the upper triangle, the diagonal first and then the six coordinates in
+# BASIS_PAIRS order: x is skew when x_ij + x_ji = 0 there
+_UPPER = (np.concatenate([np.arange(DIM), _ROWS]),
+          np.concatenate([np.arange(DIM), _COLS]))
 
 
-def exp_matrix(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a 4x4 skew matrix, or of each matrix of a stack
-    (..., 4, 4), in closed form (lands in SO(4)).
+def exp_coords(c) -> np.ndarray:
+    """exp of the skew matrix with the six coordinates c (last axis) in
+    BASIS_PAIRS order, or of each matrix of a stack (..., 6): (..., 4, 4),
+    in closed form (lands in SO(4)).
 
     A skew A splits into commuting self-dual and anti-self-dual halves
     A+ = (A + *A)/2 and A- = (A - *A)/2, where *A is the Hodge dual
@@ -137,24 +146,48 @@ def exp_matrix(x: np.ndarray) -> np.ndarray:
 
     the so(3) + so(3) form of Gallier & Xu, "Computing exponentials of
     skew-symmetric matrices and logarithms of orthogonal matrices" (2002).
-    Both factors are orthogonal to roundoff for every argument.  Each factor
-    is its four numbers (cos(t), sinc(t) u), a (..., 4) array, times a
-    constant (4, 16) table of signs, `_PLUS` or `_MINUS`: every entry of a
-    factor is one of the four numbers or its negative, so the product only
-    copies and negates them, exactly.
+    Both factors are orthogonal to roundoff for every argument.
+
+    One pass serves both halves.  Over the M matrices, the coordinates u of
+    A+ and A- are one (2, 3, M) array, so t = |u|, sinc(t) and cos(t) run
+    once over (2, M), and the two halves' four numbers (cos(t), sinc(t) u)
+    form one (2, 4, M) pair.  The pair meets the constant (4, 16) sign
+    tables `_PLUS` and `_MINUS` in one stacked product: every entry of a
+    factor is one of its four numbers or its negative, so the product only
+    copies and negates them, exactly.  The arrays keep the matrices on the
+    last axis, so each elementwise step runs over M numbers at a time.
+
+    This entry point takes coordinates; `exp_matrix` takes skew matrices
+    and gives the same bits as exp_coords(c) on skew_from_coords(c).
+    """
+    c = np.asarray(c, dtype=float)
+    if c.shape[-1:] != (6,):
+        raise ValueError("need exactly six coordinates")
+    shape = c.shape[:-1]
+    a = np.ascontiguousarray(c.reshape(-1, 6).T)
+    u = 0.5 * (a[:3] + _S * a[5:2:-1])
+    sq = u * u
+    t = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+    pair = np.empty((2, 4) + t.shape[1:])
+    pair[:, 0] = np.cos(t)
+    np.multiply(_sinc(t)[:, None], u, out=pair[:, 1:])
+    plus, minus = (pair.mT @ _TABLES).reshape((2,) + shape + (DIM, DIM))
+    return plus @ minus
+
+
+def exp_matrix(x: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a 4x4 skew matrix, or of each matrix of a stack
+    (..., 4, 4), in the closed form of `exp_coords` (lands in SO(4)).
+
+    The argument is read once, as its upper triangle: the skew check and
+    the six coordinates handed to `exp_coords` share that gather.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-2:] != (DIM, DIM):
         raise ValueError(f"need a 4x4 matrix, got shape {x.shape}")
     # a NaN entry fails the comparison too
     rows, cols = _UPPER
-    if not np.all(np.abs(x[..., rows, cols] + x[..., cols, rows]) <= 1e-10):
+    upper = x[..., rows, cols]
+    if not np.all(np.abs(upper + x[..., cols, rows]) <= 1e-10):
         raise ValueError("exp_matrix expects a skew-symmetric argument")
-    a12, a13, a14 = x[..., 0, 1], x[..., 0, 2], x[..., 0, 3]
-    a23, a24, a34 = x[..., 1, 2], x[..., 1, 3], x[..., 2, 3]
-    # coordinates of A+ on E12+E34, E13-E24, E14+E23 and of A- on
-    # E12-E34, E13+E24, E14-E23
-    plus = _half(0.5 * (a12 + a34), 0.5 * (a13 - a24), 0.5 * (a14 + a23))
-    minus = _half(0.5 * (a12 - a34), 0.5 * (a13 + a24), 0.5 * (a14 - a23))
-    return ((plus @ _PLUS).reshape(x.shape)
-            @ (minus @ _MINUS).reshape(x.shape))
+    return exp_coords(upper[..., DIM:])

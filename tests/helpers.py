@@ -3,7 +3,8 @@
 Unlike `oracles.py`, nothing here is an independent reference: these are
 conveniences built from the package's own primitives.  `nerve_d_prime` is
 a second route to d' on the nerve, from other primitives than the route
-the package takes.
+the package takes, and `exp_two_halves` a second route to the closed-form
+exponential, one so(3) half at a time.
 """
 
 import hashlib
@@ -15,8 +16,8 @@ from nervecheck.formcalc import FormEval, SmoothMap, pullback
 from nervecheck.formdsl import (EntrySel, MCLAtom, MCRAtom, Scale, Square, Sum,
                                 SumS4, Wedge, XAtom)
 from nervecheck.harness import trial_rngs
-from nervecheck.matrixgroup import (DIM, GroupPoint, Tangent, exp_matrix,
-                                    skew_from_coords)
+from nervecheck.matrixgroup import (_MINUS, _PLUS, DIM, GroupPoint, Tangent,
+                                    exp_matrix, skew_from_coords)
 from nervecheck.nerve import face_ng, face_ng_diff
 
 
@@ -156,3 +157,34 @@ def nerve_d_prime(f: FormEval) -> FormEval:
                                      partial(face_ng_diff, i)))
         total = term if i == 0 else total + term if i % 2 == 0 else total - term
     return total
+
+
+def _sinc(theta: np.ndarray) -> np.ndarray:
+    """sin(theta) / theta, and the series 1 - theta^2/6 below 1e-4."""
+    small = theta < 1e-4
+    safe = np.where(small, 1.0, theta)
+    return np.where(small, 1.0 - theta * theta / 6.0, np.sin(safe) / safe)
+
+
+def _half(u1, u2, u3) -> np.ndarray:
+    """(cos(t), sinc(t) u1, sinc(t) u2, sinc(t) u3), t = |u|, as a (..., 4)
+    array: the four numbers of one factor of the exponential."""
+    t = np.sqrt(u1 * u1 + u2 * u2 + u3 * u3)
+    s = _sinc(t)
+    return np.stack([np.cos(t), s * u1, s * u2, s * u3], axis=-1)
+
+
+def exp_two_halves(x: np.ndarray) -> np.ndarray:
+    """exp of a skew 4x4 matrix or of each matrix of a stack (..., 4, 4) by
+    the closed form of `matrixgroup.exp_coords`, one so(3) half at a time:
+    each half reads its three coordinates from the matrix entries, passes
+    them through its own `_half`, and meets its own sign table in its own
+    product.  The package runs both halves in one pass over the drawn
+    coordinates; the two routes give the same bits."""
+    x = np.asarray(x, dtype=float)
+    a12, a13, a14 = x[..., 0, 1], x[..., 0, 2], x[..., 0, 3]
+    a23, a24, a34 = x[..., 1, 2], x[..., 1, 3], x[..., 2, 3]
+    plus = _half(0.5 * (a12 + a34), 0.5 * (a13 - a24), 0.5 * (a14 + a23))
+    minus = _half(0.5 * (a12 - a34), 0.5 * (a13 + a24), 0.5 * (a14 - a23))
+    return ((plus @ _PLUS).reshape(x.shape)
+            @ (minus @ _MINUS).reshape(x.shape))

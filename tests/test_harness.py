@@ -32,11 +32,11 @@ from nervecheck.harness import (
     trial_rows,
 )
 from nervecheck.formcalc import FormEval
-from nervecheck.matrixgroup import exp_matrix, skew_from_coords
+from nervecheck.matrixgroup import exp_coords, exp_matrix, skew_from_coords
 from nervecheck.nerve import degeneracy_ng, face_ng, face_pg, gamma
 
-from helpers import (digest, same_bits, trial_rng, validate_point,
-                     validate_tangent)
+from helpers import (digest, exp_two_halves, same_bits, trial_rng,
+                     validate_point, validate_tangent)
 from oracles import PerCallSampler
 
 
@@ -293,16 +293,21 @@ def _count_calls(monkeypatch, module, name):
 
 def test_exp_matrix_calls_do_not_grow_with_the_trial_count(monkeypatch):
     # the exponentials run once per stack, not once per trial (per-trial
-    # evaluation made about 30,000 calls for d-squared at 200 trials)
+    # evaluation made about 30,000 calls for d-squared at 200 trials): the
+    # charts' exp_matrix, and the samplers' exp_coords, which exp_matrix
+    # calls in turn
     from nervecheck import matrixgroup
 
     calls = _count_calls(monkeypatch, matrixgroup, "exp_matrix")
+    coord_calls = _count_calls(monkeypatch, matrixgroup, "exp_coords")
     counts = []
     for trials in (100, 200):
         calls.clear()
+        coord_calls.clear()
         run_check(CheckConfig("d-squared", trials=trials, seed=4))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] <= 500, counts
+        counts.append((len(calls), len(coord_calls)))
+    assert counts[0] == counts[1], counts
+    assert 0 < counts[0][0] < counts[0][1] <= 500, counts
 
 
 def test_nan_residual_fails_a_plain_check(monkeypatch):
@@ -473,6 +478,70 @@ def test_identity_check_columns_match_recorded_digests(check_id, seed):
     assert {k: digest(v) for k, v in got.items()} == recorded
 
 
+# The trial_rows columns of every check at seed 0 and 200 trials, stacked
+# in sorted component order: a change that claims to keep every bit (a
+# faster kernel, a new layout) must reproduce them.
+_SEED0_DIGESTS = {
+    "mc-structure":
+        "99c3a1bf4fe274ce10fbb3cddcce39cb5dc1af9a18d1b983292bd850abab3cc3",
+    "simplicial-identities":
+        "71e999d8629a7e0df8edb82e7f28a505f5176b38a02774e56e3b2bdc159f3c04",
+    "gamma-simplicial":
+        "472e757607fa9ba2b642abfb6c60dca66e13acf41e9a160dfa70040f8c0b71bd",
+    "lemma-4.1":
+        "397f04fc250281f695767d8930b96daf47262c59c99d3a6f9b1980e55fc1b481",
+    "lemma-4.2":
+        "fa65c4c914feda1403c19b5091f2530c5c7d4d27a1942dcff78b08ded6c3518a",
+    "lemma-4.3":
+        "e6fa9bb0ff817f72dd306dfbc989c0b8509a24afabd06588d3e7fdc2513f8de5",
+    "euler-cocycle":
+        "68b01b22a45f214c525582554f413067a9170418d38a2d4308a7f36a14626d0e",
+    "equivariant-cocycle":
+        "55401f5186b3a5e257a38022e6445de34a016e5d6662016224275a803a83dd1d",
+    "ad-invariance":
+        "25945c013dd25228702ca5980accdee7a5caf7aad64fd9a53c8b3b7e71133bcc",
+    "dsl-oracle":
+        "0c294d1a4aa545fc334eb04a2f2ebf79725dab55c2b5ee62c0d47837c4b68d8b",
+    "alpha-antisymmetry":
+        "5a312281df4bd8dfbb4d4a94ad0bf44d01bb8cfced1206b90e21b4ca0568cdb1",
+    "d-squared":
+        "e13bc4bcc36e13bf60ff310125fc56d9da76bb8083045b48d31bf139e5f7a385",
+    "golden-values":
+        "668946bab9868b28489bb906205ee1026045c8bcd3ca62a1bdf733c65491351b",
+}
+
+# The exponential of a fixed stack by the half-at-a-time route of
+# `helpers.exp_two_halves`, which test_matrixgroup pins bit-equal to
+# exp_matrix: coordinates that are exact binary fractions in [-2, 2], and
+# the same times 1e-5, the scale of exterior_d's charts.  The probe reads
+# how the platform rounds sin, cos and 4x4 products without reading the
+# package's kernel, so a kernel that changes the bits fails the test below
+# instead of skipping it.
+_EXP_PROBE_DIGEST = (
+    "d02967a8ee4f776e223f81c2f0908b0b8efcbbde139284e9e825ac8a55892600")
+
+
+def _exp_probe():
+    c = ((np.arange(600.0) * 37.0) % 97.0 - 48.0).reshape(100, 6) / 24.0
+    return exp_two_halves(skew_from_coords(np.stack([c, 1e-5 * c])))
+
+
+def test_seed0_digests_name_every_check():
+    assert set(_SEED0_DIGESTS) == set(CHECK_IDS)
+
+
+@pytest.mark.parametrize("check_id", sorted(_SEED0_DIGESTS))
+def test_every_check_column_matches_its_recorded_seed0_digest(check_id):
+    # The digests pin the residuals' last bits, which depend on how the
+    # platform rounds sin, cos and 4x4 products; where the probe does not
+    # reproduce its digest, they cannot hold.
+    if digest(_exp_probe()) != _EXP_PROBE_DIGEST:
+        pytest.skip("this platform rounds the exponential differently")
+    cols = trial_rows(CheckConfig(check_id, seed=0), range(200))
+    got = np.stack([np.broadcast_to(cols[k], (200,)) for k in sorted(cols)])
+    assert digest(got) == _SEED0_DIGESTS[check_id]
+
+
 @pytest.mark.parametrize("check_id", ["simplicial-identities",
                                       "gamma-simplicial"])
 def test_nan_in_a_sampled_factor_fails_the_identity_checks(monkeypatch,
@@ -480,12 +549,12 @@ def test_nan_in_a_sampled_factor_fails_the_identity_checks(monkeypatch,
     # A NaN entry in the first factor of trial 7 of every sampled point.
     # Comparisons of a factor with itself are skipped, but the NaN reaches
     # every product it enters, so the run still fails at trial 7.
-    def poisoned(x):
-        out = exp_matrix(x)
+    def poisoned(c):
+        out = exp_coords(c)
         out[7, 0, 1, 2] = np.nan
         return out
 
-    monkeypatch.setattr(harness, "exp_matrix", poisoned)
+    monkeypatch.setattr(harness, "exp_coords", poisoned)
     rep = run_check(CheckConfig(check_id, trials=20))
     assert not rep.passed
     assert (rep.max_abs_err, rep.worst_trial) == (math.inf, 7)
@@ -686,7 +755,7 @@ def test_trial_rngs_refuse_a_trial_numpy_would_seed_differently(trial):
 
 @pytest.mark.parametrize("request_args", [
     (4,), (4, np.uint32), (8, np.uint32), (2, np.uint64), (5, np.uint64),
-    (4, np.int64)])
+    (4, np.int64), (4, np.float64), (4, "u4")])
 def test_seed_words_refuse_any_request_but_four_uint64(request_args):
     words = harness._seed_words(np.array([[1, 2, 3, 0]], dtype=np.uint32))[0]
     seq = harness._SeedWords(words)
@@ -695,6 +764,15 @@ def test_seed_words_refuse_any_request_but_four_uint64(request_args):
                               4, np.uint64))
     with pytest.raises(ValueError):
         seq.generate_state(*request_args)
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.dtype(np.uint64), "uint64",
+                                   "<u8"])
+def test_seed_words_answer_every_spelling_of_uint64(dtype):
+    # PCG64 asks with np.uint64 itself, which is accepted without building
+    # a dtype; any other spelling of the same type goes through np.dtype
+    words = harness._seed_words(np.array([[1, 2, 3, 0]], dtype=np.uint32))[0]
+    assert harness._SeedWords(words).generate_state(4, dtype) is words
 
 
 @pytest.mark.parametrize("trials", [1, 2, CHUNK, CHUNK + 1])
@@ -746,20 +824,21 @@ def test_tape_hands_out_several_rows_in_stream_order():
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_a_point_is_one_exponential_of_its_rows(monkeypatch, level):
-    # sample_point reads its `level` rows at once and exponentiates them in
-    # one call; the factors and the tangent sampled after them equal one
-    # row, one exponential and one product at a time, bit for bit
+    # sample_point reads its `level` rows at once and exponentiates them as
+    # coordinates in one call; the factors and the tangent sampled after
+    # them equal one row, one skew matrix, one exponential and one product
+    # at a time, bit for bit
     calls = []
 
-    def counted(x):
-        calls.append(x.shape)
-        return exp_matrix(x)
+    def counted(c):
+        calls.append(c.shape)
+        return exp_coords(c)
 
-    monkeypatch.setattr(harness, "exp_matrix", counted)
+    monkeypatch.setattr(harness, "exp_coords", counted)
     tape = DrawTape(trial_rngs(5, "tape", range(3)))
     twin = DrawTape(trial_rngs(5, "tape", range(3)))
     pt = sample_point(tape, level)
-    assert calls == [(3, level, 4, 4)]
+    assert calls == [(3, level, 6)]
     want = [exp_matrix(_skews(twin, 2.0)) for _ in range(level)]
     assert all(same_bits(h, w) for h, w in zip(pt.factors, want, strict=True))
     t = sample_tangent(tape, pt)

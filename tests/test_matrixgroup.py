@@ -13,13 +13,14 @@ from nervecheck.matrixgroup import (
     Tangent,
     basis_element,
     basis_so4,
+    exp_coords,
     exp_matrix,
     identity_point,
     skew_from_coords,
 )
 
-from helpers import (random_skew, sample_so4, validate_point,
-                     validate_tangent)
+from helpers import (exp_two_halves, random_skew, same_bits, sample_so4,
+                     validate_point, validate_tangent)
 
 
 def test_basis_pairs_order_and_count():
@@ -141,6 +142,66 @@ def test_stacked_exp_matrix_rejects_one_bad_member():
     for shape in ((5, 3, 3), (DIM,), (DIM, 3)):
         with pytest.raises(ValueError, match="need a 4x4 matrix"):
             exp_matrix(np.zeros(shape))
+
+
+def _both_entry_points_match_the_two_halves(coords):
+    """exp_coords(c) and exp_matrix of the skew matrix of c give the bits of
+    the half-at-a-time reference."""
+    want = exp_two_halves(skew_from_coords(coords))
+    assert same_bits(exp_coords(coords), want)
+    assert same_bits(exp_matrix(skew_from_coords(coords)), want)
+
+
+@pytest.mark.parametrize("shape", [(6,), (3, 6), (2, 5, 6)])
+@pytest.mark.parametrize("scale", [1e-9, 1e-5, 1e-3, 1.0, 2.0, 5.0])
+def test_exp_entry_points_equal_the_two_half_reference(shape, scale):
+    # scale 1e-5 is that of exterior_d's charts, 2 that of the samplers
+    rng = np.random.default_rng(7)
+    _both_entry_points_match_the_two_halves(
+        scale * rng.uniform(-1.0, 1.0, shape))
+
+
+def test_exp_entry_points_equal_the_reference_at_the_sinc_switch():
+    # 2t E12 has both halves of length t, exactly: t runs from the last
+    # doubles below the 1e-4 switch of the sinc series to those above it,
+    # alone and mixed with random directions of the same length
+    ts = [1e-4]
+    for _ in range(3):
+        ts = [np.nextafter(ts[0], 0.0)] + ts + [np.nextafter(ts[-1], 1.0)]
+    ts = np.array(ts + [0.99e-4, 1.01e-4])
+    planar = np.zeros((ts.size, 6))
+    planar[:, 0] = 2.0 * ts
+    _both_entry_points_match_the_two_halves(planar)
+    rng = np.random.default_rng(13)
+    d = rng.normal(size=(ts.size, 6))
+    d *= (2.0 * ts / np.linalg.norm(d, axis=-1))[:, None]
+    _both_entry_points_match_the_two_halves(d)
+    _both_entry_points_match_the_two_halves(np.stack([planar, d]))
+
+
+def test_exp_entry_points_of_zero_are_the_identity():
+    for shape in [(6,), (3, 6), (2, 5, 6)]:
+        _both_entry_points_match_the_two_halves(np.zeros(shape))
+        assert same_bits(exp_coords(np.zeros(shape)),
+                         np.broadcast_to(np.eye(DIM), shape[:-1] + (4, 4)))
+
+
+def test_exp_entry_points_reject_bad_arguments_with_their_messages():
+    with pytest.raises(ValueError) as err:
+        exp_matrix(np.eye(DIM))
+    assert str(err.value) == "exp_matrix expects a skew-symmetric argument"
+    nan = np.zeros((3, DIM, DIM))
+    nan[1, 2, 3] = math.nan
+    with pytest.raises(ValueError) as err:
+        exp_matrix(nan)
+    assert str(err.value) == "exp_matrix expects a skew-symmetric argument"
+    with pytest.raises(ValueError) as err:
+        exp_matrix(np.zeros((2, DIM, 3)))
+    assert str(err.value) == "need a 4x4 matrix, got shape (2, 4, 3)"
+    for shape in [(5,), (2, 7), (DIM, DIM)]:
+        with pytest.raises(ValueError) as err:
+            exp_coords(np.zeros(shape))
+        assert str(err.value) == "need exactly six coordinates"
 
 
 def test_stacked_points_and_tangents_validate():
