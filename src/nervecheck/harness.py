@@ -228,10 +228,9 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or (dtype is not np.uint64
-                            and np.dtype(dtype) != np.uint64):
-            raise ValueError("holds exactly 4 uint64 seed words, asked for "
-                             f"{n_words} of {np.dtype(dtype)}")
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("holds exactly 4 np.uint64 seed words, asked "
+                             f"for {n_words} of {dtype!r}")
         return self.words
 
 
@@ -286,10 +285,15 @@ class DrawTape:
         return out[0] if self.single else out
 
 
+def _coord_rows(tape: DrawTape, count: int, scale: float) -> np.ndarray:
+    """Six coordinates uniform in [-scale, scale] per row, from the next
+    `count` rows of every trial: (..., count, 6)."""
+    return -scale + (2.0 * scale) * tape.rows(count)
+
+
 def _skew_rows(tape: DrawTape, count: int, scale: float) -> np.ndarray:
-    """Skew matrices with six coordinates uniform in [-scale, scale], from
-    the next `count` rows of every trial: (..., count, 4, 4)."""
-    return skew_from_coords(-scale + (2.0 * scale) * tape.rows(count))
+    """The skew matrices of `_coord_rows`: (..., count, 4, 4)."""
+    return skew_from_coords(_coord_rows(tape, count, scale))
 
 
 def _skews(tape: DrawTape, scale: float) -> np.ndarray:
@@ -301,7 +305,7 @@ def sample_point(tape: DrawTape, level: int) -> GroupPoint:
     """Level-many independent rotations, exp of skews with coordinates in
     [-2, 2]: one exponential of the next `level` rows, read as coordinates,
     so no skew matrix is built."""
-    hs = exp_coords(-2.0 + 4.0 * tape.rows(level))
+    hs = exp_coords(_coord_rows(tape, level, 2.0))
     return GroupPoint(tuple(hs[..., k, :, :] for k in range(level)))
 
 

@@ -513,17 +513,24 @@ _SEED0_DIGESTS = {
 # The exponential of a fixed stack by the half-at-a-time route of
 # `helpers.exp_two_halves`, which test_matrixgroup pins bit-equal to
 # exp_matrix: coordinates that are exact binary fractions in [-2, 2], and
-# the same times 1e-5, the scale of exterior_d's charts.  The probe reads
-# how the platform rounds sin, cos and 4x4 products without reading the
-# package's kernel, so a kernel that changes the bits fails the test below
-# instead of skipping it.
-_EXP_PROBE_DIGEST = (
-    "d02967a8ee4f776e223f81c2f0908b0b8efcbbde139284e9e825ac8a55892600")
+# the same times 1e-5, the scale of exterior_d's charts.  Then the kinds of
+# rounding step the checks take after it: contiguous and strided 4x4
+# products, and the signed 24-term einsum sum of formdsl's S4 sums.  The
+# probe reads how the platform rounds these without reading the package's
+# kernels, so a kernel that changes the bits fails the test below instead
+# of skipping it.
+_PLATFORM_PROBE_DIGEST = (
+    "08edc7574ccbe8600a9439f39118c0afc27c978ae2441e96b8369de4aa028c69")
 
 
-def _exp_probe():
+def _platform_probe():
     c = ((np.arange(600.0) * 37.0) % 97.0 - 48.0).reshape(100, 6) / 24.0
-    return exp_two_halves(skew_from_coords(np.stack([c, 1e-5 * c])))
+    h = exp_two_halves(skew_from_coords(np.stack([c, 1e-5 * c])))
+    prods = (h @ h[:, ::-1]) @ h.mT
+    terms = np.concatenate([h.reshape(2, 100, 16),
+                            prods.reshape(2, 100, 16)[..., :8]], axis=-1)
+    sums = np.einsum("p,...p->...", np.resize([1.0, -1.0], 24), terms)
+    return np.concatenate([h.ravel(), prods.ravel(), sums.ravel()])
 
 
 def test_seed0_digests_name_every_check():
@@ -533,10 +540,10 @@ def test_seed0_digests_name_every_check():
 @pytest.mark.parametrize("check_id", sorted(_SEED0_DIGESTS))
 def test_every_check_column_matches_its_recorded_seed0_digest(check_id):
     # The digests pin the residuals' last bits, which depend on how the
-    # platform rounds sin, cos and 4x4 products; where the probe does not
-    # reproduce its digest, they cannot hold.
-    if digest(_exp_probe()) != _EXP_PROBE_DIGEST:
-        pytest.skip("this platform rounds the exponential differently")
+    # platform rounds sin, cos, 4x4 products and einsum sums; where the
+    # probe does not reproduce its digest, they cannot hold.
+    if digest(_platform_probe()) != _PLATFORM_PROBE_DIGEST:
+        pytest.skip("this platform rounds the samples differently")
     cols = trial_rows(CheckConfig(check_id, seed=0), range(200))
     got = np.stack([np.broadcast_to(cols[k], (200,)) for k in sorted(cols)])
     assert digest(got) == _SEED0_DIGESTS[check_id]
@@ -755,8 +762,11 @@ def test_trial_rngs_refuse_a_trial_numpy_would_seed_differently(trial):
 
 @pytest.mark.parametrize("request_args", [
     (4,), (4, np.uint32), (8, np.uint32), (2, np.uint64), (5, np.uint64),
-    (4, np.int64), (4, np.float64), (4, "u4")])
+    (4, np.int64), (4, np.float64), (4, "u4"), (4, np.dtype(np.uint64)),
+    (4, "<u8")])
 def test_seed_words_refuse_any_request_but_four_uint64(request_args):
+    # PCG64 asks with np.uint64 itself; any other request, another spelling
+    # of uint64 among them, is refused
     words = harness._seed_words(np.array([[1, 2, 3, 0]], dtype=np.uint32))[0]
     seq = harness._SeedWords(words)
     assert np.array_equal(seq.generate_state(4, np.uint64),
@@ -764,15 +774,6 @@ def test_seed_words_refuse_any_request_but_four_uint64(request_args):
                               4, np.uint64))
     with pytest.raises(ValueError):
         seq.generate_state(*request_args)
-
-
-@pytest.mark.parametrize("dtype", [np.uint64, np.dtype(np.uint64), "uint64",
-                                   "<u8"])
-def test_seed_words_answer_every_spelling_of_uint64(dtype):
-    # PCG64 asks with np.uint64 itself, which is accepted without building
-    # a dtype; any other spelling of the same type goes through np.dtype
-    words = harness._seed_words(np.array([[1, 2, 3, 0]], dtype=np.uint32))[0]
-    assert harness._SeedWords(words).generate_state(4, dtype) is words
 
 
 @pytest.mark.parametrize("trials", [1, 2, CHUNK, CHUNK + 1])
