@@ -25,11 +25,11 @@ i_{X#} is the q = 0 row of D3 = d' + d'' + d''' with d'' replaced by the
 contraction; `total_d` applies it through the walk of `nerve.total_d3`.
 `equivariant_total_check` is the one component reader: it evaluates named
 components {name: ((p, q), degree)} of any cochain of forms, such as D c
-for the degree-4 cochain c = {(1, 0): e13 + mu(X), (2, 0): e22} of
-`cocycle`, or D3^2 of a bisimplicial cochain, on a sample it draws level by
-level.  The checks in `harness.CHECKS` that a cochain of forms vanishes
-are rows of such components.  A sample may be stacked, with X stacked
-alike, and then every residual is an array.
+for the degree-4 cochain c of `eulercocycle.cocycle`, or D3^2 of a
+bisimplicial cochain, on a sample it draws level by level.  The checks in
+`harness.CHECKS` that a cochain of forms vanishes are rows of such
+components.  A sample may be stacked, with X stacked alike, and then every
+residual is an array.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ def fundamental_field(X: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class EquivariantForm:
-    """A polynomial family X -> FormEval, homogeneous of degree poly_degree."""
+    """A polynomial family X -> FormEval, homogeneous of degree poly_degree,
+    such as a `formdsl` expression in which X occurs."""
 
     level: int
     form_degree: int
@@ -86,18 +87,6 @@ def total_d(cochain: Cochain, X: np.ndarray,
         return (((p, q), i if p % 2 else -i),)
 
     return _total(cochain, fd_step, contraction)
-
-
-def cocycle(e13: EquivariantForm, e22: EquivariantForm,
-            mu: EquivariantForm, X: np.ndarray) -> Cochain:
-    """The degree-4 cochain {(1, 0): e13 + mu(X), (2, 0): e22} at X."""
-    if (e13.level, e13.form_degree, e13.poly_degree) != (1, 3, 0):
-        raise ValueError("first cochain must be a 3-form at level 1")
-    if (e22.level, e22.form_degree, e22.poly_degree) != (2, 2, 0):
-        raise ValueError("second cochain must be a 2-form at level 2")
-    if (mu.level, mu.form_degree, mu.poly_degree) != (1, 1, 1):
-        raise ValueError("third cochain must be a polynomial 1-form at level 1")
-    return {(1, 0): {3: e13(X), 1: mu(X)}, (2, 0): {2: e22(X)}}
 
 
 def equivariant_total_check(cochain: Cochain,

@@ -47,20 +47,14 @@ from .matrixgroup import DIM, GroupPoint, Tangent, exp_matrix
 FD_STEP_DEFAULT = 1e-5
 
 
-def _same_point(a: GroupPoint, b: GroupPoint, tol: float = 1e-9) -> bool:
-    if a is b:
-        return True
-    if a.level != b.level:
-        return False
-    return all(np.allclose(x, y, rtol=0.0, atol=tol)
-               for x, y in zip(a.factors, b.factors))
-
-
-def _check_eval_args(degree: int, pt: GroupPoint, ts: Sequence[Tangent]) -> None:
-    if len(ts) != degree:
-        raise ValueError(f"degree-{degree} form called with {len(ts)} tangents")
+def check_base(pt: GroupPoint, ts: Sequence[Tangent]) -> None:
+    """Raise ValueError unless every tangent of ts is based at pt: at pt
+    itself, or at a point of its level whose factors agree to 1e-9."""
     for t in ts:
-        if not _same_point(t.base, pt):
+        base = t.base
+        if base is not pt and (base.level != pt.level or not all(
+                np.allclose(x, y, rtol=0.0, atol=1e-9)
+                for x, y in zip(base.factors, pt.factors))):
             raise ValueError("tangent is not based at the evaluation point")
 
 
@@ -73,7 +67,10 @@ class FormEval:
     fn: Callable[[GroupPoint, tuple[Tangent, ...]], float | np.ndarray]
 
     def __call__(self, pt: GroupPoint, *tangents: Tangent) -> float | np.ndarray:
-        _check_eval_args(self.degree, pt, tangents)
+        if len(tangents) != self.degree:
+            raise ValueError(f"degree-{self.degree} form called with "
+                             f"{len(tangents)} tangents")
+        check_base(pt, tangents)
         return self.fn(pt, tangents)
 
     def _binary(self, other: "FormEval", sign: float) -> "FormEval":
@@ -171,13 +168,15 @@ def _fold_steps(degrees: tuple[int, ...]) -> tuple:
 
 def _fold_step(prev: list, right: list, values: tuple) -> list:
     """The values of the next partial wedge (see _fold_steps); each starts
-    from its first term.  A negative term adds the product with the
-    negated factor value, exactly the difference: numpy adds into a
-    temporary product in place but cannot subtract one, so `total -
-    product` would hold three large arrays at once."""
+    from its first term, which is never negative: it pairs the first
+    sorted tuple of its tangents with the rest, an even shuffle.  A
+    negative term adds the product with the negated factor value, exactly
+    the difference: numpy adds into a temporary product in place but
+    cannot subtract one, so `total - product` would hold three large
+    arrays at once."""
     part = []
-    for (a, b, negative), *terms in values:
-        total = prev[a] * -right[b] if negative else prev[a] * right[b]
+    for (a, b, _), *terms in values:
+        total = prev[a] * right[b]
         for a, b, negative in terms:
             total = total + (prev[a] * -right[b] if negative
                              else prev[a] * right[b])

@@ -46,8 +46,8 @@ needs them, and `cartanmodel.equivariant_total_check` reads the row's named
 components {name: ((p, q), degree)} of it, drawing the levels in order of
 first use; every level (p, q) is drawn as a point of SO(4)^(p+q), and a
 nerve level p is the key (p, 0).  With c = {(1,0): e13 + mu(X),
-(2,0): e22}, D = `cartanmodel.total_d` and D3 = `nerve.total_d3`, the rows
-and their draws before the levels are
+(2,0): e22} of `eulercocycle.cocycle`, D = `cartanmodel.total_d` and
+D3 = `nerve.total_d3`, the rows and their draws before the levels are
 
     lemma-4.1, 4.2, 4.3, equivariant-cocycle   D c at X            X
     euler-cocycle                              D c at X = 0        -
@@ -55,6 +55,9 @@ and their draws before the levels are
     ad-invariance    c(X) - (conjugation by g)^* c(g X g^T)        g, X
     dsl-oracle       the interpreted corpus minus c(X)             X
     d-squared        D3^2 of {(1,0): omega + e13, (1,1): probe}    -
+
+`ad-invariance` and `dsl-oracle` read every component of c, as
+`eulercocycle.COMPONENTS` lists them.
 
 `d-squared` reads one (p, q, degree) component of D3^2 per block, drawn in
 this order: d'''d''' (1,0,3), d'd' (3,0,1) and (3,0,3), the mixed block of
@@ -82,9 +85,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import formdsl
-from .cartanmodel import cocycle, equivariant_total_check, total_d
-from .eulercocycle import (e13_form, e22_form, eval_alpha, eval_E13, eval_E22,
-                           eval_mu, mu_form, polynomial_path)
+from .cartanmodel import equivariant_total_check, total_d
+from .eulercocycle import (COMPONENTS, cocycle, eval_alpha, eval_E13,
+                           eval_E22, eval_mu, polynomial_path)
 from .formcalc import (FD_STEP_DEFAULT, FormEval, SmoothMap, check_fd_step,
                        entry, exterior_d, matrix_wedge_square, mc_left,
                        mc_right, pullback)
@@ -429,10 +432,6 @@ def _trial_alpha_antisymmetry(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
 # cochain {(p, q): {degree: form}} whose named components must vanish
 
 
-def _cocycle(X: np.ndarray) -> dict:
-    return cocycle(e13_form(), e22_form(), mu_form(), X)
-
-
 def _minus(a: dict, b: dict) -> dict:
     """The cochain a - b over the components of a."""
     return {key: {d: f - b[key][d] for d, f in forms.items()}
@@ -441,12 +440,12 @@ def _minus(a: dict, b: dict) -> dict:
 
 def _d_cocycle(cfg: CheckConfig, tape) -> dict:
     X = sample_algebra(tape)
-    return total_d(_cocycle(X), X, cfg.fd_step)
+    return total_d(cocycle(X), X, cfg.fd_step)
 
 
 def _d_cocycle_at_zero(cfg: CheckConfig, tape) -> dict:
     X = np.zeros((4, 4))
-    return total_d(_cocycle(X), X, cfg.fd_step)
+    return total_d(cocycle(X), X, cfg.fd_step)
 
 
 def _mc_structure(cfg: CheckConfig, tape) -> dict:
@@ -465,14 +464,14 @@ def _ad_invariance(cfg: CheckConfig, tape) -> dict:
                               lambda pt, t: tuple(g @ r @ gT for r in t.reps))
             for p in (1, 2)}
     moved = {key: {d: pullback(f, conj[key]) for d, f in forms.items()}
-             for key, forms in _cocycle(g @ X @ gT).items()}
-    return _minus(_cocycle(X), moved)
+             for key, forms in cocycle(g @ X @ gT).items()}
+    return _minus(cocycle(X), moved)
 
 
 def _d_squared(cfg: CheckConfig, tape) -> dict:
     """D3^2 of a cochain of Maurer-Cartan entries and the 3-form."""
     omega = entry(mc_left(1, 1), 1, 2)
-    e13 = e13_form()(np.zeros((4, 4)))
+    e13 = cocycle(np.zeros((4, 4)))[(1, 0)][3]
     probe = entry(mc_left(1, 2), 1, 2) + 2.0 * entry(mc_right(2, 2), 1, 3)
     cochain = {(1, 0): {1: omega, 3: e13}, (1, 1): {1: probe}}
     return total_d3(total_d3(cochain, cfg.fd_step), cfg.fd_step)
@@ -486,7 +485,7 @@ def _dsl_oracle(cfg: CheckConfig, tape) -> dict:
     X = sample_algebra(tape)
     corpus = {(1, 0): {3: load("e13.form", 1), 1: load("mu.form", 1)(X)},
               (2, 0): {2: load("e22.form", 2)}}
-    return _minus(corpus, _cocycle(X))
+    return _minus(corpus, cocycle(X))
 
 
 def golden_value_errors() -> dict[str, float]:
@@ -548,10 +547,6 @@ def _rows(tol: float, residuals: Callable[[CheckConfig, DrawTape], dict],
     return Check(tol, trial, tols or {})
 
 
-# the components of a difference of two cochains shaped like c
-_C_COMPONENTS = {"e13": ((1, 0), 3), "mu": ((1, 0), 1), "e22": ((2, 0), 2)}
-
-
 # Composite checks report normalized residuals (err / component tol), so their
 # default tolerance is 1.  Everything else is a raw max-abs-error bound.
 CHECKS: dict[str, Check] = {
@@ -570,8 +565,8 @@ CHECKS: dict[str, Check] = {
         {"a": ((1, 0), 4), "b": ((1, 0), 2), "c": ((1, 0), 0),
          "d": ((2, 0), 3), "e": ((2, 0), 1)},
         {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}),
-    "ad-invariance": _rows(1e-10, _ad_invariance, _C_COMPONENTS),
-    "dsl-oracle": _rows(1e-12, _dsl_oracle, _C_COMPONENTS),
+    "ad-invariance": _rows(1e-10, _ad_invariance, COMPONENTS),
+    "dsl-oracle": _rows(1e-12, _dsl_oracle, COMPONENTS),
     "alpha-antisymmetry": Check(1e-12, _trial_alpha_antisymmetry),
     "d-squared": _rows(
         1.0, _d_squared,

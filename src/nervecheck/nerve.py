@@ -86,12 +86,14 @@ def _identity(shape: tuple) -> np.ndarray:
 
 
 def degeneracy_ng(i: int, pt: GroupPoint) -> GroupPoint:
-    """i-th degeneracy SO(4)^q -> SO(4)^(q+1): insert the identity factor."""
+    """i-th degeneracy SO(4)^q -> SO(4)^(q+1): insert the identity factor,
+    with the stack shape of the other factors.  A level-0 point has no
+    factors, so it has no stack shape: its degeneracy inserts one (4, 4)
+    identity, which broadcasts against any stack."""
     q = pt.level
     if not 0 <= i <= q:
         raise ValueError(f"degeneracy index {i} out of range for level {q}")
     g = pt.factors
-    # the identity takes the stack shape of the other factors
     one = _identity(g[0].shape if g else (DIM, DIM))
     return GroupPoint(g[:i] + (one,) + g[i:])
 

@@ -13,14 +13,12 @@ import pytest
 from nervecheck.matrixgroup import Tangent, basis_element, identity_point
 from nervecheck.formcalc import entry, exterior_d, matrix_wedge_square, mc_left
 from nervecheck.nerve import total_d3
-from nervecheck.cartanmodel import cocycle, equivariant_total_check, total_d
+from nervecheck.cartanmodel import equivariant_total_check, total_d
 from nervecheck.eulercocycle import (
-    e13_form,
-    e22_form,
+    cocycle,
     eval_E22,
     eval_alpha,
     eval_mu,
-    mu_form,
     polynomial_path,
 )
 from nervecheck.formdsl import FormSyntaxError, parse
@@ -103,7 +101,7 @@ def test_criterion_05_all_five_residuals_with_one_sign_pair():
     # in the check's order: X, then each level's point and its tangents
     tape = DrawTape(trial_rngs(SEED, "equivariant-cocycle", range(200)))
     X = sample_algebra(tape)
-    D = total_d(cocycle(e13_form(), e22_form(), mu_form(), X), X, FD_STEP)
+    D = total_d(cocycle(X), X, FD_STEP)
 
     def sample(key, count):
         pt = sample_point(tape, key[0] + key[1])
@@ -228,7 +226,7 @@ def test_criterion_11_complex_structure():
     # every identity is a (p, q, degree) component of D3^2, the square of
     # the total differential d' + d'' + d''' of the action-twisted complex
     f = entry(mc_left(1, 1), 1, 2)
-    e13 = e13_form()(np.zeros((4, 4)))
+    e13 = cocycle(np.zeros((4, 4)))[(1, 0)][3]
     nerve_sq = total_d3(total_d3({(1, 0): {1: f, 3: e13}}, FD_STEP), FD_STEP)
 
     # d' o d' = 0 exactly-analytically (to roundoff): (3, 0) in degrees 1, 3

@@ -20,14 +20,13 @@ from nervecheck.harness import (CheckConfig, DrawTape, run_check,
                                 sample_algebra, sample_point, sample_tangents,
                                 trial_rngs, trial_rows)
 from nervecheck.nerve import total_d3
+import nervecheck.eulercocycle as eulercocycle
 from nervecheck.cartanmodel import (
-    EquivariantForm,
-    cocycle,
     equivariant_total_check,
     fundamental_field,
     total_d,
 )
-from nervecheck.eulercocycle import e13_form, e22_form, mu_form
+from nervecheck.eulercocycle import cocycle
 
 from helpers import (constant_form, digest, nerve_d_prime, rand_point,
                      rand_tangent, random_skew, same_bits, validate_tangent)
@@ -95,27 +94,45 @@ def test_fundamental_field_is_conjugation_equivariant():
 
 
 # ---------------------------------------------------------------------------
-# equivariant form wrappers
+# the components of the degree-4 cochain c as families in X
+
+
+def mu(X):
+    return cocycle(X)[(1, 0)][1]
+
+
+def e13(X):
+    return cocycle(X)[(1, 0)][3]
+
+
+def e22(X):
+    return cocycle(X)[(2, 0)][2]
 
 
 def test_equivariant_form_shapes():
-    e13, e22, mu = e13_form(), e22_form(), mu_form()
-    assert (e13.level, e13.form_degree, e13.poly_degree) == (1, 3, 0)
-    assert (e22.level, e22.form_degree, e22.poly_degree) == (2, 2, 0)
-    assert (mu.level, mu.form_degree, mu.poly_degree) == (1, 1, 1)
+    rng = np.random.default_rng(4)
+    X = random_skew(rng)
+    c, c2 = cocycle(X), cocycle(2.0 * X)
+    shapes = {}
+    for (p, q), forms in c.items():
+        pt = rand_point(rng, p)
+        for degree, form in forms.items():
+            ts = [rand_tangent(rng, pt) for _ in range(degree)]
+            # the polynomial degree k in X from c(2X) = 2^k c(X)
+            k = round(np.log2(c2[(p, q)][degree](pt, *ts) / form(pt, *ts)))
+            shapes[(p, q), degree] = (form.level, form.degree, k)
+    assert shapes == {((1, 0), 3): (1, 3, 0), ((2, 0), 2): (2, 2, 0),
+                      ((1, 0), 1): (1, 1, 1)}
     # all three sit in total degree level + form degree + 2 poly degree = 4
-    assert {f.level + f.form_degree + 2 * f.poly_degree
-            for f in (e13, e22, mu)} == {4}
+    assert {p + d + 2 * k for p, d, k in shapes.values()} == {4}
 
 
 def test_equivariant_form_polynomial_homogeneity():
     rng = np.random.default_rng(4)
     X = random_skew(rng)
-    mu = mu_form()
     pt = rand_point(rng, 1)
     t = rand_tangent(rng, pt)
     assert mu(2.0 * X)(pt, t) == 2.0 * mu(X)(pt, t)
-    e13 = e13_form()
     ts = [rand_tangent(rng, pt) for _ in range(3)]
     assert e13(2.0 * X)(pt, *ts) == e13(X)(pt, *ts)  # degree 0 in X
 
@@ -124,7 +141,6 @@ def test_equivariant_forms_are_conjugation_equivariant():
     rng = np.random.default_rng(5)
     X = random_skew(rng)
     g = exp_matrix(random_skew(rng, 2.0))
-    mu = mu_form()
     pt = rand_point(rng, 1)
     t = rand_tangent(rng, pt)
     moved_pt = GroupPoint(tuple(g @ h @ g.T for h in pt.factors))
@@ -152,7 +168,7 @@ def test_cartan_d_of_constant_vanishes():
 def test_cartan_d_component_degrees():
     rng = np.random.default_rng(7)
     X = random_skew(rng)
-    D = total_d({(1, 0): {1: mu_form()(X)}}, X)
+    D = total_d({(1, 0): {1: mu(X)}}, X)
     # the degree-k component is keyed k; d' of mu lands on (2, 0)
     assert {k: (f.degree, f.level) for k, f in D[(1, 0)].items()} == {
         0: (0, 1), 2: (2, 1)}
@@ -164,7 +180,6 @@ def test_cartan_d_raising_part_matches_exterior_d():
     # on a polynomial-degree-0 form the raising part is (-1)^p d
     rng = np.random.default_rng(8)
     X = random_skew(rng)
-    e13 = e13_form()
     g = total_d({(1, 0): {3: e13(X)}}, X, fd_step=1e-5)[(1, 0)]
     d_direct = exterior_d(e13(X), 1e-5)
     pt = rand_point(rng, 1)
@@ -176,7 +191,7 @@ def test_cartan_d_lowering_part_is_minus_contraction():
     # the lowering part is -(-1)^p i_{X#}: +i at p = 1, -i at p = 2
     rng = np.random.default_rng(9)
     X = random_skew(rng)
-    for p, form in ((1, e13_form()(X)), (2, e22_form()(X))):
+    for p, form in ((1, e13(X)), (2, e22(X))):
         g = total_d({(p, 0): {form.degree: form}}, X)[(p, 0)]
         want = contract(form, fundamental_field(X, p))
         pt = rand_point(rng, p)
@@ -189,8 +204,8 @@ def test_cartan_d_squares_to_zero_on_invariant_forms():
     # D^2 of one level (1, 0), read at (1, 0), is (d - i_{X#})^2
     rng = np.random.default_rng(10)
     X = random_skew(rng)
-    for form in (mu_form(), e13_form()):
-        once = total_d({(1, 0): {form.form_degree: form(X)}}, X, 1e-5)
+    for form in (mu(X), e13(X)):
+        once = total_d({(1, 0): {form.degree: form}}, X, 1e-5)
         dd = total_d(once, X, 1e-5)[(1, 0)]
         for deg, comp in sorted(dd.items()):
             for _ in range(2):
@@ -204,8 +219,8 @@ def test_twisted_d_of_mu_reproduces_contraction_of_e13():
     # p = 1 D reads it as -(d - i_{X#}) mu
     rng = np.random.default_rng(11)
     X = random_skew(rng)
-    lhs = total_d({(1, 0): {1: mu_form()(X)}}, X, fd_step=1e-5)[(1, 0)]
-    rhs = contract(e13_form()(X), fundamental_field(X, 1))
+    lhs = total_d({(1, 0): {1: mu(X)}}, X, fd_step=1e-5)[(1, 0)]
+    rhs = contract(e13(X), fundamental_field(X, 1))
     worst = 0.0
     for _ in range(5):
         pt = rand_point(rng, 1)
@@ -223,7 +238,7 @@ def test_total_d_is_d_prime_plus_signed_cartan_d():
     # of `nerve_d_prime`, d and i_{X#} straight from formcalc
     tape = DrawTape(trial_rngs(5, "total-d", range(8)))
     X = sample_algebra(tape)
-    c = cocycle(e13_form(), e22_form(), mu_form(), X)
+    c = cocycle(X)
     D = total_d(c, X, 1e-5)
     e13, mu, e22 = c[(1, 0)][3], c[(1, 0)][1], c[(2, 0)][2]
 
@@ -262,8 +277,8 @@ def test_total_d_is_the_q0_row_of_d3():
     # contractions and read 0
     tape = DrawTape(trial_rngs(6, "total-d", range(8)))
     X = np.zeros((4, 4))
-    c = {(1, 0): {1: entry(mc_left(1, 1), 1, 2), 3: e13_form()(X)},
-         (2, 0): {2: e22_form()(X)}}
+    c = {(1, 0): {1: entry(mc_left(1, 1), 1, 2), 3: e13(X)},
+         (2, 0): {2: e22(X)}}
     D3, D = total_d3(c, 1e-5), total_d(c, X, 1e-5)
     rows = {key: forms for key, forms in D3.items() if key[1] == 0}
     assert sorted(rows) == sorted(D) == [(1, 0), (2, 0), (3, 0)]
@@ -325,29 +340,29 @@ def _fixed(rng, points=None, counts=(4, 3)):
     return lambda key, count: drawn[key]
 
 
-def _check(X, sample, e22=None):
-    c = cocycle(e13_form(), e22 or e22_form(), mu_form(), X)
-    return equivariant_total_check(total_d(c, X), sample, COMPONENTS)
+def _check(X, sample):
+    return equivariant_total_check(total_d(cocycle(X), X), sample, COMPONENTS)
 
 
-def test_total_check_passes_with_unique_signs():
+def test_total_check_passes_with_unique_signs(monkeypatch):
     rng = np.random.default_rng(12)
     X = random_skew(rng)
     samples = [_fixed(rng) for _ in range(5)]
-    e22 = e22_form()
-    negated = EquivariantForm(2, 2, 0, lambda X: -e22(X))
 
-    def columns(e22):
-        results = [_check(X, s, e22) for s in samples]
+    def columns():
+        results = [_check(X, s) for s in samples]
         return {k: np.array([r[k] for r in results]) for k in results[0]}
 
-    cols = columns(e22)
+    cols = columns()
     tols = {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}
     assert set(cols) == set(tols)
     for key, tol in tols.items():
         assert cols[key].max() <= tol, (key, cols[key].max())
     # e22 of the other sign is catastrophically worse, not borderline
-    wrong = columns(negated)
+    real = eulercocycle.eval_E22
+    monkeypatch.setattr(eulercocycle, "eval_E22",
+                        lambda pt, *ts: -real(pt, *ts))
+    wrong = columns()
     for key in "de":
         assert wrong[key].max() > 1e-3, (key, wrong[key].max())
 

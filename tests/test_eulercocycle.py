@@ -18,17 +18,18 @@ from nervecheck.matrixgroup import (
     identity_point,
 )
 from nervecheck.eulercocycle import (
+    COMPONENTS,
     _coords,
     _pf,
-    e13_form,
-    e22_form,
+    cocycle,
     eval_E13,
     eval_E22,
     eval_alpha,
     eval_mu,
-    mu_form,
     polynomial_path,
 )
+
+from nervecheck.harness import CheckConfig, trial_rows
 
 from helpers import rand_point, rand_tangent, random_skew
 from oracles import eps_contract, oracle_alpha, oracle_e13, oracle_e22, oracle_mu
@@ -274,14 +275,28 @@ def test_alpha_matches_gauss_legendre_oracle():
 
 
 # ---------------------------------------------------------------------------
-# wrappers
+# the forms of cocycle
 
 
 def test_form_wrappers_validate_arity():
-    e13 = e13_form()(np.zeros((4, 4)))
+    e13 = cocycle(np.zeros((4, 4)))[(1, 0)][3]
     pt = identity_point(1)
     v = Tangent(pt, (E12,))
     with pytest.raises(ValueError):
         e13(pt, v)  # needs three tangents
-    mu = mu_form()(E12)
+    mu = cocycle(E12)[(1, 0)][1]
     assert abs(mu(pt, Tangent(pt, (E34,))) - MU_GOLDEN) < 1e-12
+
+
+def test_component_table_lists_the_components_of_cocycle_in_order():
+    # ad-invariance and dsl-oracle read COMPONENTS of c, so they read every
+    # component of c, and each at its own form's level and degree
+    c = cocycle(E12)
+    assert list(COMPONENTS.values()) == [
+        (key, degree) for key, forms in c.items() for degree in forms]
+    for key, degree in COMPONENTS.values():
+        form = c[key][degree]
+        assert (form.level, 0, form.degree) == (*key, degree)
+    for check_id in ("ad-invariance", "dsl-oracle"):
+        rows = trial_rows(CheckConfig(check_id, trials=2), range(2))
+        assert list(rows) == list(COMPONENTS), check_id

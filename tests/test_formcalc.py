@@ -1,5 +1,7 @@
 """Tests for scalar forms on SO(4)^n: Maurer-Cartan entries, wedge, d, pullback."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,28 @@ def test_wedge_products_are_alternating_multilinear():
     _check_alternating_multilinear(wedge(entry(om, 1, 2), entry(om, 3, 4)), 1, rng)
     _check_alternating_multilinear(
         wedge(entry(om, 1, 3), wedge(entry(om, 1, 2), entry(om, 2, 4))), 1, rng)
+
+
+def test_every_fold_value_starts_from_a_positive_term():
+    # `_fold_step` never negates a value's first term: it takes the first
+    # sorted r-subset of the value's tangents, their r smallest, so the
+    # shuffle is even.  Checked over the 5,015 plans of 2-6 factors of
+    # degrees 0-3 with total degree n <= 12.  A step of a plan depends on
+    # it only through n and the step's (r, s), so each plan that reaches a
+    # new (n, r, s) is built, uncached; they reach all 290 of them.
+    seen = set()
+    for k in range(2, 7):
+        for degrees in itertools.product(range(4), repeat=k):
+            n = sum(degrees)
+            steps = {(n, r, s) for r, s in zip(itertools.accumulate(degrees),
+                                                degrees[1:])}
+            if n > 12 or steps <= seen:
+                continue
+            seen |= steps
+            for values in formcalc._fold_steps.__wrapped__(degrees):
+                assert not any(negative for (_, _, negative), *_ in values), \
+                    degrees
+    assert len(seen) == 290
 
 
 # ---------------------------------------------------------------------------
@@ -519,16 +543,16 @@ def _oracle_d(form, factors, coords, step=1e-5):
 
 def _checked_forms():
     """(level, the form as a function of X) for forms the checks differentiate."""
-    from nervecheck.eulercocycle import e13_form, e22_form, mu_form
+    from nervecheck.eulercocycle import cocycle
     from nervecheck.nerve import d_triple_complex
 
     omega = mc_left(1, 1)
     return [
         (1, lambda X: entry(omega, 1, 2)),
         (1, lambda X: entry(omega, 3, 1)),
-        (1, lambda X: mu_form()(X)),
-        (1, lambda X: e13_form()(X)),
-        (2, lambda X: e22_form()(X)),
+        (1, lambda X: cocycle(X)[(1, 0)][1]),
+        (1, lambda X: cocycle(X)[(1, 0)][3]),
+        (2, lambda X: cocycle(X)[(2, 0)][2]),
         (2, lambda X: d_triple_complex(entry(omega, 1, 2), 1, "d'")),
         (2, lambda X: entry(mc_left(1, 2), 1, 2)
          + 2.0 * entry(mc_right(2, 2), 1, 3)),

@@ -171,7 +171,7 @@ def test_identity_point_kills_lemma41_contraction_term():
     # at the identity the generating field vanishes, so the contraction side
     # contributes exactly zero and the whole residual is the FD error of d(mu)
     from nervecheck.matrixgroup import identity_point
-    from nervecheck.eulercocycle import e13_form, mu_form
+    from nervecheck.eulercocycle import cocycle
     from nervecheck.cartanmodel import fundamental_field
     from nervecheck.formcalc import contract, exterior_d
 
@@ -181,9 +181,10 @@ def test_identity_point_kills_lemma41_contraction_term():
     X = sample_algebra(tape)
     pt = identity_point(1)
     ts = sample_tangents(tape, pt, 2)
-    contraction = contract(e13_form()(X), fundamental_field(X, 1))
+    c = cocycle(X)
+    contraction = contract(c[(1, 0)][3], fundamental_field(X, 1))
     assert contraction(pt, *ts) == 0.0
-    resid = abs(contraction(pt, *ts) - exterior_d(mu_form()(X), 1e-5)(pt, *ts))
+    resid = abs(contraction(pt, *ts) - exterior_d(c[(1, 0)][1], 1e-5)(pt, *ts))
     assert resid < 1e-9
 
 

@@ -107,6 +107,27 @@ def test_degeneracies_of_one_stack_shape_share_a_read_only_identity():
     assert degeneracy_ng(1, bare).factors[1] is bare.factors[0]
 
 
+def test_a_level0_degeneracy_is_one_identity_that_broadcasts():
+    # a level-0 point has no stack shape, so eta_0 eps_1 x of a stacked
+    # level-1 point x holds one (4, 4) identity where eps_2 eta_0 x holds
+    # an (N, 4, 4) one; the harness compares them by broadcasting
+    from nervecheck.harness import _max_factor_dev
+
+    bare = degeneracy_ng(0, GroupPoint(()))
+    assert bare.level == 1
+    assert bare.factors[0].shape == (4, 4)
+    assert np.array_equal(bare.factors[0], np.eye(4))
+    rng = np.random.default_rng(4)
+    x = GroupPoint((exp_matrix(np.stack([random_skew(rng, 2.0)
+                                         for _ in range(5)])),))
+    left = degeneracy_ng(0, face_ng(1, x))
+    right = face_ng(2, degeneracy_ng(0, x))
+    assert left.factors[0].shape == (4, 4)
+    assert right.factors[0].shape == (5, 4, 4)
+    dev = _max_factor_dev(left, right)
+    assert dev.shape == (5,) and np.array_equal(dev, np.zeros(5))
+
+
 def test_face_degeneracy_identities():
     # eps_i o eta_i = id = eps_{i+1} o eta_i
     rng = np.random.default_rng(3)
@@ -610,7 +631,7 @@ def _count_face_ng(monkeypatch):
 def test_d_prime_computes_each_face_image_once(monkeypatch, stack):
     # one face_ng call per face and evaluation, however many tangents the
     # form takes (recomputing the image per tangent made 12 calls for e13)
-    from nervecheck.eulercocycle import e13_form
+    from nervecheck.eulercocycle import cocycle
 
     rng = np.random.default_rng(31)
     if stack is None:
@@ -623,7 +644,7 @@ def test_d_prime_computes_each_face_image_once(monkeypatch, stack):
         h @ np.stack([random_skew(rng, 1.0) for _ in range(stack)])
         for h in pt.factors)) for _ in range(3)]
     calls = _count_face_ng(monkeypatch)
-    form = d_triple_complex(e13_form()(np.zeros((4, 4))), 1, "d'")
+    form = d_triple_complex(cocycle(np.zeros((4, 4)))[(1, 0)][3], 1, "d'")
     value = form(pt, *ts)
     assert sorted(calls) == [0, 1, 2]
     assert np.shape(value) == (() if stack is None else (stack,))

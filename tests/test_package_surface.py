@@ -23,6 +23,9 @@ fails too, unless ALLOWED lists the name.
 Every name that a module of `src/` imports must be read in that module,
 except in `__init__.py`, whose imports are the package's re-exports, and on
 lines marked `# noqa: F401`, which import a module for its side effects.
+
+The modules form layers, and a module imports package modules only from
+layers below its own (see LAYERS).
 """
 
 import ast
@@ -33,6 +36,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "nervecheck").glob("*.py"))
 BENCH = sorted((ROOT / "benchmarks").glob("*.py"))
+
+# The modules of `src/nervecheck` from the bottom layer up; a module may
+# import package modules only from the layers before its own.  The package
+# namespace `__init__` sits above them all.
+LAYERS = (("matrixgroup",), ("formcalc",), ("nerve", "eulercocycle"),
+          ("cartanmodel",), ("formdsl",), ("harness",), ("cli",))
 
 # Public names kept without a caller, or defined as methods by more than
 # one class, each with its reason.
@@ -196,3 +205,49 @@ def test_unused_import_check_finds_a_planted_import(tmp_path):
                        "                       reduce)  # noqa: F401\n"
                        "x: field = os.path.join\n", encoding="utf-8")
     assert _unused_imports(planted) == ["planted.py:4: dataclass"]
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The modules of the package that a module's ast imports, anywhere in
+    it, relatively or as `nervecheck.<module>`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            path = ["nervecheck"] * bool(node.level) + [
+                part for part in (node.module or "").split(".") if part]
+            paths = ([path + [alias.name] for alias in node.names]
+                     if len(path) == 1 else [path])
+        elif isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        else:
+            continue
+        out |= {p[1] for p in paths if p[0] == "nervecheck" and len(p) > 1}
+    return out
+
+
+def _upward_imports(sources: dict[str, str]) -> list[str]:
+    """module -> imported of every import of {module: source} that does not
+    go to a lower layer of LAYERS."""
+    rank = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+    return sorted(f"{name} -> {imported}"
+                  for name, source in sources.items()
+                  for imported in _package_imports(ast.parse(source))
+                  if rank.get(imported, len(LAYERS)) >= rank[name])
+
+
+def test_every_module_imports_only_from_lower_layers():
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in SRC
+               if path.stem != "__init__"}
+    assert sorted(modules) == sorted(n for layer in LAYERS for n in layer)
+    assert _upward_imports(modules) == []
+
+
+def test_layer_check_finds_planted_upward_imports():
+    assert _upward_imports({
+        "eulercocycle": "from .cartanmodel import EquivariantForm\n"
+                        "from .formcalc import FormEval\n",
+        "nerve": "def f():\n    from . import eulercocycle\n",
+        "formcalc": "import nervecheck.formcalc\n"
+                    "from nervecheck.harness import run_check\n",
+    }) == ["eulercocycle -> cartanmodel", "formcalc -> formcalc",
+           "formcalc -> harness", "nerve -> eulercocycle"]
