@@ -89,6 +89,17 @@ def total_d(cochain: Cochain, X: np.ndarray,
     return _total(cochain, fd_step, contraction)
 
 
+def level_counts(components: dict[str, tuple[tuple[int, int], int]]
+                 ) -> dict[tuple[int, int], int]:
+    """{key: highest degree} of the named components {name: (key, degree)},
+    in order of first use: the levels `equivariant_total_check` draws, each
+    with that many tangents."""
+    counts: dict[tuple[int, int], int] = {}
+    for key, degree in components.values():
+        counts[key] = max(counts.get(key, 0), degree)
+    return counts
+
+
 def equivariant_total_check(cochain: Cochain,
                             sample: Callable[[tuple[int, int], int], tuple],
                             components: dict[str, tuple[tuple[int, int], int]]
@@ -110,11 +121,8 @@ def equivariant_total_check(cochain: Cochain,
     tangent reps, and the charts are dropped when the component returns
     or raises, before the next one is read.
     """
-    counts: dict[tuple[int, int], int] = {}
-    for key, degree in components.values():
-        counts[key] = max(counts.get(key, 0), degree)
     out = {}
-    for key, count in counts.items():
+    for key, count in level_counts(components).items():
         pt, ts = sample(key, count)
         for name, (at, degree) in components.items():
             if at == key:

@@ -87,10 +87,12 @@ def _parse_seed_token(text: str, prefix: str) -> int:
     raise ValueError(f"expected {prefix}:<non-negative integer>, got {text!r}")
 
 
-def _seed_tape(text: str, prefix: str) -> DrawTape:
-    """The draw tape of one generator seeded by a `prefix:<integer>` token;
-    the samplers of one token read one tape, in order."""
-    return DrawTape(np.random.default_rng(_parse_seed_token(text, prefix)))
+def _seed_tape(text: str, prefix: str, rows: int) -> DrawTape:
+    """The draw tape of `rows` rows of one generator seeded by a
+    `prefix:<integer>` token; the samplers of one token read one tape, in
+    order."""
+    return DrawTape(np.random.default_rng(_parse_seed_token(text, prefix)),
+                    rows)
 
 
 def _eval_setup(at: str, tangents: str, level: int, degree: int) -> tuple:
@@ -98,7 +100,7 @@ def _eval_setup(at: str, tangents: str, level: int, degree: int) -> tuple:
     if at == "identity":
         pt = identity_point(level)
     else:
-        pt = sample_point(_seed_tape(at, "seed"), level)
+        pt = sample_point(_seed_tape(at, "seed", level), level)
 
     if tangents == "debug":
         if degree != 1:
@@ -108,10 +110,10 @@ def _eval_setup(at: str, tangents: str, level: int, degree: int) -> tuple:
         ts = (Tangent(pt, tuple(h @ basis_element(3, 4) for h in pt.factors)),)
         return pt, ts, basis_element(1, 2)
     if tangents.startswith("repeat"):
-        tape = _seed_tape(tangents, "repeat")
+        tape = _seed_tape(tangents, "repeat", level + 1)
         one = sample_tangent(tape, pt)
         return pt, (one,) * degree, sample_algebra(tape)
-    tape = _seed_tape(tangents, "seed")
+    tape = _seed_tape(tangents, "seed", 1 + degree * level)
     x = sample_algebra(tape)
     ts = tuple(sample_tangent(tape, pt) for _ in range(degree))
     return pt, ts, x

@@ -26,16 +26,18 @@ stack the draws of the trials, and `trial` builds the forms and runs them,
 the exponentials and the products once on the stack: a run walks each form
 tree once per stack, not once per trial.  At most `CHUNK` trials form one
 stack, so the intermediate arrays do not grow with the trial count.
-`golden-values` evaluates fixed inputs and runs one trial whatever `trials`
-is.
+`golden-values` evaluates fixed inputs: it reads no rows, seeds no stream
+and runs one trial whatever `trials` is.
 
-The samplers read a `DrawTape`.  It pulls `BLOCK` rows of six uniforms from
-every trial's stream with one `random` call, and the next block when those
-are used up; six coordinates in [-s, s] are -s + 2s u of the next row u
-of every trial.  That is what `Generator.uniform(-s, s, 6)` computes from
-the same doubles, so the tape draws the same numbers as one `uniform` call
-per matrix.  Drawing ahead changes nothing else, because no other code
-reads a trial's stream.  A point of SO(4)^level is the exponential
+The samplers read a `DrawTape` of `Check.rows` rows of six uniforms per
+trial, the rows one trial of the check reads.  At its first read the tape
+fills its (N, rows, 6) block with one `random` call per trial's generator,
+and then hands the rows out in stream order; a read past the block raises.
+Six coordinates in [-s, s] are -s + 2s u of the next row u of every trial.
+That is what `Generator.uniform(-s, s, 6)` computes from the same doubles,
+so the tape draws the same numbers as one `uniform` call per matrix.
+Drawing ahead changes nothing else, because no other code reads a trial's
+stream.  A point of SO(4)^level is the exponential
 (`exp_coords`) of its next `level` coordinate rows, taken in one call; no
 skew matrix is built for it.  Tangents and algebra elements are skew
 matrices built from their rows.
@@ -47,14 +49,18 @@ components {name: ((p, q), degree)} of it, drawing the levels in order of
 first use; every level (p, q) is drawn as a point of SO(4)^(p+q), and a
 nerve level p is the key (p, 0).  With c = {(1,0): e13 + mu(X),
 (2,0): e22} of `eulercocycle.cocycle`, D = `cartanmodel.total_d` and
-D3 = `nerve.total_d3`, the rows and their draws before the levels are
+D3 = `nerve.total_d3`, the rows and the rows they draw before the levels
+are
 
-    lemma-4.1, 4.2, 4.3, equivariant-cocycle   D c at X            X
-    euler-cocycle                              D c at X = 0        -
-    mc-structure                               d omega + omega^2   -
-    ad-invariance    c(X) - (conjugation by g)^* c(g X g^T)        g, X
-    dsl-oracle       the interpreted corpus minus c(X)             X
-    d-squared        D3^2 of {(1,0): omega + e13, (1,1): probe}    -
+    lemma-4.1, 4.2, 4.3, equivariant-cocycle   D c at X            1: X
+    euler-cocycle                              D c at X = 0        0
+    mc-structure                               d omega + omega^2   0
+    ad-invariance    c(X) - (conjugation by g)^* c(g X g^T)        2: g, X
+    dsl-oracle       the interpreted corpus minus c(X)             1: X
+    d-squared        D3^2 of {(1,0): omega + e13, (1,1): probe}    0
+
+and a level (p, q) whose highest degree is k adds (p+q)(1+k) rows, its
+point and k tangents.
 
 `ad-invariance` and `dsl-oracle` read every component of c, as
 `eulercocycle.COMPONENTS` lists them.
@@ -85,7 +91,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import formdsl
-from .cartanmodel import equivariant_total_check, total_d
+from .cartanmodel import equivariant_total_check, level_counts, total_d
 from .eulercocycle import (COMPONENTS, cocycle, eval_alpha, eval_E13,
                            eval_E22, eval_mu, polynomial_path)
 from .formcalc import (FD_STEP_DEFAULT, FormEval, SmoothMap, check_fd_step,
@@ -96,17 +102,13 @@ from .matrixgroup import (GroupPoint, Tangent, basis_element, exp_coords,
 from .nerve import (_conj_apply, degeneracy_ng, face_ng, face_pg, gamma,
                     total_d3)
 
-# The most trials one run may ask for.  The slowest checks take about a ms
-# a trial, so a run at the ceiling takes many minutes; a larger count is
-# taken for a typo and refused.
+# The most trials one run may ask for.  The slowest check, d-squared, takes
+# about 0.2 ms a trial, so a run at the ceiling takes minutes; a larger
+# count is taken for a typo and refused.
 MAX_TRIALS = 1_000_000
 
 # The most trials evaluated as one stack (see the module docstring).
 CHUNK = 256
-
-# The rows of six uniforms a draw tape pulls from a stream at a time; the
-# largest sample, that of a d-squared trial, takes 48 rows.
-BLOCK = 48
 
 
 @dataclass(frozen=True)
@@ -259,31 +261,30 @@ def trial_rngs(seed: int, check_id: str,
 
 
 class DrawTape:
-    """The uniforms of one generator per trial, read row by row in stream
-    order (see the module docstring).  `rngs` is a sequence of generators,
-    one per stacked trial, or a single generator for one unstacked sample."""
+    """The first `size` rows of six uniforms of one generator per trial,
+    read row by row in stream order (see the module docstring).  `rngs` is
+    a sequence of generators, one per stacked trial, or a single generator
+    for one unstacked sample."""
 
-    def __init__(self, rngs):
+    def __init__(self, rngs, size: int):
         self.single = isinstance(rngs, np.random.Generator)
         self.rngs = (rngs,) if self.single else tuple(rngs)
-        self._rows = np.empty((len(self.rngs), 0, 6))
+        self.size = size
+        self._block: Optional[np.ndarray] = None
         self._pos = 0
-
-    def __len__(self) -> int:
-        return len(self.rngs)
 
     def rows(self, k: int) -> np.ndarray:
         """The next k rows of every stream, uniform in [0, 1): (N, k, 6) on
-        a stack of N trials, (k, 6) on a single generator."""
-        left = self._rows.shape[1] - self._pos
-        if k > left:
-            size = -(-(k - left) // BLOCK) * BLOCK
-            rows = np.empty((len(self.rngs), left + size, 6))
-            rows[:, :left] = self._rows[:, self._pos:]
-            for n, rng in enumerate(self.rngs):
-                rng.random(out=rows[n, left:])
-            self._rows, self._pos = rows, 0
-        out = self._rows[:, self._pos:self._pos + k]
+        a stack of N trials, (k, 6) on a single generator.  A read past the
+        `size` rows of the tape raises IndexError."""
+        if self._pos + k > self.size:
+            raise IndexError(f"a read of {k} rows at row {self._pos} runs "
+                             f"past the {self.size} rows of the tape")
+        if self._block is None:
+            self._block = np.empty((len(self.rngs), self.size, 6))
+            for rng, block in zip(self.rngs, self._block):
+                rng.random(out=block)
+        out = self._block[:, self._pos:self._pos + k]
         self._pos += k
         return out[0] if self.single else out
 
@@ -522,17 +523,20 @@ class Check:
 
     tol: float  # default tolerance of the reported error
     trial: Callable[[CheckConfig, DrawTape], dict[str, np.ndarray]]
+    # the rows of six uniforms one trial reads; a check that reads none has
+    # fixed inputs, and runs a single trial whatever cfg.trials is
+    rows: int
     # per-component tolerances; absent ones are 1
     tols: dict[str, float] = field(default_factory=dict)
-    once: bool = False  # fixed inputs: a single trial whatever cfg.trials is
 
 
 def _rows(tol: float, residuals: Callable[[CheckConfig, DrawTape], dict],
-          components: dict[str, tuple[tuple[int, int], int]],
+          draws: int, components: dict[str, tuple[tuple[int, int], int]],
           tols: Optional[dict[str, float]] = None) -> Check:
     """The check that the named components {name: ((p, q), degree)} of the
-    cochain residuals(cfg, tape) vanish: a trial builds the cochain, then
-    `equivariant_total_check` draws the levels and reads the components."""
+    cochain residuals(cfg, tape) vanish: a trial builds the cochain, drawing
+    `draws` rows, then `equivariant_total_check` draws the levels and reads
+    the components."""
 
     def trial(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
         cochain = residuals(cfg, tape)
@@ -544,39 +548,44 @@ def _rows(tol: float, residuals: Callable[[CheckConfig, DrawTape], dict],
 
         return equivariant_total_check(cochain, sample, components)
 
-    return Check(tol, trial, tols or {})
+    rows = draws + sum((p + q) * (1 + count)
+                       for (p, q), count in level_counts(components).items())
+    return Check(tol, trial, rows, tols or {})
 
 
 # Composite checks report normalized residuals (err / component tol), so their
 # default tolerance is 1.  Everything else is a raw max-abs-error bound.
 CHECKS: dict[str, Check] = {
-    "mc-structure": _rows(1e-6, _mc_structure, {"entries": ((1, 0), 2)}),
-    "simplicial-identities": Check(1e-13, _trial_simplicial),
-    "gamma-simplicial": Check(1e-13, _trial_gamma),
-    "lemma-4.1": _rows(1e-6, _d_cocycle, {"i e13 - d mu": ((1, 0), 2)}),
-    "lemma-4.2": _rows(1e-10, _d_cocycle, {"i e22 - d' mu": ((2, 0), 1)}),
-    "lemma-4.3": _rows(1e-12, _d_cocycle, {"i mu": ((1, 0), 0)}),
+    "mc-structure": _rows(1e-6, _mc_structure, 0, {"entries": ((1, 0), 2)}),
+    # a point of each level q: 2 + 3 + 4 face/face rows, 1 + 2 + 3 of
+    # degeneracies and 1 + 2 + 3 of faces against degeneracies
+    "simplicial-identities": Check(1e-13, _trial_simplicial, 21),
+    # a point of q + 1 factors per level q = 1, 2, 3
+    "gamma-simplicial": Check(1e-13, _trial_gamma, 9),
+    "lemma-4.1": _rows(1e-6, _d_cocycle, 1, {"i e13 - d mu": ((1, 0), 2)}),
+    "lemma-4.2": _rows(1e-10, _d_cocycle, 1, {"i e22 - d' mu": ((2, 0), 1)}),
+    "lemma-4.3": _rows(1e-12, _d_cocycle, 1, {"i mu": ((1, 0), 0)}),
     "euler-cocycle": _rows(
-        1.0, _d_cocycle_at_zero,
+        1.0, _d_cocycle_at_zero, 0,
         {"a": ((1, 0), 4), "b": ((2, 0), 3), "c": ((3, 0), 2)},
         {"a": 1e-6, "b": 1e-6, "c": 1e-10}),
     "equivariant-cocycle": _rows(
-        1.0, _d_cocycle,
+        1.0, _d_cocycle, 1,
         {"a": ((1, 0), 4), "b": ((1, 0), 2), "c": ((1, 0), 0),
          "d": ((2, 0), 3), "e": ((2, 0), 1)},
         {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}),
-    "ad-invariance": _rows(1e-10, _ad_invariance, COMPONENTS),
-    "dsl-oracle": _rows(1e-12, _dsl_oracle, COMPONENTS),
-    "alpha-antisymmetry": Check(1e-12, _trial_alpha_antisymmetry),
+    "ad-invariance": _rows(1e-10, _ad_invariance, 2, COMPONENTS),
+    "dsl-oracle": _rows(1e-12, _dsl_oracle, 1, COMPONENTS),
+    # the degree row, then four coefficient rows for each of two paths
+    "alpha-antisymmetry": Check(1e-12, _trial_alpha_antisymmetry, 9),
     "d-squared": _rows(
-        1.0, _d_squared,
+        1.0, _d_squared, 0,
         {"dd": ((1, 0), 3), "dpdp": ((3, 0), 1), "dpdp e13": ((3, 0), 3),
          "total2": ((2, 0), 2), "d'd''": ((2, 2), 1), "d'd'''": ((2, 1), 2),
          "d''d'''": ((1, 2), 2)},
         {"dd": 1e-4, "dpdp": 1e-12, "dpdp e13": 1e-12, "total2": 1e-4,
          "d'd''": 1e-4, "d'd'''": 1e-4, "d''d'''": 1e-4}),
-    "golden-values": Check(1e-12, lambda cfg, tape: golden_value_errors(),
-                           once=True),
+    "golden-values": Check(1e-12, lambda cfg, tape: golden_value_errors(), 0),
 }
 
 CHECK_IDS = tuple(CHECKS)
@@ -590,15 +599,20 @@ DEFAULT_TOLS = {cid: check.tol for cid, check in CHECKS.items()}
 def trial_rows(cfg: CheckConfig,
                trials: Sequence[int]) -> dict[str, np.ndarray]:
     """The component residuals of the given trials of a run: per component,
-    an array with one entry per trial, in order."""
+    an array with one entry per trial, in order.  An invalid config or an
+    empty list of trials raises ValueError."""
+    cfg.validate()
+    if not len(trials):
+        raise ValueError("no trials given: the residuals of a run are read "
+                         "from at least one trial")
     check = CHECKS[cfg.check_id]
     chunks = []
     for start in range(0, len(trials), CHUNK):
-        tape = DrawTape(trial_rngs(cfg.seed, cfg.check_id,
-                                   trials[start:start + CHUNK]))
-        cols = check.trial(cfg, tape)
+        part = trials[start:start + CHUNK]
+        rngs = trial_rngs(cfg.seed, cfg.check_id, part) if check.rows else ()
+        cols = check.trial(cfg, DrawTape(rngs, check.rows))
         chunks.append({k: np.broadcast_to(np.asarray(v, dtype=float),
-                                          (len(tape),))
+                                          (len(part),))
                        for k, v in cols.items()})
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
@@ -622,7 +636,7 @@ def run_check(cfg: CheckConfig) -> CheckReport:
     cfg.validate()
     check = CHECKS[cfg.check_id]
     start = time.perf_counter()
-    cols = trial_rows(cfg, range(1 if check.once else cfg.trials))
+    cols = trial_rows(cfg, range(cfg.trials if check.rows else 1))
     err, worst = reduce_rows(cols, check.tols)
     elapsed = int(round((time.perf_counter() - start) * 1000.0))
     tol = cfg.resolved_tol()

@@ -191,7 +191,7 @@ def test_interpret_mu_source_matches_builtin():
 
 def test_interpret_agrees_with_builtins_at_random_probes():
     e13 = interpret(parse(corpus_source("e13.form")), 1)
-    tape = DrawTape(trial_rng(0, "dsl-unit", 0))
+    tape = DrawTape(trial_rng(0, "dsl-unit", 0), 5 * (1 + 3) + 5 * (1 + 1 + 1))
     for _ in range(5):
         pt = sample_point(tape, 1)
         ts = sample_tangents(tape, pt, 3)
@@ -206,7 +206,7 @@ def test_interpret_agrees_with_builtins_at_random_probes():
 
 def test_zero_coefficient_gives_zero_form():
     f = interpret(parse("0/pi2 sumS4( MCL(1)[p1,p2] MCL(1)[p3,p4] )"), 1)
-    tape = DrawTape(trial_rng(0, "dsl-unit", 1))
+    tape = DrawTape(trial_rng(0, "dsl-unit", 1), 3)
     pt = sample_point(tape, 1)
     ts = sample_tangents(tape, pt, 2)
     assert f(pt, *ts) == 0.0
@@ -215,7 +215,7 @@ def test_zero_coefficient_gives_zero_form():
 def test_scalar_prefix_is_exact_multiplication():
     base = interpret(parse("MCL(1)[1,3] MCL(1)[2,4]"), 1)
     scaled = interpret(parse("2 MCL(1)[1,3] MCL(1)[2,4]"), 1)
-    tape = DrawTape(trial_rng(0, "dsl-unit", 2))
+    tape = DrawTape(trial_rng(0, "dsl-unit", 2), 3)
     pt = sample_point(tape, 1)
     ts = sample_tangents(tape, pt, 2)
     assert scaled(pt, *ts) == 2.0 * base(pt, *ts)
@@ -329,7 +329,7 @@ def test_nested_sum_inherits_the_enclosing_placeholders():
     # the enclosing sum substitutes the inner body's placeholders too, so the
     # inner sum adds 24 equal terms whose signs cancel
     f = interpret(parse("sumS4( MCL(1)[p1,p2] sumS4( MCR(1)[p3,p4] ) )"), 1)
-    tape = DrawTape(trial_rng(0, "dsl-unit", 3))
+    tape = DrawTape(trial_rng(0, "dsl-unit", 3), 4)
     pt = sample_point(tape, 1)
     ts = sample_tangents(tape, pt, 2)
     assert f(pt, *ts) == 0.0
@@ -348,7 +348,8 @@ def test_a_nested_sum_evaluates_nothing():
 
 
 def _stack(level: int, degree: int, n: int = 5):
-    tape = DrawTape(trial_rngs(11, "dsl-layout", range(n)))
+    tape = DrawTape(trial_rngs(11, "dsl-layout", range(n)),
+                    level * (1 + degree) + 1)
     pts = sample_point(tape, level)
     return pts, sample_tangents(tape, pts, degree), sample_algebra(tape)
 
@@ -525,7 +526,7 @@ def test_interpret_matches_the_brute_force_oracle(source, seed):
     node, level, degree, x_degree = source
     node = parse(pretty(node))
     form = interpret(node, level)
-    tape = DrawTape(np.random.default_rng(seed))
+    tape = DrawTape(np.random.default_rng(seed), level * (1 + degree) + 1)
     pt = sample_point(tape, level)
     ts = sample_tangents(tape, pt, degree)
     X = sample_algebra(tape)
@@ -545,7 +546,8 @@ def test_a_stack_evaluates_each_point_bit_for_bit(source, seed):
     # alone: the stack axes may not change the order of any sum
     node, level, degree, x_degree = source
     form = interpret(node, level)
-    tape = DrawTape(trial_rngs(seed, "dsl-stack", range(3)))
+    tape = DrawTape(trial_rngs(seed, "dsl-stack", range(3)),
+                    level * (1 + degree) + 1)
     pts = sample_point(tape, level)
     ts = sample_tangents(tape, pts, degree)
     Xs = sample_algebra(tape)
@@ -588,7 +590,7 @@ _VOLUME = " ".join(f"MCL(1)[{a},{b}]" for a, b in BASIS_PAIRS)
 
 def test_wedge_of_the_top_degree_matches_the_oracle():
     node = parse(_VOLUME)
-    tape = DrawTape(trial_rng(0, "dsl-unit", 6))
+    tape = DrawTape(trial_rng(0, "dsl-unit", 6), 1 + 6)
     pt = sample_point(tape, 1)
     ts = sample_tangents(tape, pt, 6)
     got = interpret(node, 1)(pt, *ts)
@@ -626,7 +628,7 @@ def test_wedge_evaluates_each_factor_once_per_set_of_tangents(monkeypatch):
 
     monkeypatch.setattr(formdsl, "mc_left", counted)
     form = interpret(parse(_NINE), 2)
-    tape = DrawTape(trial_rng(0, "dsl-unit", 9))
+    tape = DrawTape(trial_rng(0, "dsl-unit", 9), 2 * (1 + 9))
     pt = sample_point(tape, 2)
     value = form(pt, *sample_tangents(tape, pt, 9))
     assert len(calls) == 18 and np.isfinite(value)
@@ -643,7 +645,7 @@ def test_each_evaluation_starts_from_an_empty_memo():
         for seed in (1, 2):
             rngs = (np.random.default_rng(seed) if trials is None
                     else trial_rngs(seed, "dsl-memo", trials))
-            tape = DrawTape(rngs)
+            tape = DrawTape(rngs, 2 * (1 + 3) + 1)
             pt = sample_point(tape, 2)
             ts = sample_tangents(tape, pt, 3)
             X = sample_algebra(tape)
@@ -672,7 +674,7 @@ def test_a_square_reuses_the_memoized_one_form_values(monkeypatch):
 
     monkeypatch.setattr(formdsl, "mc_left", counted)
     node = parse("MCL(1)[1,2] MCL(1)^2[3,4] - MCL(1)^2[1,3] MCL(1)[2,4]")
-    tape = DrawTape(trial_rngs(0, "dsl-unit", range(2)))
+    tape = DrawTape(trial_rngs(0, "dsl-unit", range(2)), 1 + 3)
     pts = sample_point(tape, 1)
     ts = sample_tangents(tape, pts, 3)
     got = interpret(node, 1)(pts, *ts)
@@ -690,7 +692,7 @@ def test_wedge_of_mixed_degrees_matches_the_oracle():
     node = parse("MCL(1)[1,2] X[1,3] MCR(2)[2,4] MCL(2)^2[1,3] MCL(1)[3,4] "
                  "MCR(1)[1,4] MCL(2)[2,3]")
     form = interpret(node, 2)
-    stack = DrawTape(trial_rngs(0, "dsl-unit", range(3)))
+    stack = DrawTape(trial_rngs(0, "dsl-unit", range(3)), 2 * (1 + 7) + 1)
     pts = sample_point(stack, 2)
     ts = sample_tangents(stack, pts, 7)
     Xs = sample_algebra(stack)
@@ -712,7 +714,7 @@ def test_wedge_above_the_top_degree_is_exactly_zero(extra, degree):
     # exactly, where the shuffle sum would give a roundoff residue
     node = parse(f"{_VOLUME} {extra}")
     form = interpret(node, 1)
-    tape = DrawTape(trial_rng(0, "dsl-unit", 7))
+    tape = DrawTape(trial_rng(0, "dsl-unit", 7), 1 + degree + 1)
     pt = sample_point(tape, 1)
     ts = sample_tangents(tape, pt, degree)
     X = sample_algebra(tape)
@@ -727,7 +729,7 @@ def test_wedge_above_the_top_degree_is_exactly_zero(extra, degree):
     assert concrete(nan, *[Tangent(nan, (np.full((4, 4), np.nan),))]
                     * degree) == 0.0
     # a stack of points gives one zero per point
-    stack = DrawTape(trial_rngs(0, "dsl-unit", range(3)))
+    stack = DrawTape(trial_rngs(0, "dsl-unit", range(3)), 1 + 1 + degree)
     pts = sample_point(stack, 1)
     Xs = sample_algebra(stack)
     value = (form(Xs) if "X" in extra else form)(
@@ -746,7 +748,7 @@ def test_long_sums_parse_print_and_evaluate(count):
     assert isinstance(node, Sum) and len(node.terms) == count
     assert parse(pretty(node)) == node
     assert max_factor_index(node) == 2
-    tape = DrawTape(trial_rng(0, "dsl-unit", 4))
+    tape = DrawTape(trial_rng(0, "dsl-unit", 4), 2 * (1 + 1))
     pt = sample_point(tape, 2)
     (t,) = sample_tangents(tape, pt, 1)
     one = interpret(parse(term), 2)(pt, t)
@@ -764,7 +766,7 @@ def test_parenthesized_sums_keep_their_grouping():
                             "MCL(1)[1,4]")
     assert parse(pretty(node)) == node
     flat = parse("MCL(1)[1,2] - MCL(1)[1,3] - MCL(1)[2,3] - MCL(1)[1,4]")
-    tape = DrawTape(trial_rng(0, "dsl-unit", 5))
+    tape = DrawTape(trial_rng(0, "dsl-unit", 5), 1 + 1)
     pt = sample_point(tape, 1)
     (t,) = sample_tangents(tape, pt, 1)
     assert interpret(node, 1)(pt, t) == interpret(flat, 1)(pt, t)

@@ -13,7 +13,6 @@ import nervecheck.harness as harness
 from nervecheck.harness import (
     CHECK_IDS,
     CHECKS,
-    BLOCK,
     CHUNK,
     DEFAULT_TOLS,
     MAX_TRIALS,
@@ -115,7 +114,7 @@ def test_trial_rng_streams():
 
 
 def test_samplers_produce_valid_geometry():
-    tape = DrawTape(trial_rng(0, "unit", 0))
+    tape = DrawTape(trial_rng(0, "unit", 0), 3 + 3 + 4 + 4)
     pt = sample_point(tape, 3)
     validate_point(pt)
     assert pt.level == 3
@@ -175,7 +174,7 @@ def test_identity_point_kills_lemma41_contraction_term():
     from nervecheck.cartanmodel import fundamental_field
     from nervecheck.formcalc import contract, exterior_d
 
-    tape = DrawTape(trial_rng(0, "unit", 1))
+    tape = DrawTape(trial_rng(0, "unit", 1), 3)
     from nervecheck.harness import sample_algebra, sample_tangents
 
     X = sample_algebra(tape)
@@ -416,7 +415,8 @@ def _per_pair_dev(a, b):
 
 def _per_pair_columns(check_id, seed):
     """The columns of a 200-trial run as the per-pair loops computed them."""
-    tape = DrawTape(trial_rngs(seed, check_id, range(200)))
+    tape = DrawTape(trial_rngs(seed, check_id, range(200)),
+                    CHECKS[check_id].rows)
     if check_id == "gamma-simplicial":
         worst = 0.0
         for q in range(1, 4):
@@ -738,21 +738,19 @@ def _assert_numpy_streams(seed, check_id, trials, rows):
 @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, -1, -(2**40) - 7,
                                   2**32, 2**64 + 5])
 def test_trial_rngs_are_numpy_streams_bit_for_bit(seed):
-    _assert_numpy_streams(seed, "lemma-4.1", [0, 1, MAX_TRIALS - 1],
-                          3 * BLOCK + 5)
+    _assert_numpy_streams(seed, "lemma-4.1", [0, 1, MAX_TRIALS - 1], 149)
 
 
 def test_trial_rngs_of_a_stack_past_chunk_are_numpy_streams():
     _assert_numpy_streams(7, "d-squared", range(CHUNK + 3), 2)
-    _assert_numpy_streams(7, "d-squared", range(CHUNK - 1, CHUNK + 1),
-                          2 * BLOCK + 1)
+    _assert_numpy_streams(7, "d-squared", range(CHUNK - 1, CHUNK + 1), 97)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(-(2**70), 2**70), check_id=st.text(max_size=12),
        trials=st.lists(st.integers(0, MAX_TRIALS - 1), max_size=4))
 def test_trial_rngs_sweep_matches_numpy(seed, check_id, trials):
-    _assert_numpy_streams(seed, check_id, trials, BLOCK + 1)
+    _assert_numpy_streams(seed, check_id, trials, 49)
 
 
 @pytest.mark.parametrize("trial", [-1, 2**32])
@@ -795,18 +793,19 @@ def test_seed_words_are_c_contiguous_rows_of_numpy_streams(trials):
 
 
 def test_tape_matches_per_call_draws_past_several_blocks():
-    # a stack of trials read for more than three blocks, both scales mixed
-    tape = DrawTape(trial_rngs(7, "tape", range(5)))
+    # a stack of trials read one row at a time to the end of a tape longer
+    # than three d-squared trials, both scales mixed
+    tape = DrawTape(trial_rngs(7, "tape", range(5)), 149)
     ref = PerCallSampler(tuple(trial_rngs(7, "tape", range(5))))
-    for k in range(3 * BLOCK + 5):
+    for k in range(149):
         scale = 2.0 if k % 3 else 1.0
         assert same_bits(_coords(_skews(tape, scale)), ref.coords(scale)), k
 
 
 def test_tape_of_a_single_generator_is_unstacked():
-    tape = DrawTape(trial_rng(7, "tape", 0))
+    tape = DrawTape(trial_rng(7, "tape", 0), 51)
     ref = PerCallSampler(trial_rng(7, "tape", 0))
-    for k in range(BLOCK + 3):
+    for k in range(51):
         scale = 1.0 if k % 2 else 2.0
         m = _skews(tape, scale)
         assert m.shape == (4, 4)
@@ -814,14 +813,26 @@ def test_tape_of_a_single_generator_is_unstacked():
 
 
 def test_tape_hands_out_several_rows_in_stream_order():
-    tape = DrawTape(trial_rngs(3, "tape", range(2)))
+    tape = DrawTape(trial_rngs(3, "tape", range(2)), 97)
     ref = PerCallSampler(tuple(trial_rngs(3, "tape", range(2))))
-    first = tape.rows(BLOCK - 1)
-    more = tape.rows(BLOCK + 2)  # runs into a third block
+    first = tape.rows(47)
+    more = tape.rows(50)
     rows = np.concatenate([first, more], axis=1)
-    assert rows.shape == (2, 2 * BLOCK + 1, 6)
-    want = np.stack([ref.coords(1.0) for _ in range(2 * BLOCK + 1)], axis=1)
+    assert rows.shape == (2, 97, 6)
+    want = np.stack([ref.coords(1.0) for _ in range(97)], axis=1)
     assert same_bits(-1.0 + 2.0 * rows, want)
+
+
+def test_a_read_past_the_tape_raises_and_draws_nothing():
+    rngs = [_CountingRng(rng) for rng in trial_rngs(3, "tape", range(2))]
+    tape = DrawTape(rngs, 4)
+    with pytest.raises(IndexError, match="a read of 5 rows at row 0"):
+        tape.rows(5)
+    assert [rng.calls for rng in rngs] == [0, 0]
+    tape.rows(3)
+    with pytest.raises(IndexError, match="a read of 2 rows at row 3"):
+        tape.rows(2)
+    assert [rng.calls for rng in rngs] == [1, 1]
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -837,8 +848,8 @@ def test_a_point_is_one_exponential_of_its_rows(monkeypatch, level):
         return exp_coords(c)
 
     monkeypatch.setattr(harness, "exp_coords", counted)
-    tape = DrawTape(trial_rngs(5, "tape", range(3)))
-    twin = DrawTape(trial_rngs(5, "tape", range(3)))
+    tape = DrawTape(trial_rngs(5, "tape", range(3)), 2 * level)
+    twin = DrawTape(trial_rngs(5, "tape", range(3)), 2 * level)
     pt = sample_point(tape, level)
     assert calls == [(3, level, 6)]
     want = [exp_matrix(_skews(twin, 2.0)) for _ in range(level)]
@@ -918,21 +929,54 @@ class _CountingRng:
         return counted
 
 
-@pytest.mark.parametrize("check_id", [c for c in CHECK_IDS
-                                      if not CHECKS[c].once])
+@pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_draw_calls_per_trial_are_one_per_block(monkeypatch, check_id):
-    rows = []
+    # a trial reads exactly the rows its check states, filled with one draw
+    # call per generator; a check that reads none seeds no stream
+    real_rngs = harness.trial_rngs
+    reads, rngs = [], []
+
+    def counted_rngs(*args):
+        rngs[:] = [_CountingRng(rng) for rng in real_rngs(*args)]
+        return rngs
+
     real_rows = DrawTape.rows
 
     def counted_rows(self, k):
-        rows.append(k)
+        reads.append(k)
         return real_rows(self, k)
 
+    monkeypatch.setattr(harness, "trial_rngs", counted_rngs)
     monkeypatch.setattr(DrawTape, "rows", counted_rows)
-    cfg = CheckConfig(check_id, seed=2)
-    rngs = [_CountingRng(rng) for rng in trial_rngs(2, check_id, range(3))]
-    CHECKS[check_id].trial(cfg, DrawTape(rngs))
-    limit = -(-sum(rows) // BLOCK)
-    assert sum(rows) > 0
-    assert all(rng.calls <= limit for rng in rngs), (
-        [rng.calls for rng in rngs], sum(rows))
+    rows = CHECKS[check_id].rows
+    for stack in (1, 3):
+        reads.clear()
+        rngs.clear()
+        trial_rows(CheckConfig(check_id, seed=2), range(stack))
+        assert sum(reads) == rows
+        assert [rng.calls for rng in rngs] == ([1] * stack if rows else [])
+
+
+@pytest.mark.parametrize("check_id", ["lemma-4.3", "ad-invariance"])
+def test_a_read_past_the_rows_of_a_check_raises(monkeypatch, check_id):
+    # one more algebra element drawn before the levels runs the last level
+    # off the end of the tape
+    real = harness.sample_algebra
+
+    def twice(tape):
+        real(tape)
+        return real(tape)
+
+    monkeypatch.setattr(harness, "sample_algebra", twice)
+    with pytest.raises(IndexError, match="past the %d rows"
+                       % CHECKS[check_id].rows):
+        trial_rows(CheckConfig(check_id, seed=2), range(3))
+
+
+@pytest.mark.parametrize("check_id,trials,message", [
+    ("no-such-check", range(2), "unknown check id"),
+    ("lemma-4.1", range(0), "no trials"), ("golden-values", [], "no trials")])
+def test_trial_rows_refuses_an_unknown_id_or_no_trials(check_id, trials,
+                                                       message):
+    with pytest.raises(ValueError, match=message):
+        trial_rows(CheckConfig(check_id), trials)
