@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .formcalc import FD_STEP_DEFAULT, FormEval, chart_scope, contract
+from .formcalc import FD_STEP_DEFAULT, FormEval, contract
 from .matrixgroup import GroupPoint, Tangent
 from .nerve import Cochain, _total
 
@@ -113,19 +113,13 @@ def equivariant_total_check(cochain: Cochain,
     each once, with as many tangents as its highest degree needs, and the
     components of a level are evaluated before the next level is drawn.  The
     forms are called with their argument checks, so a sample with too few
-    tangents raises ValueError.
-
-    Each component is read inside its own `formcalc.chart_scope`: the
-    exterior derivatives of its terms, such as d'(d w) and d(d' w), share
-    the chart of every factor array they differentiate with the same
-    tangent reps, and the charts are dropped when the component returns
-    or raises, before the next one is read.
+    tangents raises ValueError.  Each component read is one evaluation of
+    its form.
     """
     out = {}
     for key, count in level_counts(components).items():
         pt, ts = sample(key, count)
         for name, (at, degree) in components.items():
             if at == key:
-                with chart_scope():
-                    out[name] = abs(cochain[key][degree](pt, *ts[:degree]))
+                out[name] = abs(cochain[key][degree](pt, *ts[:degree]))
     return out

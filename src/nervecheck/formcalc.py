@@ -20,25 +20,27 @@ terms.  That leaves genuine O(fd_step^2) truncation on every integrand,
 bi-invariant ones included, so convergence is observable by step halving.
 The 2(r+1) stepped points of a degree-r form, one per direction and sign,
 stand on a new leading step axis: an evaluation makes one call of the form
-and at most one stacked exponential per factor.  Within a `chart_scope`,
-such as the reading of one component of a cochain, a factor's chart is
-built once per distinct factor and tangents and then shared, so a
-component read makes one exponential per distinct factor and tangents:
-the pullbacks of an alternating face sum pass most factors and their
-tangent reps through as the same arrays.  The step axis broadcasts
+and at most one stacked exponential per factor.  The step axis broadcasts
 against the form's own arrays from the right, so a form that captures
 stacked arrays (such as an (N, 4, 4) argument X) is differentiated at
 points stacked the same way.
+
+One evaluation, from the outermost `FormEval` call until it returns or
+raises, keeps one cache of values keyed by the arrays they depend on (see
+`cached`): a factor's chart is built once per distinct factor and tangent
+reps and then shared, so reading one component of a cochain makes one
+exponential per distinct factor and tangents, since the pullbacks of an
+alternating face sum pass most factors and their tangent reps through as
+the same arrays.  Composition calls `.fn`, which opens no cache.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +60,26 @@ def check_base(pt: GroupPoint, ts: Sequence[Tangent]) -> None:
             raise ValueError("tangent is not based at the evaluation point")
 
 
+# The cache of the current evaluation, or None outside one:
+# {(tag, *ids of arrays): (arrays, value)}.  An entry holds its arrays, so
+# their ids stay unique while it lives.
+_cache: ContextVar[Optional[dict]] = ContextVar("cache", default=None)
+
+
+def cached(tag, arrays: tuple, compute: Callable, *args):
+    """compute(*args), computed once per evaluation for the given tag and
+    array objects and then shared; the value must depend only on them.
+    Tags are strings or tuples.  Outside an evaluation nothing is kept."""
+    cache = _cache.get()
+    if cache is None:
+        return compute(*args)
+    key = (tag, *map(id, arrays))
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = (arrays, compute(*args))
+    return hit[1]
+
+
 @dataclass(frozen=True, eq=False)
 class FormEval:
     """A degree-`degree` form on SO(4)^level, real- or 4x4-matrix-valued."""
@@ -71,7 +93,13 @@ class FormEval:
             raise ValueError(f"degree-{self.degree} form called with "
                              f"{len(tangents)} tangents")
         check_base(pt, tangents)
-        return self.fn(pt, tangents)
+        if _cache.get() is not None:
+            return self.fn(pt, tangents)
+        token = _cache.set({})
+        try:
+            return self.fn(pt, tangents)
+        finally:
+            _cache.reset(token)
 
     def _binary(self, other: "FormEval", sign: float) -> "FormEval":
         if not isinstance(other, FormEval):
@@ -255,42 +283,6 @@ def _chart_steps(h: np.ndarray, vs: list, fd_step: float):
     return m, fields
 
 
-# The charts of the current `chart_scope`, or None outside one:
-# {(id(h), ids of vs, fd_step): ((h, vs), chart)}.  An entry holds its
-# input arrays, so their ids stay unique while it lives.
-_charts: ContextVar[Optional[dict]] = ContextVar("charts", default=None)
-
-
-@contextlib.contextmanager
-def chart_scope() -> Iterator[None]:
-    """Share the chart of every factor that `exterior_d` builds inside the
-    block among the evaluations that differentiate the same factor array
-    with the same tangent rep arrays and step; the charts are dropped when
-    the block ends, however it ends.  A chart depends only on those
-    arrays, so sharing moves no bit.  Outside a scope nothing is kept."""
-    token = _charts.set({})
-    try:
-        yield
-    finally:
-        _charts.reset(token)
-
-
-def _chart(h: np.ndarray, vs: list, fd_step: float):
-    """`_chart_steps(h, vs, fd_step)`, looked up in the current scope."""
-    charts = _charts.get()
-    if charts is None:
-        return _chart_steps(h, vs, fd_step)
-    key = (id(h), tuple(map(id, vs)), fd_step)
-    hit = charts.get(key)
-    if hit is not None:
-        (h0, vs0), chart = hit
-        if h0 is h and all(a is b for a, b in zip(vs0, vs)):
-            return chart
-    chart = _chart_steps(h, vs, fd_step)
-    charts[key] = ((h, vs), chart)
-    return chart
-
-
 def exterior_d(f: FormEval, fd_step: float = FD_STEP_DEFAULT) -> FormEval:
     """Exterior derivative by central differences in the chart
     (t_0, ..., t_r) -> exp(t_0 X_0) ... exp(t_r X_r) h of every factor.
@@ -304,8 +296,8 @@ def exterior_d(f: FormEval, fd_step: float = FD_STEP_DEFAULT) -> FormEval:
 
     with f(+-) the form at exp(+-fd_step X_i) h on the other fields, and no
     bracket term evaluates the form.  One exponential per distinct factor
-    and tangents within a component read (a `chart_scope`), and one per
-    factor outside it, gives the r+1 steps exp(fd_step X_i);
+    and tangent reps of an evaluation (see `cached`), and one per factor
+    outside one, gives the r+1 steps exp(fd_step X_i);
     exp(-fd_step X_i) is its transpose, the inverse of a rotation.  The
     truncation is O(fd_step^2) on every form, bi-invariant ones included:
     d of the closed 3-form reads of order 1e-8 at fd_step = 1e-3 on
@@ -319,8 +311,9 @@ def exterior_d(f: FormEval, fd_step: float = FD_STEP_DEFAULT) -> FormEval:
 
     def dfn(pt, ts):
         factors = pt.factors
-        charts = [_chart(h, [t.reps[k] for t in ts], fd_step)
-                  for k, h in enumerate(factors)]
+        charts = [cached(("chart", fd_step), (h, *vs), _chart_steps,
+                         h, vs, fd_step)
+                  for h, *vs in zip(factors, *(t.reps for t in ts))]
         at = GroupPoint(tuple(m for m, _ in charts))
         vals = np.asarray(fn(at, tuple(
             Tangent(at, tuple(fields[s] for _, fields in charts))

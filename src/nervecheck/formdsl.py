@@ -26,7 +26,7 @@ it included.  A nested sumS4 therefore adds 24 equal terms whose signs
 cancel: it evaluates to zero.
 
 `parse` produces a plain AST; `interpret` lowers it once to an evaluator
-(pt, tangents, X, memo) -> ndarray in one fixed layout: the stack axes of a
+(pt, tangents, X) -> ndarray in one fixed layout: the stack axes of a
 stacked point, then one permutation axis, of length 24 where a placeholder
 is free in the subexpression and of length 1 elsewhere.  Its s-th entry is
 the value with the s-th permutation of S4 in place of p1..p4, so the body
@@ -37,11 +37,12 @@ products over all its factors (`formcalc.shuffle_product`), which
 evaluates each factor once per set of tangents, and `+`/`-` broadcast too;
 an outermost sumS4 contracts its body with the 24 permutation signs.  A
 nested sumS4, like a wedge above the degree 6p of SO(4)^p, is the zero
-form and evaluates nothing.  Each evaluation hands every evaluator one
-fresh memo, in which each Maurer-Cartan atom is computed once per tangent;
-a square is a b - b a of the atom's values there.  `interpret` returns a
-FormEval, or an EquivariantForm exactly when X occurs; evaluating either
-lowers nothing again, and returns one value per stacked point.
+form and evaluates nothing.  A Maurer-Cartan atom is computed once per
+evaluation and pair of factor and tangent rep arrays (`formcalc.cached`),
+and a square is `formcalc.matrix_wedge_square` of the atom.  `interpret`
+returns a FormEval, or an EquivariantForm exactly when X occurs;
+evaluating either lowers nothing again, and returns one value per stacked
+point.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .cartanmodel import EquivariantForm
-from .formcalc import FormEval, mc_left, mc_right, shuffle_product
+from .formcalc import (FormEval, cached, matrix_wedge_square, mc_left,
+                       mc_right, shuffle_product)
 from .matrixgroup import BASIS_PAIRS
 
 
@@ -400,11 +402,10 @@ _FLAT = {(i, j): 4 * _INDEX[i] + _INDEX[j] for i in _INDEX for j in _INDEX}
 
 @dataclass(frozen=True)
 class _Built:
-    """A lowered subexpression: its degrees and an evaluator (pt, ts, X,
-    memo) -> ndarray with the stack axes of the point, then the permutation
-    axis: of length 24 where a placeholder is free in the subexpression, of
-    length 1 elsewhere.  `memo` is the dict of one top-level evaluation
-    (see _mc_matrix)."""
+    """A lowered subexpression: its degrees and an evaluator (pt, ts, X)
+    -> ndarray with the stack axes of the point, then the permutation axis:
+    of length 24 where a placeholder is free in the subexpression, of
+    length 1 elsewhere."""
 
     form_degree: int
     x_degree: int
@@ -412,38 +413,25 @@ class _Built:
 
 
 def _mc_matrix(base: Union[MCLAtom, MCRAtom, Square], level: int):
-    """The evaluator (pt, ts, memo) -> matrix of a Maurer-Cartan atom on one
-    tangent, or of its square a b - b a on two, a and b its values on them.
-
-    The atom's value on a tangent is computed once per memo, the dict of one
-    top-level evaluation, which keys it by the atom and the tangent's
-    identity: ids are reused once an object is freed, so a memo never
-    outlives the evaluation whose tangents it keys.
-    """
+    """The evaluator (pt, ts) -> matrix of a Maurer-Cartan atom on one
+    tangent, or of its square on two (`matrix_wedge_square`).  The atom's
+    value depends only on its factor and tangent rep arrays, and is
+    computed once per evaluation for them (`formcalc.cached`)."""
     atom = base.base if isinstance(base, Square) else base
     if atom.factor > level:
         raise FormDslError(
             f"factor index {atom.factor} exceeds the level {level}")
     left = isinstance(atom, MCLAtom)
     f = (mc_left if left else mc_right)(atom.factor, level).fn
-    name = ("MCL" if left else "MCR") + str(atom.factor)
+    tag = "MCL" if left else "MCR"
+    k = atom.factor - 1
 
-    def one(pt, t, memo):
-        key = (name, id(t))
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = f(pt, (t,))
-        return value
+    def one(pt, ts):
+        return cached(tag, (pt.factors[k], ts[0].reps[k]), f, pt, ts)
 
-    if not isinstance(base, Square):
-        return lambda pt, ts, memo: one(pt, ts[0], memo)
-
-    def square(pt, ts, memo):
-        a = one(pt, ts[0], memo)
-        b = one(pt, ts[1], memo)
-        return a @ b - b @ a
-
-    return square
+    form = FormEval(1, level, one)
+    return (matrix_wedge_square(form) if isinstance(base, Square)
+            else form).fn
 
 
 def _entry(node: EntrySel, level: int, in_sum: bool) -> _Built:
@@ -462,14 +450,14 @@ def _entry(node: EntrySel, level: int, in_sum: bool) -> _Built:
         return m.reshape(16)[flat] if m.ndim == 2 else m[..., rows, cols]
 
     if isinstance(node.base, XAtom):
-        return _Built(0, 1, lambda pt, ts, X, memo: select(X))
+        return _Built(0, 1, lambda pt, ts, X: select(X))
     matrix = _mc_matrix(node.base, level)
     degree = 2 if isinstance(node.base, Square) else 1
     return _Built(degree, 0,
-                  lambda pt, ts, X, memo: select(matrix(pt, ts, memo)))
+                  lambda pt, ts, X: select(matrix(pt, ts)))
 
 
-def _zeros(pt, ts, X, memo) -> np.ndarray:
+def _zeros(pt, ts, X) -> np.ndarray:
     """The evaluator of a zero form: zeros over the stack axes of the point,
     the tangents and X, then the permutation axis; it evaluates nothing."""
     mats = [*pt.factors, *(r for t in ts for r in t.reps)]
@@ -500,7 +488,7 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
             factor /= pi ** 2
         fn = inner.fn
         return _Built(inner.form_degree, inner.x_degree,
-                      lambda pt, ts, X, memo: factor * fn(pt, ts, X, memo))
+                      lambda pt, ts, X: factor * fn(pt, ts, X))
     if isinstance(node, Sum):
         first = _build(node.terms[0], level, in_sum)
         rest = []
@@ -514,11 +502,11 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
         head = first.fn
         plus = [op == "+" for op in node.ops]
 
-        def fn(pt, ts, X, memo):
-            total = head(pt, ts, X, memo)
+        def fn(pt, ts, X):
+            total = head(pt, ts, X)
             for add, f in zip(plus, rest):
-                total = (total + f(pt, ts, X, memo) if add
-                         else total - f(pt, ts, X, memo))
+                total = (total + f(pt, ts, X) if add
+                         else total - f(pt, ts, X))
             return total
 
         return _Built(first.form_degree, first.x_degree, fn)
@@ -531,8 +519,8 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
             return _Built(body.form_degree, body.x_degree, _zeros)
         bfn = body.fn
 
-        def contract(pt, ts, X, memo):
-            v = bfn(pt, ts, X, memo)
+        def contract(pt, ts, X):
+            v = bfn(pt, ts, X)
             stack = v.shape[:-1]
             # a contiguous copy, so that a stack sums in the order of a point
             full = np.ascontiguousarray(np.broadcast_to(v, stack + (24,)))
@@ -553,18 +541,19 @@ def interpret(node: Node, level: int):
 
     The AST is lowered once; evaluating the returned form, or the form an
     EquivariantForm returns for a given X, lowers nothing again.  Each
-    evaluation computes every Maurer-Cartan atom once per tangent.
+    evaluation computes every Maurer-Cartan atom once per factor and
+    tangent rep arrays.
     """
     built = _build(node, level)
     degree, fn = built.form_degree, built.fn
     if built.x_degree == 0:
         return FormEval(degree, level,
-                        lambda pt, ts: _value(fn(pt, ts, None, {})))
+                        lambda pt, ts: _value(fn(pt, ts, None)))
 
     def at(X):
         X = np.array(X, dtype=float)
         return FormEval(degree, level,
-                        lambda pt, ts: _value(fn(pt, ts, X, {})))
+                        lambda pt, ts: _value(fn(pt, ts, X)))
 
     return EquivariantForm(level=level, form_degree=degree,
                            poly_degree=built.x_degree, eval=at)

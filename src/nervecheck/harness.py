@@ -414,9 +414,8 @@ def _trial_alpha_antisymmetry(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     # first uniform u of the first, then the deg + 1 coefficients of the
     # first path and those of the second; the stacked paths pad them with
     # zeros to degree 3.
-    drawn = tape.rows(9)
-    deg = 1 + (3.0 * drawn[:, :1, 0]).astype(int)
-    rows = skew_from_coords(-1.0 + 2.0 * drawn[:, 1:])
+    deg = 1 + (3.0 * tape.rows(1)[..., 0]).astype(int)
+    rows = _skew_rows(tape, 8, 1.0)
     j = np.arange(4)
     used = (j <= deg)[..., None, None]
     second = np.take_along_axis(

@@ -28,14 +28,16 @@ def test_benchmark_smoke_mode_passes():
     assert proc.stdout.splitlines()[-1].endswith("as expected")
 
 
-@pytest.mark.parametrize("workload, metric", [
-    ("fd-checks", "formcalc.exterior_d.evals"),
+@pytest.mark.parametrize("workload, metrics", [
+    ("fd-checks", ("formcalc.exterior_d.evals",)),
     # the nerve faces that d' packages, traced by name
-    ("exact-checks", "nerve.face_ng.calls"),
-    # the tracer replaces formdsl.interpret and EquivariantForm.eval by name
-    ("dsl-eval", "formdsl.interpret.self_ms"),
+    ("exact-checks", ("nerve.face_ng.calls",)),
+    # the tracer replaces formdsl.interpret and EquivariantForm.eval by
+    # name, and wraps the forms of formcalc.matrix_wedge_square, which
+    # builds the DSL's squares
+    ("dsl-eval", ("formdsl.interpret.self_ms", "formcalc.forms.evals")),
 ], ids=["fd-checks", "exact-checks", "dsl-eval"])
-def test_traced_run_is_correct(workload, metric):
+def test_traced_run_is_correct(workload, metrics):
     # --trace 1 installs the spans around every traced name, then checks
     # every output of the pass against the benchmark's own references
     proc = _run_benchmark("--workload", workload, "--seed", "1",
@@ -44,4 +46,5 @@ def test_traced_run_is_correct(workload, metric):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, result
     assert result["failed"] == 0
-    assert result["metrics"][metric]["value"] > 0
+    for metric in metrics:
+        assert result["metrics"][metric]["value"] > 0, metric

@@ -1,11 +1,8 @@
 """Tests for the fundamental field, X-twisted differential, and total check."""
 
-import contextlib
-
 import numpy as np
 import pytest
 
-import nervecheck.cartanmodel as cartanmodel
 import nervecheck.formcalc as formcalc
 
 from nervecheck.matrixgroup import (
@@ -506,8 +503,10 @@ def _platform_probe(seed):
 
 
 def _unscoped(monkeypatch):
-    """Read every component without a chart scope: no chart is shared."""
-    monkeypatch.setattr(cartanmodel, "chart_scope", contextlib.nullcontext)
+    """Read every component with a cache that keeps nothing: no chart is
+    shared."""
+    monkeypatch.setattr(formcalc, "cached",
+                        lambda tag, arrays, compute, *args: compute(*args))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -556,22 +555,22 @@ def test_chart_exponentials_of_a_run(monkeypatch, check_id, shared,
 
 def test_chart_memo_is_empty_after_a_run():
     run_check(CheckConfig("d-squared", trials=20))
-    assert formcalc._charts.get() is None
+    assert formcalc._cache.get() is None
 
 
 def test_chart_memo_is_emptied_when_a_component_raises():
-    # the component fills the memo, then raises inside its scope
+    # the component fills the cache, then raises inside its evaluation
     rng = np.random.default_rng(17)
     d = exterior_d(mc_left(1, 1), 1e-5).fn
     held = []
 
     def failing(pt, ts):
         d(pt, ts)
-        held.append(len(formcalc._charts.get()))
+        held.append(len(formcalc._cache.get()))
         raise RuntimeError("component failed")
 
     with pytest.raises(RuntimeError, match="component failed"):
         equivariant_total_check({(1, 0): {2: FormEval(2, 1, failing)}},
                                 _fixed(rng), {"x": ((1, 0), 2)})
     assert held == [1]
-    assert formcalc._charts.get() is None
+    assert formcalc._cache.get() is None

@@ -16,7 +16,6 @@ from nervecheck.matrixgroup import (
 from nervecheck.formcalc import (
     FormEval,
     SmoothMap,
-    chart_scope,
     contract,
     entry,
     exterior_d,
@@ -710,6 +709,12 @@ def _recording(form, seen):
     return FormEval(form.degree, form.level, fn)
 
 
+def _evaluation(body):
+    """A 0-form on SO(4)^2 whose one evaluation returns body(pt): every
+    form that body calls joins that evaluation and shares its cache."""
+    return FormEval(0, 2, lambda pt, ts: body(pt))
+
+
 def test_a_chart_is_shared_within_a_scope_and_rejects_writes():
     # a chart is shared only at the same factor, tangent reps and step
     rng = np.random.default_rng(69)
@@ -719,11 +724,15 @@ def test_a_chart_is_shared_within_a_scope_and_rejects_writes():
     unshared = [exterior_d(form, step)(pt, *pair) for step, pair in cases]
     seen = []
     recorded = _recording(form, seen)
-    with chart_scope():
+
+    def body(pt):
         shared = [exterior_d(recorded, step)(pt, *pair)
                   for step, pair in cases]
-        assert len(formcalc._charts.get()) == 2 * 3
-    assert formcalc._charts.get() is None
+        assert len(formcalc._cache.get()) == 2 * 3
+        return shared
+
+    shared = _evaluation(body)(pt)
+    assert formcalc._cache.get() is None
     assert all(np.array_equal(a, b) for a, b in zip(shared, unshared))
     (at, (t,)), (again, (u,)) = seen[:2]
     assert all(a is b for a, b in zip(at.factors, again.factors))
@@ -733,7 +742,8 @@ def test_a_chart_is_shared_within_a_scope_and_rejects_writes():
             a[0, 0, 0, 0] = 0.0
 
 
-def test_exterior_d_outside_a_scope_caches_nothing(monkeypatch):
+def _counted_exponentials(monkeypatch) -> list:
+    """The shapes of every exp_matrix call that formcalc makes from now."""
     real = formcalc.exp_matrix
     calls = []
 
@@ -742,17 +752,75 @@ def test_exterior_d_outside_a_scope_caches_nothing(monkeypatch):
         return real(x)
 
     monkeypatch.setattr(formcalc, "exp_matrix", counted)
+    return calls
+
+
+def test_exterior_d_outside_a_scope_caches_nothing(monkeypatch):
+    calls = _counted_exponentials(monkeypatch)
     rng = np.random.default_rng(70)
     pt, ts = _stacked_sample(rng, 2, 2, 3)
     seen = []
     form = exterior_d(_recording(mc_left(2, 2), seen), 1e-5)
-    form(pt, *ts)
-    form(pt, *ts)
-    assert formcalc._charts.get() is None
+    # composition calls .fn, which opens no cache
+    form.fn(pt, tuple(ts))
+    form.fn(pt, tuple(ts))
+    assert formcalc._cache.get() is None
     # each evaluation builds both factors' charts anew
     assert len(calls) == 4
     (at, _), (again, _) = seen
     assert not any(a is b for a, b in zip(at.factors, again.factors))
+
+
+def test_a_nested_call_joins_the_outer_evaluation(monkeypatch):
+    # two nested calls of one derivative share the outer call's cache and
+    # build each factor's chart once; two outer calls build them twice
+    calls = _counted_exponentials(monkeypatch)
+    rng = np.random.default_rng(71)
+    pt, ts = _stacked_sample(rng, 2, 2, 3)
+    d = exterior_d(mc_left(2, 2), 1e-5)
+    caches = []
+
+    def body(pt):
+        caches.append(formcalc._cache.get())
+        first = d(pt, *ts)
+        caches.append(formcalc._cache.get())
+        return first, d(pt, *ts)
+
+    first, second = _evaluation(body)(pt)
+    assert len(calls) == 2
+    assert caches[0] is caches[1] and len(caches[0]) == 2
+    assert formcalc._cache.get() is None
+    alone = d(pt, *ts)
+    assert len(calls) == 4
+    assert np.array_equal(first, alone) and np.array_equal(second, alone)
+
+
+def test_the_cache_is_none_after_a_nested_call_raises():
+    # a nested call that raises leaves the outer cache in place; the outer
+    # call that it raises through drops it
+    rng = np.random.default_rng(72)
+    pt, ts = _stacked_sample(rng, 2, 2, 3)
+    d = exterior_d(mc_left(2, 2), 1e-5)
+    held = []
+
+    def failing(pt, _):
+        d(pt, *ts)
+        held.append(len(formcalc._cache.get()))
+        raise RuntimeError("nested call failed")
+
+    inner = FormEval(0, 2, failing)
+
+    def body(pt):
+        outer = formcalc._cache.get()
+        with pytest.raises(RuntimeError, match="nested call failed"):
+            inner(pt)
+        assert formcalc._cache.get() is outer
+        inner(pt)
+
+    with pytest.raises(RuntimeError, match="nested call failed"):
+        _evaluation(body)(pt)
+    assert held == [2, 2]
+    assert formcalc._cache.get() is None
 
 
 @pytest.mark.parametrize("stack", [None, 4])

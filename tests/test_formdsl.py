@@ -362,11 +362,11 @@ def test_a_sum_body_is_evaluated_on_the_24_permutations_only():
     body = formdsl._build(node.body.body, 1, True)
     whole = formdsl._build(node, 1)
     pts, ts, _ = _stack(1, 3)
-    assert body.fn(pts, ts, None, {}).shape == (5, 24)
-    assert whole.fn(pts, ts, None, {}).shape == (5, 1)
+    assert body.fn(pts, ts, None).shape == (5, 24)
+    assert whole.fn(pts, ts, None).shape == (5, 1)
     pt = _point(pts, 0)
     one = [Tangent(pt, tuple(r[0] for r in t.reps)) for t in ts]
-    assert body.fn(pt, one, None, {}).shape == (24,)
+    assert body.fn(pt, one, None).shape == (24,)
 
 
 @pytest.mark.parametrize("src", ["sumS4( X[1,2] MCL(1)[1,3] )",
@@ -397,7 +397,7 @@ def test_a_nested_sum_is_zero_at_a_stack_without_its_body(monkeypatch):
     value = form(pts, *ts)
     assert value.shape == (5,) and not np.any(value)
     nested = formdsl._build(parse("sumS4( MCL(1)[p3,p4] )"), 1, True)
-    assert nested.fn(pts, ts[:1], None, {}).shape == (5, 1)
+    assert nested.fn(pts, ts[:1], None).shape == (5, 1)
 
 
 def test_deep_nesting_is_a_syntax_error_at_the_opening_token():
@@ -635,9 +635,10 @@ def test_wedge_evaluates_each_factor_once_per_set_of_tangents(monkeypatch):
 
 
 def test_each_evaluation_starts_from_an_empty_memo():
-    # one form evaluated at a point, then at another whose tangents are new
+    # one form evaluated at a point, then at another whose arrays are new
     # objects (whose ids may be the freed ones'), single and stacked:
-    # every value is the one a freshly lowered form gives there
+    # every value is the one a freshly lowered form gives there, since each
+    # evaluation starts from an empty cache (formcalc.cached)
     node = parse("MCL(1)[1,2] MCL(1)^2[3,4] X[1,3] + MCR(2)[1,4] "
                  "MCL(2)^2[2,3] X[2,4] - MCL(1)^2[1,4] MCR(1)[2,3] X[3,4]")
     form = interpret(node, 2)
@@ -657,7 +658,7 @@ def test_each_evaluation_starts_from_an_empty_memo():
 
 def test_a_square_reuses_the_memoized_one_form_values(monkeypatch):
     # MCL(1) on each of three tangents, once: the 1-form entries and the
-    # squares of both terms read the same three matrices
+    # squares of both terms read the same three cached matrices
     import nervecheck.formdsl as formdsl
 
     calls = []
