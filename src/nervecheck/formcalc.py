@@ -245,16 +245,6 @@ def wedge(f: FormEval, g: FormEval) -> FormEval:
                     shuffle_product((f.fn, g.fn), (f.degree, g.degree)))
 
 
-def check_fd_step(fd_step: float) -> None:
-    """Reject a step of the finite-difference checks outside [5e-6, 2e-4],
-    the widest 1-2-5 range on which every one of them stays within a fifth
-    of its tolerance over seeds 0-49: a longer step fails `mc-structure` on
-    truncation, a shorter one `d-squared` on the roundoff of its nested
-    differences."""
-    if not 5e-6 <= fd_step <= 2e-4:
-        raise ValueError("fd_step must lie in [5e-6, 2e-4]")
-
-
 def _chart_steps(h: np.ndarray, vs: list, fd_step: float):
     """The stepped points of one factor h, on a step axis of length 2(r+1),
     and for each slot s < r the field in that slot at every step (see

@@ -94,9 +94,9 @@ from . import formdsl
 from .cartanmodel import equivariant_total_check, level_counts, total_d
 from .eulercocycle import (COMPONENTS, cocycle, eval_alpha, eval_E13,
                            eval_E22, eval_mu, polynomial_path)
-from .formcalc import (FD_STEP_DEFAULT, FormEval, SmoothMap, check_fd_step,
-                       entry, exterior_d, matrix_wedge_square, mc_left,
-                       mc_right, pullback)
+from .formcalc import (FD_STEP_DEFAULT, FormEval, SmoothMap, entry,
+                       exterior_d, matrix_wedge_square, mc_left, mc_right,
+                       pullback)
 from .matrixgroup import (GroupPoint, Tangent, basis_element, exp_coords,
                           identity_point, skew_from_coords)
 from .nerve import (_conj_apply, degeneracy_ng, face_ng, face_pg, gamma,
@@ -127,7 +127,12 @@ class CheckConfig:
             raise ValueError(f"unknown check id {self.check_id!r}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
-        check_fd_step(self.fd_step)
+        # the widest 1-2-5 range of steps on which every finite-difference
+        # check stays within a fifth of its tolerance over seeds 0-49: a
+        # longer step fails mc-structure on truncation, a shorter one
+        # d-squared on the roundoff of its nested differences
+        if not 5e-6 <= self.fd_step <= 2e-4:
+            raise ValueError("fd_step must lie in [5e-6, 2e-4]")
         if self.tol is not None and not (self.tol > 0 and isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
         return self
@@ -410,18 +415,8 @@ def _trial_gamma(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
 
 
 def _trial_alpha_antisymmetry(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
-    # Each trial reads nine rows: its path degree 1 + floor(3u) from the
-    # first uniform u of the first, then the deg + 1 coefficients of the
-    # first path and those of the second; the stacked paths pad them with
-    # zeros to degree 3.
-    deg = 1 + (3.0 * tape.rows(1)[..., 0]).astype(int)
-    rows = _skew_rows(tape, 8, 1.0)
-    j = np.arange(4)
-    used = (j <= deg)[..., None, None]
-    second = np.take_along_axis(
-        rows, (deg + 1 + j)[..., None, None].clip(max=7), axis=1)
-    coeffs = (np.where(used, rows[:, :4], 0.0), np.where(used, second, 0.0))
-    xi1, xi2 = (polynomial_path(np.moveaxis(c, 1, 0)) for c in coeffs)
+    rows = np.moveaxis(_skew_rows(tape, 8, 1.0), 1, 0)
+    xi1, xi2 = polynomial_path(rows[:4]), polynomial_path(rows[4:])
     a12 = eval_alpha(xi1, xi2)
     a21 = eval_alpha(xi2, xi1)
     a11 = eval_alpha(xi1, xi1)
@@ -575,8 +570,8 @@ CHECKS: dict[str, Check] = {
         {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}),
     "ad-invariance": _rows(1e-10, _ad_invariance, 2, COMPONENTS),
     "dsl-oracle": _rows(1e-12, _dsl_oracle, 1, COMPONENTS),
-    # the degree row, then four coefficient rows for each of two paths
-    "alpha-antisymmetry": Check(1e-12, _trial_alpha_antisymmetry, 9),
+    # two cubic paths, four coefficient rows each
+    "alpha-antisymmetry": Check(1e-12, _trial_alpha_antisymmetry, 8),
     "d-squared": _rows(
         1.0, _d_squared, 0,
         {"dd": ((1, 0), 3), "dpdp": ((3, 0), 1), "dpdp e13": ((3, 0), 3),

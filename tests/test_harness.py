@@ -859,11 +859,9 @@ def test_a_point_is_one_exponential_of_its_rows(monkeypatch, level):
                for v, h in zip(t.reps, want, strict=True))
 
 
-def test_alpha_antisymmetry_draws_the_degree_then_the_coefficients(
-        monkeypatch):
+def test_alpha_antisymmetry_draws_two_cubic_paths(monkeypatch):
     # the coefficients handed to polynomial_path, against the draws of the
-    # per-trial loop: the degree 1 + floor(3u) from the first uniform u of
-    # the first row, then deg + 1 algebra elements for each path
+    # per-trial loop: rows 0-3 are the first cubic path, rows 4-7 the second
     got = []
     real = harness.polynomial_path
 
@@ -876,11 +874,9 @@ def test_alpha_antisymmetry_draws_the_degree_then_the_coefficients(
     trial_rows(CheckConfig("alpha-antisymmetry", seed=5), range(trials))
     want = np.zeros((2, 4, trials, 4, 4))
     for n in range(trials):
-        rng = trial_rng(5, "alpha-antisymmetry", n)
-        ref = PerCallSampler(rng)
-        deg = 1 + int(3 * rng.random(6)[0])
+        ref = PerCallSampler(trial_rng(5, "alpha-antisymmetry", n))
         for path in want:
-            for j in range(deg + 1):
+            for j in range(4):
                 path[j, n] = skew_from_coords(ref.coords(1.0))
     assert len(got) == 2
     for path, expected in zip(got, want):
