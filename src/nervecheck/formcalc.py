@@ -20,10 +20,11 @@ terms.  That leaves genuine O(fd_step^2) truncation on every integrand,
 bi-invariant ones included, so convergence is observable by step halving.
 The 2(r+1) stepped points of a degree-r form, one per direction and sign,
 stand on a new leading step axis: an evaluation makes one call of the form
-and at most one stacked exponential per factor.  The step axis broadcasts
-against the form's own arrays from the right, so a form that captures
-stacked arrays (such as an (N, 4, 4) argument X) is differentiated at
-points stacked the same way.
+and at most one exponential per factor, of the coordinates of its r+1
+forward steps; their products fill that axis in place.  The step axis
+broadcasts against the form's own arrays from the right, so a form that
+captures stacked arrays (such as an (N, 4, 4) argument X) is
+differentiated at points stacked the same way.
 
 One evaluation, from the outermost `FormEval` call until it returns or
 raises, keeps one cache of values keyed by the arrays they depend on (see
@@ -44,7 +45,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .matrixgroup import DIM, GroupPoint, Tangent, exp_matrix
+from .matrixgroup import DIM, GroupPoint, Tangent, exp_coords, skew_coords
 
 FD_STEP_DEFAULT = 1e-5
 
@@ -248,24 +249,29 @@ def wedge(f: FormEval, g: FormEval) -> FormEval:
 def _chart_steps(h: np.ndarray, vs: list, fd_step: float):
     """The stepped points of one factor h, on a step axis of length 2(r+1),
     and for each slot s < r the field in that slot at every step (see
-    exterior_d); vs are the factor's r+1 tangent reps.  Its temporaries,
-    such as the exponentials, are freed before the form is evaluated; the
-    arrays it returns are read-only, since a chart may be shared."""
+    exterior_d); vs are the factor's r+1 tangent reps.  Besides what it
+    returns it holds only the X_i, their coordinates and the r+1
+    exponentials, freed before the form is evaluated; the arrays it returns
+    are read-only, since a chart may be shared."""
     hT = np.ascontiguousarray(h.mT)
-    xs = [v @ hT for v in vs]
-    plus = exp_matrix(fd_step * np.stack(xs))
+    shape = np.broadcast_shapes(h.shape, *(v.shape for v in vs))
+    xs = np.empty((len(vs),) + shape)
+    for v, x in zip(vs, xs):
+        np.matmul(v, hT, out=x)
+    plus = exp_coords(fd_step * skew_coords(xs))
     # exp(-tX) is the transpose of exp(tX); step 2i is +fd_step and step
-    # 2i+1 is -fd_step along direction i
-    e = np.stack([plus, plus.mT], axis=1).reshape(
-        (2 * len(vs),) + plus.shape[1:])
-    m = e @ h
+    # 2i+1 is -fd_step along direction i, written in place
+    m = np.empty((2 * len(vs),) + shape)
+    np.matmul(plus, h, out=m[0::2])
+    np.matmul(plus.mT, h, out=m[1::2])
     # slot s holds direction s at the steps along i > s and direction s+1
     # at the others, the first 2(s+1); every field has the shape of m, the
     # broadcast of h and its tangent reps behind the step axis
     fields = []
     for s in range(len(vs) - 1):
         field = np.empty(m.shape)
-        np.matmul(e[:2 * s + 2], vs[s + 1], out=field[:2 * s + 2])
+        np.matmul(plus[:s + 1], vs[s + 1], out=field[0:2 * s + 2:2])
+        np.matmul(plus[:s + 1].mT, vs[s + 1], out=field[1:2 * s + 2:2])
         np.matmul(xs[s], m[2 * s + 2:], out=field[2 * s + 2:])
         field.flags.writeable = False
         fields.append(field)
@@ -285,10 +291,10 @@ def exterior_d(f: FormEval, fd_step: float = FD_STEP_DEFAULT) -> FormEval:
         df(v_0, ..., v_r) = sum_i (-1)^i (f(+) - f(-)) / (2 fd_step),
 
     with f(+-) the form at exp(+-fd_step X_i) h on the other fields, and no
-    bracket term evaluates the form.  One exponential per distinct factor
-    and tangent reps of an evaluation (see `cached`), and one per factor
-    outside one, gives the r+1 steps exp(fd_step X_i);
-    exp(-fd_step X_i) is its transpose, the inverse of a rotation.  The
+    bracket term evaluates the form.  One `exp_coords` of the coordinates
+    of every fd_step X_i per distinct factor and tangent reps of an
+    evaluation (see `cached`), or per factor outside one, gives the r+1
+    steps; exp(-fd_step X_i) is a transpose, the inverse of a rotation.  The
     truncation is O(fd_step^2) on every form, bi-invariant ones included:
     d of the closed 3-form reads of order 1e-8 at fd_step = 1e-3 on
     unit-sized tangents and falls by 4 at each halving.

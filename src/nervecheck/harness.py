@@ -269,11 +269,12 @@ class DrawTape:
     """The first `size` rows of six uniforms of one generator per trial,
     read row by row in stream order (see the module docstring).  `rngs` is
     a sequence of generators, one per stacked trial, or a single generator
-    for one unstacked sample."""
+    for one unstacked sample; the tape drops them once its block is
+    filled."""
 
     def __init__(self, rngs, size: int):
         self.single = isinstance(rngs, np.random.Generator)
-        self.rngs = (rngs,) if self.single else tuple(rngs)
+        self._rngs = (rngs,) if self.single else tuple(rngs)
         self.size = size
         self._block: Optional[np.ndarray] = None
         self._pos = 0
@@ -286,9 +287,10 @@ class DrawTape:
             raise IndexError(f"a read of {k} rows at row {self._pos} runs "
                              f"past the {self.size} rows of the tape")
         if self._block is None:
-            self._block = np.empty((len(self.rngs), self.size, 6))
-            for rng, block in zip(self.rngs, self._block):
+            self._block = np.empty((len(self._rngs), self.size, 6))
+            for rng, block in zip(self._rngs, self._block):
                 rng.random(out=block)
+            self._rngs = None
         out = self._block[:, self._pos:self._pos + k]
         self._pos += k
         return out[0] if self.single else out
@@ -603,8 +605,9 @@ def trial_rows(cfg: CheckConfig,
     chunks = []
     for start in range(0, len(trials), CHUNK):
         part = trials[start:start + CHUNK]
-        rngs = trial_rngs(cfg.seed, cfg.check_id, part) if check.rows else ()
-        cols = check.trial(cfg, DrawTape(rngs, check.rows))
+        tape = DrawTape(trial_rngs(cfg.seed, cfg.check_id, part)
+                        if check.rows else (), check.rows)
+        cols = check.trial(cfg, tape)
         chunks.append({k: np.broadcast_to(np.asarray(v, dtype=float),
                                           (len(part),))
                        for k, v in cols.items()})

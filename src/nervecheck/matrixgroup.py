@@ -16,8 +16,9 @@ takes the six coordinates of each skew matrix, (..., 6) in `BASIS_PAIRS`
 order, and is the kernel: both so(3) halves of the argument run in one
 pass, as a (2, 4, M) pair of four numbers over the M matrices.
 `exp_matrix` takes skew matrices (..., 4, 4), checks that they are skew,
-and hands their upper-triangle coordinates to `exp_coords`; the samplers
-call `exp_coords` on their drawn coordinates and build no skew matrix.
+and hands their `skew_coords` to `exp_coords`.  No check calls it: the
+samplers call `exp_coords` on their drawn coordinates, and the charts of
+`formcalc.exterior_d` on the `skew_coords` of their skew steps.
 
 A stacked product whose right operand is such a transpose, `v @ h.mT`,
 falls to numpy's strided matmul loop, three to four times slower than the
@@ -25,7 +26,9 @@ product with a contiguous right operand.  Where that product is on a hot
 path (the charts of `formcalc.exterior_d`, `mc_right`, the right
 Maurer-Cartan terms of the cochains, gamma, the conjugation action) the code
 multiplies by `np.ascontiguousarray(h.mT)` instead: the copy holds the same
-numbers, and the product gives the same bits.
+numbers, and the product gives the same bits.  A transposed left operand
+needs no copy: `plus.mT @ h` gives the bits of the product with one, in
+less time (39 against 50 us on 400 matrices, one Xeon core).
 """
 
 from __future__ import annotations
@@ -126,10 +129,6 @@ _TABLES = np.stack([_PLUS, _MINUS])
 # a24, a34): row 0 of S gives A+ on E12+E34, E13-E24, E14+E23, row 1 gives
 # A- on E12-E34, E13+E24, E14-E23
 _S = np.array([[[1.0], [-1.0], [1.0]], [[-1.0], [1.0], [-1.0]]])
-# the upper triangle, the diagonal first and then the six coordinates in
-# BASIS_PAIRS order: x is skew when x_ij + x_ji = 0 there
-_UPPER = (np.concatenate([np.arange(DIM), _ROWS]),
-          np.concatenate([np.arange(DIM), _COLS]))
 
 
 def exp_coords(c) -> np.ndarray:
@@ -175,19 +174,20 @@ def exp_coords(c) -> np.ndarray:
     return plus @ minus
 
 
+def skew_coords(x: np.ndarray) -> np.ndarray:
+    """The six coordinates (..., 6) in BASIS_PAIRS order of a skew matrix
+    or stack (..., 4, 4), read above the diagonal; nothing is checked."""
+    return x[..., _ROWS, _COLS]
+
+
 def exp_matrix(x: np.ndarray) -> np.ndarray:
     """Matrix exponential of a 4x4 skew matrix, or of each matrix of a stack
-    (..., 4, 4), in the closed form of `exp_coords` (lands in SO(4)).
-
-    The argument is read once, as its upper triangle: the skew check and
-    the six coordinates handed to `exp_coords` share that gather.
-    """
+    (..., 4, 4), in the closed form of `exp_coords` (lands in SO(4)): the
+    argument is checked to be skew and its `skew_coords` are handed on."""
     x = np.asarray(x, dtype=float)
     if x.shape[-2:] != (DIM, DIM):
         raise ValueError(f"need a 4x4 matrix, got shape {x.shape}")
     # a NaN entry fails the comparison too
-    rows, cols = _UPPER
-    upper = x[..., rows, cols]
-    if not np.all(np.abs(upper + x[..., cols, rows]) <= 1e-10):
+    if not np.all(np.abs(x + x.mT) <= 1e-10):
         raise ValueError("exp_matrix expects a skew-symmetric argument")
-    return exp_coords(upper[..., DIM:])
+    return exp_coords(skew_coords(x))

@@ -3,8 +3,9 @@
 Unlike `oracles.py`, nothing here is an independent reference: these are
 conveniences built from the package's own primitives.  `nerve_d_prime` is
 a second route to d' on the nerve, from other primitives than the route
-the package takes, and `exp_two_halves` a second route to the closed-form
-exponential, one so(3) half at a time.
+the package takes, `exp_two_halves` a second route to the closed-form
+exponential, one so(3) half at a time, and `stacked_chart_steps` a second
+construction of an `exterior_d` chart.
 """
 
 import hashlib
@@ -188,3 +189,24 @@ def exp_two_halves(x: np.ndarray) -> np.ndarray:
     minus = _half(0.5 * (a12 - a34), 0.5 * (a13 + a24), 0.5 * (a14 - a23))
     return ((plus @ _PLUS).reshape(x.shape)
             @ (minus @ _MINUS).reshape(x.shape))
+
+
+def stacked_chart_steps(h: np.ndarray, vs, fd_step: float):
+    """The chart of `formcalc._chart_steps` built by stacking: the right
+    coordinates X_i = v_i h^T as a list, one `exp_matrix` of their stack
+    times fd_step, and every step exp(+-fd_step X_i) interleaved in one
+    (2(r+1), ..., 4, 4) array, which the stepped points and the first
+    2(s+1) steps of each field s multiply."""
+    hT = np.ascontiguousarray(h.mT)
+    xs = [v @ hT for v in vs]
+    plus = exp_matrix(fd_step * np.stack(xs))
+    e = np.stack([plus, plus.mT], axis=1).reshape(
+        (2 * len(vs),) + plus.shape[1:])
+    m = e @ h
+    fields = []
+    for s in range(len(vs) - 1):
+        field = np.empty(m.shape)
+        np.matmul(e[:2 * s + 2], vs[s + 1], out=field[:2 * s + 2])
+        np.matmul(xs[s], m[2 * s + 2:], out=field[2 * s + 2:])
+        fields.append(field)
+    return m, fields

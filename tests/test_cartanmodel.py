@@ -537,14 +537,14 @@ def test_chart_exponentials_of_a_run(monkeypatch, check_id, shared,
     # one per distinct factor and tangents of each component: in d-squared
     # the terms d'(d w) and d(d' w) of a component differentiate the
     # factors that a face passes through unchanged at the same arrays
-    real = formcalc.exp_matrix
+    real = formcalc.exp_coords
     calls = []
 
-    def counted(x):
-        calls.append(x.shape)
-        return real(x)
+    def counted(c):
+        calls.append(c.shape)
+        return real(c)
 
-    monkeypatch.setattr(formcalc, "exp_matrix", counted)
+    monkeypatch.setattr(formcalc, "exp_coords", counted)
     run_check(CheckConfig(check_id, seed=7, trials=200))
     assert len(calls) == shared
     calls.clear()

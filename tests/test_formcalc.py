@@ -12,6 +12,7 @@ from nervecheck.matrixgroup import (
     basis_element,
     exp_matrix,
     identity_point,
+    skew_from_coords,
 )
 from nervecheck.formcalc import (
     FormEval,
@@ -28,7 +29,8 @@ from nervecheck.formcalc import (
 from nervecheck.eulercocycle import eval_E13
 
 from helpers import (constant_form, left_invariant_field, rand_point,
-                     rand_tangent, random_skew, sample_so4, zero_form)
+                     rand_tangent, random_skew, sample_so4,
+                     stacked_chart_steps, zero_form)
 from oracles import fd_directional, fd_map_differential, wedge_oracle
 
 E12 = basis_element(1, 2)
@@ -644,6 +646,28 @@ def _stacked_sample(rng, level: int, count: int, stack):
     return pt, ts
 
 
+@pytest.mark.parametrize("lead", [(), (5,), (6, 5)],
+                         ids=["single", "stack", "nested"])
+@pytest.mark.parametrize("count", range(1, 5))
+def test_a_chart_matches_its_stacked_construction(lead, count):
+    # the chart writes each step in place from one exponential of the
+    # gathered coordinates, with the bits of the stacked construction
+    rng = np.random.default_rng(72 + count)
+
+    def skews(scale):
+        return skew_from_coords(rng.uniform(-scale, scale, lead + (6,)))
+
+    h = exp_matrix(skews(2.0))
+    vs = [h @ skews(1.0) for _ in range(count)]
+    m, fields = formcalc._chart_steps(h, vs, 1e-5)
+    want_m, want_fields = stacked_chart_steps(h, vs, 1e-5)
+    assert m.shape == (2 * count,) + lead + (4, 4)
+    assert np.array_equal(m, want_m)
+    assert len(fields) == len(want_fields) == count - 1
+    assert all(np.array_equal(a, b) for a, b in zip(fields, want_fields))
+    assert not any(a.flags.writeable for a in (m, *fields))
+
+
 @pytest.mark.parametrize("degree", range(4))
 @pytest.mark.parametrize("stack", [None, 3])
 def test_exterior_d_evaluates_its_form_once(degree, stack):
@@ -665,20 +689,25 @@ def test_exterior_d_evaluates_its_form_once(degree, stack):
     assert np.array_equal(got, exterior_d(form, 1e-5)(pt, *ts))
 
 
+def _counted_exponentials(monkeypatch) -> list:
+    """The shapes of every exp_coords call that formcalc makes from now:
+    one per chart, on the coordinates of its steps."""
+    real = formcalc.exp_coords
+    calls = []
+
+    def counted(c):
+        calls.append(c.shape)
+        return real(c)
+
+    monkeypatch.setattr(formcalc, "exp_coords", counted)
+    return calls
+
+
 @pytest.mark.parametrize("degree", range(4))
 @pytest.mark.parametrize("stack", [None, 3])
 def test_exterior_d_makes_one_exponential_per_factor(monkeypatch, degree,
                                                      stack):
-    import nervecheck.formcalc as formcalc
-
-    real = formcalc.exp_matrix
-    calls = []
-
-    def counted(x):
-        calls.append(x.shape)
-        return real(x)
-
-    monkeypatch.setattr(formcalc, "exp_matrix", counted)
+    calls = _counted_exponentials(monkeypatch)
     rng = np.random.default_rng(60 + degree)
     level = 2
     shape = () if stack is None else (stack,)
@@ -686,9 +715,9 @@ def test_exterior_d_makes_one_exponential_per_factor(monkeypatch, degree,
     factors = pt.factors
     form = _degree_forms(level)[degree]
     got = exterior_d(form, 1e-5)(pt, *ts)
-    # one call per factor, on the r+1 steps +h X_i only: the -h steps are
-    # their transposes
-    assert calls == [(degree + 1,) + shape + (4, 4)] * level
+    # one call per factor, on the six coordinates of the r+1 steps +h X_i
+    # only: the -h steps are their transposes
+    assert calls == [(degree + 1,) + shape + (6,)] * level
     assert np.shape(got) == shape
     for k in range(stack or 1):
         pick = (lambda m: m) if stack is None else (lambda m: m[k])
@@ -740,19 +769,6 @@ def test_a_chart_is_shared_within_a_scope_and_rejects_writes():
     for a in at.factors + t.reps:
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0, 0, 0] = 0.0
-
-
-def _counted_exponentials(monkeypatch) -> list:
-    """The shapes of every exp_matrix call that formcalc makes from now."""
-    real = formcalc.exp_matrix
-    calls = []
-
-    def counted(x):
-        calls.append(x.shape)
-        return real(x)
-
-    monkeypatch.setattr(formcalc, "exp_matrix", counted)
-    return calls
 
 
 def test_exterior_d_outside_a_scope_caches_nothing(monkeypatch):

@@ -16,6 +16,7 @@ from nervecheck.matrixgroup import (
     exp_coords,
     exp_matrix,
     identity_point,
+    skew_coords,
     skew_from_coords,
 )
 
@@ -228,6 +229,11 @@ def test_skew_from_coords_on_a_stack():
         assert np.array_equal(one, skew_from_coords(c))
     with pytest.raises(ValueError):
         skew_from_coords(np.zeros((2, 5)))
+
+
+def test_skew_coords_inverts_skew_from_coords_on_a_stack():
+    coords = np.arange(36.0).reshape(2, 3, 6) - 17.5
+    assert np.array_equal(skew_coords(skew_from_coords(coords)), coords)
 
 
 def test_exp_matrix_orthogonality_defect_is_roundoff():
