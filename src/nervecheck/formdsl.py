@@ -18,14 +18,16 @@ sense; `[i,j]` selects a matrix entry and is mandatory on every atom.
 `sumS4(...)` sums its body over all 24 permutations of (1,2,3,4) weighted by
 sign, putting the permutation images in place of the placeholders p1..p4.
 `n/d/pi2` scales by the rational n/d times 1/pi^2.  NUMBER is at most
-MAX_DIGITS ASCII digits, a factor index k at most MAX_FACTOR, and
-parentheses and sumS4 nest at most MAX_NESTING deep.
+MAX_DIGITS ASCII digits, a factor index k at most MAX_FACTOR, parentheses
+and sumS4 nest at most MAX_NESTING deep, and a wedge below the top degree
+has at most MAX_WEDGE_SLOTS tangent slots.
 
 A sumS4 binds every placeholder in its body, the bodies of sumS4 nested in
 it included.  A nested sumS4 therefore adds 24 equal terms whose signs
 cancel: it evaluates to zero.
 
-`parse` produces a plain AST; `interpret` lowers it once to an evaluator
+`parse` produces a plain AST whose only leaf is `EntrySel`: an atom, its
+square or not, and its entry.  `interpret` lowers it once to an evaluator
 (pt, tangents, X) -> ndarray in one fixed layout: the stack axes of a
 stacked point, then one permutation axis, of length 24 where a placeholder
 is free in the subexpression and of length 1 elsewhere.  Its s-th entry is
@@ -78,28 +80,13 @@ class FormSyntaxError(FormDslError):
 
 
 @dataclass(frozen=True)
-class MCLAtom:
-    factor: int
-
-
-@dataclass(frozen=True)
-class MCRAtom:
-    factor: int
-
-
-@dataclass(frozen=True)
-class XAtom:
-    pass
-
-
-@dataclass(frozen=True)
-class Square:
-    base: Union[MCLAtom, MCRAtom]
-
-
-@dataclass(frozen=True)
 class EntrySel:
-    base: Union[MCLAtom, MCRAtom, XAtom, Square]
+    """The one leaf: entry [i, j] of an atom, "MCL" or "MCR" of factor
+    `factor` (squared when `square`), or "X" with factor 0."""
+
+    atom: str
+    factor: int
+    square: bool
     i: Union[int, str]
     j: Union[int, str]
 
@@ -158,6 +145,12 @@ MAX_NESTING = 64
 # The largest factor index k of MCL(k)/MCR(k).  `nervecheck eval` builds a
 # point with that many factors, so the index bounds its time and memory.
 MAX_FACTOR = 64
+
+# The most tangent slots (its degree) of a wedge below the top degree.  Its
+# fold plan holds n 2^(n-1) products for n 1-forms, so each slot doubles the
+# time and memory of lowering and evaluating it: 12 slots take about 0.1 s
+# and 61 MB in `nervecheck eval`, 16 took 3.5 s and 117 MB, 18 took 12 s.
+MAX_WEDGE_SLOTS = 12
 
 
 def _tokenize(src: str) -> list[_Token]:
@@ -313,8 +306,11 @@ class _Parser:
             body = self.parse_nested(tok)
             self.sum_depth -= 1
             return SumS4(body)
-        if text in ("MCL", "MCR"):
-            self.advance()
+        if text not in ("MCL", "MCR", "X"):
+            self.fail(f"unknown name {text!r}")
+        self.advance()
+        factor = 0
+        if text != "X":
             self.expect("(")
             ftok = self.expect("NUMBER")
             factor = int(ftok[1])
@@ -322,30 +318,14 @@ class _Parser:
                 raise _error_at(ftok,
                                 f"factor index must lie in 1..{MAX_FACTOR}")
             self.expect(")")
-            atom = MCLAtom(factor) if text == "MCL" else MCRAtom(factor)
-            base: Union[MCLAtom, MCRAtom, Square] = atom
-            if self.kind() == "^":
-                self.advance()
-                two = self.expect("NUMBER")
-                if two[1] != "2":
-                    raise _error_at(two, "only the power 2 is supported")
-                base = Square(atom)
-            return self.parse_entry(base)
-        if text == "X":
-            self.advance()
-            if self.kind() == "^":
+        square = self.kind() == "^"
+        if square:
+            if text == "X":
                 self.fail("the argument X cannot be squared")
-            return self.parse_entry(XAtom())
-        self.fail(f"unknown name {text!r}")
-
-    def _reject_scalar_suffix(self) -> None:
-        kind = self.kind()
-        if kind == "[":
-            self.fail("entry selection applied to a scalar")
-        if kind == "^":
-            self.fail("power applied to a scalar")
-
-    def parse_entry(self, base) -> EntrySel:
+            self.advance()
+            two = self.expect("NUMBER")
+            if two[1] != "2":
+                raise _error_at(two, "only the power 2 is supported")
         if self.kind() != "[":
             self.fail("matrix-valued factor requires an entry selection [i,j]")
         self.advance()
@@ -353,7 +333,14 @@ class _Parser:
         self.expect(",")
         j = self.parse_index()
         self.expect("]")
-        return EntrySel(base, i, j)
+        return EntrySel(text, factor, square, i, j)
+
+    def _reject_scalar_suffix(self) -> None:
+        kind = self.kind()
+        if kind == "[":
+            self.fail("entry selection applied to a scalar")
+        if kind == "^":
+            self.fail("power applied to a scalar")
 
     def parse_index(self) -> Union[int, str]:
         kind, text, _, _ = self.peek()
@@ -372,7 +359,9 @@ class _Parser:
 
 
 def parse(src: str) -> Node:
-    """Parse a source string, raising FormSyntaxError with line:col on error."""
+    """Parse a source string into an AST of Sum, Scale, Wedge and SumS4
+    nodes over EntrySel leaves, raising FormSyntaxError with line:col on
+    error."""
     parser = _Parser(_tokenize(src))
     node = parser.parse_expr()
     if parser.kind() != "EOF":
@@ -412,26 +401,22 @@ class _Built:
     fn: Callable
 
 
-def _mc_matrix(base: Union[MCLAtom, MCRAtom, Square], level: int):
+def _mc_matrix(node: EntrySel, level: int):
     """The evaluator (pt, ts) -> matrix of a Maurer-Cartan atom on one
     tangent, or of its square on two (`matrix_wedge_square`).  The atom's
     value depends only on its factor and tangent rep arrays, and is
     computed once per evaluation for them (`formcalc.cached`)."""
-    atom = base.base if isinstance(base, Square) else base
-    if atom.factor > level:
+    if node.factor > level:
         raise FormDslError(
-            f"factor index {atom.factor} exceeds the level {level}")
-    left = isinstance(atom, MCLAtom)
-    f = (mc_left if left else mc_right)(atom.factor, level).fn
-    tag = "MCL" if left else "MCR"
-    k = atom.factor - 1
+            f"factor index {node.factor} exceeds the level {level}")
+    f = (mc_left if node.atom == "MCL" else mc_right)(node.factor, level).fn
+    tag, k = node.atom, node.factor - 1
 
     def one(pt, ts):
         return cached(tag, (pt.factors[k], ts[0].reps[k]), f, pt, ts)
 
     form = FormEval(1, level, one)
-    return (matrix_wedge_square(form) if isinstance(base, Square)
-            else form).fn
+    return (matrix_wedge_square(form) if node.square else form).fn
 
 
 def _entry(node: EntrySel, level: int, in_sum: bool) -> _Built:
@@ -449,11 +434,10 @@ def _entry(node: EntrySel, level: int, in_sum: bool) -> _Built:
     def select(m):
         return m.reshape(16)[flat] if m.ndim == 2 else m[..., rows, cols]
 
-    if isinstance(node.base, XAtom):
+    if node.atom == "X":
         return _Built(0, 1, lambda pt, ts, X: select(X))
-    matrix = _mc_matrix(node.base, level)
-    degree = 2 if isinstance(node.base, Square) else 1
-    return _Built(degree, 0,
+    matrix = _mc_matrix(node, level)
+    return _Built(2 if node.square else 1, 0,
                   lambda pt, ts, X: select(matrix(pt, ts)))
 
 
@@ -478,6 +462,9 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
         degree = sum(degrees)
         if degree > len(BASIS_PAIRS) * level:
             fn = _zeros
+        elif degree > MAX_WEDGE_SLOTS:
+            raise FormDslError(f"a wedge of {degree} tangent slots exceeds "
+                               f"the limit of {MAX_WEDGE_SLOTS}")
         else:
             fn = shuffle_product([f.fn for f in factors], degrees)
         return _Built(degree, sum(f.x_degree for f in factors), fn)
@@ -561,21 +548,13 @@ def interpret(node: Node, level: int):
 
 def max_factor_index(node: Node) -> int:
     """Largest Maurer-Cartan factor index used (0 when none occur)."""
-    if isinstance(node, (MCLAtom, MCRAtom)):
-        return node.factor
-    if isinstance(node, Square):
-        return max_factor_index(node.base)
     if isinstance(node, EntrySel):
-        return max_factor_index(node.base)
-    if isinstance(node, SumS4):
+        return node.factor
+    if isinstance(node, (SumS4, Scale)):
         return max_factor_index(node.body)
     if isinstance(node, Wedge):
         return max(max_factor_index(f) for f in node.factors)
-    if isinstance(node, Scale):
-        return max_factor_index(node.body)
-    if isinstance(node, Sum):
-        return max(max_factor_index(t) for t in node.terms)
-    return 0
+    return max(max_factor_index(t) for t in node.terms)
 
 
 # ---------------------------------------------------------------------------

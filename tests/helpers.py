@@ -14,8 +14,7 @@ from functools import partial
 import numpy as np
 
 from nervecheck.formcalc import FormEval, SmoothMap, pullback
-from nervecheck.formdsl import (EntrySel, MCLAtom, MCRAtom, Scale, Square, Sum,
-                                SumS4, Wedge, XAtom)
+from nervecheck.formdsl import EntrySel, Scale, Sum, SumS4, Wedge
 from nervecheck.harness import trial_rngs
 from nervecheck.matrixgroup import (_MINUS, _PLUS, DIM, GroupPoint, Tangent,
                                     exp_matrix, skew_from_coords)
@@ -134,15 +133,9 @@ def pretty(node) -> str:
     if isinstance(node, SumS4):
         return f"sumS4( {pretty(node.body)} )"
     if isinstance(node, EntrySel):
-        return f"{pretty(node.base)}[{node.i},{node.j}]"
-    if isinstance(node, Square):
-        return f"{pretty(node.base)}^2"
-    if isinstance(node, MCLAtom):
-        return f"MCL({node.factor})"
-    if isinstance(node, MCRAtom):
-        return f"MCR({node.factor})"
-    if isinstance(node, XAtom):
-        return "X"
+        atom = "X" if node.atom == "X" else f"{node.atom}({node.factor})"
+        power = "^2" if node.square else ""
+        return f"{atom}{power}[{node.i},{node.j}]"
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -193,7 +193,8 @@ def dsl_substitute(node, images):
     if isinstance(node, EntrySel):
         def idx(k):
             return images[int(k[1]) - 1] if isinstance(k, str) else k
-        return EntrySel(node.base, idx(node.i), idx(node.j))
+        return EntrySel(node.atom, node.factor, node.square, idx(node.i),
+                        idx(node.j))
     if isinstance(node, SumS4):
         return SumS4(dsl_substitute(node.body, images))
     if isinstance(node, Wedge):
@@ -216,8 +217,7 @@ def dsl_eval(node, pt, ts, x=None) -> tuple[float, float]:
     tangent slots with 1/(r_1! ... r_n!) normalization.  Only the AST node
     types come from the package.
     """
-    from nervecheck.formdsl import (EntrySel, MCLAtom, Scale, Square, Sum,
-                                    SumS4, Wedge, XAtom)
+    from nervecheck.formdsl import EntrySel, Scale, Sum, SumS4, Wedge
 
     left = [[h.T @ v for h, v in zip(pt.factors, t.reps)] for t in ts]
     right = [[v @ h.T for h, v in zip(pt.factors, t.reps)] for t in ts]
@@ -228,9 +228,7 @@ def dsl_eval(node, pt, ts, x=None) -> tuple[float, float]:
 
     def degree(n) -> int:
         if isinstance(n, EntrySel):
-            base = n.base
-            return 0 if isinstance(base, XAtom) else (
-                2 if isinstance(base, Square) else 1)
+            return 0 if n.atom == "X" else 2 if n.square else 1
         if isinstance(n, Wedge):
             return sum(degree(f) for f in n.factors)
         if isinstance(n, (Scale, SumS4)):
@@ -239,13 +237,11 @@ def dsl_eval(node, pt, ts, x=None) -> tuple[float, float]:
 
     def entry(n, slots) -> float:
         i, j = n.i - 1, n.j - 1
-        base = n.base
-        if isinstance(base, XAtom):
+        if n.atom == "X":
             return float(x[i, j])
-        atom = base.base if isinstance(base, Square) else base
-        mats = left if isinstance(atom, MCLAtom) else right
-        k = atom.factor - 1
-        if isinstance(base, Square):
+        mats = left if n.atom == "MCL" else right
+        k = n.factor - 1
+        if n.square:
             total = 0.0
             for perm in itertools.permutations(slots):
                 sign = cycle_sign([slots.index(s) for s in perm])

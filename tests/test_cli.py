@@ -18,9 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from nervecheck import cli
 from nervecheck.cli import main
-from nervecheck.formdsl import MAX_FACTOR
+from nervecheck.formdsl import MAX_FACTOR, MAX_WEDGE_SLOTS
 from nervecheck.harness import (CHECK_IDS, DEFAULT_TOLS, CheckConfig,
                                 MAX_TRIALS, run_check)
+from nervecheck.matrixgroup import BASIS_PAIRS
 
 
 def _corpus_path(name):
@@ -459,6 +460,19 @@ def test_eval_factor_index_at_the_cap_runs(tmp_path, capsys):
                         "--at", "seed:1", "--tangents", "seed:1")
     assert code == 0
     assert math.isfinite(float(out))
+
+
+def test_eval_wedge_above_the_slot_bound_exits_two(tmp_path, capsys):
+    src = tmp_path / "wedge.form"
+    # 13 distinct 1-forms of SO(4)^3, of dimension 18: below the top degree
+    forms = [f"MCL({k})[{a},{b}]" for k in (1, 2, 3) for a, b in BASIS_PAIRS]
+    src.write_text(" ".join(forms[:MAX_WEDGE_SLOTS + 1]) + "\n")
+    code, out, err = _run(capsys, "eval", "--expr", str(src),
+                          "--at", "seed:1", "--tangents", "seed:2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert f"exceeds the limit of {MAX_WEDGE_SLOTS}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,14 @@ from nervecheck.formdsl import (
     CORPUS_NAMES,
     MAX_FACTOR,
     MAX_NESTING,
+    MAX_WEDGE_SLOTS,
     EntrySel,
     FormDslError,
     FormSyntaxError,
-    MCLAtom,
-    MCRAtom,
     Scale,
-    Square,
     Sum,
     SumS4,
     Wedge,
-    XAtom,
     corpus_source,
     interpret,
     max_factor_index,
@@ -417,13 +414,23 @@ def test_deep_nesting_is_a_syntax_error_at_the_opening_token():
 
 def test_factor_index_above_the_cap_is_a_syntax_error_at_the_index():
     assert parse(f"MCL({MAX_FACTOR})[1,2]") == EntrySel(
-        MCLAtom(MAX_FACTOR), 1, 2)
+        "MCL", MAX_FACTOR, False, 1, 2)
     for src, col in ((f"MCL({MAX_FACTOR + 1})[1,2]", 5),
                      ("2 MCL(1)[1,2] MCR(100000)[3,4]", 19),
                      ("MCL(0)[1,2]", 5)):
         with pytest.raises(FormSyntaxError, match="factor index") as exc:
             parse(src)
         assert (exc.value.line, exc.value.col) == (1, col), src
+
+
+def test_the_leaf_is_one_entry_selection_node():
+    # an atom, its factor (0 for X), its square and its entry in one node
+    node = parse("sumS4( MCL(2)^2[p1,3] ) MCR(1)[2,4] X[1,2]")
+    assert node == Wedge((SumS4(EntrySel("MCL", 2, True, "p1", 3)),
+                          EntrySel("MCR", 1, False, 2, 4),
+                          EntrySel("X", 0, False, 1, 2)))
+    assert [max_factor_index(f) for f in node.factors] == [2, 1, 0]
+    assert pretty(node) == "sumS4( MCL(2)^2[p1,3] ) MCR(1)[2,4] X[1,2]"
 
 
 def test_overlong_numbers_are_syntax_errors():
@@ -450,10 +457,10 @@ def _factor(draw, kind: str, level: int, bound: bool, ij=None):
     else:
         i, j = ij
     if kind == "x":
-        return EntrySel(XAtom(), i, j)
+        return EntrySel("X", 0, False, i, j)
     factor = draw(st.integers(1, level))
-    atom = MCLAtom(factor) if draw(st.booleans()) else MCRAtom(factor)
-    return EntrySel(Square(atom) if kind == "sq" else atom, i, j)
+    atom = "MCL" if draw(st.booleans()) else "MCR"
+    return EntrySel(atom, factor, kind == "sq", i, j)
 
 
 @st.composite
@@ -736,6 +743,31 @@ def test_wedge_above_the_top_degree_is_exactly_zero(extra, degree):
     value = (form(Xs) if "X" in extra else form)(
         pts, *sample_tangents(stack, pts, degree))
     assert value.shape == (3,) and not value.any()
+
+
+# The 18 1-forms of SO(4)^3 that span its cotangent spaces.
+_LEVEL3 = [f"MCL({k})[{a},{b}]" for k in (1, 2, 3) for a, b in BASIS_PAIRS]
+
+
+def test_a_wedge_of_more_slots_than_the_bound_is_refused():
+    # the plan of n 1-forms holds n 2^(n-1) products: a wedge below the
+    # top degree is bounded, a wedge above it stays the exact zero
+    over = " ".join(_LEVEL3[:MAX_WEDGE_SLOTS + 1])
+    with pytest.raises(FormDslError,
+                       match=f"{MAX_WEDGE_SLOTS + 1} tangent slots exceeds "
+                             f"the limit of {MAX_WEDGE_SLOTS}"):
+        interpret(parse(over), 3)
+    at = MAX_WEDGE_SLOTS
+    tape = DrawTape(trial_rng(0, "dsl-unit", 8), 3 * (1 + at))
+    pt = sample_point(tape, 3)
+    value = interpret(parse(" ".join(_LEVEL3[:at])), 3)(
+        pt, *sample_tangents(tape, pt, at))
+    assert math.isfinite(value) and value != 0.0
+    ones = " ".join([_VOLUME, _VOLUME, "MCR(1)[2,3]"])
+    tape = DrawTape(trial_rng(0, "dsl-unit", 9), 1 + 13)
+    pt = sample_point(tape, 1)
+    zero = interpret(parse(ones), 1)(pt, *sample_tangents(tape, pt, 13))
+    assert zero == 0.0 and isinstance(zero, float)
 
 
 @pytest.mark.parametrize("count", [2_000, 20_000])
