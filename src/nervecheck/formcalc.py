@@ -21,7 +21,10 @@ bi-invariant ones included, so convergence is observable by step halving.
 The 2(r+1) stepped points of a degree-r form, one per direction and sign,
 stand on a new leading step axis: an evaluation makes one call of the form
 and at most one exponential per factor, of the coordinates of its r+1
-forward steps; their products fill that axis in place.  The step axis
+forward steps; their products fill that axis in place.  A factor's chart
+is one read-only buffer holding its stepped points and the field of each
+of the form's r slots; the coordinates and exponentials it is made from
+are freed before the form runs.  The step axis
 broadcasts against the form's own arrays from the right, so a form that
 captures stacked arrays (such as an (N, 4, 4) argument X) is
 differentiated at points stacked the same way.
@@ -249,34 +252,31 @@ def wedge(f: FormEval, g: FormEval) -> FormEval:
 def _chart_steps(h: np.ndarray, vs: list, fd_step: float):
     """The stepped points of one factor h, on a step axis of length 2(r+1),
     and for each slot s < r the field in that slot at every step (see
-    exterior_d); vs are the factor's r+1 tangent reps.  Besides what it
-    returns it holds only the X_i, their coordinates and the r+1
-    exponentials, freed before the form is evaluated; the arrays it returns
-    are read-only, since a chart may be shared."""
+    exterior_d); vs are the factor's r+1 tangent reps.  All of them are
+    read-only views of one buffer of shape (r+1, 2(r+1)) + the broadcast of
+    h and vs, the points in row 0 and the field of slot s in row s+1, since
+    a chart may be shared; the X_i, their coordinates and the r+1
+    exponentials are freed before the form is evaluated."""
     hT = np.ascontiguousarray(h.mT)
     shape = np.broadcast_shapes(h.shape, *(v.shape for v in vs))
     xs = np.empty((len(vs),) + shape)
     for v, x in zip(vs, xs):
         np.matmul(v, hT, out=x)
     plus = exp_coords(fd_step * skew_coords(xs))
+    block = np.empty((len(vs), 2 * len(vs)) + shape)
     # exp(-tX) is the transpose of exp(tX); step 2i is +fd_step and step
     # 2i+1 is -fd_step along direction i, written in place
-    m = np.empty((2 * len(vs),) + shape)
+    m = block[0]
     np.matmul(plus, h, out=m[0::2])
     np.matmul(plus.mT, h, out=m[1::2])
     # slot s holds direction s at the steps along i > s and direction s+1
-    # at the others, the first 2(s+1); every field has the shape of m, the
-    # broadcast of h and its tangent reps behind the step axis
-    fields = []
-    for s in range(len(vs) - 1):
-        field = np.empty(m.shape)
+    # at the others, the first 2(s+1)
+    for s, field in enumerate(block[1:]):
         np.matmul(plus[:s + 1], vs[s + 1], out=field[0:2 * s + 2:2])
         np.matmul(plus[:s + 1].mT, vs[s + 1], out=field[1:2 * s + 2:2])
         np.matmul(xs[s], m[2 * s + 2:], out=field[2 * s + 2:])
-        field.flags.writeable = False
-        fields.append(field)
-    m.flags.writeable = False
-    return m, fields
+    block.flags.writeable = False
+    return block[0], list(block[1:])
 
 
 def exterior_d(f: FormEval, fd_step: float = FD_STEP_DEFAULT) -> FormEval:

@@ -19,8 +19,9 @@ sense; `[i,j]` selects a matrix entry and is mandatory on every atom.
 sign, putting the permutation images in place of the placeholders p1..p4.
 `n/d/pi2` scales by the rational n/d times 1/pi^2.  NUMBER is at most
 MAX_DIGITS ASCII digits, a factor index k at most MAX_FACTOR, parentheses
-and sumS4 nest at most MAX_NESTING deep, and a wedge below the top degree
-has at most MAX_WEDGE_SLOTS tangent slots.
+and sumS4 nest at most MAX_NESTING deep, a wedge below the top degree
+has at most MAX_WEDGE_SLOTS tangent slots, and the distinct fold plans of
+an expression's wedges hold at most MAX_WEDGE_PRODUCTS products together.
 
 A sumS4 binds every placeholder in its body, the bodies of sumS4 nested in
 it included.  A nested sumS4 therefore adds 24 equal terms whose signs
@@ -53,8 +54,8 @@ import importlib.resources
 import itertools
 import re
 from dataclasses import dataclass
-from math import pi
-from typing import Callable, Union
+from math import comb, pi
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -151,6 +152,14 @@ MAX_FACTOR = 64
 # time and memory of lowering and evaluating it: 12 slots take about 0.1 s
 # and 61 MB in `nervecheck eval`, 16 took 3.5 s and 117 MB, 18 took 12 s.
 MAX_WEDGE_SLOTS = 12
+
+# The most products that the distinct fold plans of one expression's wedges
+# hold together (`_plan_products`); each plan lives as long as its wedge.
+# A 12-slot plan holds at most 40,866, and 24,564 for 1-forms, so four
+# 12-slot wedges of 1-forms fit.  A sum of 16 distinct 12-slot wedges of
+# 1-forms and squares took 0.7 s and 91 MB to lower, and 64 took 2.6 s and
+# 194 MB.
+MAX_WEDGE_PRODUCTS = 100_000
 
 
 def _tokenize(src: str) -> list[_Token]:
@@ -451,13 +460,27 @@ def _zeros(pt, ts, X) -> np.ndarray:
     return np.zeros(stack + (1,))
 
 
-def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
+def _plan_products(degrees: tuple[int, ...]) -> int:
+    """The products in `formcalc.shuffle_product`'s fold plan for factors
+    of these degrees: per step, each r-subset of the n slots times each
+    s-subset of the rest."""
+    n = sum(degrees)
+    return sum(comb(n, r) * comb(n - r, s)
+               for r, s in zip(itertools.accumulate(degrees), degrees[1:]))
+
+
+def _build(node: Node, level: int, in_sum: bool = False,
+           plans: Optional[dict] = None) -> _Built:
+    """Lower node; plans maps the degrees of each distinct wedge plan that
+    the expression has lowered so far to its number of products."""
+    if plans is None:
+        plans = {}
     if isinstance(node, EntrySel):
         return _entry(node, level, in_sum)
     if isinstance(node, Wedge):
         # the shuffle sum of products; a form of degree above 6 level, the
         # dimension of SO(4)^level, is zero
-        factors = [_build(f, level, in_sum) for f in node.factors]
+        factors = [_build(f, level, in_sum, plans) for f in node.factors]
         degrees = [f.form_degree for f in factors]
         degree = sum(degrees)
         if degree > len(BASIS_PAIRS) * level:
@@ -466,10 +489,16 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
             raise FormDslError(f"a wedge of {degree} tangent slots exceeds "
                                f"the limit of {MAX_WEDGE_SLOTS}")
         else:
+            plans.setdefault(tuple(degrees), _plan_products(degrees))
+            total = sum(plans.values())
+            if total > MAX_WEDGE_PRODUCTS:
+                raise FormDslError(
+                    f"the wedges of the expression hold {total} products, "
+                    f"which exceeds the budget of {MAX_WEDGE_PRODUCTS}")
             fn = shuffle_product([f.fn for f in factors], degrees)
         return _Built(degree, sum(f.x_degree for f in factors), fn)
     if isinstance(node, Scale):
-        inner = _build(node.body, level, in_sum)
+        inner = _build(node.body, level, in_sum, plans)
         factor = node.num / node.den
         if node.inv_pi2:
             factor /= pi ** 2
@@ -477,10 +506,10 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
         return _Built(inner.form_degree, inner.x_degree,
                       lambda pt, ts, X: factor * fn(pt, ts, X))
     if isinstance(node, Sum):
-        first = _build(node.terms[0], level, in_sum)
+        first = _build(node.terms[0], level, in_sum, plans)
         rest = []
         for term in node.terms[1:]:
-            built = _build(term, level, in_sum)
+            built = _build(term, level, in_sum, plans)
             if built.form_degree != first.form_degree:
                 raise FormDslError("mixed form degrees in a sum")
             if built.x_degree != first.x_degree:
@@ -498,7 +527,7 @@ def _build(node: Node, level: int, in_sum: bool = False) -> _Built:
 
         return _Built(first.form_degree, first.x_degree, fn)
     if isinstance(node, SumS4):
-        body = _build(node.body, level, True)
+        body = _build(node.body, level, True, plans)
         if in_sum:
             # The enclosing sum puts a permutation image in place of every
             # placeholder of this body too, so its 24 summands are equal and

@@ -9,6 +9,7 @@ construction of an `exterior_d` chart.
 """
 
 import hashlib
+import itertools
 from functools import partial
 
 import numpy as np
@@ -16,8 +17,9 @@ import numpy as np
 from nervecheck.formcalc import FormEval, SmoothMap, pullback
 from nervecheck.formdsl import EntrySel, Scale, Sum, SumS4, Wedge
 from nervecheck.harness import trial_rngs
-from nervecheck.matrixgroup import (_MINUS, _PLUS, DIM, GroupPoint, Tangent,
-                                    exp_matrix, skew_from_coords)
+from nervecheck.matrixgroup import (_MINUS, _PLUS, BASIS_PAIRS, DIM,
+                                    GroupPoint, Tangent, exp_matrix,
+                                    skew_from_coords)
 from nervecheck.nerve import face_ng, face_ng_diff
 
 
@@ -102,6 +104,27 @@ def left_invariant_field(x: np.ndarray, level: int):
         return Tangent(pt, tuple(h @ x for h in pt.factors))
 
     return field
+
+
+def distinct_wedges(count: int) -> str:
+    """A sum of `count` wedges of 12 tangent slots on SO(4)^3, each of
+    1-forms and squares MCR(k)^2 in its own order, so that no two share a
+    degree tuple and each has a fold plan of its own."""
+    ones = [f"MCL({k})[{a},{b}]" for k in (1, 2, 3) for a, b in BASIS_PAIRS]
+    terms = []
+    for n in range(7):
+        for twos in itertools.combinations(range(12 - n), n):
+            factors, k = [], 0
+            for i in range(12 - n):
+                if i in twos:
+                    factors.append(f"MCR({1 + i % 3})^2[1,2]")
+                else:
+                    factors.append(ones[k])
+                    k += 1
+            terms.append(" ".join(factors))
+            if len(terms) == count:
+                return " + ".join(terms)
+    raise ValueError(f"fewer than {count} degree tuples of 12 slots")
 
 
 def _primary(node) -> str:

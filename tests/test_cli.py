@@ -18,10 +18,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from nervecheck import cli
 from nervecheck.cli import main
-from nervecheck.formdsl import MAX_FACTOR, MAX_WEDGE_SLOTS
+from nervecheck.formdsl import (MAX_FACTOR, MAX_WEDGE_PRODUCTS,
+                                MAX_WEDGE_SLOTS)
 from nervecheck.harness import (CHECK_IDS, DEFAULT_TOLS, CheckConfig,
                                 MAX_TRIALS, run_check)
 from nervecheck.matrixgroup import BASIS_PAIRS
+
+from helpers import distinct_wedges
 
 
 def _corpus_path(name):
@@ -473,6 +476,18 @@ def test_eval_wedge_above_the_slot_bound_exits_two(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert f"exceeds the limit of {MAX_WEDGE_SLOTS}" in err
+
+
+def test_eval_of_wedges_beyond_the_product_budget_exits_two(tmp_path,
+                                                            capsys):
+    src = tmp_path / "wedges.form"
+    src.write_text(distinct_wedges(16) + "\n")
+    code, out, err = _run(capsys, "eval", "--expr", str(src),
+                          "--at", "seed:1", "--tangents", "seed:2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert f"exceeds the budget of {MAX_WEDGE_PRODUCTS}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for scalar forms on SO(4)^n: Maurer-Cartan entries, wedge, d, pullback."""
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -666,6 +667,40 @@ def test_a_chart_matches_its_stacked_construction(lead, count):
     assert len(fields) == len(want_fields) == count - 1
     assert all(np.array_equal(a, b) for a, b in zip(fields, want_fields))
     assert not any(a.flags.writeable for a in (m, *fields))
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (6, 5)],
+                         ids=["single", "stack", "nested"])
+@pytest.mark.parametrize("count", range(1, 5))
+def test_a_chart_is_one_read_only_buffer_freed_with_its_evaluation(lead,
+                                                                  count):
+    # the stepped points and every field that the form sees are read-only
+    # views of one array, which the outermost call that built it frees
+    rng = np.random.default_rng(80 + count)
+
+    def skews(scale):
+        return skew_from_coords(rng.uniform(-scale, scale, lead + (6,)))
+
+    h = exp_matrix(skews(2.0))
+    pt = GroupPoint((h,))
+    ts = [Tangent(pt, (h @ skews(1.0),)) for _ in range(count)]
+    form = _degree_forms(1)[count - 1]
+    seen = []
+
+    def fn(pt, ts):
+        views = (*pt.factors, *(t.reps[0] for t in ts))
+        base = views[0].base
+        seen.append((weakref.ref(base), base.shape,
+                     [a.base is base for a in views],
+                     [a.flags.writeable for a in views]))
+        return form.fn(pt, ts)
+
+    got = exterior_d(FormEval(count - 1, 1, fn), 1e-5)(pt, *ts)
+    assert np.array_equal(got, exterior_d(form, 1e-5)(pt, *ts))
+    ((base, shape, shared, writeable),) = seen
+    assert shape == (count, 2 * count) + lead + (4, 4)
+    assert shared == [True] * count and writeable == [False] * count
+    assert base() is None
 
 
 @pytest.mark.parametrize("degree", range(4))

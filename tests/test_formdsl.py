@@ -1,7 +1,9 @@
 """Tests for the little expression language over invariant matrix forms."""
 
+import importlib.util
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from nervecheck.formdsl import (
     CORPUS_NAMES,
     MAX_FACTOR,
     MAX_NESTING,
+    MAX_WEDGE_PRODUCTS,
     MAX_WEDGE_SLOTS,
     EntrySel,
     FormDslError,
@@ -32,7 +35,7 @@ from nervecheck.cartanmodel import EquivariantForm
 from nervecheck.formcalc import FormEval
 from nervecheck.harness import (DrawTape, sample_algebra, sample_point,
                                 sample_tangents, trial_rngs)
-from helpers import pretty, trial_rng
+from helpers import distinct_wedges, pretty, trial_rng
 from oracles import cycle_sign, dsl_eval
 
 E12 = basis_element(1, 2)
@@ -768,6 +771,60 @@ def test_a_wedge_of_more_slots_than_the_bound_is_refused():
     pt = sample_point(tape, 1)
     zero = interpret(parse(ones), 1)(pt, *sample_tangents(tape, pt, 13))
     assert zero == 0.0 and isinstance(zero, float)
+
+
+def _benchmark_workloads(monkeypatch):
+    """benchmarks/workloads.py, which imports nothing of the package."""
+    path = (Path(__file__).resolve().parent.parent / "benchmarks"
+            / "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_plan_counts_the_products_of_its_fold():
+    import nervecheck.formcalc as formcalc
+    import nervecheck.formdsl as formdsl
+
+    for degrees in [(1, 1), (0, 1, 0), (1, 2, 1), (2, 2, 2), (3, 3),
+                    (1,) * 6, (6, 0), (2, 1, 3, 1)]:
+        plan = formcalc._fold_steps.__wrapped__(degrees)
+        assert formdsl._plan_products(degrees) == sum(
+            len(terms) for step in plan for terms in step), degrees
+
+
+def test_the_wedges_of_one_expression_share_a_budget_of_products(
+        monkeypatch):
+    # every wedge keeps its fold plan, so the distinct plans of one
+    # expression are bounded together: 16 distinct 12-slot wedges are
+    # refused while lowering, and what the corpus, CI and the benchmark
+    # lower still lowers
+    with pytest.raises(FormDslError,
+                       match=r"the wedges of the expression hold \d+ "
+                             f"products, which exceeds the budget of "
+                             f"{MAX_WEDGE_PRODUCTS}"):
+        interpret(parse(distinct_wedges(16)), 3)
+    # one 12-slot wedge of 1-forms, and the plan of the most products that
+    # 12 slots allow, degrees (1, 1, 2, 4, 2, 1, 1), with its nested wedge
+    assert interpret(parse(distinct_wedges(1)), 3).degree == MAX_WEDGE_SLOTS
+    nested = "( " + " ".join(_LEVEL3[2:6]) + " )"
+    most = " ".join(_LEVEL3[:2] + ["MCR(1)^2[1,2]", nested, "MCR(2)^2[1,2]"]
+                    + _LEVEL3[6:8])
+    assert interpret(parse(most), 3).degree == MAX_WEDGE_SLOTS
+    # equal degree tuples share one plan
+    same = " + ".join([" ".join(_LEVEL3[:MAX_WEDGE_SLOTS])] * 16)
+    assert interpret(parse(same), 3).degree == MAX_WEDGE_SLOTS
+    for name, level in zip(CORPUS_NAMES, (1, 2, 1)):
+        interpret(parse(corpus_source(name)), level)
+    # the 10-factor wedge of CI's package job
+    interpret(parse(" ".join(_LEVEL3[:10])), 2)
+    workloads = _benchmark_workloads(monkeypatch)
+    for seed in range(4):
+        for expr in workloads.dsl_exprs(seed):
+            if expr.source is not None:
+                interpret(parse(expr.source), expr.level)
 
 
 @pytest.mark.parametrize("count", [2_000, 20_000])

@@ -314,20 +314,37 @@ def test_exponentials_do_not_grow_with_the_trial_count(monkeypatch):
     assert 0 < counts[0][0] < counts[0][1] <= 500, counts
 
 
+def _warm_peak(check_id: str) -> int:
+    """The tracemalloc peak of one run of check_id at seed 7 and 200
+    trials, after a warm-up run."""
+    cfg = CheckConfig(check_id, seed=7, trials=200)
+    run_check(cfg)
+    tracemalloc.start()
+    try:
+        run_check(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_run_of_d_squared_stays_within_its_memory():
     # The tracemalloc peak of one d-squared run at 200 trials, after a
     # warm-up run: 3,022 KB with numpy 2.4 on Python 3.11, against 3,776 KB
     # when each chart stacked its steps and the tape kept its generators.
     # The bound leaves 12 % of headroom over the measured peak.
-    cfg = CheckConfig("d-squared", seed=7, trials=200)
-    run_check(cfg)
-    tracemalloc.start()
-    try:
-        run_check(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _warm_peak("d-squared")
     assert peak <= 3400 * 1024, peak // 1024
+
+
+@pytest.mark.parametrize("check_id, bound_kb", [("euler-cocycle", 2080),
+                                                ("equivariant-cocycle", 2030)])
+def test_a_run_of_a_cocycle_check_stays_within_its_memory(check_id, bound_kb):
+    # The tracemalloc peaks as for d-squared: 1,860 KB for euler-cocycle and
+    # 1,814 KB for equivariant-cocycle, whether a chart holds its steps and
+    # fields in one buffer or in one array each.  The bounds leave 12 % of
+    # headroom, so a chart layout cannot grow them unnoticed.
+    peak = _warm_peak(check_id)
+    assert peak <= bound_kb * 1024, peak // 1024
 
 
 def test_nan_residual_fails_a_plain_check(monkeypatch):
