@@ -88,11 +88,11 @@ def _parse_seed_token(text: str, prefix: str) -> int:
 
 
 def _seed_tape(text: str, prefix: str, rows: int) -> DrawTape:
-    """The draw tape of `rows` rows of one generator seeded by a
+    """The draw tape of the first `rows` rows of the generator seeded by a
     `prefix:<integer>` token; the samplers of one token read one tape, in
     order."""
-    return DrawTape(np.random.default_rng(_parse_seed_token(text, prefix)),
-                    rows)
+    rng = np.random.default_rng(_parse_seed_token(text, prefix))
+    return DrawTape(rng.random((rows, 6)))
 
 
 def _eval_setup(at: str, tangents: str, level: int, degree: int) -> tuple:

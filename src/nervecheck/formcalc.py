@@ -96,6 +96,9 @@ class FormEval:
         if len(tangents) != self.degree:
             raise ValueError(f"degree-{self.degree} form called with "
                              f"{len(tangents)} tangents")
+        if pt.level != self.level:
+            raise ValueError(f"level-{self.level} form called at a point of "
+                             f"level {pt.level}")
         check_base(pt, tangents)
         if _cache.get() is not None:
             return self.fn(pt, tangents)

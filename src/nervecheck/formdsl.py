@@ -428,12 +428,12 @@ def _mc_matrix(node: EntrySel, level: int):
     return (matrix_wedge_square(form) if node.square else form).fn
 
 
-def _entry(node: EntrySel, level: int, in_sum: bool) -> _Built:
+def _entry(node: EntrySel, level: int, sums: int) -> _Built:
     """An entry [i, j]: one index of the matrix by two arrays over the
     permutation axis ([p, p] takes the diagonal), or of a single matrix's
     16 entries by one array, which numpy serves about twice as fast."""
     free = [k for k in (node.i, node.j) if isinstance(k, str)]
-    if free and not in_sum:
+    if free and not sums:
         raise FormDslError(f"placeholder {free[0]} is not bound by any sumS4")
     if node.i not in _INDEX or node.j not in _INDEX:
         raise FormDslError("entry index must lie in 1..4 or p1..p4")
@@ -469,18 +469,18 @@ def _plan_products(degrees: tuple[int, ...]) -> int:
                for r, s in zip(itertools.accumulate(degrees), degrees[1:]))
 
 
-def _build(node: Node, level: int, in_sum: bool = False,
+def _build(node: Node, level: int, sums: int = 0,
            plans: Optional[dict] = None) -> _Built:
-    """Lower node; plans maps the degrees of each distinct wedge plan that
-    the expression has lowered so far to its number of products."""
+    """Lower node inside `sums` enclosing sumS4; plans maps the degrees of
+    each distinct wedge plan lowered so far to its number of products."""
     if plans is None:
         plans = {}
     if isinstance(node, EntrySel):
-        return _entry(node, level, in_sum)
+        return _entry(node, level, sums)
     if isinstance(node, Wedge):
         # the shuffle sum of products; a form of degree above 6 level, the
-        # dimension of SO(4)^level, is zero
-        factors = [_build(f, level, in_sum, plans) for f in node.factors]
+        # dimension of SO(4)^level, is zero, as is a nested sum's body
+        factors = [_build(f, level, sums, plans) for f in node.factors]
         degrees = [f.form_degree for f in factors]
         degree = sum(degrees)
         if degree > len(BASIS_PAIRS) * level:
@@ -488,6 +488,8 @@ def _build(node: Node, level: int, in_sum: bool = False,
         elif degree > MAX_WEDGE_SLOTS:
             raise FormDslError(f"a wedge of {degree} tangent slots exceeds "
                                f"the limit of {MAX_WEDGE_SLOTS}")
+        elif sums > 1:
+            fn = _zeros
         else:
             plans.setdefault(tuple(degrees), _plan_products(degrees))
             total = sum(plans.values())
@@ -498,7 +500,7 @@ def _build(node: Node, level: int, in_sum: bool = False,
             fn = shuffle_product([f.fn for f in factors], degrees)
         return _Built(degree, sum(f.x_degree for f in factors), fn)
     if isinstance(node, Scale):
-        inner = _build(node.body, level, in_sum, plans)
+        inner = _build(node.body, level, sums, plans)
         factor = node.num / node.den
         if node.inv_pi2:
             factor /= pi ** 2
@@ -506,10 +508,10 @@ def _build(node: Node, level: int, in_sum: bool = False,
         return _Built(inner.form_degree, inner.x_degree,
                       lambda pt, ts, X: factor * fn(pt, ts, X))
     if isinstance(node, Sum):
-        first = _build(node.terms[0], level, in_sum, plans)
+        first = _build(node.terms[0], level, sums, plans)
         rest = []
         for term in node.terms[1:]:
-            built = _build(term, level, in_sum, plans)
+            built = _build(term, level, sums, plans)
             if built.form_degree != first.form_degree:
                 raise FormDslError("mixed form degrees in a sum")
             if built.x_degree != first.x_degree:
@@ -527,8 +529,8 @@ def _build(node: Node, level: int, in_sum: bool = False,
 
         return _Built(first.form_degree, first.x_degree, fn)
     if isinstance(node, SumS4):
-        body = _build(node.body, level, True, plans)
-        if in_sum:
+        body = _build(node.body, level, sums + 1, plans)
+        if sums:
             # The enclosing sum puts a permutation image in place of every
             # placeholder of this body too, so its 24 summands are equal and
             # their signs cancel.

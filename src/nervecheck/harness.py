@@ -11,36 +11,34 @@ Every check follows one protocol, held by its entry in `CHECKS`:
   the max over trials with its trial index; the first worst trial wins.
 
 Sampling is deterministic given (seed, check id, trial index): trial t of
-check id owns the PCG64 stream that numpy's `SeedSequence` seeds from the
-uint32 entropy words ``[seed mod 2**32, crc32(id), t]``, which is the stream
-of ``default_rng([seed % 2**32, crc32(id), t])``.  Every trial draws from
-its stream in the same order whatever the other trials draw, so adding
-checks or reordering trials never perturbs existing runs, and
-`trial_rows(cfg, [k])` replays trial k alone.  `trial_rngs` computes the
-hash `SeedSequence` computes for all the trials of a stack at once, in
+check id draws its rows of six uniforms as
+``default_rng([seed % 2**32, crc32(id), t]).random((rows, 6))``, from the
+PCG64 stream that numpy's `SeedSequence` seeds from those uint32 entropy
+words.  Every trial draws from its own stream whatever the other trials
+draw, so adding checks or reordering trials never perturbs existing runs,
+and `trial_rows(cfg, [k])` replays trial k alone.  `trial_draws` computes
+the hash `SeedSequence` computes for all the trials of a stack at once, in
 vectorized rounds of numpy uint32 arithmetic (the entropy words in, one
-round of mixes per source word, the seed words out), and hands each PCG64
-its four seed words as a C-contiguous row; NEP 19 freezes both the hash and
-the stream, so the streams do not depend on the numpy version.  The samplers
-stack the draws of the trials, and `trial` builds the forms and runs them,
-the exponentials and the products once on the stack: a run walks each form
-tree once per stack, not once per trial.  At most `CHUNK` trials form one
-stack, so the intermediate arrays do not grow with the trial count.
-`golden-values` evaluates fixed inputs: it reads no rows, seeds no stream
-and runs one trial whatever `trials` is.
+round of mixes per source word, the seed words out), and fills each
+trial's rows with one `random` call of a PCG64 seeded with its four words;
+NEP 19 freezes both the hash and the stream, so the draws do not depend on
+the numpy version.  The samplers stack the draws of the trials, and
+`trial` builds the forms and runs them, the exponentials and the products
+once on the stack: a run walks each form tree once per stack, not once per
+trial.  At most `CHUNK` trials form one stack, so the intermediate arrays
+do not grow with the trial count.  `golden-values` evaluates fixed inputs:
+it reads no rows, seeds no stream and runs one trial whatever `trials` is.
 
-The samplers read a `DrawTape` of `Check.rows` rows of six uniforms per
-trial, the rows one trial of the check reads.  At its first read the tape
-fills its (N, rows, 6) block with one `random` call per trial's generator,
-and then hands the rows out in stream order; a read past the block raises.
-Six coordinates in [-s, s] are -s + 2s u of the next row u of every trial.
-That is what `Generator.uniform(-s, s, 6)` computes from the same doubles,
-so the tape draws the same numbers as one `uniform` call per matrix.
-Drawing ahead changes nothing else, because no other code reads a trial's
-stream.  A point of SO(4)^level is the exponential
-(`exp_coords`) of its next `level` coordinate rows, taken in one call; no
-skew matrix is built for it.  Tangents and algebra elements are skew
-matrices built from their rows.
+The samplers read a `DrawTape`, a cursor over the (N, rows, 6) block of
+the `Check.rows` rows one trial of the check reads.  It hands the rows out
+in stream order, and a read past the block raises.  Six coordinates in
+[-s, s] are -s + 2s u of the next row u of every trial.  That is what
+`Generator.uniform(-s, s, 6)` computes from the same doubles, so the tape
+draws the same numbers as one `uniform` call per matrix.  Drawing ahead
+changes nothing else, because no other code reads a trial's stream.  A
+point of SO(4)^level is the exponential (`exp_coords`) of its next `level`
+coordinate rows, taken in one call; no skew matrix is built for it.
+Tangents and algebra elements are skew matrices built from their rows.
 
 Nine checks are rows built by `_rows`: a residual builder returns a
 cochain of forms {(p, q): {degree: form}}, drawing X or g first where it
@@ -244,56 +242,51 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def trial_rngs(seed: int, check_id: str,
-               trials: Sequence[int]) -> list[np.random.Generator]:
-    """The RNG streams owned by the given trials of one check: trial t owns
-    ``default_rng([seed % 2**32, crc32(check_id), t])``, seeded here for all
-    the trials at once, in vectorized rounds of uint32 arithmetic."""
+def trial_draws(seed: int, check_id: str, trials: Sequence[int],
+                rows: int) -> np.ndarray:
+    """The draws of the given trials of one check, an (N, rows, 6) array:
+    trial t draws ``default_rng([seed % 2**32, crc32(check_id), t])
+    .random((rows, 6))``.  The streams are seeded for all the trials at
+    once, in vectorized rounds of uint32 arithmetic, and each fills its
+    trial's rows with one `random` call; zero rows seed nothing."""
     trials = np.asarray(trials, dtype=np.int64).reshape(-1)
     if trials.size and not (0 <= trials.min() and trials.max() < 2**32):
         raise ValueError("a trial index must lie in [0, 2**32)")
-    entropy = np.zeros((trials.size, _POOL), dtype=np.uint32)
-    entropy[:, 0] = seed % 2**32
-    entropy[:, 1] = zlib.crc32(check_id.encode("utf-8"))
-    entropy[:, 2] = trials
-    return [np.random.Generator(np.random.PCG64(_SeedWords(w)))
-            for w in _seed_words(entropy)]
+    out = np.empty((trials.size, rows, 6))
+    if rows:
+        entropy = np.zeros((trials.size, _POOL), dtype=np.uint32)
+        entropy[:, 0] = seed % 2**32
+        entropy[:, 1] = zlib.crc32(check_id.encode("utf-8"))
+        entropy[:, 2] = trials
+        for words, block in zip(_seed_words(entropy), out):
+            rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            rng.random(out=block)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # samplers: each reads the next rows of a draw tape, stacked over the
-# trials of a tape of generators, unstacked on a tape of one generator
+# trials of an (N, rows, 6) block, unstacked on a (rows, 6) block
 
 
 class DrawTape:
-    """The first `size` rows of six uniforms of one generator per trial,
-    read row by row in stream order (see the module docstring).  `rngs` is
-    a sequence of generators, one per stacked trial, or a single generator
-    for one unstacked sample; the tape drops them once its block is
-    filled."""
+    """A cursor over a block of rows of six uniforms, (N, size, 6) for a
+    stack of N trials or (size, 6) for one unstacked sample, read in
+    stream order (see the module docstring)."""
 
-    def __init__(self, rngs, size: int):
-        self.single = isinstance(rngs, np.random.Generator)
-        self._rngs = (rngs,) if self.single else tuple(rngs)
-        self.size = size
-        self._block: Optional[np.ndarray] = None
+    def __init__(self, block: np.ndarray):
+        self._block = block
         self._pos = 0
 
     def rows(self, k: int) -> np.ndarray:
-        """The next k rows of every stream, uniform in [0, 1): (N, k, 6) on
-        a stack of N trials, (k, 6) on a single generator.  A read past the
-        `size` rows of the tape raises IndexError."""
-        if self._pos + k > self.size:
+        """The next k rows of every trial, uniform in [0, 1): (..., k, 6).
+        A read past the end of the block raises IndexError."""
+        size = self._block.shape[-2]
+        if self._pos + k > size:
             raise IndexError(f"a read of {k} rows at row {self._pos} runs "
-                             f"past the {self.size} rows of the tape")
-        if self._block is None:
-            self._block = np.empty((len(self._rngs), self.size, 6))
-            for rng, block in zip(self._rngs, self._block):
-                rng.random(out=block)
-            self._rngs = None
-        out = self._block[:, self._pos:self._pos + k]
+                             f"past the {size} rows of the tape")
         self._pos += k
-        return out[0] if self.single else out
+        return self._block[..., self._pos - k:self._pos, :]
 
 
 def _coord_rows(tape: DrawTape, count: int, scale: float) -> np.ndarray:
@@ -305,11 +298,6 @@ def _coord_rows(tape: DrawTape, count: int, scale: float) -> np.ndarray:
 def _skew_rows(tape: DrawTape, count: int, scale: float) -> np.ndarray:
     """The skew matrices of `_coord_rows`: (..., count, 4, 4)."""
     return skew_from_coords(_coord_rows(tape, count, scale))
-
-
-def _skews(tape: DrawTape, scale: float) -> np.ndarray:
-    """One skew matrix from the next row of every trial (see _skew_rows)."""
-    return _skew_rows(tape, 1, scale)[..., 0, :, :]
 
 
 def sample_point(tape: DrawTape, level: int) -> GroupPoint:
@@ -333,7 +321,7 @@ def sample_tangents(tape: DrawTape, pt, count: int) -> tuple[Tangent, ...]:
 
 def sample_algebra(tape: DrawTape) -> np.ndarray:
     """Random element of the skew algebra, coordinates uniform in [-1, 1]."""
-    return _skews(tape, 1.0)
+    return _skew_rows(tape, 1, 1.0)[..., 0, :, :]
 
 
 def sample_bi_point(tape: DrawTape, p: int, q: int) -> GroupPoint:
@@ -605,9 +593,8 @@ def trial_rows(cfg: CheckConfig,
     chunks = []
     for start in range(0, len(trials), CHUNK):
         part = trials[start:start + CHUNK]
-        tape = DrawTape(trial_rngs(cfg.seed, cfg.check_id, part)
-                        if check.rows else (), check.rows)
-        cols = check.trial(cfg, tape)
+        cols = check.trial(cfg, DrawTape(
+            trial_draws(cfg.seed, cfg.check_id, part, check.rows)))
         chunks.append({k: np.broadcast_to(np.asarray(v, dtype=float),
                                           (len(part),))
                        for k, v in cols.items()})

@@ -5,18 +5,19 @@ conveniences built from the package's own primitives.  `nerve_d_prime` is
 a second route to d' on the nerve, from other primitives than the route
 the package takes, `exp_two_halves` a second route to the closed-form
 exponential, one so(3) half at a time, and `stacked_chart_steps` a second
-construction of an `exterior_d` chart.
+construction of an `exterior_d` chart.  `trial_rng` calls numpy alone: it
+is the stream that `harness.trial_draws` states for a trial.
 """
 
 import hashlib
 import itertools
+import zlib
 from functools import partial
 
 import numpy as np
 
 from nervecheck.formcalc import FormEval, SmoothMap, pullback
 from nervecheck.formdsl import EntrySel, Scale, Sum, SumS4, Wedge
-from nervecheck.harness import trial_rngs
 from nervecheck.matrixgroup import (_MINUS, _PLUS, BASIS_PAIRS, DIM,
                                     GroupPoint, Tangent, exp_matrix,
                                     skew_from_coords)
@@ -76,8 +77,9 @@ def rand_tangent(rng: np.random.Generator, pt: GroupPoint) -> Tangent:
 
 
 def trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
-    """The stream of one trial of a check."""
-    return trial_rngs(seed, check_id, [trial])[0]
+    """The stream of one trial of a check, as numpy seeds it."""
+    tag = zlib.crc32(check_id.encode("utf-8"))
+    return np.random.default_rng([seed % 2**32, tag, trial])
 
 
 def sample_so4(seed: int) -> GroupPoint:

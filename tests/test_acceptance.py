@@ -32,11 +32,10 @@ from nervecheck.harness import (
     sample_point,
     sample_tangent,
     sample_tangents,
-    trial_rngs,
+    trial_draws,
     trial_rows,
 )
 
-from helpers import trial_rng
 from oracles import oracle_alpha, oracle_e22, oracle_mu
 from test_formdsl import DATA as MALFORMED_DIR
 
@@ -99,8 +98,8 @@ def test_criterion_05_all_five_residuals_with_one_sign_pair():
     tols = {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}
     # the 200 samples as one stack, each trial from its own stream, drawn
     # in the check's order: X, then each level's point and its tangents
-    tape = DrawTape(trial_rngs(SEED, "equivariant-cocycle", range(200)),
-                    1 + 1 * (1 + 4) + 2 * (1 + 3))
+    tape = DrawTape(trial_draws(SEED, "equivariant-cocycle", range(200),
+                                1 + 1 * (1 + 4) + 2 * (1 + 3)))
     X = sample_algebra(tape)
     D = total_d(cocycle(X), X, FD_STEP)
 
@@ -159,7 +158,7 @@ def test_criterion_07_structural_equation_and_step_scaling():
     # over the 100 samples evaluated as one stack
     om = mc_left(1, 1)
     sq = matrix_wedge_square(om)
-    tape = DrawTape(trial_rngs(SEED, "mc-structure", range(100)), 1 + 1 + 1)
+    tape = DrawTape(trial_draws(SEED, "mc-structure", range(100), 1 + 1 + 1))
     pt = sample_point(tape, 1)
     v = sample_tangent(tape, pt)
     w = sample_tangent(tape, pt)
@@ -233,7 +232,8 @@ def test_criterion_11_complex_structure():
     # d' o d' = 0 exactly-analytically (to roundoff): (3, 0) in degrees 1, 3
     worst_dpdp = 0.0
     for t in range(20):
-        tape = DrawTape(trial_rng(SEED, "d-squared", t), 3 * (1 + 1 + 3))
+        tape = DrawTape(trial_draws(SEED, "d-squared", [t],
+                                    3 * (1 + 1 + 3))[0])
         pt = sample_point(tape, 3)
         worst_dpdp = max(worst_dpdp,
                          abs(nerve_sq[(3, 0)][1](pt, sample_tangent(tape, pt))))
@@ -244,8 +244,8 @@ def test_criterion_11_complex_structure():
     # in degree 2 dominates the error, then d'''d''' at (1, 0) in degree 3
     worst_total = 0.0
     for t in range(20):
-        tape = DrawTape(trial_rng(SEED, "d-squared", 1000 + t),
-                        2 * (1 + 2) + 1 * (1 + 3))
+        tape = DrawTape(trial_draws(SEED, "d-squared", [1000 + t],
+                                    2 * (1 + 2) + 1 * (1 + 3))[0])
         pt2 = sample_point(tape, 2)
         v, w = sample_tangent(tape, pt2), sample_tangent(tape, pt2)
         worst_total = max(worst_total, abs(nerve_sq[(2, 0)][2](pt2, v, w)))
@@ -263,9 +263,9 @@ def test_criterion_11_complex_structure():
         for key, degree in (((p + 1, q + 1), 1), ((p + 1, q), 2),
                             ((p, q + 1), 2)):
             for t in range(3):
-                tape = DrawTape(
-                    trial_rng(SEED, "d-squared", 2000 + 100 * p + 10 * q + t),
-                    sum(key) * (1 + degree))
+                tape = DrawTape(trial_draws(
+                    SEED, "d-squared", [2000 + 100 * p + 10 * q + t],
+                    sum(key) * (1 + degree))[0])
                 bp = sample_bi_point(tape, *key)
                 ts = [sample_bi_tangent(tape, bp) for _ in range(degree)]
                 worst_tc = max(worst_tc, abs(sq[key][degree](bp, *ts)))

@@ -15,7 +15,7 @@ from nervecheck.matrixgroup import (
 from nervecheck.formcalc import FormEval, contract, entry, exterior_d, mc_left
 from nervecheck.harness import (CheckConfig, DrawTape, run_check,
                                 sample_algebra, sample_point, sample_tangents,
-                                trial_rngs, trial_rows)
+                                trial_draws, trial_rows)
 from nervecheck.nerve import total_d3
 import nervecheck.eulercocycle as eulercocycle
 from nervecheck.cartanmodel import (
@@ -233,8 +233,9 @@ def test_twisted_d_of_mu_reproduces_contraction_of_e13():
 def test_total_d_is_d_prime_plus_signed_cartan_d():
     # a stacked sample of 8 trials, X stacked alike; d' by the nerve faces
     # of `nerve_d_prime`, d and i_{X#} straight from formcalc
-    tape = DrawTape(trial_rngs(5, "total-d", range(8)),
-                    1 + 1 * (1 + 4 + 2) + 2 * (1 + 3 + 1) + 3 * (1 + 2))
+    tape = DrawTape(trial_draws(
+        5, "total-d", range(8),
+        1 + 1 * (1 + 4 + 2) + 2 * (1 + 3 + 1) + 3 * (1 + 2)))
     X = sample_algebra(tape)
     c = cocycle(X)
     D = total_d(c, X, 1e-5)
@@ -273,8 +274,8 @@ def test_total_d_is_the_q0_row_of_d3():
     # at X = 0 the contraction vanishes, so every (p, 0) component of D3 c
     # is the component of D c; those of D c that D3 c lacks are
     # contractions and read 0
-    tape = DrawTape(trial_rngs(6, "total-d", range(8)),
-                    1 * (1 + 4) + 2 * (1 + 3) + 3 * (1 + 2))
+    tape = DrawTape(trial_draws(6, "total-d", range(8),
+                                1 * (1 + 4) + 2 * (1 + 3) + 3 * (1 + 2)))
     X = np.zeros((4, 4))
     c = {(1, 0): {1: entry(mc_left(1, 1), 1, 2), 3: e13(X)},
          (2, 0): {2: e22(X)}}
@@ -497,7 +498,7 @@ def _columns(check_id, seed):
 
 
 def _platform_probe(seed):
-    tape = DrawTape(trial_rngs(seed, "fd-probe", range(200)), 2)
+    tape = DrawTape(trial_draws(seed, "fd-probe", range(200), 2))
     g, h = sample_point(tape, 2).factors
     return np.stack([g, h, g @ h, g @ h.mT, exp_matrix(1e-5 * (g - g.mT))])
 

@@ -494,6 +494,23 @@ def test_pullback_level_mismatch():
         pullback(entry(mc_left(1, 2), 1, 2), m)  # form lives on level 2, map lands on 1
 
 
+def test_a_form_refuses_a_point_of_another_level():
+    # both forms read only factor 1, which a level-1 point has, so without
+    # the level check each returned a number
+    from nervecheck.formdsl import interpret, parse
+
+    pt = identity_point(1)
+    t = Tangent(pt, (basis_element(1, 2),))
+    for form, level in ((entry(mc_left(1, 2), 1, 2), 2),
+                        (interpret(parse("MCL(1)[1,2]"), level=3), 3)):
+        with pytest.raises(ValueError, match=f"level-{level} form called at "
+                                             "a point of level 1"):
+            form(pt, t)
+        at_its_level = identity_point(level)
+        form(at_its_level, Tangent(at_its_level,
+                                   (basis_element(1, 2),) * level))
+
+
 # ---------------------------------------------------------------------------
 # FormEval arithmetic
 

@@ -28,8 +28,7 @@ from nervecheck.harness import (
     sample_bi_tangent,
     sample_point,
     sample_tangent,
-    _skews,
-    trial_rngs,
+    trial_draws,
     trial_rows,
 )
 from nervecheck.formcalc import FormEval
@@ -106,17 +105,17 @@ def test_tol_override_can_force_failure():
 
 
 def test_trial_rng_streams():
-    a = trial_rng(42, "lemma-4.1", 0).uniform(size=4)
-    b = trial_rng(42, "lemma-4.1", 0).uniform(size=4)
+    a = trial_draws(42, "lemma-4.1", [0], 1)
+    b = trial_draws(42, "lemma-4.1", [0], 1)
     assert np.array_equal(a, b)
-    c = trial_rng(42, "lemma-4.2", 0).uniform(size=4)
-    d = trial_rng(42, "lemma-4.1", 1).uniform(size=4)
+    c = trial_draws(42, "lemma-4.2", [0], 1)
+    d = trial_draws(42, "lemma-4.1", [1], 1)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
 
 
 def test_samplers_produce_valid_geometry():
-    tape = DrawTape(trial_rng(0, "unit", 0), 3 + 3 + 4 + 4)
+    tape = DrawTape(trial_draws(0, "unit", [0], 3 + 3 + 4 + 4)[0])
     pt = sample_point(tape, 3)
     validate_point(pt)
     assert pt.level == 3
@@ -176,7 +175,7 @@ def test_identity_point_kills_lemma41_contraction_term():
     from nervecheck.cartanmodel import fundamental_field
     from nervecheck.formcalc import contract, exterior_d
 
-    tape = DrawTape(trial_rng(0, "unit", 1), 3)
+    tape = DrawTape(trial_draws(0, "unit", [1], 3)[0])
     from nervecheck.harness import sample_algebra, sample_tangents
 
     X = sample_algebra(tape)
@@ -452,8 +451,8 @@ def _per_pair_dev(a, b):
 
 def _per_pair_columns(check_id, seed):
     """The columns of a 200-trial run as the per-pair loops computed them."""
-    tape = DrawTape(trial_rngs(seed, check_id, range(200)),
-                    CHECKS[check_id].rows)
+    tape = DrawTape(trial_draws(seed, check_id, range(200),
+                                CHECKS[check_id].rows))
     if check_id == "gamma-simplicial":
         worst = 0.0
         for q in range(1, 4):
@@ -747,33 +746,31 @@ def _coords(m):
     return m[..., _PAIRS[0], _PAIRS[1]]
 
 
+def _skews(tape, scale):
+    """One skew matrix from the next row of every trial, as the samplers
+    build it."""
+    return harness._skew_rows(tape, 1, scale)[..., 0, :, :]
+
+
 def test_trial_rng_stream_is_pinned():
-    # the literal first doubles of one trial's stream: a change here changes
+    # the literal first doubles of one trial's draws: a change here changes
     # every report
-    got = trial_rng(42, "lemma-4.1", 0).random(3)
+    got = trial_draws(42, "lemma-4.1", [0], 1)[0, 0, :3]
     assert got.tolist() == [0.014027732067510179, 0.9963499596387325,
                             0.40466743385237514]
 
 
-def _numpy_rng(seed, check_id, trial):
-    """The stream of the trial as numpy seeds it, without the package."""
-    tag = zlib.crc32(check_id.encode("utf-8"))
-    return np.random.default_rng([seed % 2**32, tag, trial])
-
-
 def _assert_numpy_streams(seed, check_id, trials, rows):
-    """trial_rngs gives numpy's stream for every trial: an integer, then
-    `rows` rows of six doubles.  Any warning of the seeding, such as an
-    overflow in its uint32 arithmetic, fails."""
+    """trial_draws gives every trial the first `rows` rows of six doubles
+    of numpy's stream.  Any warning of the seeding, such as an overflow in
+    its uint32 arithmetic, fails."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = trial_rngs(seed, check_id, trials)
-    assert len(got) == len(trials)
-    for t, rng in zip(trials, got):
-        ref = _numpy_rng(seed, check_id, t)
-        assert rng.integers(1, 4) == ref.integers(1, 4), (seed, check_id, t)
-        assert same_bits(rng.random((rows, 6)), ref.random((rows, 6))), (
-            seed, check_id, t)
+        got = trial_draws(seed, check_id, trials, rows)
+    assert got.shape == (len(trials), rows, 6)
+    for t, block in zip(trials, got):
+        ref = trial_rng(seed, check_id, t)
+        assert same_bits(block, ref.random((rows, 6))), (seed, check_id, t)
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, -1, -(2**40) - 7,
@@ -796,8 +793,10 @@ def test_trial_rngs_sweep_matches_numpy(seed, check_id, trials):
 
 @pytest.mark.parametrize("trial", [-1, 2**32])
 def test_trial_rngs_refuse_a_trial_numpy_would_seed_differently(trial):
-    with pytest.raises(ValueError):
-        trial_rngs(0, "unit", [0, trial])
+    # refused whatever the rows, none included
+    for rows in (1, 0):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            trial_draws(0, "unit", [0, trial], rows)
 
 
 @pytest.mark.parametrize("request_args", [
@@ -829,22 +828,23 @@ def test_seed_words_are_c_contiguous_rows_of_numpy_streams(trials):
     words = harness._seed_words(entropy)
     assert words.dtype == np.uint64 and words.shape == (trials, 4)
     assert words.flags.c_contiguous
-    for t, rng in enumerate(trial_rngs(5, "unit", range(trials))):
-        assert same_bits(rng.random(7), _numpy_rng(5, "unit", t).random(7)), t
+    for t, block in enumerate(trial_draws(5, "unit", range(trials), 7)):
+        want = trial_rng(5, "unit", t).random((7, 6))
+        assert same_bits(block, want), t
 
 
 def test_tape_matches_per_call_draws_past_several_blocks():
     # a stack of trials read one row at a time to the end of a tape longer
     # than three d-squared trials, both scales mixed
-    tape = DrawTape(trial_rngs(7, "tape", range(5)), 149)
-    ref = PerCallSampler(tuple(trial_rngs(7, "tape", range(5))))
+    tape = DrawTape(trial_draws(7, "tape", range(5), 149))
+    ref = PerCallSampler(tuple(trial_rng(7, "tape", t) for t in range(5)))
     for k in range(149):
         scale = 2.0 if k % 3 else 1.0
         assert same_bits(_coords(_skews(tape, scale)), ref.coords(scale)), k
 
 
-def test_tape_of_a_single_generator_is_unstacked():
-    tape = DrawTape(trial_rng(7, "tape", 0), 51)
+def test_tape_of_a_2d_block_is_unstacked():
+    tape = DrawTape(trial_rng(7, "tape", 0).random((51, 6)))
     ref = PerCallSampler(trial_rng(7, "tape", 0))
     for k in range(51):
         scale = 1.0 if k % 2 else 2.0
@@ -854,8 +854,8 @@ def test_tape_of_a_single_generator_is_unstacked():
 
 
 def test_tape_hands_out_several_rows_in_stream_order():
-    tape = DrawTape(trial_rngs(3, "tape", range(2)), 97)
-    ref = PerCallSampler(tuple(trial_rngs(3, "tape", range(2))))
+    tape = DrawTape(trial_draws(3, "tape", range(2), 97))
+    ref = PerCallSampler(tuple(trial_rng(3, "tape", t) for t in range(2)))
     first = tape.rows(47)
     more = tape.rows(50)
     rows = np.concatenate([first, more], axis=1)
@@ -864,16 +864,21 @@ def test_tape_hands_out_several_rows_in_stream_order():
     assert same_bits(-1.0 + 2.0 * rows, want)
 
 
-def test_a_read_past_the_tape_raises_and_draws_nothing():
-    rngs = [_CountingRng(rng) for rng in trial_rngs(3, "tape", range(2))]
-    tape = DrawTape(rngs, 4)
-    with pytest.raises(IndexError, match="a read of 5 rows at row 0"):
-        tape.rows(5)
-    assert [rng.calls for rng in rngs] == [0, 0]
-    tape.rows(3)
-    with pytest.raises(IndexError, match="a read of 2 rows at row 3"):
-        tape.rows(2)
-    assert [rng.calls for rng in rngs] == [1, 1]
+def test_a_read_past_the_tape_raises_and_leaves_the_cursor():
+    # on a stack and on a single trial's rows: a refused read moves
+    # nothing, and the next read starts where the last one ended
+    stack = trial_draws(3, "tape", range(2), 4)
+    for block in (stack, stack[1]):
+        tape = DrawTape(block)
+        with pytest.raises(IndexError, match="a read of 5 rows at row 0"):
+            tape.rows(5)
+        assert same_bits(tape.rows(3), block[..., :3, :])
+        with pytest.raises(IndexError, match="a read of 2 rows at row 3 "
+                           "runs past the 4 rows"):
+            tape.rows(2)
+        assert same_bits(tape.rows(1), block[..., 3:, :])
+        with pytest.raises(IndexError, match="a read of 1 rows at row 4"):
+            tape.rows(1)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -889,8 +894,8 @@ def test_a_point_is_one_exponential_of_its_rows(monkeypatch, level):
         return exp_coords(c)
 
     monkeypatch.setattr(harness, "exp_coords", counted)
-    tape = DrawTape(trial_rngs(5, "tape", range(3)), 2 * level)
-    twin = DrawTape(trial_rngs(5, "tape", range(3)), 2 * level)
+    tape = DrawTape(trial_draws(5, "tape", range(3), 2 * level))
+    twin = DrawTape(trial_draws(5, "tape", range(3), 2 * level))
     pt = sample_point(tape, level)
     assert calls == [(3, level, 6)]
     want = [exp_matrix(_skews(twin, 2.0)) for _ in range(level)]
@@ -969,13 +974,13 @@ class _CountingRng:
 @pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_draw_calls_per_trial_are_one_per_block(monkeypatch, check_id):
     # a trial reads exactly the rows its check states, filled with one draw
-    # call per generator; a check that reads none seeds no stream
-    real_rngs = harness.trial_rngs
+    # call of its generator; a check that reads none seeds no stream
+    real_generator = np.random.Generator
     reads, rngs = [], []
 
-    def counted_rngs(*args):
-        rngs[:] = [_CountingRng(rng) for rng in real_rngs(*args)]
-        return rngs
+    def counted_generator(bit_generator):
+        rngs.append(_CountingRng(real_generator(bit_generator)))
+        return rngs[-1]
 
     real_rows = DrawTape.rows
 
@@ -983,7 +988,7 @@ def test_draw_calls_per_trial_are_one_per_block(monkeypatch, check_id):
         reads.append(k)
         return real_rows(self, k)
 
-    monkeypatch.setattr(harness, "trial_rngs", counted_rngs)
+    monkeypatch.setattr(np.random, "Generator", counted_generator)
     monkeypatch.setattr(DrawTape, "rows", counted_rows)
     rows = CHECKS[check_id].rows
     for stack in (1, 3):
@@ -994,29 +999,30 @@ def test_draw_calls_per_trial_are_one_per_block(monkeypatch, check_id):
         assert [rng.calls for rng in rngs] == ([1] * stack if rows else [])
 
 
-def test_a_tape_drops_its_generators_once_its_block_is_filled(monkeypatch):
-    # Every read of a run's stacked tapes finds their generators gone, the
-    # seed words that only a generator holds with them; the tape and
-    # trial_rows keep no reference once the block is filled.
-    real_rngs = harness.trial_rngs
+def test_no_generator_outlives_trial_draws(monkeypatch):
+    # Each generator holds its PCG64, which holds its seed words: once the
+    # seed words of every trial are gone, so is every generator.  They are
+    # gone when trial_draws returns, and at every read of a run's tapes.
     refs, alive = [], []
 
-    def watched_rngs(*args):
-        rngs = real_rngs(*args)
-        refs.extend(weakref.ref(rng.bit_generator.seed_seq) for rng in rngs)
-        return rngs
+    class Watched(harness._SeedWords):
+        def __init__(self, words):
+            super().__init__(words)
+            refs.append(weakref.ref(self))
 
     real_rows = DrawTape.rows
 
     def watched_rows(self, k):
-        out = real_rows(self, k)
         alive.append(sum(ref() is not None for ref in refs))
-        return out
+        return real_rows(self, k)
 
-    monkeypatch.setattr(harness, "trial_rngs", watched_rngs)
+    monkeypatch.setattr(harness, "_SeedWords", Watched)
+    block = trial_draws(2, "lemma-4.1", range(3), 4)
+    assert block.shape == (3, 4, 6) and len(refs) == 3
+    assert not any(ref() is not None for ref in refs)
     monkeypatch.setattr(DrawTape, "rows", watched_rows)
     trial_rows(CheckConfig("lemma-4.1", seed=2), range(3))
-    assert len(refs) == 3 and alive and not any(alive)
+    assert len(refs) == 6 and alive and not any(alive)
 
 
 @pytest.mark.parametrize("check_id", ["lemma-4.3", "ad-invariance"])
