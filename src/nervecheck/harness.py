@@ -10,18 +10,17 @@ Every check follows one protocol, held by its entry in `CHECKS`:
   names none), takes the max over the components of a trial, and reports
   the max over trials with its trial index; the first worst trial wins.
 
-Sampling is deterministic given (seed, check id, trial index): trial t of
-check id draws its rows of six uniforms as
-``default_rng([seed % 2**32, crc32(id), t]).random((rows, 6))``, from the
-PCG64 stream that numpy's `SeedSequence` seeds from those uint32 entropy
-words.  Every trial draws from its own stream whatever the other trials
-draw, so adding checks or reordering trials never perturbs existing runs,
-and `trial_rows(cfg, [k])` replays trial k alone.  `trial_draws` computes
-the hash `SeedSequence` computes for all the trials of a stack at once, in
-vectorized rounds of numpy uint32 arithmetic (the entropy words in, one
-round of mixes per source word, the seed words out), and fills each
-trial's rows with one `random` call of a PCG64 seeded with its four words;
-NEP 19 freezes both the hash and the stream, so the draws do not depend on
+Sampling is deterministic given (seed, check id, trial index).  Check id
+at seed owns one stream, ``PCG64(SeedSequence([seed % 2**32, crc32(id)]))``,
+and trial t of a check that reads `rows` rows of six uniforms reads the
+rows·6 doubles of ``Generator.random`` at stream position t·rows·6 as its
+(rows, 6) block.  A PCG64 is an LCG underneath, so `PCG64.advance` jumps
+to any position in O(log t) steps: `trial_draws` makes one jump and one
+`random` call per run of consecutive trials, and `trial_rows(cfg, [k])`
+replays trial k alone.  The streams of two checks are unrelated, so adding
+a check never perturbs the others; but changing a check's `rows` moves
+every trial of that check, not only the tail of each trial.  NEP 19
+freezes the seeding and the PCG64 stream, so the draws do not depend on
 the numpy version.  The samplers stack the draws of the trials, and
 `trial` builds the forms and runs them, the exponentials and the products
 once on the stack: a run walks each form tree once per stack, not once per
@@ -35,7 +34,7 @@ in stream order, and a read past the block raises.  Six coordinates in
 [-s, s] are -s + 2s u of the next row u of every trial.  That is what
 `Generator.uniform(-s, s, 6)` computes from the same doubles, so the tape
 draws the same numbers as one `uniform` call per matrix.  Drawing ahead
-changes nothing else, because no other code reads a trial's stream.  A
+changes nothing else, because no other trial reads a trial's block.  A
 point of SO(4)^level is the exponential (`exp_coords`) of its next `level`
 coordinate rows, taken in one call; no skew matrix is built for it.
 Tangents and algebra elements are skew matrices built from their rows.
@@ -163,104 +162,30 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# trial streams, seeded a stack at a time (see the module docstring)
-
-# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx),
-# which NEP 19 freezes together with the PCG64 stream.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_POOL = 4  # SeedSequence's default pool size, in uint32 words
-
-
-def _hash_steps(init: int, mult: int, count: int) -> tuple:
-    """The constants of `count` successive hash steps as two uint32 arrays,
-    (xor, multiplier): a step xors with the running constant, advances it by
-    `mult`, and then multiplies by the advanced one."""
-    xors, mults, h = [], [], init
-    for _ in range(count):
-        advanced = (h * mult) & 0xFFFFFFFF
-        xors.append(h)
-        mults.append(advanced)
-        h = advanced
-    return (np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32))
-
-
-def _hash(value: np.ndarray, steps: tuple) -> np.ndarray:
-    """Hash steps applied elementwise: the constants broadcast along the
-    last axis of `value`."""
-    xor, mult = steps
-    value = (value ^ xor) * mult
-    return value ^ (value >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * _MIX_L - y * _MIX_R
-    return out ^ (out >> np.uint32(16))
-
-
-# the pool's words hashed in, then its 12 ordered pairs (src, dst) mixed,
-# src-major
-_STEPS_A = _hash_steps(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
-_IN_STEPS = tuple(c[:_POOL] for c in _STEPS_A)
-# one round per source word: its destinations and their three steps.  A
-# round reads only pool[src] and never writes it, so its mixes are
-# independent of one another.
-_ROUNDS = [(src, [d for d in range(_POOL) if d != src],
-            tuple(c[_POOL + 3 * src:_POOL + 3 * src + 3] for c in _STEPS_A))
-           for src in range(_POOL)]
-# the 8 uint32 words of 4 uint64 seed words hashed out of the pool, low
-# half first
-_STEPS_B = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
-_OUT_WORDS = np.arange(2 * _POOL) % _POOL
-
-
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(row).generate_state(4, uint64) for every row of an
-    (N, 4) uint32 array of entropy words, padded with zeros to the pool
-    size as SeedSequence pads them: a C-contiguous (N, 4) uint64 array,
-    whose rows PCG64 reads as raw buffers.  The hash runs in vectorized
-    rounds: the words in, one round per source word, the words out."""
-    pool = _hash(entropy, _IN_STEPS)
-    for src, dsts, steps in _ROUNDS:
-        pool[:, dsts] = _mix(pool[:, dsts], _hash(pool[:, src, None], steps))
-    state = _hash(pool[:, _OUT_WORDS], _STEPS_B)
-    lo, hi = state[:, 0::2].astype(np.uint64), state[:, 1::2].astype(np.uint64)
-    return np.ascontiguousarray(lo | (hi << np.uint64(32)))
-
-
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """The four uint64 seed words of one PCG64, computed ahead."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError("holds exactly 4 np.uint64 seed words, asked "
-                             f"for {n_words} of {dtype!r}")
-        return self.words
+# trial streams: one per check, each trial a jump into it (see the module
+# docstring)
 
 
 def trial_draws(seed: int, check_id: str, trials: Sequence[int],
                 rows: int) -> np.ndarray:
-    """The draws of the given trials of one check, an (N, rows, 6) array:
-    trial t draws ``default_rng([seed % 2**32, crc32(check_id), t])
-    .random((rows, 6))``.  The streams are seeded for all the trials at
-    once, in vectorized rounds of uint32 arithmetic, and each fills its
-    trial's rows with one `random` call; zero rows seed nothing."""
+    """The draws of the given trials of one check, an (N, rows, 6) array.
+    The check owns the stream of ``PCG64(SeedSequence([seed % 2**32,
+    crc32(check_id)]))``, and trial t reads its rows·6 doubles of
+    ``Generator.random`` from stream position t·rows·6.  Each run of
+    consecutive trials is one jump (`PCG64.advance`) and one `random`
+    call; zero rows seed nothing."""
     trials = np.asarray(trials, dtype=np.int64).reshape(-1)
     if trials.size and not (0 <= trials.min() and trials.max() < 2**32):
         raise ValueError("a trial index must lie in [0, 2**32)")
     out = np.empty((trials.size, rows, 6))
-    if rows:
-        entropy = np.zeros((trials.size, _POOL), dtype=np.uint32)
-        entropy[:, 0] = seed % 2**32
-        entropy[:, 1] = zlib.crc32(check_id.encode("utf-8"))
-        entropy[:, 2] = trials
-        for words, block in zip(_seed_words(entropy), out):
-            rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
-            rng.random(out=block)
+    if rows and trials.size:
+        entropy = np.random.SeedSequence(
+            [seed % 2**32, zlib.crc32(check_id.encode("utf-8"))])
+        cuts = [0, *(np.flatnonzero(np.diff(trials) != 1) + 1), trials.size]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            stream = np.random.PCG64(entropy)
+            stream.advance(int(trials[lo]) * rows * 6)
+            np.random.Generator(stream).random(out=out[lo:hi])
     return out
 
 
@@ -354,9 +279,10 @@ def _max_factor_dev(a: GroupPoint, b: GroupPoint) -> np.ndarray:
 
 def _trial_simplicial(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
     # Every inner face and degeneracy of a level is computed once.
-    # face/face: eps_i . eps_j = eps_{j-1} . eps_i  for i < j
+    # face/face: eps_i . eps_j = eps_{j-1} . eps_i  for i < j, from q = 3:
+    # the double faces of a level-2 point have no factors to compare
     faces = 0.0
-    for q in range(2, 5):
+    for q in range(3, 5):
         pt = sample_point(tape, q)
         inner = [face_ng(j, pt) for j in range(q + 1)]
         for j in range(1, q + 1):
@@ -394,8 +320,9 @@ def _trial_simplicial(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
 
 
 def _trial_gamma(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
+    # from q = 2: the faces of the over-group level 1 are level-0 points
     worst = 0.0
-    for q in range(1, 4):
+    for q in range(2, 4):
         pt = sample_point(tape, q + 1)  # the over-group level q has q+1 factors
         image = gamma(pt)
         for i in range(q + 1):
@@ -541,11 +468,11 @@ def _rows(tol: float, residuals: Callable[[CheckConfig, DrawTape], dict],
 # default tolerance is 1.  Everything else is a raw max-abs-error bound.
 CHECKS: dict[str, Check] = {
     "mc-structure": _rows(1e-6, _mc_structure, 0, {"entries": ((1, 0), 2)}),
-    # a point of each level q: 2 + 3 + 4 face/face rows, 1 + 2 + 3 of
+    # a point of each level q: 3 + 4 face/face rows, 1 + 2 + 3 of
     # degeneracies and 1 + 2 + 3 of faces against degeneracies
-    "simplicial-identities": Check(1e-13, _trial_simplicial, 21),
-    # a point of q + 1 factors per level q = 1, 2, 3
-    "gamma-simplicial": Check(1e-13, _trial_gamma, 9),
+    "simplicial-identities": Check(1e-13, _trial_simplicial, 19),
+    # a point of q + 1 factors per level q = 2, 3
+    "gamma-simplicial": Check(1e-13, _trial_gamma, 7),
     "lemma-4.1": _rows(1e-6, _d_cocycle, 1, {"i e13 - d mu": ((1, 0), 2)}),
     "lemma-4.2": _rows(1e-10, _d_cocycle, 1, {"i e22 - d' mu": ((2, 0), 1)}),
     "lemma-4.3": _rows(1e-12, _d_cocycle, 1, {"i mu": ((1, 0), 0)}),

@@ -7,6 +7,8 @@ the package takes, `exp_two_halves` a second route to the closed-form
 exponential, one so(3) half at a time, and `stacked_chart_steps` a second
 construction of an `exterior_d` chart.  `trial_rng` calls numpy alone: it
 is the stream that `harness.trial_draws` states for a trial.
+`platform_probe` reads how the platform rounds the kernels the checks
+run, from fixed inputs.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import zlib
 from functools import partial
 
 import numpy as np
+import pytest
 
 from nervecheck.formcalc import FormEval, SmoothMap, pullback
 from nervecheck.formdsl import EntrySel, Scale, Sum, SumS4, Wedge
@@ -76,10 +79,14 @@ def rand_tangent(rng: np.random.Generator, pt: GroupPoint) -> Tangent:
     return Tangent(pt, tuple(h @ random_skew(rng, 1.0) for h in pt.factors))
 
 
-def trial_rng(seed: int, check_id: str, trial: int) -> np.random.Generator:
-    """The stream of one trial of a check, as numpy seeds it."""
+def trial_rng(seed: int, check_id: str, trial: int,
+              rows: int) -> np.random.Generator:
+    """The stream of a check, as numpy seeds it, at the first draw of one
+    trial that reads `rows` rows of six doubles."""
     tag = zlib.crc32(check_id.encode("utf-8"))
-    return np.random.default_rng([seed % 2**32, tag, trial])
+    stream = np.random.PCG64(np.random.SeedSequence([seed % 2**32, tag]))
+    stream.advance(trial * rows * 6)
+    return np.random.Generator(stream)
 
 
 def sample_so4(seed: int) -> GroupPoint:
@@ -207,6 +214,38 @@ def exp_two_halves(x: np.ndarray) -> np.ndarray:
     minus = _half(0.5 * (a12 - a34), 0.5 * (a13 + a24), 0.5 * (a14 - a23))
     return ((plus @ _PLUS).reshape(x.shape)
             @ (minus @ _MINUS).reshape(x.shape))
+
+
+# The exponential of a fixed stack by the half-at-a-time route of
+# `exp_two_halves`, which test_matrixgroup pins bit-equal to exp_matrix:
+# coordinates that are exact binary fractions in [-2, 2], and the same
+# times 1e-5, the scale of exterior_d's charts.  Then the kinds of rounding
+# step the checks take after it: contiguous and strided 4x4 products, and
+# the signed 24-term einsum sum of formdsl's S4 sums.  The probe reads how
+# the platform rounds these from fixed inputs, without reading the
+# package's kernels or its random streams, so a kernel or a stream that
+# changes the bits fails a digest test instead of skipping it.
+PLATFORM_PROBE_DIGEST = (
+    "08edc7574ccbe8600a9439f39118c0afc27c978ae2441e96b8369de4aa028c69")
+
+
+def platform_probe() -> np.ndarray:
+    c = ((np.arange(600.0) * 37.0) % 97.0 - 48.0).reshape(100, 6) / 24.0
+    h = exp_two_halves(skew_from_coords(np.stack([c, 1e-5 * c])))
+    prods = (h @ h[:, ::-1]) @ h.mT
+    terms = np.concatenate([h.reshape(2, 100, 16),
+                            prods.reshape(2, 100, 16)[..., :8]], axis=-1)
+    sums = np.einsum("p,...p->...", np.resize([1.0, -1.0], 24), terms)
+    return np.concatenate([h.ravel(), prods.ravel(), sums.ravel()])
+
+
+def skip_unless_recorded_platform() -> None:
+    """Skip a digest test where the platform rounds the probe differently
+    from the platform that recorded the digests: they pin the residuals'
+    last bits, which depend on how it rounds sin, cos, 4x4 products and
+    einsum sums."""
+    if digest(platform_probe()) != PLATFORM_PROBE_DIGEST:
+        pytest.skip("this platform rounds the samples differently")
 
 
 def stacked_chart_steps(h: np.ndarray, vs, fd_step: float):

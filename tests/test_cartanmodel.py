@@ -26,7 +26,8 @@ from nervecheck.cartanmodel import (
 from nervecheck.eulercocycle import cocycle
 
 from helpers import (constant_form, digest, nerve_d_prime, rand_point,
-                     rand_tangent, random_skew, same_bits, validate_tangent)
+                     rand_tangent, random_skew, same_bits,
+                     skip_unless_recorded_platform, validate_tangent)
 
 E12 = basis_element(1, 2)
 E13 = basis_element(1, 3)
@@ -435,59 +436,50 @@ def test_total_check_draws_each_level_once_before_the_next():
 _FD_IDS = ("mc-structure", "lemma-4.1", "euler-cocycle", "equivariant-cocycle",
            "d-squared")
 
-# sha256 of _platform_probe(seed): bits that depend on how the platform
-# rounds sin, cos and 4x4 products, and not on the exterior derivative
-_PROBE_DIGESTS = {
-    0: "0d4089fcb7e2cfa181469ffe4dd75dfc5c7d6edc2faff87891e776e951fdc125",
-    1: "47d48e509217ed6a8b553783711e8aacc4b1382638df14b0e20e9a67a69346f9",
-    2: "8dfbc655278b86a3b61f06179e72754668d05ab64793dad50dd591f756d5dea2",
-    3: "25ed7c3a6878d70941fba4444aeb842ae3397c88f54953df2c88f32791001a0d",
-}
-
 # sha256 of _columns(check_id, seed), recorded with every chart built anew
-# and every transposed right operand strided, on the platform that gave
-# _PROBE_DIGESTS
+# (as under _unscoped), on the platform that gave
+# helpers.PLATFORM_PROBE_DIGEST
 _FD_DIGESTS = {
     ("mc-structure", 0):
-        "99c3a1bf4fe274ce10fbb3cddcce39cb5dc1af9a18d1b983292bd850abab3cc3",
+        "40b39eaa7ec215bd5cc0e482abd657678e9bcdd572f2b940dcf6cb119cc2ae5e",
     ("mc-structure", 1):
-        "2c9ab1f5d06ce039f43e19f29ef1e7aef2fc9c47e53d9aa3ece733412b0547d2",
+        "1a3378b820b327c6e82d12fd1b3ffb2bb53a98ca5b036ec0ae956b2cea400b0b",
     ("mc-structure", 2):
-        "754586015090e16ad148654f9268541bff412ce1d5870e33b7312302576933fb",
+        "8585b6f845ba5be2e12cbbd964501a78dcbe5a7945112ecd627a639104277bb1",
     ("mc-structure", 3):
-        "5b44c472f4743c63d5722b3cc093209319cd75c116fb30ad69160e0924f1468f",
+        "0833b5a3dddb9db0d64890209b28e55df6ddf9d9dc89a4a63ea14e3ed9a3c217",
     ("lemma-4.1", 0):
-        "397f04fc250281f695767d8930b96daf47262c59c99d3a6f9b1980e55fc1b481",
+        "3afa24aaaa3ef46517d80613d15277e852cb09b956bb5b2d28177e25ffaca2a5",
     ("lemma-4.1", 1):
-        "5b39eccae5a4dd552b0c160d646fc691aebfb11d4c241a28f8f1239693ae6e5f",
+        "102c6b4e0e2deff321cbc19eaba4ec7b4fa7b6f2f93e82871758881151f75d0b",
     ("lemma-4.1", 2):
-        "b9321167d0272cc5b994c7a991a60b604c049bb21028607777cdd4aa491e214b",
+        "29ed532c2590e9213692f56b05a18ecfe5f43ffe8c690ed064962243acb2d00d",
     ("lemma-4.1", 3):
-        "8e9087c6e77107b99588826dc94992545d2b6887fbd10a8066ab4b98f0b56d1c",
+        "3e6da62aef34f67deec5dc889aee12aabc07f690eb6e0064c5935512840700bc",
     ("euler-cocycle", 0):
-        "68b01b22a45f214c525582554f413067a9170418d38a2d4308a7f36a14626d0e",
+        "097152d2e6a82a2966f2a98495d9abe10f07c7f4c8ef967c0e611e4bfeb5ed54",
     ("euler-cocycle", 1):
-        "c7303da3f94b5422c6c85046f9bc6a2c00ce4f46bce5e0ffd7b34f5147ae0e90",
+        "1f5fdc4703d40362ec5e4e5da79996a578a36d9cd915c15ea8718d601bae9d8f",
     ("euler-cocycle", 2):
-        "1dd1d22da9e485e2e0854a7b21051a2ff5d8e68d0ea1b9a2bde0bbc091ebf71e",
+        "59fb09ce3179caf80de5645c754e28d9d5453b69c81cf1f243000dc4e9880c58",
     ("euler-cocycle", 3):
-        "244354bf875a2cb64e247e30a7246ac284274a8951b765de93208ef3cb8da7c4",
+        "1c593704700ac6855933e27ebc40e89c2cdc28732698e2cb615fbe7661aa1823",
     ("equivariant-cocycle", 0):
-        "55401f5186b3a5e257a38022e6445de34a016e5d6662016224275a803a83dd1d",
+        "3c14c590c0912b7875e5f4acdb2a773f2226e42f34b4f93f265fb8b912f19b05",
     ("equivariant-cocycle", 1):
-        "a4be87c6dd202d8213fea92bc1ae573ef1dc9cd5f554b91da7a776bee4d043b8",
+        "a27d7f4d37fb9fe8efa99931dbb0148826754baaa411f1c470f8506fa5336899",
     ("equivariant-cocycle", 2):
-        "299e22645009774417dcc623bf45252c3985a0f9287ce77216ffa1f32f44f3f9",
+        "84364ae7a55af7945799089c939f229d3dbcbe74086cc4b1b7d8e200403327de",
     ("equivariant-cocycle", 3):
-        "7cca94116113fe7e5f9fc0b975b33831ec090db4b23dca47551be4adea4613a2",
+        "0ffc4864e4edda598652a553d69ede0db3bbd58ff736d578d8803c569a3a4f28",
     ("d-squared", 0):
-        "e13bc4bcc36e13bf60ff310125fc56d9da76bb8083045b48d31bf139e5f7a385",
+        "b2813b019a2071ea6211cd30f1b1a760769cfd9338a8858eb7cec5ff1e34642f",
     ("d-squared", 1):
-        "b65a87761feb398029f0920b5bec0c187b60b9fdb1543b98ed578f4080c3cbe5",
+        "c3451e785b055a7017d98de00c5961f8ba9f6d11ac4894d8e24a2f3fa21c35bc",
     ("d-squared", 2):
-        "92ef7094e0abc4bcad1e4983838f6ac20069b08a3ed7e77cb05a54a65ff45876",
+        "a9cf2cdb8b19ce7441a72fd021eea58be569558755700ff995095fe3906c67a5",
     ("d-squared", 3):
-        "31395c3a4bf9159f71e38a13e363994ab782b274ec6b1846a82743dc39ed23f2",
+        "7843ac6a8bbb8b7ef85c5f0cbf3ec63cd8887f2a5f9da8d9644770218f1779c0",
 }
 
 
@@ -495,12 +487,6 @@ def _columns(check_id, seed):
     """The trial_rows columns of a 200-trial run, stacked in sorted order."""
     cols = trial_rows(CheckConfig(check_id, seed=seed), range(200))
     return np.stack([cols[k] for k in sorted(cols)])
-
-
-def _platform_probe(seed):
-    tape = DrawTape(trial_draws(seed, "fd-probe", range(200), 2))
-    g, h = sample_point(tape, 2).factors
-    return np.stack([g, h, g @ h, g @ h.mT, exp_matrix(1e-5 * (g - g.mT))])
 
 
 def _unscoped(monkeypatch):
@@ -522,11 +508,9 @@ def test_shared_charts_give_the_unshared_columns(monkeypatch, check_id,
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("check_id", _FD_IDS)
 def test_fd_check_columns_match_recorded_digests(check_id, seed):
-    # The digests pin the residuals' last bits, which depend on how the
-    # platform rounds sin, cos and 4x4 products; where the probe does not
-    # reproduce its digest, the test above still compares bit for bit.
-    if digest(_platform_probe(seed)) != _PROBE_DIGESTS[seed]:
-        pytest.skip("this platform rounds the samples differently")
+    # where the platform rounds differently, the test above still compares
+    # bit for bit
+    skip_unless_recorded_platform()
     assert digest(_columns(check_id, seed)) == _FD_DIGESTS[check_id, seed]
 
 

@@ -5,7 +5,6 @@ import sys
 import tracemalloc
 import warnings
 import weakref
-import zlib
 
 import numpy as np
 import pytest
@@ -35,8 +34,8 @@ from nervecheck.formcalc import FormEval
 from nervecheck.matrixgroup import exp_coords, exp_matrix, skew_from_coords
 from nervecheck.nerve import degeneracy_ng, face_ng, face_pg, gamma
 
-from helpers import (digest, exp_two_halves, same_bits, trial_rng,
-                     validate_point, validate_tangent)
+from helpers import (digest, same_bits, skip_unless_recorded_platform,
+                     trial_rng, validate_point, validate_tangent)
 from oracles import PerCallSampler
 
 
@@ -275,6 +274,30 @@ def test_stacked_rows_across_chunk_boundaries(check_id):
             assert one[key][0] == col[k], (key, k)
 
 
+@pytest.mark.parametrize("check_id",
+                         [cid for cid in CHECK_IDS if CHECKS[cid].rows])
+def test_any_list_of_trials_replays_the_trials_of_a_run(check_id):
+    # every trial is a jump into its check's stream: alone, on either side
+    # of CHUNK, or in a shuffled list with a repeat, a trial gives the same
+    # bits as in a 300-trial run, and the last trial index reads numpy's
+    # stream at its position
+    cfg = CheckConfig(check_id, trials=300, seed=11)
+    assert 300 > CHUNK + 1
+    full = trial_rows(cfg, range(300))
+    for k in (0, 199, CHUNK - 1, CHUNK, 299):
+        one = trial_rows(cfg, [k])
+        assert set(one) == set(full)
+        for key, col in full.items():
+            assert same_bits(one[key], col[k:k + 1]), (key, k)
+    shuffled = [CHUNK, 3, 299, 4, 3, 0, CHUNK - 1]
+    some = trial_rows(cfg, shuffled)
+    for key, col in full.items():
+        assert same_bits(some[key], col[shuffled]), key
+    rows, last = CHECKS[check_id].rows, 2**32 - 1
+    assert same_bits(trial_draws(11, check_id, [last], rows)[0],
+                     trial_rng(11, check_id, last, rows).random((rows, 6)))
+
+
 def _count_calls(monkeypatch, module, name):
     """Count the calls of module.name through every nervecheck binding."""
     real = getattr(module, name)
@@ -413,32 +436,32 @@ _ZEROS = "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865"
 _IDENTITY_DIGESTS = {
     ("simplicial-identities", 0): {
         "face-face":
-            "8b523e36ae9a17f9afb7344bdb9eb075cdbb21b36024a943dcaf93804bcbb567",
+            "04c71ea93cf7ded4419391edda7e9852fbaa12c3016a292fbdbdc459be2656e4",
         "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
     ("simplicial-identities", 1): {
         "face-face":
-            "4e833fe91a513ebcef401e73b4d098da3401e6086cbec54a52466cd13bd5df03",
+            "25e70e8abca4f821a1e7823e05a2196e563919e7e12a027d1ce323c3ee65a323",
         "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
     ("simplicial-identities", 2): {
         "face-face":
-            "d2f6d4e358f65c33c59e34401be243439d8f2e6bf6c100d9e3a94dc54e2e3f85",
+            "070b9d4cc184b9ddce51ba9298bd188c616b6fcf944522847651b2e92e8dd250",
         "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
     ("simplicial-identities", 3): {
         "face-face":
-            "59403924848c92efdd6ca82a25766515c02ed0acd16539898f3cd0be27851ed7",
+            "2a15f74d89f032092f69e57ff552ab2e83271523394664e4a672660b986eb91e",
         "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
     ("gamma-simplicial", 0): {
         "faces":
-            "472e757607fa9ba2b642abfb6c60dca66e13acf41e9a160dfa70040f8c0b71bd"},
+            "5358340eeeaee62e137f4d0fd8ed8d27beb81e22fc158c067c22285d88be0c9e"},
     ("gamma-simplicial", 1): {
         "faces":
-            "3944a081945c4a0a5abafe71bfbabee3fb3172582e13a0861c4a3e07bcfa4cdc"},
+            "fcf90ce1f71b654f112f3c3a4208ecbb9b87f1179cc73e0991779d156e405bad"},
     ("gamma-simplicial", 2): {
         "faces":
-            "1ebea72d952188b2494111d81ba326df6fff525129fefc6a7ebc9c69d04d7401"},
+            "abb74f42d9308b181774e62008057423d954a754733023d25ca3306789e06960"},
     ("gamma-simplicial", 3): {
         "faces":
-            "49f5c258906c5151e31cdf6100948b67710ba134b8fc46e409688f36154d712d"},
+            "aef279c3649e91007df29b6ee2fc85b53d674ba2c15af049cb2559353f1461f7"},
 }
 
 
@@ -455,14 +478,14 @@ def _per_pair_columns(check_id, seed):
                                 CHECKS[check_id].rows))
     if check_id == "gamma-simplicial":
         worst = 0.0
-        for q in range(1, 4):
+        for q in range(2, 4):
             pt = sample_point(tape, q + 1)
             for i in range(q + 1):
                 worst = np.maximum(worst, _per_pair_dev(
                     gamma(face_pg(i, pt)), face_ng(i, gamma(pt))))
         return {"faces": worst}
     faces = degeneracies = mixed = 0.0
-    for q in range(2, 5):
+    for q in range(3, 5):
         pt = sample_point(tape, q)
         for j in range(1, q + 1):
             for i in range(j):
@@ -503,16 +526,12 @@ def test_identity_check_columns_equal_the_per_pair_loops(check_id, seed):
 
 @pytest.mark.parametrize("check_id, seed", sorted(_IDENTITY_DIGESTS))
 def test_identity_check_columns_match_recorded_digests(check_id, seed):
-    # The digests pin the residuals' last bits, which depend on how the
-    # platform rounds sin, cos and 4x4 products; where the per-pair loops
-    # do not reproduce them, the test above still compares bit for bit.
-    recorded = _IDENTITY_DIGESTS[check_id, seed]
-    replayed = {k: digest(np.broadcast_to(v, (200,)))
-                for k, v in _per_pair_columns(check_id, seed).items()}
-    if replayed != recorded:
-        pytest.skip("this platform rounds the samples differently")
+    # where the platform rounds differently, the test above still compares
+    # bit for bit
+    skip_unless_recorded_platform()
     got = trial_rows(CheckConfig(check_id, seed=seed), range(200))
-    assert {k: digest(v) for k, v in got.items()} == recorded
+    assert ({k: digest(v) for k, v in got.items()}
+            == _IDENTITY_DIGESTS[check_id, seed])
 
 
 # The trial_rows columns of every check at seed 0 and 200 trials, stacked
@@ -520,55 +539,32 @@ def test_identity_check_columns_match_recorded_digests(check_id, seed):
 # faster kernel, a new layout) must reproduce them.
 _SEED0_DIGESTS = {
     "mc-structure":
-        "99c3a1bf4fe274ce10fbb3cddcce39cb5dc1af9a18d1b983292bd850abab3cc3",
+        "40b39eaa7ec215bd5cc0e482abd657678e9bcdd572f2b940dcf6cb119cc2ae5e",
     "simplicial-identities":
-        "71e999d8629a7e0df8edb82e7f28a505f5176b38a02774e56e3b2bdc159f3c04",
+        "7e4f994680554e14632416c33ef7eb61abba370a1bba76ec7b23b1f1054629ab",
     "gamma-simplicial":
-        "472e757607fa9ba2b642abfb6c60dca66e13acf41e9a160dfa70040f8c0b71bd",
+        "5358340eeeaee62e137f4d0fd8ed8d27beb81e22fc158c067c22285d88be0c9e",
     "lemma-4.1":
-        "397f04fc250281f695767d8930b96daf47262c59c99d3a6f9b1980e55fc1b481",
+        "3afa24aaaa3ef46517d80613d15277e852cb09b956bb5b2d28177e25ffaca2a5",
     "lemma-4.2":
-        "fa65c4c914feda1403c19b5091f2530c5c7d4d27a1942dcff78b08ded6c3518a",
+        "831b8e7e9f08367a9fdc62446f8cdc7d2e52edfc14703f3c453e50044e05fb55",
     "lemma-4.3":
-        "e6fa9bb0ff817f72dd306dfbc989c0b8509a24afabd06588d3e7fdc2513f8de5",
+        "b0879b5a6170ac83da1bd50740f6c2e55bf88f42341f54f659613af37f971e33",
     "euler-cocycle":
-        "68b01b22a45f214c525582554f413067a9170418d38a2d4308a7f36a14626d0e",
+        "097152d2e6a82a2966f2a98495d9abe10f07c7f4c8ef967c0e611e4bfeb5ed54",
     "equivariant-cocycle":
-        "55401f5186b3a5e257a38022e6445de34a016e5d6662016224275a803a83dd1d",
+        "3c14c590c0912b7875e5f4acdb2a773f2226e42f34b4f93f265fb8b912f19b05",
     "ad-invariance":
-        "25945c013dd25228702ca5980accdee7a5caf7aad64fd9a53c8b3b7e71133bcc",
+        "bb636ca4536088bea9394342ac2363ac2ed4df7eaafe6c8aeedd70fe9a6baac2",
     "dsl-oracle":
-        "0c294d1a4aa545fc334eb04a2f2ebf79725dab55c2b5ee62c0d47837c4b68d8b",
+        "eafbb41d831530867c489081fe57bd98c02a3c8b2889e2912443c1ede13b9233",
     "alpha-antisymmetry":
         "5a312281df4bd8dfbb4d4a94ad0bf44d01bb8cfced1206b90e21b4ca0568cdb1",
     "d-squared":
-        "e13bc4bcc36e13bf60ff310125fc56d9da76bb8083045b48d31bf139e5f7a385",
+        "b2813b019a2071ea6211cd30f1b1a760769cfd9338a8858eb7cec5ff1e34642f",
     "golden-values":
         "668946bab9868b28489bb906205ee1026045c8bcd3ca62a1bdf733c65491351b",
 }
-
-# The exponential of a fixed stack by the half-at-a-time route of
-# `helpers.exp_two_halves`, which test_matrixgroup pins bit-equal to
-# exp_matrix: coordinates that are exact binary fractions in [-2, 2], and
-# the same times 1e-5, the scale of exterior_d's charts.  Then the kinds of
-# rounding step the checks take after it: contiguous and strided 4x4
-# products, and the signed 24-term einsum sum of formdsl's S4 sums.  The
-# probe reads how the platform rounds these without reading the package's
-# kernels, so a kernel that changes the bits fails the test below instead
-# of skipping it.
-_PLATFORM_PROBE_DIGEST = (
-    "08edc7574ccbe8600a9439f39118c0afc27c978ae2441e96b8369de4aa028c69")
-
-
-def _platform_probe():
-    c = ((np.arange(600.0) * 37.0) % 97.0 - 48.0).reshape(100, 6) / 24.0
-    h = exp_two_halves(skew_from_coords(np.stack([c, 1e-5 * c])))
-    prods = (h @ h[:, ::-1]) @ h.mT
-    terms = np.concatenate([h.reshape(2, 100, 16),
-                            prods.reshape(2, 100, 16)[..., :8]], axis=-1)
-    sums = np.einsum("p,...p->...", np.resize([1.0, -1.0], 24), terms)
-    return np.concatenate([h.ravel(), prods.ravel(), sums.ravel()])
-
 
 def test_seed0_digests_name_every_check():
     assert set(_SEED0_DIGESTS) == set(CHECK_IDS)
@@ -576,11 +572,7 @@ def test_seed0_digests_name_every_check():
 
 @pytest.mark.parametrize("check_id", sorted(_SEED0_DIGESTS))
 def test_every_check_column_matches_its_recorded_seed0_digest(check_id):
-    # The digests pin the residuals' last bits, which depend on how the
-    # platform rounds sin, cos, 4x4 products and einsum sums; where the
-    # probe does not reproduce its digest, they cannot hold.
-    if digest(_platform_probe()) != _PLATFORM_PROBE_DIGEST:
-        pytest.skip("this platform rounds the samples differently")
+    skip_unless_recorded_platform()
     cols = trial_rows(CheckConfig(check_id, seed=0), range(200))
     got = np.stack([np.broadcast_to(cols[k], (200,)) for k in sorted(cols)])
     assert digest(got) == _SEED0_DIGESTS[check_id]
@@ -753,23 +745,23 @@ def _skews(tape, scale):
 
 
 def test_trial_rng_stream_is_pinned():
-    # the literal first doubles of one trial's draws: a change here changes
-    # every report
-    got = trial_draws(42, "lemma-4.1", [0], 1)[0, 0, :3]
-    assert got.tolist() == [0.014027732067510179, 0.9963499596387325,
-                            0.40466743385237514]
+    # the literal first doubles of two trials' draws: a change here changes
+    # every report.  Trial 1 starts six doubles into the stream.
+    got = trial_draws(42, "lemma-4.1", [0, 1], 1)[:, 0, :3]
+    assert got.tolist() == [
+        [0.014027732067510179, 0.9963499596387325, 0.40466743385237514],
+        [0.06405296944113925, 0.785351197181173, 0.6322802681898194]]
 
 
 def _assert_numpy_streams(seed, check_id, trials, rows):
-    """trial_draws gives every trial the first `rows` rows of six doubles
-    of numpy's stream.  Any warning of the seeding, such as an overflow in
-    its uint32 arithmetic, fails."""
+    """trial_draws gives trial t the rows·6 doubles of numpy's stream of
+    the check from position t·rows·6.  Any warning fails."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = trial_draws(seed, check_id, trials, rows)
     assert got.shape == (len(trials), rows, 6)
     for t, block in zip(trials, got):
-        ref = trial_rng(seed, check_id, t)
+        ref = trial_rng(seed, check_id, t, rows)
         assert same_bits(block, ref.random((rows, 6))), (seed, check_id, t)
 
 
@@ -799,53 +791,20 @@ def test_trial_rngs_refuse_a_trial_numpy_would_seed_differently(trial):
             trial_draws(0, "unit", [0, trial], rows)
 
 
-@pytest.mark.parametrize("request_args", [
-    (4,), (4, np.uint32), (8, np.uint32), (2, np.uint64), (5, np.uint64),
-    (4, np.int64), (4, np.float64), (4, "u4"), (4, np.dtype(np.uint64)),
-    (4, "<u8")])
-def test_seed_words_refuse_any_request_but_four_uint64(request_args):
-    # PCG64 asks with np.uint64 itself; any other request, another spelling
-    # of uint64 among them, is refused
-    words = harness._seed_words(np.array([[1, 2, 3, 0]], dtype=np.uint32))[0]
-    seq = harness._SeedWords(words)
-    assert np.array_equal(seq.generate_state(4, np.uint64),
-                          np.random.SeedSequence([1, 2, 3]).generate_state(
-                              4, np.uint64))
-    with pytest.raises(ValueError):
-        seq.generate_state(*request_args)
-
-
-@pytest.mark.parametrize("trials", [1, 2, CHUNK, CHUNK + 1])
-def test_seed_words_are_c_contiguous_rows_of_numpy_streams(trials):
-    # PCG64 reads the raw buffer that generate_state returns, so words built
-    # in another memory order would still compare equal to numpy's, yet seed
-    # every stream wrongly.  One row cannot show it: a (1, 4) array in
-    # Fortran order is also C-contiguous.
-    entropy = np.zeros((trials, 4), dtype=np.uint32)
-    entropy[:, 0] = 5
-    entropy[:, 1] = zlib.crc32(b"unit")
-    entropy[:, 2] = np.arange(trials)
-    words = harness._seed_words(entropy)
-    assert words.dtype == np.uint64 and words.shape == (trials, 4)
-    assert words.flags.c_contiguous
-    for t, block in enumerate(trial_draws(5, "unit", range(trials), 7)):
-        want = trial_rng(5, "unit", t).random((7, 6))
-        assert same_bits(block, want), t
-
-
 def test_tape_matches_per_call_draws_past_several_blocks():
     # a stack of trials read one row at a time to the end of a tape longer
     # than three d-squared trials, both scales mixed
     tape = DrawTape(trial_draws(7, "tape", range(5), 149))
-    ref = PerCallSampler(tuple(trial_rng(7, "tape", t) for t in range(5)))
+    ref = PerCallSampler(tuple(trial_rng(7, "tape", t, 149)
+                               for t in range(5)))
     for k in range(149):
         scale = 2.0 if k % 3 else 1.0
         assert same_bits(_coords(_skews(tape, scale)), ref.coords(scale)), k
 
 
 def test_tape_of_a_2d_block_is_unstacked():
-    tape = DrawTape(trial_rng(7, "tape", 0).random((51, 6)))
-    ref = PerCallSampler(trial_rng(7, "tape", 0))
+    tape = DrawTape(trial_rng(7, "tape", 0, 51).random((51, 6)))
+    ref = PerCallSampler(trial_rng(7, "tape", 0, 51))
     for k in range(51):
         scale = 1.0 if k % 2 else 2.0
         m = _skews(tape, scale)
@@ -855,7 +814,7 @@ def test_tape_of_a_2d_block_is_unstacked():
 
 def test_tape_hands_out_several_rows_in_stream_order():
     tape = DrawTape(trial_draws(3, "tape", range(2), 97))
-    ref = PerCallSampler(tuple(trial_rng(3, "tape", t) for t in range(2)))
+    ref = PerCallSampler(tuple(trial_rng(3, "tape", t, 97) for t in range(2)))
     first = tape.rows(47)
     more = tape.rows(50)
     rows = np.concatenate([first, more], axis=1)
@@ -920,7 +879,7 @@ def test_alpha_antisymmetry_draws_two_cubic_paths(monkeypatch):
     trial_rows(CheckConfig("alpha-antisymmetry", seed=5), range(trials))
     want = np.zeros((2, 4, trials, 4, 4))
     for n in range(trials):
-        ref = PerCallSampler(trial_rng(5, "alpha-antisymmetry", n))
+        ref = PerCallSampler(trial_rng(5, "alpha-antisymmetry", n, 8))
         for path in want:
             for j in range(4):
                 path[j, n] = skew_from_coords(ref.coords(1.0))
@@ -973,8 +932,10 @@ class _CountingRng:
 
 @pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_draw_calls_per_trial_are_one_per_block(monkeypatch, check_id):
-    # a trial reads exactly the rows its check states, filled with one draw
-    # call of its generator; a check that reads none seeds no stream
+    # a trial reads exactly the rows its check states; each run of
+    # consecutive trials is filled with one draw call of its own generator,
+    # so a stack is one call and a list of three runs three; a check that
+    # reads none seeds no stream
     real_generator = np.random.Generator
     reads, rngs = [], []
 
@@ -991,23 +952,23 @@ def test_draw_calls_per_trial_are_one_per_block(monkeypatch, check_id):
     monkeypatch.setattr(np.random, "Generator", counted_generator)
     monkeypatch.setattr(DrawTape, "rows", counted_rows)
     rows = CHECKS[check_id].rows
-    for stack in (1, 3):
+    for trials, runs in ((range(1), 1), (range(3), 1), ([4, 5, 2, 3, 3], 3)):
         reads.clear()
         rngs.clear()
-        trial_rows(CheckConfig(check_id, seed=2), range(stack))
+        trial_rows(CheckConfig(check_id, seed=2), trials)
         assert sum(reads) == rows
-        assert [rng.calls for rng in rngs] == ([1] * stack if rows else [])
+        assert [rng.calls for rng in rngs] == ([1] * runs if rows else [])
 
 
 def test_no_generator_outlives_trial_draws(monkeypatch):
-    # Each generator holds its PCG64, which holds its seed words: once the
-    # seed words of every trial are gone, so is every generator.  They are
-    # gone when trial_draws returns, and at every read of a run's tapes.
+    # Each generator holds its PCG64: once every PCG64 is gone, so is every
+    # generator.  They are gone when trial_draws returns, and at every read
+    # of a run's tapes.  A stack of consecutive trials makes one.
     refs, alive = [], []
 
-    class Watched(harness._SeedWords):
-        def __init__(self, words):
-            super().__init__(words)
+    class Watched(np.random.PCG64):
+        def __init__(self, seed):
+            super().__init__(seed)
             refs.append(weakref.ref(self))
 
     real_rows = DrawTape.rows
@@ -1016,13 +977,13 @@ def test_no_generator_outlives_trial_draws(monkeypatch):
         alive.append(sum(ref() is not None for ref in refs))
         return real_rows(self, k)
 
-    monkeypatch.setattr(harness, "_SeedWords", Watched)
+    monkeypatch.setattr(np.random, "PCG64", Watched)
     block = trial_draws(2, "lemma-4.1", range(3), 4)
-    assert block.shape == (3, 4, 6) and len(refs) == 3
+    assert block.shape == (3, 4, 6) and len(refs) == 1
     assert not any(ref() is not None for ref in refs)
     monkeypatch.setattr(DrawTape, "rows", watched_rows)
     trial_rows(CheckConfig("lemma-4.1", seed=2), range(3))
-    assert len(refs) == 6 and alive and not any(alive)
+    assert len(refs) == 2 and alive and not any(alive)
 
 
 @pytest.mark.parametrize("check_id", ["lemma-4.3", "ad-invariance"])

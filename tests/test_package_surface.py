@@ -45,10 +45,7 @@ LAYERS = (("matrixgroup",), ("formcalc",), ("nerve", "eulercocycle"),
 
 # Public names kept without a caller, or defined as methods by more than
 # one class, each with its reason.
-ALLOWED = {
-    "generate_state": "the ISeedSequence method of `harness._SeedWords`, "
-                      "which numpy's PCG64 calls to read its seed words",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _is_method(node: ast.stmt) -> bool:
