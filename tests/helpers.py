@@ -8,7 +8,9 @@ exponential, one so(3) half at a time, and `stacked_chart_steps` a second
 construction of an `exterior_d` chart.  `trial_rng` calls numpy alone: it
 is the stream that `harness.trial_draws` states for a trial.
 `platform_probe` reads how the platform rounds the kernels the checks
-run, from fixed inputs.
+run, from fixed inputs.  `signed_permutations_in_order` builds the table of
+`harness.signed_permutations` one matrix at a time, and `NERVE_DEFECTS` are
+planted defects in the nerve maps, each a stand-in for one `nerve` name.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from nervecheck.formdsl import EntrySel, Scale, Sum, SumS4, Wedge
 from nervecheck.matrixgroup import (_MINUS, _PLUS, BASIS_PAIRS, DIM,
                                     GroupPoint, Tangent, exp_matrix,
                                     skew_from_coords)
-from nervecheck.nerve import face_ng, face_ng_diff
+from nervecheck.nerve import degeneracy_ng, face_ng, face_ng_diff
 
 
 def same_bits(a, b) -> bool:
@@ -183,6 +185,49 @@ def nerve_d_prime(f: FormEval) -> FormEval:
                                      partial(face_ng_diff, i)))
         total = term if i == 0 else total + term if i % 2 == 0 else total - term
     return total
+
+
+def signed_permutations_in_order() -> np.ndarray:
+    """The 192 signed 4x4 permutation matrices of determinant +1, one at a
+    time, in the order that `harness.signed_permutations` states."""
+    mats = []
+    for perm in itertools.permutations(range(4)):
+        for signs in itertools.product((1.0, -1.0), repeat=4):
+            m = np.zeros((4, 4))
+            m[range(4), perm] = signs
+            if round(np.linalg.det(m)) == 1:
+                mats.append(m)
+    return np.array(mats)
+
+
+def _swapped_face(i, pt):
+    g = pt.factors
+    if 0 < i < pt.level:
+        return GroupPoint(g[:i - 1] + (g[i] @ g[i - 1],) + g[i + 1:])
+    return face_ng(i, pt)
+
+
+def _shifted_face(i, pt):
+    # the middle face i multiplies g_i g_{i+1}, where there is a g_{i+1}
+    return face_ng(i + 1 if 0 < i < pt.level - 1 else i, pt)
+
+
+def _degeneracy_one_up(i, pt):
+    return degeneracy_ng(min(i + 1, pt.level), pt)
+
+
+def _other_gamma(pt):
+    g = pt.factors
+    return GroupPoint(tuple(g[k].mT @ g[k + 1] for k in range(pt.level - 1)))
+
+
+# (id, the `nerve` name it replaces, the defect)
+NERVE_DEFECTS = (
+    ("swapped-product", "face_ng", _swapped_face),
+    ("shifted-middle-face", "face_ng", _shifted_face),
+    ("degeneracy-at-i+1", "degeneracy_ng", _degeneracy_one_up),
+    ("gamma-inverse-first", "gamma", _other_gamma),
+)
 
 
 def _sinc(theta: np.ndarray) -> np.ndarray:

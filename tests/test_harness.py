@@ -32,10 +32,11 @@ from nervecheck.harness import (
 )
 from nervecheck.formcalc import FormEval
 from nervecheck.matrixgroup import exp_coords, exp_matrix, skew_from_coords
-from nervecheck.nerve import degeneracy_ng, face_ng, face_pg, gamma
 
-from helpers import (digest, same_bits, skip_unless_recorded_platform,
-                     trial_rng, validate_point, validate_tangent)
+from helpers import (NERVE_DEFECTS, digest, same_bits,
+                     signed_permutations_in_order,
+                     skip_unless_recorded_platform, trial_rng, validate_point,
+                     validate_tangent)
 from oracles import PerCallSampler
 
 
@@ -126,20 +127,6 @@ def test_samplers_produce_valid_geometry():
     bt = sample_bi_tangent(tape, bp)
     validate_tangent(bt)
     assert bt.base is bp and len(bt.reps) == 4
-
-
-def test_gamma_simplicial_keeps_headroom_on_hard_seeds():
-    # seeds whose sampled factors, from a Pade exponential, once pushed the
-    # residual past the default 1e-13 (up to 1.12e-13); the closed-form
-    # exponential keeps the factors orthogonal to roundoff
-    assert DEFAULT_TOLS["gamma-simplicial"] == 1e-13
-    runs = [(seed, 200) for seed in (32, 41, 49, 65, 80, 175, 214, 236, 248,
-                                     251, 254)]
-    runs += [(6, 1000), (7, 1000)]
-    for seed, trials in runs:
-        rep = run_check(CheckConfig("gamma-simplicial", trials=trials, seed=seed))
-        assert rep.passed, seed
-        assert rep.max_abs_err <= 1e-14, (seed, rep.max_abs_err)
 
 
 def test_fd_checks_do_not_degrade_under_step_halving():
@@ -279,8 +266,8 @@ def test_stacked_rows_across_chunk_boundaries(check_id):
 def test_any_list_of_trials_replays_the_trials_of_a_run(check_id):
     # every trial is a jump into its check's stream: alone, on either side
     # of CHUNK, or in a shuffled list with a repeat, a trial gives the same
-    # bits as in a 300-trial run, and the last trial index reads numpy's
-    # stream at its position
+    # bits as in a 300-trial run, and trial 2**32 - 1 reads numpy's stream
+    # at its position
     cfg = CheckConfig(check_id, trials=300, seed=11)
     assert 300 > CHUNK + 1
     full = trial_rows(cfg, range(300))
@@ -423,115 +410,82 @@ def test_nan_residual_fails_a_signed_component(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# simplicial-identities and gamma-simplicial: each face evaluated once, and
-# factors that are one array on both sides skipped, move no bit
+# simplicial-identities and gamma-simplicial: exact points, exact zeros
+
+IDENTITY_CHECKS = ("simplicial-identities", "gamma-simplicial")
 
 
-# 200 exact zeros
-_ZEROS = "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865"
+def test_signed_permutations_are_a_group_in_the_stated_order():
+    table = harness.signed_permutations()
+    assert same_bits(table, signed_permutations_in_order())
+    assert not table.flags.writeable
+    flat = table.reshape(192, 16)
+    assert len(np.unique(flat, axis=0)) == 192
+    assert np.array_equal(table.mT @ table, np.broadcast_to(np.eye(4),
+                                                            table.shape))
+    assert np.all(np.linalg.det(table) == 1.0)
+    # closed under products: each product of two is one of the 192
+    prods = (table[:, None] @ table[None]).reshape(-1, 16)
+    assert len(np.unique(np.concatenate([flat, prods]), axis=0)) == 192
 
-# sha256 of the little-endian doubles of each trial_rows column at 200
-# trials, recorded on the loops below, which evaluated every face, every
-# degeneracy and gamma once per compared pair and subtracted every factor
-_IDENTITY_DIGESTS = {
-    ("simplicial-identities", 0): {
-        "face-face":
-            "04c71ea93cf7ded4419391edda7e9852fbaa12c3016a292fbdbdc459be2656e4",
-        "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
-    ("simplicial-identities", 1): {
-        "face-face":
-            "25e70e8abca4f821a1e7823e05a2196e563919e7e12a027d1ce323c3ee65a323",
-        "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
-    ("simplicial-identities", 2): {
-        "face-face":
-            "070b9d4cc184b9ddce51ba9298bd188c616b6fcf944522847651b2e92e8dd250",
-        "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
-    ("simplicial-identities", 3): {
-        "face-face":
-            "2a15f74d89f032092f69e57ff552ab2e83271523394664e4a672660b986eb91e",
-        "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
-    ("gamma-simplicial", 0): {
-        "faces":
-            "5358340eeeaee62e137f4d0fd8ed8d27beb81e22fc158c067c22285d88be0c9e"},
-    ("gamma-simplicial", 1): {
-        "faces":
-            "fcf90ce1f71b654f112f3c3a4208ecbb9b87f1179cc73e0991779d156e405bad"},
-    ("gamma-simplicial", 2): {
-        "faces":
-            "abb74f42d9308b181774e62008057423d954a754733023d25ca3306789e06960"},
-    ("gamma-simplicial", 3): {
-        "faces":
-            "aef279c3649e91007df29b6ee2fc85b53d674ba2c15af049cb2559353f1461f7"},
+
+@pytest.mark.parametrize("check_id, drawn", [("simplicial-identities", 192),
+                                             ("gamma-simplicial", 191)])
+def test_identity_checks_draw_the_whole_group(monkeypatch, check_id, drawn):
+    # the elements that 200 trials at the default seed draw, through the
+    # sampler; every row of a trial is one factor
+    seen = []
+    real = harness.sample_signed_point
+
+    def recorded(tape, level):
+        pt = real(tape, level)
+        seen.extend(f.reshape(-1, 16) for f in pt.factors)
+        return pt
+
+    monkeypatch.setattr(harness, "sample_signed_point", recorded)
+    trial_rows(CheckConfig(check_id), range(200))
+    assert sum(len(f) for f in seen) == 200 * CHECKS[check_id].rows
+    assert len(np.unique(np.concatenate(seen), axis=0)) == drawn
+
+
+@pytest.mark.parametrize("seed", [*range(20), 32])
+@pytest.mark.parametrize("check_id", IDENTITY_CHECKS)
+def test_identity_check_columns_are_exact_zeros(check_id, seed):
+    cols = trial_rows(CheckConfig(check_id, seed=seed), range(200))
+    for key, col in cols.items():
+        assert same_bits(col, np.zeros(200)), key
+
+
+# Each nerve-map defect of `helpers.NERVE_DEFECTS` in place of the name
+# that `harness` imports, at the defaults: the error each id reports.  A
+# defect moves a factor by a whole signed permutation, so a kill reads an
+# integer.  Four readings are 0.0:
+# - the swapped product g_i g_{i-1} is the face of the nerve of SO(4)^op,
+#   which satisfies every face identity;
+# - gamma' = (g_k^T g_{k+1}) is a simplicial map too: at a middle face,
+#   g_{i-1}^T g_i g_i^T g_{i+1} = g_{i-1}^T g_{i+1};
+# - gamma-simplicial calls no degeneracy, and simplicial-identities no
+#   gamma.
+# Only the exact test of test_nerve pins gamma to its formula.
+_KILL_READINGS = {
+    "swapped-product": (0.0, 2.0),
+    "shifted-middle-face": (2.0, 2.0),
+    "degeneracy-at-i+1": (2.0, 0.0),
+    "gamma-inverse-first": (0.0, 0.0),
 }
 
 
-def _per_pair_dev(a, b):
-    worst = 0.0
-    for x, y in zip(a.factors, b.factors, strict=True):
-        worst = np.maximum(worst, np.max(np.abs(x - y), axis=(-2, -1)))
-    return worst
-
-
-def _per_pair_columns(check_id, seed):
-    """The columns of a 200-trial run as the per-pair loops computed them."""
-    tape = DrawTape(trial_draws(seed, check_id, range(200),
-                                CHECKS[check_id].rows))
-    if check_id == "gamma-simplicial":
-        worst = 0.0
-        for q in range(2, 4):
-            pt = sample_point(tape, q + 1)
-            for i in range(q + 1):
-                worst = np.maximum(worst, _per_pair_dev(
-                    gamma(face_pg(i, pt)), face_ng(i, gamma(pt))))
-        return {"faces": worst}
-    faces = degeneracies = mixed = 0.0
-    for q in range(3, 5):
-        pt = sample_point(tape, q)
-        for j in range(1, q + 1):
-            for i in range(j):
-                faces = np.maximum(faces, _per_pair_dev(
-                    face_ng(i, face_ng(j, pt)),
-                    face_ng(j - 1, face_ng(i, pt))))
-    for q in range(1, 4):
-        pt = sample_point(tape, q)
-        for j in range(q + 1):
-            for i in range(j + 1):
-                degeneracies = np.maximum(degeneracies, _per_pair_dev(
-                    degeneracy_ng(i, degeneracy_ng(j, pt)),
-                    degeneracy_ng(j + 1, degeneracy_ng(i, pt))))
-    for q in range(1, 4):
-        pt = sample_point(tape, q)
-        for j in range(q + 1):
-            for i in range(q + 2):
-                if i == j or i == j + 1:
-                    expected = pt
-                elif i < j:
-                    expected = degeneracy_ng(j - 1, face_ng(i, pt))
-                else:
-                    expected = degeneracy_ng(j, face_ng(i - 1, pt))
-                mixed = np.maximum(mixed, _per_pair_dev(
-                    face_ng(i, degeneracy_ng(j, pt)), expected))
-    return {"face-face": faces, "degeneracy-degeneracy": degeneracies,
-            "face-degeneracy": mixed}
-
-
-@pytest.mark.parametrize("check_id, seed", sorted(_IDENTITY_DIGESTS))
-def test_identity_check_columns_equal_the_per_pair_loops(check_id, seed):
-    got = trial_rows(CheckConfig(check_id, seed=seed), range(200))
-    want = _per_pair_columns(check_id, seed)
-    assert set(got) == set(want)
-    for key, col in got.items():
-        assert same_bits(col, np.broadcast_to(want[key], (200,))), key
-
-
-@pytest.mark.parametrize("check_id, seed", sorted(_IDENTITY_DIGESTS))
-def test_identity_check_columns_match_recorded_digests(check_id, seed):
-    # where the platform rounds differently, the test above still compares
-    # bit for bit
-    skip_unless_recorded_platform()
-    got = trial_rows(CheckConfig(check_id, seed=seed), range(200))
-    assert ({k: digest(v) for k, v in got.items()}
-            == _IDENTITY_DIGESTS[check_id, seed])
+@pytest.mark.parametrize("col, check_id", enumerate(IDENTITY_CHECKS),
+                         ids=IDENTITY_CHECKS)
+@pytest.mark.parametrize("tag, name, defect", NERVE_DEFECTS,
+                         ids=[tag for tag, _, _ in NERVE_DEFECTS])
+def test_a_nerve_map_defect_against_the_identity_checks(
+        monkeypatch, tag, name, defect, col, check_id):
+    monkeypatch.setattr(harness, name, defect)
+    rep = run_check(CheckConfig(check_id))
+    want = _KILL_READINGS[tag][col]
+    assert rep.max_abs_err == want
+    assert rep.passed is (want == 0.0)
 
 
 # The trial_rows columns of every check at seed 0 and 200 trials, stacked
@@ -541,9 +495,9 @@ _SEED0_DIGESTS = {
     "mc-structure":
         "40b39eaa7ec215bd5cc0e482abd657678e9bcdd572f2b940dcf6cb119cc2ae5e",
     "simplicial-identities":
-        "7e4f994680554e14632416c33ef7eb61abba370a1bba76ec7b23b1f1054629ab",
+        "24ddaa4710480313757f965c38d60208a334556cb244f830d5006a893edd8da7",
     "gamma-simplicial":
-        "5358340eeeaee62e137f4d0fd8ed8d27beb81e22fc158c067c22285d88be0c9e",
+        "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865",
     "lemma-4.1":
         "3afa24aaaa3ef46517d80613d15277e852cb09b956bb5b2d28177e25ffaca2a5",
     "lemma-4.2":
@@ -583,18 +537,29 @@ def test_every_check_column_matches_its_recorded_seed0_digest(check_id):
     "euler-cocycle", "equivariant-cocycle", "d-squared"])
 def test_nan_in_a_sampled_factor_fails_the_identity_checks(monkeypatch,
                                                            check_id):
-    # A NaN entry in the first factor of trial 7 of every sampled point.
-    # Comparisons of a factor with itself are skipped, but the NaN reaches
-    # every product it enters, so the run still fails at trial 7; in the
-    # finite-difference checks it reaches the coordinates of the factor's
-    # chart, and through its exponential every stepped point, and the run
-    # fails rather than raises.
-    def poisoned(c):
-        out = exp_coords(c)
-        out[7, 0, 1, 2] = np.nan
-        return out
+    # A NaN entry in the first factor of trial 7 of every sampled point:
+    # the signed permutation the identity checks draw, or the exponential
+    # the others take.  Comparisons of a factor with itself are skipped,
+    # but the NaN reaches every product it enters, so the run still fails
+    # at trial 7; in the finite-difference checks it reaches the
+    # coordinates of the factor's chart, and through its exponential every
+    # stepped point, and the run fails rather than raises.
+    if check_id in IDENTITY_CHECKS:
+        real = harness.sample_signed_point
 
-    monkeypatch.setattr(harness, "exp_coords", poisoned)
+        def poisoned_point(tape, level):
+            pt = real(tape, level)
+            pt.factors[0][7, 1, 2] = np.nan
+            return pt
+
+        monkeypatch.setattr(harness, "sample_signed_point", poisoned_point)
+    else:
+        def poisoned(c):
+            out = exp_coords(c)
+            out[7, 0, 1, 2] = np.nan
+            return out
+
+        monkeypatch.setattr(harness, "exp_coords", poisoned)
     rep = run_check(CheckConfig(check_id, trials=20))
     assert not rep.passed
     assert (rep.max_abs_err, rep.worst_trial) == (math.inf, 7)
@@ -783,12 +748,13 @@ def test_trial_rngs_sweep_matches_numpy(seed, check_id, trials):
     _assert_numpy_streams(seed, check_id, trials, 49)
 
 
-@pytest.mark.parametrize("trial", [-1, 2**32])
-def test_trial_rngs_refuse_a_trial_numpy_would_seed_differently(trial):
+def test_trial_draws_refuse_only_a_negative_trial():
     # refused whatever the rows, none included
     for rows in (1, 0):
-        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
-            trial_draws(0, "unit", [0, trial], rows)
+        with pytest.raises(ValueError, match="must not be negative"):
+            trial_draws(0, "unit", [0, -1], rows)
+    # any other index is a stream position, past 2**32 too
+    _assert_numpy_streams(0, "unit", [2**32 + 5], 3)
 
 
 def test_tape_matches_per_call_draws_past_several_blocks():

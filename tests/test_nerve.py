@@ -1,6 +1,5 @@
 """Tests for nerve face/degeneracy maps and the double/triple complex."""
 
-import itertools
 from functools import partial
 
 import numpy as np
@@ -31,8 +30,9 @@ from nervecheck.nerve import (
 )
 from nervecheck.formcalc import exterior_d
 
-from helpers import (constant_form, nerve_d_prime, rand_point, rand_tangent,
-                     random_skew, same_bits, validate_tangent)
+from helpers import (NERVE_DEFECTS, constant_form, nerve_d_prime, rand_point,
+                     rand_tangent, random_skew, same_bits,
+                     signed_permutations_in_order, validate_tangent)
 from oracles import fd_map_differential
 
 
@@ -215,25 +215,13 @@ def test_gamma_intertwines_faces():
 # identities hold bit for bit and need no tolerance
 
 
-def _signed_permutations() -> np.ndarray:
-    """The 192 signed 4x4 permutation matrices of determinant +1."""
-    mats = []
-    for perm in itertools.permutations(range(4)):
-        for signs in itertools.product((1.0, -1.0), repeat=4):
-            m = np.zeros((4, 4))
-            m[range(4), perm] = signs
-            if round(np.linalg.det(m)) == 1:
-                mats.append(m)
-    return np.array(mats)
-
-
 def _exact_mismatches() -> tuple[int, list]:
     """(comparisons, mismatches) of the nerve maps of `nerve`, looked up
     at call time, on stacks of 16 points whose factors are drawn from the
     signed permutations: every face, degeneracy and gamma identity of
     every index, starting at every level up to 6, and each face
     and gamma image against its factors."""
-    mats = _signed_permutations()
+    mats = signed_permutations_in_order()
     assert len(mats) == 192
     rng = np.random.default_rng(12)
     face, degeneracy = nerve.face_ng, nerve.degeneracy_ng
@@ -304,32 +292,9 @@ def test_nerve_maps_are_exact_on_signed_permutations():
     assert bad == []
 
 
-def _swapped_face(i, pt):
-    g = pt.factors
-    if 0 < i < pt.level:
-        return GroupPoint(g[:i - 1] + (g[i] @ g[i - 1],) + g[i + 1:])
-    return face_ng(i, pt)
-
-
-def _shifted_face(i, pt):
-    # the middle face i multiplies g_i g_{i+1}, where there is a g_{i+1}
-    return face_ng(i + 1 if 0 < i < pt.level - 1 else i, pt)
-
-
-def _degeneracy_one_up(i, pt):
-    return degeneracy_ng(min(i + 1, pt.level), pt)
-
-
-def _other_gamma(pt):
-    g = pt.factors
-    return GroupPoint(tuple(g[k].mT @ g[k + 1] for k in range(pt.level - 1)))
-
-
-@pytest.mark.parametrize("name, defect", [
-    ("face_ng", _swapped_face), ("face_ng", _shifted_face),
-    ("degeneracy_ng", _degeneracy_one_up), ("gamma", _other_gamma)],
-    ids=["swapped-product", "shifted-middle-face", "degeneracy-at-i+1",
-         "gamma-inverse-first"])
+@pytest.mark.parametrize("name, defect",
+                         [(name, defect) for _, name, defect in NERVE_DEFECTS],
+                         ids=[tag for tag, _, _ in NERVE_DEFECTS])
 def test_a_defect_in_the_nerve_maps_fails_the_exact_test(monkeypatch, name,
                                                          defect):
     monkeypatch.setattr(nerve, name, defect)
