@@ -32,6 +32,7 @@ from nervecheck.harness import (
 )
 from nervecheck.formcalc import FormEval
 from nervecheck.matrixgroup import exp_coords, exp_matrix, skew_from_coords
+from nervecheck.nerve import degeneracy_ng, face_ng, face_pg, gamma
 
 from helpers import (NERVE_DEFECTS, digest, same_bits,
                      signed_permutations_in_order,
@@ -488,6 +489,129 @@ def test_a_nerve_map_defect_against_the_identity_checks(
     assert rep.passed is (want == 0.0)
 
 
+# The reduction of both ids on rotation points, where roundoff shows: each
+# face evaluated once, and factors that are one array on both sides
+# skipped, move no bit.  `sample_point` reads as many rows as
+# `sample_signed_point`, so the streams are those of a run.
+
+# 200 exact zeros
+_ZEROS = "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865"
+
+# sha256 of the little-endian doubles of each trial_rows column at 200
+# trials on rotation points, recorded on the loops below, which evaluated
+# every face, every degeneracy and gamma once per compared pair and
+# subtracted every factor
+_IDENTITY_DIGESTS = {
+    ("simplicial-identities", 0): {
+        "face-face":
+            "04c71ea93cf7ded4419391edda7e9852fbaa12c3016a292fbdbdc459be2656e4",
+        "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
+    ("simplicial-identities", 1): {
+        "face-face":
+            "25e70e8abca4f821a1e7823e05a2196e563919e7e12a027d1ce323c3ee65a323",
+        "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
+    ("simplicial-identities", 2): {
+        "face-face":
+            "070b9d4cc184b9ddce51ba9298bd188c616b6fcf944522847651b2e92e8dd250",
+        "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
+    ("simplicial-identities", 3): {
+        "face-face":
+            "2a15f74d89f032092f69e57ff552ab2e83271523394664e4a672660b986eb91e",
+        "degeneracy-degeneracy": _ZEROS, "face-degeneracy": _ZEROS},
+    ("gamma-simplicial", 0): {
+        "faces":
+            "5358340eeeaee62e137f4d0fd8ed8d27beb81e22fc158c067c22285d88be0c9e"},
+    ("gamma-simplicial", 1): {
+        "faces":
+            "fcf90ce1f71b654f112f3c3a4208ecbb9b87f1179cc73e0991779d156e405bad"},
+    ("gamma-simplicial", 2): {
+        "faces":
+            "abb74f42d9308b181774e62008057423d954a754733023d25ca3306789e06960"},
+    ("gamma-simplicial", 3): {
+        "faces":
+            "aef279c3649e91007df29b6ee2fc85b53d674ba2c15af049cb2559353f1461f7"},
+}
+
+
+def _rotation_columns(monkeypatch, check_id, seed):
+    """The columns of a 200-trial run with rotation points in place of the
+    signed permutations."""
+    monkeypatch.setattr(harness, "sample_signed_point", sample_point)
+    return trial_rows(CheckConfig(check_id, seed=seed), range(200))
+
+
+def _per_pair_dev(a, b):
+    worst = 0.0
+    for x, y in zip(a.factors, b.factors, strict=True):
+        worst = np.maximum(worst, np.max(np.abs(x - y), axis=(-2, -1)))
+    return worst
+
+
+def _per_pair_columns(check_id, seed):
+    """The columns of a 200-trial run on rotation points as the per-pair
+    loops computed them."""
+    tape = DrawTape(trial_draws(seed, check_id, range(200),
+                                CHECKS[check_id].rows))
+    if check_id == "gamma-simplicial":
+        worst = 0.0
+        for q in range(2, 4):
+            pt = sample_point(tape, q + 1)
+            for i in range(q + 1):
+                worst = np.maximum(worst, _per_pair_dev(
+                    gamma(face_pg(i, pt)), face_ng(i, gamma(pt))))
+        return {"faces": worst}
+    faces = degeneracies = mixed = 0.0
+    for q in range(3, 5):
+        pt = sample_point(tape, q)
+        for j in range(1, q + 1):
+            for i in range(j):
+                faces = np.maximum(faces, _per_pair_dev(
+                    face_ng(i, face_ng(j, pt)),
+                    face_ng(j - 1, face_ng(i, pt))))
+    for q in range(1, 4):
+        pt = sample_point(tape, q)
+        for j in range(q + 1):
+            for i in range(j + 1):
+                degeneracies = np.maximum(degeneracies, _per_pair_dev(
+                    degeneracy_ng(i, degeneracy_ng(j, pt)),
+                    degeneracy_ng(j + 1, degeneracy_ng(i, pt))))
+    for q in range(1, 4):
+        pt = sample_point(tape, q)
+        for j in range(q + 1):
+            for i in range(q + 2):
+                if i == j or i == j + 1:
+                    expected = pt
+                elif i < j:
+                    expected = degeneracy_ng(j - 1, face_ng(i, pt))
+                else:
+                    expected = degeneracy_ng(j, face_ng(i - 1, pt))
+                mixed = np.maximum(mixed, _per_pair_dev(
+                    face_ng(i, degeneracy_ng(j, pt)), expected))
+    return {"face-face": faces, "degeneracy-degeneracy": degeneracies,
+            "face-degeneracy": mixed}
+
+
+@pytest.mark.parametrize("check_id, seed", sorted(_IDENTITY_DIGESTS))
+def test_identity_check_columns_equal_the_per_pair_loops(monkeypatch,
+                                                         check_id, seed):
+    got = _rotation_columns(monkeypatch, check_id, seed)
+    want = _per_pair_columns(check_id, seed)
+    assert set(got) == set(want)
+    for key, col in got.items():
+        assert same_bits(col, np.broadcast_to(want[key], (200,))), key
+
+
+@pytest.mark.parametrize("check_id, seed", sorted(_IDENTITY_DIGESTS))
+def test_identity_check_columns_match_recorded_digests(monkeypatch, check_id,
+                                                       seed):
+    # where the platform rounds differently, the test above still compares
+    # bit for bit
+    skip_unless_recorded_platform()
+    got = _rotation_columns(monkeypatch, check_id, seed)
+    assert ({k: digest(v) for k, v in got.items()}
+            == _IDENTITY_DIGESTS[check_id, seed])
+
+
 # The trial_rows columns of every check at seed 0 and 200 trials, stacked
 # in sorted component order: a change that claims to keep every bit (a
 # faster kernel, a new layout) must reproduce them.
@@ -748,13 +872,17 @@ def test_trial_rngs_sweep_matches_numpy(seed, check_id, trials):
     _assert_numpy_streams(seed, check_id, trials, 49)
 
 
-def test_trial_draws_refuse_only_a_negative_trial():
-    # refused whatever the rows, none included
-    for rows in (1, 0):
-        with pytest.raises(ValueError, match="must not be negative"):
-            trial_draws(0, "unit", [0, -1], rows)
-    # any other index is a stream position, past 2**32 too
-    _assert_numpy_streams(0, "unit", [2**32 + 5], 3)
+@pytest.mark.parametrize("trial", [-1, 2**32])
+def test_trial_rngs_refuse_a_trial_numpy_would_seed_differently(trial):
+    # a negative trial names no position of numpy's stream: refused
+    # whatever the rows, none included.  Any other index is a stream
+    # position, 2**32 and past it too, and reads numpy's stream there.
+    if trial < 0:
+        for rows in (1, 0):
+            with pytest.raises(ValueError, match="must not be negative"):
+                trial_draws(0, "unit", [0, trial], rows)
+    else:
+        _assert_numpy_streams(0, "unit", [trial, trial + 5], 3)
 
 
 def test_tape_matches_per_call_draws_past_several_blocks():
