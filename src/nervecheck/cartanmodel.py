@@ -41,7 +41,7 @@ import numpy as np
 
 from .formcalc import FD_STEP_DEFAULT, FormEval, contract
 from .matrixgroup import GroupPoint, Tangent
-from .nerve import Cochain, _total
+from .nerve import Cochain, total_with
 
 
 def fundamental_field(X: np.ndarray,
@@ -86,7 +86,7 @@ def total_d(cochain: Cochain, X: np.ndarray,
         i = contract(form, fundamental_field(X, p))
         return (((p, q), i if p % 2 else -i),)
 
-    return _total(cochain, fd_step, contraction)
+    return total_with(cochain, fd_step, contraction)
 
 
 def level_counts(components: dict[str, tuple[tuple[int, int], int]]

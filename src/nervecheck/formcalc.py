@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -108,23 +109,24 @@ class FormEval:
         finally:
             _cache.reset(token)
 
-    def _binary(self, other: "FormEval", sign: float) -> "FormEval":
+    def _binary(self, other: "FormEval", op: Callable) -> "FormEval":
         if not isinstance(other, FormEval):
             return NotImplemented
         if (self.degree, self.level) != (other.degree, other.level):
             raise ValueError("can only combine forms of equal degree and level")
         f, g = self.fn, other.fn
         return FormEval(self.degree, self.level,
-                        lambda pt, ts: f(pt, ts) + sign * g(pt, ts))
+                        lambda pt, ts: op(f(pt, ts), g(pt, ts)))
 
     def __add__(self, other):
-        return self._binary(other, 1.0)
+        return self._binary(other, operator.add)
 
     def __sub__(self, other):
-        return self._binary(other, -1.0)
+        return self._binary(other, operator.sub)
 
     def __neg__(self):
-        return (-1.0) * self
+        f = self.fn
+        return FormEval(self.degree, self.level, lambda pt, ts: -f(pt, ts))
 
     def __rmul__(self, c):
         if not isinstance(c, (int, float)):
@@ -202,19 +204,17 @@ def _fold_steps(degrees: tuple[int, ...]) -> tuple:
 
 
 def _fold_step(prev: list, right: list, values: tuple) -> list:
-    """The values of the next partial wedge (see _fold_steps); each starts
-    from its first term, which is never negative: it pairs the first
-    sorted tuple of its tangents with the rest, an even shuffle.  A
-    negative term adds the product with the negated factor value, exactly
-    the difference: numpy adds into a temporary product in place but
-    cannot subtract one, so `total - product` would hold three large
-    arrays at once."""
+    """The values of the next partial wedge (see _fold_steps), each the sum
+    of its signed terms, left to right.  A negative term is the product
+    with the negated factor value, added, exactly the difference: numpy
+    adds into a temporary product in place but cannot subtract one, so
+    `total - product` would hold three large arrays at once."""
     part = []
-    for (a, b, _), *terms in values:
-        total = prev[a] * right[b]
+    for terms in values:
+        total = None
         for a, b, negative in terms:
-            total = total + (prev[a] * -right[b] if negative
-                             else prev[a] * right[b])
+            y = -right[b] if negative else right[b]
+            total = prev[a] * y if total is None else total + prev[a] * y
         part.append(total)
     return part
 

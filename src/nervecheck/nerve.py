@@ -28,7 +28,7 @@ Complex differentials:
 On the row q = 0 the horizontal faces are the nerve faces, so d' there is
 the nerve's alternating face sum.  The Cartan total differential
 `cartanmodel.total_d` is that row with the contraction in place of d'';
-it and `total_d3` walk a cochain with the one `_total`.
+it and `total_d3` walk a cochain with the one `total_with`.
 """
 
 from __future__ import annotations
@@ -45,13 +45,19 @@ from .matrixgroup import DIM, GroupPoint, Tangent
 # nerve face and degeneracy maps
 
 
-def face_ng(i: int, pt: GroupPoint) -> GroupPoint:
-    """i-th face SO(4)^q -> SO(4)^(q-1): drop an end or multiply neighbors."""
+def _face_level(i: int, pt: GroupPoint) -> int:
+    """The level q of pt, once face i of SO(4)^q is known to exist."""
     q = pt.level
     if q < 1:
         raise ValueError("faces need level >= 1")
     if not 0 <= i <= q:
         raise ValueError(f"face index {i} out of range for level {q}")
+    return q
+
+
+def face_ng(i: int, pt: GroupPoint) -> GroupPoint:
+    """i-th face SO(4)^q -> SO(4)^(q-1): drop an end or multiply neighbors."""
+    q = _face_level(i, pt)
     g = pt.factors
     if i == 0:
         return GroupPoint(g[1:])
@@ -63,11 +69,7 @@ def face_ng(i: int, pt: GroupPoint) -> GroupPoint:
 def face_ng_diff(i: int, pt: GroupPoint, t: Tangent) -> tuple[np.ndarray, ...]:
     """Differential of face_ng(i, .) by the product rule: the reps of the
     image tangent, which is based at face_ng(i, pt)."""
-    q = pt.level
-    if q < 1:
-        raise ValueError("faces need level >= 1")
-    if not 0 <= i <= q:
-        raise ValueError(f"face index {i} out of range for level {q}")
+    q = _face_level(i, pt)
     g = pt.factors
     v = t.reps
     if i == 0:
@@ -128,14 +130,14 @@ def gamma(pt: GroupPoint) -> GroupPoint:
 # the conjugation action on nerve levels (for the top vertical face)
 
 
-def _conj_apply(g: np.ndarray, x: GroupPoint) -> GroupPoint:
+def conjugate(g: np.ndarray, x: GroupPoint) -> GroupPoint:
     """g acting on every factor of x by conjugation."""
     gT = np.ascontiguousarray(g.mT)
     return GroupPoint(tuple(g @ m @ gT for m in x.factors))
 
 
 def _conj_diff(g, vg, x, vx):
-    """The joint differential of _conj_apply in (g, x): the acting element,
+    """The joint differential of conjugate in (g, x): the acting element,
     its tangent rep, the point and the point's tangent reps."""
     ginv = np.ascontiguousarray(g.mT)
     out = []
@@ -189,7 +191,7 @@ def vertical_face(i: int, p: int, pt: GroupPoint) -> GroupPoint:
     x, gs = _vertical_split(i, p, pt)
     if i == gs.level:
         g = gs.factors
-        return GroupPoint(_conj_apply(g[-1], x).factors + g[:-1])
+        return GroupPoint(conjugate(g[-1], x).factors + g[:-1])
     return GroupPoint(x.factors + face_ng(i, gs).factors)
 
 
@@ -255,8 +257,8 @@ def d_triple_complex(f: FormEval, p: int, which: str,
 Cochain = dict[tuple[int, int], dict[int, FormEval]]
 
 
-def _total(cochain: Cochain, fd_step: float,
-           middle: Callable[[FormEval, int, int], tuple]) -> Cochain:
+def total_with(cochain: Cochain, fd_step: float,
+               middle: Callable[[FormEval, int, int], tuple]) -> Cochain:
     """d' + middle + d''' applied to the cochain {(p, q): {degree: form}},
     in the same shape, one entry per level it reaches.  `middle(form, p, q)`
     gives the middle terms of one form as (key, form) pairs.  The terms of
@@ -280,6 +282,6 @@ def _total(cochain: Cochain, fd_step: float,
 
 def total_d3(cochain: Cochain, fd_step: float = FD_STEP_DEFAULT) -> Cochain:
     """D3 = d' + d'' + d''' applied to the cochain {(p, q): {degree: form}}
-    of the action-twisted complex (see `_total`)."""
-    return _total(cochain, fd_step, lambda form, p, q: (
+    of the action-twisted complex (see `total_with`)."""
+    return total_with(cochain, fd_step, lambda form, p, q: (
         ((p, q + 1), d_triple_complex(form, p, "d''")),))

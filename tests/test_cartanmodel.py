@@ -473,13 +473,13 @@ _FD_DIGESTS = {
     ("equivariant-cocycle", 3):
         "0ffc4864e4edda598652a553d69ede0db3bbd58ff736d578d8803c569a3a4f28",
     ("d-squared", 0):
-        "b2813b019a2071ea6211cd30f1b1a760769cfd9338a8858eb7cec5ff1e34642f",
+        "915cc5088c3ac9728b4e81e59690aba05076719d507c4439d44dd46d30df34b9",
     ("d-squared", 1):
-        "c3451e785b055a7017d98de00c5961f8ba9f6d11ac4894d8e24a2f3fa21c35bc",
+        "61e818be61d0f30db53f4124ff6e81f4ac92addcfc69b7888b8fea18c25b4e0f",
     ("d-squared", 2):
-        "a9cf2cdb8b19ce7441a72fd021eea58be569558755700ff995095fe3906c67a5",
+        "5976daf04ae880a0abddeadb8a92c55c358cad992dfb1245f610d1380b5d420b",
     ("d-squared", 3):
-        "7843ac6a8bbb8b7ef85c5f0cbf3ec63cd8887f2a5f9da8d9644770218f1779c0",
+        "9130ba009216cc89322d75a9cc4f38822c9f3eb9f4f5e9a3776ba5c8f9c8b6c4",
 }
 
 

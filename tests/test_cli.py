@@ -20,8 +20,8 @@ from nervecheck import cli
 from nervecheck.cli import main
 from nervecheck.formdsl import (MAX_FACTOR, MAX_WEDGE_PRODUCTS,
                                 MAX_WEDGE_SLOTS)
-from nervecheck.harness import (CHECK_IDS, DEFAULT_TOLS, CheckConfig,
-                                MAX_TRIALS, run_check)
+from nervecheck.harness import (CHECK_IDS, CHECKS, CheckConfig, MAX_TRIALS,
+                                run_check)
 from nervecheck.matrixgroup import BASIS_PAIRS
 
 from helpers import distinct_wedges
@@ -215,7 +215,7 @@ def test_trials_above_the_ceiling_exit_two_before_running(capsys, monkeypatch,
     assert err.startswith("error: ") and str(MAX_TRIALS) in err
     # the ceiling itself is a valid count
     for cid in CHECK_IDS:
-        CheckConfig(check_id=cid, trials=MAX_TRIALS).validate()
+        CheckConfig(check_id=cid, trials=MAX_TRIALS)
 
 
 def test_check_all_error_inside_a_check_is_not_a_usage_error(capsys,
@@ -436,7 +436,7 @@ def test_one_parser_serves_every_call_of_a_process():
         assert got == fresh["results"][0], argv
     # the --tol of the first call does not leak into the second
     assert results[0][1].endswith(" tol=1.0e-03\n")
-    assert results[1][1].endswith(f" tol={DEFAULT_TOLS['lemma-4.3']:.1e}\n")
+    assert results[1][1].endswith(f" tol={CHECKS['lemma-4.3'].tol:.1e}\n")
     assert len(results[2][1].splitlines()) == len(CHECK_IDS)
     code, out, err = results[3]
     assert code == 2 and out == "" and "invalid choice: 'nonsense'" in err

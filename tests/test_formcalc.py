@@ -1,6 +1,5 @@
 """Tests for scalar forms on SO(4)^n: Maurer-Cartan entries, wedge, d, pullback."""
 
-import itertools
 import weakref
 
 import numpy as np
@@ -250,28 +249,6 @@ def test_wedge_products_are_alternating_multilinear():
     _check_alternating_multilinear(wedge(entry(om, 1, 2), entry(om, 3, 4)), 1, rng)
     _check_alternating_multilinear(
         wedge(entry(om, 1, 3), wedge(entry(om, 1, 2), entry(om, 2, 4))), 1, rng)
-
-
-def test_every_fold_value_starts_from_a_positive_term():
-    # `_fold_step` never negates a value's first term: it takes the first
-    # sorted r-subset of the value's tangents, their r smallest, so the
-    # shuffle is even.  Checked over the 5,015 plans of 2-6 factors of
-    # degrees 0-3 with total degree n <= 12.  A step of a plan depends on
-    # it only through n and the step's (r, s), so each plan that reaches a
-    # new (n, r, s) is built, uncached; they reach all 290 of them.
-    seen = set()
-    for k in range(2, 7):
-        for degrees in itertools.product(range(4), repeat=k):
-            n = sum(degrees)
-            steps = {(n, r, s) for r, s in zip(itertools.accumulate(degrees),
-                                                degrees[1:])}
-            if n > 12 or steps <= seen:
-                continue
-            seen |= steps
-            for values in formcalc._fold_steps.__wrapped__(degrees):
-                assert not any(negative for (_, _, negative), *_ in values), \
-                    degrees
-    assert len(seen) == 290
 
 
 # ---------------------------------------------------------------------------

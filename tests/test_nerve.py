@@ -549,7 +549,7 @@ def test_triple_vertical_with_trivial_action(monkeypatch):
     # face leaves the base point alone, so a 0-form depending only on the
     # base telescopes: the q+2 alternating terms cancel pairwise for even
     # source level q and leave (-1)^p * f for odd q.
-    monkeypatch.setattr(nerve, "_conj_apply", lambda g, x: x)
+    monkeypatch.setattr(nerve, "conjugate", lambda g, x: x)
     monkeypatch.setattr(nerve, "_conj_diff", lambda g, vg, x, vx: tuple(vx))
     rng = np.random.default_rng(22)
 

@@ -23,6 +23,8 @@ fails too, unless ALLOWED lists the name.
 Every name that a module of `src/` imports must be read in that module,
 except in `__init__.py`, whose imports are the package's re-exports, and on
 lines marked `# noqa: F401`, which import a module for its side effects.
+No module takes another module's private name: it neither imports one nor
+reads one as an attribute of a name that an import binds.
 
 The modules form layers, and a module imports package modules only from
 layers below its own (see LAYERS).
@@ -202,6 +204,52 @@ def test_unused_import_check_finds_a_planted_import(tmp_path):
                        "                       reduce)  # noqa: F401\n"
                        "x: field = os.path.join\n", encoding="utf-8")
     assert _unused_imports(planted) == ["planted.py:4: dataclass"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _private_imports(source: str) -> list[str]:
+    """line: name of every private name that a module takes from another:
+    imported (`from m import _x`, `import m._x`) or read as an attribute
+    of a name that an import binds (`from . import m` and then `m._x`)."""
+    tree = ast.parse(source)
+    bound, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            parts = (node.module or "").split(".") if isinstance(
+                node, ast.ImportFrom) else []
+            for alias in node.names:
+                bound.add(alias.asname or alias.name.split(".")[0])
+                out += [f"{node.lineno}: {part}"
+                        for part in parts + alias.name.split(".")
+                        if _private(part)]
+    out += [f"{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and _private(node.attr)
+            and isinstance(node.value, ast.Name) and node.value.id in bound]
+    return out
+
+
+def test_no_module_takes_a_private_name_of_another():
+    assert [f"{path.name}:{found}" for path in SRC
+            for found in _private_imports(path.read_text(encoding="utf-8"))
+            ] == []
+
+
+def test_private_name_check_finds_planted_imports():
+    assert _private_imports(
+        "from __future__ import annotations\n"
+        "from .nerve import Cochain, _total\n"
+        "import numpy._core as core\n"
+        "from . import nerve\n"
+        "from ._impl import public\n"
+        "class A:\n"
+        "    def f(self, other):\n"
+        "        return self._x, other._y, nerve.__name__, nerve._conj\n"
+    ) == ["2: _total", "3: _core", "5: _impl", "8: nerve._conj"]
 
 
 def _package_imports(tree: ast.Module) -> set[str]:
