@@ -24,7 +24,7 @@ from . import formdsl
 from .cartanmodel import EquivariantForm
 from .formcalc import FD_STEP_DEFAULT
 from .harness import (CHECK_IDS, CheckConfig, CheckReport, DrawTape, run_check,
-                      sample_algebra, sample_point, sample_tangent)
+                      sample_algebra, sample_point, sample_tangents)
 from .matrixgroup import Tangent, basis_element, identity_point
 
 
@@ -109,19 +109,17 @@ def _eval_setup(at: str, tangents: str, level: int, degree: int) -> tuple:
         return pt, ts, basis_element(1, 2)
     if tangents.startswith("repeat"):
         tape = _seed_tape(tangents, "repeat", level + 1)
-        one = sample_tangent(tape, pt)
-        return pt, (one,) * degree, sample_algebra(tape)
+        return pt, sample_tangents(tape, pt, 1) * degree, sample_algebra(tape)
     tape = _seed_tape(tangents, "seed", 1 + degree * level)
     x = sample_algebra(tape)
-    ts = tuple(sample_tangent(tape, pt) for _ in range(degree))
-    return pt, ts, x
+    return pt, sample_tangents(tape, pt, degree), x
 
 
 def _cmd_eval(args) -> int:
     # A name like "mu.form" falls back to the bundled corpus when no such
     # file exists on disk; an on-disk file always wins.
     try:
-        with open(args.expr, "r", encoding="utf-8") as fh:
+        with open(args.expr, "r", encoding="utf-8-sig") as fh:
             src = fh.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         if args.expr not in formdsl.CORPUS_NAMES:

@@ -135,20 +135,23 @@ class FormEval:
         return FormEval(self.degree, self.level, lambda pt, ts: c * f(pt, ts))
 
 
-def mc_left(factor_index: int, level: int) -> FormEval:
-    """Left Maurer-Cartan form h^-1 dh of the chosen factor (1-based)."""
+def _factor(factor_index: int, level: int) -> int:
+    """The 0-based position of a 1-based factor index of a level."""
     if not 1 <= factor_index <= level:
         raise ValueError(f"factor index {factor_index} out of range for level {level}")
-    k = factor_index - 1
+    return factor_index - 1
+
+
+def mc_left(factor_index: int, level: int) -> FormEval:
+    """Left Maurer-Cartan form h^-1 dh of the chosen factor (1-based)."""
+    k = _factor(factor_index, level)
     return FormEval(
         1, level, lambda pt, ts: pt.factors[k].mT @ ts[0].reps[k])
 
 
 def mc_right(factor_index: int, level: int) -> FormEval:
     """Right Maurer-Cartan form dh h^-1 of the chosen factor (1-based)."""
-    if not 1 <= factor_index <= level:
-        raise ValueError(f"factor index {factor_index} out of range for level {level}")
-    k = factor_index - 1
+    k = _factor(factor_index, level)
     return FormEval(
         1, level,
         lambda pt, ts: ts[0].reps[k] @ np.ascontiguousarray(pt.factors[k].mT))

@@ -509,8 +509,12 @@ CHECKS: dict[str, Check] = {
     "dsl-oracle": _rows(1e-12, _dsl_oracle, 1, COMPONENTS),
     # two cubic paths, four coefficient rows each
     "alpha-antisymmetry": Check(1e-12, _trial_alpha_antisymmetry, 8),
-    # 8 of the 18 blocks of D3^2: the nested-difference blocks, such as the
-    # probe's d'''d''', stay unread until ROADMAP item 2's exact derivatives
+    # 8 of the 18 (key, degree) blocks of D3^2.  Unread: the nested
+    # differences d'''d''' of e13 at (1, 0, 5) and of the probe at (1, 1, 3),
+    # until ROADMAP item 2; not yet read (item 22): of omega, d''d''' +
+    # d'''d'' at (1, 1, 2), d''d'' at (1, 2, 1) and d'd'' + d''d' at
+    # (2, 1, 1); the same three of e13 at (1, 1, 4), (1, 2, 3), (2, 1, 3)
+    # and its d'd''' + d'''d' at (2, 0, 4); the probe's d'd' at (3, 1, 1)
     "d-squared": _rows(
         1.0, _d_squared, 0,
         {"dd": ((1, 0), 3), "dpdp": ((3, 0), 1), "dpdp e13": ((3, 0), 3),

@@ -16,9 +16,11 @@ the q actors; its tangents and forms are plain Tangents and FormEvals, and
 a cochain is a dict {(p, q): {degree: form}}.  The faces take the split
 p; horizontal faces are nerve faces of the nerve point, vertical faces are
 nerve faces of the actors whose top face lets the last actor act on the
-nerve point by componentwise conjugation.  Packaged with their
-differentials, the faces are SmoothMaps, so the differentials below are
-formcalc pullbacks and exterior derivatives.
+nerve point by componentwise conjugation.  Each index has one check:
+`_check_split` checks p, for the faces and `d_triple_complex`, and
+`_face_level` checks i against the nerve point or actors it faces.
+Packaged with their differentials, the faces are SmoothMaps, so the
+differentials below are formcalc pullbacks and exterior derivatives.
 
 Complex differentials:
   d_triple_complex  one of the three differentials of the action-twisted
@@ -151,10 +153,15 @@ def _conj_diff(g, vg, x, vx):
 # point of level p followed by its q actors
 
 
+def _check_split(p: int, level: int) -> None:
+    """Raise ValueError unless p splits the level into p + q, q >= 0."""
+    if not 0 <= p <= level:
+        raise ValueError(f"split p={p} out of range for level {level}")
+
+
 def _split(p: int, pt: GroupPoint) -> tuple[GroupPoint, GroupPoint]:
     """The nerve point (the first p factors) and the actors (the rest)."""
-    if not 0 <= p <= pt.level:
-        raise ValueError(f"split p={p} out of range for level {pt.level}")
+    _check_split(p, pt.level)
     return GroupPoint(pt.factors[:p]), GroupPoint(pt.factors[p:])
 
 
@@ -172,43 +179,33 @@ def horizontal_face_diff(i: int, p: int, pt: GroupPoint,
     return face_ng_diff(i, x, Tangent(x, t.reps[:p])) + t.reps[p:]
 
 
-def _vertical_split(i: int, p: int,
-                    pt: GroupPoint) -> tuple[GroupPoint, GroupPoint]:
-    """`_split` for the vertical face i, which must exist."""
-    x, gs = _split(p, pt)
-    q = gs.level
-    if q < 1:
-        raise ValueError("vertical faces need at least one actor")
-    if not 0 <= i <= q:
-        raise ValueError(f"vertical face index {i} out of range for q={q}")
-    return x, gs
-
-
 def vertical_face(i: int, p: int, pt: GroupPoint) -> GroupPoint:
     """Vertical face (p, q) -> (p, q-1): the nerve face i of the actors,
     except that the top face i = q lets the last actor act on the nerve
     point by conjugation before dropping it."""
-    x, gs = _vertical_split(i, p, pt)
+    x, gs = _split(p, pt)
+    face = face_ng(i, gs).factors
     if i == gs.level:
-        g = gs.factors
-        return GroupPoint(conjugate(g[-1], x).factors + g[:-1])
-    return GroupPoint(x.factors + face_ng(i, gs).factors)
+        x = conjugate(gs.factors[-1], x)
+    return GroupPoint(x.factors + face)
 
 
 def vertical_face_diff(i: int, p: int, pt: GroupPoint,
                        t: Tangent) -> tuple[np.ndarray, ...]:
     """The reps of the image of t under vertical_face(i, p, .)."""
-    x, gs = _vertical_split(i, p, pt)
+    x, gs = _split(p, pt)
     vx, vg = t.reps[:p], t.reps[p:]
+    face = face_ng_diff(i, gs, Tangent(gs, vg))
     if i == gs.level:
-        return _conj_diff(gs.factors[-1], vg[-1], x, vx) + vg[:-1]
-    return vx + face_ng_diff(i, gs, Tangent(gs, vg))
+        vx = _conj_diff(gs.factors[-1], vg[-1], x, vx)
+    return vx + face
 
 
 def bi_form_from_flat(f: FormEval, p: int, q: int) -> FormEval:
     """f, once checked to be a form on SO(4)^(p+q), the (p, q) level."""
     if f.level != p + q:
-        raise ValueError("flattened level mismatch")
+        raise ValueError(f"a form keyed {(p, q)} needs level {p + q}, "
+                         f"not {f.level}")
     return f
 
 
@@ -235,8 +232,7 @@ def d_triple_complex(f: FormEval, p: int, which: str,
     which = "d'''": (-1)^(p+q) exterior derivative,           degree + 1
     """
     level = f.level
-    if not 0 <= p <= level:
-        raise ValueError(f"split p={p} out of range for level {level}")
+    _check_split(p, level)
     if which == "d'":
         return _alternating_pullbacks(f, [
             SmoothMap(level + 1, level, partial(horizontal_face, i, p + 1),
@@ -268,9 +264,7 @@ def total_with(cochain: Cochain, fd_step: float,
     out: Cochain = {}
     for (p, q), forms in sorted(cochain.items()):
         for form in forms.values():
-            if form.level != p + q:
-                raise ValueError(f"a cochain form keyed {(p, q)} needs level "
-                                 f"{p + q}, not {form.level}")
+            bi_form_from_flat(form, p, q)
             for key, d in (((p + 1, q), d_triple_complex(form, p, "d'")),
                            *middle(form, p, q),
                            ((p, q), d_triple_complex(form, p, "d'''",

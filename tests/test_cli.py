@@ -307,6 +307,30 @@ def test_eval_debug_requires_degree_one(capsys):
     assert "debug" in err
 
 
+def test_eval_accepts_a_leading_byte_order_mark_only(tmp_path, capsys):
+    # a file saved with a UTF-8 byte-order mark evaluates like the plain
+    # one; a mark anywhere else is an unexpected character, and invalid
+    # UTF-8 reads as the codec's error
+    src = Path(_corpus_path("mu.form")).read_bytes()
+    at = ("--at", "seed:1", "--tangents", "seed:2")
+    bom = tmp_path / "bom.form"
+    bom.write_bytes(b"\xef\xbb\xbf" + src)
+    plain = _run(capsys, "eval", "--expr", _corpus_path("mu.form"), *at)
+    assert plain[0] == 0
+    assert _run(capsys, "eval", "--expr", str(bom), *at) == plain
+    late = tmp_path / "late.form"
+    late.write_bytes(src[:1] + b"\xef\xbb\xbf" + src[1:])
+    code, out, err = _run(capsys, "eval", "--expr", str(late), *at)
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected character '\\ufeff' at line 1:2\n"
+    broken = tmp_path / "broken.form"
+    broken.write_bytes(src + b"\xff")
+    with pytest.raises(UnicodeDecodeError) as exc:
+        broken.read_bytes().decode("utf-8")
+    code, out, err = _run(capsys, "eval", "--expr", str(broken), *at)
+    assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+
 def test_eval_missing_file_exits_two(capsys):
     code, _, err = _run(capsys, "eval", "--expr", "/no/such/file.form",
                         "--at", "identity", "--tangents", "seed:1")

@@ -299,25 +299,40 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+# The exponentials of one run of each check at 200 trials: (charts,
+# samplers), the exp_coords calls of formcalc's charts and of harness's
+# samplers.  The other checks make none.
+_EXPONENTIALS = {
+    "mc-structure": (1, 1), "lemma-4.1": (1, 1), "lemma-4.2": (0, 1),
+    "lemma-4.3": (0, 1), "euler-cocycle": (3, 3),
+    "equivariant-cocycle": (4, 2), "ad-invariance": (0, 3),
+    "dsl-oracle": (0, 2), "d-squared": (14, 7)}
+
+
 def test_exponentials_do_not_grow_with_the_trial_count(monkeypatch):
     # the exponentials run once per stack, not once per trial (per-trial
-    # evaluation made about 30,000 calls for d-squared at 200 trials): the
-    # charts' exp_coords in formcalc, among all the exp_coords calls, the
-    # samplers' too
+    # evaluation made about 30,000 calls for d-squared at 200 trials), so
+    # 300 trials, two stacks, make exactly twice as many; no exp_coords
+    # call takes another route
     from nervecheck import formcalc, matrixgroup
 
-    coord_calls = _count_calls(monkeypatch, matrixgroup, "exp_coords")
-    counted, calls = formcalc.exp_coords, []
-    monkeypatch.setattr(formcalc, "exp_coords",
-                        lambda c: calls.append(1) or counted(c))
-    counts = []
-    for trials in (100, 200):
-        calls.clear()
-        coord_calls.clear()
-        run_check(CheckConfig("d-squared", trials=trials, seed=4))
-        counts.append((len(calls), len(coord_calls)))
-    assert counts[0] == counts[1], counts
-    assert 0 < counts[0][0] < counts[0][1] <= 500, counts
+    every = _count_calls(monkeypatch, matrixgroup, "exp_coords")
+    charts, samplers = [], []
+    for mod, calls in ((formcalc, charts), (harness, samplers)):
+        counted = mod.exp_coords
+        monkeypatch.setattr(mod, "exp_coords",
+                            lambda c, calls=calls, counted=counted:
+                            calls.append(1) or counted(c))
+    for check_id in CHECK_IDS:
+        charts_200, samplers_200 = _EXPONENTIALS.get(check_id, (0, 0))
+        for trials, stacks in ((200, 1), (300, 2)):
+            every.clear()
+            charts.clear()
+            samplers.clear()
+            run_check(CheckConfig(check_id, trials=trials, seed=4))
+            assert (len(charts), len(samplers)) == (
+                stacks * charts_200, stacks * samplers_200), (check_id, trials)
+            assert len(every) == len(charts) + len(samplers), check_id
 
 
 def _warm_peak(check_id: str) -> int:

@@ -28,7 +28,7 @@ from nervecheck.nerve import (
     vertical_face,
     vertical_face_diff,
 )
-from nervecheck.formcalc import exterior_d
+from nervecheck.formcalc import exterior_d, pullback
 
 from helpers import (NERVE_DEFECTS, constant_form, nerve_d_prime, rand_point,
                      rand_tangent, random_skew, same_bits,
@@ -387,10 +387,25 @@ def test_bisimplicial_faces_reject_bad_indices_and_splits():
         horizontal_face(0, 4, pt)  # split beyond the level
     with pytest.raises(ValueError):
         horizontal_face(2, 1, pt)  # nerve face index beyond p
-    with pytest.raises(ValueError):
-        vertical_face(0, 3, pt)  # no actors
-    with pytest.raises(ValueError):
-        vertical_face(3, 1, pt)  # vertical face index beyond q
+
+
+@pytest.mark.parametrize("i,p,message", [
+    (0, 3, "faces need level >= 1"),  # no actors: q = 0
+    (3, 1, "face index 3 out of range for level 2"),  # i = q + 1
+], ids=["no-actors", "beyond-top"])
+def test_vertical_faces_refuse_with_the_nerve_face_check(i, p, message):
+    # the face, its differential and the pullback along it, which is one
+    # term of an evaluated d'' form, all raise face_ng's error
+    rng = np.random.default_rng(26)
+    pt = rand_point(rng, 3)
+    t = rand_tangent(rng, pt)
+    term = pullback(entry(mc_left(1, 2), 1, 2), SmoothMap(
+        3, 2, partial(vertical_face, i, p), partial(vertical_face_diff, i, p)))
+    for call in (lambda: vertical_face(i, p, pt),
+                 lambda: vertical_face_diff(i, p, pt, t),
+                 lambda: term(pt, t)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -616,13 +631,13 @@ def test_d_prime_computes_each_face_image_once(monkeypatch, stack):
 
 
 def test_triple_complex_faces_compute_each_image_once(monkeypatch):
-    # d' and d'' of a 2-form at (p, q) = (1, 1): the horizontal faces call
-    # face_ng once each, the vertical faces once for each non-top face
+    # d' and d'' of a 1-form at (p, q) = (1, 1): the horizontal and the
+    # vertical faces call face_ng once each, the top vertical face too
     rng = np.random.default_rng(32)
     probe = bi_form_from_flat(
         entry(mc_left(1, 2), 1, 2) + entry(mc_right(2, 2), 1, 3), 1, 1)
     calls = _count_face_ng(monkeypatch)
-    for which, faces in (("d'", 3), ("d''", 2)):
+    for which, faces in (("d'", 3), ("d''", 3)):
         d = d_triple_complex(probe, 1, which)
         pt = rand_point(rng, d.level)
         calls.clear()

@@ -28,6 +28,10 @@ reads one as an attribute of a name that an import binds.
 
 The modules form layers, and a module imports package modules only from
 layers below its own (see LAYERS).
+
+The package imports scipy on one line only, `matrixgroup`'s `# noqa: F401`
+import, which loads it: no module calls scipy, so the tests' `expm` oracle
+stays independent of the package.
 """
 
 import ast
@@ -296,3 +300,38 @@ def test_layer_check_finds_planted_upward_imports():
                     "from nervecheck.harness import run_check\n",
     }) == ["eulercocycle -> cartanmodel", "formcalc -> formcalc",
            "formcalc -> harness", "nerve -> eulercocycle"]
+
+
+def _scipy_imports(sources: dict[str, str]) -> list[str]:
+    """module: first line of every import of scipy, or of a module of it,
+    in {module: source}."""
+    out = []
+    for name, source in sources.items():
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                out.append(f"{name}: {lines[node.lineno - 1].strip()}")
+    return out
+
+
+def test_the_package_imports_scipy_only_to_load_it():
+    # no module calls scipy, so the tests' expm oracle stays independent of
+    # the package, and the one import that loads it stays one line
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC}
+    assert _scipy_imports(sources) == [
+        "matrixgroup: import scipy.linalg  # noqa: F401"]
+
+
+def test_scipy_check_finds_planted_imports():
+    assert _scipy_imports({
+        "formcalc": "import numpy, scipy\nimport scipyx\n",
+        "nerve": "def f():\n    from scipy.linalg import expm\n",
+        "harness": "from .scipy import expm\nimport numpy.linalg\n",
+    }) == ["formcalc: import numpy, scipy",
+           "nerve: from scipy.linalg import expm"]
