@@ -85,12 +85,12 @@ def _parse_seed_token(text: str, prefix: str) -> int:
     raise ValueError(f"expected {prefix}:<non-negative integer>, got {text!r}")
 
 
-def _seed_tape(text: str, prefix: str, rows: int) -> DrawTape:
-    """The draw tape of the first `rows` rows of the generator seeded by a
-    `prefix:<integer>` token; the samplers of one token read one tape, in
-    order."""
+def _seed_tape(text: str, prefix: str) -> DrawTape:
+    """The draw tape of the generator seeded by a `prefix:<integer>` token,
+    k rows read as ``random((k, 6))``; the samplers of one token read one
+    tape, in order."""
     rng = np.random.default_rng(_parse_seed_token(text, prefix))
-    return DrawTape(rng.random((rows, 6)))
+    return DrawTape(lambda r, k: rng.random((k, 6)))
 
 
 def _eval_setup(at: str, tangents: str, level: int, degree: int) -> tuple:
@@ -98,7 +98,7 @@ def _eval_setup(at: str, tangents: str, level: int, degree: int) -> tuple:
     if at == "identity":
         pt = identity_point(level)
     else:
-        pt = sample_point(_seed_tape(at, "seed", level), level)
+        pt = sample_point(_seed_tape(at, "seed"), level)
 
     if tangents == "debug":
         if degree != 1:
@@ -108,19 +108,21 @@ def _eval_setup(at: str, tangents: str, level: int, degree: int) -> tuple:
         ts = (Tangent(pt, tuple(h @ basis_element(3, 4) for h in pt.factors)),)
         return pt, ts, basis_element(1, 2)
     if tangents.startswith("repeat"):
-        tape = _seed_tape(tangents, "repeat", level + 1)
+        tape = _seed_tape(tangents, "repeat")
         return pt, sample_tangents(tape, pt, 1) * degree, sample_algebra(tape)
-    tape = _seed_tape(tangents, "seed", 1 + degree * level)
+    tape = _seed_tape(tangents, "seed")
     x = sample_algebra(tape)
     return pt, sample_tangents(tape, pt, degree), x
 
 
 def _cmd_eval(args) -> int:
     # A name like "mu.form" falls back to the bundled corpus when no such
-    # file exists on disk; an on-disk file always wins.
+    # file exists on disk; an on-disk file always wins.  One leading
+    # byte-order mark is dropped after decoding, so that a decoding error
+    # names its byte offset in the file.
     try:
-        with open(args.expr, "r", encoding="utf-8-sig") as fh:
-            src = fh.read()
+        with open(args.expr, "r", encoding="utf-8") as fh:
+            src = fh.read().removeprefix("\ufeff")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         if args.expr not in formdsl.CORPUS_NAMES:
             return _error(exc)

@@ -10,54 +10,40 @@ Every check follows one protocol, held by its entry in `CHECKS`:
   names none), takes the max over the components of a trial, and reports
   the max over trials with its trial index; the first worst trial wins.
 
-Sampling is deterministic given (seed, check id, trial index).  Check id
-at seed owns one stream, ``PCG64(SeedSequence([seed % 2**32, crc32(id)]))``,
-and trial t of a check that reads `rows` rows of six uniforms reads the
-rows·6 doubles of ``Generator.random`` at stream position t·rows·6 as its
-(rows, 6) block.  A PCG64 is an LCG underneath, so `PCG64.advance` jumps
-to any position in O(log t) steps: `trial_draws` makes one jump and one
-`random` call per run of consecutive trials, and `trial_rows(cfg, [k])`
-replays trial k alone.  The streams of two checks are unrelated, so adding
-a check never perturbs the others; but changing a check's `rows` moves
-every trial of that check, not only the tail of each trial.  NEP 19
-freezes the seeding and the PCG64 stream, so the draws do not depend on
-the numpy version.  The samplers stack the draws of the trials, and
-`trial` builds the forms and runs them, the exponentials and the products
-once on the stack: a run walks each form tree once per stack, not once per
-trial.  At most `CHUNK` trials form one stack, so the intermediate arrays
-do not grow with the trial count.  `golden-values` evaluates fixed inputs:
-it reads no rows, seeds no stream and runs one trial whatever `trials` is.
+Sampling is deterministic given (seed, check id, trial index): a trial
+reads rows of six uniforms off a `DrawTape`, and `trial_draws` states where
+row r of trial t lies in the check's stream.  A trial's draws do not depend
+on how many rows it reads, so a check that reads one more level moves none
+of its other rows, and `trial_rows(cfg, [k])` replays trial k alone.  The
+samplers stack the draws of the trials, and `trial` builds the forms and
+runs them, the exponentials and the products once on the stack: a run
+walks each form tree once per stack, not once per trial.  At most `CHUNK`
+trials form one stack, so the intermediate arrays do not grow with the
+trial count.  `golden-values` evaluates fixed inputs: it reads no rows and
+seeds no stream.
 
-The samplers read a `DrawTape`, a cursor over the (N, rows, 6) block of
-the `Check.rows` rows one trial of the check reads.  It hands the rows out
-in stream order, and a read past the block raises.  Six coordinates in
-[-s, s] are -s + 2s u of the next row u of every trial.  That is what
-`Generator.uniform(-s, s, 6)` computes from the same doubles, so the tape
-draws the same numbers as one `uniform` call per matrix.  Drawing ahead
-changes nothing else, because no other trial reads a trial's block.  A
-point of SO(4)^level is the exponential (`exp_coords`) of its next `level`
-coordinate rows, taken in one call; no skew matrix is built for it.
-Tangents and algebra elements are skew matrices built from their rows.
+Six coordinates in [-s, s] are -s + 2s u of the next row u of every trial.
+That is what `Generator.uniform(-s, s, 6)` computes from the same doubles.
+A point of SO(4)^level is the exponential (`exp_coords`) of its next
+`level` coordinate rows, taken in one call; no skew matrix is built for
+it.  Tangents and algebra elements are skew matrices built from their rows.
 
 Nine checks are rows built by `_rows`: a residual builder returns a
 cochain of forms {(p, q): {degree: form}}, drawing X or g first where it
 needs them, and `cartanmodel.equivariant_total_check` reads the row's named
 components {name: ((p, q), degree)} of it, drawing the levels in order of
-first use; every level (p, q) is drawn as a point of SO(4)^(p+q), and a
-nerve level p is the key (p, 0).  With c = {(1,0): e13 + mu(X),
-(2,0): e22} of `eulercocycle.cocycle`, D = `cartanmodel.total_d` and
-D3 = `nerve.total_d3`, the rows and the rows they draw before the levels
+first use; every level (p, q) is drawn as a point of SO(4)^(p+q) and
+its tangents, and a nerve level p is the key (p, 0).  With c = {(1,0): e13
++ mu(X), (2,0): e22} of `eulercocycle.cocycle`, D = `cartanmodel.total_d`
+and D3 = `nerve.total_d3`, the rows and what they draw before the levels
 are
 
-    lemma-4.1, 4.2, 4.3, equivariant-cocycle   D c at X            1: X
-    euler-cocycle                              D c at X = 0        0
-    mc-structure                               d omega + omega^2   0
-    ad-invariance    c(X) - (conjugation by g)^* c(g X g^T)        2: g, X
-    dsl-oracle       the interpreted corpus minus c(X)             1: X
-    d-squared        D3^2 of {(1,0): omega + e13, (1,1): probe}    0
-
-and a level (p, q) whose highest degree is k adds (p+q)(1+k) rows, its
-point and k tangents.
+    lemma-4.1, 4.2, 4.3, equivariant-cocycle   D c at X            X
+    euler-cocycle                              D c at X = 0
+    mc-structure                               d omega + omega^2
+    ad-invariance    c(X) - (conjugation by g)^* c(g X g^T)        g, X
+    dsl-oracle       the interpreted corpus minus c(X)             X
+    d-squared        D3^2 of {(1,0): omega + e13, (1,1): probe}
 
 `ad-invariance` and `dsl-oracle` read every component of c, as
 `eulercocycle.COMPONENTS` lists them.
@@ -93,7 +79,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import formdsl
-from .cartanmodel import equivariant_total_check, level_counts, total_d
+from .cartanmodel import equivariant_total_check, total_d
 from .eulercocycle import (COMPONENTS, cocycle, eval_alpha, eval_E13,
                            eval_E22, eval_mu, polynomial_path)
 from .formcalc import (FD_STEP_DEFAULT, FormEval, SmoothMap, entry,
@@ -164,56 +150,71 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# trial streams: one per check, each trial a jump into it (see the module
-# docstring)
+# trial streams: one per check, each row of a trial a jump into it
 
 
-def trial_draws(seed: int, check_id: str, trials: Sequence[int],
-                rows: int) -> np.ndarray:
-    """The draws of the given trials of one check, an (N, rows, 6) array.
+def trial_draws(seed: int, check_id: str,
+                trials: Sequence[int]) -> Callable[[int, int], np.ndarray]:
+    """The reader `read(r, k)` of the draws of the given trials of one
+    check: rows r..r+k-1 of every trial, an (N, k, 6) array.
+
     The check owns the stream of ``PCG64(SeedSequence([seed % 2**32,
-    crc32(check_id)]))``, and trial t reads its rows·6 doubles of
-    ``Generator.random`` from stream position t·rows·6.  Each run of
-    consecutive trials is one jump (`PCG64.advance`) and one `random`
-    call; zero rows seed nothing."""
+    crc32(check_id)]))``, and row r of trial t is the six doubles of
+    ``Generator.random`` at stream position (r·2**64 + t)·6, so a trial's
+    draws do not depend on how many rows it reads.  A PCG64 is an LCG
+    underneath, so `PCG64.advance` jumps to any position in O(log t) steps:
+    each row of a run of consecutive trials is one jump and one `random`
+    call.  The 2**64 stride leaves room for any int64 trial index, and the
+    streams of two checks are unrelated.  NEP 19 freezes the seeding and
+    the PCG64 stream, so the draws do not depend on the numpy version.  The
+    stream is seeded on the first read."""
     trials = np.asarray(trials, dtype=np.int64).reshape(-1)
     if trials.size and trials.min() < 0:
         raise ValueError("a trial index must not be negative")
-    out = np.empty((trials.size, rows, 6))
-    if rows and trials.size:
-        entropy = np.random.SeedSequence(
-            [seed % 2**32, zlib.crc32(check_id.encode("utf-8"))])
-        cuts = [0, *(np.flatnonzero(np.diff(trials) != 1) + 1), trials.size]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            stream = np.random.PCG64(entropy)
-            stream.advance(int(trials[lo]) * rows * 6)
-            np.random.Generator(stream).random(out=out[lo:hi])
-    return out
+    cuts = [0, *(np.flatnonzero(np.diff(trials) != 1) + 1).tolist(),
+            trials.size]
+    runs = [(lo, hi, int(trials[lo]))
+            for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi]
+
+    stream = gen = None
+    pos = 0  # the stream position after the last read
+
+    def read(r: int, k: int) -> np.ndarray:
+        nonlocal stream, gen, pos
+        if stream is None:
+            stream = np.random.PCG64(np.random.SeedSequence(
+                [seed % 2**32, zlib.crc32(check_id.encode("utf-8"))]))
+            gen = np.random.Generator(stream)
+        out = np.empty((k, trials.size, 6))
+        for row in range(k):
+            for lo, hi, first in runs:
+                at = ((r + row) * 2**64 + first) * 6
+                stream.advance((at - pos) % 2**128)
+                gen.random(out=out[row, lo:hi])
+                pos = at + (hi - lo) * 6
+        return np.ascontiguousarray(out.swapaxes(0, 1))
+
+    return read
 
 
 # ---------------------------------------------------------------------------
 # samplers: each reads the next rows of a draw tape, stacked over the
-# trials of an (N, rows, 6) block, unstacked on a (rows, 6) block
+# trials of a stack, or unstacked for one sample
 
 
 class DrawTape:
-    """A cursor over a block of rows of six uniforms, (N, size, 6) for a
-    stack of N trials or (size, 6) for one unstacked sample, read in
-    stream order (see the module docstring)."""
+    """A cursor over a reader `read(r, k)` of rows of six uniforms,
+    (N, k, 6) for a stack of N trials or (k, 6) for one unstacked sample:
+    it hands the rows out in order, from row 0."""
 
-    def __init__(self, block: np.ndarray):
-        self._block = block
+    def __init__(self, read: Callable[[int, int], np.ndarray]):
+        self._read = read
         self._pos = 0
 
     def rows(self, k: int) -> np.ndarray:
-        """The next k rows of every trial, uniform in [0, 1): (..., k, 6).
-        A read past the end of the block raises IndexError."""
-        size = self._block.shape[-2]
-        if self._pos + k > size:
-            raise IndexError(f"a read of {k} rows at row {self._pos} runs "
-                             f"past the {size} rows of the tape")
+        """The next k rows of every trial, uniform in [0, 1): (..., k, 6)."""
         self._pos += k
-        return self._block[..., self._pos - k:self._pos, :]
+        return self._read(self._pos - k, k)
 
 
 def _coord_rows(tape: DrawTape, count: int, scale: float) -> np.ndarray:
@@ -454,20 +455,16 @@ class Check:
 
     tol: float  # default tolerance of the reported error
     trial: Callable[[CheckConfig, DrawTape], dict[str, np.ndarray]]
-    # the rows of six uniforms one trial reads; a check that reads none has
-    # fixed inputs, and runs a single trial whatever cfg.trials is
-    rows: int
     # per-component tolerances; absent ones are 1
     tols: dict[str, float] = field(default_factory=dict)
 
 
 def _rows(tol: float, residuals: Callable[[CheckConfig, DrawTape], dict],
-          draws: int, components: dict[str, tuple[tuple[int, int], int]],
+          components: dict[str, tuple[tuple[int, int], int]],
           tols: Optional[dict[str, float]] = None) -> Check:
     """The check that the named components {name: ((p, q), degree)} of the
-    cochain residuals(cfg, tape) vanish: a trial builds the cochain, drawing
-    `draws` rows, then `equivariant_total_check` draws the levels and reads
-    the components."""
+    cochain residuals(cfg, tape) vanish: a trial builds the cochain, then
+    `equivariant_total_check` draws the levels and reads the components."""
 
     def trial(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
         cochain = residuals(cfg, tape)
@@ -479,36 +476,30 @@ def _rows(tol: float, residuals: Callable[[CheckConfig, DrawTape], dict],
 
         return equivariant_total_check(cochain, sample, components)
 
-    rows = draws + sum((p + q) * (1 + count)
-                       for (p, q), count in level_counts(components).items())
-    return Check(tol, trial, rows, tols or {})
+    return Check(tol, trial, tols or {})
 
 
 # Composite checks report normalized residuals (err / component tol), so their
 # default tolerance is 1.  Everything else is a raw max-abs-error bound.
 CHECKS: dict[str, Check] = {
-    "mc-structure": _rows(1e-6, _mc_structure, 0, {"entries": ((1, 0), 2)}),
-    # a point of each level q: 3 + 4 face/face rows, 1 + 2 + 3 of
-    # degeneracies and 1 + 2 + 3 of faces against degeneracies
-    "simplicial-identities": Check(1e-13, _trial_simplicial, 19),
-    # a point of q + 1 factors per level q = 2, 3
-    "gamma-simplicial": Check(1e-13, _trial_gamma, 7),
-    "lemma-4.1": _rows(1e-6, _d_cocycle, 1, {"i e13 - d mu": ((1, 0), 2)}),
-    "lemma-4.2": _rows(1e-10, _d_cocycle, 1, {"i e22 - d' mu": ((2, 0), 1)}),
-    "lemma-4.3": _rows(1e-12, _d_cocycle, 1, {"i mu": ((1, 0), 0)}),
+    "mc-structure": _rows(1e-6, _mc_structure, {"entries": ((1, 0), 2)}),
+    "simplicial-identities": Check(1e-13, _trial_simplicial),
+    "gamma-simplicial": Check(1e-13, _trial_gamma),
+    "lemma-4.1": _rows(1e-6, _d_cocycle, {"i e13 - d mu": ((1, 0), 2)}),
+    "lemma-4.2": _rows(1e-10, _d_cocycle, {"i e22 - d' mu": ((2, 0), 1)}),
+    "lemma-4.3": _rows(1e-12, _d_cocycle, {"i mu": ((1, 0), 0)}),
     "euler-cocycle": _rows(
-        1.0, _d_cocycle_at_zero, 0,
+        1.0, _d_cocycle_at_zero,
         {"a": ((1, 0), 4), "b": ((2, 0), 3), "c": ((3, 0), 2)},
         {"a": 1e-6, "b": 1e-6, "c": 1e-10}),
     "equivariant-cocycle": _rows(
-        1.0, _d_cocycle, 1,
+        1.0, _d_cocycle,
         {"a": ((1, 0), 4), "b": ((1, 0), 2), "c": ((1, 0), 0),
          "d": ((2, 0), 3), "e": ((2, 0), 1)},
         {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}),
-    "ad-invariance": _rows(1e-10, _ad_invariance, 2, COMPONENTS),
-    "dsl-oracle": _rows(1e-12, _dsl_oracle, 1, COMPONENTS),
-    # two cubic paths, four coefficient rows each
-    "alpha-antisymmetry": Check(1e-12, _trial_alpha_antisymmetry, 8),
+    "ad-invariance": _rows(1e-10, _ad_invariance, COMPONENTS),
+    "dsl-oracle": _rows(1e-12, _dsl_oracle, COMPONENTS),
+    "alpha-antisymmetry": Check(1e-12, _trial_alpha_antisymmetry),
     # 8 of the 18 (key, degree) blocks of D3^2.  Unread: the nested
     # differences d'''d''' of e13 at (1, 0, 5) and of the probe at (1, 1, 3),
     # until ROADMAP item 2; not yet read (item 22): of omega, d''d''' +
@@ -516,13 +507,13 @@ CHECKS: dict[str, Check] = {
     # (2, 1, 1); the same three of e13 at (1, 1, 4), (1, 2, 3), (2, 1, 3)
     # and its d'd''' + d'''d' at (2, 0, 4); the probe's d'd' at (3, 1, 1)
     "d-squared": _rows(
-        1.0, _d_squared, 0,
+        1.0, _d_squared,
         {"dd": ((1, 0), 3), "dpdp": ((3, 0), 1), "dpdp e13": ((3, 0), 3),
          "total2": ((2, 0), 2), "d'd''": ((2, 2), 1), "d'd'''": ((2, 1), 2),
          "d''d'''": ((1, 2), 2), "d''d''": ((1, 3), 1)},
         {"dd": 1e-4, "dpdp": 1e-12, "dpdp e13": 1e-12, "total2": 1e-4,
          "d'd''": 1e-4, "d'd'''": 1e-4, "d''d'''": 1e-4, "d''d''": 1e-12}),
-    "golden-values": Check(1e-12, lambda cfg, tape: golden_value_errors(), 0),
+    "golden-values": Check(1e-12, lambda cfg, tape: golden_value_errors()),
 }
 
 CHECK_IDS = tuple(CHECKS)
@@ -545,7 +536,7 @@ def trial_rows(cfg: CheckConfig,
     for start in range(0, len(trials), CHUNK):
         part = trials[start:start + CHUNK]
         cols = check.trial(cfg, DrawTape(
-            trial_draws(cfg.seed, cfg.check_id, part, check.rows)))
+            trial_draws(cfg.seed, cfg.check_id, part)))
         chunks.append({k: np.broadcast_to(np.asarray(v, dtype=float),
                                           (len(part),))
                        for k, v in cols.items()})
@@ -570,7 +561,7 @@ def run_check(cfg: CheckConfig) -> CheckReport:
     """Run one named check and report its worst residual."""
     check = CHECKS[cfg.check_id]
     start = time.perf_counter()
-    cols = trial_rows(cfg, range(cfg.trials if check.rows else 1))
+    cols = trial_rows(cfg, range(cfg.trials))
     err, worst = reduce_rows(cols, check.tols)
     elapsed = int(round((time.perf_counter() - start) * 1000.0))
     tol = check.tol if cfg.tol is None else cfg.tol

@@ -92,11 +92,17 @@ def basis_element(a: int, b: int) -> np.ndarray:
     return basis_so4()[BASIS_PAIRS.index((a, b))]
 
 
-def skew_from_coords(coords) -> np.ndarray:
-    """Skew matrix with the six coordinates (last axis) in BASIS_PAIRS order."""
+def _six_coords(coords) -> np.ndarray:
+    """coords as floats; ValueError unless the last axis holds six."""
     coords = np.asarray(coords, dtype=float)
     if coords.shape[-1:] != (6,):
         raise ValueError("need exactly six coordinates")
+    return coords
+
+
+def skew_from_coords(coords) -> np.ndarray:
+    """Skew matrix with the six coordinates (last axis) in BASIS_PAIRS order."""
+    coords = _six_coords(coords)
     m = np.zeros(coords.shape[:-1] + (DIM, DIM))
     m[..., _ROWS, _COLS] = coords
     m[..., _COLS, _ROWS] = -coords
@@ -159,9 +165,7 @@ def exp_coords(c) -> np.ndarray:
     This entry point takes coordinates; `exp_matrix` takes skew matrices
     and gives the same bits as exp_coords(c) on skew_from_coords(c).
     """
-    c = np.asarray(c, dtype=float)
-    if c.shape[-1:] != (6,):
-        raise ValueError("need exactly six coordinates")
+    c = _six_coords(c)
     shape = c.shape[:-1]
     a = np.ascontiguousarray(c.reshape(-1, 6).T)
     u = 0.5 * (a[:3] + _S * a[5:2:-1])

@@ -5,8 +5,10 @@ conveniences built from the package's own primitives.  `nerve_d_prime` is
 a second route to d' on the nerve, from other primitives than the route
 the package takes, `exp_two_halves` a second route to the closed-form
 exponential, one so(3) half at a time, and `stacked_chart_steps` a second
-construction of an `exterior_d` chart.  `trial_rng` calls numpy alone: it
-is the stream that `harness.trial_draws` states for a trial.
+construction of an `exterior_d` chart.  `row_rng` calls numpy alone: it
+is the stream that `harness.trial_draws` states for a row of a trial.
+`block_tape` reads a fixed block of rows, and `trial_tape` one trial of a
+check's stream, unstacked.
 `platform_probe` reads how the platform rounds the kernels the checks
 run, from fixed inputs.  `signed_permutations_in_order` builds the table of
 `harness.signed_permutations` one matrix at a time, and `NERVE_DEFECTS` are
@@ -23,6 +25,7 @@ import pytest
 
 from nervecheck.formcalc import FormEval, SmoothMap, pullback
 from nervecheck.formdsl import EntrySel, Scale, Sum, SumS4, Wedge
+from nervecheck.harness import DrawTape, trial_draws
 from nervecheck.matrixgroup import (_MINUS, _PLUS, BASIS_PAIRS, DIM,
                                     GroupPoint, Tangent, exp_matrix,
                                     skew_from_coords)
@@ -81,14 +84,27 @@ def rand_tangent(rng: np.random.Generator, pt: GroupPoint) -> Tangent:
     return Tangent(pt, tuple(h @ random_skew(rng, 1.0) for h in pt.factors))
 
 
-def trial_rng(seed: int, check_id: str, trial: int,
-              rows: int) -> np.random.Generator:
-    """The stream of a check, as numpy seeds it, at the first draw of one
-    trial that reads `rows` rows of six doubles."""
+def row_rng(seed: int, check_id: str, trial: int,
+            row: int) -> np.random.Generator:
+    """The stream of a check, as numpy seeds it, at the first of the six
+    doubles of one row of one trial: position (row * 2**64 + trial) * 6."""
     tag = zlib.crc32(check_id.encode("utf-8"))
     stream = np.random.PCG64(np.random.SeedSequence([seed % 2**32, tag]))
-    stream.advance(trial * rows * 6)
+    stream.advance((row * 2**64 + trial) * 6)
     return np.random.Generator(stream)
+
+
+def block_tape(block) -> DrawTape:
+    """A draw tape over the rows of a fixed block, (N, size, 6) for a stack
+    or (size, 6) for one sample, read in order."""
+    return DrawTape(lambda r, k: block[..., r:r + k, :])
+
+
+def trial_tape(seed: int, check_id: str, trial: int) -> DrawTape:
+    """The unstacked draw tape of one trial of a check's stream: a read of
+    k rows is a (k, 6) array."""
+    read = trial_draws(seed, check_id, [trial])
+    return DrawTape(lambda r, k: read(r, k)[0])
 
 
 def sample_so4(seed: int) -> GroupPoint:

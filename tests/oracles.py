@@ -11,7 +11,7 @@ coefficients), finite differences move along scipy's Pade exponential (the
 package has a closed form), the expression evaluator substitutes each
 permutation into a sumS4 body (the package contracts one lowered body with a
 Levi-Civita tensor), and the reference sampler draws each matrix's six
-coordinates with its own `uniform` call (the package reads blocks of rows off
+coordinates with its own `uniform` call (the package reads stacked rows off
 a draw tape).
 """
 

@@ -329,6 +329,13 @@ def test_eval_accepts_a_leading_byte_order_mark_only(tmp_path, capsys):
         broken.read_bytes().decode("utf-8")
     code, out, err = _run(capsys, "eval", "--expr", str(broken), *at)
     assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+    # after a mark, an invalid byte names its offset in the file: 0xff at
+    # byte 12 is position 12, not the 9 it is past the mark
+    marked = tmp_path / "marked.form"
+    marked.write_bytes(b"\xef\xbb\xbfMCL(1)[1,\xff2]")
+    code, out, err = _run(capsys, "eval", "--expr", str(marked), *at)
+    assert (code, out) == (2, "")
+    assert "can't decode byte 0xff in position 12:" in err
 
 
 def test_eval_missing_file_exits_two(capsys):

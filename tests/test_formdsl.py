@@ -35,7 +35,7 @@ from nervecheck.cartanmodel import EquivariantForm
 from nervecheck.formcalc import FormEval
 from nervecheck.harness import (DrawTape, sample_algebra, sample_point,
                                 sample_tangents, trial_draws)
-from helpers import distinct_wedges, pretty
+from helpers import block_tape, distinct_wedges, pretty, trial_tape
 from oracles import cycle_sign, dsl_eval
 
 E12 = basis_element(1, 2)
@@ -191,8 +191,7 @@ def test_interpret_mu_source_matches_builtin():
 
 def test_interpret_agrees_with_builtins_at_random_probes():
     e13 = interpret(parse(corpus_source("e13.form")), 1)
-    tape = DrawTape(trial_draws(0, "dsl-unit", [0],
-                                5 * (1 + 3) + 5 * (1 + 1 + 1))[0])
+    tape = trial_tape(0, "dsl-unit", 0)
     for _ in range(5):
         pt = sample_point(tape, 1)
         ts = sample_tangents(tape, pt, 3)
@@ -207,7 +206,7 @@ def test_interpret_agrees_with_builtins_at_random_probes():
 
 def test_zero_coefficient_gives_zero_form():
     f = interpret(parse("0/pi2 sumS4( MCL(1)[p1,p2] MCL(1)[p3,p4] )"), 1)
-    tape = DrawTape(trial_draws(0, "dsl-unit", [1], 3)[0])
+    tape = trial_tape(0, "dsl-unit", 1)
     pt = sample_point(tape, 1)
     ts = sample_tangents(tape, pt, 2)
     assert f(pt, *ts) == 0.0
@@ -216,7 +215,7 @@ def test_zero_coefficient_gives_zero_form():
 def test_scalar_prefix_is_exact_multiplication():
     base = interpret(parse("MCL(1)[1,3] MCL(1)[2,4]"), 1)
     scaled = interpret(parse("2 MCL(1)[1,3] MCL(1)[2,4]"), 1)
-    tape = DrawTape(trial_draws(0, "dsl-unit", [2], 3)[0])
+    tape = trial_tape(0, "dsl-unit", 2)
     pt = sample_point(tape, 1)
     ts = sample_tangents(tape, pt, 2)
     assert scaled(pt, *ts) == 2.0 * base(pt, *ts)
@@ -330,7 +329,7 @@ def test_nested_sum_inherits_the_enclosing_placeholders():
     # the enclosing sum substitutes the inner body's placeholders too, so the
     # inner sum adds 24 equal terms whose signs cancel
     f = interpret(parse("sumS4( MCL(1)[p1,p2] sumS4( MCR(1)[p3,p4] ) )"), 1)
-    tape = DrawTape(trial_draws(0, "dsl-unit", [3], 4)[0])
+    tape = trial_tape(0, "dsl-unit", 3)
     pt = sample_point(tape, 1)
     ts = sample_tangents(tape, pt, 2)
     assert f(pt, *ts) == 0.0
@@ -349,8 +348,7 @@ def test_a_nested_sum_evaluates_nothing():
 
 
 def _stack(level: int, degree: int, n: int = 5):
-    tape = DrawTape(trial_draws(11, "dsl-layout", range(n),
-                                level * (1 + degree) + 1))
+    tape = DrawTape(trial_draws(11, "dsl-layout", range(n)))
     pts = sample_point(tape, level)
     return pts, sample_tangents(tape, pts, degree), sample_algebra(tape)
 
@@ -537,7 +535,7 @@ def test_interpret_matches_the_brute_force_oracle(source, seed):
     node, level, degree, x_degree = source
     node = parse(pretty(node))
     form = interpret(node, level)
-    tape = DrawTape(np.random.default_rng(seed).random(
+    tape = block_tape(np.random.default_rng(seed).random(
         (level * (1 + degree) + 1, 6)))
     pt = sample_point(tape, level)
     ts = sample_tangents(tape, pt, degree)
@@ -558,8 +556,7 @@ def test_a_stack_evaluates_each_point_bit_for_bit(source, seed):
     # alone: the stack axes may not change the order of any sum
     node, level, degree, x_degree = source
     form = interpret(node, level)
-    tape = DrawTape(trial_draws(seed, "dsl-stack", range(3),
-                                level * (1 + degree) + 1))
+    tape = DrawTape(trial_draws(seed, "dsl-stack", range(3)))
     pts = sample_point(tape, level)
     ts = sample_tangents(tape, pts, degree)
     Xs = sample_algebra(tape)
@@ -602,7 +599,7 @@ _VOLUME = " ".join(f"MCL(1)[{a},{b}]" for a, b in BASIS_PAIRS)
 
 def test_wedge_of_the_top_degree_matches_the_oracle():
     node = parse(_VOLUME)
-    tape = DrawTape(trial_draws(0, "dsl-unit", [6], 1 + 6)[0])
+    tape = trial_tape(0, "dsl-unit", 6)
     pt = sample_point(tape, 1)
     ts = sample_tangents(tape, pt, 6)
     got = interpret(node, 1)(pt, *ts)
@@ -640,7 +637,7 @@ def test_wedge_evaluates_each_factor_once_per_set_of_tangents(monkeypatch):
 
     monkeypatch.setattr(formdsl, "mc_left", counted)
     form = interpret(parse(_NINE), 2)
-    tape = DrawTape(trial_draws(0, "dsl-unit", [9], 2 * (1 + 9))[0])
+    tape = trial_tape(0, "dsl-unit", 9)
     pt = sample_point(tape, 2)
     value = form(pt, *sample_tangents(tape, pt, 9))
     assert len(calls) == 18 and np.isfinite(value)
@@ -656,10 +653,9 @@ def test_each_evaluation_starts_from_an_empty_memo():
     form = interpret(node, 2)
     for trials in (None, range(3)):
         for seed in (1, 2):
-            rows = 2 * (1 + 3) + 1
-            tape = DrawTape(np.random.default_rng(seed).random((rows, 6))
-                            if trials is None
-                            else trial_draws(seed, "dsl-memo", trials, rows))
+            tape = (block_tape(np.random.default_rng(seed).random((9, 6)))
+                    if trials is None
+                    else DrawTape(trial_draws(seed, "dsl-memo", trials)))
             pt = sample_point(tape, 2)
             ts = sample_tangents(tape, pt, 3)
             X = sample_algebra(tape)
@@ -688,7 +684,7 @@ def test_a_square_reuses_the_memoized_one_form_values(monkeypatch):
 
     monkeypatch.setattr(formdsl, "mc_left", counted)
     node = parse("MCL(1)[1,2] MCL(1)^2[3,4] - MCL(1)^2[1,3] MCL(1)[2,4]")
-    tape = DrawTape(trial_draws(0, "dsl-unit", range(2), 1 + 3))
+    tape = DrawTape(trial_draws(0, "dsl-unit", range(2)))
     pts = sample_point(tape, 1)
     ts = sample_tangents(tape, pts, 3)
     got = interpret(node, 1)(pts, *ts)
@@ -706,7 +702,7 @@ def test_wedge_of_mixed_degrees_matches_the_oracle():
     node = parse("MCL(1)[1,2] X[1,3] MCR(2)[2,4] MCL(2)^2[1,3] MCL(1)[3,4] "
                  "MCR(1)[1,4] MCL(2)[2,3]")
     form = interpret(node, 2)
-    stack = DrawTape(trial_draws(0, "dsl-unit", range(3), 2 * (1 + 7) + 1))
+    stack = DrawTape(trial_draws(0, "dsl-unit", range(3)))
     pts = sample_point(stack, 2)
     ts = sample_tangents(stack, pts, 7)
     Xs = sample_algebra(stack)
@@ -728,7 +724,7 @@ def test_wedge_above_the_top_degree_is_exactly_zero(extra, degree):
     # exactly, where the shuffle sum would give a roundoff residue
     node = parse(f"{_VOLUME} {extra}")
     form = interpret(node, 1)
-    tape = DrawTape(trial_draws(0, "dsl-unit", [7], 1 + degree + 1)[0])
+    tape = trial_tape(0, "dsl-unit", 7)
     pt = sample_point(tape, 1)
     ts = sample_tangents(tape, pt, degree)
     X = sample_algebra(tape)
@@ -743,7 +739,7 @@ def test_wedge_above_the_top_degree_is_exactly_zero(extra, degree):
     assert concrete(nan, *[Tangent(nan, (np.full((4, 4), np.nan),))]
                     * degree) == 0.0
     # a stack of points gives one zero per point
-    stack = DrawTape(trial_draws(0, "dsl-unit", range(3), 1 + 1 + degree))
+    stack = DrawTape(trial_draws(0, "dsl-unit", range(3)))
     pts = sample_point(stack, 1)
     Xs = sample_algebra(stack)
     value = (form(Xs) if "X" in extra else form)(
@@ -798,13 +794,13 @@ def test_a_wedge_of_more_slots_than_the_bound_is_refused():
                              f"the limit of {MAX_WEDGE_SLOTS}"):
         interpret(parse(over), 3)
     at = MAX_WEDGE_SLOTS
-    tape = DrawTape(trial_draws(0, "dsl-unit", [8], 3 * (1 + at))[0])
+    tape = trial_tape(0, "dsl-unit", 8)
     pt = sample_point(tape, 3)
     value = interpret(parse(" ".join(_LEVEL3[:at])), 3)(
         pt, *sample_tangents(tape, pt, at))
     assert math.isfinite(value) and value != 0.0
     ones = " ".join([_VOLUME, _VOLUME, "MCR(1)[2,3]"])
-    tape = DrawTape(trial_draws(0, "dsl-unit", [9], 1 + 13)[0])
+    tape = trial_tape(0, "dsl-unit", 9)
     pt = sample_point(tape, 1)
     zero = interpret(parse(ones), 1)(pt, *sample_tangents(tape, pt, 13))
     assert zero == 0.0 and isinstance(zero, float)
@@ -875,7 +871,7 @@ def test_long_sums_parse_print_and_evaluate(count):
     assert isinstance(node, Sum) and len(node.terms) == count
     assert parse(pretty(node)) == node
     assert max_factor_index(node) == 2
-    tape = DrawTape(trial_draws(0, "dsl-unit", [4], 2 * (1 + 1))[0])
+    tape = trial_tape(0, "dsl-unit", 4)
     pt = sample_point(tape, 2)
     (t,) = sample_tangents(tape, pt, 1)
     one = interpret(parse(term), 2)(pt, t)
@@ -893,7 +889,7 @@ def test_parenthesized_sums_keep_their_grouping():
                             "MCL(1)[1,4]")
     assert parse(pretty(node)) == node
     flat = parse("MCL(1)[1,2] - MCL(1)[1,3] - MCL(1)[2,3] - MCL(1)[1,4]")
-    tape = DrawTape(trial_draws(0, "dsl-unit", [5], 1 + 1)[0])
+    tape = trial_tape(0, "dsl-unit", 5)
     pt = sample_point(tape, 1)
     (t,) = sample_tangents(tape, pt, 1)
     assert interpret(node, 1)(pt, t) == interpret(flat, 1)(pt, t)

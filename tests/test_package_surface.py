@@ -32,6 +32,10 @@ layers below its own (see LAYERS).
 The package imports scipy on one line only, `matrixgroup`'s `# noqa: F401`
 import, which loads it: no module calls scipy, so the tests' `expm` oracle
 stays independent of the package.
+
+Only `harness.trial_draws` and `cli._seed_tape` name a numpy stream
+builder (`Generator`, `PCG64`, `SeedSequence`, `default_rng`), so the draw
+contract has one owner.
 """
 
 import ast
@@ -335,3 +339,48 @@ def test_scipy_check_finds_planted_imports():
         "harness": "from .scipy import expm\nimport numpy.linalg\n",
     }) == ["formcalc: import numpy, scipy",
            "nerve: from scipy.linalg import expm"]
+
+
+# The numpy names that build a random stream.
+_STREAM_BUILDERS = {"Generator", "PCG64", "SeedSequence", "default_rng"}
+
+
+def _stream_builders(sources: dict[str, str]) -> list[str]:
+    """'module.definition: name' of every stream builder that a top-level
+    definition of {module: source} names ('module: name' outside them),
+    imports included, sorted, each once."""
+    found = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            where = (f"{module}.{top.name}" if isinstance(
+                top, (ast.FunctionDef, ast.ClassDef)) else module)
+            for node in ast.walk(top):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.id if isinstance(node, ast.Name)
+                        else node.name if isinstance(node, ast.alias)
+                        else None)
+                if name in _STREAM_BUILDERS:
+                    found.add(f"{where}: {name}")
+    return sorted(found)
+
+
+def test_only_the_draw_contract_builds_a_numpy_stream():
+    # the check streams are built where `harness.trial_draws` states them,
+    # and the eval tapes where `cli._seed_tape` seeds them from a token
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC}
+    assert _stream_builders(sources) == [
+        "cli._seed_tape: default_rng", "harness.trial_draws: Generator",
+        "harness.trial_draws: PCG64", "harness.trial_draws: SeedSequence"]
+
+
+def test_stream_check_finds_planted_constructions():
+    assert _stream_builders({
+        "formcalc": "import numpy as np\n"
+                    "def f():\n    return np.random.default_rng(1)\n",
+        "nerve": "from numpy.random import PCG64 as P\n"
+                 "class A:\n    def g(self):\n"
+                 "        return np.random.Generator(P(2))\n",
+        "harness": "def trial_draws():\n    '''a PCG64 in a docstring'''\n"
+                   "    return SeedSequence\n",
+    }) == ["formcalc.f: default_rng", "harness.trial_draws: SeedSequence",
+           "nerve.A: Generator", "nerve: PCG64"]
