@@ -26,10 +26,10 @@ contraction; `total_d` applies it through the walk of `nerve.total_d3`.
 `equivariant_total_check` is the one component reader: it evaluates named
 components {name: ((p, q), degree)} of any cochain of forms, such as D c
 for the degree-4 cochain c of `eulercocycle.cocycle`, or D3^2 of a
-bisimplicial cochain, on a sample it draws level by level.  The checks in
-`harness.CHECKS` that a cochain of forms vanishes are rows of such
-components.  A sample may be stacked, with X stacked alike, and then every
-residual is an array.
+bisimplicial cochain, on a sample drawn at the level its forms name.  The
+checks in `harness.CHECKS` that a cochain of forms vanishes are rows of
+such components.  A sample may be stacked, with X stacked alike, and then
+every residual is an array.
 """
 
 from __future__ import annotations
@@ -44,15 +44,12 @@ from .matrixgroup import GroupPoint, Tangent
 from .nerve import Cochain, total_with
 
 
-def fundamental_field(X: np.ndarray,
-                      level: int) -> Callable[[GroupPoint], Tangent]:
-    """Generating vector field of conjugation: h_j -> h_j X - X h_j."""
-    x = np.asarray(X, dtype=float)
+def fundamental_field(X: np.ndarray) -> Callable[[GroupPoint], Tangent]:
+    """Generating vector field of conjugation, at any level: h_j -> h_j X -
+    X h_j.  The form it is contracted into checks the level."""
 
     def field(pt: GroupPoint) -> Tangent:
-        if pt.level != level:
-            raise ValueError("fundamental field applied at the wrong level")
-        return Tangent(pt, tuple(h @ x - x @ h for h in pt.factors))
+        return Tangent(pt, tuple(h @ X - X @ h for h in pt.factors))
 
     return field
 
@@ -83,35 +80,36 @@ def total_d(cochain: Cochain, X: np.ndarray,
     def contraction(form: FormEval, p: int, q: int) -> tuple:
         if form.degree < 1:
             return ()
-        i = contract(form, fundamental_field(X, p))
+        i = contract(form, fundamental_field(X))
         return (((p, q), i if p % 2 else -i),)
 
     return total_with(cochain, fd_step, contraction)
 
 
 def equivariant_total_check(cochain: Cochain,
-                            sample: Callable[[tuple[int, int], int], tuple],
+                            sample: Callable[[int, int], tuple],
                             components: dict[str, tuple[tuple[int, int], int]]
                             ) -> dict[str, np.ndarray]:
     """|cochain[key][degree](pt, *ts[:degree])| of every named component
-    {name: (key, degree)} of any cochain of forms, such as D c.  A key
-    (p, q) names a level; it is only compared and handed to `sample`.
+    {name: (key, degree)} of any cochain of forms, such as D c.
 
-    `sample(key, count)` draws a point of the level and `count` tangents
-    at it, as (point, tangents).  The levels are drawn in order of first use,
-    each once, with as many tangents as its highest degree needs, and the
-    components of a level are evaluated before the next level is drawn.  The
-    forms are called with their argument checks, so a sample with too few
-    tangents raises ValueError.  Each component read is one evaluation of
-    its form.
+    A key only groups components: `sample(level, count)` draws one point of
+    SO(4)^level and `count` tangents at it, as (point, tangents), per key,
+    where `count` is the highest degree read at the key and `level` the
+    level of its form.  The keys are drawn in order of first use, and the
+    components of a key are evaluated before the next key is drawn.  The
+    forms are called with their argument checks, so a form of another
+    level, or a sample with too few tangents, raises ValueError.  Each
+    component read is one evaluation of its form.
     """
     counts: dict[tuple[int, int], int] = {}  # {key: highest degree}
     for key, degree in components.values():
         counts[key] = max(counts.get(key, 0), degree)
     out = {}
     for key, count in counts.items():
-        pt, ts = sample(key, count)
+        forms = cochain[key]
+        pt, ts = sample(forms[count].level, count)
         for name, (at, degree) in components.items():
             if at == key:
-                out[name] = abs(cochain[key][degree](pt, *ts[:degree]))
+                out[name] = abs(forms[degree](pt, *ts[:degree]))
     return out

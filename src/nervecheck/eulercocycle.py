@@ -113,7 +113,7 @@ def eval_mu(X: np.ndarray, pt: GroupPoint, v: Tangent) -> float:
         raise ValueError("the polynomial 1-form lives on a single factor")
     check_base(pt, (v,))
     h = pt.factors[0]
-    x = _coords(np.asarray(X, dtype=float))
+    x = _coords(X)
     return 2.0 * _C64 * (_pf(x, _coords(h.mT @ v.reps[0]))
                          + _pf(x, _coords(v.reps[0]
                                           @ np.ascontiguousarray(h.mT))))
@@ -136,7 +136,7 @@ def polynomial_path(coeffs) -> tuple[np.ndarray, ...]:
     """The path sum_k theta^k coeffs[k] in the skew matrices, theta in
     [0, 1], as its tuple of coefficients.  A coefficient may be a stack of
     matrices: the path is then a stack of paths."""
-    return tuple(np.asarray(c, dtype=float) for c in coeffs)
+    return tuple(coeffs)
 
 
 def eval_alpha(xi1: tuple[np.ndarray, ...],

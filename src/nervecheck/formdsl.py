@@ -568,13 +568,10 @@ def interpret(node: Node, level: int):
         return FormEval(degree, level,
                         lambda pt, ts: _value(fn(pt, ts, None)))
 
-    def at(X):
-        X = np.array(X, dtype=float)
-        return FormEval(degree, level,
-                        lambda pt, ts: _value(fn(pt, ts, X)))
-
-    return EquivariantForm(level=level, form_degree=degree,
-                           poly_degree=built.x_degree, eval=at)
+    return EquivariantForm(
+        level=level, form_degree=degree, poly_degree=built.x_degree,
+        eval=lambda X: FormEval(degree, level,
+                                lambda pt, ts: _value(fn(pt, ts, X))))
 
 
 def max_factor_index(node: Node) -> int:

@@ -31,12 +31,11 @@ it.  Tangents and algebra elements are skew matrices built from their rows.
 Nine checks are rows built by `_rows`: a residual builder returns a
 cochain of forms {(p, q): {degree: form}}, drawing X or g first where it
 needs them, and `cartanmodel.equivariant_total_check` reads the row's named
-components {name: ((p, q), degree)} of it, drawing the levels in order of
-first use; every level (p, q) is drawn as a point of SO(4)^(p+q) and
-its tangents, and a nerve level p is the key (p, 0).  With c = {(1,0): e13
-+ mu(X), (2,0): e22} of `eulercocycle.cocycle`, D = `cartanmodel.total_d`
-and D3 = `nerve.total_d3`, the rows and what they draw before the levels
-are
+components {name: ((p, q), degree)} of it, drawing a point and tangents per
+key, in order of first use, at the level that the key's forms name.  With
+c = {(1,0): e13 + mu(X), (2,0): e22} of `eulercocycle.cocycle`, D =
+`cartanmodel.total_d` and D3 = `nerve.total_d3`, the rows and what they
+draw before the keys are
 
     lemma-4.1, 4.2, 4.3, equivariant-cocycle   D c at X            X
     euler-cocycle                              D c at X = 0
@@ -74,6 +73,7 @@ import zlib
 from dataclasses import dataclass, field
 from functools import cache
 from math import isfinite, pi
+from numbers import Integral, Real
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -87,8 +87,8 @@ from .formcalc import (FD_STEP_DEFAULT, FormEval, SmoothMap, entry,
                        pullback)
 from .matrixgroup import (GroupPoint, Tangent, basis_element, exp_coords,
                           identity_point, skew_from_coords)
-from .nerve import (conjugate, degeneracy_ng, face_ng, face_pg, gamma,
-                    total_d3)
+from .nerve import (bi_level, conjugate, degeneracy_ng, face_ng, face_pg,
+                    gamma, total_d3)
 
 # The most trials one run may ask for.  The slowest check, d-squared, takes
 # about 15 ms per 200 trials, so a run at the ceiling takes over a minute; a
@@ -111,6 +111,12 @@ class CheckConfig:
         """An invalid config raises ValueError here; no caller validates."""
         if self.check_id not in CHECKS:
             raise ValueError(f"unknown check id {self.check_id!r}")
+        for name, kind in (("trials", Integral), ("seed", Integral),
+                           ("fd_step", Real), ("tol", (Real, type(None)))):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is Integral else "a real number"
+                raise ValueError(f"{name} must be {what}, not {value!r}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
         # the widest 1-2-5 range of steps on which every finite-difference
@@ -164,13 +170,17 @@ def trial_draws(seed: int, check_id: str,
     draws do not depend on how many rows it reads.  A PCG64 is an LCG
     underneath, so `PCG64.advance` jumps to any position in O(log t) steps:
     each row of a run of consecutive trials is one jump and one `random`
-    call.  The 2**64 stride leaves room for any int64 trial index, and the
-    streams of two checks are unrelated.  NEP 19 freezes the seeding and
-    the PCG64 stream, so the draws do not depend on the numpy version.  The
-    stream is seeded on the first read."""
+    call.  The 2**64 stride leaves room for any int64 trial index; another
+    index, a bool or a negative one raises ValueError.  The streams of two
+    checks are unrelated.  NEP 19 freezes the seeding and the PCG64 stream,
+    so the draws do not depend on the numpy version.  The stream is seeded
+    on the first read."""
+    for t in trials:
+        if isinstance(t, bool) or not (isinstance(t, (int, np.integer))
+                                       and 0 <= t < 2**63):
+            raise ValueError("a trial index must be an int64 integer and "
+                             f"must not be negative, not {t!r}")
     trials = np.asarray(trials, dtype=np.int64).reshape(-1)
-    if trials.size and trials.min() < 0:
-        raise ValueError("a trial index must not be negative")
     cuts = [0, *(np.flatnonzero(np.diff(trials) != 1) + 1).tolist(),
             trials.size]
     runs = [(lo, hi, int(trials[lo]))
@@ -272,8 +282,8 @@ def sample_signed_point(tape: DrawTape, level: int) -> GroupPoint:
 
 
 def sample_bi_point(tape: DrawTape, p: int, q: int) -> GroupPoint:
-    """A point of the bisimplicial level (p, q), which is SO(4)^(p+q)."""
-    return sample_point(tape, p + q)
+    """A point of the bisimplicial level (p, q)."""
+    return sample_point(tape, bi_level(p, q))
 
 
 def sample_bi_tangent(tape: DrawTape, pt: GroupPoint) -> Tangent:
@@ -393,10 +403,10 @@ def _ad_invariance(cfg: CheckConfig, tape) -> dict:
     g = sample_point(tape, 1).factors[0]
     gT = np.ascontiguousarray(g.mT)
     X = sample_algebra(tape)
-    conj = {(p, 0): SmoothMap(p, p, lambda pt: conjugate(g, pt),
-                              lambda pt, t: tuple(g @ r @ gT for r in t.reps))
+    conj = {p: SmoothMap(p, p, lambda pt: conjugate(g, pt),
+                         lambda pt, t: tuple(g @ r @ gT for r in t.reps))
             for p in (1, 2)}
-    moved = {key: {d: pullback(f, conj[key]) for d, f in forms.items()}
+    moved = {key: {d: pullback(f, conj[f.level]) for d, f in forms.items()}
              for key, forms in cocycle(g @ X @ gT).items()}
     return _minus(cocycle(X), moved)
 
@@ -423,26 +433,21 @@ def _dsl_oracle(cfg: CheckConfig, tape) -> dict:
 
 def golden_value_errors() -> dict[str, float]:
     """Absolute deviations of the frozen example evaluations."""
-    e12 = basis_element(1, 2)
-    e34 = basis_element(3, 4)
-    ident1 = identity_point(1)
-    out = {}
-    got = eval_mu(e12, ident1, Tangent(ident1, (e34,)))
-    out["mu"] = abs(got - (-1.0 / (4.0 * pi**2)))
-    ident2 = identity_point(2)
-    t1 = Tangent(ident2, (e12, np.zeros((4, 4))))
-    t2 = Tangent(ident2, (np.zeros((4, 4)), e34))
-    out["e22"] = abs(eval_E22(ident2, t1, t2) - (-1.0 / (8.0 * pi**2)))
-    theta = polynomial_path([np.zeros((4, 4)), e12])
-    const = polynomial_path([e34])
-    out["alpha"] = abs(eval_alpha(theta, const) - (-1.0 / (8.0 * pi**2)))
-    v = [Tangent(ident1, (basis_element(a, b),))
-         for a, b in ((1, 2), (1, 3), (2, 3))]
-    out["e13-degenerate"] = abs(eval_E13(ident1, *v))
-    v2 = [Tangent(ident1, (basis_element(a, b),))
-          for a, b in ((1, 2), (1, 3), (1, 4))]
-    out["e13"] = abs(eval_E13(ident1, *v2) - (-1.0 / (8.0 * pi**2)))
-    return out
+    e, zero = basis_element, np.zeros((4, 4))
+    one, two = identity_point(1), identity_point(2)
+    eighth = -1.0 / (8.0 * pi**2)
+
+    def at_one(*pairs) -> list[Tangent]:
+        return [Tangent(one, (e(a, b),)) for a, b in pairs]
+
+    return {
+        "mu": abs(eval_mu(e(1, 2), one, *at_one((3, 4))) - 2.0 * eighth),
+        "e22": abs(eval_E22(two, Tangent(two, (e(1, 2), zero)),
+                            Tangent(two, (zero, e(3, 4)))) - eighth),
+        "alpha": abs(eval_alpha(polynomial_path([zero, e(1, 2)]),
+                                polynomial_path([e(3, 4)])) - eighth),
+        "e13-degenerate": abs(eval_E13(one, *at_one((1, 2), (1, 3), (2, 3)))),
+        "e13": abs(eval_E13(one, *at_one((1, 2), (1, 3), (1, 4))) - eighth)}
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +472,12 @@ def _rows(tol: float, residuals: Callable[[CheckConfig, DrawTape], dict],
     `equivariant_total_check` draws the levels and reads the components."""
 
     def trial(cfg: CheckConfig, tape) -> dict[str, np.ndarray]:
-        cochain = residuals(cfg, tape)
-
-        def sample(key: tuple[int, int], count: int) -> tuple:
-            p, q = key
-            pt = sample_point(tape, p + q)
+        def sample(level: int, count: int) -> tuple:
+            pt = sample_point(tape, level)
             return pt, sample_tangents(tape, pt, count)
 
-        return equivariant_total_check(cochain, sample, components)
+        return equivariant_total_check(residuals(cfg, tape), sample,
+                                       components)
 
     return Check(tol, trial, tols or {})
 

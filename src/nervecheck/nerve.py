@@ -153,6 +153,11 @@ def _conj_diff(g, vg, x, vx):
 # point of level p followed by its q actors
 
 
+def bi_level(p: int, q: int) -> int:
+    """The number of SO(4) factors of the bisimplicial level (p, q)."""
+    return p + q
+
+
 def _check_split(p: int, level: int) -> None:
     """Raise ValueError unless p splits the level into p + q, q >= 0."""
     if not 0 <= p <= level:
@@ -203,9 +208,9 @@ def vertical_face_diff(i: int, p: int, pt: GroupPoint,
 
 def bi_form_from_flat(f: FormEval, p: int, q: int) -> FormEval:
     """f, once checked to be a form on SO(4)^(p+q), the (p, q) level."""
-    if f.level != p + q:
-        raise ValueError(f"a form keyed {(p, q)} needs level {p + q}, "
-                         f"not {f.level}")
+    if f.level != bi_level(p, q):
+        raise ValueError(f"a form keyed {(p, q)} needs level "
+                         f"{bi_level(p, q)}, not {f.level}")
     return f
 
 

@@ -98,13 +98,14 @@ def test_criterion_04_cocycle_components_with_forced_sign():
 def test_criterion_05_all_five_residuals_with_one_sign_pair():
     tols = {"a": 1e-6, "b": 1e-6, "c": 1e-12, "d": 1e-6, "e": 1e-10}
     # the 200 samples as one stack, each trial from its own stream, drawn
-    # in the check's order: X, then each level's point and its tangents
+    # in the check's order: X, then each key's point, at the level of its
+    # forms, and its tangents
     tape = DrawTape(trial_draws(SEED, "equivariant-cocycle", range(200)))
     X = sample_algebra(tape)
     D = total_d(cocycle(X), X, FD_STEP)
 
-    def sample(key, count):
-        pt = sample_point(tape, key[0] + key[1])
+    def sample(level, count):
+        pt = sample_point(tape, level)
         return pt, sample_tangents(tape, pt, count)
 
     cols = equivariant_total_check(D, sample, {

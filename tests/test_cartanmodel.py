@@ -39,7 +39,7 @@ E34 = basis_element(3, 4)
 
 
 def test_fundamental_field_vanishes_at_identity():
-    fld = fundamental_field(E12, 2)
+    fld = fundamental_field(E12)
     t = fld(identity_point(2))
     for r in t.reps:
         assert np.array_equal(r, np.zeros((4, 4)))
@@ -48,7 +48,7 @@ def test_fundamental_field_vanishes_at_identity():
 def test_fundamental_field_zero_generator():
     rng = np.random.default_rng(0)
     pt = rand_point(rng, 1)
-    t = fundamental_field(np.zeros((4, 4)), 1)(pt)
+    t = fundamental_field(np.zeros((4, 4)))(pt)
     assert np.array_equal(t.reps[0], np.zeros((4, 4)))
 
 
@@ -56,19 +56,23 @@ def test_fundamental_field_value_and_validity():
     rng = np.random.default_rng(1)
     X = random_skew(rng)
     pt = rand_point(rng, 2)
-    t = fundamental_field(X, 2)(pt)
+    t = fundamental_field(X)(pt)
     for h, r in zip(pt.factors, t.reps):
         assert np.allclose(r, h @ X - X @ h, atol=1e-15)
     validate_tangent(t)
-    with pytest.raises(ValueError):
-        fundamental_field(X, 2)(rand_point(rng, 1))
+    # the field takes the level of the point; a form contracted with it
+    # refuses a point of another level
+    one = rand_point(rng, 1)
+    assert len(fundamental_field(X)(one).reps) == 1
+    with pytest.raises(ValueError, match="level-2 form"):
+        contract(entry(mc_left(1, 2), 1, 2), fundamental_field(X))(one)
 
 
 def test_contraction_with_left_mc_form():
     # i_{X#}(left MC entry) = (X - h^T X h)[a, b]
     rng = np.random.default_rng(2)
     X = random_skew(rng)
-    fld = fundamental_field(X, 1)
+    fld = fundamental_field(X)
     for (a, b) in ((1, 2), (1, 4), (2, 3)):
         f = contract(entry(mc_left(1, 1), a, b), fld)
         for _ in range(5):
@@ -85,8 +89,8 @@ def test_fundamental_field_is_conjugation_equivariant():
     g = exp_matrix(random_skew(rng, 2.0))
     pt = rand_point(rng, 1)
     moved = GroupPoint(tuple(g @ h @ g.T for h in pt.factors))
-    lhs = fundamental_field(g @ X @ g.T, 1)(moved)
-    rhs = fundamental_field(X, 1)(pt)
+    lhs = fundamental_field(g @ X @ g.T)(moved)
+    rhs = fundamental_field(X)(pt)
     pushed = tuple(g @ r @ g.T for r in rhs.reps)
     assert max(np.max(np.abs(a - b)) for a, b in zip(lhs.reps, pushed)) < 1e-12
 
@@ -191,7 +195,7 @@ def test_cartan_d_lowering_part_is_minus_contraction():
     X = random_skew(rng)
     for p, form in ((1, e13(X)), (2, e22(X))):
         g = total_d({(p, 0): {form.degree: form}}, X)[(p, 0)]
-        want = contract(form, fundamental_field(X, p))
+        want = contract(form, fundamental_field(X))
         pt = rand_point(rng, p)
         ts = [rand_tangent(rng, pt) for _ in range(form.degree - 1)]
         sign = 1.0 if p % 2 else -1.0
@@ -218,7 +222,7 @@ def test_twisted_d_of_mu_reproduces_contraction_of_e13():
     rng = np.random.default_rng(11)
     X = random_skew(rng)
     lhs = total_d({(1, 0): {1: mu(X)}}, X, fd_step=1e-5)[(1, 0)]
-    rhs = contract(e13(X), fundamental_field(X, 1))
+    rhs = contract(e13(X), fundamental_field(X))
     worst = 0.0
     for _ in range(5):
         pt = rand_point(rng, 1)
@@ -244,7 +248,7 @@ def test_total_d_is_d_prime_plus_signed_cartan_d():
         return exterior_d(f, 1e-5)
 
     def i(f):
-        return contract(f, fundamental_field(X, f.level))
+        return contract(f, fundamental_field(X))
 
     # level 1: (-1)^1 (d - i) of e13 + mu(X), and nothing from level 0;
     # level 2: d' of e13 + mu(X) plus (d - i) e22; level 3: d' e22 alone
@@ -328,14 +332,14 @@ COMPONENTS = {"a": ((1, 0), 4), "b": ((1, 0), 2), "c": ((1, 0), 0),
 
 
 def _fixed(rng, points=None, counts=(4, 3)):
-    """A sample that hands out one fixed point and tangents per level
-    (p, 0), at random points unless `points` gives them by p."""
+    """A sample that hands out one fixed point and tangents per level 1 and
+    2, at random points unless `points` gives them by level."""
     drawn = {}
     for level, count in zip((1, 2), counts):
         pt = rand_point(rng, level) if points is None else points[level]
-        drawn[(level, 0)] = (pt, tuple(rand_tangent(rng, pt)
-                                       for _ in range(count)))
-    return lambda key, count: drawn[key]
+        drawn[level] = (pt, tuple(rand_tangent(rng, pt)
+                                  for _ in range(count)))
+    return lambda level, count: drawn[level]
 
 
 def _check(X, sample):
@@ -401,9 +405,36 @@ def test_total_check_rejects_malformed_samples():
         _check(X, bad)
 
 
+def test_total_check_draws_the_level_its_forms_name_not_the_key():
+    # a key only groups components: e22 keyed (0, 0) is drawn at level 2
+    # and mu keyed (5, 3) at level 1, and each reads its own form there
+    rng = np.random.default_rng(18)
+    X = random_skew(rng)
+    drawn = []
+
+    def sample(level, count):
+        pt = rand_point(rng, level)
+        drawn.append((pt, tuple(rand_tangent(rng, pt) for _ in range(count))))
+        return drawn[-1]
+
+    cochain = {(0, 0): {2: e22(X)}, (5, 3): {1: mu(X)}}
+    out = equivariant_total_check(cochain, sample, {
+        "e22": ((0, 0), 2), "mu": ((5, 3), 1)})
+    assert [pt.level for pt, _ in drawn] == [2, 1]
+    assert out == {"e22": abs(e22(X)(drawn[0][0], *drawn[0][1])),
+                   "mu": abs(mu(X)(drawn[1][0], *drawn[1][1]))}
+    # a form of another level than the one drawn for its key is refused
+    cochain[(0, 0)][1] = mu(X)
+    with pytest.raises(ValueError, match="level-1 form called at a point "
+                                         "of level 2"):
+        equivariant_total_check(cochain, sample, {
+            "e22": ((0, 0), 2), "mu": ((0, 0), 1)})
+
+
 def test_total_check_draws_each_level_once_before_the_next():
-    # levels in order of first use, each with its highest degree's tangents,
-    # and a level's components read before the next level is drawn
+    # keys in order of first use, each drawn at the level of its forms with
+    # its highest degree's tangents, and a key's components read before the
+    # next key is drawn
     log = []
     real = _fixed(np.random.default_rng(16))
 
@@ -423,8 +454,8 @@ def test_total_check_draws_each_level_once_before_the_next():
         "d": ((2, 0), 3), "b": ((1, 0), 2), "e": ((2, 0), 1),
         "a": ((1, 0), 4)})
     assert out == {"d": 0.0, "e": 0.0, "b": 0.0, "a": 0.0}
-    assert log == [("draw", (2, 0), 3), ("eval", 2, 3), ("eval", 2, 1),
-                   ("draw", (1, 0), 4), ("eval", 1, 2), ("eval", 1, 4)]
+    assert log == [("draw", 2, 3), ("eval", 2, 3), ("eval", 2, 1),
+                   ("draw", 1, 4), ("eval", 1, 2), ("eval", 1, 4)]
 
 
 # ---------------------------------------------------------------------------

@@ -593,18 +593,18 @@ def test_stacked_forms_check_the_base_point():
 
 
 def test_base_point_check_has_no_relative_tolerance():
-    # a base 5e-6 away from the evaluation point is rejected, though it
-    # lies within a relative tolerance of 1e-5 of an entry of size 1
+    # a tangent is based at the point object it was built at: a base 5e-6
+    # away from the evaluation point is rejected, though it lies within a
+    # relative tolerance of 1e-5 of an entry of size 1, and so are a base
+    # 1e-10 away and an equal copy of the point
     pt = identity_point(1)
-    moved = np.eye(4)
-    moved[0, 0] += 5e-6
-    t = Tangent(GroupPoint((moved,)), (E12,))
     form = entry(mc_left(1, 1), 1, 2)
-    with pytest.raises(ValueError, match="based at the evaluation point"):
-        form(pt, t)
-    # within the 1e-9 absolute tolerance it is the same point
-    moved[0, 0] = 1.0 + 1e-10
-    assert form(pt, t) == 1.0
+    for gap in (5e-6, 1e-10, 0.0):
+        moved = np.eye(4)
+        moved[0, 0] += gap
+        with pytest.raises(ValueError, match="based at the evaluation point"):
+            form(pt, Tangent(GroupPoint((moved,)), (E12,)))
+    assert form(pt, Tangent(pt, (E12,))) == 1.0
 
 
 # ---------------------------------------------------------------------------

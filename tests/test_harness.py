@@ -1,6 +1,7 @@
 """Tests for the randomized check harness: ids, configs, reports, determinism."""
 
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -98,6 +99,21 @@ def test_config_validation():
             CheckConfig(**{"check_id": "lemma-4.1", "trials": 1, **kwargs})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("trials", 2.5), ("trials", True), ("seed", 1.5), ("seed", False),
+    ("fd_step", "1e-5"), ("tol", "1e-3"), ("tol", True)])
+def test_config_refuses_a_value_of_the_wrong_type(field, value):
+    # refused when the config is built, not later by range or the seeding;
+    # numpy numbers are numbers of their kind
+    what = "an integer" if field in ("trials", "seed") else "a real number"
+    message = f"{field} must be {what}, not {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CheckConfig("lemma-4.1", **{field: value})
+    cfg = CheckConfig("lemma-4.1", trials=np.int32(3), seed=np.int64(-2),
+                      fd_step=np.float64(1e-5), tol=np.float32(1e-6))
+    assert cfg.trials == 3 and cfg.seed == -2
+
+
 def test_tol_override_can_force_failure():
     rep = run_check(CheckConfig("mc-structure", trials=2, seed=3, tol=1e-30))
     assert not rep.passed
@@ -169,7 +185,7 @@ def test_identity_point_kills_lemma41_contraction_term():
     pt = identity_point(1)
     ts = sample_tangents(tape, pt, 2)
     c = cocycle(X)
-    contraction = contract(c[(1, 0)][3], fundamental_field(X, 1))
+    contraction = contract(c[(1, 0)][3], fundamental_field(X))
     assert contraction(pt, *ts) == 0.0
     resid = abs(contraction(pt, *ts) - exterior_d(c[(1, 0)][1], 1e-5)(pt, *ts))
     assert resid < 1e-9
@@ -382,13 +398,14 @@ def test_a_run_of_d_squared_stays_within_its_memory():
     assert peak <= 2800 * 1024, peak // 1024
 
 
-@pytest.mark.parametrize("check_id, bound_kb", [("euler-cocycle", 2080),
-                                                ("equivariant-cocycle", 2030)])
+@pytest.mark.parametrize("check_id, bound_kb", [("euler-cocycle", 1810),
+                                                ("equivariant-cocycle", 1840)])
 def test_a_run_of_a_cocycle_check_stays_within_its_memory(check_id, bound_kb):
     # The tracemalloc peaks as for d-squared: 1,657 KB for euler-cocycle and
     # 1,686 KB for equivariant-cocycle, whether a chart holds its steps and
-    # fields in one buffer or in one array each.  The bounds leave 25 % and
-    # 20 % of headroom, so a chart layout cannot grow them unnoticed.
+    # fields in one buffer or in one array each.  The bounds leave 9 % of
+    # headroom, as d-squared's does, so a chart layout cannot grow them
+    # unnoticed.
     peak = _warm_peak(check_id)
     assert peak <= bound_kb * 1024, peak // 1024
 
@@ -873,6 +890,55 @@ def test_planted_defect_fails_d_squared(monkeypatch, defects):
 
 
 # ---------------------------------------------------------------------------
+# which blocks of the cochains the checks read (ROADMAP item 22): a spy on
+# the reader records the blocks a trial builds and the components it reads
+
+
+def _blocks(monkeypatch, check_id: str) -> tuple[set, set]:
+    """(the blocks of the cochain, the blocks read) of one trial of a check,
+    each a set of (p, q, degree)."""
+    real = harness.equivariant_total_check
+    seen = []
+
+    def spy(cochain, sample, components):
+        seen.append(({(*key, d) for key, forms in cochain.items()
+                      for d in forms},
+                     {(*key, d) for key, d in components.values()}))
+        return real(cochain, sample, components)
+
+    monkeypatch.setattr(harness, "equivariant_total_check", spy)
+    run_check(CheckConfig(check_id, trials=1))
+    (blocks,) = seen
+    return blocks
+
+
+def test_every_block_of_d_c_is_read_by_a_d_check(monkeypatch):
+    # D c has six blocks, and the five D checks read each of them; only
+    # euler-cocycle reads d'e22 at (3, 0, 2), as the README names it
+    every = {(1, 0, 4), (1, 0, 2), (1, 0, 0), (2, 0, 3), (2, 0, 1),
+             (3, 0, 2)}
+    read = {}
+    for check_id in D_CHECKS:
+        built, read[check_id] = _blocks(monkeypatch, check_id)
+        assert built == every, check_id
+    assert set().union(*read.values()) == every
+    assert [c for c in D_CHECKS if (3, 0, 2) in read[c]] == ["euler-cocycle"]
+
+
+def test_d_squared_leaves_unread_only_the_blocks_its_comment_names(
+        monkeypatch):
+    # D3^2 of the d-squared cochain has 18 blocks; the check reads 8, and
+    # the other 10 are the ones the comment on its CHECKS row names
+    built, read = _blocks(monkeypatch, "d-squared")
+    assert len(built) == 18 and len(read) == 8 and read <= built
+    assert built - read == {
+        (1, 0, 5), (1, 1, 3),  # nested differences of e13 and the probe
+        (1, 1, 2), (1, 2, 1), (2, 1, 1),  # of omega
+        (1, 1, 4), (1, 2, 3), (2, 1, 3), (2, 0, 4),  # of e13
+        (3, 1, 1)}  # the probe's d'd'
+
+
+# ---------------------------------------------------------------------------
 # the draw tape against the per-call reference sampler, bit for bit
 
 _PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])  # BASIS_PAIRS, 0-based
@@ -935,12 +1001,21 @@ def test_trial_rngs_sweep_matches_numpy(seed, check_id, trials):
     _assert_numpy_streams(seed, check_id, trials, 3)
 
 
-@pytest.mark.parametrize("trial", [-1, 2**32])
+@pytest.mark.parametrize("trial", [-1, 2**32, 1.7, True, 2**63])
 def test_trial_rngs_refuse_a_trial_numpy_would_seed_differently(trial):
     # a negative trial names no position of numpy's stream: refused before
-    # any read.  Any other index is a stream position, 2**32 and past it
-    # too, and reads numpy's stream there.
-    if trial < 0:
+    # any read.  So are a float, which an int64 cast truncates, a bool, and
+    # an index past int64, which would overflow; the message names it, and
+    # a replay of the run refuses it too.  Any other index is a stream
+    # position, 2**32 and past it too, and reads numpy's stream there.
+    if trial is True or trial in (1.7, 2**63):
+        message = re.escape(f"must be an int64 integer and must not be "
+                            f"negative, not {trial!r}")
+        with pytest.raises(ValueError, match=message):
+            trial_draws(0, "unit", [0, trial])
+        with pytest.raises(ValueError, match=message):
+            trial_rows(CheckConfig("lemma-4.3", trials=2), [0, trial])
+    elif trial < 0:
         with pytest.raises(ValueError, match="must not be negative"):
             trial_draws(0, "unit", [0, trial])
     else:

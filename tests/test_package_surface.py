@@ -36,6 +36,11 @@ stays independent of the package.
 Only `harness.trial_draws` and `cli._seed_tape` name a numpy stream
 builder (`Generator`, `PCG64`, `SeedSequence`, `default_rng`), so the draw
 contract has one owner.
+
+No module compares to a tolerance with `allclose` or `isclose`, and only
+`matrixgroup`, whose closed-form exponential is float-only, and `harness`,
+which casts the residuals it reports, cast with `dtype=float`: the
+evaluators take the numbers they are given.
 """
 
 import ast
@@ -384,3 +389,46 @@ def test_stream_check_finds_planted_constructions():
                    "    return SeedSequence\n",
     }) == ["formcalc.f: default_rng", "harness.trial_draws: SeedSequence",
            "nerve.A: Generator", "nerve: PCG64"]
+
+
+# The modules that may cast with `dtype=float` (see the module docstring).
+_FLOAT_CASTERS = {"matrixgroup", "harness"}
+
+
+def _float_rules(sources: dict[str, str]) -> list[str]:
+    """'module:line: name' of every `allclose` or `isclose` that {module:
+    source} names, imports included, and of every `dtype=float` outside
+    _FLOAT_CASTERS, sorted."""
+    out = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in ("allclose", "isclose"):
+                out.append(f"{module}:{node.lineno}: {name}")
+            elif (isinstance(node, ast.keyword) and node.arg == "dtype"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "float"
+                  and module not in _FLOAT_CASTERS):
+                out.append(f"{module}:{node.lineno}: dtype=float")
+    return sorted(out)
+
+
+def test_no_evaluator_casts_or_compares_to_a_tolerance():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC}
+    assert _float_rules(sources) == []
+
+
+def test_cast_check_finds_planted_casts():
+    assert _float_rules({
+        "eulercocycle": "import numpy as np\n"
+                        "def f(X):\n    return np.asarray(X, dtype=float)\n",
+        "formcalc": "from numpy import allclose\nimport math\n"
+                    "ok = math.isclose(1.0, 1.0)\n",
+        "harness": "def g(v):\n    '''no allclose in a docstring'''\n"
+                   "    return np.asarray(v, dtype=float)\n",
+        "matrixgroup": "h = np.array([1], dtype=float)\n"
+                       "same = np.allclose(h, h)\n",
+    }) == ["eulercocycle:3: dtype=float", "formcalc:1: allclose",
+           "formcalc:3: isclose", "matrixgroup:2: allclose"]
